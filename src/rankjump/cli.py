@@ -8,21 +8,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from .config import ConfigError, build_surface, parse_cover_file, parse_surface_config
-from .conics import DegenerateFibreError, conic_fibre, conic_solvable
-from .jumps import (
-    Budget,
-    CoverChallenge,
-    SearchLog,
-    avoid_covers,
-    field_census,
-    jump1,
-    jump2,
-    rank_bound_data,
+from .config import (
+    ConfigError,
+    build_surface,
+    fibred_surface,
+    parse_cover_file,
+    parse_surface_config,
 )
-from .store import CertificateRecord, append_records, store_file, verify_store
+from .jumps import Budget, CoverChallenge, SearchLog, field_census, jump1, jump2
+from .store import CertificateRecord, append_records, store_file, stored_t0, verify_store
 from .surfaces import (
     TwistFamily,
     classify_fibres,
@@ -38,29 +35,12 @@ EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
 
-def _load_surface(path: str):
+def _load_config(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    cfg = parse_surface_config(text)
-    return cfg, build_surface(cfg)
-
-
-def _fibred_surface(surface):
-    """The conic-bundle machinery needs a twist or quadratic-coefficient
-    form; a plain Weierstrass model is accepted when it hides a twist."""
-    from .surfaces import WeierstrassQt
-
-    if not isinstance(surface, WeierstrassQt):
-        return surface
-    recovered = is_twist_case(surface)
-    if recovered is None:
-        raise ConfigError(
-            "a generic weierstrass model carries no conic bundle here; "
-            "supply the surface in twist or km form"
-        )
-    return recovered
+    return parse_surface_config(text)
 
 
 def _parse_budget(spec: str) -> Budget:
@@ -76,7 +56,8 @@ def _parse_budget(spec: str) -> Budget:
 
 
 def cmd_classify(args) -> int:
-    cfg, surface = _load_surface(args.config)
+    cfg = _load_config(args.config)
+    surface = build_surface(cfg)
     w = to_weierstrass(surface)
     cls = classify_fibres(w)
     print(f"surface: {cfg.label} (kind {cfg.kind})")
@@ -102,8 +83,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_jump(args) -> int:
-    cfg, surface = _load_surface(args.config)
-    surface = _fibred_surface(surface)
+    cfg = _load_config(args.config)
+    surface = fibred_surface(cfg)
     budget = _parse_budget(args.budget)
     challenge = None
     if args.avoid:
@@ -113,16 +94,16 @@ def cmd_jump(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad cover file: {exc}") from exc
     log = SearchLog()
-    if challenge is not None:
-        stream = avoid_covers(surface, challenge, budget, rank=args.rank,
-                              label=cfg.label, log=log)
-    elif args.rank == 1:
-        stream = jump1(surface, budget, label=cfg.label, log=log)
-    else:
-        stream = jump2(surface, budget, label=cfg.label, log=log)
+    search = jump1 if args.rank == 1 else jump2
     records = []
-    for cert in stream:
-        rec = CertificateRecord(cert, cfg, budget, args.timestamp).reverified()
+    failed = 0
+    for cert in search(surface, budget, avoid=challenge, label=cfg.label, log=log):
+        rec, reasons = CertificateRecord(cert, cfg, budget, args.timestamp).reverified(surface)
+        if not rec.verified:
+            failed += 1
+            print(f"# re-verification failed at t0 = {cert.t0}: {'; '.join(reasons)}",
+                  file=sys.stderr)
+            continue
         records.append(rec)
         print(rec.to_json())
     if args.store:
@@ -139,21 +120,20 @@ def cmd_jump(args) -> int:
         f"inconclusive {log.inconclusive_pairs}, avoided t0 {log.avoided_t0}",
         file=sys.stderr,
     )
+    if failed:
+        return EXIT_VERIFY
     return EXIT_OK if len(records) >= budget.count else EXIT_BUDGET
 
 
 def cmd_census(args) -> int:
-    cfg, surface = _load_surface(args.config)
-    surface = _fibred_surface(surface)
-    census = field_census(surface, args.height)
+    cfg = _load_config(args.config)
+    census = field_census(fibred_surface(cfg), args.height)
     stored_heights = []
     if args.store:
-        from .store import stored_t0
-        from fractions import Fraction
-
-        for s in stored_t0(args.store, cfg.label):
-            q = Fraction(s)
-            stored_heights.append(max(abs(q.numerator), q.denominator))
+        for definition, s in stored_t0(args.store, cfg.label):
+            if definition == cfg.definition:
+                q = Fraction(s)
+                stored_heights.append(max(abs(q.numerator), q.denominator))
     header = "height  distinct_classes  solvable_fibres"
     if args.store:
         header += "  stored_certificates"

@@ -19,7 +19,13 @@ from fractions import Fraction
 
 from .arith import DomainError
 from .polynomial import RatPoly
-from .surfaces import KMFamily, NotRationalElliptic, TwistFamily, WeierstrassQt
+from .surfaces import (
+    KMFamily,
+    NotRationalElliptic,
+    TwistFamily,
+    WeierstrassQt,
+    is_twist_case,
+)
 from .kodaira import InvalidModelError
 
 
@@ -46,6 +52,12 @@ class SurfaceConfig:
         for name, poly in self.polys.items():
             out[name] = [str(c) for c in poly.coeffs]
         return out
+
+    @property
+    def definition(self) -> tuple:
+        """The surface itself, label aside: equal exactly for configs that
+        define the same surface."""
+        return self.kind, tuple(sorted((n, p.coeffs) for n, p in self.polys.items()))
 
 
 def _parse_rational(token: str, lineno: int, key: str) -> Fraction:
@@ -103,6 +115,22 @@ def build_surface(cfg: SurfaceConfig):
         return WeierstrassQt(cfg.polys["A"], cfg.polys["B"])
     except (DomainError, InvalidModelError, NotRationalElliptic) as exc:
         raise ConfigError(f"invalid {cfg.kind} surface: {exc}") from exc
+
+
+def fibred_surface(cfg: SurfaceConfig):
+    """The surface in twist or km form, where searches run and their
+    certificates are verified; a weierstrass config is accepted when it
+    hides a twist, and is then searched and verified in twist form."""
+    surface = build_surface(cfg)
+    if not isinstance(surface, WeierstrassQt):
+        return surface
+    recovered = is_twist_case(surface)
+    if recovered is None:
+        raise ConfigError(
+            "a generic weierstrass model carries no conic bundle here; "
+            "supply the surface in twist or km form"
+        )
+    return recovered
 
 
 def surface_config_from_dict(data: dict) -> SurfaceConfig:

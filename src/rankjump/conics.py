@@ -233,10 +233,6 @@ class ConicFibre:
             return self.surface.g(t) * w * w == self.value
         return w * w == self.q(t)
 
-    def surface_point(self, t, w):
-        """The surface point (x, y) on the fibre over t carried by (t, w)."""
-        return self.x0, Fraction(w)
-
     def _form(self, v) -> Fraction:
         return _bilinear(self.matrix, v, v)
 

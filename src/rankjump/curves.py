@@ -22,7 +22,6 @@ from math import gcd
 
 from .arith import DomainError, prime_factors
 from .kodaira import kodaira_type
-from .surfaces import KMFamily, TwistFamily, WeierstrassQt
 
 
 class SingularCurveError(ValueError):
@@ -599,35 +598,17 @@ class Specialization:
 def specialize(surface, t0) -> Specialization:
     """The specialised curve at t = t0 plus the transport of fibre points.
 
-    Raises SingularSpecializationError under a singular fibre, and for
-    quadratic-coefficient families also where the leading coefficient a3
-    vanishes (there the transport chart degenerates).
+    Raises SingularSpecializationError under a singular fibre, and where
+    the surface's transport chart degenerates (u(t0) = 0; for
+    quadratic-coefficient families, where a3 vanishes).
     """
     t0 = Fraction(t0)
-    if isinstance(surface, TwistFamily):
-        g0 = surface.g(t0)
-        if g0 == 0:
-            raise SingularSpecializationError(f"g({t0}) = 0 lies under a singular fibre")
-        Pc, Qc, l, c2 = surface.short_cubic()
-        try:
-            curve = EllipticCurveQ(Pc * g0**2, Qc * g0**3)
-        except SingularCurveError as exc:
-            raise SingularSpecializationError(str(exc)) from exc
-        return Specialization(t0, curve, (g0 * l, g0 * c2 / 3, g0 * g0 * l))
-    if isinstance(surface, KMFamily):
-        a3v = surface.a3(t0)
-        if a3v == 0:
-            raise SingularSpecializationError(f"a3({t0}) = 0: transport chart degenerates")
-        A, B = surface.short_AB()
-        try:
-            curve = EllipticCurveQ(A(t0), B(t0))
-        except SingularCurveError as exc:
-            raise SingularSpecializationError(str(exc)) from exc
-        return Specialization(t0, curve, (a3v, surface.a2(t0) / 3, a3v))
-    if isinstance(surface, WeierstrassQt):
-        try:
-            curve = EllipticCurveQ(surface.A(t0), surface.B(t0))
-        except SingularCurveError as exc:
-            raise SingularSpecializationError(str(exc)) from exc
-        return Specialization(t0, curve, (Fraction(1), Fraction(0), Fraction(1)))
-    raise TypeError(f"unsupported surface {surface!r}")
+    u, v, w = (c(t0) for c in surface.chart)
+    if u == 0:
+        raise SingularSpecializationError(f"u({t0}) = 0: transport chart degenerates")
+    model = surface.weierstrass
+    try:
+        curve = EllipticCurveQ(model.A(t0), model.B(t0))
+    except SingularCurveError as exc:
+        raise SingularSpecializationError(str(exc)) from exc
+    return Specialization(t0, curve, (u, v, w))

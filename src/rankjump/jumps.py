@@ -13,10 +13,18 @@ quadratic-coefficient families the branch points move, so two fibre
 parametrisations are intersected on the t-coordinate; pairs whose covers
 have identical branch loci (reducible fibre product) are skipped.
 
-avoid_covers filters any certificate stream through a finite challenge of
-quadratic covers, keeping only parameter values outside every cover's
-image. field_census counts the quadratic-extension classes realised by
-solvable fibres.
+The three candidate loops only propose a parameter value t0 with fibre
+points over it; one certification stage specialises, transports, rejects
+torsion and asks the regulator about pairs. The surface's invariants (short
+model, transport chart, rank bound) are computed once per surface object,
+not per candidate. Searches and verify_certificate both work on the fibred
+(twist or km) form, so a Weierstrass model hiding a twist is searched and
+verified in twist form (see config.fibred_surface).
+
+With avoid set, any search keeps only parameter values outside the image
+of every cover of a finite challenge of quadratic covers (avoid_covers is
+the same call). field_census counts the quadratic-extension classes
+realised by solvable fibres.
 """
 
 from __future__ import annotations
@@ -46,13 +54,7 @@ from .curves import (
     specialize,
 )
 from .polynomial import RatPoly, poly_gcd
-from .surfaces import (
-    KMFamily,
-    TwistFamily,
-    classify_fibres,
-    shioda_tate_bound,
-    to_weierstrass,
-)
+from .surfaces import KMFamily, TwistFamily, to_weierstrass
 
 
 @dataclass(frozen=True)
@@ -113,12 +115,53 @@ class SearchLog:
 
 def rank_bound_data(surface) -> tuple[int, bool]:
     """Shioda-Tate bound for the generic rank; exact exactly when it is 0."""
-    r = shioda_tate_bound(classify_fibres(to_weierstrass(surface)))
+    r = to_weierstrass(surface).rank_bound
     return r, r == 0
 
 
-def _delta_poly(surface) -> RatPoly:
-    return to_weierstrass(surface).delta
+def _certify(surface, t0: Fraction, points, seen: set[Fraction],
+             avoid: CoverChallenge | None, label: str,
+             log: SearchLog) -> RankJumpCertificate | RegulatorResult | None:
+    """The certificate carried by the fibre points [(x0, w), ...] over t0.
+
+    Returns None when t0 is already certified, lies in a cover's image, sits
+    under a singular fibre or carries a torsion point, and the regulator's
+    verdict when a pair is not independent; each rejection is counted in
+    log. On success t0 joins seen.
+    """
+    if t0 in seen:
+        return None
+    if avoid is not None and not avoid.admits(t0):
+        log.avoided_t0 += 1
+        return None
+    try:
+        spec = specialize(surface, t0)
+    except SingularSpecializationError:
+        return None
+    pts = [spec.transport(x0, w) for x0, w in points]
+    if any(spec.curve.torsion_order(P) is not None for P in pts):
+        log.torsion_rejects += 1
+        return None
+    verdict = regulator(spec.curve, pts) if len(pts) == 2 else None
+    if verdict is not None and not verdict.independent:
+        if verdict.verdict == "dependent":
+            log.dependent_pairs += 1
+        else:
+            log.inconclusive_pairs += 1
+        return verdict
+    seen.add(t0)
+    r_bound, r_exact = rank_bound_data(surface)
+    return RankJumpCertificate(
+        label=label,
+        t0=t0,
+        curve=(spec.curve.A, spec.curve.B),
+        points=[(P.x, P.y) for P in pts],
+        provenance=[x0 for x0, _ in points],
+        generic_rank_bound=r_bound,
+        rank_bound_exact=r_exact,
+        claimed_rank_lower_bound=r_bound + len(pts),
+        regulator=None if verdict is None else (verdict.determinant, verdict.error),
+    )
 
 
 def jump1(surface, budget: Budget, avoid: CoverChallenge | None = None,
@@ -131,10 +174,7 @@ def jump1(surface, budget: Budget, avoid: CoverChallenge | None = None,
     count is reached or the budget is exhausted.
     """
     log = log if log is not None else SearchLog()
-    r_bound, r_exact = rank_bound_data(surface)
-    delta = _delta_poly(surface)
     seen: set[Fraction] = set()
-    emitted = 0
     active = []  # per-fibre state: [fibre, height-annotated point source, lookahead]
     x0_source = rationals_by_height(budget.x0_height)
     x0_next = next(x0_source, None)
@@ -160,34 +200,11 @@ def jump1(surface, budget: Budget, avoid: CoverChallenge | None = None,
                     break
                 _, t0, w = pending
                 pending = None
-                if emitted >= budget.count:
+                if len(seen) >= budget.count:
                     return
-                if t0 in seen or delta(t0) == 0:
-                    continue
-                if avoid is not None and not avoid.admits(t0):
-                    log.avoided_t0 += 1
-                    continue
-                try:
-                    spec = specialize(surface, t0)
-                except SingularSpecializationError:
-                    continue
-                x, y = fib.surface_point(t0, w)
-                P = spec.transport(x, y)
-                if spec.curve.torsion_order(P) is not None:
-                    log.torsion_rejects += 1
-                    continue
-                seen.add(t0)
-                emitted += 1
-                yield RankJumpCertificate(
-                    label=label,
-                    t0=t0,
-                    curve=(spec.curve.A, spec.curve.B),
-                    points=[(P.x, P.y)],
-                    provenance=[fib.x0],
-                    generic_rank_bound=r_bound,
-                    rank_bound_exact=r_exact,
-                    claimed_rank_lower_bound=r_bound + 1,
-                )
+                cert = _certify(surface, t0, [(fib.x0, w)], seen, avoid, label, log)
+                if cert is not None:
+                    yield cert
             slot[2] = pending
 
 
@@ -222,8 +239,6 @@ def _fibres_up_to(surface, height: int, log: SearchLog):
 
 def _jump2_shared_value(surface: TwistFamily, budget: Budget,
                         avoid: CoverChallenge | None, label: str, log: SearchLog):
-    r_bound, r_exact = rank_bound_data(surface)
-    delta = _delta_poly(surface)
     f = surface.f
     # group fibres by quadratic-extension class, in enumeration order
     by_class: dict[QuadExtClass, list[ConicFibre]] = {}
@@ -234,9 +249,8 @@ def _jump2_shared_value(surface: TwistFamily, budget: Budget,
             pairs.append((earlier, fib))
         partners.append(fib)
     seen: set[Fraction] = set()
-    emitted = 0
     for fib_a, fib_b in pairs:
-        if emitted >= budget.count:
+        if len(seen) >= budget.count:
             return
         # points flow along whichever fibre of the pair has rational points;
         # the partner point over the same t0 comes from the shared class
@@ -250,45 +264,13 @@ def _jump2_shared_value(surface: TwistFamily, budget: Budget,
         ratio = rational_sqrt(f(other.x0) / f(src.x0))
         assert ratio is not None, "fibres in one class have a square value ratio"
         for t0, w in parametrize(src, budget.param_height):
-            if emitted >= budget.count:
+            if len(seen) >= budget.count:
                 return
-            if t0 in seen or delta(t0) == 0:
-                continue
-            if avoid is not None and not avoid.admits(t0):
-                log.avoided_t0 += 1
-                continue
-            try:
-                spec = specialize(surface, t0)
-            except SingularSpecializationError:
-                continue
-            P = spec.transport(src.x0, w)
-            Q = spec.transport(other.x0, w * ratio)
-            if (
-                spec.curve.torsion_order(P) is not None
-                or spec.curve.torsion_order(Q) is not None
-            ):
-                log.torsion_rejects += 1
-                continue
-            verdict = regulator(spec.curve, [P, Q])
-            if verdict.independent:
-                seen.add(t0)
-                emitted += 1
-                yield RankJumpCertificate(
-                    label=label,
-                    t0=t0,
-                    curve=(spec.curve.A, spec.curve.B),
-                    points=[(P.x, P.y), (Q.x, Q.y)],
-                    provenance=[src.x0, other.x0],
-                    generic_rank_bound=r_bound,
-                    rank_bound_exact=r_exact,
-                    claimed_rank_lower_bound=r_bound + 2,
-                    regulator=(verdict.determinant, verdict.error),
-                )
-            else:
-                if verdict.verdict == "dependent":
-                    log.dependent_pairs += 1
-                else:
-                    log.inconclusive_pairs += 1
+            out = _certify(surface, t0, [(src.x0, w), (other.x0, w * ratio)],
+                           seen, avoid, label, log)
+            if isinstance(out, RankJumpCertificate):
+                yield out
+            elif out is not None:
                 # all shared-value points of this pair transport to one fixed
                 # pair on the twist-reduced curve, so one verdict settles it
                 break
@@ -296,8 +278,6 @@ def _jump2_shared_value(surface: TwistFamily, budget: Budget,
 
 def _jump2_stream_intersection(surface: KMFamily, budget: Budget,
                                avoid: CoverChallenge | None, label: str, log: SearchLog):
-    r_bound, r_exact = rank_bound_data(surface)
-    delta = _delta_poly(surface)
     fibres = [f for f in _fibres_up_to(surface, budget.x0_height, log)
               if conic_solvable(f)]
     streams: dict[int, dict[Fraction, Fraction]] = {}
@@ -311,54 +291,23 @@ def _jump2_stream_intersection(surface: KMFamily, budget: Budget,
         return streams[i]
 
     seen: set[Fraction] = set()
-    emitted = 0
     for j in range(len(fibres)):
         for i in range(j):
-            if emitted >= budget.count:
+            if len(seen) >= budget.count:
                 return
             if fibre_product_genus(fibres[i].branch, fibres[j].branch) == REDUCIBLE:
                 continue
             base = stream(i)
             for t0, w_j in sorted(stream(j).items(),
                                   key=lambda kv: (_height(kv[0]), kv[0] < 0, kv[0])):
-                if emitted >= budget.count:
+                if len(seen) >= budget.count:
                     return
-                if t0 not in base or t0 in seen or delta(t0) == 0:
+                if t0 not in base:
                     continue
-                if avoid is not None and not avoid.admits(t0):
-                    log.avoided_t0 += 1
-                    continue
-                try:
-                    spec = specialize(surface, t0)
-                except SingularSpecializationError:
-                    continue
-                P = spec.transport(fibres[i].x0, base[t0])
-                Q = spec.transport(fibres[j].x0, w_j)
-                if (
-                    spec.curve.torsion_order(P) is not None
-                    or spec.curve.torsion_order(Q) is not None
-                ):
-                    log.torsion_rejects += 1
-                    continue
-                verdict = regulator(spec.curve, [P, Q])
-                if verdict.independent:
-                    seen.add(t0)
-                    emitted += 1
-                    yield RankJumpCertificate(
-                        label=label,
-                        t0=t0,
-                        curve=(spec.curve.A, spec.curve.B),
-                        points=[(P.x, P.y), (Q.x, Q.y)],
-                        provenance=[fibres[i].x0, fibres[j].x0],
-                        generic_rank_bound=r_bound,
-                        rank_bound_exact=r_exact,
-                        claimed_rank_lower_bound=r_bound + 2,
-                        regulator=(verdict.determinant, verdict.error),
-                    )
-                elif verdict.verdict == "dependent":
-                    log.dependent_pairs += 1
-                else:
-                    log.inconclusive_pairs += 1
+                out = _certify(surface, t0, [(fibres[i].x0, base[t0]), (fibres[j].x0, w_j)],
+                               seen, avoid, label, log)
+                if isinstance(out, RankJumpCertificate):
+                    yield out
 
 
 def _height(q: Fraction) -> int:
@@ -430,7 +379,7 @@ def field_census(surface, x0_height_bound: int) -> CensusResult:
 def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[str]]:
     """Re-verify a certificate from scratch; returns (ok, failure reasons).
 
-    Checks: the parameter avoids singular fibres, each point satisfies the
+    The surface is the fibred (twist or km) form the search ran on. Checks: the parameter avoids singular fibres, each point satisfies the
     specialised curve equation exactly and pulls back to the claimed conic
     fibre, no point is torsion, pairs pass the regulator threshold, and the
     claimed bound matches the evidence.
@@ -476,6 +425,4 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
 def _on_surface(surface, x: Fraction, y: Fraction, t: Fraction) -> bool:
     if isinstance(surface, TwistFamily):
         return surface.g(t) * y * y == surface.f(x)
-    if isinstance(surface, KMFamily):
-        return y * y == surface.fibre_quadratic(x)(t)
-    return True
+    return y * y == surface.fibre_quadratic(x)(t)

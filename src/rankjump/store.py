@@ -4,7 +4,12 @@ A record is a rank-jump certificate plus engine version, budget and an
 optional run stamp, serialised with sorted keys and exact rationals as
 strings, so identical runs produce byte-identical streams. The store is a
 directory of .jsonl files keyed by a hash of the surface label; re-runs
-append only parameter values not already present.
+append only parameter values not already present for the same surface
+definition, so unlabelled surfaces sharing a file lose nothing.
+
+Records are verified in the fibred (twist or km) form of their config, the
+form the search ran in; a batch builds that form once per distinct surface
+definition.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .config import SurfaceConfig, build_surface, surface_config_from_dict
+from .config import SurfaceConfig, fibred_surface, surface_config_from_dict
 from .jumps import Budget, RankJumpCertificate, verify_certificate
 
 
@@ -32,12 +37,13 @@ class CertificateRecord:
     timestamp: str | None = None
     verified: bool = False          # set by an independent re-verification pass
 
-    def reverified(self) -> "CertificateRecord":
-        """The same record with the verification flag established afresh."""
-        surface = build_surface(self.surface)
-        ok, _ = verify_certificate(surface, self.certificate)
+    def reverified(self, surface) -> tuple["CertificateRecord", list[str]]:
+        """The same record with the verification flag established afresh,
+        and the reasons of a failure; surface is the fibred form of the
+        record's config (see config.fibred_surface)."""
+        ok, reasons = verify_certificate(surface, self.certificate)
         return CertificateRecord(self.certificate, self.surface, self.budget,
-                                 self.timestamp, ok)
+                                 self.timestamp, ok), reasons
 
     def to_json(self) -> str:
         cert = self.certificate
@@ -89,7 +95,8 @@ def store_file(store_dir: str | Path, label: str) -> Path:
     return Path(store_dir) / f"{key}.jsonl"
 
 
-def stored_t0(store_dir: str | Path, label: str) -> set[str]:
+def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, str]]:
+    """(surface definition, t0) of every readable record in the label's file."""
     path = store_file(store_dir, label)
     out = set()
     if path.exists():
@@ -97,21 +104,23 @@ def stored_t0(store_dir: str | Path, label: str) -> set[str]:
             if not line.strip():
                 continue
             try:
-                out.add(json.loads(line)["t0"])
-            except (json.JSONDecodeError, KeyError):
+                data = json.loads(line)
+                out.add((surface_config_from_dict(data["surface"]).definition, data["t0"]))
+            except (AttributeError, KeyError, TypeError, ValueError):
                 continue
     return out
 
 
 def append_records(store_dir: str | Path, label: str, records) -> int:
-    """Append records whose t0 is not yet stored; returns how many were new."""
+    """Append records whose (surface definition, t0) is not yet stored;
+    returns how many were new."""
     path = store_file(store_dir, label)
     path.parent.mkdir(parents=True, exist_ok=True)
     known = stored_t0(store_dir, label)
     added = 0
     with path.open("a", encoding="utf-8") as fh:
         for rec in records:
-            key = str(rec.certificate.t0)
+            key = (rec.surface.definition, str(rec.certificate.t0))
             if key in known:
                 continue
             fh.write(rec.to_json() + "\n")
@@ -134,6 +143,7 @@ def verify_store(store_dir: str | Path) -> list[VerificationReport]:
     """Independently re-verify every stored record; corrupt lines are
     reported but do not abort the batch."""
     reports = []
+    surfaces = {}  # fibred surface by surface definition, for this batch
     for path in sorted(Path(store_dir).glob("*.jsonl")):
         results = []
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -145,8 +155,10 @@ def verify_store(store_dir: str | Path) -> list[VerificationReport]:
                 results.append((lineno, False, [f"corrupt record: {exc}"]))
                 continue
             try:
-                surface = build_surface(rec.surface)
-                ok, reasons = verify_certificate(surface, rec.certificate)
+                key = rec.surface.definition
+                if key not in surfaces:
+                    surfaces[key] = fibred_surface(rec.surface)
+                ok, reasons = verify_certificate(surfaces[key], rec.certificate)
             except Exception as exc:
                 ok, reasons = False, [f"verification error: {exc}"]
             results.append((lineno, ok, reasons))

@@ -7,12 +7,17 @@ quadratic-coefficient family is y^2 = a3(t) x^3 + ... + a0(t) with all
 deg a_i <= 2. Both convert to a short Weierstrass model y^2 = x^3 + A(t) x
 + B(t) with deg A <= 4, deg B <= 6, the shape that characterises rational
 elliptic surfaces.
+
+Each surface object computes its invariants once, on first use: the short
+Weierstrass model with its discriminant, the transport chart carrying fibre
+points onto that model, and (on the model) the Shioda-Tate rank bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import DomainError
 from .kodaira import InvalidModelError, KodairaType, kodaira_type
@@ -76,6 +81,21 @@ class TwistFamily:
     def short_cubic(self):
         return _short_cubic(self.f)
 
+    @cached_property
+    def weierstrass(self) -> "WeierstrassQt":
+        """The short model y^2 = x^3 + P g^2 x + Q g^3, P and Q from short_cubic."""
+        P, Q, _, _ = self.short_cubic()
+        g = self.g
+        return WeierstrassQt(P * g * g, Q * g * g * g)
+
+    @cached_property
+    def chart(self) -> tuple[RatPoly, RatPoly, RatPoly]:
+        """(u, v, w) in Q[t] with X = u x + v, Y = w y carrying the fibre
+        over t onto the short model; u vanishes under the singular fibres."""
+        _, _, l, c2 = self.short_cubic()
+        g = self.g
+        return g * l, g * (c2 / 3), g * g * l
+
 
 @dataclass(frozen=True)
 class KMFamily:
@@ -92,10 +112,11 @@ class KMFamily:
                 raise DomainError(f"{name} must have degree at most 2")
         if self.a3.is_zero():
             raise DomainError("a3 must be nonzero")
-        A, B = self.short_AB()
-        if (-16 * (4 * A**3 + 27 * B**2)).is_zero():
-            raise DomainError("generic fibre is singular")
-        if A.is_constant() and B.is_constant():
+        try:
+            model = self.weierstrass
+        except InvalidModelError:
+            raise DomainError("generic fibre is singular") from None
+        if model.A.is_constant() and model.B.is_constant():
             raise DomainError("family is constant")
 
     def short_AB(self) -> tuple[RatPoly, RatPoly]:
@@ -104,6 +125,17 @@ class KMFamily:
         A = a1 * a3 - a2 * a2 * Fraction(1, 3)
         B = a0 * a3 * a3 - a1 * a2 * a3 * Fraction(1, 3) + a2**3 * Fraction(2, 27)
         return A, B
+
+    @cached_property
+    def weierstrass(self) -> "WeierstrassQt":
+        return WeierstrassQt(*self.short_AB())
+
+    @cached_property
+    def chart(self) -> tuple[RatPoly, RatPoly, RatPoly]:
+        """(u, v, w) in Q[t] with X = u x + v, Y = w y carrying the fibre
+        over t onto the short model; u = a3, so the chart degenerates
+        wherever a3 vanishes."""
+        return self.a3, self.a2 * Fraction(1, 3), self.a3
 
     def fibre_quadratic(self, x0: Fraction) -> RatPoly:
         """The polynomial q(t) with w^2 = q(t) cutting out the curve x = x0."""
@@ -135,6 +167,20 @@ class WeierstrassQt:
                 "coefficient degrees exceed the rational elliptic surface bounds"
             )
         object.__setattr__(self, "delta", delta)
+
+    @property
+    def weierstrass(self) -> "WeierstrassQt":
+        return self
+
+    @property
+    def chart(self) -> tuple[RatPoly, RatPoly, RatPoly]:
+        """The identity: fibre points already lie on the model."""
+        return RatPoly([1]), RatPoly(), RatPoly([1])
+
+    @cached_property
+    def rank_bound(self) -> int:
+        """Shioda-Tate bound for the generic rank of the model."""
+        return shioda_tate_bound(classify_fibres(self))
 
 
 def _reduce_model(A: RatPoly, B: RatPoly) -> tuple[RatPoly, RatPoly]:
@@ -193,17 +239,8 @@ class FibreClassification:
 
 
 def to_weierstrass(surface) -> WeierstrassQt:
-    """Short Weierstrass model of a twist or quadratic-coefficient family."""
-    if isinstance(surface, TwistFamily):
-        P, Q, _, _ = surface.short_cubic()
-        g = surface.g
-        return WeierstrassQt(P * g * g, Q * g * g * g)
-    if isinstance(surface, KMFamily):
-        A, B = surface.short_AB()
-        return WeierstrassQt(A, B)
-    if isinstance(surface, WeierstrassQt):
-        return surface
-    raise TypeError(f"unsupported surface {surface!r}")
+    """Short Weierstrass model of a surface, built once per surface object."""
+    return surface.weierstrass
 
 
 def classify_fibres(w: WeierstrassQt) -> FibreClassification:

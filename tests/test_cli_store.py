@@ -205,9 +205,45 @@ class TestCli:
             tmp_path, "w.cfg",
             "kind = weierstrass\nlabel = hidden-twist\nA = -1, 0, 2, 0, -1\nB = 0\n",
         )
-        assert main(["jump", "--config", cfg, "--budget", "6,6,3"]) == 0
+        store = str(tmp_path / "store")
+        assert main(["jump", "--config", cfg, "--budget", "6,6,3", "--store", store]) == 0
         out = capsys.readouterr().out
-        assert len([l for l in out.splitlines() if l and not l.startswith("#")]) == 3
+        lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+        assert len(lines) == 3
+        assert all(json.loads(l)["verified"] is True for l in lines)
+        assert main(["verify", "--store", store]) == 0
+        assert "3 records, 0 failures" in capsys.readouterr().out
+
+    def test_failed_reverification_exit_4(self, tmp_path, capsys, monkeypatch):
+        import rankjump.store
+
+        monkeypatch.setattr(rankjump.store, "verify_certificate",
+                            lambda surface, cert: (False, ["forced failure"]))
+        cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
+        store = tmp_path / "store"
+        assert main(["jump", "--config", cfg, "--budget", "6,6,2", "--store", str(store)]) == 4
+        captured = capsys.readouterr()
+        assert not [l for l in captured.out.splitlines() if l and not l.startswith("#")]
+        failures = [l for l in captured.err.splitlines() if "re-verification failed" in l]
+        assert len(failures) == 2 and all("forced failure" in l for l in failures)
+        assert "t0 = " in failures[0]
+        assert not "".join(p.read_text() for p in store.glob("*.jsonl"))
+
+    def test_store_keeps_unlabelled_surfaces_apart(self, tmp_path, capsys):
+        # both configs default to the label "twist", so they share a store
+        # file; x^3 - x is odd, so g = t and g = -t share four of five t0
+        plus = self._write(tmp_path, "plus.cfg", "kind = twist\nf = 0, -1, 0, 1\ng = 0, 1\n")
+        minus = self._write(tmp_path, "minus.cfg", "kind = twist\nf = 0, -1, 0, 1\ng = 0, -1\n")
+        store = str(tmp_path / "store")
+        assert main(["jump", "--config", plus, "--budget", "6,6,5", "--store", store]) == 0
+        capsys.readouterr()
+        assert main(["jump", "--config", minus, "--budget", "6,6,5", "--store", store]) == 0
+        assert "# store: 5 new of 5 certificates" in capsys.readouterr().err
+        assert main(["verify", "--store", store]) == 0
+        assert "verified 10 records, 0 failures" in capsys.readouterr().out
+        assert main(["census", "--config", plus, "--height", "32", "--store", store]) == 0
+        rows = [l.split() for l in capsys.readouterr().out.splitlines() if l[:1].isspace()]
+        assert rows[-1][0] == "32" and rows[-1][3] == "5"
 
     def test_weierstrass_without_conics_exit_2(self, tmp_path, capsys):
         cfg = self._write(
