@@ -1,7 +1,10 @@
 """Exact arithmetic on elliptic curves over Q.
 
-Group law, torsion detection (orders bounded by 12 over Q), Neron-Tate
-canonical heights with rigorous error bounds, and regulator verdicts.
+Group law, torsion decided by reduction modulo primes of good reduction
+(Nagell-Lutz and Silverman, The Arithmetic of Elliptic Curves, section
+VII.3), Neron-Tate canonical heights with rigorous error bounds, and
+regulator verdicts whose relations are searched only where the Gram matrix
+of heights allows them, then checked exactly.
 
 Heights are computed as a sum of local terms attached to one fixed integral
 short Weierstrass model. The archimedean term comes from the duplication
@@ -18,7 +21,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import cache, cached_property
+from itertools import count, islice, product
+from math import gcd, isqrt
 
 from .arith import DomainError, prime_factors
 from .kodaira import kodaira_type
@@ -91,7 +96,6 @@ class EllipticCurveQ:
         if 4 * self.A**3 + 27 * self.B**2 == 0:
             raise SingularCurveError("curve is singular")
         self._integral = None
-        self._bad_primes = None
 
     def __eq__(self, other):
         return isinstance(other, EllipticCurveQ) and (self.A, self.B) == (other.A, other.B)
@@ -144,10 +148,12 @@ class EllipticCurveQ:
         Ai, Bi, _ = self.integral_model()
         return -16 * (4 * Ai**3 + 27 * Bi**2)
 
-    def bad_primes(self) -> list[int]:
-        if self._bad_primes is None:
-            self._bad_primes = prime_factors(self.discriminant_integral())
-        return self._bad_primes
+    @cached_property
+    def _reduction_primes(self) -> tuple[int, ...]:
+        """The two smallest primes p >= 3 of good reduction of the integral model."""
+        disc = self.discriminant_integral()
+        odd_primes = (p for p in count(3, 2) if all(p % q for q in range(3, isqrt(p) + 1, 2)))
+        return tuple(islice((p for p in odd_primes if disc % p), 2))
 
     # -- points and the group law ---------------------------------------------
 
@@ -197,16 +203,43 @@ class EllipticCurveQ:
         return result
 
     def torsion_order(self, P: PointQ) -> int | None:
-        """Order of P if torsion (<= 12 over Q, by the uniform torsion bound),
-        else None."""
+        """Order of P if torsion, else None.
+
+        On the integral model a torsion point is integral (Nagell-Lutz), and
+        reduction modulo a prime p >= 3 of good reduction is injective on
+        torsion (Silverman, AEC section VII.3). So a torsion P has the same
+        order n <= MAZUR_BOUND modulo both `_reduction_primes`, and n P = O
+        then decides exactly.
+        """
+        self._require(P)
         if P.is_identity:
             return 1
-        Q = P
-        for n in range(2, MAZUR_BOUND + 1):
-            Q = self.add(Q, P)
-            if Q.is_identity:
+        Ai, _, lam = self.integral_model()
+        x, y = P.x * lam**2, P.y * lam**3
+        if x.denominator != 1 or y.denominator != 1:
+            return None
+        orders = {_order_mod(Ai, x.numerator, y.numerator, p) for p in self._reduction_primes}
+        if len(orders) != 1 or None in orders:
+            return None
+        n = orders.pop()
+        return n if self.scalar_mul(n, P).is_identity else None
+
+
+def _order_mod(A: int, x: int, y: int, p: int) -> int | None:
+    """Order of (x, y) on y^2 = x^3 + A x + B over F_p (B does not enter the
+    group law), or None when it exceeds MAZUR_BOUND."""
+    x, y = x % p, y % p
+    qx, qy = x, y  # (n - 1) P
+    for n in range(2, MAZUR_BOUND + 1):
+        if qx == x:
+            if (qy + y) % p == 0:
                 return n
-        return None
+            lam = (3 * x * x + A) * pow(2 * y, -1, p) % p
+        else:
+            lam = (qy - y) * pow(qx - x, -1, p) % p
+        nx = (lam * lam - x - qx) % p
+        qx, qy = nx, (lam * (x - nx) - y) % p
+    return None
 
 
 def _max0(n: int) -> int:
@@ -480,12 +513,14 @@ def canonical_height_doubling(E: EllipticCurveQ, P: PointQ, doublings: int = 3) 
 
 def neron_tate_pairing(E: EllipticCurveQ, P: PointQ, Q: PointQ) -> tuple[float, float]:
     """<P, Q> = (hhat(P+Q) - hhat(P) - hhat(Q)) / 2 with propagated error."""
-    hP = canonical_height(E, P)
-    hQ = canonical_height(E, Q)
-    hPQ = canonical_height(E, E.add(P, Q))
-    val = (hPQ.value - hP.value - hQ.value) / 2
-    err = (hPQ.error + hP.error + hQ.error) / 2
-    return val, err
+    return _pairing(E, P, Q, canonical_height(E, P), canonical_height(E, Q))
+
+
+def _pairing(E: EllipticCurveQ, P: PointQ, Q: PointQ, hP: HeightData, hQ: HeightData):
+    """neron_tate_pairing from the heights of P and Q; hhat(O) = 0 exactly."""
+    S = E.add(P, Q)
+    hS = HeightData(0.0, 0.0, "identity") if S.is_identity else canonical_height(E, S)
+    return (hS.value - hP.value - hQ.value) / 2, (hS.error + hP.error + hQ.error) / 2
 
 
 @dataclass(frozen=True)
@@ -503,10 +538,12 @@ class RegulatorResult:
 def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
     """Gram determinant of the height pairing with a sound verdict.
 
-    "independent" requires the determinant to clear the 1e-6 threshold after
-    error propagation. For dependent-looking pairs a small linear relation
-    a P + b Q = torsion with |a|, |b| <= 20 is searched and reported; when
-    neither outcome can be certified the verdict is "inconclusive".
+    A pair costs three heights: of P, Q and P + Q. "independent" requires
+    the determinant to clear the 1e-6 threshold after error propagation.
+    For dependent-looking pairs the first relation a P + b Q = torsion with
+    |a|, |b| <= 20 that the Gram matrix allows is checked exactly and
+    reported; when neither outcome can be certified the verdict is
+    "inconclusive".
     """
     for P in points:
         if P.is_identity or E.torsion_order(P) is not None:
@@ -523,7 +560,7 @@ def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
     P, Q = points
     h11, e11 = heights[0].value, heights[0].error
     h22, e22 = heights[1].value, heights[1].error
-    h12, e12 = neron_tate_pairing(E, P, Q)
+    h12, e12 = _pairing(E, P, Q, *heights)
     det = h11 * h22 - h12 * h12
     err = (
         e11 * abs(h22)
@@ -534,13 +571,26 @@ def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
     )
     if det - err > INDEPENDENCE_THRESHOLD:
         return RegulatorResult(det, err, "independent")
-    rel = _small_relation(E, P, Q, 20)
+    rel = _small_relation(E, P, Q, (h11, h22, h12), (e11, e22, e12), 20)
     if rel is not None:
         return RegulatorResult(det, err, "dependent", rel)
     return RegulatorResult(det, err, "inconclusive")
 
 
-def _small_relation(E: EllipticCurveQ, P: PointQ, Q: PointQ, bound: int):
+@cache
+def _pairs_by_size(bound: int) -> tuple[tuple[int, int], ...]:
+    """(a, b) != (0, 0) with |a|, |b| <= bound, by |a| + |b|, |a| and signs."""
+    return tuple(sorted(
+        (ab for ab in product(range(-bound, bound + 1), repeat=2) if ab != (0, 0)),
+        key=lambda ab: (abs(ab[0]) + abs(ab[1]), abs(ab[0]), ab[0] < 0, ab[1] < 0),
+    ))
+
+
+def _small_relation(E: EllipticCurveQ, P: PointQ, Q: PointQ, gram, errors, bound: int):
+    """The first (a, b, order), by |a| + |b|, |a| and signs, with a P + b Q
+    torsion. A relation forces a^2 h11 = b^2 h22 and a^2 h11 + 2ab h12 +
+    b^2 h22 = 0, so pairs violating either beyond the errors are skipped."""
+    (h11, h22, h12), (e11, e22, e12) = gram, errors
     multiples_P = {0: IDENTITY}
     multiples_Q = {0: IDENTITY}
 
@@ -549,16 +599,12 @@ def _small_relation(E: EllipticCurveQ, P: PointQ, Q: PointQ, bound: int):
             cache[n] = E.scalar_mul(n, base)
         return cache[n]
 
-    pairs = sorted(
-        (
-            (a, b)
-            for a in range(-bound, bound + 1)
-            for b in range(-bound, bound + 1)
-            if (a, b) != (0, 0)
-        ),
-        key=lambda ab: (abs(ab[0]) + abs(ab[1]), abs(ab[0]), ab[0] < 0, ab[1] < 0),
-    )
-    for a, b in pairs:
+    for a, b in _pairs_by_size(bound):
+        if abs(a * a * h11 - b * b * h22) > a * a * e11 + b * b * e22:
+            continue
+        if (abs(a * a * h11 + 2 * a * b * h12 + b * b * h22)
+                > a * a * e11 + 2 * abs(a * b) * e12 + b * b * e22):
+            continue
         R = E.add(mult(multiples_P, P, a), mult(multiples_Q, Q, b))
         order = E.torsion_order(R)
         if order is not None:

@@ -113,20 +113,20 @@ def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, str]]:
 
 def append_records(store_dir: str | Path, label: str, records) -> int:
     """Append records whose (surface definition, t0) is not yet stored;
-    returns how many were new."""
+    returns how many were new. With none new the file is not touched."""
     path = store_file(store_dir, label)
     path.parent.mkdir(parents=True, exist_ok=True)
     known = stored_t0(store_dir, label)
-    added = 0
-    with path.open("a", encoding="utf-8") as fh:
-        for rec in records:
-            key = (rec.surface.definition, str(rec.certificate.t0))
-            if key in known:
-                continue
-            fh.write(rec.to_json() + "\n")
+    lines = []
+    for rec in records:
+        key = (rec.surface.definition, str(rec.certificate.t0))
+        if key not in known:
+            lines.append(rec.to_json() + "\n")
             known.add(key)
-            added += 1
-    return added
+    if lines:
+        with path.open("a", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    return len(lines)
 
 
 @dataclass

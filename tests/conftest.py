@@ -131,3 +131,101 @@ def certify_unsolvable(a: int, b: int, c: int, p: int) -> bool:
             if (x, y) != (0, 0) and (u1 * x * x + u2 * y * y) % p == 0:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# elliptic curves y^2 = x^3 + A x + B by plain Fraction arithmetic; a point
+# is a pair (x, y) and the identity is None. These are the exhaustive
+# decisions the library's torsion and relation searches must agree with.
+
+
+def ec_add(A, P, Q):
+    """P + Q by the chord-and-tangent formulas (B does not enter them)."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if y1 == -y2:
+            return None
+        lam = (3 * x1 * x1 + A) / (2 * y1)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam - x1 - x2
+    return x3, lam * (x1 - x3) - y1
+
+
+def ec_mul(A, n, P):
+    """n P by |n| repeated additions."""
+    if n < 0 and P is not None:
+        n, P = -n, (P[0], -P[1])
+    R = None
+    for _ in range(abs(n)):
+        R = ec_add(A, R, P)
+    return R
+
+
+def torsion_order_by_multiples(A, P, bound: int = 12):
+    """The least n <= bound with n P = O, trying every multiple, else None."""
+    Q, n = P, 1
+    while Q is not None:
+        if n == bound:
+            return None
+        Q, n = ec_add(A, Q, P), n + 1
+    return n
+
+
+def relation_by_enumeration(A, P, Q, bound: int = 20):
+    """The first (a, b, order) with a P + b Q torsion, |a|, |b| <= bound,
+    trying every pair by |a| + |b|, then |a|, then the signs."""
+    pairs = sorted(
+        ((a, b) for a in range(-bound, bound + 1) for b in range(-bound, bound + 1)
+         if (a, b) != (0, 0)),
+        key=lambda ab: (abs(ab[0]) + abs(ab[1]), abs(ab[0]), ab[0] < 0, ab[1] < 0),
+    )
+    multiples = {}
+    for a, b in pairs:
+        for base, n in ((P, a), (Q, b)):
+            if (base, n) not in multiples:
+                multiples[base, n] = ec_mul(A, n, base)
+        order = torsion_order_by_multiples(A, ec_add(A, multiples[P, a], multiples[Q, b]))
+        if order is not None:
+            return a, b, order
+    return None
+
+
+def tate_normal_form(order: int, t: Fraction):
+    """(A, B, P): a short model of Kubert's curve with a point P of the given
+    order 4..10 or 12, at parameter t. Raises ZeroDivisionError where the
+    parametrisation has a pole.
+
+    Kubert's curve is y^2 + (1 - c) x y - b y = x^3 - b x^2 with P = (0, 0);
+    the short model is y^2 = x^3 - 27 c4 x - 54 c6, with x -> 36 x + 3 b2
+    and y -> 108 (2 y + a1 x + a3).
+    """
+    if order == 4:
+        b, c = t, Fraction(0)
+    elif order == 5:
+        b, c = t, t
+    elif order == 6:
+        b, c = t + t * t, t
+    elif order == 7:
+        b, c = t**3 - t**2, t**2 - t
+    elif order == 8:
+        b = (2 * t - 1) * (t - 1)
+        c = b / t
+    else:
+        if order == 9:
+            f, d = t, t * t - t + 1
+        elif order == 10:
+            f, d = t, t * t / (t - (t - 1) ** 2)
+        else:  # 12
+            m = (3 * t - 3 * t * t - 1) / (t - 1)
+            f, d = m / (1 - t), m + t
+        c = f * d - f
+        b = c * d
+    a1, a2, a3 = 1 - c, -b, -b
+    b2, b4, b6 = a1 * a1 + 4 * a2, a1 * a3, a3 * a3
+    c4, c6 = b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
+    return -27 * c4, -54 * c6, (3 * b2, 108 * a3)

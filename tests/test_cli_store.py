@@ -188,6 +188,23 @@ class TestCli:
         path.write_text("\n".join(lines) + "\n")
         assert main(["verify", "--store", store]) == 4
 
+    def test_verify_inverse_pair_exit_4(self, tmp_path, capsys):
+        # a rank-2 record whose second point is the negation of the first,
+        # from the same fibre x = x0: P + Q = O is a dependence, not a crash
+        cfg = self._write(tmp_path, "m.cfg", MORDELL_CFG)
+        store = str(tmp_path / "store")
+        assert main(["jump", "--config", cfg, "--rank", "2", "--budget", "8,8,1",
+                     "--store", store]) == 0
+        capsys.readouterr()
+        path = next(Path(store).glob("*.jsonl"))
+        data = json.loads(path.read_text().splitlines()[0])
+        x, y = data["points"][0]
+        data["points"][1] = [x, str(-Fraction(y))]
+        data["provenance"][1] = data["provenance"][0]
+        path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+        assert main(["verify", "--store", store]) == 4
+        assert "FAIL: regulator verdict is dependent" in capsys.readouterr().out
+
     def test_census(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
         assert main(["census", "--config", cfg, "--height", "6"]) == 0
@@ -228,6 +245,7 @@ class TestCli:
         assert len(failures) == 2 and all("forced failure" in l for l in failures)
         assert "t0 = " in failures[0]
         assert not "".join(p.read_text() for p in store.glob("*.jsonl"))
+        assert not list(store.glob("*.jsonl"))
 
     def test_store_keeps_unlabelled_surfaces_apart(self, tmp_path, capsys):
         # both configs default to the label "twist", so they share a store

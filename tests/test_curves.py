@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from conftest import ec_add, tate_normal_form, torsion_order_by_multiples
+from hypothesis import assume, given, settings, strategies as st
 
 from rankjump.curves import (
     IDENTITY,
@@ -89,6 +92,41 @@ class TestTorsion:
         # (0, m) on y^2 = x^3 + m^2 has order 3
         E = EllipticCurveQ(0, 9)
         assert E.torsion_order(point(0, 3)) == 3
+
+
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+
+
+class TestTorsionAgainstMultiples:
+    """torsion_order decides by reduction mod p; the oracle tries all 12 multiples."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_rationals, st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)),
+           small_rationals)
+    def test_random_curves_and_points(self, x, y, A):
+        B = y * y - x**3 - A * x  # y = 0 makes P a point of order 2
+        assume(4 * A**3 + 27 * B**2 != 0)
+        expected = torsion_order_by_multiples(A, (x, y))
+        assert EllipticCurveQ(A, B).torsion_order(point(x, y)) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([4, 5, 6, 7, 8, 9, 10, 12]), small_rationals)
+    def test_every_mazur_order(self, n, t):
+        # the multiples k P of a point of order n have order n / gcd(n, k):
+        # with n = 4..10, 12 they cover every order 1..10 and 12
+        try:
+            A, B, P = tate_normal_form(n, t)
+        except ZeroDivisionError:
+            assume(False)
+        assume(4 * A**3 + 27 * B**2 != 0)
+        E = EllipticCurveQ(A, B)
+        kP = P
+        for k in range(1, n + 1):
+            expected = n // gcd(n, k)
+            assert torsion_order_by_multiples(A, kP) == expected
+            Q = IDENTITY if kP is None else point(*kP)
+            assert E.torsion_order(Q) == expected, (E, Q)
+            kP = ec_add(A, kP, P)
 
 
 class TestIntegralModel:

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import ec_add, ec_mul, relation_by_enumeration, tate_normal_form
+from hypothesis import example, given, settings, strategies as st
 
 from rankjump.curves import (
     EllipticCurveQ,
     SingularCurveError,
+    _small_relation,
     canonical_height,
     canonical_height_doubling,
     neron_tate_pairing,
@@ -122,6 +125,13 @@ class TestRegulator:
         res = regulator(E, [P, E.add(P, P)])
         assert res.verdict == "dependent"
 
+    def test_inverse_pair_dependent(self):
+        # hhat(P + Q) = hhat(O) = 0 exactly; (1, 1) is the first relation
+        E = EllipticCurveQ(-36, 0)
+        P = point(12, 36)
+        res = regulator(E, [P, E.negate(P)])
+        assert res.verdict == "dependent" and res.relation == (1, 1, 1)
+
     def test_single_point_independent(self):
         E = EllipticCurveQ(-36, 0)
         res = regulator(E, [point(12, 36)])
@@ -158,3 +168,47 @@ class TestRegulator:
         assert abs(v1 - v2) <= e1 + e2 + 1e-12
         v2P, e2P = neron_tate_pairing(E, E.add(P, P), Q)
         assert abs(v2P - 2 * v1) <= e2P + 2 * e1 + 1e-10
+
+
+def _torsion_curve(n, t, P):
+    A, B, T = tate_normal_form(n, Fraction(t))
+    return A, B, T, n, P
+
+
+# (A, B, T, order of T, P): a torsion point T and a point P of infinite order
+TORSION_CURVES = [
+    (Fraction(-36), Fraction(0), (Fraction(0), Fraction(0)), 2, (Fraction(-3), Fraction(9))),
+    (Fraction(0), Fraction(36), (Fraction(0), Fraction(6)), 3, (Fraction(-3), Fraction(3))),
+    _torsion_curve(4, Fraction(-3, 2), (Fraction(-15), Fraction(162))),
+    _torsion_curve(5, Fraction(1, 3), (Fraction(-44, 3), Fraction(12))),
+    _torsion_curve(6, -5, (Fraction(-276), Fraction(2160))),
+    _torsion_curve(7, Fraction(-5, 3), (Fraction(1, 27), Fraction(2560))),
+    _torsion_curve(8, -3, (Fraction(97, 3), Fraction(384))),
+]
+nonzero = st.integers(-2, 2).filter(bool)
+
+
+class TestRelationAgainstEnumeration:
+    """regulator searches only the pairs its Gram matrix allows; the oracle
+    tries every pair in the same order."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(TORSION_CURVES), nonzero, nonzero, st.integers(0, 7), st.integers(0, 7))
+    @example(TORSION_CURVES[0], 1, 1, 0, 0)    # Q = P
+    @example(TORSION_CURVES[2], 1, -1, 0, 0)   # Q = -P
+    @example(TORSION_CURVES[4], 2, -1, 1, 3)   # torsion offsets of orders 6 and 2
+    def test_dependent_pairs(self, curve, a, b, k1, k2):
+        A, B, T, n, P = curve
+        P1 = ec_add(A, ec_mul(A, a, P), ec_mul(A, k1 % n, T))
+        P2 = ec_add(A, ec_mul(A, b, P), ec_mul(A, k2 % n, T))
+        res = regulator(EllipticCurveQ(A, B), [point(*P1), point(*P2)])
+        assert res.verdict == "dependent"
+        assert res.relation == relation_by_enumeration(A, P1, P2)
+
+    def test_relation_kept_within_the_errors(self):
+        # Gram entries off by less than their errors still admit 2 P - Q = O
+        E = EllipticCurveQ(-36, 0)
+        P = point(-3, 9)
+        h, e = canonical_height(E, P).value, 1e-9
+        gram = (h + e / 2, 4 * h - e / 2, 2 * h + e / 2)
+        assert _small_relation(E, P, E.scalar_mul(2, P), gram, (e, e, e), 20) == (2, -1, 1)
