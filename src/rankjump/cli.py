@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
+from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 from .config import (
@@ -18,6 +19,7 @@ from .config import (
     parse_cover_file,
     parse_surface_config,
 )
+from .conics import height
 from .jumps import Budget, CoverChallenge, SearchLog, field_census, jump1, jump2
 from .store import CertificateRecord, append_records, store_file, stored_t0, verify_store
 from .surfaces import (
@@ -128,25 +130,21 @@ def cmd_jump(args) -> int:
 def cmd_census(args) -> int:
     cfg = _load_config(args.config)
     census = field_census(fibred_surface(cfg), args.height)
-    stored_heights = []
+    stored = Counter()
     if args.store:
-        for definition, s in stored_t0(args.store, cfg.label):
-            if definition == cfg.definition:
-                q = Fraction(s)
-                stored_heights.append(max(abs(q.numerator), q.denominator))
+        stored = Counter(height(s) for definition, s in stored_t0(args.store, cfg.label)
+                         if definition == cfg.definition)
     header = "height  distinct_classes  solvable_fibres"
     if args.store:
         header += "  stored_certificates"
     print(f"surface: {cfg.label}")
     print(header)
-    for h in range(1, args.height + 1):
-        solvable = sum(
-            1 for e in census.entries
-            if e.solvable and max(abs(e.x0.numerator), e.x0.denominator) <= h
-        )
-        row = f"{h:6d}  {census.distinct_up_to(h):16d}  {solvable:15d}"
+    stored_up_to = accumulate(stored[h] for h in range(1, args.height + 1))
+    for h, ((distinct, solvable), n_stored) in enumerate(
+            zip(census.rows(args.height), stored_up_to), start=1):
+        row = f"{h:6d}  {distinct:16d}  {solvable:15d}"
         if args.store:
-            row += f"  {sum(1 for s in stored_heights if s <= h):19d}"
+            row += f"  {n_stored:19d}"
         print(row)
     print(f"# degenerate fibre parameters skipped: {len(census.degenerate)}")
     return EXIT_OK

@@ -13,17 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .arith import (
-    REAL_PLACE,
-    squarefree_part,
-    ternary_obstruction,
-)
+from .arith import rational_sqrt, squarefree_part, ternary_obstruction
 from .polynomial import (
     PLACE_AT_INFINITY,
     Place,
     RatPoly,
-    factor_rational,
+    poly_discriminant,
     squarefree_kernel,
 )
 from .surfaces import KMFamily, TwistFamily
@@ -77,14 +74,17 @@ class BranchLocus:
 
 def branch_locus(cls: QuadExtClass) -> BranchLocus:
     """Branch locus of w^2 = s h(t): the roots of h, plus infinity if deg h
-    is odd."""
-    places = set()
-    _, factors = factor_rational(cls.h)
-    for h_i, _ in factors:
-        places.add(Place(h_i))
-    if cls.h.degree % 2:
-        places.add(PLACE_AT_INFINITY)
-    return BranchLocus(frozenset(places))
+    is odd. A conic fibre has h of degree 1 or 2; a squarefree t^2 + b t + c
+    splits at (-b +- r) / 2 exactly when its discriminant is a square r^2."""
+    h = cls.h
+    if h.degree == 1:
+        return BranchLocus(frozenset({Place(h), PLACE_AT_INFINITY}))
+    if h.degree != 2:
+        raise ValueError(f"{h!r} is not the branch polynomial of a conic fibre")
+    r = rational_sqrt(poly_discriminant(h))
+    if r is None:
+        return BranchLocus(frozenset({Place(h)}))
+    return BranchLocus(frozenset(Place(RatPoly([(h[1] + e) / 2, 1])) for e in (r, -r)))
 
 
 def fibre_product_genus(b1: BranchLocus, b2: BranchLocus) -> str:
@@ -152,8 +152,6 @@ def _diagonalize(M):
 
 def _primitive(vec):
     """Scale a rational vector to coprime integers with canonical sign."""
-    from math import gcd
-
     den = 1
     for c in vec:
         den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
@@ -299,11 +297,9 @@ class ConicFibre:
             return (t * w, w, Fraction(1))
         return (t, w, Fraction(1))
 
-    def _naive_search(self, height):
+    def _naive_search(self, bound):
         """Affine sweep: for small t, test whether the fibre value is a square."""
-        from .arith import rational_sqrt
-
-        for t in rationals_by_height(height):
+        for t in rationals_by_height(bound):
             if self.kind == "twist":
                 gt = self.surface.g(t)
                 if gt == 0:
@@ -405,34 +401,31 @@ def parametrize_heights(fibre: ConicFibre, height_bound: int):
 
 
 def _parameter_pairs(height_bound: int):
-    """Projective parameters (m0 : m1), canonical representatives, ordered by
-    height, then |m0|, then sign."""
+    """Projective parameters (m0 : m1), canonical representatives: (1 : 0),
+    then m0/m1 in the order of rationals_by_height."""
     yield 1, 0
-    for h in range(1, height_bound + 1):
-        pairs = []
-        for m0 in range(-h, h + 1):
-            for m1 in range(1, h + 1):
-                if max(abs(m0), m1) == h and _coprime(m0, m1):
-                    pairs.append((m0, m1))
-        pairs.sort(key=lambda p: (abs(p[0]), 0 if p[0] >= 0 else 1, p[1]))
-        yield from pairs
+    for q in rationals_by_height(height_bound):
+        yield q.numerator, q.denominator
 
 
-def _coprime(a: int, b: int) -> bool:
-    from math import gcd
+def height(q) -> int:
+    """Naive height max(|numerator|, denominator) of a rational."""
+    q = Fraction(q)
+    return max(abs(q.numerator), q.denominator)
 
-    return gcd(a, b) == 1
+
+def rationals_of_height(h: int) -> list[Fraction]:
+    """The rationals of naive height exactly h, ordered by |numerator|, then
+    sign, then denominator; 0 is the first one of height 1."""
+    batch = [Fraction(num, den)
+             for num in range(-h, h + 1) for den in range(1, h + 1)
+             if max(abs(num), den) == h and gcd(num, den) == 1]
+    batch.sort(key=lambda r: (abs(r.numerator), r < 0, r.denominator))
+    return batch
 
 
 def rationals_by_height(bound: int):
-    """0, then all nonzero rationals of naive height <= bound, ordered by
-    height, then |numerator|, then sign, then denominator."""
-    yield Fraction(0)
+    """Each rational of naive height <= bound once, ordered by height, then
+    as in rationals_of_height: 0, 1, -1, 1/2, -1/2, 2, -2, ..."""
     for h in range(1, bound + 1):
-        batch = []
-        for num in range(-h, h + 1):
-            for den in range(1, h + 1):
-                if max(abs(num), den) == h and _coprime(num, den):
-                    batch.append(Fraction(num, den))
-        batch.sort(key=lambda r: (abs(r.numerator), 0 if r >= 0 else 1, r.denominator))
-        yield from batch
+        yield from rationals_of_height(h)

@@ -195,12 +195,13 @@ class EllipticCurveQ:
         if n < 0:
             return self.scalar_mul(-n, self.negate(P))
         result, base = IDENTITY, P
-        while n:
+        while True:
             if n & 1:
                 result = self.add(result, base)
-            base = self.add(base, base)
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = self.add(base, base)
 
     def torsion_order(self, P: PointQ) -> int | None:
         """Order of P if torsion, else None.

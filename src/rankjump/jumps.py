@@ -13,18 +13,23 @@ quadratic-coefficient families the branch points move, so two fibre
 parametrisations are intersected on the t-coordinate; pairs whose covers
 have identical branch loci (reducible fibre product) are skipped.
 
-The three candidate loops only propose a parameter value t0 with fibre
-points over it; one certification stage specialises, transports, rejects
-torsion and asks the regulator about pairs. The surface's invariants (short
-model, transport chart, rank bound) are computed once per surface object,
-not per candidate. Searches and verify_certificate both work on the fibred
-(twist or km) form, so a Weierstrass model hiding a twist is searched and
-verified in twist form (see config.fibred_surface).
+All three searches take their fibres from one source, _fibres, fed x0 in
+the height order of conics.rationals_by_height; it yields the solvable
+fibres and counts tried, degenerate and unsolvable ones. The searches only
+propose a parameter value t0 with fibre points over it; one certification
+stage specialises, transports, rejects torsion and asks the regulator about
+pairs. The surface's invariants (short model, transport chart, rank bound)
+are computed once per surface object, not per candidate. Searches and
+verify_certificate both work on the fibred (twist or km) form, so a
+Weierstrass model hiding a twist is searched and verified in twist form
+(see config.fibred_surface).
 
 With avoid set, any search keeps only parameter values outside the image
-of every cover of a finite challenge of quadratic covers (avoid_covers is
-the same call). field_census counts the quadratic-extension classes
-realised by solvable fibres.
+of every cover of a finite challenge of quadratic covers; avoid_covers is
+jump1 or jump2 with avoid set. field_census walks the same height order
+with its own loop, since it also records the classes of unsolvable fibres
+and the degenerate x0; it counts the quadratic-extension classes realised
+by solvable fibres.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .arith import is_square, rational_sqrt
 from .conics import (
@@ -42,9 +48,11 @@ from .conics import (
     conic_fibre,
     conic_solvable,
     fibre_product_genus,
+    height,
     parametrize,
     parametrize_heights,
     rationals_by_height,
+    rationals_of_height,
 )
 from .curves import (
     PointQ,
@@ -119,6 +127,22 @@ def rank_bound_data(surface) -> tuple[int, bool]:
     return r, r == 0
 
 
+def _fibres(surface, x0s, log: SearchLog):
+    """The solvable conic fibres over x0s, in order; every x0 counts as
+    tried in log, and as degenerate or unsolvable when it yields nothing."""
+    for x0 in x0s:
+        log.fibres_tried += 1
+        try:
+            fib = conic_fibre(surface, x0)
+        except DegenerateFibreError:
+            log.degenerate_fibres += 1
+            continue
+        if conic_solvable(fib):
+            yield fib
+        else:
+            log.unsolvable_fibres += 1
+
+
 def _certify(surface, t0: Fraction, points, seen: set[Fraction],
              avoid: CoverChallenge | None, label: str,
              log: SearchLog) -> RankJumpCertificate | RegulatorResult | None:
@@ -176,20 +200,9 @@ def jump1(surface, budget: Budget, avoid: CoverChallenge | None = None,
     log = log if log is not None else SearchLog()
     seen: set[Fraction] = set()
     active = []  # per-fibre state: [fibre, height-annotated point source, lookahead]
-    x0_source = rationals_by_height(budget.x0_height)
-    x0_next = next(x0_source, None)
     for stage in range(1, max(budget.x0_height, budget.param_height) + 1):
-        while x0_next is not None and _height(x0_next) <= stage:
-            x0, x0_next = x0_next, next(x0_source, None)
-            log.fibres_tried += 1
-            try:
-                fib = conic_fibre(surface, x0)
-            except DegenerateFibreError:
-                log.degenerate_fibres += 1
-                continue
-            if not conic_solvable(fib):
-                log.unsolvable_fibres += 1
-                continue
+        x0s = rationals_of_height(stage) if stage <= budget.x0_height else ()
+        for fib in _fibres(surface, x0s, log):
             active.append([fib, parametrize_heights(fib, budget.param_height), None])
         for slot in active:
             fib, gen, pending = slot
@@ -224,43 +237,25 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
         raise TypeError("jump2 needs a twist or quadratic-coefficient family")
 
 
-def _fibres_up_to(surface, height: int, log: SearchLog):
-    out = []
-    for x0 in rationals_by_height(height):
-        log.fibres_tried += 1
-        try:
-            fib = conic_fibre(surface, x0)
-        except DegenerateFibreError:
-            log.degenerate_fibres += 1
-            continue
-        out.append(fib)
-    return out
-
-
 def _jump2_shared_value(surface: TwistFamily, budget: Budget,
                         avoid: CoverChallenge | None, label: str, log: SearchLog):
     f = surface.f
-    # group fibres by quadratic-extension class, in enumeration order
+    # group the solvable fibres by quadratic-extension class, in enumeration
+    # order; fibres of one class have a square value ratio, so they are
+    # solvable together
     by_class: dict[QuadExtClass, list[ConicFibre]] = {}
     pairs: list[tuple[ConicFibre, ConicFibre]] = []
-    for fib in _fibres_up_to(surface, budget.x0_height, log):
+    for fib in _fibres(surface, rationals_by_height(budget.x0_height), log):
         partners = by_class.setdefault(fib.ext_class, [])
         for earlier in partners:
             pairs.append((earlier, fib))
         partners.append(fib)
     seen: set[Fraction] = set()
-    for fib_a, fib_b in pairs:
+    for src, other in pairs:
         if len(seen) >= budget.count:
             return
-        # points flow along whichever fibre of the pair has rational points;
-        # the partner point over the same t0 comes from the shared class
-        if conic_solvable(fib_a):
-            src, other = fib_a, fib_b
-        elif conic_solvable(fib_b):
-            src, other = fib_b, fib_a
-        else:
-            log.unsolvable_fibres += 1
-            continue
+        # points flow along the earlier fibre; the partner point over the
+        # same t0 comes from the shared class
         ratio = rational_sqrt(f(other.x0) / f(src.x0))
         assert ratio is not None, "fibres in one class have a square value ratio"
         for t0, w in parametrize(src, budget.param_height):
@@ -278,8 +273,7 @@ def _jump2_shared_value(surface: TwistFamily, budget: Budget,
 
 def _jump2_stream_intersection(surface: KMFamily, budget: Budget,
                                avoid: CoverChallenge | None, label: str, log: SearchLog):
-    fibres = [f for f in _fibres_up_to(surface, budget.x0_height, log)
-              if conic_solvable(f)]
+    fibres = list(_fibres(surface, rationals_by_height(budget.x0_height), log))
     streams: dict[int, dict[Fraction, Fraction]] = {}
 
     def stream(i: int) -> dict[Fraction, Fraction]:
@@ -299,7 +293,7 @@ def _jump2_stream_intersection(surface: KMFamily, budget: Budget,
                 continue
             base = stream(i)
             for t0, w_j in sorted(stream(j).items(),
-                                  key=lambda kv: (_height(kv[0]), kv[0] < 0, kv[0])):
+                                  key=lambda kv: (height(kv[0]), kv[0] < 0, kv[0])):
                 if len(seen) >= budget.count:
                     return
                 if t0 not in base:
@@ -308,10 +302,6 @@ def _jump2_stream_intersection(surface: KMFamily, budget: Budget,
                                seen, avoid, label, log)
                 if isinstance(out, RankJumpCertificate):
                     yield out
-
-
-def _height(q: Fraction) -> int:
-    return max(abs(q.numerator), q.denominator)
 
 
 def avoid_covers(surface, challenge: CoverChallenge, budget: Budget,
@@ -348,13 +338,24 @@ class CensusResult:
     def distinct_classes(self) -> int:
         return len(self.class_counts)
 
-    def distinct_up_to(self, height: int) -> int:
-        classes = {
-            e.ext_class
-            for e in self.entries
-            if e.solvable and _height(e.x0) <= height
-        }
-        return len(classes)
+    def distinct_up_to(self, bound: int) -> int:
+        return len({e.ext_class for e in self.entries
+                    if e.solvable and height(e.x0) <= bound})
+
+    def rows(self, bound: int) -> list[tuple[int, int]]:
+        """(distinct classes, solvable fibres) of height <= h for each
+        h = 1..bound, from one pass over the height-ordered entries."""
+        first: dict[QuadExtClass, int] = {}   # class -> height of its first fibre
+        fibres: Counter = Counter()
+        for e in self.entries:
+            if e.solvable:
+                h = height(e.x0)
+                fibres[h] += 1
+                first.setdefault(e.ext_class, h)
+        new = Counter(first.values())
+        heights = range(1, bound + 1)
+        return list(zip(accumulate(new[h] for h in heights),
+                        accumulate(fibres[h] for h in heights)))
 
 
 def field_census(surface, x0_height_bound: int) -> CensusResult:

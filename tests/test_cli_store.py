@@ -213,6 +213,19 @@ class TestCli:
         counts = [int(r[1]) for r in rows if r and r[0].isdigit()]
         assert counts == sorted(counts)  # nondecreasing in the bound
 
+    def test_census_counts_each_fibre_once(self, tmp_path, capsys):
+        # every fibre of y^2 = x^3 + t is a solvable conic w^2 = t + x0^3, so
+        # the solvable fibres up to height h are the rationals of height <= h
+        cfg = self._write(tmp_path, "m.cfg", MORDELL_CFG)
+        assert main(["census", "--config", cfg, "--height", "8"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        rows = [[int(c) for c in l.split()] for l in out if l[:1].isspace()]
+        assert [r[0] for r in rows] == list(range(1, 9))
+        for h, _, solvable in rows:
+            assert solvable == len({Fraction(a, b) for b in range(1, h + 1)
+                                    for a in range(-h, h + 1)})
+        assert out[-1] == "# degenerate fibre parameters skipped: 0"
+
     def test_missing_config_exit_2(self):
         assert main(["classify", "--config", "/nonexistent/path.cfg"]) == 2
 

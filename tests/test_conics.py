@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import brute_force_conic_point, certify_unsolvable, legendre_normalize
 from rankjump.arith import DomainError, squarefree_part
@@ -15,12 +16,14 @@ from rankjump.conics import (
     conic_fibre,
     conic_solvable,
     fibre_product_genus,
+    height,
     parametrize,
     quad_ext_class,
     rationals_by_height,
+    rationals_of_height,
     same_extension,
 )
-from rankjump.polynomial import PLACE_AT_INFINITY, Place, RatPoly
+from rankjump.polynomial import PLACE_AT_INFINITY, Place, RatPoly, factor_rational
 from rankjump.surfaces import KMFamily, TwistFamily
 
 T = RatPoly.gen()
@@ -33,6 +36,27 @@ def twist(g):
 
 def mordell():
     return KMFamily(RatPoly([1]), RatPoly(), RatPoly(), T)
+
+
+class TestHeightOrder:
+    def test_each_rational_once_in_height_order(self):
+        for bound in range(1, 13):
+            xs = list(rationals_by_height(bound))
+            assert len(xs) == len(set(xs))
+            # an independent count: every a/b with |a|, b <= bound
+            assert set(xs) == {Fraction(a, b) for b in range(1, bound + 1)
+                               for a in range(-bound, bound + 1)}
+            assert [height(x) for x in xs] == sorted(height(x) for x in xs)
+
+    def test_order_within_a_height(self):
+        assert list(rationals_by_height(2)) == [0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2]
+        assert rationals_of_height(3) == [Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3),
+                                          Fraction(-2, 3), 3, Fraction(3, 2), -3, Fraction(-3, 2)]
+
+    def test_height(self):
+        assert height(0) == 1
+        assert height(Fraction(-7, 3)) == 7
+        assert height(Fraction(2, 9)) == 9
 
 
 class TestConicFibre:
@@ -228,6 +252,36 @@ class TestParametrize:
         fib = conic_fibre(TwistFamily(F_CUBIC, T**2 - 2), 2)
         with pytest.raises(ValueError):
             list(parametrize(fib, 3))
+
+
+def _factored_locus(h: RatPoly) -> BranchLocus:
+    """The branch locus read off a factorisation of h over Q."""
+    places = {Place(h_i) for h_i, _ in factor_rational(h)[1]}
+    if h.degree % 2:
+        places.add(PLACE_AT_INFINITY)
+    return BranchLocus(frozenset(places))
+
+
+small = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+class TestBranchLocus:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.tuples(small).map(lambda c: T + c[0]),
+        st.tuples(small, small).map(lambda c: T**2 + c[0] * T + c[1]),
+        st.tuples(small, small).map(lambda r: (T - r[0]) * (T - r[1])),
+    ))
+    def test_matches_factorisation(self, h):
+        assume(h.degree == 1 or h[1] ** 2 != 4 * h[0])   # squarefree
+        cls = quad_ext_class(1, h)
+        assert cls.h == h
+        assert branch_locus(cls) == _factored_locus(h)
+        assert branch_locus(cls).geometric_count == 2
+
+    def test_constant_rejected(self):
+        with pytest.raises(ValueError):
+            branch_locus(quad_ext_class(3, RatPoly([1])))
 
 
 class TestFibreProductGenus:

@@ -74,6 +74,23 @@ class TestGroupLaw:
             assert E.scalar_mul(n, P) == acc
         assert E.scalar_mul(-3, P) == E.negate(E.scalar_mul(3, P))
 
+    def test_scalar_mul_adds_at_most_doublings_plus_bits(self, monkeypatch):
+        # bit_length - 1 doublings and one addition per set bit; no doubling
+        # past the top bit
+        E, P = EllipticCurveQ(-36, 0), point(12, 36)
+        calls = []
+        add = EllipticCurveQ.add
+
+        def counting_add(self, Q, R):
+            calls.append(1)
+            return add(self, Q, R)
+
+        monkeypatch.setattr(EllipticCurveQ, "add", counting_add)
+        for n in range(1, 41):
+            calls.clear()
+            E.scalar_mul(n, P)
+            assert len(calls) <= n.bit_length() - 1 + bin(n).count("1"), n
+
 
 class TestTorsion:
     def test_two_torsion(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankjump.conics import conic_fibre
+from rankjump.conics import conic_fibre, height
 from rankjump.curves import EllipticCurveQ, point, specialize
 from rankjump.jumps import (
     Budget,
@@ -201,7 +201,7 @@ class TestFieldCensus:
         # x0 in {0, 1, -1} are all roots of f
         assert not census.entries
         assert census.distinct_classes == 0
-        assert set(census.degenerate) == {0, 1, -1}
+        assert census.degenerate == [0, 1, -1]
 
     def test_monotone_in_bound(self):
         prev = 0
@@ -217,6 +217,15 @@ class TestFieldCensus:
             assert census.distinct_up_to(bound) == field_census(
                 usual_twist(), bound
             ).distinct_classes
+
+    def test_rows_match_rescans(self):
+        # (t^2 - 7) y^2 = x^3 - x mixes solvable and unsolvable fibres
+        census = field_census(TwistFamily(F_CUBIC, T * T - 7), 7)
+        assert {e.solvable for e in census.entries} == {True, False}
+        for h, (distinct, solvable) in enumerate(census.rows(9), start=1):
+            assert distinct == census.distinct_up_to(h)
+            assert solvable == sum(1 for e in census.entries
+                                   if e.solvable and height(e.x0) <= h)
 
 
 class TestVerification:
