@@ -526,6 +526,10 @@ def _pairing(E: EllipticCurveQ, P: PointQ, Q: PointQ, hP: HeightData, hQ: Height
 
 @dataclass(frozen=True)
 class RegulatorResult:
+    """A regulator verdict with the Gram determinant and its error bound; a
+    pair found dependent through an exact size-2 relation carries
+    determinant 0.0 and error 0.0, since no height was computed."""
+
     determinant: float
     error: float
     verdict: str                     # "independent" | "dependent" | "inconclusive"
@@ -539,9 +543,14 @@ class RegulatorResult:
 def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
     """Gram determinant of the height pairing with a sound verdict.
 
-    A pair costs three heights: of P, Q and P + Q. "independent" requires
-    the determinant to clear the 1e-6 threshold after error propagation.
-    For dependent-looking pairs the first relation a P + b Q = torsion with
+    A pair is first tested exactly for P + Q, then P - Q, being torsion;
+    either makes it "dependent" with relation (1, 1, order) or (1, -1,
+    order), determinant 0.0 and error 0.0, before any height. That is the
+    relation _small_relation would find: every pair it tries earlier, (0,
+    +-1), (+-1, 0) or (0, +-2), would make P or Q torsion. Otherwise a pair
+    costs three heights: of P, Q and P + Q. "independent" requires the
+    determinant to clear the 1e-6 threshold after error propagation. For
+    dependent-looking pairs the first relation a P + b Q = torsion with
     |a|, |b| <= 20 that the Gram matrix allows is checked exactly and
     reported; when neither outcome can be certified the verdict is
     "inconclusive".
@@ -549,19 +558,22 @@ def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
     for P in points:
         if P.is_identity or E.torsion_order(P) is not None:
             raise ValueError("regulator requires non-torsion points")
-    n = len(points)
-    heights = [canonical_height(E, P) for P in points]
-    if n == 1:
-        h = heights[0]
+    if len(points) == 1:
+        h = canonical_height(E, points[0])
         if h.value - h.error > INDEPENDENCE_THRESHOLD:
             return RegulatorResult(h.value, h.error, "independent")
         return RegulatorResult(h.value, h.error, "inconclusive")
-    if n != 2:
+    if len(points) != 2:
         raise ValueError("regulator verdicts are implemented for 1 or 2 points")
     P, Q = points
-    h11, e11 = heights[0].value, heights[0].error
-    h22, e22 = heights[1].value, heights[1].error
-    h12, e12 = _pairing(E, P, Q, *heights)
+    for b, R in ((1, E.add(P, Q)), (-1, E.sub(P, Q))):
+        order = E.torsion_order(R)
+        if order is not None:
+            return RegulatorResult(0.0, 0.0, "dependent", (1, b, order))
+    hP, hQ = canonical_height(E, P), canonical_height(E, Q)
+    h11, e11 = hP.value, hP.error
+    h22, e22 = hQ.value, hQ.error
+    h12, e12 = _pairing(E, P, Q, hP, hQ)
     det = h11 * h22 - h12 * h12
     err = (
         e11 * abs(h22)

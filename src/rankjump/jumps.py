@@ -15,14 +15,18 @@ have identical branch loci (reducible fibre product) are skipped.
 
 All three searches take their fibres from one source, _fibres, fed x0 in
 the height order of conics.rationals_by_height; it yields the solvable
-fibres and counts tried, degenerate and unsolvable ones. The searches only
+fibres and counts tried, degenerate and unsolvable ones. jump1 reads it one
+height stage at a time; jump2 reads it lazily, forms each pair as its later
+fibre arrives and builds no fibre after its certificate count is reached,
+so its fibres tried are those built before it stopped. The searches only
 propose a parameter value t0 with fibre points over it; one certification
 stage specialises, transports, rejects torsion and asks the regulator about
-pairs. The surface's invariants (short model, transport chart, rank bound)
-are computed once per surface object, not per candidate. Searches and
-verify_certificate both work on the fibred (twist or km) form, so a
-Weierstrass model hiding a twist is searched and verified in twist form
-(see config.fibred_surface).
+pairs (a pair with P + Q or P - Q torsion is settled exactly, without a
+height; see curves.regulator). The surface's invariants (short model,
+transport chart, rank bound) are computed once per surface object, not per
+candidate. Searches and verify_certificate both work on the fibred (twist
+or km) form, so a Weierstrass model hiding a twist is searched and verified
+in twist form (see config.fibred_surface).
 
 With avoid set, any search keeps only parameter values outside the image
 of every cover of a finite challenge of quadratic covers; avoid_covers is
@@ -240,68 +244,65 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
 def _jump2_shared_value(surface: TwistFamily, budget: Budget,
                         avoid: CoverChallenge | None, label: str, log: SearchLog):
     f = surface.f
-    # group the solvable fibres by quadratic-extension class, in enumeration
-    # order; fibres of one class have a square value ratio, so they are
-    # solvable together
+    # group the solvable fibres by quadratic-extension class as they arrive;
+    # fibres of one class have a square value ratio, so they are solvable
+    # together, and each new fibre pairs with the earlier ones of its class
     by_class: dict[QuadExtClass, list[ConicFibre]] = {}
-    pairs: list[tuple[ConicFibre, ConicFibre]] = []
-    for fib in _fibres(surface, rationals_by_height(budget.x0_height), log):
-        partners = by_class.setdefault(fib.ext_class, [])
-        for earlier in partners:
-            pairs.append((earlier, fib))
-        partners.append(fib)
     seen: set[Fraction] = set()
-    for src, other in pairs:
-        if len(seen) >= budget.count:
-            return
-        # points flow along the earlier fibre; the partner point over the
-        # same t0 comes from the shared class
-        ratio = rational_sqrt(f(other.x0) / f(src.x0))
-        assert ratio is not None, "fibres in one class have a square value ratio"
-        for t0, w in parametrize(src, budget.param_height):
-            if len(seen) >= budget.count:
-                return
-            out = _certify(surface, t0, [(src.x0, w), (other.x0, w * ratio)],
-                           seen, avoid, label, log)
-            if isinstance(out, RankJumpCertificate):
-                yield out
-            elif out is not None:
-                # all shared-value points of this pair transport to one fixed
-                # pair on the twist-reduced curve, so one verdict settles it
-                break
+    for other in _fibres(surface, rationals_by_height(budget.x0_height), log):
+        partners = by_class.setdefault(other.ext_class, [])
+        for src in partners:
+            # points flow along the earlier fibre; the partner point over the
+            # same t0 comes from the shared class
+            ratio = rational_sqrt(f(other.x0) / f(src.x0))
+            assert ratio is not None, "fibres in one class have a square value ratio"
+            for t0, w in parametrize(src, budget.param_height):
+                out = _certify(surface, t0, [(src.x0, w), (other.x0, w * ratio)],
+                               seen, avoid, label, log)
+                if isinstance(out, RankJumpCertificate):
+                    yield out
+                    if len(seen) >= budget.count:
+                        return
+                elif out is not None:
+                    # all shared-value points of this pair transport to one
+                    # fixed pair on the twist-reduced curve, so one verdict
+                    # settles it
+                    break
+        partners.append(other)
 
 
 def _jump2_stream_intersection(surface: KMFamily, budget: Budget,
                                avoid: CoverChallenge | None, label: str, log: SearchLog):
-    fibres = list(_fibres(surface, rationals_by_height(budget.x0_height), log))
+    fibres: list[ConicFibre] = []
     streams: dict[int, dict[Fraction, Fraction]] = {}
 
     def stream(i: int) -> dict[Fraction, Fraction]:
+        """t0 -> w of the first point over t0 of fibre i, in t0 order."""
         if i not in streams:
             pts: dict[Fraction, Fraction] = {}
             for t0, w in parametrize(fibres[i], budget.param_height):
                 pts.setdefault(t0, w)
-            streams[i] = pts
+            streams[i] = dict(sorted(pts.items(),
+                                     key=lambda kv: (height(kv[0]), kv[0] < 0, kv[0])))
         return streams[i]
 
     seen: set[Fraction] = set()
-    for j in range(len(fibres)):
+    # each fibre pairs with the earlier ones as it arrives
+    for j, fib in enumerate(_fibres(surface, rationals_by_height(budget.x0_height), log)):
+        fibres.append(fib)
         for i in range(j):
-            if len(seen) >= budget.count:
-                return
-            if fibre_product_genus(fibres[i].branch, fibres[j].branch) == REDUCIBLE:
+            if fibre_product_genus(fibres[i].branch, fib.branch) == REDUCIBLE:
                 continue
             base = stream(i)
-            for t0, w_j in sorted(stream(j).items(),
-                                  key=lambda kv: (height(kv[0]), kv[0] < 0, kv[0])):
-                if len(seen) >= budget.count:
-                    return
+            for t0, w_j in stream(j).items():
                 if t0 not in base:
                     continue
-                out = _certify(surface, t0, [(fibres[i].x0, base[t0]), (fibres[j].x0, w_j)],
+                out = _certify(surface, t0, [(fibres[i].x0, base[t0]), (fib.x0, w_j)],
                                seen, avoid, label, log)
                 if isinstance(out, RankJumpCertificate):
                     yield out
+                    if len(seen) >= budget.count:
+                        return
 
 
 def avoid_covers(surface, challenge: CoverChallenge, budget: Budget,

@@ -95,8 +95,9 @@ def store_file(store_dir: str | Path, label: str) -> Path:
     return Path(store_dir) / f"{key}.jsonl"
 
 
-def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, str]]:
-    """(surface definition, t0) of every readable record in the label's file."""
+def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, Fraction]]:
+    """(surface definition, t0) of every readable record in the label's file;
+    a line whose surface or t0 cannot be read is skipped."""
     path = store_file(store_dir, label)
     out = set()
     if path.exists():
@@ -105,8 +106,8 @@ def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, str]]:
                 continue
             try:
                 data = json.loads(line)
-                out.add((surface_config_from_dict(data["surface"]).definition, data["t0"]))
-            except (AttributeError, KeyError, TypeError, ValueError):
+                out.add((surface_config_from_dict(data["surface"]).definition, _frac(data["t0"])))
+            except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError):
                 continue
     return out
 
@@ -119,7 +120,7 @@ def append_records(store_dir: str | Path, label: str, records) -> int:
     known = stored_t0(store_dir, label)
     lines = []
     for rec in records:
-        key = (rec.surface.definition, str(rec.certificate.t0))
+        key = (rec.surface.definition, rec.certificate.t0)
         if key not in known:
             lines.append(rec.to_json() + "\n")
             known.add(key)

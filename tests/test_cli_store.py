@@ -99,6 +99,19 @@ class TestStore(object):
         assert append_records(tmp_path, cfg.label, records) == len(records)
         assert append_records(tmp_path, cfg.label, records) == 0
 
+    def test_append_dedupes_on_the_rational_t0(self, tmp_path):
+        # a hand-written t0 "12/2" is the stored key of t0 = 6 all the same
+        records, cfg = self._records()
+        append_records(tmp_path, cfg.label, records)
+        path = next(tmp_path.glob("*.jsonl"))
+        lines = path.read_text().splitlines()
+        data = json.loads(lines[0])
+        t0 = Fraction(data["t0"])
+        data["t0"] = f"{2 * t0.numerator}/{2 * t0.denominator}"
+        lines[0] = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        assert append_records(tmp_path, cfg.label, records) == 0
+
     def test_verify_good_store(self, tmp_path):
         records, cfg = self._records()
         append_records(tmp_path, cfg.label, records)
@@ -273,6 +286,20 @@ class TestCli:
         assert main(["verify", "--store", store]) == 0
         assert "verified 10 records, 0 failures" in capsys.readouterr().out
         assert main(["census", "--config", plus, "--height", "32", "--store", store]) == 0
+        rows = [l.split() for l in capsys.readouterr().out.splitlines() if l[:1].isspace()]
+        assert rows[-1][0] == "32" and rows[-1][3] == "5"
+
+    def test_census_store_skips_unreadable_t0(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
+        store = str(tmp_path / "store")
+        assert main(["jump", "--config", cfg, "--budget", "6,6,5", "--store", store]) == 0
+        path = next(Path(store).glob("*.jsonl"))
+        data = json.loads(path.read_text().splitlines()[0])
+        data["t0"] = "abc"
+        with path.open("a") as fh:
+            fh.write(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+        capsys.readouterr()
+        assert main(["census", "--config", cfg, "--height", "32", "--store", store]) == 0
         rows = [l.split() for l in capsys.readouterr().out.splitlines() if l[:1].isspace()]
         assert rows[-1][0] == "32" and rows[-1][3] == "5"
 

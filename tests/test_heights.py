@@ -123,7 +123,9 @@ class TestRegulator:
         E = EllipticCurveQ(-36, 0)
         P = point(12, 36)
         res = regulator(E, [P, E.add(P, P)])
-        assert res.verdict == "dependent"
+        # Q = 2 P is no size-2 relation, so the heights decide: error > 0
+        assert res.verdict == "dependent" and res.relation == (2, -1, 1)
+        assert res.error > 0
 
     def test_inverse_pair_dependent(self):
         # hhat(P + Q) = hhat(O) = 0 exactly; (1, 1) is the first relation
@@ -204,6 +206,25 @@ class TestRelationAgainstEnumeration:
         res = regulator(EllipticCurveQ(A, B), [point(*P1), point(*P2)])
         assert res.verdict == "dependent"
         assert res.relation == relation_by_enumeration(A, P1, P2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(TORSION_CURVES), st.sampled_from([1, -1]))
+    def test_size_two_relations_need_no_height(self, curve, sign):
+        # Q = +-P + k T makes P -+ Q torsion for every offset k; regulator
+        # settles that exactly, so a height would be a wasted computation
+        A, B, T, n, P = curve
+
+        def no_height(*args, **kwargs):
+            raise AssertionError("canonical_height called for a size-2 relation")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("rankjump.curves.canonical_height", no_height)
+            for k in range(n):
+                Q = ec_add(A, ec_mul(A, sign, P), ec_mul(A, k, T))
+                res = regulator(EllipticCurveQ(A, B), [point(*P), point(*Q)])
+                assert res.verdict == "dependent"
+                assert (res.determinant, res.error) == (0.0, 0.0)
+                assert res.relation == relation_by_enumeration(A, P, Q)
 
     def test_relation_kept_within_the_errors(self):
         # Gram entries off by less than their errors still admit 2 P - Q = O
