@@ -20,7 +20,6 @@ from .conics import (
     conic_solvable,
     fibre_product_genus,
     parametrize,
-    same_extension,
 )
 from .curves import (
     IDENTITY,
@@ -29,7 +28,6 @@ from .curves import (
     PointQ,
     RegulatorResult,
     canonical_height,
-    canonical_height_doubling,
     neron_tate_pairing,
     point,
     regulator,

@@ -6,14 +6,16 @@ point.
 For a twist family the fibre over x0 is g(t) w^2 = f(x0); substituting
 u = t w turns it into a plane conic. For a quadratic-coefficient family it
 is w^2 = q(t) with q of degree at most 2, already a conic after
-homogenising.
+homogenising. Parametrisation runs in integers: with the conic's matrix
+scaled to integers, each coordinate of the point cut by the line of
+parameter (m0 : m1) is an integer binary quadratic form in (m0, m1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .arith import rational_sqrt, squarefree_part, ternary_obstruction
 from .polynomial import (
@@ -49,11 +51,21 @@ class QuadExtClass:
 
 
 def quad_ext_class(scalar, poly: RatPoly) -> QuadExtClass:
-    """Canonical class of scalar * poly(t) modulo squares in Q(t)*."""
+    """Canonical class of scalar * poly(t) modulo squares in Q(t)*.
+
+    A conic fibre's polynomial has degree <= 2 and is read off directly: it
+    is lead * h with h = 1 if it is constant or lead * (t - r)^2, and h its
+    monic form otherwise. Higher degrees go through Yun's factorisation.
+    """
     scalar = Fraction(scalar)
     if scalar == 0 or poly.is_zero():
         raise DegenerateFibreError("zero does not define a quadratic extension")
-    lead, h = squarefree_kernel(poly)
+    if poly.degree > 2:
+        lead, h = squarefree_kernel(poly)
+    else:
+        lead = poly.leading()
+        split = poly.degree == 0 or poly.degree == 2 and poly_discriminant(poly) == 0
+        h = RatPoly([1]) if split else poly.monic()
     s, _ = squarefree_part(scalar * lead)
     return QuadExtClass(s, h)
 
@@ -224,26 +236,8 @@ class ConicFibre:
 
     # -- geometry ----------------------------------------------------------
 
-    def relation_holds(self, t, w) -> bool:
-        """Exact check that (t, w) satisfies the defining fibre relation."""
-        t, w = Fraction(t), Fraction(w)
-        if self.kind == "twist":
-            return self.surface.g(t) * w * w == self.value
-        return w * w == self.q(t)
-
     def _form(self, v) -> Fraction:
         return _bilinear(self.matrix, v, v)
-
-    def _to_affine(self, pt):
-        """Projective conic point to an affine fibre point (t, w), or None."""
-        a, b, c = (Fraction(x) for x in pt)
-        if self.kind == "twist":
-            if b == 0 or c == 0:
-                return None
-            return a / b, b / c
-        if c == 0:
-            return None
-        return a / c, b / c
 
     # -- solvability -------------------------------------------------------
 
@@ -355,11 +349,6 @@ def conic_solvable(fibre: ConicFibre) -> bool:
     return fibre.local_obstruction() is None
 
 
-def same_extension(c1: ConicFibre, c2: ConicFibre) -> bool:
-    """Whether two fibres define the same quadratic extension of Q(t)."""
-    return c1.ext_class == c2.ext_class
-
-
 def parametrize(fibre: ConicFibre, height_bound: int):
     """All fibre points (t, w) whose line parameter has height <= the bound.
 
@@ -372,32 +361,49 @@ def parametrize(fibre: ConicFibre, height_bound: int):
 
 
 def parametrize_heights(fibre: ConicFibre, height_bound: int):
-    """Like parametrize, but yields (parameter height, t, w)."""
+    """Like parametrize, but yields (parameter height, t, w).
+
+    With M the fibre's matrix scaled to integers (the same zero set), b the
+    primitive base point and v = m0 e_i + m1 e_j for the two coordinates i,
+    j other than b's first nonzero one, the line through b in direction v
+    meets the conic again in (v^T M v) b - 2 (b^T M v) v. Each coordinate of
+    that point is an integer binary quadratic form in (m0, m1), built once
+    per fibre. No point repeats: the lines through a point of a smooth
+    conic meet it again in distinct points, so P^1 -> C is a bijection, and
+    _parameter_pairs yields each (m0 : m1) once. A point's ratios t, w do
+    not change when it is scaled, so it needs no reduction; it is checked
+    against the integer form exactly.
+    """
     if not conic_solvable(fibre):
         raise ValueError(f"fibre over x0 = {fibre.x0} has no rational point")
     base = fibre.base_point()
-    anchor = next(i for i in range(3) if base[i] != 0)
-    axes = [i for i in range(3) if i != anchor]
-    M = fibre.matrix
-    seen = set()
+    anchor = next(r for r in range(3) if base[r] != 0)
+    i, j = (r for r in range(3) if r != anchor)
+    den = lcm(*(x.denominator for row in fibre.matrix for x in row))
+    M = [[int(x * den) for x in row] for row in fibre.matrix]
+    # v^T M v and b^T M v as forms in (m0, m1); then coefficients of m0^2,
+    # m0 m1, m1^2 in each coordinate of the second intersection
+    vv = (M[i][i], 2 * M[i][j], M[j][j])
+    bi, bj = (sum(base[r] * M[r][k] for r in range(3)) for k in (i, j))
+    forms = [[base[r] * c for c in vv] for r in range(3)]
+    forms[i][0] -= 2 * bi
+    forms[i][1] -= 2 * bj
+    forms[j][1] -= 2 * bi
+    forms[j][2] -= 2 * bj
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = forms
+    q00, q11, q22 = M[0][0], M[1][1], M[2][2]
+    q01, q02, q12 = 2 * M[0][1], 2 * M[0][2], 2 * M[1][2]
+    twist = fibre.kind == "twist"
     for m0, m1 in _parameter_pairs(height_bound):
-        v = [0, 0, 0]
-        v[axes[0]], v[axes[1]] = m0, m1
-        vv = _bilinear(M, v, v)
-        bv = _bilinear(M, base, v)
-        pt = tuple(vv * base[r] - 2 * bv * v[r] for r in range(3))
-        if not any(pt):
+        s0, s1, s2 = m0 * m0, m0 * m1, m1 * m1
+        a = a0 * s0 + a1 * s1 + a2 * s2
+        b = b0 * s0 + b1 * s1 + b2 * s2
+        c = c0 * s0 + c1 * s1 + c2 * s2
+        assert (q00 * a + q01 * b + q02 * c) * a + (q11 * b + q12 * c) * b + q22 * c * c == 0
+        # the affine chart: (t, w) = (a/b, b/c) for a twist, (a/c, b/c) for km
+        if c == 0 or twist and b == 0:
             continue
-        pt = _primitive(pt)
-        if pt in seen:
-            continue
-        seen.add(pt)
-        affine = fibre._to_affine(pt)
-        if affine is None:
-            continue
-        t, w = affine
-        assert fibre.relation_holds(t, w)
-        yield max(abs(m0), abs(m1)), t, w
+        yield max(abs(m0), abs(m1)), Fraction(a, b if twist else c), Fraction(b, c)
 
 
 def _parameter_pairs(height_bound: int):

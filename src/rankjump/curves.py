@@ -308,10 +308,27 @@ def _tail_constant(Ai: int, Bi: int) -> float:
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    from sympy.ntheory.residue_ntheory import sqrt_mod
-
-    r = sqrt_mod(a % p, p)
-    return None if r is None else int(r)
+    """A square root of a modulo the prime p (Tonelli-Shanks), or None."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; then b = c^(2^(s - i - 1))
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def _node_distance(A: int, B: int, x: Fraction, p: int, precision: int) -> int:
@@ -493,23 +510,6 @@ def canonical_height(E: EllipticCurveQ, P: PointQ, series_terms: int | None = No
             dps *= 2
             terms += 16
     raise PrecisionError(f"height precision not reached: {last_exc}")
-
-
-def canonical_height_doubling(E: EllipticCurveQ, P: PointQ, doublings: int = 3) -> HeightData:
-    """Independent evaluation hhat(2^k P) / 4^k of the doubling limit."""
-    Q = P
-    for _ in range(doublings):
-        Q = E.add(Q, Q)
-    if Q.is_identity:
-        return HeightData(0.0, 0.0, "doubling-limit", {"doublings": doublings})
-    inner = canonical_height(E, Q)
-    scale = 4**doublings
-    return HeightData(
-        inner.value / scale,
-        inner.error / scale + 1e-18,
-        "doubling-limit",
-        {"doublings": doublings, **inner.detail},
-    )
 
 
 def neron_tate_pairing(E: EllipticCurveQ, P: PointQ, Q: PointQ) -> tuple[float, float]:

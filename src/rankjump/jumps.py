@@ -339,10 +339,6 @@ class CensusResult:
     def distinct_classes(self) -> int:
         return len(self.class_counts)
 
-    def distinct_up_to(self, bound: int) -> int:
-        return len({e.ext_class for e in self.entries
-                    if e.solvable and height(e.x0) <= bound})
-
     def rows(self, bound: int) -> list[tuple[int, int]]:
         """(distinct classes, solvable fibres) of height <= h for each
         h = 1..bound, from one pass over the height-ordered entries."""

@@ -2,7 +2,9 @@
 
 These are independent of the library code paths they check: brute-force
 point searches on conics, exhaustive local non-solvability certificates,
-and naive rational enumeration.
+naive rational enumeration, and helpers the library no longer needs: the
+Fraction conic parametrisation its integer one must match, heights by the
+doubling limit, and fibre-relation and extension-class comparisons.
 """
 
 from __future__ import annotations
@@ -229,3 +231,81 @@ def tate_normal_form(order: int, t: Fraction):
     b2, b4, b6 = a1 * a1 + 4 * a2, a1 * a3, a3 * a3
     c4, c6 = b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
     return -27 * c4, -54 * c6, (3 * b2, 108 * a3)
+
+
+# ---------------------------------------------------------------------------
+# slow exact paths kept as oracles for the library's fast ones
+
+
+def parametrize_heights_fraction(fibre, height_bound: int):
+    """(parameter height, t, w) of conics.parametrize_heights in Fraction
+    arithmetic: each point cut by the line (m0 : m1) through the base point
+    is reduced to a primitive integer vector, skipped if it was seen before,
+    mapped to the affine chart and checked against the fibre relation."""
+    from rankjump.conics import _bilinear, _parameter_pairs, _primitive, conic_solvable
+
+    if not conic_solvable(fibre):
+        raise ValueError(f"fibre over x0 = {fibre.x0} has no rational point")
+    base = fibre.base_point()
+    anchor = next(i for i in range(3) if base[i] != 0)
+    axes = [i for i in range(3) if i != anchor]
+    M = fibre.matrix
+    seen = set()
+    for m0, m1 in _parameter_pairs(height_bound):
+        v = [0, 0, 0]
+        v[axes[0]], v[axes[1]] = m0, m1
+        vv = _bilinear(M, v, v)
+        bv = _bilinear(M, base, v)
+        pt = tuple(vv * base[r] - 2 * bv * v[r] for r in range(3))
+        if not any(pt):
+            continue
+        pt = _primitive(pt)
+        if pt in seen:
+            continue
+        seen.add(pt)
+        a, b, c = (Fraction(x) for x in pt)
+        if c == 0 or fibre.kind == "twist" and b == 0:
+            continue
+        t, w = (a / b, b / c) if fibre.kind == "twist" else (a / c, b / c)
+        assert relation_holds(fibre, t, w)
+        yield max(abs(m0), abs(m1)), t, w
+
+
+def relation_holds(fibre, t, w) -> bool:
+    """Exact check that (t, w) satisfies the defining fibre relation."""
+    t, w = Fraction(t), Fraction(w)
+    if fibre.kind == "twist":
+        return fibre.surface.g(t) * w * w == fibre.value
+    return w * w == fibre.q(t)
+
+
+def same_extension(c1, c2) -> bool:
+    """Whether two conic fibres define the same quadratic extension of Q(t)."""
+    return c1.ext_class == c2.ext_class
+
+
+def distinct_up_to(census, bound: int) -> int:
+    """Distinct extension classes among a census's solvable fibres of height
+    <= bound, counted afresh from its entries."""
+    from rankjump.conics import height
+
+    return len({e.ext_class for e in census.entries if e.solvable and height(e.x0) <= bound})
+
+
+def canonical_height_doubling(E, P, doublings: int = 3):
+    """Independent evaluation hhat(2^k P) / 4^k of the doubling limit."""
+    from rankjump.curves import HeightData, canonical_height
+
+    Q = P
+    for _ in range(doublings):
+        Q = E.add(Q, Q)
+    if Q.is_identity:
+        return HeightData(0.0, 0.0, "doubling-limit", {"doublings": doublings})
+    inner = canonical_height(E, Q)
+    scale = 4**doublings
+    return HeightData(
+        inner.value / scale,
+        inner.error / scale + 1e-18,
+        "doubling-limit",
+        {"doublings": doublings, **inner.detail},
+    )

@@ -10,7 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_conic_point, certify_unsolvable, legendre_normalize
+from conftest import (
+    brute_force_conic_point,
+    canonical_height_doubling,
+    certify_unsolvable,
+    distinct_up_to,
+    legendre_normalize,
+)
 from rankjump.arith import DomainError, is_square
 from rankjump.conics import (
     GENUS_0,
@@ -28,7 +34,6 @@ from rankjump.curves import (
     EllipticCurveQ,
     SingularCurveError,
     canonical_height,
-    canonical_height_doubling,
     point,
 )
 from rankjump.jumps import (
@@ -276,7 +281,7 @@ def test_criterion_8_field_census():
     assert census.distinct_classes >= 50
     previous = 0
     for bound in range(1, 31):
-        current = census.distinct_up_to(bound)
+        current = distinct_up_to(census, bound)
         assert current >= previous
         previous = current
     f2 = conic_fibre(s, 2)

@@ -2,9 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import brute_force_conic_point, certify_unsolvable, legendre_normalize
+from conftest import (
+    brute_force_conic_point,
+    certify_unsolvable,
+    legendre_normalize,
+    parametrize_heights_fraction,
+    relation_holds,
+    same_extension,
+)
 from rankjump.arith import DomainError, squarefree_part
 from rankjump.conics import (
     GENUS_0,
@@ -12,18 +19,25 @@ from rankjump.conics import (
     REDUCIBLE,
     BranchLocus,
     DegenerateFibreError,
+    QuadExtClass,
     branch_locus,
     conic_fibre,
     conic_solvable,
     fibre_product_genus,
     height,
     parametrize,
+    parametrize_heights,
     quad_ext_class,
     rationals_by_height,
     rationals_of_height,
-    same_extension,
 )
-from rankjump.polynomial import PLACE_AT_INFINITY, Place, RatPoly, factor_rational
+from rankjump.polynomial import (
+    PLACE_AT_INFINITY,
+    Place,
+    RatPoly,
+    factor_rational,
+    squarefree_kernel,
+)
 from rankjump.surfaces import KMFamily, TwistFamily
 
 T = RatPoly.gen()
@@ -246,12 +260,75 @@ class TestParametrize:
                 if not conic_solvable(fib):
                     continue
                 for t, w in parametrize(fib, 5):
-                    assert fib.relation_holds(t, w)
+                    assert relation_holds(fib, t, w)
 
     def test_unsolvable_fibre_rejected(self):
         fib = conic_fibre(TwistFamily(F_CUBIC, T**2 - 2), 2)
         with pytest.raises(ValueError):
             list(parametrize(fib, 3))
+
+
+coeff = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+nonzero = coeff.filter(lambda c: c != 0)
+
+
+def _poly(draw, degree):
+    """A random polynomial of exactly the given degree."""
+    return RatPoly([draw(coeff) for _ in range(degree)] + [draw(nonzero)])
+
+
+@st.composite
+def surfaces(draw):
+    """Random twist surfaces (g of degree 1 or 2) and km surfaces."""
+    try:
+        if draw(st.booleans()):
+            return TwistFamily(_poly(draw, 3), _poly(draw, draw(st.sampled_from((1, 2)))))
+        return KMFamily(*(_poly(draw, draw(st.integers(0, 2))) for _ in range(4)))
+    except DomainError:
+        assume(False)
+
+
+class TestIntegerParametrisation:
+    @settings(max_examples=40, deadline=None)
+    @given(surfaces())
+    @example(twist(T))
+    @example(twist(T**2 - 1))
+    @example(mordell())
+    def test_matches_fraction_oracle(self, s):
+        """The integer forms yield the oracle's (h, t, w) list, in order; the
+        oracle drops repeated points, so equal lists also show none occurs."""
+        solvable = 0
+        for x0 in rationals_by_height(4):
+            try:
+                fib = conic_fibre(s, x0)
+            except DegenerateFibreError:
+                continue
+            if not conic_solvable(fib):
+                continue
+            assert list(parametrize_heights(fib, 6)) == list(parametrize_heights_fraction(fib, 6))
+            solvable += 1
+            if solvable == 3:
+                break
+
+
+@st.composite
+def low_degree_polys(draw):
+    """Degree 0, 1 and 2 polynomials, perfect squares c (t - r)^2 among them."""
+    kind = draw(st.sampled_from(("const", "linear", "quadratic", "square")))
+    if kind == "const":
+        return RatPoly([draw(nonzero)])
+    if kind == "square":
+        return draw(nonzero) * (T - draw(coeff)) ** 2
+    return _poly(draw, 1 if kind == "linear" else 2)
+
+
+class TestClosedFormExtensionClass:
+    @settings(max_examples=150, deadline=None)
+    @given(nonzero, low_degree_polys())
+    def test_matches_yun(self, scalar, poly):
+        lead, h = squarefree_kernel(poly)
+        s, _ = squarefree_part(scalar * lead)
+        assert quad_ext_class(scalar, poly) == QuadExtClass(s, h)
 
 
 def _factored_locus(h: RatPoly) -> BranchLocus:

@@ -2,7 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import ec_add, ec_mul, relation_by_enumeration, tate_normal_form
+from conftest import (
+    canonical_height_doubling,
+    ec_add,
+    ec_mul,
+    relation_by_enumeration,
+    tate_normal_form,
+)
 from hypothesis import example, given, settings, strategies as st
 
 from rankjump.curves import (
@@ -10,7 +16,6 @@ from rankjump.curves import (
     SingularCurveError,
     _small_relation,
     canonical_height,
-    canonical_height_doubling,
     neron_tate_pairing,
     point,
     regulator,
