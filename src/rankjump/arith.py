@@ -3,14 +3,17 @@
 Everything in this module is computed with integer arithmetic only:
 perfect-square tests, squarefree decompositions, Legendre and Hilbert
 symbols, and local solvability of diagonal ternary quadratic forms.
-Integers arising in this project are values of small cubics at small
-rationals, so factoring them is never a bottleneck.
+Factoring (sympy's factorint, in _factorint) is the costly step: the
+conic layer reaches it through square_class, once per fibre value and once
+per surface for the fixed part, the curves through prime_factors. Config
+coefficients are bounded at parse time (config.MAX_COEFFICIENT).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 Rat = Fraction
 
@@ -28,6 +31,40 @@ def _factorint(n: int) -> dict:
     from sympy import factorint
 
     return {int(p): int(e) for p, e in factorint(n).items()}
+
+
+class SquareClass(NamedTuple):
+    """A nonzero rational modulo squares: the squarefree integer s of its
+    class (with its sign) and the primes dividing s, increasing."""
+
+    s: int
+    primes: tuple[int, ...]
+
+    def __neg__(self) -> "SquareClass":
+        return SquareClass(-self.s, self.primes)
+
+    def times(self, other: "SquareClass") -> "SquareClass":
+        """The class of the product; primes in both cancel, so nothing is
+        factored again."""
+        g = gcd(self.s, other.s)
+        primes = sorted(set(self.primes).symmetric_difference(other.primes))
+        return SquareClass(self.s * other.s // (g * g), tuple(primes))
+
+
+def square_class(q) -> SquareClass:
+    """The square class of a nonzero rational, its numerator and denominator
+    factored once each."""
+    q = Fraction(q)
+    if q == 0:
+        raise DomainError("square class of 0")
+    s, primes = -1 if q < 0 else 1, []
+    for n in (abs(q.numerator), q.denominator):
+        if n > 1:
+            for p, e in _factorint(n).items():
+                if e % 2:
+                    s *= p
+                    primes.append(p)
+    return SquareClass(s, tuple(sorted(primes)))
 
 
 def int_sqrt(n: int):
@@ -64,13 +101,8 @@ def squarefree_int(n: int) -> tuple[int, int]:
     """
     if n == 0:
         raise DomainError("squarefree decomposition of 0")
-    sign = -1 if n < 0 else 1
-    s, w = 1, 1
-    for p, e in _factorint(abs(n)).items():
-        if e % 2:
-            s *= p
-        w *= p ** (e // 2)
-    return sign * s, w
+    s = square_class(n).s
+    return s, isqrt(n // s)
 
 
 def squarefree_part(q) -> tuple[int, Fraction]:
@@ -78,12 +110,8 @@ def squarefree_part(q) -> tuple[int, Fraction]:
 
     s is an integer with the sign of q; w is an exact positive rational.
     """
-    q = Fraction(q)
-    if q == 0:
-        raise DomainError("squarefree_part of 0")
-    # q = num/den == (num*den)/den^2, so s is the squarefree part of num*den
-    s, _ = squarefree_int(q.numerator * q.denominator)
-    w = rational_sqrt(q / s)
+    s = square_class(q).s
+    w = rational_sqrt(Fraction(q) / s)
     assert w is not None and w > 0
     return s, w
 
@@ -104,46 +132,43 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _val_unit(q: Fraction, p: int) -> tuple[int, Fraction]:
-    # q = p^v * u with u a p-adic unit
+def _as_int(q) -> int:
+    # an integer in the square class of a nonzero rational: n/d ~ n d
+    if isinstance(q, int):
+        return q
+    q = Fraction(q)
+    return q.numerator * q.denominator
+
+
+def val_unit(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = p^v * u and p not dividing u, for a nonzero integer n."""
     v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
-
-
-def _unit_mod(u: Fraction, m: int) -> int:
-    # value of a p-adic unit modulo m (m a power of the same p)
-    return (u.numerator * pow(u.denominator, -1, m)) % m
+    return v, n
 
 
 def hilbert(a, b, p: int) -> int:
-    """Hilbert symbol (a, b)_p at a finite prime p, for nonzero rationals."""
-    a, b = Fraction(a), Fraction(b)
+    """Hilbert symbol (a, b)_p at a finite prime p, for nonzero rationals.
+
+    Each argument is replaced by an integer of its square class, then split
+    into p-adic valuation and unit; only residues of integers are taken.
+    """
+    a, b = _as_int(a), _as_int(b)
     if a == 0 or b == 0:
         raise DomainError("Hilbert symbol needs nonzero arguments")
-    al, u = _val_unit(a, p)
-    be, v = _val_unit(b, p)
+    al, u = val_unit(a, p)
+    be, v = val_unit(b, p)
     if p == 2:
-        eps_u = (_unit_mod(u, 8) - 1) // 2 % 2
-        eps_v = (_unit_mod(v, 8) - 1) // 2 % 2
-        om_u = (_unit_mod(u, 8) ** 2 - 1) // 8 % 2
-        om_v = (_unit_mod(v, 8) ** 2 - 1) // 8 % 2
-        e = eps_u * eps_v + al * om_v + be * om_u
+        u, v = u % 8, v % 8
+        e = (u - 1) * (v - 1) // 4 + al * (v * v - 1) // 8 + be * (u * u - 1) // 8
         return -1 if e % 2 else 1
-    s = (p - 1) // 2
-    res = (-1) ** (al * be * s % 2)
-    lu = legendre(_unit_mod(u, p), p)
-    lv = legendre(_unit_mod(v, p), p)
+    res = -1 if al * be % 2 and p % 4 == 3 else 1
     if be % 2:
-        res *= lu
+        res *= legendre(u, p)
     if al % 2:
-        res *= lv
+        res *= legendre(v, p)
     return res
 
 
@@ -157,8 +182,8 @@ def ternary_isotropic_at(a, b, c, p: int) -> bool:
 
     Uses the Hasse-invariant criterion for rank-3 diagonal forms.
     """
-    d = Fraction(a) * Fraction(b) * Fraction(c)
-    lhs = hilbert(-1, -d, p)
+    a, b, c = _as_int(a), _as_int(b), _as_int(c)
+    lhs = hilbert(-1, -a * b * c, p)
     rhs = hilbert(a, b, p) * hilbert(b, c, p) * hilbert(a, c, p)
     return lhs == rhs
 
@@ -166,20 +191,17 @@ def ternary_isotropic_at(a, b, c, p: int) -> bool:
 def ternary_obstruction(a, b, c):
     """First local obstruction to a*x^2 + b*y^2 + c*z^2 = 0, or None.
 
-    Arguments are nonzero rationals. Returns REAL_PLACE (= 0) for the real
-    place, an obstructing prime otherwise, or None when the form is
-    isotropic over every completion (hence over Q, by Hasse-Minkowski).
+    Arguments are nonzero rationals or their SquareClasses; a rational is
+    classed (factored) first. Returns REAL_PLACE (= 0) for the real place,
+    an obstructing prime otherwise, or None when the form is isotropic over
+    every completion (hence over Q, by Hasse-Minkowski). Only 2 and the
+    primes of the three classes can obstruct: at any other prime all three
+    are units, and a unit ternary form is isotropic there.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a == 0 or b == 0 or c == 0:
-        raise DomainError("degenerate ternary form")
-    if a > 0 and b > 0 and c > 0 or a < 0 and b < 0 and c < 0:
+    a, b, c = (x if isinstance(x, SquareClass) else square_class(x) for x in (a, b, c))
+    if a.s > 0 and b.s > 0 and c.s > 0 or a.s < 0 and b.s < 0 and c.s < 0:
         return REAL_PLACE
-    bad = {2}
-    for q in (a, b, c):
-        bad.update(prime_factors(q.numerator))
-        bad.update(prime_factors(q.denominator))
-    for p in sorted(bad):
-        if not ternary_isotropic_at(a, b, c, p):
+    for p in sorted({2, *a.primes, *b.primes, *c.primes}):
+        if not ternary_isotropic_at(a.s, b.s, c.s, p):
             return p
     return None

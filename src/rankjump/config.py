@@ -60,13 +60,25 @@ class SurfaceConfig:
         return self.kind, tuple(sorted((n, p.coeffs) for n, p in self.polys.items()))
 
 
+#: Bound on the numerator and the denominator of every coefficient. Fibre
+#: values are factored: with coefficients of height B and x0 of height H,
+#: f(x0) has a numerator near 4 B^4 H^3 (below 10^22 at B = 10^4, H = 30,
+#: well under a second to factor) and a km discriminant near its square
+#: (tens of seconds at worst). At 10^400 one factorisation never ended.
+MAX_COEFFICIENT = 10**4
+
+
 def _parse_rational(token: str, lineno: int, key: str) -> Fraction:
     try:
-        return Fraction(token)
+        value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(
             f"line {lineno}: field '{key}': bad rational {token!r}"
         ) from None
+    if max(abs(value.numerator), value.denominator) > MAX_COEFFICIENT:
+        raise ConfigError(f"line {lineno}: field '{key}': coefficient {token[:20]!r} "
+                          f"has a numerator or denominator above {MAX_COEFFICIENT}")
+    return value
 
 
 def parse_surface_config(text: str) -> SurfaceConfig:

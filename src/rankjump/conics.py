@@ -9,6 +9,13 @@ is w^2 = q(t) with q of degree at most 2, already a conic after
 homogenising. Parametrisation runs in integers: with the conic's matrix
 scaled to integers, each coordinate of the point cut by the line of
 parameter (m0 : m1) is an integer binary quadratic form in (m0, m1).
+
+Solvability is decided on closed-form square classes: the twist conic
+g2 u^2 + g1 u w + g0 w^2 = v z^2 is diagonal in (g2, -g2 disc g, -v), the
+first two fixed by the surface, the km conic W^2 = q(T, Z) in (-q2, 1,
+q2 disc q); per fibre only v, or q2 and disc q, are factored. If g2 = 0 or
+q2 = 0 the block is hyperbolic: (1, 0, 0) lies on the conic. Obstructing
+places do not depend on the diagonal chosen, nor does the first reported.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import rational_sqrt, squarefree_part, ternary_obstruction
+from .arith import SquareClass, rational_sqrt, square_class, squarefree_part, ternary_obstruction
 from .polynomial import (
     PLACE_AT_INFINITY,
     Place,
@@ -51,23 +58,13 @@ class QuadExtClass:
 
 
 def quad_ext_class(scalar, poly: RatPoly) -> QuadExtClass:
-    """Canonical class of scalar * poly(t) modulo squares in Q(t)*.
-
-    A conic fibre's polynomial has degree <= 2 and is read off directly: it
-    is lead * h with h = 1 if it is constant or lead * (t - r)^2, and h its
-    monic form otherwise. Higher degrees go through Yun's factorisation.
-    """
+    """Canonical class of scalar * poly(t) modulo squares in Q(t)*, by Yun's
+    factorisation; a conic fibre reads its own class off in closed form."""
     scalar = Fraction(scalar)
     if scalar == 0 or poly.is_zero():
         raise DegenerateFibreError("zero does not define a quadratic extension")
-    if poly.degree > 2:
-        lead, h = squarefree_kernel(poly)
-    else:
-        lead = poly.leading()
-        split = poly.degree == 0 or poly.degree == 2 and poly_discriminant(poly) == 0
-        h = RatPoly([1]) if split else poly.monic()
-    s, _ = squarefree_part(scalar * lead)
-    return QuadExtClass(s, h)
+    lead, h = squarefree_kernel(poly)
+    return QuadExtClass(square_class(scalar * lead).s, h)
 
 
 @dataclass(frozen=True)
@@ -113,72 +110,21 @@ def fibre_product_genus(b1: BranchLocus, b2: BranchLocus) -> str:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on 3x3 symmetric matrices
+# exact linear algebra on the fibre's 3x3 symmetric matrix
 
 
 def _bilinear(M, u, v) -> Fraction:
     return sum(u[i] * M[i][j] * v[j] for i in range(3) for j in range(3))
 
 
-def _diagonalize(M):
-    """Basis S (list of three column vectors) with the form diagonal on S."""
-    M = [[Fraction(x) for x in row] for row in M]
-    S = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]  # columns
-
-    def col(j):
-        return [S[r][j] for r in range(3)]
-
-    def add_col(dst, src, lam):
-        for r in range(3):
-            S[r][dst] += lam * S[r][src]
-        for r in range(3):
-            M[r][dst] += lam * M[r][src]
-        for c in range(3):
-            M[dst][c] += lam * M[src][c]
-
-    def swap_col(i, j):
-        for r in range(3):
-            S[r][i], S[r][j] = S[r][j], S[r][i]
-        M[i], M[j] = M[j], M[i]
-        for r in range(3):
-            M[r][i], M[r][j] = M[r][j], M[r][i]
-
-    for i in range(3):
-        if M[i][i] == 0:
-            for j in range(i + 1, 3):
-                if M[j][j] != 0:
-                    swap_col(i, j)
-                    break
-            else:
-                for j in range(i + 1, 3):
-                    if M[i][j] != 0:
-                        add_col(i, j, Fraction(1))
-                        break
-        if M[i][i] == 0:
-            continue
-        for j in range(i + 1, 3):
-            if M[i][j] != 0:
-                add_col(j, i, -M[i][j] / M[i][i])
-    return [M[i][i] for i in range(3)], [col(j) for j in range(3)]
-
-
 def _primitive(vec):
     """Scale a rational vector to coprime integers with canonical sign."""
-    den = 1
-    for c in vec:
-        den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in vec]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g:
-        ints = [c // g for c in ints]
-    for c in ints:
-        if c != 0:
-            if c < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(ints)
+    vec = [Fraction(c) for c in vec]
+    den = lcm(*(c.denominator for c in vec))
+    ints = [int(c * den) for c in vec]
+    g = gcd(*ints) or 1
+    sign = -1 if next((c for c in ints if c), 0) < 0 else 1
+    return tuple(sign * c // g for c in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +146,11 @@ class ConicFibre:
                 raise DegenerateFibreError(f"f({x0}) = 0: fibre splits")
             self.value = value
             self.q = None
-            self.ext_class = quad_ext_class(value, surface.g)
+            # f(x0) is factored once; g is separable, so monic(g) is its kernel
+            value_class = square_class(value)
+            lead_class, block = surface.conic_classes
+            self.ext_class = QuadExtClass(value_class.times(lead_class).s, surface.g.monic())
+            self._classes = None if block is None else (*block, -value_class)
             g = surface.g
             # in coordinates (u, w, z) with u = t w: g2 u^2 + g1 u w + g0 w^2 = c z^2
             self.matrix = (
@@ -215,11 +165,17 @@ class ConicFibre:
                 raise DegenerateFibreError(f"fibre polynomial vanishes at x0 = {x0}")
             self.value = None
             self.q = q
-            self.ext_class = quad_ext_class(1, q)
-            if self.ext_class.h.is_constant():
+            disc = poly_discriminant(q) if q.degree == 2 else None
+            if q.degree == 0 or disc == 0:
                 raise DegenerateFibreError(
                     f"fibre over x0 = {x0} is a square times a constant: cover splits"
                 )
+            # otherwise monic(q) is squarefree, and the class is lead(q)'s
+            lead_class = square_class(q.leading())
+            self.ext_class = QuadExtClass(lead_class.s, q.monic())
+            # -q2 T^2 - q1 T Z - q0 Z^2 = -q2 (T + q1 Z / 2 q2)^2 + disc(q) Z^2 / 4 q2
+            self._classes = None if disc is None else (
+                -lead_class, SquareClass(1, ()), lead_class.times(square_class(disc)))
             # in coordinates (T, W, Z) with t = T/Z, w = W/Z: W^2 = q2 T^2 + q1 T Z + q0 Z^2
             self.matrix = (
                 (-q[2], Fraction(0), -q[1] / 2),
@@ -230,7 +186,6 @@ class ConicFibre:
             raise TypeError(f"unsupported surface {surface!r}")
         self.branch = branch_locus(self.ext_class)
         assert self.branch.geometric_count == 2
-        self._diag = None
         self._obstruction = "unknown"
         self._base_point = "unknown"
 
@@ -242,19 +197,23 @@ class ConicFibre:
     # -- solvability -------------------------------------------------------
 
     def _diagonal(self):
-        if self._diag is None:
-            diag, basis = _diagonalize(self.matrix)
-            if any(d == 0 for d in diag):
-                raise DegenerateFibreError("fibre conic is degenerate")
-            self._diag = (diag, basis)
-        return self._diag
+        """(diagonal, basis columns) of the fibre's form, for g2 != 0 or
+        q2 != 0. Both kinds have M12 = 0 and M01 M02 = 0, so clearing row
+        and column 0 against the pivot M00 leaves a diagonal form."""
+        M = self.matrix
+        a = M[0][0]
+        if a == 0:
+            raise ValueError("hyperbolic fibre: (1, 0, 0) lies on it")
+        diag = [a, M[1][1] - M[0][1] ** 2 / a, M[2][2] - M[0][2] ** 2 / a]
+        return diag, [[1, 0, 0], [-M[0][1] / a, 1, 0], [-M[0][2] / a, 0, 1]]
 
     def local_obstruction(self):
         """None when the fibre has a rational point; otherwise the smallest
-        obstructing place (a prime, or 0 for the real place)."""
+        obstructing place (a prime, or 0 for the real place), from the
+        closed-form square classes; a hyperbolic fibre has (1, 0, 0)."""
         if self._obstruction == "unknown":
-            diag, _ = self._diagonal()
-            self._obstruction = ternary_obstruction(*diag)
+            classes = self._classes
+            self._obstruction = None if classes is None else ternary_obstruction(*classes)
         return self._obstruction
 
     def base_point(self):
@@ -333,9 +292,10 @@ class ConicFibre:
             return None
         ys = [Fraction(int(sol[i])) / sq[i][1] for i in range(3)]
         pt = [sum(basis[j][r] * ys[j] for j in range(3)) for r in range(3)]
-        if all(c == 0 for c in pt):
+        # sympy can return a non-solution for large coefficients (seen on
+        # -5214 X^2 + Y^2 + 6887490654 Z^2); the cascade then goes on
+        if all(c == 0 for c in pt) or self._form(pt) != 0:
             return None
-        assert self._form(pt) == 0
         return tuple(pt)
 
 

@@ -25,7 +25,7 @@ from functools import cache, cached_property
 from itertools import count, islice, product
 from math import gcd, isqrt
 
-from .arith import DomainError, prime_factors
+from .arith import DomainError, prime_factors, val_unit
 from .kodaira import kodaira_type
 
 
@@ -74,11 +74,7 @@ def point(x, y) -> PointQ:
 def _vp(n: int, p: int) -> int:
     if n == 0:
         raise DomainError("valuation of 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    return val_unit(n, p)[0]
 
 
 def _vp_frac(q: Fraction, p: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import DomainError
+from .arith import DomainError, SquareClass, square_class
 from .kodaira import InvalidModelError, KodairaType, kodaira_type
 from .polynomial import (
     PLACE_AT_INFINITY,
@@ -87,6 +87,16 @@ class TwistFamily:
         P, Q, _, _ = self.short_cubic()
         g = self.g
         return WeierstrassQt(P * g * g, Q * g * g * g)
+
+    @cached_property
+    def conic_classes(self) -> tuple[SquareClass, tuple[SquareClass, SquareClass] | None]:
+        """The square classes every fibre conic g(t) w^2 = f(x0) shares: of
+        lead(g) (times f(x0)'s, a fibre's extension class) and the diagonal
+        (g2, -g2 disc(g)) of g2 u^2 + g1 u w + g0 w^2, None if g2 = 0."""
+        lead = square_class(self.g.leading())
+        if self.g.degree < 2:
+            return lead, None
+        return lead, (lead, lead.times(square_class(-poly_discriminant(self.g))))
 
     @cached_property
     def chart(self) -> tuple[RatPoly, RatPoly, RatPoly]:

@@ -3,8 +3,10 @@
 These are independent of the library code paths they check: brute-force
 point searches on conics, exhaustive local non-solvability certificates,
 naive rational enumeration, and helpers the library no longer needs: the
-Fraction conic parametrisation its integer one must match, heights by the
-doubling limit, and fibre-relation and extension-class comparisons.
+Fraction conic parametrisation its integer one must match, local
+solvability by Fraction Hilbert symbols on a general diagonalisation,
+heights by the doubling limit, and fibre-relation and extension-class
+comparisons.
 """
 
 from __future__ import annotations
@@ -309,3 +311,144 @@ def canonical_height_doubling(E, P, doublings: int = 3):
         "doubling-limit",
         {"doublings": doublings, **inner.detail},
     )
+
+
+# ---------------------------------------------------------------------------
+# local solvability in Fraction arithmetic: Hilbert symbols from p-adic
+# valuations and units of rationals, on a diagonal found by general 3x3
+# elimination. The library decides it on squarefree integers instead.
+
+
+def _val_unit(q: Fraction, p: int) -> tuple[int, Fraction]:
+    # q = p^v * u with u a p-adic unit
+    v = 0
+    num, den = q.numerator, q.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, Fraction(num, den)
+
+
+def _unit_mod(u: Fraction, m: int) -> int:
+    # value of a p-adic unit modulo m (m a power of the same p)
+    return (u.numerator * pow(u.denominator, -1, m)) % m
+
+
+def hilbert_fraction(a, b, p: int) -> int:
+    """Hilbert symbol (a, b)_p at a finite prime p, for nonzero rationals."""
+    a, b = Fraction(a), Fraction(b)
+    al, u = _val_unit(a, p)
+    be, v = _val_unit(b, p)
+    if p == 2:
+        eps_u = (_unit_mod(u, 8) - 1) // 2 % 2
+        eps_v = (_unit_mod(v, 8) - 1) // 2 % 2
+        om_u = (_unit_mod(u, 8) ** 2 - 1) // 8 % 2
+        om_v = (_unit_mod(v, 8) ** 2 - 1) // 8 % 2
+        e = eps_u * eps_v + al * om_v + be * om_u
+        return -1 if e % 2 else 1
+    s = (p - 1) // 2
+    res = (-1) ** (al * be * s % 2)
+    lu = pow(_unit_mod(u, p), s, p)
+    lv = pow(_unit_mod(v, p), s, p)
+    if be % 2:
+        res *= 1 if lu == 1 else -1
+    if al % 2:
+        res *= 1 if lv == 1 else -1
+    return res
+
+
+def ternary_isotropic_at_fraction(a, b, c, p: int) -> bool:
+    """Whether a x^2 + b y^2 + c z^2 = 0 has a nontrivial zero over Q_p, by
+    the Hasse invariant."""
+    d = Fraction(a) * Fraction(b) * Fraction(c)
+    lhs = hilbert_fraction(-1, -d, p)
+    rhs = hilbert_fraction(a, b, p) * hilbert_fraction(b, c, p) * hilbert_fraction(a, c, p)
+    return lhs == rhs
+
+
+def ternary_obstruction_fraction(a, b, c):
+    """0 for the real place, else the smallest obstructing prime among 2 and
+    the primes of every numerator and denominator, or None."""
+    from sympy import primefactors
+
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    if a > 0 and b > 0 and c > 0 or a < 0 and b < 0 and c < 0:
+        return 0
+    bad = {2}
+    for q in (a, b, c):
+        bad.update(int(p) for p in primefactors(q.numerator * q.denominator))
+    for p in sorted(bad):
+        if not ternary_isotropic_at_fraction(a, b, c, p):
+            return p
+    return None
+
+
+def _diagonalize(M):
+    """Basis S (list of three column vectors) with the form diagonal on S."""
+    M = [[Fraction(x) for x in row] for row in M]
+    S = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]  # columns
+
+    def col(j):
+        return [S[r][j] for r in range(3)]
+
+    def add_col(dst, src, lam):
+        for r in range(3):
+            S[r][dst] += lam * S[r][src]
+        for r in range(3):
+            M[r][dst] += lam * M[r][src]
+        for c in range(3):
+            M[dst][c] += lam * M[src][c]
+
+    def swap_col(i, j):
+        for r in range(3):
+            S[r][i], S[r][j] = S[r][j], S[r][i]
+        M[i], M[j] = M[j], M[i]
+        for r in range(3):
+            M[r][i], M[r][j] = M[r][j], M[r][i]
+
+    for i in range(3):
+        if M[i][i] == 0:
+            for j in range(i + 1, 3):
+                if M[j][j] != 0:
+                    swap_col(i, j)
+                    break
+            else:
+                for j in range(i + 1, 3):
+                    if M[i][j] != 0:
+                        add_col(i, j, Fraction(1))
+                        break
+        if M[i][i] == 0:
+            continue
+        for j in range(i + 1, 3):
+            if M[i][j] != 0:
+                add_col(j, i, -M[i][j] / M[i][i])
+    return [M[i][i] for i in range(3)], [col(j) for j in range(3)]
+
+
+def local_obstruction_fraction(fibre):
+    """The fibre's first obstructing place from the general diagonalisation
+    of its matrix, in Fraction arithmetic."""
+    diag, _ = _diagonalize(fibre.matrix)
+    assert all(d != 0 for d in diag)
+    return ternary_obstruction_fraction(*diag)
+
+
+def ext_class_by_yun(fibre):
+    """The fibre's extension class from Yun's squarefree kernel of g or q
+    and sympy's factorisation of the scalar."""
+    from sympy import factorint
+
+    from rankjump.conics import QuadExtClass
+    from rankjump.polynomial import squarefree_kernel
+
+    scalar, poly = (fibre.value, fibre.surface.g) if fibre.kind == "twist" else (1, fibre.q)
+    lead, h = squarefree_kernel(poly)
+    q = Fraction(scalar) * lead
+    s = -1 if q < 0 else 1
+    for p, e in factorint(abs(q.numerator * q.denominator)).items():
+        if e % 2:
+            s *= int(p)
+    return QuadExtClass(s, h)

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import hilbert_fraction, ternary_obstruction_fraction
 from rankjump.arith import (
     DomainError,
     hilbert,
@@ -85,6 +86,43 @@ class TestHilbertSymbol:
             a, b, c = (rng.choice([-1, 1]) * rng.randint(1, 40) for _ in range(3))
             for p in self.PRIMES:
                 assert hilbert(a * b, c, p) == hilbert(a, c, p) * hilbert(b, c, p)
+
+
+PRIMES_TO_29 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+@st.composite
+def rational_at(draw, p):
+    """A nonzero rational times 1, 4 or 8 and a power of p, so that 2-adic
+    valuations 2 and 3 and both parities of the p-adic one occur."""
+    q = draw(st.fractions(min_value=-60, max_value=60, max_denominator=60).filter(bool))
+    return q * draw(st.sampled_from((1, 4, 8))) * Fraction(p) ** draw(st.integers(-2, 3))
+
+
+@st.composite
+def hilbert_cases(draw):
+    p = draw(st.sampled_from(PRIMES_TO_29))
+    return draw(rational_at(p)), draw(rational_at(p)), p
+
+
+class TestIntegerHilbert:
+    """The integer Hilbert symbol and ternary decision against the Fraction
+    ones of tests/conftest.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(hilbert_cases())
+    @example((8, 3, 2))
+    @example((Fraction(3, 4), -1, 2))
+    @example((Fraction(-5, 8), 24, 2))
+    @example((12, Fraction(7, 9), 3))
+    def test_matches_fraction_oracle(self, case):
+        a, b, p = case
+        assert hilbert(a, b, p) == hilbert_fraction(a, b, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PRIMES_TO_29).flatmap(lambda p: st.tuples(*[rational_at(p)] * 3)))
+    def test_ternary_obstruction_matches_fraction_oracle(self, abc):
+        assert ternary_obstruction(*abc) == ternary_obstruction_fraction(*abc)
 
 
 def legendre_value(a, p):

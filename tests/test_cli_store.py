@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import pytest
 
 from rankjump.cli import main
 from rankjump.config import (
+    MAX_COEFFICIENT,
     ConfigError,
     build_surface,
     parse_cover_file,
@@ -36,6 +40,9 @@ a2 = 0
 a1 = 0
 a0 = 0, 1
 """
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestConfig:
@@ -73,6 +80,20 @@ class TestConfig:
     def test_cover_file(self):
         covers = parse_cover_file("0, 1  # t\n-5, 1\n")
         assert len(covers) == 2 and covers[1](5) == 0
+
+    def test_coefficient_bound(self):
+        with pytest.raises(ConfigError, match="line 2.*'f'.*above"):
+            parse_surface_config(f"kind = twist\nf = {MAX_COEFFICIENT + 1}, 1, 0, 1\ng = 0, 1\n")
+        with pytest.raises(ConfigError, match="'a0'.*above"):
+            parse_surface_config(f"kind = km\na3 = 1\na2 = 0\na1 = 0\n"
+                                 f"a0 = 1/{MAX_COEFFICIENT + 1}, 1\n")
+        parse_surface_config(f"kind = twist\nf = -{MAX_COEFFICIENT}/{MAX_COEFFICIENT - 1}, "
+                             f"1, 0, 1\ng = 0, 1\n")
+
+    def test_shipped_configs_parse(self):
+        for path in sorted((ROOT / "configs").glob("*.cfg")):
+            build_surface(parse_surface_config(path.read_text(encoding="utf-8")))
+        assert parse_cover_file((ROOT / "configs" / "covers-example.txt").read_text())
 
 
 class TestStore(object):
@@ -312,6 +333,17 @@ class TestCli:
         capsys.readouterr()
         assert main(["jump", "--config", cfg, "--budget", "4,4,2"]) == 2
         assert "twist or km form" in capsys.readouterr().err
+
+    def test_oversized_coefficient_exit_2(self, tmp_path):
+        """f = 10^400 + x + x^3 once left census factoring a fibre value
+        without end; each command now refuses the config at once."""
+        cfg = self._write(tmp_path, "big.cfg", "kind = twist\nf = 1e400, 1, 0, 1\ng = 0, 1\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        for argv in (["classify"], ["jump", "--budget", "3,3,2"], ["census", "--height", "3"]):
+            done = subprocess.run([sys.executable, "-m", "rankjump.cli", *argv, "--config", cfg],
+                                  capture_output=True, text=True, env=env, timeout=10)
+            assert done.returncode == 2, done.stderr
+            assert "above" in done.stderr and "Traceback" not in done.stderr
 
     def test_bad_budget_exit_2(self, tmp_path):
         cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)

@@ -7,12 +7,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (
     brute_force_conic_point,
     certify_unsolvable,
+    ext_class_by_yun,
     legendre_normalize,
+    local_obstruction_fraction,
     parametrize_heights_fraction,
     relation_holds,
     same_extension,
 )
-from rankjump.arith import DomainError, squarefree_part
+from rankjump.arith import DomainError, is_square, squarefree_part
 from rankjump.conics import (
     GENUS_0,
     GENUS_1,
@@ -36,6 +38,7 @@ from rankjump.polynomial import (
     Place,
     RatPoly,
     factor_rational,
+    poly_discriminant,
     squarefree_kernel,
 )
 from rankjump.surfaces import KMFamily, TwistFamily
@@ -309,6 +312,47 @@ class TestIntegerParametrisation:
             solvable += 1
             if solvable == 3:
                 break
+
+
+@st.composite
+def conic_surfaces(draw):
+    """Twists with g linear, split or irreducible, and km surfaces whose
+    fibre polynomials q are linear or quadratic in t."""
+    kind = draw(st.sampled_from(("linear", "split", "irreducible", "km1", "km2")))
+    try:
+        if kind == "linear":
+            return TwistFamily(_poly(draw, 3), _poly(draw, 1))
+        if kind == "split":
+            g = draw(nonzero) * (T - draw(coeff)) * (T - draw(coeff))
+            return TwistFamily(_poly(draw, 3), g)
+        if kind == "irreducible":
+            g = _poly(draw, 2)
+            assume(not is_square(poly_discriminant(g)))
+            return TwistFamily(_poly(draw, 3), g)
+        top = 1 if kind == "km1" else 2
+        return KMFamily(*(_poly(draw, draw(st.integers(0, top))) for _ in range(4)))
+    except DomainError:
+        assume(False)
+
+
+class TestIntegerSolvability:
+    @settings(max_examples=50, deadline=None)
+    @given(conic_surfaces())
+    @example(twist(T))
+    @example(twist(T**2 - 1))
+    @example(mordell())
+    @example(twist(T**2 - 2))
+    def test_matches_fraction_oracle(self, s):
+        """Closed-form square classes and integer Hilbert symbols give the
+        extension class and the first obstructing place of the Fraction
+        path on every fibre up to height 5."""
+        for x0 in rationals_by_height(5):
+            try:
+                fib = conic_fibre(s, x0)
+            except DegenerateFibreError:
+                continue
+            assert fib.ext_class == ext_class_by_yun(fib)
+            assert fib.local_obstruction() == local_obstruction_fraction(fib)
 
 
 @st.composite
