@@ -1,12 +1,15 @@
 """Exact integer and rational arithmetic helpers.
 
 Everything in this module is computed with integer arithmetic only:
-perfect-square tests, squarefree decompositions, Legendre and Hilbert
-symbols, and local solvability of diagonal ternary quadratic forms.
+perfect-square tests, squarefree decompositions, modular square roots,
+Legendre and Hilbert symbols, local solvability of diagonal ternary
+quadratic forms, and a zero of a solvable one by Lagrange's descent.
 Factoring (sympy's factorint, in _factorint) is the costly step: the
-conic layer reaches it through square_class, once per fibre value and once
-per surface for the fixed part, the curves through prime_factors. Config
-coefficients are bounded at parse time (config.MAX_COEFFICIENT).
+conic layer reaches it through square_class, once per fibre value, once
+per surface for the fixed part and once per step of the descent (on a
+quotient at most a quarter of the class it reduces); the curves reach it
+through prime_factors. Config coefficients are bounded at parse time
+(config.MAX_COEFFICIENT).
 """
 
 from __future__ import annotations
@@ -94,17 +97,6 @@ def is_square(q) -> bool:
     return rational_sqrt(q) is not None
 
 
-def squarefree_int(n: int) -> tuple[int, int]:
-    """Write n = s * w**2 with s a squarefree integer carrying the sign of n.
-
-    Returns (s, w) with w >= 1.
-    """
-    if n == 0:
-        raise DomainError("squarefree decomposition of 0")
-    s = square_class(n).s
-    return s, isqrt(n // s)
-
-
 def squarefree_part(q) -> tuple[int, Fraction]:
     """Write a nonzero rational q = s * w**2 with s squarefree and w > 0.
 
@@ -121,6 +113,30 @@ def prime_factors(n: int) -> list[int]:
     if n == 0:
         raise DomainError("prime_factors of 0")
     return sorted(_factorint(abs(n)))
+
+
+def sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of a modulo the prime p (Tonelli-Shanks), or None."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; then b = c^(2^(s - i - 1))
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def legendre(a: int, p: int) -> int:
@@ -205,3 +221,37 @@ def ternary_obstruction(a, b, c):
         if not ternary_isotropic_at(a.s, b.s, c.s, p):
             return p
     return None
+
+
+def lagrange_descent(a: SquareClass, b: SquareClass):
+    """A nonzero integer zero (x, y, z) of x^2 = a y^2 + b z^2, or None if it
+    has none, by Lagrange's descent (Cremona-Rusin, "Efficient solution of
+    rational conics", Math. Comp. 72 (2003), section 2). With |a| <= |b|,
+    t^2 = a (mod |b|) by CRT over b's primes, |t| <= |b|/2, gives
+    t^2 - a = b k^2 c with c squarefree, |c| <= |b|/4 + 1; b c is a norm from
+    Q(sqrt a) up to squares, so a zero (X, Y, Z) for (a, c) lifts to
+    (t X + a Y, X + t Y, c k Z). A missing root, or (-1, -1), means no zero.
+    """
+    if a.s == 1 or b.s == 1:
+        return (1, 1, 0) if a.s == 1 else (1, 0, 1)
+    if abs(a.s) > abs(b.s):
+        sol = lagrange_descent(b, a)
+        return None if sol is None else (sol[0], sol[2], sol[1])
+    n, t = abs(b.s), 0
+    if n == 1:
+        return None  # x^2 = -y^2 - z^2
+    for p in b.primes:
+        r, m = sqrt_mod_prime(a.s, p), n // p
+        if r is None:
+            return None
+        t += r * m * pow(m, -1, p)
+    t = (t + n // 2) % n - n // 2
+    quotient = (t * t - a.s) // b.s
+    c = square_class(quotient)
+    sol = lagrange_descent(a, c)
+    if sol is None:
+        return None
+    X, Y, Z = sol
+    x, y, z = t * X + a.s * Y, X + t * Y, c.s * isqrt(quotient // c.s) * Z
+    g = gcd(x, y, z)
+    return x // g, y // g, z // g

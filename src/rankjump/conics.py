@@ -16,6 +16,11 @@ first two fixed by the surface, the km conic W^2 = q(T, Z) in (-q2, 1,
 q2 disc q); per fibre only v, or q2 and disc q, are factored. If g2 = 0 or
 q2 = 0 the block is hyperbolic: (1, 0, 0) lies on the conic. Obstructing
 places do not depend on the diagonal chosen, nor does the first reported.
+
+A solvable fibre's base point comes from three stages: (1, 0, 0) when it
+lies on the conic, a sweep of small t, and otherwise Lagrange's descent on
+the same square classes (Cremona-Rusin, "Efficient solution of rational
+conics", Math. Comp. 72 (2003)), which always finds one.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import SquareClass, rational_sqrt, square_class, squarefree_part, ternary_obstruction
+from .arith import SquareClass, lagrange_descent, rational_sqrt, square_class, ternary_obstruction
 from .polynomial import (
     PLACE_AT_INFINITY,
     Place,
@@ -217,86 +222,52 @@ class ConicFibre:
         return self._obstruction
 
     def base_point(self):
-        """A primitive projective rational point, or None if unsolvable."""
+        """A primitive projective rational point, or None if unsolvable: (1, 0, 0)
+        when it lies on the fibre, else the sweep _naive_search(32), else
+        _descend, Lagrange's descent after Cremona-Rusin. The first two fix
+        the streams' starting points; the descent never fails on a solvable
+        fibre."""
         if self._base_point != "unknown":
             return self._base_point
-        pt = None
         if self._form((1, 0, 0)) == 0:
-            # the natural point at infinity; gives the cleanest streams
-            pt = (1, 0, 0)
-        if pt is None and self.local_obstruction() is not None:
+            pt = (1, 0, 0)  # the natural point at infinity; gives the cleanest streams
+        elif self.local_obstruction() is not None:
             self._base_point = None
             return None
+        else:
+            pt = self._naive_search(32) or self._descend()
         if pt is None:
-            pt = self._naive_search(32)
-        if pt is None:
-            pt = self._naive_projective(24)
-        if pt is None:
-            pt = self._descend()
-        if pt is None:
-            pt = self._naive_search(200)
-        if pt is None:
-            raise RuntimeError(
-                f"no point found on a locally solvable conic (x0 = {self.x0})"
-            )
+            raise RuntimeError(f"no point found on a locally solvable conic (x0 = {self.x0})")
         pt = _primitive(pt)
         assert self._form(pt) == 0 and any(pt)
         self._base_point = pt
         return pt
-
-    def _from_affine(self, t, w):
-        t, w = Fraction(t), Fraction(w)
-        if self.kind == "twist":
-            return (t * w, w, Fraction(1))
-        return (t, w, Fraction(1))
 
     def _naive_search(self, bound):
         """Affine sweep: for small t, test whether the fibre value is a square."""
         for t in rationals_by_height(bound):
             if self.kind == "twist":
                 gt = self.surface.g(t)
-                if gt == 0:
-                    continue
-                w2 = self.value / gt
+                w = rational_sqrt(self.value / gt) if gt else None
             else:
-                w2 = self.q(t)
-                if w2 == 0:
-                    continue
-            w = rational_sqrt(w2)
-            if w is not None and w != 0:
-                return self._from_affine(t, w)
-        return None
-
-    def _naive_projective(self, height):
-        for a in range(-height, height + 1):
-            for b in range(0, height + 1):
-                for c in range(0, height + 1):
-                    if (a, b, c) != (0, 0, 0) and self._form((a, b, c)) == 0:
-                        return (a, b, c)
+                w = rational_sqrt(self.q(t))
+            if w:
+                return (t * w, w, 1) if self.kind == "twist" else (t, w, 1)
         return None
 
     def _descend(self):
-        """Solve the diagonalised form with sympy's descent, map the point back."""
-        from sympy import symbols
-        from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic
-
+        """Lagrange's descent on the square classes s_i of the diagonal d_i:
+        a zero (x, y, z) of x^2 = a y^2 + b z^2, a = -s0 s1, b = -s0 s2, is
+        the diagonal zero (x, y, z) * sqrt((1, -a, -b) / (s0 d)), mapped back
+        through the basis. Non-hyperbolic fibres only; None if unsolvable."""
+        s0, s1, s2 = self._classes
+        a, b = (-s0).times(s1), (-s0).times(s2)
+        sol = lagrange_descent(a, b)
+        if sol is None:
+            return None
         diag, basis = self._diagonal()
-        sq = []
-        for d in diag:
-            s, wpart = squarefree_part(d)
-            sq.append((s, wpart))
-        X, Y, Z = symbols("X Y Z", integer=True)
-        expr = sq[0][0] * X**2 + sq[1][0] * Y**2 + sq[2][0] * Z**2
-        sol = diop_ternary_quadratic(expr)
-        if sol is None or sol == (None, None, None):
-            return None
-        ys = [Fraction(int(sol[i])) / sq[i][1] for i in range(3)]
-        pt = [sum(basis[j][r] * ys[j] for j in range(3)) for r in range(3)]
-        # sympy can return a non-solution for large coefficients (seen on
-        # -5214 X^2 + Y^2 + 6887490654 Z^2); the cascade then goes on
-        if all(c == 0 for c in pt) or self._form(pt) != 0:
-            return None
-        return tuple(pt)
+        ys = [v * rational_sqrt(e / (s0.s * d)) for v, e, d in zip(sol, (1, -a.s, -b.s), diag)]
+        return tuple(sum(basis[j][r] * ys[j] for j in range(3)) for r in range(3))
 
 
 def conic_fibre(surface, x0) -> ConicFibre:

@@ -25,7 +25,7 @@ from functools import cache, cached_property
 from itertools import count, islice, product
 from math import gcd, isqrt
 
-from .arith import DomainError, prime_factors, val_unit
+from .arith import DomainError, prime_factors, sqrt_mod_prime, val_unit
 from .kodaira import kodaira_type
 
 
@@ -303,35 +303,11 @@ def _tail_constant(Ai: int, Bi: int) -> float:
     return math.log(max(disc, 2)) / 12 + logj / 12 + 3.0
 
 
-def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a modulo the prime p (Tonelli-Shanks), or None."""
-    a %= p
-    if a == 0 or p == 2:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        # the least i with t^(2^i) = 1; then b = c^(2^(s - i - 1))
-        i, t2 = 0, t
-        while t2 != 1:
-            t2, i = t2 * t2 % p, i + 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
 def _node_distance(A: int, B: int, x: Fraction, p: int, precision: int) -> int:
     """v_p(x - r) where r is the p-adic double root of X^3 + A X + B, capped
     at `precision`. Multiplicative reduction at p >= 5 only."""
     inv3 = pow(3, -1, p)
-    r = _sqrt_mod_prime((-A * inv3) % p, p)
+    r = sqrt_mod_prime((-A * inv3) % p, p)
     if r is None:
         raise PrecisionError("node location failed; inconsistent reduction data")
     # the node is the root of f' where f also vanishes

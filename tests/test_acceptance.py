@@ -78,7 +78,6 @@ def _warm_libraries():
     # timed criteria measure the operations, not interpreter warm-up
     import mpmath  # noqa: F401
     import sympy  # noqa: F401
-    from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic  # noqa: F401
 
 
 def report(n, text, started):

@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import hilbert_fraction, ternary_obstruction_fraction
 from rankjump.arith import (
     DomainError,
+    SquareClass,
     hilbert,
     hilbert_real,
     is_square,
+    lagrange_descent,
     rational_sqrt,
+    square_class,
+    sqrt_mod_prime,
     squarefree_part,
     ternary_isotropic_at,
     ternary_obstruction,
@@ -183,3 +188,59 @@ def brute_force_zero(a, b, c, box):
                 if z * z == rhs // c and (x, y, z) != (0, 0, 0):
                     return (x, y, z)
     return None
+
+
+def test_sqrt_mod_prime_against_brute_force():
+    """Every residue modulo every prime below 200, among them p = 1 mod 8,
+    where Tonelli-Shanks runs its inner loop."""
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    assert any(p % 8 == 1 for p in primes)
+    for p in primes:
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            r = sqrt_mod_prime(a, p)
+            if a in squares:
+                assert r is not None and 0 <= r < p and r * r % p == a, (a, p)
+            else:
+                assert r is None, (a, p)
+
+
+DESCENT_PRIMES = PRIMES_TO_29 + (31, 37, 41, 43, 97, 101, 257, 1009, 10007)
+
+
+@st.composite
+def square_classes(draw):
+    """A squarefree integer, with its primes: a sign times distinct primes."""
+    primes = sorted(draw(st.lists(st.sampled_from(DESCENT_PRIMES), unique=True, max_size=4)))
+    return SquareClass(draw(st.sampled_from((1, -1))) * prod(primes), tuple(primes))
+
+
+@st.composite
+def norm_pairs(draw):
+    """(a, b) with b the class of a value x^2 - a y^2, so that the form
+    x^2 = a y^2 + b z^2 has a zero; random pairs mostly have none."""
+    a = draw(square_classes())
+    x, y = draw(st.integers(-300, 300)), draw(st.integers(1, 300))
+    assume(x * x != a.s * y * y)
+    return a, square_class(x * x - a.s * y * y)
+
+
+class TestLagrangeDescent:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(square_classes(), square_classes()), norm_pairs()))
+    @example((square_class(-1), square_class(-1)))
+    @example((square_class(-1), square_class(2)))
+    @example((square_class(2), square_class(-2)))
+    @example((square_class(-6), square_class(-6)))
+    @example((square_class(5), square_class(10)))
+    def test_zero_exactly_when_solvable(self, ab):
+        """A nonzero zero of x^2 = a y^2 + b z^2 when the Fraction oracle
+        finds no obstruction, None when it finds one."""
+        a, b = ab
+        sol = lagrange_descent(a, b)
+        if ternary_obstruction_fraction(1, -a.s, -b.s) is None:
+            assert sol is not None and any(sol)
+            x, y, z = sol
+            assert x * x == a.s * y * y + b.s * z * z
+        else:
+            assert sol is None

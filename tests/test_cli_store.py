@@ -41,6 +41,15 @@ a1 = 0
 a0 = 0, 1
 """
 
+KM28_CFG = """\
+kind = km
+label = km28
+a3 = -1, -1, 1
+a2 = -5, 5/2, 3/4
+a1 = 3/2, 1/4, -5/4
+a0 = -3, 1, -2
+"""
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -344,6 +353,13 @@ class TestCli:
                                   capture_output=True, text=True, env=env, timeout=10)
             assert done.returncode == 2, done.stderr
             assert "above" in done.stderr and "Traceback" not in done.stderr
+
+    def test_fibre_without_small_point(self, tmp_path, capsys):
+        """The fibre x0 = -8/5 of this surface has no point the small-t
+        sweep finds; jump once ended there in a RuntimeError."""
+        cfg = self._write(tmp_path, "km28.cfg", KM28_CFG)
+        assert main(["jump", "--config", cfg, "--rank", "1", "--budget", "8,2,100"]) in (0, 3)
+        assert "# search:" in capsys.readouterr().err
 
     def test_bad_budget_exit_2(self, tmp_path):
         cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)

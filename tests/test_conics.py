@@ -355,6 +355,54 @@ class TestIntegerSolvability:
             assert fib.local_obstruction() == local_obstruction_fraction(fib)
 
 
+def km28():
+    """y^2 = a3 x^3 + a2 x^2 + a1 x + a0 with a3 = t^2 - t - 1,
+    a2 = 3/4 t^2 + 5/2 t - 5, a1 = -5/4 t^2 + 1/4 t + 3/2, a0 = -2 t^2 + t - 3.
+    Its fibre over x0 = -8/5 has t = 43/16, w = 0, which no sweep reached, so
+    base_point raised RuntimeError there."""
+    F = Fraction
+    return KMFamily(RatPoly([-1, -1, 1]), RatPoly([-5, F(5, 2), F(3, 4)]),
+                    RatPoly([F(3, 2), F(1, 4), F(-5, 4)]), RatPoly([-3, 1, -2]))
+
+
+def km_sympy_miss():
+    """The km surface on whose fibre x0 = 4/3 sympy's descent returned a
+    non-solution, -5214 X^2 + Y^2 + 6887490654 Z^2."""
+    F = Fraction
+    return KMFamily(RatPoly([-4, 0, 4]), RatPoly([-6]),
+                    RatPoly([-3, -1, F(7, 3)]), RatPoly([-4, 1, F(7, 2)]))
+
+
+class TestDescent:
+    @settings(max_examples=50, deadline=None)
+    @given(conic_surfaces(), st.fractions(min_value=-8, max_value=8, max_denominator=8))
+    @example(km28(), Fraction(-8, 5))
+    @example(km_sympy_miss(), Fraction(4, 3))
+    @example(twist(T**2 - 1), Fraction(5, 6))
+    def test_exact_stage_alone(self, s, x0):
+        """On each non-hyperbolic fibre, the drawn x0 and those up to height
+        4, the descent without the earlier stages gives a nonzero zero of
+        the form exactly when the fibre is solvable."""
+        for x in (x0, *rationals_by_height(4)):
+            try:
+                fib = conic_fibre(s, x)
+            except DegenerateFibreError:
+                continue
+            if fib._classes is None:
+                continue
+            pt = fib._descend()
+            if conic_solvable(fib):
+                assert pt is not None and any(pt) and fib._form(pt) == 0
+            else:
+                assert pt is None
+
+    def test_base_point_off_the_sweep(self):
+        fib = conic_fibre(km28(), Fraction(-8, 5))
+        assert fib._naive_search(32) is None
+        pt = fib.base_point()
+        assert any(pt) and fib._form(pt) == 0
+
+
 @st.composite
 def low_degree_polys(draw):
     """Degree 0, 1 and 2 polynomials, perfect squares c (t - r)^2 among them."""

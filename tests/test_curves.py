@@ -12,7 +12,6 @@ from rankjump.curves import (
     OffCurveError,
     SingularCurveError,
     SingularSpecializationError,
-    _sqrt_mod_prime,
     point,
     specialize,
 )
@@ -248,18 +247,3 @@ def _fibre_add(s, t0, p1, p2):
     y3 = -(y1 + lam * (x3 - x1))
     assert c * y3 * y3 == s.f(x3)
     return x3, y3
-
-
-def test_sqrt_mod_prime_against_brute_force():
-    """Every residue modulo every prime below 200, among them p = 1 mod 8,
-    where Tonelli-Shanks runs its inner loop."""
-    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
-    assert any(p % 8 == 1 for p in primes)
-    for p in primes:
-        squares = {x * x % p for x in range(p)}
-        for a in range(p):
-            r = _sqrt_mod_prime(a, p)
-            if a in squares:
-                assert r is not None and 0 <= r < p and r * r % p == a, (a, p)
-            else:
-                assert r is None, (a, p)
