@@ -41,9 +41,9 @@ a1 = 0
 a0 = 0, 1
 """
 
-KM28_CFG = """\
+KM_SWEEP_MISS_CFG = """\
 kind = km
-label = km28
+label = km-sweep-miss
 a3 = -1, -1, 1
 a2 = -5, 5/2, 3/4
 a1 = 3/2, 1/4, -5/4
@@ -357,7 +357,7 @@ class TestCli:
     def test_fibre_without_small_point(self, tmp_path, capsys):
         """The fibre x0 = -8/5 of this surface has no point the small-t
         sweep finds; jump once ended there in a RuntimeError."""
-        cfg = self._write(tmp_path, "km28.cfg", KM28_CFG)
+        cfg = self._write(tmp_path, "km-sweep-miss.cfg", KM_SWEEP_MISS_CFG)
         assert main(["jump", "--config", cfg, "--rank", "1", "--budget", "8,2,100"]) in (0, 3)
         assert "# search:" in capsys.readouterr().err
 

@@ -355,7 +355,7 @@ class TestIntegerSolvability:
             assert fib.local_obstruction() == local_obstruction_fraction(fib)
 
 
-def km28():
+def km_sweep_miss():
     """y^2 = a3 x^3 + a2 x^2 + a1 x + a0 with a3 = t^2 - t - 1,
     a2 = 3/4 t^2 + 5/2 t - 5, a1 = -5/4 t^2 + 1/4 t + 3/2, a0 = -2 t^2 + t - 3.
     Its fibre over x0 = -8/5 has t = 43/16, w = 0, which no sweep reached, so
@@ -376,7 +376,7 @@ def km_sympy_miss():
 class TestDescent:
     @settings(max_examples=50, deadline=None)
     @given(conic_surfaces(), st.fractions(min_value=-8, max_value=8, max_denominator=8))
-    @example(km28(), Fraction(-8, 5))
+    @example(km_sweep_miss(), Fraction(-8, 5))
     @example(km_sympy_miss(), Fraction(4, 3))
     @example(twist(T**2 - 1), Fraction(5, 6))
     def test_exact_stage_alone(self, s, x0):
@@ -397,7 +397,7 @@ class TestDescent:
                 assert pt is None
 
     def test_base_point_off_the_sweep(self):
-        fib = conic_fibre(km28(), Fraction(-8, 5))
+        fib = conic_fibre(km_sweep_miss(), Fraction(-8, 5))
         assert fib._naive_search(32) is None
         pt = fib.base_point()
         assert any(pt) and fib._form(pt) == 0
