@@ -68,15 +68,13 @@ class SurfaceConfig:
 MAX_COEFFICIENT = 10**4
 
 
-def _parse_rational(token: str, lineno: int, key: str) -> Fraction:
+def _parse_rational(token: str, where: str) -> Fraction:
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(
-            f"line {lineno}: field '{key}': bad rational {token!r}"
-        ) from None
+        raise ConfigError(f"{where}: bad rational {token!r}") from None
     if max(abs(value.numerator), value.denominator) > MAX_COEFFICIENT:
-        raise ConfigError(f"line {lineno}: field '{key}': coefficient {token[:20]!r} "
+        raise ConfigError(f"{where}: coefficient {token[:20]!r} "
                           f"has a numerator or denominator above {MAX_COEFFICIENT}")
     return value
 
@@ -109,7 +107,7 @@ def parse_surface_config(text: str) -> SurfaceConfig:
             raise ConfigError(f"kind {kind!r} requires field '{name}'")
         lineno, val = values.pop(name)
         tokens = [tok for tok in val.replace(",", " ").split() if tok]
-        coeffs = [_parse_rational(tok, lineno, name) for tok in tokens]
+        coeffs = [_parse_rational(tok, f"line {lineno}: field '{name}'") for tok in tokens]
         polys[name] = RatPoly(coeffs)
     if values:
         stray = ", ".join(sorted(values))
@@ -146,7 +144,7 @@ def fibred_surface(cfg: SurfaceConfig):
 
 
 def surface_config_from_dict(data: dict) -> SurfaceConfig:
-    """Rebuild a SurfaceConfig from its JSON echo (see as_dict)."""
+    """Rebuild a SurfaceConfig from its JSON echo (see as_dict), bounded as configs are."""
     kind = data.get("kind")
     if kind not in _FIELDS:
         raise ConfigError(f"unknown kind {kind!r} in stored record")
@@ -154,7 +152,8 @@ def surface_config_from_dict(data: dict) -> SurfaceConfig:
     for name in _FIELDS[kind]:
         if name not in data:
             raise ConfigError(f"stored record lacks field '{name}'")
-        polys[name] = RatPoly([Fraction(c) for c in data[name]])
+        polys[name] = RatPoly([_parse_rational(str(c), f"stored field '{name}'")
+                               for c in data[name]])
     return SurfaceConfig(kind=kind, label=data.get("label", kind), polys=polys)
 
 
@@ -166,6 +165,6 @@ def parse_cover_file(text: str) -> list[RatPoly]:
         if not line:
             continue
         tokens = [tok for tok in line.replace(",", " ").split() if tok]
-        coeffs = [_parse_rational(tok, lineno, "cover") for tok in tokens]
+        coeffs = [_parse_rational(tok, f"line {lineno}: field 'cover'") for tok in tokens]
         covers.append(RatPoly(coeffs))
     return covers

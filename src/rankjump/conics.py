@@ -18,16 +18,18 @@ q2 = 0 the block is hyperbolic: (1, 0, 0) lies on the conic. Obstructing
 places do not depend on the diagonal chosen, nor does the first reported.
 
 A solvable fibre's base point comes from three stages: (1, 0, 0) when it
-lies on the conic, a sweep of small t, and otherwise Lagrange's descent on
-the same square classes (Cremona-Rusin, "Efficient solution of rational
-conics", Math. Comp. 72 (2003)), which always finds one.
+lies on the conic, a sweep of small t by integer square tests, and
+otherwise Lagrange's descent on the same square classes (Cremona-Rusin,
+"Efficient solution of rational conics", Math. Comp. 72 (2003)), which
+always finds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import gcd, isqrt, lcm
 
 from .arith import SquareClass, lagrange_descent, rational_sqrt, square_class, ternary_obstruction
 from .polynomial import (
@@ -244,15 +246,22 @@ class ConicFibre:
         return pt
 
     def _naive_search(self, bound):
-        """Affine sweep: for small t, test whether the fibre value is a square."""
-        for t in rationals_by_height(bound):
-            if self.kind == "twist":
-                gt = self.surface.g(t)
-                w = rational_sqrt(self.value / gt) if gt else None
-            else:
-                w = rational_sqrt(self.q(t))
-            if w:
-                return (t * w, w, 1) if self.kind == "twist" else (t, w, 1)
+        """Affine sweep of t = n/d by height. With L clearing the denominators
+        of p = g (twist) or q (km), the fibre has a point with w != 0 over t
+        exactly when c L d^2 p(n/d) is a nonzero square integer, where
+        c = L num den of f(x0) for a twist and c = L for km."""
+        twist = self.kind == "twist"
+        p = self.surface.g if twist else self.q
+        L = lcm(p[0].denominator, p[1].denominator, p[2].denominator)
+        c = L * (self.value.numerator * self.value.denominator if twist else 1)
+        p2, p1, p0 = (int(p[i] * L) * c for i in (2, 1, 0))
+        for h in range(1, bound + 1):
+            for n, d in _pairs_of_height(h):
+                v = (p2 * n + p1 * d) * n + p0 * d * d
+                if v > 0 and isqrt(v) ** 2 == v:
+                    t = Fraction(n, d)
+                    w = rational_sqrt(self.value / p(t) if twist else p(t))
+                    return (t * w, w, 1) if twist else (t, w, 1)
         return None
 
     def _descend(self):
@@ -341,8 +350,14 @@ def _parameter_pairs(height_bound: int):
     """Projective parameters (m0 : m1), canonical representatives: (1 : 0),
     then m0/m1 in the order of rationals_by_height."""
     yield 1, 0
-    for q in rationals_by_height(height_bound):
-        yield q.numerator, q.denominator
+    for h in range(1, height_bound + 1):
+        yield from _pairs_of_height(h)
+
+
+@cache
+def _pairs_of_height(h: int) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of each of rationals_of_height(h)."""
+    return tuple((q.numerator, q.denominator) for q in rationals_of_height(h))
 
 
 def height(q) -> int:

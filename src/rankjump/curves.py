@@ -8,12 +8,13 @@ of heights allows them, then checked exactly.
 
 Heights are computed as a sum of local terms attached to one fixed integral
 short Weierstrass model. The archimedean term comes from the duplication
-series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|), evaluated in mpmath
-with a tail bound. The finite part is exact: we replace P by the smallest
-multiple mP lying in the formal group at 2 and at 3, after which the
-contribution of every prime is (1/2) log den(x) except for primes p >= 5
-where mP meets a singular point of the reduced model; those corrections are
-rational multiples of log p read off the Kodaira type.
+series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|), with a tail bound, run
+on integer pairs x(2^k P) = X/Z cut to the working precision; its terms
+telescope into one mpmath log. The finite part is exact: we replace P by
+the smallest multiple mP lying in the formal group at 2 and at 3, after
+which the contribution of every prime is (1/2) log den(x) except for primes
+p >= 5 where mP meets a singular point of the reduced model; those
+corrections are rational multiples of log p read off the Kodaira type.
 """
 
 from __future__ import annotations
@@ -268,28 +269,33 @@ def _working_digits(default: int = 60) -> int:
 
 
 def _lambda_infinity(Ai: int, Bi: int, x: Fraction, y: Fraction, terms: int, mp):
-    """Archimedean local height of (x, y) on y^2 = x^3 + Ai x + Bi, via the
-    duplication series lambda(P) = (1/4)(lambda(2P) + log|2y(P)|)."""
-    A = mp.mpf(Ai)
-    B = mp.mpf(Bi)
-    quarter = mp.mpf(1) / 4
+    """Archimedean local height of (x, y) on y^2 = x^3 + Ai x + Bi by the
+    duplication series lambda(P) = (1/4)(lambda(2P) + log|2y(P)|) (Silverman,
+    Math. Comp. 51 (1988)); returns (lambda, 4^-terms). Past the exact first
+    step x(2^k P) = X/Z in integers: Z' = 4Z F with F = X^3 + A X Z^2 + B Z^3,
+    so term k, 4^-(k+1) log(4F/Z^3)/2 = 4^-(k+1) log(Z'/Z^4)/2, telescopes,
+    and the sum and the tail need one log. Each step shifts X and Z right by
+    s bits, the shorter to mp.prec + 20; s returns as 4^-k s log 2, and the
+    relative 2^-(mp.prec + 18) that X/Z moves enters with weight 4^-k, as
+    rounding term k's own log would."""
     # first step exactly: log|2y| from the exact coordinates, then one exact
     # duplication, so cancellation near 2-torsion cannot poison the series
-    total = quarter * (
-        mp.log(2) + mp.log(abs(y.numerator)) - mp.log(y.denominator)
-    )
     x1 = (x**4 - 2 * Ai * x**2 - 8 * Bi * x + Ai * Ai) / (4 * y * y)
-    xn = mp.mpf(x1.numerator) / mp.mpf(x1.denominator)
-    weight = quarter * quarter
+    X, Z = x1.numerator, x1.denominator
+    shifts = 0  # sum over steps k of 4^(terms - k) s_k
     for _ in range(terms - 1):
-        fx = xn**3 + A * xn + B
-        if fx <= 0:
+        s = max(0, min(abs(X).bit_length(), Z.bit_length()) - mp.prec - 20)
+        X, Z = X >> s, Z >> s
+        X2, Z2 = X * X, Z * Z
+        F = (X2 + Ai * Z2) * X + Bi * Z2 * Z
+        if F <= 0:
             raise PrecisionError("duplication series lost the real locus")
-        total += weight * mp.log(4 * fx) / 2
-        xn = (xn**4 - 2 * A * xn**2 - 8 * B * xn + A * A) / (4 * fx)
-        weight *= quarter
-    tail_scale = weight * 4  # 4^{-terms}
-    total += tail_scale * mp.log(max(abs(xn), mp.mpf(1))) / 2
+        X, Z = (X2 - Ai * Z2) ** 2 - 8 * Bi * X * Z2 * Z, 4 * Z * F
+        shifts = 4 * (shifts + s)
+    tail_scale = mp.ldexp(1, -2 * terms)
+    total = ((mp.log(2) + mp.log(abs(y.numerator)) - mp.log(y.denominator)) / 4
+             - mp.log(x1.denominator) / 8
+             + tail_scale * (shifts * mp.ln2 + mp.log(max(abs(X), Z))) / 2)
     return total, tail_scale
 
 

@@ -3,8 +3,9 @@
 These are independent of the library code paths they check: brute-force
 point searches on conics, exhaustive local non-solvability certificates,
 naive rational enumeration, and helpers the library no longer needs: the
-Fraction conic parametrisation its integer one must match, local
-solvability by Fraction Hilbert symbols on a general diagonalisation,
+Fraction conic parametrisation and base-point sweep its integer ones must
+match, local solvability by Fraction Hilbert symbols on a general
+diagonalisation, the archimedean height series term by term in mpmath,
 heights by the doubling limit, and fibre-relation and extension-class
 comparisons.
 """
@@ -292,6 +293,49 @@ def distinct_up_to(census, bound: int) -> int:
     from rankjump.conics import height
 
     return len({e.ext_class for e in census.entries if e.solvable and height(e.x0) <= bound})
+
+
+def lambda_infinity_mpmath(Ai: int, Bi: int, x: Fraction, y: Fraction, terms: int, mp):
+    """curves._lambda_infinity term by term in mpmath: x(2^k P) as an mpf,
+    one log per term, then the tail term; returns (lambda, 4^-terms)."""
+    from rankjump.curves import PrecisionError
+
+    A = mp.mpf(Ai)
+    B = mp.mpf(Bi)
+    quarter = mp.mpf(1) / 4
+    total = quarter * (
+        mp.log(2) + mp.log(abs(y.numerator)) - mp.log(y.denominator)
+    )
+    x1 = (x**4 - 2 * Ai * x**2 - 8 * Bi * x + Ai * Ai) / (4 * y * y)
+    xn = mp.mpf(x1.numerator) / mp.mpf(x1.denominator)
+    weight = quarter * quarter
+    for _ in range(terms - 1):
+        fx = xn**3 + A * xn + B
+        if fx <= 0:
+            raise PrecisionError("duplication series lost the real locus")
+        total += weight * mp.log(4 * fx) / 2
+        xn = (xn**4 - 2 * A * xn**2 - 8 * B * xn + A * A) / (4 * fx)
+        weight *= quarter
+    tail_scale = weight * 4  # 4^{-terms}
+    total += tail_scale * mp.log(max(abs(xn), mp.mpf(1))) / 2
+    return total, tail_scale
+
+
+def naive_search_fraction(fibre, bound: int):
+    """ConicFibre._naive_search in Fraction arithmetic: the first t of
+    height <= bound at which the fibre value is a nonzero rational square."""
+    from rankjump.arith import rational_sqrt
+    from rankjump.conics import rationals_by_height
+
+    for t in rationals_by_height(bound):
+        if fibre.kind == "twist":
+            gt = fibre.surface.g(t)
+            w = rational_sqrt(fibre.value / gt) if gt else None
+        else:
+            w = rational_sqrt(fibre.q(t))
+        if w:
+            return (t * w, w, 1) if fibre.kind == "twist" else (t, w, 1)
+    return None
 
 
 def canonical_height_doubling(E, P, doublings: int = 3):

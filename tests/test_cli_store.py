@@ -354,6 +354,30 @@ class TestCli:
             assert done.returncode == 2, done.stderr
             assert "above" in done.stderr and "Traceback" not in done.stderr
 
+    def test_oversized_stored_coefficient(self, tmp_path, capsys):
+        """A stored surface is bounded as a config is: a record with
+        f = x^3 - x + 10^400 is a corrupt record for verify, at once, and
+        census --store skips it."""
+        cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
+        store = tmp_path / "store"
+        assert main(["jump", "--config", cfg, "--budget", "6,6,5", "--store", str(store)]) == 0
+        path = next(store.glob("*.jsonl"))
+        data = json.loads(path.read_text().splitlines()[0])
+        data["surface"]["f"][0] = str(10**400)
+        with path.open("a") as fh:
+            fh.write(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-m", "rankjump.cli", "verify", "--store", str(store)],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert done.returncode == 4, done.stderr
+        failed = [line for line in done.stdout.splitlines() if "FAIL" in line]
+        assert len(failed) == 1 and ":6: FAIL: corrupt record: stored field 'f'" in failed[0]
+        assert "above" in failed[0] and "Traceback" not in done.stderr
+        capsys.readouterr()
+        assert main(["census", "--config", cfg, "--height", "32", "--store", str(store)]) == 0
+        rows = [l.split() for l in capsys.readouterr().out.splitlines() if l[:1].isspace()]
+        assert rows[-1][0] == "32" and rows[-1][3] == "5"
+
     def test_fibre_without_small_point(self, tmp_path, capsys):
         """The fibre x0 = -8/5 of this surface has no point the small-t
         sweep finds; jump once ended there in a RuntimeError."""

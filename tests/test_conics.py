@@ -10,6 +10,7 @@ from conftest import (
     ext_class_by_yun,
     legendre_normalize,
     local_obstruction_fraction,
+    naive_search_fraction,
     parametrize_heights_fraction,
     relation_holds,
     same_extension,
@@ -353,6 +354,24 @@ class TestIntegerSolvability:
                 continue
             assert fib.ext_class == ext_class_by_yun(fib)
             assert fib.local_obstruction() == local_obstruction_fraction(fib)
+
+
+class TestIntegerSweep:
+    @settings(max_examples=30, deadline=None)
+    @given(conic_surfaces(), st.integers(1, 32))
+    @example(twist(T), 32)
+    @example(twist(T**2 - 1), 32)
+    @example(mordell(), 32)
+    @example(twist(T**2 - 2), 32)
+    def test_matches_fraction_oracle(self, s, bound):
+        """The square test on the integer form of g or q finds the oracle's
+        first t, and the same point, on every fibre up to height 4."""
+        for x0 in rationals_by_height(4):
+            try:
+                fib = conic_fibre(s, x0)
+            except DegenerateFibreError:
+                continue
+            assert fib._naive_search(bound) == naive_search_fraction(fib, bound)
 
 
 def km_sweep_miss():

@@ -1,19 +1,23 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
+import mpmath
 import pytest
 from conftest import (
     canonical_height_doubling,
     ec_add,
     ec_mul,
+    lambda_infinity_mpmath,
     relation_by_enumeration,
     tate_normal_form,
 )
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rankjump.curves import (
     EllipticCurveQ,
     SingularCurveError,
+    _lambda_infinity,
     _small_relation,
     canonical_height,
     neron_tate_pairing,
@@ -113,6 +117,71 @@ class TestCanonicalHeight:
             canonical_height(E, Q).value,
         ]
         assert abs(hs[0] + hs[1] - 2 * hs[2] - 2 * hs[3]) < 1e-10
+
+
+@st.composite
+def integral_points(draw):
+    """A non-torsion point on an integral curve y^2 = x^3 + A x + B: an
+    integral point, or its double or triple."""
+    x, y, A = draw(st.integers(-20, 20)), draw(st.integers(1, 40)), draw(st.integers(-40, 40))
+    B = y * y - x**3 - A * x
+    assume(4 * A**3 + 27 * B**2 != 0)
+    E, P = EllipticCurveQ(A, B), point(x, y)
+    assume(E.torsion_order(P) is None)
+    return E, E.scalar_mul(draw(st.integers(1, 3)), P)
+
+
+def near_identity():
+    """A point with x(2^k P) near 3^50 / 4^k: the series cuts X and Z from
+    its first step on."""
+    x, y = 3**50, isqrt(3**150) + 1
+    return EllipticCurveQ(0, y * y - x**3), point(x, y)
+
+
+class TestSeriesAgainstMpmath:
+    """The integer duplication series against its term-by-term mpmath form."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(integral_points(), st.sampled_from((2, 8, 48)), st.sampled_from((None, "90")))
+    @example((EllipticCurveQ(-36, 0), point(12, 36)), 48, None)
+    @example((EllipticCurveQ(-16, 16), point(0, 4)), 8, "90")
+    def test_height_equals_oracle_backed_copy(self, curve_point, terms, digits):
+        E, P = curve_point
+        with pytest.MonkeyPatch.context() as mp:
+            if digits is None:
+                mp.delenv("RANKJUMP_PRECISION", raising=False)
+            else:
+                mp.setenv("RANKJUMP_PRECISION", digits)
+            h = canonical_height(E, P, terms)
+            mp.setattr("rankjump.curves._lambda_infinity", lambda_infinity_mpmath)
+            oracle = canonical_height(E, P, terms)
+        assert (h.value, h.error) == (oracle.value, oracle.error)
+        assert h.detail == oracle.detail
+
+    @settings(max_examples=40, deadline=None)
+    @given(integral_points(), st.sampled_from((1, 2, 8, 48)))
+    @example(near_identity(), 48)
+    def test_raw_series_within_1e_50(self, curve_point, terms):
+        E, P = curve_point
+        Ai, Bi, lam = E.integral_model()
+        x, y = P.x * lam**2, P.y * lam**3
+        with mpmath.workdps(60):
+            value, scale = _lambda_infinity(Ai, Bi, x, y, terms, mpmath.mp)
+        with mpmath.workdps(100):
+            ref, ref_scale = lambda_infinity_mpmath(Ai, Bi, x, y, terms, mpmath.mp)
+            assert scale == ref_scale
+            assert abs(value - ref) < mpmath.mpf("1e-50")
+
+    @settings(max_examples=25, deadline=None)
+    @given(integral_points())
+    @example((EllipticCurveQ(-34 * 34, 0), point(-16, 120)))
+    def test_claimed_error_covers_the_truncation(self, curve_point):
+        """The error claimed at n terms bounds the distance to 120 terms."""
+        E, P = curve_point
+        ref = canonical_height(E, P, 120).value
+        for n in (2, 4, 8, 12, 24):
+            h = canonical_height(E, P, n)
+            assert abs(h.value - ref) <= h.error, (n, h, ref)
 
 
 class TestRegulator:
