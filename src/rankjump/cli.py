@@ -128,6 +128,8 @@ def cmd_jump(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.height < 1:
+        raise ConfigError(f"bad height {args.height}; expected a positive integer")
     cfg = _load_config(args.config)
     census = field_census(fibred_surface(cfg), args.height)
     stored = Counter()
@@ -151,6 +153,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not Path(args.store).is_dir():
+        raise ConfigError(f"no store directory {args.store!r}")
     reports = verify_store(args.store)
     if not reports:
         print(f"no records under {args.store}")

@@ -7,14 +7,16 @@ regulator verdicts whose relations are searched only where the Gram matrix
 of heights allows them, then checked exactly.
 
 Heights are computed as a sum of local terms attached to one fixed integral
-short Weierstrass model. The archimedean term comes from the duplication
-series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|), with a tail bound, run
-on integer pairs x(2^k P) = X/Z cut to the working precision; its terms
-telescope into one mpmath log. The finite part is exact: we replace P by
-the smallest multiple mP lying in the formal group at 2 and at 3, after
-which the contribution of every prime is (1/2) log den(x) except for primes
-p >= 5 where mP meets a singular point of the reduced model; those
-corrections are rational multiples of log p read off the Kodaira type.
+short Weierstrass model, minimal at every prime p >= 5. The archimedean term
+comes from the duplication series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|),
+with a tail bound, run on integer pairs x(2^k P) = X/Z cut to the working
+precision; its terms telescope into one mpmath log. The finite part is
+exact: we replace P by the smallest multiple mP lying in the formal group at
+2 and at 3, after which the contribution of every prime is (1/2) log den(x)
+except for primes p >= 5 where mP meets a singular point of the reduced
+model; those corrections are rational multiples of log p given by
+Silverman's closed formula (Computing heights on elliptic curves, Math.
+Comp. 51 (1988), section 5) from three valuations.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from functools import cache, cached_property
 from itertools import count, islice, product
 from math import gcd, isqrt
 
-from .arith import DomainError, prime_factors, sqrt_mod_prime, val_unit
-from .kodaira import kodaira_type
+from .arith import DomainError, prime_factors, val_unit
+from .kodaira import minimal_shift
 
 
 class SingularCurveError(ValueError):
@@ -126,19 +128,10 @@ class EllipticCurveQ:
         Ai, Bi = self.A * lam**4, self.B * lam**6
         assert Ai.denominator == 1 and Bi.denominator == 1
         Ai, Bi = Ai.numerator, Bi.numerator
-        common = gcd(Ai, Bi)
-        if common > 1:
-            for p in prime_factors(common):
-                while True:
-                    ka = _vp(Ai, p) if Ai else 10**9
-                    kb = _vp(Bi, p) if Bi else 10**9
-                    k = min(ka // 4, kb // 6)
-                    if k <= 0:
-                        break
-                    Ai //= p ** (4 * k)
-                    Bi //= p ** (6 * k)
-                    lam /= Fraction(p) ** k
-        self._integral = (Ai, Bi, lam)
+        common, u = gcd(Ai, Bi), 1
+        for p in prime_factors(common) if common > 1 else ():
+            u *= p ** minimal_shift(_vp(Ai, p) if Ai else None, _vp(Bi, p) if Bi else None)
+        self._integral = (Ai // u**4, Bi // u**6, lam / u)
         return self._integral
 
     def discriminant_integral(self) -> int:
@@ -309,100 +302,35 @@ def _tail_constant(Ai: int, Bi: int) -> float:
     return math.log(max(disc, 2)) / 12 + logj / 12 + 3.0
 
 
-def _node_distance(A: int, B: int, x: Fraction, p: int, precision: int) -> int:
-    """v_p(x - r) where r is the p-adic double root of X^3 + A X + B, capped
-    at `precision`. Multiplicative reduction at p >= 5 only."""
-    inv3 = pow(3, -1, p)
-    r = sqrt_mod_prime((-A * inv3) % p, p)
-    if r is None:
-        raise PrecisionError("node location failed; inconsistent reduction data")
-    # the node is the root of f' where f also vanishes
-    if ((r * r % p) * r + A * r + B) % p != 0:
-        r = p - r
-    assert ((r * r % p) * r + A * r + B) % p == 0
-    mod = p
-    while mod < p**precision:
-        mod = min(mod * mod, p**precision)
-        fp = (3 * r * r + A) % mod
-        d2 = (6 * r) % mod
-        r = (r - fp * pow(d2, -1, mod)) % mod
-    diff = x - r
-    if diff == 0:
-        return precision
-    v = _vp_frac(diff, p)
-    return min(v, precision)
-
-
 def _finite_corrections(Ai: int, Bi: int, disc: int, x: Fraction, y: Fraction):
     """Corrections (p, Fraction c_p) so that the finite part of the height is
-    (1/2) log den(x) + sum c_p log p. Requires v_2(x) < 0 and v_3(x) < 0."""
+    (1/2) log den(x) + sum c_p log p. Requires v_2(x) < 0 and v_3(x) < 0.
+
+    At p >= 5 the model is minimal, and Silverman's closed form (Computing
+    heights on elliptic curves, Math. Comp. 51 (1988), section 5) gives c_p
+    from b = v(2y), c = v(3x^4 + 6Ax^2 + 12Bx - A^2) and N = v(disc): 0 when
+    b <= 0 or v(3x^2 + A) <= 0 (nonsingular reduction, which covers
+    v(x) < 0); -n(N - n)/2N with n = min(b, N/2) when p does not divide A
+    (multiplicative); otherwise -b/3 if c >= 3b, else -c/8.
+    """
     out = []
     for p in prime_factors(disc):
-        vx = _vp_frac(x, p)
         if p in (2, 3):
-            assert vx < 0, "point must lie in the formal group at 2 and 3"
+            assert _vp_frac(x, p) < 0, "point must lie in the formal group at 2 and 3"
             continue
-        if vx < 0:
+        b = _vp_frac(2 * y, p)
+        if b <= 0:
             continue  # nonsingular reduction; covered by the denominator term
-        # minimalise the model locally at p
-        ka = _vp(Ai, p) if Ai else 10**9
-        kb = _vp(Bi, p) if Bi else 10**9
-        k = min(ka // 4, kb // 6)
-        corr = Fraction(0)
-        vx_m = vx - 2 * k
-        if k > 0:
-            corr -= k  # lambda w.r.t. our model = lambda_minimal - k log p
-            if vx_m < 0:
-                # formal group of the minimal model: lambda_min = (vx_m steps)
-                out.append((p, corr + Fraction(-vx_m, 2) - Fraction(_max0(-vx), 2)))
-                continue
-        Am = Ai // p ** (4 * k) if Ai else 0
-        Bm = Bi // p ** (6 * k) if Bi else 0
-        xm = x / Fraction(p) ** (2 * k)
-        ym = y / Fraction(p) ** (3 * k)
-        dm = -16 * (4 * Am**3 + 27 * Bm**2)
-        N = _vp(dm, p)
-        if N == 0:
-            if corr:
-                out.append((p, corr))
+        slope = 3 * x * x + Ai
+        if slope and _vp_frac(slope, p) <= 0:
+            continue  # nonsingular reduction
+        N = _vp(disc, p)
+        if Ai % p:
+            n = min(Fraction(b), Fraction(N, 2))
+            out.append((p, -n * (N - n) / (2 * N)))
             continue
-        singular = ym == 0 or _vp_frac(ym, p) >= 1
-        if singular:
-            fprime = 3 * xm * xm + Am
-            singular = fprime == 0 or _vp_frac(fprime, p) >= 1
-        if not singular:
-            if corr:
-                out.append((p, corr))
-            continue
-        va = _vp(Am, p) if Am else 10**9
-        if va == 0:
-            # multiplicative: component index from the distance to the node
-            prec = N // 2 + 2
-            s = min(Fraction(_node_distance(Am, Bm, xm, p, prec)), Fraction(N, 2))
-            corr += -s * (N - s) / (2 * N)
-        else:
-            ktype, shift = kodaira_type(va, _vp(Bm, p) if Bm else None, N)
-            assert shift == 0
-            sym = ktype.symbol
-            if sym == "III":
-                corr += Fraction(-1, 4)
-            elif sym == "IV":
-                corr += Fraction(-1, 3)
-            elif sym == "IV*":
-                corr += Fraction(-2, 3)
-            elif sym == "III*":
-                corr += Fraction(-3, 4)
-            elif sym.endswith("*"):  # I_m*
-                m = int(sym[1:-1])
-                corr += Fraction(-1, 2)
-                if m > 0:
-                    s = min(Fraction(_vp_frac(xm, p) - 1), Fraction(m, 2))
-                    corr += -s * (m - s) / (2 * m)
-            else:
-                raise PrecisionError(
-                    f"singular reduction on fibre type {sym}; impossible component"
-                )
-        out.append((p, corr))
+        c = _vp_frac(3 * x**4 + 6 * Ai * x * x + 12 * Bi * x - Ai * Ai, p)
+        out.append((p, Fraction(-b, 3) if c >= 3 * b else Fraction(-c, 8)))
     return out
 
 

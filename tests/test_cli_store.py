@@ -388,3 +388,16 @@ class TestCli:
     def test_bad_budget_exit_2(self, tmp_path):
         cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
         assert main(["jump", "--config", cfg, "--budget", "0,0"]) == 2
+
+    @pytest.mark.parametrize("height", ["0", "-3"])
+    def test_census_nonpositive_height_exit_2(self, tmp_path, capsys, height):
+        cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
+        assert main(["census", "--config", cfg, "--height", height]) == 2
+        captured = capsys.readouterr()
+        assert "bad height" in captured.err and captured.out == ""
+
+    def test_verify_missing_store_exit_2(self, tmp_path, capsys):
+        assert main(["verify", "--store", str(tmp_path / "no-such-store")]) == 2
+        assert "no store directory" in capsys.readouterr().err
+        assert main(["verify", "--store", str(tmp_path)]) == 0
+        assert "no records under" in capsys.readouterr().out

@@ -14,9 +14,11 @@ from conftest import (
 )
 from hypothesis import assume, example, given, settings, strategies as st
 
+from rankjump.arith import val_unit
 from rankjump.curves import (
     EllipticCurveQ,
     SingularCurveError,
+    _finite_corrections,
     _lambda_infinity,
     _small_relation,
     canonical_height,
@@ -24,6 +26,7 @@ from rankjump.curves import (
     point,
     regulator,
 )
+from rankjump.kodaira import kodaira_type
 
 
 def rand_nontorsion(rng, span=9):
@@ -182,6 +185,111 @@ class TestSeriesAgainstMpmath:
         for n in (2, 4, 8, 12, 24):
             h = canonical_height(E, P, n)
             assert abs(h.value - ref) <= h.error, (n, h, ref)
+
+
+# v_p of (A, x, y) that put a point on the singular point of an additive
+# fibre of each type, for units in A, x and y
+ADDITIVE_EXPONENTS = {"III": (1, 1, 1), "IV": (2, 1, 1), "I0*": (2, 1, 2),
+                      "IV*": (3, 2, 2), "III*": (3, 2, 3)}
+
+
+@st.composite
+def singular_reduction_points(draw):
+    """(E, P, p): a non-torsion P on an integral curve E, minimal at p, that
+    reduces to the singular point of E mod p. The fibre at p is additive of
+    a type drawn from ADDITIVE_EXPONENTS (x, y and A divisible by p), I_m (a
+    node at x = r), or I_m* (the I_m case twisted by p)."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    kind = draw(st.sampled_from((*ADDITIVE_EXPONENTS, "Im", "Im*")))
+    power, unit = st.integers(1, 3), st.integers(1, p - 1)
+    sign = st.sampled_from((1, -1))
+    if kind in ADDITIVE_EXPONENTS:
+        a, i, j = ADDITIVE_EXPONENTS[kind]
+        A, x, y = (draw(sign) * p**k * draw(unit) for k in (a, i, j))
+    else:
+        r = draw(unit)
+        A = -3 * r * r + p ** draw(power) * draw(sign) * draw(unit)
+        x = r + p ** draw(power) * draw(sign) * draw(unit)
+        y = p ** draw(power) * draw(sign) * draw(unit)
+        if kind == "Im*":
+            A, x, y = p * p * A, p * x, p * y
+    B = y * y - x**3 - A * x
+    assume(4 * A**3 + 27 * B**2 != 0)
+    E, P = EllipticCurveQ(A, B), point(x, y)
+    assume(E.integral_model()[2] == 1 and E.torsion_order(P) is None)
+    return E, P, p
+
+
+def _component_values(symbol: str) -> set:
+    """Local height corrections, in units of log p, on the components of a
+    Kodaira fibre other than the identity component."""
+    fixed = {"III": Fraction(-1, 4), "IV": Fraction(-1, 3), "IV*": Fraction(-2, 3),
+             "III*": Fraction(-3, 4), "I0*": Fraction(-1, 2)}
+    if symbol in fixed:
+        return {fixed[symbol]}
+    if symbol.endswith("*"):
+        m = int(symbol[1:-1])
+        return {Fraction(-1, 2), Fraction(-(m + 4), 8)}
+    m = int(symbol[1:])
+    return {Fraction(-i * (m - i), 2 * m) for i in range(1, m)}
+
+
+def _valuation(n: int, p: int) -> int | None:
+    return val_unit(n, p)[0] if n else None
+
+
+# I2* points: at 13, where the Kodaira chain once put P on the wrong
+# component, at 13 again and at 11
+I2_STAR_AT_13 = (EllipticCurveQ(507, 120977805), point(-65, 10985), 13)
+I2_STAR_AGAIN = (EllipticCurveQ(-169, 3446462243497), point(39, 1856465), 13)
+I2_STAR_AT_11 = (EllipticCurveQ(-484, 44352913), point(-44, 6655), 11)
+
+
+class TestSingularReduction:
+    """Finite local heights at primes p >= 5 where a point meets the
+    singular point of the reduced curve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(singular_reduction_points())
+    @example(I2_STAR_AT_13)
+    @example(I2_STAR_AGAIN)
+    @example(I2_STAR_AT_11)
+    def test_quadratic(self, case):
+        E, P, _ = case
+        h1 = canonical_height(E, P)
+        for n in (2, 3):
+            hn = canonical_height(E, E.scalar_mul(n, P))
+            assert abs(hn.value - n * n * h1.value) <= n * n * h1.error + hn.error, (n, h1, hn)
+
+    @settings(max_examples=60, deadline=None)
+    @given(singular_reduction_points())
+    @example(I2_STAR_AT_13)
+    @example(I2_STAR_AGAIN)
+    @example(I2_STAR_AT_11)
+    def test_corrections_are_component_values(self, case):
+        """P, 2P and 3P, with the primes 2 and 3 taken out of the
+        discriminant, so that the corrections at p >= 5 need no formal-group
+        multiple; P itself meets the singular point at p."""
+        E, P, p = case
+        Ai, Bi, _ = E.integral_model()
+        disc = E.discriminant_integral()
+        far = val_unit(val_unit(disc, 2)[1], 3)[1]
+        for n in (1, 2, 3):
+            Q = E.scalar_mul(n, P)
+            if Q.x == 0:
+                continue
+            corrections = dict(_finite_corrections(Ai, Bi, far, Q.x, Q.y))
+            assert n > 1 or p in corrections
+            for q, c in corrections.items():
+                ktype, shift = kodaira_type(_valuation(Ai, q), _valuation(Bi, q), _valuation(disc, q))
+                assert shift == 0
+                assert c in _component_values(ktype.symbol), (n, q, ktype, c)
+
+    def test_regulator_on_i2_star(self):
+        E, P, _ = I2_STAR_AT_13
+        for n in (2, 3):
+            res = regulator(E, [P, E.scalar_mul(n, P)])
+            assert res.verdict == "dependent" and res.relation == (n, -1, 1), (n, res)
 
 
 class TestRegulator:
