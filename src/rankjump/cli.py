@@ -130,6 +130,8 @@ def cmd_jump(args) -> int:
 def cmd_census(args) -> int:
     if args.height < 1:
         raise ConfigError(f"bad height {args.height}; expected a positive integer")
+    if args.store and not Path(args.store).is_dir():
+        raise ConfigError(f"no store directory {args.store!r}")
     cfg = _load_config(args.config)
     census = field_census(fibred_surface(cfg), args.height)
     stored = Counter()

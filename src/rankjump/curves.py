@@ -1,22 +1,25 @@
 """Exact arithmetic on elliptic curves over Q.
 
-Group law, torsion decided by reduction modulo primes of good reduction
-(Nagell-Lutz and Silverman, The Arithmetic of Elliptic Curves, section
-VII.3), Neron-Tate canonical heights with rigorous error bounds, and
+Group law, torsion decided without factoring on the model scaled by mu =
+lcm(den A, den B), by Nagell-Lutz and reduction modulo primes of good
+reduction (Silverman, The Arithmetic of Elliptic Curves, VIII.7.2 and
+VII.3.1), Neron-Tate canonical heights with rigorous error bounds, and
 regulator verdicts whose relations are searched only where the Gram matrix
 of heights allows them, then checked exactly.
 
 Heights are computed as a sum of local terms attached to one fixed integral
-short Weierstrass model, minimal at every prime p >= 5. The archimedean term
-comes from the duplication series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|),
-with a tail bound, run on integer pairs x(2^k P) = X/Z cut to the working
-precision; its terms telescope into one mpmath log. The finite part is
-exact: we replace P by the smallest multiple mP lying in the formal group at
-2 and at 3, after which the contribution of every prime is (1/2) log den(x)
-except for primes p >= 5 where mP meets a singular point of the reduced
-model; those corrections are rational multiples of log p given by
-Silverman's closed formula (Computing heights on elliptic curves, Math.
-Comp. 51 (1988), section 5) from three valuations.
+short Weierstrass model, minimal at every prime p >= 5. Only the heights
+factor, once per curve: the gcd of the scaled coefficients for that model,
+and its discriminant. The archimedean term comes from the duplication
+series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|), with a tail bound, run
+on integer pairs x(2^k P) = X/Z cut to the working precision; its terms
+telescope into one mpmath log. The finite part is exact: we replace P by
+the smallest multiple mP lying in the formal group at 2 and at 3, reached
+by one walk Q <- Q + P, after which the contribution of every prime is
+(1/2) log den(x) except for primes p >= 5 where mP meets a singular point
+of the reduced model; those corrections are rational multiples of log p
+given by Silverman's closed formula (Computing heights on elliptic curves,
+Math. Comp. 51 (1988), section 5) from three valuations.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count, islice, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .arith import DomainError, prime_factors, val_unit
 from .kodaira import minimal_shift
@@ -87,14 +90,14 @@ def _vp_frac(q: Fraction, p: int) -> int:
 
 
 class EllipticCurveQ:
-    """y^2 = x^3 + A x + B over Q, with a cached reduced integral model."""
+    """y^2 = x^3 + A x + B over Q, with two cached integral models: the
+    lcm-scaled one for torsion and the reduced one for heights."""
 
     def __init__(self, A, B):
         self.A = Fraction(A)
         self.B = Fraction(B)
         if 4 * self.A**3 + 27 * self.B**2 == 0:
             raise SingularCurveError("curve is singular")
-        self._integral = None
 
     def __eq__(self, other):
         return isinstance(other, EllipticCurveQ) and (self.A, self.B) == (other.A, other.B)
@@ -107,41 +110,42 @@ class EllipticCurveQ:
 
     # -- model bookkeeping ---------------------------------------------------
 
-    def integral_model(self):
-        """(Ai, Bi, lam): integer coefficients with x -> lam^2 x, y -> lam^3 y,
-        reduced so no prime p has p^4 | Ai and p^6 | Bi."""
-        if self._integral is not None:
-            return self._integral
-        lam = Fraction(1)
-        ps = set()
-        if self.A:
-            ps.update(prime_factors(self.A.denominator))
-        if self.B:
-            ps.update(prime_factors(self.B.denominator))
-        for p in ps:
-            k = 0
-            if self.A:
-                k = max(k, -(-_max0(-_vp_frac(self.A, p)) // 4))
-            if self.B:
-                k = max(k, -(-_max0(-_vp_frac(self.B, p)) // 6))
-            lam *= Fraction(p) ** k
-        Ai, Bi = self.A * lam**4, self.B * lam**6
-        assert Ai.denominator == 1 and Bi.denominator == 1
-        Ai, Bi = Ai.numerator, Bi.numerator
+    @cached_property
+    def _scaled_model(self) -> tuple[int, int, int]:
+        """(A mu^4, B mu^6, mu) with mu = lcm(den A, den B): an integral
+        model found without factoring, all that torsion_order needs."""
+        mu = lcm(self.A.denominator, self.B.denominator)
+        return int(self.A * mu**4), int(self.B * mu**6), mu
+
+    @cached_property
+    def _minimal_model(self) -> tuple[int, int, Fraction]:
+        Ai, Bi, mu = self._scaled_model
         common, u = gcd(Ai, Bi), 1
         for p in prime_factors(common) if common > 1 else ():
             u *= p ** minimal_shift(_vp(Ai, p) if Ai else None, _vp(Bi, p) if Bi else None)
-        self._integral = (Ai // u**4, Bi // u**6, lam / u)
-        return self._integral
+        return Ai // u**4, Bi // u**6, Fraction(mu, u)
+
+    def integral_model(self):
+        """(Ai, Bi, lam): integer coefficients with x -> lam^2 x, y -> lam^3 y,
+        reduced so no prime p has p^4 | Ai and p^6 | Bi. With lam > 0 that
+        model is unique, so it is the lcm-scaled model divided by one
+        minimal_shift per prime of gcd(A mu^4, B mu^6); the heights use it."""
+        return self._minimal_model
 
     def discriminant_integral(self) -> int:
         Ai, Bi, _ = self.integral_model()
         return -16 * (4 * Ai**3 + 27 * Bi**2)
 
     @cached_property
+    def _discriminant_primes(self) -> list[int]:
+        """The primes of discriminant_integral, factored once per curve."""
+        return prime_factors(self.discriminant_integral())
+
+    @cached_property
     def _reduction_primes(self) -> tuple[int, ...]:
-        """The two smallest primes p >= 3 of good reduction of the integral model."""
-        disc = self.discriminant_integral()
+        """The two smallest primes p >= 3 of good reduction of the scaled model."""
+        Ai, Bi, _ = self._scaled_model
+        disc = -16 * (4 * Ai**3 + 27 * Bi**2)
         odd_primes = (p for p in count(3, 2) if all(p % q for q in range(3, isqrt(p) + 1, 2)))
         return tuple(islice((p for p in odd_primes if disc % p), 2))
 
@@ -196,17 +200,17 @@ class EllipticCurveQ:
     def torsion_order(self, P: PointQ) -> int | None:
         """Order of P if torsion, else None.
 
-        On the integral model a torsion point is integral (Nagell-Lutz), and
-        reduction modulo a prime p >= 3 of good reduction is injective on
-        torsion (Silverman, AEC section VII.3). So a torsion P has the same
-        order n <= MAZUR_BOUND modulo both `_reduction_primes`, and n P = O
-        then decides exactly.
+        On any integral model, here the lcm-scaled one, a torsion point is
+        integral (Nagell-Lutz, Silverman AEC VIII.7.2), and reduction modulo
+        a prime p >= 3 of good reduction is injective on torsion (AEC
+        VII.3.1). So a torsion P has the same order n <= MAZUR_BOUND modulo
+        both `_reduction_primes`, and n P = O then decides exactly.
         """
         self._require(P)
         if P.is_identity:
             return 1
-        Ai, _, lam = self.integral_model()
-        x, y = P.x * lam**2, P.y * lam**3
+        Ai, _, mu = self._scaled_model
+        x, y = P.x * mu**2, P.y * mu**3
         if x.denominator != 1 or y.denominator != 1:
             return None
         orders = {_order_mod(Ai, x.numerator, y.numerator, p) for p in self._reduction_primes}
@@ -231,10 +235,6 @@ def _order_mod(A: int, x: int, y: int, p: int) -> int | None:
         nx = (lam * lam - x - qx) % p
         qx, qy = nx, (lam * (x - nx) - y) % p
     return None
-
-
-def _max0(n: int) -> int:
-    return n if n > 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +302,10 @@ def _tail_constant(Ai: int, Bi: int) -> float:
     return math.log(max(disc, 2)) / 12 + logj / 12 + 3.0
 
 
-def _finite_corrections(Ai: int, Bi: int, disc: int, x: Fraction, y: Fraction):
+def _finite_corrections(Ai: int, Bi: int, disc: int, primes, x: Fraction, y: Fraction):
     """Corrections (p, Fraction c_p) so that the finite part of the height is
-    (1/2) log den(x) + sum c_p log p. Requires v_2(x) < 0 and v_3(x) < 0.
+    (1/2) log den(x) + sum c_p log p, over the primes of disc. Requires
+    v_2(x) < 0 and v_3(x) < 0.
 
     At p >= 5 the model is minimal, and Silverman's closed form (Computing
     heights on elliptic curves, Math. Comp. 51 (1988), section 5) gives c_p
@@ -314,7 +315,7 @@ def _finite_corrections(Ai: int, Bi: int, disc: int, x: Fraction, y: Fraction):
     (multiplicative); otherwise -b/3 if c >= 3b, else -c/8.
     """
     out = []
-    for p in prime_factors(disc):
+    for p in primes:
         if p in (2, 3):
             assert _vp_frac(x, p) < 0, "point must lie in the formal group at 2 and 3"
             continue
@@ -338,35 +339,21 @@ _FORMAL_GROUP_MULTIPLE_CAP = 1024
 
 
 def _formal_multiple(E: EllipticCurveQ, P: PointQ) -> tuple[int, PointQ]:
-    """A multiple mP lying in the formal group at 2 and at 3 (that is,
-    v_2(x) < 0 and v_3(x) < 0), with m minimal. P must be non-torsion.
+    """The multiple mP lying in the formal group at 2 and at 3 (that is,
+    v_2(x) < 0 and v_3(x) < 0, so 6 | den x), with m minimal, found by one
+    walk Q <- Q + P. P must be non-torsion.
 
-    Multiples landing in the formal group at p form the multiples of the
-    first one, so m = lcm of the first hits at 2 and at 3.
+    The multiples of P in the formal group at p are the multiples of the
+    first one there, at k_p P, so the walk stops at m = lcm(k_2, k_3).
     """
-    k2 = k3 = None
     Q = P
-    m = 1
-    while m <= _FORMAL_GROUP_MULTIPLE_CAP and (k2 is None or k3 is None):
+    for m in range(1, _FORMAL_GROUP_MULTIPLE_CAP + 1):
         if Q.is_identity:
             raise DomainError("torsion point reached the identity")
-        x = Q.x
-        if k2 is None and x != 0 and _vp_frac(x, 2) < 0:
-            k2 = m
-        if k3 is None and x != 0 and _vp_frac(x, 3) < 0:
-            k3 = m
-        if k2 == m and k3 == m:
+        if Q.x.denominator % 6 == 0:
             return m, Q
         Q = E.add(Q, P)
-        m += 1
-    if k2 is None or k3 is None:
-        raise PrecisionError("no multiple reached the formal group at 2 and 3")
-    mm = k2 * k3 // gcd(k2, k3)
-    if mm > _FORMAL_GROUP_MULTIPLE_CAP:
-        raise PrecisionError("formal-group multiple exceeds the size cap")
-    Q = E.scalar_mul(mm, P)
-    assert _vp_frac(Q.x, 2) < 0 and _vp_frac(Q.x, 3) < 0
-    return mm, Q
+    raise PrecisionError("formal-group multiple exceeds the size cap")
 
 
 def canonical_height(E: EllipticCurveQ, P: PointQ, series_terms: int | None = None) -> HeightData:
@@ -390,7 +377,7 @@ def canonical_height(E: EllipticCurveQ, P: PointQ, series_terms: int | None = No
     Ei = EllipticCurveQ(Ai, Bi)
     m, Q = _formal_multiple(Ei, Pi)
     x, y = Q.x, Q.y
-    corrections = _finite_corrections(Ai, Bi, disc, x, y)
+    corrections = _finite_corrections(Ai, Bi, disc, E._discriminant_primes, x, y)
     dps = _working_digits()
     terms = series_terms or 48
     last_exc = None

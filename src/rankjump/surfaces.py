@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arith import DomainError, SquareClass, square_class
-from .kodaira import InvalidModelError, KodairaType, kodaira_type
+from .kodaira import InvalidModelError, KodairaType, kodaira_type, minimal_shift
 from .polynomial import (
     PLACE_AT_INFINITY,
     Place,
@@ -194,26 +194,12 @@ class WeierstrassQt:
 
 
 def _reduce_model(A: RatPoly, B: RatPoly) -> tuple[RatPoly, RatPoly]:
-    """Divide out polynomial factors u with u^4 | A and u^6 | B."""
-    base = B if A.is_zero() else A if B.is_zero() else None
-    if base is None:
-        _, factors = factor_rational(A)
-        for h, _ in factors:
-            va, vb = valuation(A, Place(h)), valuation(B, Place(h))
-            k = min(va // 4, vb // 6)
-            if k > 0:
-                A = A.exact_div(h ** (4 * k))
-                B = B.exact_div(h ** (6 * k))
-    else:
-        n = 4 if base is A else 6
-        _, factors = factor_rational(base)
-        for h, mult in factors:
-            k = mult // n
-            if k > 0:
-                if not A.is_zero():
-                    A = A.exact_div(h ** (4 * k))
-                if not B.is_zero():
-                    B = B.exact_div(h ** (6 * k))
+    """Divide out polynomial factors u with u^4 | A and u^6 | B: one
+    minimal_shift per irreducible factor of A, or of B when A = 0."""
+    for h, _ in factor_rational(B if A.is_zero() else A)[1]:
+        place = Place(h)
+        k = minimal_shift(valuation(A, place), valuation(B, place))
+        A, B = A.exact_div(h ** (4 * k)), B.exact_div(h ** (6 * k))
     return A, B
 
 

@@ -5,9 +5,10 @@ point searches on conics, exhaustive local non-solvability certificates,
 naive rational enumeration, and helpers the library no longer needs: the
 Fraction conic parametrisation and base-point sweep its integer ones must
 match, local solvability by Fraction Hilbert symbols on a general
-diagonalisation, the archimedean height series term by term in mpmath,
-heights by the doubling limit, and fibre-relation and extension-class
-comparisons.
+diagonalisation, the integral model found by factoring denominators, the
+formal-group multiple found by first hits and a restart, the archimedean
+height series term by term in mpmath, heights by the doubling limit, and
+fibre-relation and extension-class comparisons.
 """
 
 from __future__ import annotations
@@ -179,6 +180,38 @@ def torsion_order_by_multiples(A, P, bound: int = 12):
             return None
         Q, n = ec_add(A, Q, P), n + 1
     return n
+
+
+def integral_model_by_denominators(A, B):
+    """(Ai, Bi, lam) with x -> lam^2 x, y -> lam^3 y, in two stages: lam
+    takes each prime p of the denominators to the least power clearing
+    them, then each prime of gcd(Ai, Bi) is divided out while p^4 | Ai and
+    p^6 | Bi. Both stages factor."""
+    from sympy import factorint
+
+    A, B = Fraction(A), Fraction(B)
+    dA, dB, lam = factorint(A.denominator), factorint(B.denominator), 1
+    for p in {**dA, **dB}:
+        lam *= p ** max(-(-dA.get(p, 0) // 4), -(-dB.get(p, 0) // 6))
+    Ai, Bi, u = int(A * lam**4), int(B * lam**6), 1
+    for p in factorint(gcd(Ai, Bi)):
+        while Ai % p**4 == 0 and Bi % p**6 == 0:
+            Ai, Bi, u = Ai // p**4, Bi // p**6, u * p
+    return Ai, Bi, Fraction(lam, u)
+
+
+def formal_multiple_by_first_hits(A, P, cap: int = 1024):
+    """(m, m P) with m = lcm(k_2, k_3), where k_p P is the first multiple
+    of the non-torsion P with v_p(x) < 0: the first hits are found by one
+    loop, and m P again from P."""
+    first, Q, k = {}, P, 1
+    while len(first) < 2 and k <= cap:
+        for p in (2, 3):
+            if p not in first and Q[0].denominator % p == 0:
+                first[p] = k
+        Q, k = ec_add(A, Q, P), k + 1
+    m = first[2] * first[3] // gcd(first[2], first[3])
+    return m, ec_mul(A, m, P)
 
 
 def relation_by_enumeration(A, P, Q, bound: int = 20):

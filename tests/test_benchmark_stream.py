@@ -7,10 +7,11 @@ faster torsion or relation decision, or a rewritten fibre loop, must leave
 every certificate and every verdict byte-identical and every dependence
 found. These tests build the commands from the benchmark's own inputs
 (perfbench/gen.py), budgets and fixture (perfbench/run.py), run them in
-process and compare. The rank-2 searches' summary lines are pinned too: a
-search stops building fibres once its certificate count is reached. The
-census stream is pinned by a digest written here (see its test). The
-benchmark files are read, not changed.
+process and compare. The searches' summary lines are pinned too: a search
+stops building fibres once its certificate count is reached, and the
+rank-1 torsion rejects count the exact torsion decisions. The census
+stream is pinned by a digest written here (see its test). The benchmark
+files are read, not changed.
 """
 
 import gzip
@@ -28,6 +29,14 @@ def _baseline_stream(workload: str) -> str:
     return baseline["stream_sha256"][workload]
 
 
+RANK1_SEARCH_LINES = [
+    "# search: 300 certificates; fibres tried 39, degenerate 0, unsolvable 0, "
+    "torsion rejects 57, dependent pairs 0, inconclusive 0, avoided t0 0",
+    "# search: 300 certificates; fibres tried 39, degenerate 3, unsolvable 0, "
+    "torsion rejects 0, dependent pairs 0, inconclusive 0, avoided t0 36",
+]
+
+
 def test_seed0_rank1_stream_matches_baseline(tmp_path, capsys, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import gen
@@ -35,12 +44,15 @@ def test_seed0_rank1_stream_matches_baseline(tmp_path, capsys, monkeypatch):
 
     inputs = gen.write_inputs(0, tmp_path / "inputs")
     digest = hashlib.sha256()
+    summaries = []
     for i, cmd in enumerate(run.commands_for("rank1-search", inputs)):
         argv = [a.replace("{store}", str(tmp_path / f"store-{i}")) for a in cmd["argv"]]
         assert main(argv) == 0
-        out, _ = capsys.readouterr()
+        out, err = capsys.readouterr()
         digest.update(out.replace(str(tmp_path), "").encode("utf-8"))
+        summaries += [line for line in err.splitlines() if line.startswith("# search:")]
     assert digest.hexdigest() == _baseline_stream("rank1-search")
+    assert summaries == RANK1_SEARCH_LINES
 
 
 RANK2_SEARCH_LINES = [

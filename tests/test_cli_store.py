@@ -401,3 +401,13 @@ class TestCli:
         assert "no store directory" in capsys.readouterr().err
         assert main(["verify", "--store", str(tmp_path)]) == 0
         assert "no records under" in capsys.readouterr().out
+
+    def test_census_missing_store_exit_2(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "m.cfg", MORDELL_CFG)
+        argv = ["census", "--config", cfg, "--height", "2", "--store"]
+        assert main([*argv, str(tmp_path / "no-such-store")]) == 2
+        captured = capsys.readouterr()
+        assert "no store directory" in captured.err and captured.out == ""
+        assert main([*argv, str(tmp_path)]) == 0
+        # the rationals of height <= 2 are 0, +-1, +-2 and +-1/2, none stored
+        assert capsys.readouterr().out.splitlines()[-2].split() == ["2", "7", "7", "0"]

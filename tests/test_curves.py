@@ -1,11 +1,18 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
-from conftest import ec_add, tate_normal_form, torsion_order_by_multiples
-from hypothesis import assume, given, settings, strategies as st
+from conftest import (
+    ec_add,
+    integral_model_by_denominators,
+    tate_normal_form,
+    torsion_order_by_multiples,
+)
+from hypothesis import assume, example, given, settings, strategies as st
 
+from rankjump import arith
 from rankjump.curves import (
     IDENTITY,
     EllipticCurveQ,
@@ -114,8 +121,14 @@ class TestTorsion:
 small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
 
 
+def no_factoring():
+    return patch.object(arith, "_factorint", side_effect=AssertionError("factored"))
+
+
 class TestTorsionAgainstMultiples:
-    """torsion_order decides by reduction mod p; the oracle tries all 12 multiples."""
+    """torsion_order decides by reduction mod p; the oracle tries all 12
+    multiples. On rational coefficients it runs on the lcm-scaled model, so
+    it must not factor anything."""
 
     @settings(max_examples=150, deadline=None)
     @given(small_rationals, st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)),
@@ -124,7 +137,8 @@ class TestTorsionAgainstMultiples:
         B = y * y - x**3 - A * x  # y = 0 makes P a point of order 2
         assume(4 * A**3 + 27 * B**2 != 0)
         expected = torsion_order_by_multiples(A, (x, y))
-        assert EllipticCurveQ(A, B).torsion_order(point(x, y)) == expected
+        with no_factoring():
+            assert EllipticCurveQ(A, B).torsion_order(point(x, y)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([4, 5, 6, 7, 8, 9, 10, 12]), small_rationals)
@@ -142,8 +156,23 @@ class TestTorsionAgainstMultiples:
             expected = n // gcd(n, k)
             assert torsion_order_by_multiples(A, kP) == expected
             Q = IDENTITY if kP is None else point(*kP)
-            assert E.torsion_order(Q) == expected, (E, Q)
+            with no_factoring():
+                assert E.torsion_order(Q) == expected, (E, Q)
             kP = ec_add(A, kP, P)
+
+
+@st.composite
+def rationals_with_prime_powers(draw):
+    """A rational whose numerator and denominator carry powers of small
+    primes up to p^15."""
+    powers = st.lists(st.tuples(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 15)),
+                      max_size=3)
+    num, den = draw(st.integers(-30, 30)), draw(st.integers(1, 30))
+    for p, e in draw(powers):
+        num *= p**e
+    for p, e in draw(powers):
+        den *= p**e
+    return Fraction(num, den)
 
 
 class TestIntegralModel:
@@ -162,6 +191,17 @@ class TestIntegralModel:
         E = EllipticCurveQ(-36, 0)
         Ai, Bi, lam = E.integral_model()
         assert (Ai, Bi, lam) == (-36, 0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rationals_with_prime_powers(), rationals_with_prime_powers())
+    @example(Fraction(5, 2**13 * 3**7), Fraction(-7 * 5**12, 2**5 * 7**11))
+    @example(Fraction(0), Fraction(3**13, 2**7))
+    @example(Fraction(2**9 * 7**8, 11), Fraction(0))
+    def test_matches_model_by_denominators(self, A, B):
+        # the reduced integral model with lam > 0 is unique, however it is found
+        assume(4 * A**3 + 27 * B**2 != 0)
+        model = EllipticCurveQ(A, B).integral_model()
+        assert model == integral_model_by_denominators(A, B)
 
 
 class TestSpecialize:

@@ -8,6 +8,7 @@ from conftest import (
     canonical_height_doubling,
     ec_add,
     ec_mul,
+    formal_multiple_by_first_hits,
     lambda_infinity_mpmath,
     relation_by_enumeration,
     tate_normal_form,
@@ -19,6 +20,7 @@ from rankjump.curves import (
     EllipticCurveQ,
     SingularCurveError,
     _finite_corrections,
+    _formal_multiple,
     _lambda_infinity,
     _small_relation,
     canonical_height,
@@ -139,6 +141,20 @@ def near_identity():
     its first step on."""
     x, y = 3**50, isqrt(3**150) + 1
     return EllipticCurveQ(0, y * y - x**3), point(x, y)
+
+
+class TestFormalMultiple:
+    @settings(max_examples=80, deadline=None)
+    @given(integral_points())
+    @example((EllipticCurveQ(-12, 20), point(-2, 6)))     # lcm(k_2, k_3) = 72
+    @example((EllipticCurveQ(5, 214), point(-5, 8)))      # 35
+    @example((EllipticCurveQ(-12, 146), point(-5, 9)))    # 6
+    def test_walk_matches_first_hits(self, curve_point):
+        """The walk stops at the first multiple in the formal group at 2 and
+        3, which is the lcm of the first hits at each."""
+        E, P = curve_point
+        m, Q = _formal_multiple(E, P)
+        assert (m, (Q.x, Q.y)) == formal_multiple_by_first_hits(E.A, (P.x, P.y))
 
 
 class TestSeriesAgainstMpmath:
@@ -274,11 +290,12 @@ class TestSingularReduction:
         Ai, Bi, _ = E.integral_model()
         disc = E.discriminant_integral()
         far = val_unit(val_unit(disc, 2)[1], 3)[1]
+        far_primes = [q for q in E._discriminant_primes if q > 3]
         for n in (1, 2, 3):
             Q = E.scalar_mul(n, P)
             if Q.x == 0:
                 continue
-            corrections = dict(_finite_corrections(Ai, Bi, far, Q.x, Q.y))
+            corrections = dict(_finite_corrections(Ai, Bi, far, far_primes, Q.x, Q.y))
             assert n > 1 or p in corrections
             for q, c in corrections.items():
                 ktype, shift = kodaira_type(_valuation(Ai, q), _valuation(Bi, q), _valuation(disc, q))

@@ -54,6 +54,18 @@ class TestToWeierstrass:
         P, Q, l, c2 = s.short_cubic()
         assert w.A == P * s.g**2 and w.B == Q * s.g**3
 
+    @pytest.mark.parametrize("A, B, reduced", [
+        (-(T**2 + 1) ** 4 * (T - 2), 3 * (T**2 + 1) ** 6, (2 - T, RatPoly([3]))),
+        (-(T + 3) ** 8 * (T**2 + 2), RatPoly(), (-(T**2) - 2, RatPoly())),
+        (RatPoly(), (T - 1) ** 6 * (T**2 + T + 1) * T**7, (RatPoly(), T**3 + T**2 + T)),
+    ])
+    def test_oversized_model_reduced(self, A, B, reduced):
+        # each factor u with u^4 | A and u^6 | B is divided out, also where
+        # A or B vanishes
+        w = WeierstrassQt(A, B)
+        assert (w.A, w.B) == reduced
+        assert w.delta == -16 * (4 * w.A**3 + 27 * w.B**2)
+
 
 class TestClassifyFibres:
     def test_two_i0star(self):
