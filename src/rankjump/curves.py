@@ -1,11 +1,15 @@
 """Exact arithmetic on elliptic curves over Q.
 
-Group law, torsion decided without factoring on the model scaled by mu =
-lcm(den A, den B), by Nagell-Lutz and reduction modulo primes of good
-reduction (Silverman, The Arithmetic of Elliptic Curves, VIII.7.2 and
-VII.3.1), Neron-Tate canonical heights with rigorous error bounds, and
-regulator verdicts whose relations are searched only where the Gram matrix
-of heights allows them, then checked exactly.
+One group law, on integer Jacobian triples (x = X/Z^2, y = Y/Z^3) of the
+model scaled by mu = lcm(den A, den B); a point is checked on the curve
+once on entry and made a Fraction point once on exit. On an integral model
+x = a/d^2, y = b/d^3 with gcd(a, d) = 1 (Silverman-Tate, Rational Points on
+Elliptic Curves, III.2), so one gcd and one isqrt keep each sum in lowest
+terms. Torsion is decided on that model without factoring, by Nagell-Lutz
+(Silverman, The Arithmetic of Elliptic Curves, VIII.7.2) and Mazur's bound
+on the walk P, 2P, ..., 12P. Neron-Tate canonical heights carry rigorous
+error bounds, and regulator verdicts search relations only where the Gram
+matrix of heights allows them, then check them exactly.
 
 Heights are computed as a sum of local terms attached to one fixed integral
 short Weierstrass model, minimal at every prime p >= 5. Only the heights
@@ -28,7 +32,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import count, islice, product
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from .arith import DomainError, prime_factors, val_unit
@@ -141,14 +145,6 @@ class EllipticCurveQ:
         """The primes of discriminant_integral, factored once per curve."""
         return prime_factors(self.discriminant_integral())
 
-    @cached_property
-    def _reduction_primes(self) -> tuple[int, ...]:
-        """The two smallest primes p >= 3 of good reduction of the scaled model."""
-        Ai, Bi, _ = self._scaled_model
-        disc = -16 * (4 * Ai**3 + 27 * Bi**2)
-        odd_primes = (p for p in count(3, 2) if all(p % q for q in range(3, isqrt(p) + 1, 2)))
-        return tuple(islice((p for p in odd_primes if disc % p), 2))
-
     # -- points and the group law ---------------------------------------------
 
     def is_on(self, P: PointQ) -> bool:
@@ -160,81 +156,100 @@ class EllipticCurveQ:
         if not self.is_on(P):
             raise OffCurveError(f"{P} is not on {self}")
 
+    def _jac(self, P: PointQ):
+        """P, checked on the curve, as a reduced triple on the scaled model:
+        x mu^2 = X/Z^2 and y mu^3 = Y/Z^3 with Z = den(y mu^3)/den(x mu^2)."""
+        self._require(P)
+        if P.is_identity:
+            return None
+        mu = self._scaled_model[2]
+        x, y = P.x * mu**2, P.y * mu**3
+        return x.numerator, y.numerator, y.denominator // x.denominator
+
+    def _point(self, J) -> PointQ:
+        """The Fraction point of a triple from _jac or the group law."""
+        if J is None:
+            return IDENTITY
+        d = J[2] * self._scaled_model[2]
+        return PointQ(Fraction(J[0], d * d), Fraction(J[1], d**3))
+
     def negate(self, P: PointQ) -> PointQ:
         if P.is_identity:
             return P
         return PointQ(P.x, -P.y)
 
     def add(self, P: PointQ, Q: PointQ) -> PointQ:
-        self._require(P)
-        self._require(Q)
-        if P.is_identity:
-            return Q
-        if Q.is_identity:
-            return P
-        if P.x == Q.x:
-            if P.y == -Q.y:
-                return IDENTITY
-            lam = (3 * P.x * P.x + self.A) / (2 * P.y)
-        else:
-            lam = (Q.y - P.y) / (Q.x - P.x)
-        x3 = lam * lam - P.x - Q.x
-        y3 = lam * (P.x - x3) - P.y
-        return PointQ(x3, y3)
+        return self._point(_jac_add(self._scaled_model[0], self._jac(P), self._jac(Q)))
 
     def sub(self, P: PointQ, Q: PointQ) -> PointQ:
         return self.add(P, self.negate(Q))
 
     def scalar_mul(self, n: int, P: PointQ) -> PointQ:
-        if n < 0:
-            return self.scalar_mul(-n, self.negate(P))
-        result, base = IDENTITY, P
-        while True:
-            if n & 1:
-                result = self.add(result, base)
-            n >>= 1
-            if not n:
-                return result
-            base = self.add(base, base)
+        return self._point(_jac_mul(self._scaled_model[0], n, self._jac(P)))
 
     def torsion_order(self, P: PointQ) -> int | None:
         """Order of P if torsion, else None.
 
-        On any integral model, here the lcm-scaled one, a torsion point is
-        integral (Nagell-Lutz, Silverman AEC VIII.7.2), and reduction modulo
-        a prime p >= 3 of good reduction is injective on torsion (AEC
-        VII.3.1). So a torsion P has the same order n <= MAZUR_BOUND modulo
-        both `_reduction_primes`, and n P = O then decides exactly.
+        On any integral model, here the lcm-scaled one, a torsion point and
+        so each of its multiples other than O is integral (Nagell-Lutz,
+        Silverman AEC VIII.7.2), and its order is at most MAZUR_BOUND
+        (Mazur). So the walk P, 2P, ... decides exactly: O at step n gives
+        order n; a multiple with Z != 1, or no O by step MAZUR_BOUND, gives
+        None.
         """
-        self._require(P)
-        if P.is_identity:
-            return 1
-        Ai, _, mu = self._scaled_model
-        x, y = P.x * mu**2, P.y * mu**3
-        if x.denominator != 1 or y.denominator != 1:
-            return None
-        orders = {_order_mod(Ai, x.numerator, y.numerator, p) for p in self._reduction_primes}
-        if len(orders) != 1 or None in orders:
-            return None
-        n = orders.pop()
-        return n if self.scalar_mul(n, P).is_identity else None
-
-
-def _order_mod(A: int, x: int, y: int, p: int) -> int | None:
-    """Order of (x, y) on y^2 = x^3 + A x + B over F_p (B does not enter the
-    group law), or None when it exceeds MAZUR_BOUND."""
-    x, y = x % p, y % p
-    qx, qy = x, y  # (n - 1) P
-    for n in range(2, MAZUR_BOUND + 1):
-        if qx == x:
-            if (qy + y) % p == 0:
+        A, J = self._scaled_model[0], self._jac(P)
+        Q = J  # n P
+        for n in range(1, MAZUR_BOUND + 1):
+            if Q is None:
                 return n
-            lam = (3 * x * x + A) * pow(2 * y, -1, p) % p
-        else:
-            lam = (qy - y) * pow(qx - x, -1, p) % p
-        nx = (lam * lam - x - qx) % p
-        qx, qy = nx, (lam * (x - nx) - y) % p
-    return None
+            if Q[2] != 1:
+                return None
+            Q = _jac_add(A, Q, J)
+        return None
+
+
+def _jac_add(A: int, P, Q):
+    """P + Q on y^2 = x^3 + A x + B, A an integer (B does not enter the law),
+    on Jacobian triples: x = X/Z^2, y = Y/Z^3, None for O. A rational point
+    has x = a/d^2, y = b/d^3, gcd(a, d) = 1 (Silverman-Tate III.2), so the
+    triple is (a l^2, b l^3, d l), gcd(X, Z^2) = l^2, and it is divided by
+    l signed as Z. Unreduced, the coordinates grow exponentially."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (X1, Y1, Z1), (X2, Y2, Z2) = P, Q
+    ZZ1, ZZ2 = Z1 * Z1, Z2 * Z2
+    U1, U2, S1, S2 = X1 * ZZ2, X2 * ZZ1, Y1 * ZZ2 * Z2, Y2 * ZZ1 * Z1
+    if U1 == U2:
+        if S1 != S2 or Y1 == 0:
+            return None
+        YY = Y1 * Y1
+        S, M = 4 * X1 * YY, 3 * X1 * X1 + A * ZZ1 * ZZ1
+        X = M * M - 2 * S
+        Y, Z = M * (S - X) - 8 * YY * YY, 2 * Y1 * Z1
+    else:
+        H, R = U2 - U1, S2 - S1
+        HH = H * H
+        HHH, V = HH * H, U1 * HH
+        X = R * R - HHH - 2 * V
+        Y, Z = R * (V - X) - S1 * HHH, H * Z1 * Z2
+    l = isqrt(gcd(X, Z * Z)) if Z > 0 else -isqrt(gcd(X, Z * Z))
+    return X // (l * l), Y // (l * l * l), Z // l
+
+
+def _jac_mul(A: int, n: int, P):
+    """n P by bit_length(|n|) - 1 doublings and one addition per set bit."""
+    if n < 0:
+        n, P = -n, P and (P[0], -P[1], P[2])
+    result = None
+    while n:
+        if n & 1:
+            result = _jac_add(A, result, P)
+        n >>= 1
+        if n:
+            P = _jac_add(A, P, P)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +356,20 @@ _FORMAL_GROUP_MULTIPLE_CAP = 1024
 def _formal_multiple(E: EllipticCurveQ, P: PointQ) -> tuple[int, PointQ]:
     """The multiple mP lying in the formal group at 2 and at 3 (that is,
     v_2(x) < 0 and v_3(x) < 0, so 6 | den x), with m minimal, found by one
-    walk Q <- Q + P. P must be non-torsion.
+    walk Q <- Q + P on Jacobian triples. E must have integer coefficients,
+    so den x = Z^2, and P must be non-torsion.
 
     The multiples of P in the formal group at p are the multiples of the
     first one there, at k_p P, so the walk stops at m = lcm(k_2, k_3).
     """
-    Q = P
+    A, J = E._scaled_model[0], E._jac(P)
+    Q = J  # m P
     for m in range(1, _FORMAL_GROUP_MULTIPLE_CAP + 1):
-        if Q.is_identity:
+        if Q is None:
             raise DomainError("torsion point reached the identity")
-        if Q.x.denominator % 6 == 0:
-            return m, Q
-        Q = E.add(Q, P)
+        if Q[2] % 6 == 0:
+            return m, E._point(Q)
+        Q = _jac_add(A, Q, J)
     raise PrecisionError("formal-group multiple exceeds the size cap")
 
 
@@ -364,18 +381,19 @@ def canonical_height(E: EllipticCurveQ, P: PointQ, series_terms: int | None = No
     """
     if P.is_identity:
         raise ValueError("height of the identity is undefined; use a point")
-    E._require(P)
     order = E.torsion_order(P)
     if order is not None:
         return HeightData(0.0, 0.0, "torsion", {"order": order})
+    return _height(E, P, series_terms)
 
+
+def _height(E: EllipticCurveQ, P: PointQ, series_terms: int | None = None) -> HeightData:
+    """canonical_height of a point known to lie on E and to be non-torsion."""
     import mpmath
 
     Ai, Bi, lam = E.integral_model()
     disc = E.discriminant_integral()
-    Pi = PointQ(P.x * lam**2, P.y * lam**3)
-    Ei = EllipticCurveQ(Ai, Bi)
-    m, Q = _formal_multiple(Ei, Pi)
+    m, Q = _formal_multiple(EllipticCurveQ(Ai, Bi), PointQ(P.x * lam**2, P.y * lam**3))
     x, y = Q.x, Q.y
     corrections = _finite_corrections(Ai, Bi, disc, E._discriminant_primes, x, y)
     dps = _working_digits()
@@ -406,14 +424,15 @@ def canonical_height(E: EllipticCurveQ, P: PointQ, series_terms: int | None = No
 
 
 def neron_tate_pairing(E: EllipticCurveQ, P: PointQ, Q: PointQ) -> tuple[float, float]:
-    """<P, Q> = (hhat(P+Q) - hhat(P) - hhat(Q)) / 2 with propagated error."""
-    return _pairing(E, P, Q, canonical_height(E, P), canonical_height(E, Q))
-
-
-def _pairing(E: EllipticCurveQ, P: PointQ, Q: PointQ, hP: HeightData, hQ: HeightData):
-    """neron_tate_pairing from the heights of P and Q; hhat(O) = 0 exactly."""
-    S = E.add(P, Q)
+    """<P, Q> = (hhat(P+Q) - hhat(P) - hhat(Q)) / 2 with propagated error;
+    hhat(O) = 0 exactly."""
+    hP, hQ, S = canonical_height(E, P), canonical_height(E, Q), E.add(P, Q)
     hS = HeightData(0.0, 0.0, "identity") if S.is_identity else canonical_height(E, S)
+    return _pairing(hS, hP, hQ)
+
+
+def _pairing(hS: HeightData, hP: HeightData, hQ: HeightData):
+    """neron_tate_pairing from the heights of P + Q, P and Q."""
     return (hS.value - hP.value - hQ.value) / 2, (hS.error + hP.error + hQ.error) / 2
 
 
@@ -452,21 +471,22 @@ def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
         if P.is_identity or E.torsion_order(P) is not None:
             raise ValueError("regulator requires non-torsion points")
     if len(points) == 1:
-        h = canonical_height(E, points[0])
+        h = _height(E, points[0])
         if h.value - h.error > INDEPENDENCE_THRESHOLD:
             return RegulatorResult(h.value, h.error, "independent")
         return RegulatorResult(h.value, h.error, "inconclusive")
     if len(points) != 2:
         raise ValueError("regulator verdicts are implemented for 1 or 2 points")
     P, Q = points
-    for b, R in ((1, E.add(P, Q)), (-1, E.sub(P, Q))):
+    S = E.add(P, Q)
+    for b, R in ((1, S), (-1, E.sub(P, Q))):
         order = E.torsion_order(R)
         if order is not None:
             return RegulatorResult(0.0, 0.0, "dependent", (1, b, order))
-    hP, hQ = canonical_height(E, P), canonical_height(E, Q)
+    hP, hQ = _height(E, P), _height(E, Q)
     h11, e11 = hP.value, hP.error
     h22, e22 = hQ.value, hQ.error
-    h12, e12 = _pairing(E, P, Q, hP, hQ)
+    h12, e12 = _pairing(_height(E, S), hP, hQ)
     det = h11 * h22 - h12 * h12
     err = (
         e11 * abs(h22)
@@ -497,22 +517,15 @@ def _small_relation(E: EllipticCurveQ, P: PointQ, Q: PointQ, gram, errors, bound
     torsion. A relation forces a^2 h11 = b^2 h22 and a^2 h11 + 2ab h12 +
     b^2 h22 = 0, so pairs violating either beyond the errors are skipped."""
     (h11, h22, h12), (e11, e22, e12) = gram, errors
-    multiples_P = {0: IDENTITY}
-    multiples_Q = {0: IDENTITY}
-
-    def mult(cache, base, n):
-        if n not in cache:
-            cache[n] = E.scalar_mul(n, base)
-        return cache[n]
-
+    A, JP, JQ = E._scaled_model[0], E._jac(P), E._jac(Q)
+    mult = cache(lambda J, n: _jac_mul(A, n, J))  # multiples of P and of Q
     for a, b in _pairs_by_size(bound):
         if abs(a * a * h11 - b * b * h22) > a * a * e11 + b * b * e22:
             continue
         if (abs(a * a * h11 + 2 * a * b * h12 + b * b * h22)
                 > a * a * e11 + 2 * abs(a * b) * e12 + b * b * e22):
             continue
-        R = E.add(mult(multiples_P, P, a), mult(multiples_Q, Q, b))
-        order = E.torsion_order(R)
+        order = E.torsion_order(E._point(_jac_add(A, mult(JP, a), mult(JQ, b))))
         if order is not None:
             return (a, b, order)
     return None

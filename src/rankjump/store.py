@@ -72,7 +72,11 @@ class CertificateRecord:
 
 def record_from_json(line: str) -> CertificateRecord:
     data = json.loads(line)
-    cfg = surface_config_from_dict(data["surface"])
+    return _record(data, surface_config_from_dict(data["surface"]))
+
+
+def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
+    """record_from_json of a parsed line whose surface parses to cfg."""
     reg = data.get("regulator")
     cert = RankJumpCertificate(
         label=data["label"],
@@ -145,13 +149,17 @@ def verify_store(store_dir: str | Path) -> list[VerificationReport]:
     reported but do not abort the batch."""
     reports = []
     surfaces = {}  # fibred surface by surface definition, for this batch
+    configs = {}  # SurfaceConfig by canonical JSON of its dict, for this batch
     for path in sorted(Path(store_dir).glob("*.jsonl")):
         results = []
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             if not line.strip():
                 continue
             try:
-                rec = record_from_json(line)
+                data = json.loads(line)
+                key = json.dumps(data["surface"], sort_keys=True)
+                cfg = configs[key] = configs.get(key) or surface_config_from_dict(data["surface"])
+                rec = _record(data, cfg)
             except Exception as exc:
                 results.append((lineno, False, [f"corrupt record: {exc}"]))
                 continue

@@ -168,6 +168,49 @@ class TestStore(object):
         assert not outcomes[len(lines)][0]  # corrupt line reported, not fatal
         assert report.failures == 3
 
+    def test_verify_parses_each_surface_once(self, tmp_path, monkeypatch):
+        # g = t and g = -t share the label "twist" and so one store file,
+        # and two lines carry a malformed surface: the reports are those of
+        # reading and re-verifying every line on its own, each good surface
+        # dict is parsed once, and each malformed one on every line
+        from rankjump import store
+        from rankjump.config import fibred_surface
+        from rankjump.jumps import verify_certificate
+
+        for g in ("0, 1", "0, -1"):
+            cfg = parse_surface_config(f"kind = twist\nf = 0, -1, 0, 1\ng = {g}\n")
+            budget = Budget(6, 6, 3)
+            append_records(tmp_path, cfg.label,
+                           [CertificateRecord(c, cfg, budget) for c in jump1(build_surface(cfg), budget)])
+        path = next(tmp_path.glob("*.jsonl"))
+        lines = path.read_text().splitlines()
+        bad = json.loads(lines[0])
+        bad["surface"]["kind"] = "cubic"
+        bad_line = json.dumps(bad, sort_keys=True, separators=(",", ":"))
+        lines[2:2] = [bad_line]
+        lines.append(bad_line)
+        path.write_text("\n".join(lines) + "\n")
+
+        expected = []
+        for lineno, line in enumerate(lines, 1):
+            try:
+                rec = record_from_json(line)
+            except Exception as exc:
+                expected.append((lineno, False, [f"corrupt record: {exc}"]))
+                continue
+            expected.append((lineno, *verify_certificate(fibred_surface(rec.surface), rec.certificate)))
+        parses = []
+
+        def counting(data):
+            parses.append(1)
+            return surface_config_from_dict(data)
+
+        monkeypatch.setattr(store, "surface_config_from_dict", counting)
+        [report] = verify_store(tmp_path)
+        assert report.results == expected
+        assert [ok for _, ok, _ in expected].count(False) == 2
+        assert len(parses) == 2 + 2
+
 
 class TestCli:
     def _write(self, tmp_path, name, text):

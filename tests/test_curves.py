@@ -6,13 +6,14 @@ from unittest.mock import patch
 import pytest
 from conftest import (
     ec_add,
+    ec_mul,
     integral_model_by_denominators,
     tate_normal_form,
     torsion_order_by_multiples,
 )
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rankjump import arith
+from rankjump import arith, curves
 from rankjump.curves import (
     IDENTITY,
     EllipticCurveQ,
@@ -83,16 +84,17 @@ class TestGroupLaw:
 
     def test_scalar_mul_adds_at_most_doublings_plus_bits(self, monkeypatch):
         # bit_length - 1 doublings and one addition per set bit; no doubling
-        # past the top bit
+        # past the top bit. scalar_mul runs on the integer law, so its steps
+        # are the calls of curves._jac_add.
         E, P = EllipticCurveQ(-36, 0), point(12, 36)
         calls = []
-        add = EllipticCurveQ.add
+        add = curves._jac_add
 
-        def counting_add(self, Q, R):
+        def counting_add(A, Q, R):
             calls.append(1)
-            return add(self, Q, R)
+            return add(A, Q, R)
 
-        monkeypatch.setattr(EllipticCurveQ, "add", counting_add)
+        monkeypatch.setattr(curves, "_jac_add", counting_add)
         for n in range(1, 41):
             calls.clear()
             E.scalar_mul(n, P)
@@ -126,9 +128,10 @@ def no_factoring():
 
 
 class TestTorsionAgainstMultiples:
-    """torsion_order decides by reduction mod p; the oracle tries all 12
-    multiples. On rational coefficients it runs on the lcm-scaled model, so
-    it must not factor anything."""
+    """torsion_order walks P, 2P, ... in integers to O or to a non-integral
+    multiple; the oracle tries all 12 multiples in Fractions. On rational
+    coefficients it runs on the lcm-scaled model, so it must not factor
+    anything."""
 
     @settings(max_examples=150, deadline=None)
     @given(small_rationals, st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)),
@@ -173,6 +176,90 @@ def rationals_with_prime_powers(draw):
     for p, e in draw(powers):
         den *= p**e
     return Fraction(num, den)
+
+
+def reduced_results():
+    """Patch curves._jac_add to check that every sum it returns is O or a
+    reduced triple: Z > 0 and gcd(X, Z) = 1."""
+    add = curves._jac_add
+
+    def checked(A, P, Q):
+        R = add(A, P, Q)
+        assert R is None or R[2] > 0 and gcd(R[0], R[2]) == 1, R
+        return R
+
+    return patch.object(curves, "_jac_add", checked)
+
+
+def oracle_point(P):
+    return None if P.is_identity else (P.x, P.y)
+
+
+@st.composite
+def curves_with_points(draw):
+    """A curve whose coefficients carry prime powers in their denominators,
+    through a drawn point (B is solved for; y = 0 makes it 2-torsion)."""
+    x, A = draw(rationals_with_prime_powers()), draw(rationals_with_prime_powers())
+    y = draw(st.one_of(st.just(Fraction(0)), rationals_with_prime_powers()))
+    B = y * y - x**3 - A * x
+    assume(4 * A**3 + 27 * B**2 != 0)
+    return EllipticCurveQ(A, B), point(x, y)
+
+
+def kubert_point(n, t):
+    """Kubert's curve with its point of order n at t, or None at a pole or
+    a singular fibre."""
+    try:
+        A, B, P = tate_normal_form(n, t)
+        return EllipticCurveQ(A, B), point(*P)
+    except (ZeroDivisionError, SingularCurveError):
+        return None
+
+
+class TestJacobianLawAgainstOracle:
+    """add, scalar_mul and torsion_order run on integer Jacobian triples of
+    the lcm-scaled model; the oracles are the Fraction chord-and-tangent
+    formulas and every multiple up to 12."""
+
+    def check(self, E, P, j, k):
+        A, oP = E.A, oracle_point(P)
+        jP, kP = ec_mul(A, j, oP), ec_mul(A, k, oP)
+        with reduced_results():
+            jQ, kQ = E.scalar_mul(j, P), E.scalar_mul(k, P)
+            assert (oracle_point(jQ), oracle_point(kQ)) == (jP, kP)
+            assert oracle_point(E.add(jQ, kQ)) == ec_add(A, jP, kP)
+            assert E.torsion_order(P) == torsion_order_by_multiples(A, oP)
+
+    @settings(max_examples=60, deadline=None)
+    @given(curves_with_points(), st.integers(-20, 20), st.integers(-20, 20))
+    def test_prime_power_denominators(self, curve_point, j, k):
+        self.check(*curve_point, j, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([4, 5, 6, 7, 8, 9, 10, 12]), small_rationals,
+           st.integers(-20, 20), st.integers(-20, 20))
+    def test_kubert_points(self, n, t, j, k):
+        curve_point = kubert_point(n, t)
+        assume(curve_point is not None)
+        self.check(*curve_point, j, k)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10, 12])
+    def test_kubert_order(self, n):
+        E, P = kubert_point(n, Fraction(-3, 2))
+        with reduced_results():
+            assert E.scalar_mul(n, P) == IDENTITY
+            assert E.torsion_order(P) == n
+
+    def test_special_sums(self):
+        # (12, 36) on y^2 = x^3 - 36 x, scaled by x -> x/16, y -> y/64
+        E, P = EllipticCurveQ(Fraction(-9, 64), 0), point(Fraction(3, 4), Fraction(9, 16))
+        T = point(0, 0)  # order 2
+        with reduced_results():
+            assert E.add(P, P) == point(*ec_add(E.A, (P.x, P.y), (P.x, P.y)))
+            assert E.add(P, E.negate(P)) == IDENTITY
+            assert E.add(T, T) == IDENTITY
+            assert E.add(P, IDENTITY) == E.add(IDENTITY, P) == P
+            assert E.scalar_mul(0, P) == E.scalar_mul(5, IDENTITY) == IDENTITY
 
 
 class TestIntegralModel:
