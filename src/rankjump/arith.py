@@ -188,11 +188,6 @@ def hilbert(a, b, p: int) -> int:
     return res
 
 
-def hilbert_real(a, b) -> int:
-    """Hilbert symbol (a, b) at the real place."""
-    return -1 if a < 0 and b < 0 else 1
-
-
 def ternary_isotropic_at(a, b, c, p: int) -> bool:
     """Whether a*x^2 + b*y^2 + c*z^2 = 0 has a nontrivial zero over Q_p.
 

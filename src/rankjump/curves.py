@@ -9,7 +9,10 @@ terms. Torsion is decided on that model without factoring, by Nagell-Lutz
 (Silverman, The Arithmetic of Elliptic Curves, VIII.7.2) and Mazur's bound
 on the walk P, 2P, ..., 12P. Neron-Tate canonical heights carry rigorous
 error bounds, and regulator verdicts search relations only where the Gram
-matrix of heights allows them, then check them exactly.
+matrix of heights allows them, then check them exactly. With full rational
+2-torsion, complete 2-descent (Silverman AEC X.1.4) proves a pair
+independent with no height, unless a 2-torsion point lies in 2E(Q) and
+E(Q) may have 4-torsion (two_descent_independent).
 
 Heights are computed as a sum of local terms attached to one fixed integral
 short Weierstrass model, minimal at every prime p >= 5. Only the heights
@@ -33,9 +36,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log
 
-from .arith import DomainError, prime_factors, val_unit
+from .arith import DomainError, is_square, prime_factors, val_unit
 from .kodaira import minimal_shift
 
 
@@ -88,8 +91,6 @@ def _vp(n: int, p: int) -> int:
 
 
 def _vp_frac(q: Fraction, p: int) -> int:
-    if q == 0:
-        raise DomainError("valuation of 0")
     return _vp(q.numerator, p) if q.numerator % p == 0 else -_vp(q.denominator, p)
 
 
@@ -148,9 +149,7 @@ class EllipticCurveQ:
     # -- points and the group law ---------------------------------------------
 
     def is_on(self, P: PointQ) -> bool:
-        if P.is_identity:
-            return True
-        return P.y * P.y == P.x**3 + self.A * P.x + self.B
+        return P.is_identity or P.y * P.y == P.x**3 + self.A * P.x + self.B
 
     def _require(self, P: PointQ):
         if not self.is_on(P):
@@ -174,9 +173,7 @@ class EllipticCurveQ:
         return PointQ(Fraction(J[0], d * d), Fraction(J[1], d**3))
 
     def negate(self, P: PointQ) -> PointQ:
-        if P.is_identity:
-            return P
-        return PointQ(P.x, -P.y)
+        return P if P.is_identity else PointQ(P.x, -P.y)
 
     def add(self, P: PointQ, Q: PointQ) -> PointQ:
         return self._point(_jac_add(self._scaled_model[0], self._jac(P), self._jac(Q)))
@@ -188,24 +185,24 @@ class EllipticCurveQ:
         return self._point(_jac_mul(self._scaled_model[0], n, self._jac(P)))
 
     def torsion_order(self, P: PointQ) -> int | None:
-        """Order of P if torsion, else None.
+        """Order of P if torsion, else None (see _jac_order)."""
+        return _jac_order(self._scaled_model[0], self._jac(P))
 
-        On any integral model, here the lcm-scaled one, a torsion point and
-        so each of its multiples other than O is integral (Nagell-Lutz,
-        Silverman AEC VIII.7.2), and its order is at most MAZUR_BOUND
-        (Mazur). So the walk P, 2P, ... decides exactly: O at step n gives
-        order n; a multiple with Z != 1, or no O by step MAZUR_BOUND, gives
-        None.
-        """
-        A, J = self._scaled_model[0], self._jac(P)
-        Q = J  # n P
-        for n in range(1, MAZUR_BOUND + 1):
-            if Q is None:
-                return n
-            if Q[2] != 1:
-                return None
-            Q = _jac_add(A, Q, J)
-        return None
+
+def _jac_order(A: int, J) -> int | None:
+    """Order of the triple J of the scaled model if torsion, else None. On
+    an integral model every multiple other than O of a torsion point is
+    integral (Nagell-Lutz, Silverman AEC VIII.7.2), and the order is at
+    most MAZUR_BOUND (Mazur); so the walk J, 2J, ... decides exactly: O at
+    step n gives n; Z != 1, or no O by step MAZUR_BOUND, gives None."""
+    Q = J  # n J
+    for n in range(1, MAZUR_BOUND + 1):
+        if Q is None:
+            return n
+        if Q[2] != 1:
+            return None
+        Q = _jac_add(A, Q, J)
+    return None
 
 
 def _jac_add(A: int, P, Q):
@@ -309,12 +306,10 @@ def _lambda_infinity(Ai: int, Bi: int, x: Fraction, y: Fraction, terms: int, mp)
 
 def _tail_constant(Ai: int, Bi: int) -> float:
     # generous bound for sup |lambda_oo - (1/2) log^+ |x|| on the real locus
-    import math
-
     disc = abs(-16 * (4 * Ai**3 + 27 * Bi**2))
     j_num = abs(6912 * Ai**3)
-    logj = math.log(max(j_num, 1)) + math.log(max(disc, 1))
-    return math.log(max(disc, 2)) / 12 + logj / 12 + 3.0
+    logj = log(max(j_num, 1)) + log(max(disc, 1))
+    return log(max(disc, 2)) / 12 + logj / 12 + 3.0
 
 
 def _finite_corrections(Ai: int, Bi: int, disc: int, primes, x: Fraction, y: Fraction):
@@ -467,9 +462,9 @@ def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
     reported; when neither outcome can be certified the verdict is
     "inconclusive".
     """
-    for P in points:
-        if P.is_identity or E.torsion_order(P) is not None:
-            raise ValueError("regulator requires non-torsion points")
+    A, Js = E._scaled_model[0], [E._jac(P) for P in points]
+    if any(J is None or _jac_order(A, J) is not None for J in Js):
+        raise ValueError("regulator requires non-torsion points")
     if len(points) == 1:
         h = _height(E, points[0])
         if h.value - h.error > INDEPENDENCE_THRESHOLD:
@@ -477,30 +472,51 @@ def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
         return RegulatorResult(h.value, h.error, "inconclusive")
     if len(points) != 2:
         raise ValueError("regulator verdicts are implemented for 1 or 2 points")
-    P, Q = points
-    S = E.add(P, Q)
-    for b, R in ((1, S), (-1, E.sub(P, Q))):
-        order = E.torsion_order(R)
+    (P, Q), (JP, JQ) = points, Js
+    JS = _jac_add(A, JP, JQ)
+    for b, J in ((1, JS), (-1, _jac_add(A, JP, (JQ[0], -JQ[1], JQ[2])))):
+        order = _jac_order(A, J)
         if order is not None:
             return RegulatorResult(0.0, 0.0, "dependent", (1, b, order))
     hP, hQ = _height(E, P), _height(E, Q)
     h11, e11 = hP.value, hP.error
     h22, e22 = hQ.value, hQ.error
-    h12, e12 = _pairing(_height(E, S), hP, hQ)
+    h12, e12 = _pairing(_height(E, E._point(JS)), hP, hQ)
     det = h11 * h22 - h12 * h12
-    err = (
-        e11 * abs(h22)
-        + e22 * abs(h11)
-        + 2 * abs(h12) * e12
-        + e11 * e22
-        + e12 * e12
-    )
+    err = e11 * abs(h22) + e22 * abs(h11) + 2 * abs(h12) * e12 + e11 * e22 + e12 * e12
     if det - err > INDEPENDENCE_THRESHOLD:
         return RegulatorResult(det, err, "independent")
     rel = _small_relation(E, P, Q, (h11, h22, h12), (e11, e22, e12), 20)
     if rel is not None:
         return RegulatorResult(det, err, "dependent", rel)
     return RegulatorResult(det, err, "inconclusive")
+
+
+def two_descent_independent(E: EllipticCurveQ, roots, P: PointQ, Q: PointQ) -> bool:
+    """True when complete 2-descent proves P and Q independent modulo
+    torsion, False when it cannot; roots are the e_i in Q with x^3 + A x +
+    B = (x - e1)(x - e2)(x - e3). delta(x, y) = (x - e1, x - e2), with x - e_i
+    read as (e_i - e_j)(e_i - e_k) at x = e_i, is an injective homomorphism
+    E(Q)/2E(Q) -> (Q*/Q*^2)^2 (Silverman, AEC X.1.4). The 4-torsion guard:
+    a point of E[2] - O with trivial delta lies in 2E(Q), so E(Q) may have
+    4-torsion and the test gives up; otherwise odd torsion maps to 1 and
+    delta(E(Q)_tors) = delta(E[2]). A primitive relation a P + b Q = T
+    survives mod 2, so delta(P), delta(Q) and delta(P) delta(Q) all outside
+    delta(E[2]) prove independence. Each test is is_square of a product."""
+    e1, e2, e3 = roots
+    if (e1 + e2 + e3, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3) != (0, E.A, E.B):
+        raise ValueError(f"{roots} are not the roots of x^3 + A x + B on {E}")
+
+    def delta(x):
+        return x - e1 or (e1 - e2) * (e1 - e3), x - e2 or (e2 - e1) * (e2 - e3)
+
+    torsion = [delta(e) for e in roots]  # delta(E[2] - O)
+    if any(is_square(a) and is_square(b) for a, b in torsion):
+        return False
+    (p1, p2), (q1, q2) = delta(P.x), delta(Q.x)
+    return not any(is_square(a * t1) and is_square(b * t2)
+                   for a, b in ((p1, p2), (q1, q2), (p1 * q1, p2 * q2))
+                   for t1, t2 in ((1, 1), *torsion))
 
 
 @cache
@@ -525,7 +541,7 @@ def _small_relation(E: EllipticCurveQ, P: PointQ, Q: PointQ, gram, errors, bound
         if (abs(a * a * h11 + 2 * a * b * h12 + b * b * h22)
                 > a * a * e11 + 2 * abs(a * b) * e12 + b * b * e22):
             continue
-        order = E.torsion_order(E._point(_jac_add(A, mult(JP, a), mult(JQ, b))))
+        order = _jac_order(A, _jac_add(A, mult(JP, a), mult(JQ, b)))
         if order is not None:
             return (a, b, order)
     return None
@@ -541,13 +557,11 @@ class Specialization:
 
     t0: Fraction
     curve: EllipticCurveQ
-    _map: tuple  # coefficients (u, v, w) with X = u x + v, Y = w y
+    chart: tuple  # (u, v, w) at t0, with X = u x + v, Y = w y
 
     def transport(self, x, y) -> PointQ:
-        u, v, w = self._map
-        X = u * Fraction(x) + v
-        Y = w * Fraction(y)
-        pt = PointQ(X, Y)
+        u, v, w = self.chart
+        pt = PointQ(u * Fraction(x) + v, w * Fraction(y))
         if not self.curve.is_on(pt):
             raise OffCurveError(f"transport of ({x}, {y}) left the curve")
         return pt
@@ -556,7 +570,7 @@ class Specialization:
         """Fibre coordinates (x, y) of a curve point, inverting transport."""
         if P.is_identity:
             raise ValueError("the identity has no affine fibre coordinates")
-        u, v, w = self._map
+        u, v, w = self.chart
         return (P.x - v) / u, P.y / w
 
 

@@ -26,7 +26,11 @@ height; see curves.regulator). The surface's invariants (short model,
 transport chart, rank bound) are computed once per surface object, not per
 candidate. Searches and verify_certificate both work on the fibred (twist
 or km) form, so a Weierstrass model hiding a twist is searched and verified
-in twist form (see config.fibred_surface).
+in twist form (see config.fibred_surface). verify_certificate settles a pair
+on a twist whose f splits over Q by complete 2-descent (Silverman AEC X.1.4;
+curves.two_descent_independent, with its 4-torsion guard), with no height;
+the regulator decides the pairs the descent leaves open, the pairs on km
+surfaces and the pairs on twists whose f does not split.
 
 With avoid set, any search keeps only parameter values outside the image
 of every cover of a finite challenge of quadratic covers; avoid_covers is
@@ -64,6 +68,7 @@ from .curves import (
     SingularSpecializationError,
     regulator,
     specialize,
+    two_descent_independent,
 )
 from .polynomial import RatPoly, poly_gcd
 from .surfaces import KMFamily, TwistFamily, to_weierstrass
@@ -377,10 +382,12 @@ def field_census(surface, x0_height_bound: int) -> CensusResult:
 def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[str]]:
     """Re-verify a certificate from scratch; returns (ok, failure reasons).
 
-    The surface is the fibred (twist or km) form the search ran on. Checks: the parameter avoids singular fibres, each point satisfies the
+    The surface is the fibred (twist or km) form the search ran on. Checks:
+    the parameter avoids singular fibres, each point satisfies the
     specialised curve equation exactly and pulls back to the claimed conic
-    fibre, no point is torsion, pairs pass the regulator threshold, and the
-    claimed bound matches the evidence.
+    fibre, no point is torsion, a pair is proved independent by 2-descent
+    or passes the regulator threshold, and the claimed bound matches the
+    evidence.
     """
     reasons = []
     try:
@@ -407,9 +414,13 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
     if reasons:
         return False, reasons
     if len(pts) == 2:
-        verdict = regulator(spec.curve, pts)
-        if not verdict.independent:
-            reasons.append(f"regulator verdict is {verdict.verdict}")
+        roots = surface.f_roots if isinstance(surface, TwistFamily) else None
+        u, v, _ = spec.chart
+        if roots is None or not two_descent_independent(
+                spec.curve, [u * r + v for r in roots], *pts):
+            verdict = regulator(spec.curve, pts)
+            if not verdict.independent:
+                reasons.append(f"regulator verdict is {verdict.verdict}")
     elif len(pts) != 1:
         reasons.append(f"unsupported point count {len(pts)}")
     r_bound, _ = rank_bound_data(surface)

@@ -243,21 +243,6 @@ def poly_discriminant(p: RatPoly) -> Fraction:
     raise UnsupportedDegreeError(f"discriminant for degree {p.degree}")
 
 
-def resultant(p: RatPoly, q: RatPoly) -> Fraction:
-    """Resultant of p and q over Q, by the Euclidean remainder sequence."""
-    if p.is_zero() or q.is_zero():
-        return Fraction(0)
-    a, b = p, q
-    res = Fraction(1)
-    while b.degree > 0:
-        r = a % b
-        if r.is_zero():
-            return Fraction(0)
-        res *= (-1) ** (a.degree * b.degree) * b.leading() ** (a.degree - r.degree)
-        a, b = b, r
-    return res * b.leading() ** a.degree
-
-
 def yun_squarefree(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
     """Yun's squarefree decomposition p = lc * prod q_i^i.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -23,10 +24,6 @@ from pathlib import Path
 from . import __version__
 from .config import SurfaceConfig, fibred_surface, surface_config_from_dict
 from .jumps import Budget, RankJumpCertificate, verify_certificate
-
-
-def _frac(s) -> Fraction:
-    return Fraction(s)
 
 
 @dataclass(frozen=True)
@@ -80,10 +77,10 @@ def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
     reg = data.get("regulator")
     cert = RankJumpCertificate(
         label=data["label"],
-        t0=_frac(data["t0"]),
-        curve=(_frac(data["curve"]["A"]), _frac(data["curve"]["B"])),
-        points=[(_frac(x), _frac(y)) for x, y in data["points"]],
-        provenance=[_frac(x0) for x0 in data["provenance"]],
+        t0=Fraction(data["t0"]),
+        curve=(Fraction(data["curve"]["A"]), Fraction(data["curve"]["B"])),
+        points=[(Fraction(x), Fraction(y)) for x, y in data["points"]],
+        provenance=[Fraction(x0) for x0 in data["provenance"]],
         generic_rank_bound=int(data["generic_rank_bound"]),
         rank_bound_exact=bool(data["rank_bound_exact"]),
         claimed_rank_lower_bound=int(data["claimed_rank_lower_bound"]),
@@ -110,7 +107,7 @@ def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, Fraction]]:
                 continue
             try:
                 data = json.loads(line)
-                out.add((surface_config_from_dict(data["surface"]).definition, _frac(data["t0"])))
+                out.add((surface_config_from_dict(data["surface"]).definition, Fraction(data["t0"])))
             except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError):
                 continue
     return out
@@ -118,7 +115,9 @@ def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, Fraction]]:
 
 def append_records(store_dir: str | Path, label: str, records) -> int:
     """Append records whose (surface definition, t0) is not yet stored;
-    returns how many were new. With none new the file is not touched."""
+    returns how many were new. With none new the file is not touched. The
+    batch goes out as one write on an O_APPEND descriptor, repeated only on
+    a short write, so concurrent appenders do not interleave lines."""
     path = store_file(store_dir, label)
     path.parent.mkdir(parents=True, exist_ok=True)
     known = stored_t0(store_dir, label)
@@ -129,8 +128,13 @@ def append_records(store_dir: str | Path, label: str, records) -> int:
             lines.append(rec.to_json() + "\n")
             known.add(key)
     if lines:
-        with path.open("a", encoding="utf-8") as fh:
-            fh.writelines(lines)
+        data = memoryview("".join(lines).encode("utf-8"))
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     return len(lines)
 
 

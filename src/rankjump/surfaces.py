@@ -99,6 +99,15 @@ class TwistFamily:
         return lead, (lead, lead.times(square_class(-poly_discriminant(self.g))))
 
     @cached_property
+    def f_roots(self) -> tuple[Fraction, Fraction, Fraction] | None:
+        """The rational roots r_i of f, None when f does not split over Q;
+        the chart carries them to the roots u r_i + v of every fibre."""
+        factors = factor_rational(self.f)[1]
+        if any(h.degree != 1 for h, _ in factors):
+            return None
+        return tuple(-h[0] for h, _ in factors)
+
+    @cached_property
     def chart(self) -> tuple[RatPoly, RatPoly, RatPoly]:
         """(u, v, w) in Q[t] with X = u x + v, Y = w y carrying the fibre
         over t onto the short model; u vanishes under the singular fibres."""

@@ -3,18 +3,35 @@
 These are independent of the library code paths they check: brute-force
 point searches on conics, exhaustive local non-solvability certificates,
 naive rational enumeration, and helpers the library no longer needs: the
-Fraction conic parametrisation and base-point sweep its integer ones must
-match, local solvability by Fraction Hilbert symbols on a general
-diagonalisation, the integral model found by factoring denominators, the
-formal-group multiple found by first hits and a restart, the archimedean
-height series term by term in mpmath, heights by the doubling limit, and
-fibre-relation and extension-class comparisons.
+resultant of two polynomials, the Fraction conic parametrisation and
+base-point sweep its integer ones must match, local solvability by
+Fraction Hilbert symbols on a general diagonalisation, the integral model
+found by factoring denominators, the formal-group multiple found by first
+hits and a restart, the archimedean height series term by term in mpmath,
+heights by the doubling limit, and fibre-relation and extension-class
+comparisons.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+
+
+def resultant(p, q) -> Fraction:
+    """Resultant of RatPolys p and q over Q, by the Euclidean remainder
+    sequence; the discriminant's oracle, since the library needs neither."""
+    if p.is_zero() or q.is_zero():
+        return Fraction(0)
+    a, b = p, q
+    res = Fraction(1)
+    while b.degree > 0:
+        r = a % b
+        if r.is_zero():
+            return Fraction(0)
+        res *= (-1) ** (a.degree * b.degree) * b.leading() ** (a.degree - r.degree)
+        a, b = b, r
+    return res * b.leading() ** a.degree
 
 
 def int_is_square(n: int) -> bool:

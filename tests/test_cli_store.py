@@ -16,6 +16,7 @@ from rankjump.config import (
     parse_surface_config,
     surface_config_from_dict,
 )
+from rankjump.curves import point, specialize
 from rankjump.jumps import Budget, jump1
 from rankjump.store import (
     CertificateRecord,
@@ -52,6 +53,28 @@ a0 = -3, 1, -2
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# append_records of count copies of the record in the file line, with t0 =
+# first, first + 1, ..., as soon as the file go exists. The lines are
+# serialised before that, so that two such processes write at the same time.
+APPENDER = """
+import sys
+from dataclasses import replace
+from pathlib import Path
+from rankjump.store import CertificateRecord, append_records, record_from_json
+
+store, line, first, count, go = sys.argv[1:]
+first, count, go = int(first), int(count), Path(go)
+rec = record_from_json(Path(line).read_text())
+batch = [CertificateRecord(replace(rec.certificate, t0=first + i), rec.surface, rec.budget)
+         for i in range(count)]
+lines = {r.certificate.t0: r.to_json() for r in batch}
+CertificateRecord.to_json = lambda r: lines[r.certificate.t0]
+print("ready", flush=True)
+while not go.exists():
+    pass
+print(append_records(store, rec.surface.label, batch))
+"""
 
 
 class TestConfig:
@@ -141,6 +164,30 @@ class TestStore(object):
         lines[0] = json.dumps(data, sort_keys=True, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n")
         assert append_records(tmp_path, cfg.label, records) == 0
+
+    def test_concurrent_appends_keep_whole_lines(self, tmp_path):
+        # two processes append batches of far more than 64 KiB to one store
+        # file at the same moment; every line must still parse as a record.
+        # The lines are a few KiB, shorter than a usual 8 KiB write buffer,
+        # so a writer that sends fixed-size pieces would cut some of them.
+        records, _ = self._records(1)
+        records[0].certificate.label = "x" * 3000
+        line, count = tmp_path / "line.json", 3000
+        line.write_text(records[0].to_json())
+        assert line.stat().st_size * count > 100 * 65536
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        go = tmp_path / "go"
+        procs = [subprocess.Popen([sys.executable, "-c", APPENDER, str(tmp_path / "store"),
+                                   str(line), str(first), str(count), str(go)],
+                                  stdout=subprocess.PIPE, text=True, env=env)
+                 for first in (1, 10**6)]
+        assert [proc.stdout.readline() for proc in procs] == ["ready\n"] * 2
+        go.touch()
+        assert [proc.communicate(timeout=60)[0] for proc in procs] == [f"{count}\n"] * 2
+        assert [proc.returncode for proc in procs] == [0, 0]
+        lines = next((tmp_path / "store").glob("*.jsonl")).read_text().splitlines()
+        t0s = sorted(record_from_json(l).certificate.t0 for l in lines)
+        assert t0s == [*range(1, count + 1), *range(10**6, 10**6 + count)]
 
     def test_verify_good_store(self, tmp_path):
         records, cfg = self._records()
@@ -287,6 +334,32 @@ class TestCli:
         x, y = data["points"][0]
         data["points"][1] = [x, str(-Fraction(y))]
         data["provenance"][1] = data["provenance"][0]
+        path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+        assert main(["verify", "--store", store]) == 4
+        assert "FAIL: regulator verdict is dependent" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("forgery", ["plus 2-torsion", "triple"])
+    def test_verify_forged_split_twist_pair_exit_4(self, tmp_path, capsys, forgery):
+        # a split-twist rank-2 record whose second point is P + T, T in E[2],
+        # or 3P, pulled back to its own fibre: the 2-descent cannot prove
+        # such a pair independent, and the regulator finds it dependent
+        cfg = str(ROOT / "configs" / "split-twist.cfg")
+        store = str(tmp_path / "store")
+        assert main(["jump", "--config", cfg, "--rank", "2", "--budget", "18,10,1",
+                     "--store", store]) == 0
+        capsys.readouterr()
+        path = next(Path(store).glob("*.jsonl"))
+        data = json.loads(path.read_text().splitlines()[0])
+        surface = build_surface(parse_surface_config(Path(cfg).read_text()))
+        spec = specialize(surface, Fraction(data["t0"]))
+        E, P = spec.curve, point(*data["points"][0])
+        if forgery == "triple":
+            Q = E.scalar_mul(3, P)
+        else:
+            u, v, _ = spec.chart
+            Q = E.add(P, point(u * surface.f_roots[0] + v, 0))
+        data["points"][1] = [str(Q.x), str(Q.y)]
+        data["provenance"][1] = str(spec.pullback(Q)[0])
         path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
         assert main(["verify", "--store", store]) == 4
         assert "FAIL: regulator verdict is dependent" in capsys.readouterr().out

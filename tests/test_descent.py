@@ -1,0 +1,184 @@
+"""Complete 2-descent (curves.two_descent_independent) against the regulator
+and against constructed relations, on curves with full rational 2-torsion:
+y^2 = (x - e1)(x - e2)(x - e3) through a drawn point, random split twists
+g(t) y^2 = f(x) carrying two drawn points, and y^2 = x(x + r^2)(x + s^2),
+where (0, 0) lies in 2E(Q). verify_certificate settles the pairs of the
+shipped twists by the descent alone, with no height."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from rankjump.arith import is_square, rational_sqrt
+from rankjump.curves import (
+    IDENTITY,
+    EllipticCurveQ,
+    point,
+    regulator,
+    specialize,
+    two_descent_independent,
+)
+from rankjump.jumps import Budget, jump2, verify_certificate
+from rankjump.polynomial import RatPoly
+from rankjump.surfaces import TwistFamily
+
+X = RatPoly.gen()
+small = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+
+
+def short_model(roots):
+    """y^2 = (x - e1)(x - e2)(x - e3) moved to x^3 + A x + B by x -> x + m;
+    returns the curve, its roots and m."""
+    m = sum(map(Fraction, roots)) / 3
+    e1, e2, e3 = (r - m for r in roots)
+    return EllipticCurveQ(e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3), [e1, e2, e3], m
+
+
+def two_torsion(roots):
+    return [IDENTITY] + [point(e, 0) for e in roots]
+
+
+@st.composite
+def split_curves(draw):
+    """y^2 = (x - e1)(x - e2)(x - e3) with e3 solved so that it passes
+    through a drawn non-torsion point R."""
+    e1, e2 = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+    x0, y0 = draw(small), draw(small.filter(bool))
+    assume(e1 != e2 and x0 not in (e1, e2))
+    e3 = x0 - y0 * y0 / ((x0 - e1) * (x0 - e2))
+    assume(e3 not in (e1, e2))
+    E, roots, m = short_model((e1, e2, e3))
+    R = point(x0 - m, y0)
+    assume(E.torsion_order(R) is None)
+    return E, roots, R
+
+
+@st.composite
+def split_twists(draw):
+    """A twist g(t) y^2 = f(x) with f = l (x - r1)(x - r2)(x - r3) and
+    g = f(0) t, at t = 1, with the points over x = 0 and x = 1 and the roots
+    the surface's chart carries there. r3 = c/(c + k^2) with c = -r1 r2 (1 -
+    r1)(1 - r2) makes f(0) f(1) a square, so both fibres have points."""
+    r1, r2, k = draw(small), draw(small), draw(small.filter(bool))
+    lead = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+    assume(r1 != r2 and not {r1, r2} & {0, 1})
+    c = -r1 * r2 * (1 - r1) * (1 - r2)
+    assume(c + k * k != 0)
+    r3 = c / (c + k * k)
+    assume(r3 not in (0, 1, r1, r2))
+    f = lead * (X - r1) * (X - r2) * (X - r3)
+    surface = TwistFamily(f, RatPoly([0, f(0)]))
+    spec = specialize(surface, 1)
+    P, Q = spec.transport(0, 1), spec.transport(1, rational_sqrt(f(1) / f(0)))
+    assume(spec.curve.torsion_order(P) is None and spec.curve.torsion_order(Q) is None)
+    u, v, _ = spec.chart
+    return spec.curve, [u * r + v for r in surface.f_roots], P, Q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(split_curves(), split_twists().map(lambda c: c[:3])),
+       st.integers(-3, 3), st.integers(0, 3))
+def test_constructed_dependent_pairs_are_never_proved_independent(curve, a, i):
+    # delta((2a+1) R + T) delta(2R + T) = delta(R): the relation survives mod 2
+    E, roots, R = curve
+    T = two_torsion(roots)[i]
+    P1, Q1 = E.add(E.scalar_mul(2 * a + 1, R), T), E.add(E.scalar_mul(2, R), T)
+    assert not two_descent_independent(E, roots, P1, Q1)
+    assert not two_descent_independent(E, roots, Q1, P1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(split_twists(), st.tuples(*[st.integers(-2, 2)] * 4), st.integers(0, 3), st.integers(0, 3))
+def test_descent_independent_is_never_regulator_dependent(twist, coeffs, i, j):
+    E, roots, P, Q = twist
+    a, b, c, d = coeffs
+    T = two_torsion(roots)
+    P1 = E.add(E.add(E.scalar_mul(a, P), E.scalar_mul(b, Q)), T[i])
+    Q1 = E.add(E.add(E.scalar_mul(c, P), E.scalar_mul(d, Q)), T[j])
+    assume(E.torsion_order(P1) is None and E.torsion_order(Q1) is None)
+    if two_descent_independent(E, roots, P1, Q1):
+        assert a * d - b * c != 0
+        assert regulator(E, [P1, Q1]).verdict != "dependent"
+
+
+# (r, s, x) with a non-torsion point R = (x, y) on y^2 = x(x + r^2)(x + s^2)
+# whose delta lies outside the span of delta(E(Q)_tors), found by a search
+HALVABLE = [(1, 7, 1), (1, 10, -2), (1, 11, 4), (1, 12, 3), (2, 5, 2), (2, 9, 3),
+            (4, 11, 4), (5, 7, 5), (5, 9, 3), (6, 7, 3), (7, 10, 2), (7, 11, 7)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HALVABLE), st.integers(-2, 2), st.integers(0, 3))
+def test_halvable_two_torsion_is_inconclusive(curve, k, i):
+    # (0, 0) = 2 P4 with P4 = (rs, rs(r + s)), so E(Q) has 4-torsion and
+    # delta(P4) lies outside delta(E[2]): the pair R', R' + P4 passes the
+    # comparisons with delta(E[2]) although P4 makes it dependent
+    r, s, x = curve
+    E, roots, m = short_model((0, -r * r, -s * s))
+    R = point(x - m, rational_sqrt(x * (x + r * r) * (x + s * s)))
+    P4 = point(r * s - m, r * s * (r + s))
+    assert E.scalar_mul(2, P4) == point(-m, 0)
+    R1 = E.add(E.scalar_mul(2 * k + 1, R), two_torsion(roots)[i])
+    R2 = E.add(R1, P4)
+    delta = [(Z.x - roots[0], Z.x - roots[1]) for Z in (R1, R2, P4)]
+    for d1, d2 in delta:
+        assert not any(is_square(d1 * t1) and is_square(d2 * t2)
+                       for t1, t2 in [(1, 1), (-1, r * r - s * s)])  # delta(E[2])
+    assert not two_descent_independent(E, roots, R1, R2)
+    assert regulator(E, [R1, R2]).verdict == "dependent"
+
+
+def test_roots_must_be_the_curves():
+    E, roots, _ = short_model((0, 1, -1))
+    with pytest.raises(ValueError):
+        two_descent_independent(E, [r + 1 for r in roots], point(0, 0), point(0, 0))
+
+
+def test_f_roots():
+    assert TwistFamily(X**3 - X, X).f_roots == (1, 0, -1)
+    f = 2 * (X - 3) * (X + Fraction(1, 2)) * X
+    assert sorted(TwistFamily(f, X**2 - 1).f_roots) == [Fraction(-1, 2), 0, 3]
+    assert TwistFamily(X**3 - 2, X).f_roots is None
+    assert TwistFamily(X**3 + X, X).f_roots is None
+
+
+# g and budget of the seed-0 rank-2 benchmark commands on the shipped
+# twists, split-twist and usual-twist
+SHIPPED_TWISTS = [(X**2 - 1, Budget(18, 10, 5)), (X, Budget(12, 10, 5))]
+
+
+@pytest.fixture(scope="module")
+def twist_certificates():
+    out = []
+    for g, budget in SHIPPED_TWISTS:
+        surface = TwistFamily(X**3 - X, g)
+        out += [(surface, cert) for cert in jump2(surface, budget)]
+    return out
+
+
+def test_shipped_twist_pairs_verify_without_heights(twist_certificates, monkeypatch):
+    def no_height(*args, **kwargs):
+        raise AssertionError("a height was computed")
+
+    monkeypatch.setattr("rankjump.curves._height", no_height)
+    monkeypatch.setattr("rankjump.curves.canonical_height", no_height)
+    assert len(twist_certificates) == 10
+    for surface, cert in twist_certificates:
+        ok, reasons = verify_certificate(surface, cert)
+        assert ok, reasons
+
+
+def test_inconclusive_descent_falls_back_to_the_regulator(twist_certificates, monkeypatch):
+    calls = []
+
+    def counting_regulator(E, points):
+        calls.append(points)
+        return regulator(E, points)
+
+    monkeypatch.setattr("rankjump.jumps.two_descent_independent", lambda *args: False)
+    monkeypatch.setattr("rankjump.jumps.regulator", counting_regulator)
+    for surface, cert in twist_certificates[:2]:
+        ok, reasons = verify_certificate(surface, cert)
+        assert ok, reasons
+    assert len(calls) == 2

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import resultant
 from rankjump.arith import DomainError
 from rankjump.polynomial import (
     PLACE_AT_INFINITY,
@@ -13,7 +14,6 @@ from rankjump.polynomial import (
     factor_rational,
     poly_discriminant,
     poly_gcd,
-    resultant,
     squarefree_kernel,
     valuation,
     yun_squarefree,
@@ -81,6 +81,15 @@ class TestDiscriminant:
     def test_unsupported_degree(self):
         with pytest.raises(UnsupportedDegreeError):
             poly_discriminant(T**4 + 1)
+
+    @given(st.sampled_from([2, 3]),
+           st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9)),
+                    min_size=4, max_size=4))
+    def test_discriminant_is_the_resultant_with_the_derivative(self, n, cs):
+        # disc(p) = (-1)^(n(n-1)/2) res(p, p') / lc(p) for p of degree n
+        p = RatPoly(cs[:n] + [cs[n] or 1])
+        sign = (-1) ** (n * (n - 1) // 2)
+        assert poly_discriminant(p) == sign * resultant(p, p.derivative()) / p.leading()
 
     def test_gcd_detects_separability(self):
         rng = random.Random(7)
