@@ -37,12 +37,16 @@ EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
 
-def _load_config(path: str):
+def _read_input(path: str, what: str) -> str:
+    """The text of a config or cover file; unreadable or non-UTF-8 is a ConfigError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return parse_surface_config(text)
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _load_config(path: str):
+    return parse_surface_config(_read_input(path, "config"))
 
 
 def _parse_budget(spec: str) -> Budget:
@@ -90,7 +94,7 @@ def cmd_jump(args) -> int:
     budget = _parse_budget(args.budget)
     challenge = None
     if args.avoid:
-        polys = parse_cover_file(Path(args.avoid).read_text(encoding="utf-8"))
+        polys = parse_cover_file(_read_input(args.avoid, "cover file"))
         try:
             challenge = CoverChallenge(tuple(polys))
         except ValueError as exc:
@@ -213,10 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

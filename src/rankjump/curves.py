@@ -31,7 +31,6 @@ Math. Comp. 51 (1988), section 5) from three valuations.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -123,22 +122,19 @@ class EllipticCurveQ:
         return int(self.A * mu**4), int(self.B * mu**6), mu
 
     @cached_property
-    def _minimal_model(self) -> tuple[int, int, Fraction]:
+    def integral_model(self) -> tuple[int, int, Fraction]:
+        """(Ai, Bi, lam): integer coefficients with x -> lam^2 x, y -> lam^3 y,
+        reduced so no prime p has p^4 | Ai and p^6 | Bi. With lam > 0 that
+        model is unique, so it is the lcm-scaled model divided by one
+        minimal_shift per prime of gcd(A mu^4, B mu^6); the heights use it."""
         Ai, Bi, mu = self._scaled_model
         common, u = gcd(Ai, Bi), 1
         for p in prime_factors(common) if common > 1 else ():
             u *= p ** minimal_shift(_vp(Ai, p) if Ai else None, _vp(Bi, p) if Bi else None)
         return Ai // u**4, Bi // u**6, Fraction(mu, u)
 
-    def integral_model(self):
-        """(Ai, Bi, lam): integer coefficients with x -> lam^2 x, y -> lam^3 y,
-        reduced so no prime p has p^4 | Ai and p^6 | Bi. With lam > 0 that
-        model is unique, so it is the lcm-scaled model divided by one
-        minimal_shift per prime of gcd(A mu^4, B mu^6); the heights use it."""
-        return self._minimal_model
-
     def discriminant_integral(self) -> int:
-        Ai, Bi, _ = self.integral_model()
+        Ai, Bi, _ = self.integral_model
         return -16 * (4 * Ai**3 + 27 * Bi**2)
 
     @cached_property
@@ -263,16 +259,6 @@ class HeightData:
     detail: dict = field(default_factory=dict, compare=False)
 
 
-def _working_digits(default: int = 60) -> int:
-    env = os.environ.get("RANKJUMP_PRECISION")
-    if env:
-        try:
-            return max(30, int(env))
-        except ValueError:
-            pass
-    return default
-
-
 def _lambda_infinity(Ai: int, Bi: int, x: Fraction, y: Fraction, terms: int, mp):
     """Archimedean local height of (x, y) on y^2 = x^3 + Ai x + Bi by the
     duplication series lambda(P) = (1/4)(lambda(2P) + log|2y(P)|) (Silverman,
@@ -368,7 +354,7 @@ def _formal_multiple(E: EllipticCurveQ, P: PointQ) -> tuple[int, PointQ]:
     raise PrecisionError("formal-group multiple exceeds the size cap")
 
 
-def canonical_height(E: EllipticCurveQ, P: PointQ, series_terms: int | None = None) -> HeightData:
+def canonical_height(E: EllipticCurveQ, P: PointQ) -> HeightData:
     """Neron-Tate height of P, with error bound, by local decomposition.
 
     Uses the normalisation with hhat(P) = (1/2) lim 4^{-n} h(x(2^n P)), so
@@ -379,20 +365,21 @@ def canonical_height(E: EllipticCurveQ, P: PointQ, series_terms: int | None = No
     order = E.torsion_order(P)
     if order is not None:
         return HeightData(0.0, 0.0, "torsion", {"order": order})
-    return _height(E, P, series_terms)
+    return _height(E, P)
 
 
-def _height(E: EllipticCurveQ, P: PointQ, series_terms: int | None = None) -> HeightData:
-    """canonical_height of a point known to lie on E and to be non-torsion."""
+def _height(E: EllipticCurveQ, P: PointQ) -> HeightData:
+    """canonical_height of a point known to lie on E and to be non-torsion,
+    at 60 digits and 48 series terms; each PrecisionError doubles the digits
+    and adds 16 terms, up to three times."""
     import mpmath
 
-    Ai, Bi, lam = E.integral_model()
+    Ai, Bi, lam = E.integral_model
     disc = E.discriminant_integral()
     m, Q = _formal_multiple(EllipticCurveQ(Ai, Bi), PointQ(P.x * lam**2, P.y * lam**3))
     x, y = Q.x, Q.y
     corrections = _finite_corrections(Ai, Bi, disc, E._discriminant_primes, x, y)
-    dps = _working_digits()
-    terms = series_terms or 48
+    dps, terms = 60, 48
     last_exc = None
     for attempt in range(4):
         try:
@@ -409,7 +396,7 @@ def _height(E: EllipticCurveQ, P: PointQ, series_terms: int | None = None) -> He
                 value,
                 tail + guard + abs(value) * 1e-15,
                 "local-heights",
-                {"multiple": m, "series_terms": terms, "digits": dps},
+                {"multiple": m, "terms": terms, "digits": dps},
             )
         except PrecisionError as exc:
             last_exc = exc
@@ -460,18 +447,13 @@ def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
     dependent-looking pairs the first relation a P + b Q = torsion with
     |a|, |b| <= 20 that the Gram matrix allows is checked exactly and
     reported; when neither outcome can be certified the verdict is
-    "inconclusive".
+    "inconclusive". Only pairs are accepted.
     """
+    if len(points) != 2:
+        raise ValueError("regulator verdicts are implemented for pairs of points")
     A, Js = E._scaled_model[0], [E._jac(P) for P in points]
     if any(J is None or _jac_order(A, J) is not None for J in Js):
         raise ValueError("regulator requires non-torsion points")
-    if len(points) == 1:
-        h = _height(E, points[0])
-        if h.value - h.error > INDEPENDENCE_THRESHOLD:
-            return RegulatorResult(h.value, h.error, "independent")
-        return RegulatorResult(h.value, h.error, "inconclusive")
-    if len(points) != 2:
-        raise ValueError("regulator verdicts are implemented for 1 or 2 points")
     (P, Q), (JP, JQ) = points, Js
     JS = _jac_add(A, JP, JQ)
     for b, J in ((1, JS), (-1, _jac_add(A, JP, (JQ[0], -JQ[1], JQ[2])))):

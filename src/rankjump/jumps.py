@@ -16,9 +16,9 @@ have identical branch loci (reducible fibre product) are skipped.
 All three searches take their fibres from one source, _fibres, fed x0 in
 the height order of conics.rationals_by_height; it yields the solvable
 fibres and counts tried, degenerate and unsolvable ones. jump1 reads it one
-height stage at a time; jump2 reads it lazily, forms each pair as its later
-fibre arrives and builds no fibre after its certificate count is reached,
-so its fibres tried are those built before it stopped. The searches only
+height stage at a time; jump2 reads it lazily in one loop, forms each pair
+as its later fibre arrives and builds no fibre after its certificate count
+is reached, so its fibres tried are those built before it stopped. The searches only
 propose a parameter value t0 with fibre points over it; one certification
 stage specialises, transports, rejects torsion and asks the regulator about
 pairs (a pair with P + Q or P - Q torsion is settled exactly, without a
@@ -45,6 +45,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 
 from .arith import is_square, rational_sqrt
@@ -234,80 +235,65 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
           label: str = "surface", log: SearchLog | None = None):
     """Certificates of two independent points over one parameter value.
 
+    Each solvable fibre pairs with the earlier ones, in arrival order, as it
+    arrives; the family's pair source proposes (t0, fibre points) per pair.
     Only pairs whose regulator verdict is "independent" are emitted;
-    dependent and inconclusive pairs are logged and skipped.
+    dependent and inconclusive pairs are logged and skipped. On a twist all
+    shared-value points of a pair transport to one fixed pair on the
+    twist-reduced curve, so its first verdict settles the pair.
     """
     log = log if log is not None else SearchLog()
     if isinstance(surface, TwistFamily):
-        yield from _jump2_shared_value(surface, budget, avoid, label, log)
+        pair_points, settles = partial(_shared_value_points, surface.f, budget.param_height), True
     elif isinstance(surface, KMFamily):
-        yield from _jump2_stream_intersection(surface, budget, avoid, label, log)
+        pair_points, settles = partial(_intersection_points, {}, budget.param_height), False
     else:
         raise TypeError("jump2 needs a twist or quadratic-coefficient family")
-
-
-def _jump2_shared_value(surface: TwistFamily, budget: Budget,
-                        avoid: CoverChallenge | None, label: str, log: SearchLog):
-    f = surface.f
-    # group the solvable fibres by quadratic-extension class as they arrive;
-    # fibres of one class have a square value ratio, so they are solvable
-    # together, and each new fibre pairs with the earlier ones of its class
-    by_class: dict[QuadExtClass, list[ConicFibre]] = {}
     seen: set[Fraction] = set()
-    for other in _fibres(surface, rationals_by_height(budget.x0_height), log):
-        partners = by_class.setdefault(other.ext_class, [])
-        for src in partners:
-            # points flow along the earlier fibre; the partner point over the
-            # same t0 comes from the shared class
-            ratio = rational_sqrt(f(other.x0) / f(src.x0))
-            assert ratio is not None, "fibres in one class have a square value ratio"
-            for t0, w in parametrize(src, budget.param_height):
-                out = _certify(surface, t0, [(src.x0, w), (other.x0, w * ratio)],
-                               seen, avoid, label, log)
+    earlier: list[ConicFibre] = []
+    for fib in _fibres(surface, rationals_by_height(budget.x0_height), log):
+        for src in earlier:
+            for t0, points in pair_points(src, fib):
+                out = _certify(surface, t0, points, seen, avoid, label, log)
                 if isinstance(out, RankJumpCertificate):
                     yield out
                     if len(seen) >= budget.count:
                         return
-                elif out is not None:
-                    # all shared-value points of this pair transport to one
-                    # fixed pair on the twist-reduced curve, so one verdict
-                    # settles it
+                elif out is not None and settles:
                     break
-        partners.append(other)
+        earlier.append(fib)
 
 
-def _jump2_stream_intersection(surface: KMFamily, budget: Budget,
-                               avoid: CoverChallenge | None, label: str, log: SearchLog):
-    fibres: list[ConicFibre] = []
-    streams: dict[int, dict[Fraction, Fraction]] = {}
+def _shared_value_points(f: RatPoly, param_height: int, src: ConicFibre, other: ConicFibre):
+    """Twist pairs: fibres of one quadratic-extension class have a square
+    value ratio, so points flow along the earlier fibre and the partner
+    point over the same t0 is w sqrt(f(x0') / f(x0))."""
+    if src.ext_class != other.ext_class:
+        return
+    ratio = rational_sqrt(f(other.x0) / f(src.x0))
+    assert ratio is not None, "fibres in one class have a square value ratio"
+    for t0, w in parametrize(src, param_height):
+        yield t0, [(src.x0, w), (other.x0, w * ratio)]
 
-    def stream(i: int) -> dict[Fraction, Fraction]:
-        """t0 -> w of the first point over t0 of fibre i, in t0 order."""
-        if i not in streams:
+
+def _intersection_points(streams: dict, param_height: int, src: ConicFibre, other: ConicFibre):
+    """km pairs: the t0 common to both fibres' point streams, in the later
+    fibre's t0 order; pairs with a reducible fibre product (identical branch
+    loci) are skipped. streams caches t0 -> w of the first point over t0 of
+    each fibre, by x0, in t0 order."""
+    if fibre_product_genus(src.branch, other.branch) == REDUCIBLE:
+        return
+    for fib in (src, other):
+        if fib.x0 not in streams:
             pts: dict[Fraction, Fraction] = {}
-            for t0, w in parametrize(fibres[i], budget.param_height):
+            for t0, w in parametrize(fib, param_height):
                 pts.setdefault(t0, w)
-            streams[i] = dict(sorted(pts.items(),
-                                     key=lambda kv: (height(kv[0]), kv[0] < 0, kv[0])))
-        return streams[i]
-
-    seen: set[Fraction] = set()
-    # each fibre pairs with the earlier ones as it arrives
-    for j, fib in enumerate(_fibres(surface, rationals_by_height(budget.x0_height), log)):
-        fibres.append(fib)
-        for i in range(j):
-            if fibre_product_genus(fibres[i].branch, fib.branch) == REDUCIBLE:
-                continue
-            base = stream(i)
-            for t0, w_j in stream(j).items():
-                if t0 not in base:
-                    continue
-                out = _certify(surface, t0, [(fibres[i].x0, base[t0]), (fib.x0, w_j)],
-                               seen, avoid, label, log)
-                if isinstance(out, RankJumpCertificate):
-                    yield out
-                    if len(seen) >= budget.count:
-                        return
+            streams[fib.x0] = dict(sorted(pts.items(),
+                                          key=lambda kv: (height(kv[0]), kv[0] < 0, kv[0])))
+    base = streams[src.x0]
+    for t0, w in streams[other.x0].items():
+        if t0 in base:
+            yield t0, [(src.x0, base[t0]), (other.x0, w)]
 
 
 def avoid_covers(surface, challenge: CoverChallenge, budget: Budget,

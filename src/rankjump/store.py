@@ -5,7 +5,9 @@ optional run stamp, serialised with sorted keys and exact rationals as
 strings, so identical runs produce byte-identical streams. The store is a
 directory of .jsonl files keyed by a hash of the surface label; re-runs
 append only parameter values not already present for the same surface
-definition, so unlabelled surfaces sharing a file lose nothing.
+definition, so unlabelled surfaces sharing a file lose nothing. Store files
+are read as bytes, one line at a time, and each line is decoded as UTF-8
+on its own, so a line that does not decode is one unreadable record.
 
 Records are verified in the fibred (twist or km) form of their config, the
 form the search ran in; a batch builds that form once per distinct surface
@@ -14,6 +16,7 @@ definition.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -102,39 +105,44 @@ def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, Fraction]]:
     path = store_file(store_dir, label)
     out = set()
     if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                out.add((surface_config_from_dict(data["surface"]).definition, Fraction(data["t0"])))
-            except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError):
-                continue
+        with path.open("rb") as lines:
+            for line in lines:
+                if not line.strip():
+                    continue
+                try:
+                    data = json.loads(line.decode("utf-8"))
+                    out.add((surface_config_from_dict(data["surface"]).definition,
+                             Fraction(data["t0"])))
+                except (ArithmeticError, AttributeError, KeyError, RecursionError, TypeError,
+                        ValueError):  # RecursionError: JSON nested too deep
+                    continue
     return out
 
 
 def append_records(store_dir: str | Path, label: str, records) -> int:
     """Append records whose (surface definition, t0) is not yet stored;
-    returns how many were new. With none new the file is not touched. The
-    batch goes out as one write on an O_APPEND descriptor, repeated only on
-    a short write, so concurrent appenders do not interleave lines."""
+    returns how many were new. An empty batch opens nothing; with none new
+    the file is left as it was. The stored keys are read and the new lines
+    appended under one exclusive flock on the file, so concurrent appenders
+    store each key once, and the lines go out in one O_APPEND write,
+    repeated only on a short write, so they do not interleave."""
     path = store_file(store_dir, label)
     path.parent.mkdir(parents=True, exist_ok=True)
-    known = stored_t0(store_dir, label)
-    lines = []
-    for rec in records:
-        key = (rec.surface.definition, rec.certificate.t0)
-        if key not in known:
-            lines.append(rec.to_json() + "\n")
-            known.add(key)
-    if lines:
+    records = list(records)
+    if not records:
+        return 0
+    with path.open("ab") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
+        known = stored_t0(store_dir, label)
+        lines = []
+        for rec in records:
+            key = (rec.surface.definition, rec.certificate.t0)
+            if key not in known:
+                lines.append(rec.to_json() + "\n")
+                known.add(key)
         data = memoryview("".join(lines).encode("utf-8"))
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
+        while data:
+            data = data[os.write(fh.fileno(), data):]
     return len(lines)
 
 
@@ -149,31 +157,32 @@ class VerificationReport:
 
 
 def verify_store(store_dir: str | Path) -> list[VerificationReport]:
-    """Independently re-verify every stored record; corrupt lines are
-    reported but do not abort the batch."""
+    """Independently re-verify every stored record, streaming each file;
+    corrupt lines are reported but do not abort the batch."""
     reports = []
     surfaces = {}  # fibred surface by surface definition, for this batch
     configs = {}  # SurfaceConfig by canonical JSON of its dict, for this batch
     for path in sorted(Path(store_dir).glob("*.jsonl")):
-        results = []
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                key = json.dumps(data["surface"], sort_keys=True)
-                cfg = configs[key] = configs.get(key) or surface_config_from_dict(data["surface"])
-                rec = _record(data, cfg)
-            except Exception as exc:
-                results.append((lineno, False, [f"corrupt record: {exc}"]))
-                continue
-            try:
-                key = rec.surface.definition
-                if key not in surfaces:
-                    surfaces[key] = fibred_surface(rec.surface)
-                ok, reasons = verify_certificate(surfaces[key], rec.certificate)
-            except Exception as exc:
-                ok, reasons = False, [f"verification error: {exc}"]
-            results.append((lineno, ok, reasons))
+        with path.open("rb") as lines:
+            results = [(lineno, *_verify_line(line, configs, surfaces))
+                       for lineno, line in enumerate(lines, 1) if line.strip()]
         reports.append(VerificationReport(str(path), results))
     return reports
+
+
+def _verify_line(line: bytes, configs: dict, surfaces: dict) -> tuple[bool, list[str]]:
+    """(ok, reasons) of one stored line, with verify_store's batch caches."""
+    try:
+        data = json.loads(line.decode("utf-8"))
+        key = json.dumps(data["surface"], sort_keys=True)
+        cfg = configs[key] = configs.get(key) or surface_config_from_dict(data["surface"])
+        rec = _record(data, cfg)
+    except Exception as exc:
+        return False, [f"corrupt record: {exc}"]
+    try:
+        key = rec.surface.definition
+        if key not in surfaces:
+            surfaces[key] = fibred_surface(rec.surface)
+        return verify_certificate(surfaces[key], rec.certificate)
+    except Exception as exc:
+        return False, [f"verification error: {exc}"]

@@ -139,7 +139,7 @@ def test_criterion_2_twist_roundtrip():
 def _normal_form(s: TwistFamily):
     P, Q, _, _ = s.short_cubic()
     lg = s.g.leading()
-    Ai, Bi, _ = EllipticCurveQ(P * lg**2, Q * lg**3).integral_model()
+    Ai, Bi, _ = EllipticCurveQ(P * lg**2, Q * lg**3).integral_model
     return Ai, Bi, s.g.monic()
 
 

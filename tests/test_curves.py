@@ -265,18 +265,18 @@ class TestJacobianLawAgainstOracle:
 class TestIntegralModel:
     def test_clears_denominators(self):
         E = EllipticCurveQ(Fraction(-9, 64), 0)
-        Ai, Bi, lam = E.integral_model()
+        Ai, Bi, lam = E.integral_model
         assert Ai == -36 and Bi == 0 and lam == 4
         assert Fraction(Ai) == E.A * lam**4
 
     def test_reduces_large_powers(self):
         E = EllipticCurveQ(-16 * 36, 0)  # = -36 * 2^4
-        Ai, _, lam = E.integral_model()
+        Ai, _, lam = E.integral_model
         assert Ai == -36 and lam == Fraction(1, 2)
 
     def test_irreducible_pair_untouched(self):
         E = EllipticCurveQ(-36, 0)
-        Ai, Bi, lam = E.integral_model()
+        Ai, Bi, lam = E.integral_model
         assert (Ai, Bi, lam) == (-36, 0, 1)
 
     @settings(max_examples=200, deadline=None)
@@ -287,7 +287,7 @@ class TestIntegralModel:
     def test_matches_model_by_denominators(self, A, B):
         # the reduced integral model with lam > 0 is unique, however it is found
         assume(4 * A**3 + 27 * B**2 != 0)
-        model = EllipticCurveQ(A, B).integral_model()
+        model = EllipticCurveQ(A, B).integral_model
         assert model == integral_model_by_denominators(A, B)
 
 

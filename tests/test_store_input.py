@@ -1,0 +1,199 @@
+"""Input the program did not write: store, config and cover files holding
+bytes that are not UTF-8, store lines that are malformed JSON or malformed
+records, and a second writer holding the store lock.
+
+A store line is decoded on its own, so a bad line is one corrupt record
+for verify (exit 4) and one skipped line for census and jump; a config or
+cover file that does not decode is invalid input (exit 2). No case may end
+in a traceback.
+"""
+
+import contextlib
+import fcntl
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from rankjump.cli import main
+from rankjump.config import build_surface, parse_surface_config
+from rankjump.jumps import Budget, jump1
+from rankjump.store import CertificateRecord, record_from_json, store_file
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TWIST_CFG = """\
+kind = twist
+label = usual-twist
+f = 0, -1, 0, 1    # x^3 - x
+g = 0, 1
+"""
+
+
+def _record(index: int = 0) -> CertificateRecord:
+    cfg = parse_surface_config(TWIST_CFG)
+    budget = Budget(6, 6, index + 1)
+    return [CertificateRecord(c, cfg, budget) for c in jump1(build_surface(cfg), budget)][index]
+
+
+RECORD_LINE = _record().to_json().encode("utf-8")
+
+
+def _run(argv) -> tuple[int, str, str]:
+    """main(argv) with its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _store_with(tmp_path: Path, *lines: bytes) -> tuple[str, str, Path]:
+    """(config path, store directory, store file) with the lines stored for
+    the config's label, each ended by a newline."""
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(TWIST_CFG)
+    path = store_file(tmp_path / "store", "usual-twist")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    return str(cfg), str(path.parent), path
+
+
+class TestNonUtf8:
+    def test_verify_reports_the_line_exit_4(self, tmp_path):
+        _, store, path = _store_with(tmp_path, RECORD_LINE, b'{"label": "\xff"}',
+                                     RECORD_LINE.replace(b'"label":"', b'"label":"\xfe'))
+        code, out, _ = _run(["verify", "--store", store])
+        assert code == 4
+        assert out.splitlines() == [
+            f"{path}:1: ok",
+            f"{path}:2: FAIL: corrupt record: 'utf-8' codec can't decode byte 0xff "
+            "in position 11: invalid start byte",
+            f"{path}:3: FAIL: corrupt record: 'utf-8' codec can't decode byte 0xfe "
+            f"in position {RECORD_LINE.index(b'label') + 8}: invalid start byte",
+            "# verified 3 records, 2 failures",
+        ]
+
+    def test_census_store_skips_the_line(self, tmp_path):
+        cfg, store, _ = _store_with(tmp_path, b"\xff", RECORD_LINE)
+        code, out, _ = _run(["census", "--config", cfg, "--height", "32", "--store", store])
+        assert code == 0
+        rows = [line.split() for line in out.splitlines() if line[:1].isspace()]
+        assert rows[-1][0] == "32" and rows[-1][3] == "1"
+
+    def test_jump_store_appends_past_the_line(self, tmp_path):
+        cfg, store, path = _store_with(tmp_path, RECORD_LINE, b"\xff\xfe")
+        code, out, err = _run(["jump", "--config", cfg, "--budget", "6,6,2", "--store", store])
+        assert code == 0
+        assert f"# store: 1 new of 2 certificates -> {path}" in err
+        first, bad, new = path.read_bytes().splitlines()
+        assert (first, bad) == (RECORD_LINE, b"\xff\xfe")
+        assert record_from_json(new).certificate.t0 == _record(1).certificate.t0
+
+    def test_classify_config_exit_2(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(TWIST_CFG.encode("utf-8").replace(b"x^3", b"x\xff3"))
+        code, out, err = _run(["classify", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read config {str(cfg)!r}: 'utf-8' codec")
+
+    def test_jump_cover_file_exit_2(self, tmp_path):
+        cfg, _, _ = _store_with(tmp_path)
+        covers = tmp_path / "covers.txt"
+        covers.write_bytes(b"0, 1\n\xff5, 1\n")
+        code, out, err = _run(["jump", "--config", cfg, "--budget", "6,6,2",
+                               "--avoid", str(covers)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read cover file {str(covers)!r}: 'utf-8' codec")
+
+
+# append_records of the record in the file line, after printing "ready"
+APPENDER = """
+import sys
+from pathlib import Path
+from rankjump.store import append_records, record_from_json
+
+store, line = sys.argv[1:]
+rec = record_from_json(Path(line).read_text())
+print("ready", flush=True)
+print(append_records(store, rec.surface.label, [rec]))
+"""
+
+
+def test_append_under_the_lock_stores_a_key_once(tmp_path):
+    """While this test holds the store file's lock, a second process
+    appends a record and this test writes the same t0: the appender reads
+    the stored keys only once it holds the lock, so it adds nothing."""
+    line = tmp_path / "line.json"
+    line.write_bytes(RECORD_LINE)
+    _, store, path = _store_with(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with path.open("ab") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        proc = subprocess.Popen([sys.executable, "-c", APPENDER, store, str(line)],
+                                stdout=subprocess.PIPE, text=True, env=env)
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.5)  # the appender reaches the lock and waits on it
+        assert proc.poll() is None
+        fh.write(RECORD_LINE + b"\n")
+        fh.flush()
+    out, _ = proc.communicate(timeout=60)
+    assert (out, proc.returncode) == ("0\n", 0)
+    assert path.read_bytes() == RECORD_LINE + b"\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+RECORD = json.loads(RECORD_LINE)
+
+
+@st.composite
+def field_edits(draw) -> bytes:
+    """The record with one field, or one field of its surface, replaced."""
+    data = json.loads(RECORD_LINE)
+    if draw(st.booleans()):
+        data["surface"][draw(st.sampled_from(sorted(RECORD["surface"])))] = draw(JSON_VALUES)
+    else:
+        data[draw(st.sampled_from(sorted(RECORD)))] = draw(JSON_VALUES)
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+@st.composite
+def byte_edits(draw) -> bytes:
+    """The record line with one slice replaced by arbitrary bytes."""
+    i = draw(st.integers(0, len(RECORD_LINE)))
+    j = draw(st.integers(i, min(i + 12, len(RECORD_LINE))))
+    return RECORD_LINE[:i] + draw(st.binary(max_size=6)) + RECORD_LINE[j:]
+
+
+MALFORMED_LINES = st.lists(st.one_of(st.binary(max_size=120), field_edits(), byte_edits()),
+                           min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(MALFORMED_LINES)
+@example([b"\xff"])
+@example([b"[" * 100000])  # json.loads raises RecursionError
+@example([RECORD_LINE.replace(b'"t0":"', b'"t0":"1e400')])
+@example([b'{"surface": {"kind": "twist", "f": [], "g": ["0", "1"]}, "t0": "1"}'])
+def test_malformed_store_lines(lines):
+    """verify exits 0 or 4 and census --store exits 0, with no traceback,
+    within a time bound, whatever the stored lines hold."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, store, _ = _store_with(Path(tmp), RECORD_LINE, *lines)
+        started = time.perf_counter()
+        code, out, _ = _run(["verify", "--store", store])
+        assert code in (0, 4)
+        assert out.splitlines()[0].endswith(":1: ok")
+        code, _, _ = _run(["census", "--config", cfg, "--height", "3", "--store", store])
+        assert code == 0
+        assert time.perf_counter() - started < 10

@@ -188,7 +188,7 @@ def surface_normal_form(s: TwistFamily):
     cubic coefficients by the (u^4, u^6) action."""
     P, Q, _, _ = s.short_cubic()
     lg = s.g.leading()
-    Ai, Bi, _ = EllipticCurveQ(P * lg**2, Q * lg**3).integral_model()
+    Ai, Bi, _ = EllipticCurveQ(P * lg**2, Q * lg**3).integral_model
     return Ai, Bi, s.g.monic()
 
 
