@@ -15,7 +15,6 @@ from pathlib import Path
 from .config import (
     ConfigError,
     build_surface,
-    fibred_surface,
     parse_cover_file,
     parse_surface_config,
 )
@@ -90,7 +89,7 @@ def cmd_classify(args) -> int:
 
 def cmd_jump(args) -> int:
     cfg = _load_config(args.config)
-    surface = fibred_surface(cfg)
+    surface = cfg.fibred
     budget = _parse_budget(args.budget)
     challenge = None
     if args.avoid:
@@ -104,7 +103,7 @@ def cmd_jump(args) -> int:
     records = []
     failed = 0
     for cert in search(surface, budget, avoid=challenge, label=cfg.label, log=log):
-        rec, reasons = CertificateRecord(cert, cfg, budget, args.timestamp).reverified(surface)
+        rec, reasons = CertificateRecord(cert, cfg, budget, args.timestamp).reverified()
         if not rec.verified:
             failed += 1
             print(f"# re-verification failed at t0 = {cert.t0}: {'; '.join(reasons)}",
@@ -137,7 +136,7 @@ def cmd_census(args) -> int:
     if args.store and not Path(args.store).is_dir():
         raise ConfigError(f"no store directory {args.store!r}")
     cfg = _load_config(args.config)
-    census = field_census(fibred_surface(cfg), args.height)
+    census = field_census(cfg.fibred, args.height)
     stored = Counter()
     if args.store:
         stored = Counter(height(s) for definition, s in stored_t0(args.store, cfg.label)

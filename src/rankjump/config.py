@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import DomainError
 from .polynomial import RatPoly
@@ -58,6 +59,19 @@ class SurfaceConfig:
         """The surface itself, label aside: equal exactly for configs that
         define the same surface."""
         return self.kind, tuple(sorted((n, p.coeffs) for n, p in self.polys.items()))
+
+    @cached_property
+    def fibred(self):
+        """The twist or km form, built once per config, that searches and
+        verification run on; a weierstrass config must hide a twist."""
+        surface = build_surface(self)
+        if not isinstance(surface, WeierstrassQt):
+            return surface
+        recovered = is_twist_case(surface)
+        if recovered is None:
+            raise ConfigError("a generic weierstrass model carries no conic bundle here; "
+                              "supply the surface in twist or km form")
+        return recovered
 
 
 #: Bound on the numerator and the denominator of every coefficient. Fibre
@@ -125,22 +139,6 @@ def build_surface(cfg: SurfaceConfig):
         return WeierstrassQt(cfg.polys["A"], cfg.polys["B"])
     except (DomainError, InvalidModelError, NotRationalElliptic) as exc:
         raise ConfigError(f"invalid {cfg.kind} surface: {exc}") from exc
-
-
-def fibred_surface(cfg: SurfaceConfig):
-    """The surface in twist or km form, where searches run and their
-    certificates are verified; a weierstrass config is accepted when it
-    hides a twist, and is then searched and verified in twist form."""
-    surface = build_surface(cfg)
-    if not isinstance(surface, WeierstrassQt):
-        return surface
-    recovered = is_twist_case(surface)
-    if recovered is None:
-        raise ConfigError(
-            "a generic weierstrass model carries no conic bundle here; "
-            "supply the surface in twist or km form"
-        )
-    return recovered
 
 
 def surface_config_from_dict(data: dict) -> SurfaceConfig:

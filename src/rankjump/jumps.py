@@ -18,16 +18,17 @@ the height order of conics.rationals_by_height; it yields the solvable
 fibres and counts tried, degenerate and unsolvable ones. jump1 reads it one
 height stage at a time; jump2 reads it lazily in one loop, forms each pair
 as its later fibre arrives and builds no fibre after its certificate count
-is reached, so its fibres tried are those built before it stopped. The searches only
-propose a parameter value t0 with fibre points over it; one certification
-stage specialises, transports, rejects torsion and asks the regulator about
-pairs (a pair with P + Q or P - Q torsion is settled exactly, without a
-height; see curves.regulator). The surface's invariants (short model,
-transport chart, rank bound) are computed once per surface object, not per
-candidate. Searches and verify_certificate both work on the fibred (twist
-or km) form, so a Weierstrass model hiding a twist is searched and verified
-in twist form (see config.fibred_surface). verify_certificate settles a pair
-on a twist whose f splits over Q by complete 2-descent (Silverman AEC X.1.4;
+is reached, so its fibres tried are those built before it stopped. The
+searches only propose a parameter value t0 with fibre points over it; one
+certification stage specialises, transports, rejects torsion and asks the
+regulator about pairs (a pair with P + Q or P - Q torsion is settled
+exactly, without a height; see curves.regulator). The surface's invariants
+(short model, transport chart, rank bound) are computed once per surface
+object, not per candidate. Searches and verify_certificate both work on the
+fibred (twist or km) form (see SurfaceConfig.fibred). torsion_order checks
+a point on the curve, hence on its fibre: the chart is an isomorphism
+(Specialization.transport). verify_certificate settles a pair on a twist
+whose f splits over Q by complete 2-descent (Silverman AEC X.1.4;
 curves.two_descent_independent, with its 4-torsion guard), with no height;
 the regulator decides the pairs the descent leaves open, the pairs on km
 surfaces and the pairs on twists whose f does not split.
@@ -64,6 +65,7 @@ from .conics import (
     rationals_of_height,
 )
 from .curves import (
+    OffCurveError,
     PointQ,
     RegulatorResult,
     SingularSpecializationError,
@@ -368,12 +370,12 @@ def field_census(surface, x0_height_bound: int) -> CensusResult:
 def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[str]]:
     """Re-verify a certificate from scratch; returns (ok, failure reasons).
 
-    The surface is the fibred (twist or km) form the search ran on. Checks:
-    the parameter avoids singular fibres, each point satisfies the
-    specialised curve equation exactly and pulls back to the claimed conic
-    fibre, no point is torsion, a pair is proved independent by 2-descent
-    or passes the regulator threshold, and the claimed bound matches the
-    evidence.
+    The surface is the fibred (twist or km) form the search ran on. Checks,
+    in the order of the reasons: t0 avoids singular fibres, the curve is the
+    specialised one, each point is on it (once, by torsion_order: through the
+    chart that is the fibre equation too), pulls back to x = x0 and is not
+    torsion, a pair is independent by 2-descent or the regulator, and the
+    claimed bound matches the evidence.
     """
     reasons = []
     try:
@@ -381,22 +383,21 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
     except SingularSpecializationError as exc:
         return False, [f"specialisation failed: {exc}"]
     if (spec.curve.A, spec.curve.B) != tuple(map(Fraction, cert.curve)):
-        reasons.append("recorded curve does not match the specialised fibre")
-        return False, reasons
+        return False, ["recorded curve does not match the specialised fibre"]
     pts = []
     for (x, y), x0 in zip(cert.points, cert.provenance):
         P = PointQ(Fraction(x), Fraction(y))
-        if not spec.curve.is_on(P):
+        try:
+            order = spec.curve.torsion_order(P)
+        except OffCurveError:
             reasons.append(f"point {P} is off the curve")
             continue
-        fx, fy = spec.pullback(P)
-        if fx != Fraction(x0) or not _on_surface(surface, fx, fy, cert.t0):
+        if spec.pullback(P)[0] != Fraction(x0):
             reasons.append(f"point {P} does not come from the fibre x = {x0}")
-            continue
-        if spec.curve.torsion_order(P) is not None:
+        elif order is not None:
             reasons.append(f"point {P} is torsion")
-            continue
-        pts.append(P)
+        else:
+            pts.append(P)
     if reasons:
         return False, reasons
     if len(pts) == 2:
@@ -415,9 +416,3 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
     if cert.claimed_rank_lower_bound != r_bound + len(pts):
         reasons.append("claimed rank bound does not match the evidence")
     return not reasons, reasons
-
-
-def _on_surface(surface, x: Fraction, y: Fraction, t: Fraction) -> bool:
-    if isinstance(surface, TwistFamily):
-        return surface.g(t) * y * y == surface.f(x)
-    return y * y == surface.fibre_quadratic(x)(t)

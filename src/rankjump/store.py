@@ -6,12 +6,11 @@ strings, so identical runs produce byte-identical streams. The store is a
 directory of .jsonl files keyed by a hash of the surface label; re-runs
 append only parameter values not already present for the same surface
 definition, so unlabelled surfaces sharing a file lose nothing. Store files
-are read as bytes, one line at a time, and each line is decoded as UTF-8
-on its own, so a line that does not decode is one unreadable record.
-
-Records are verified in the fibred (twist or km) form of their config, the
-form the search ran in; a batch builds that form once per distinct surface
-definition.
+are read as bytes, one line at a time, by one reader (_read_lines), and
+each line is decoded as UTF-8 on its own, so a line that does not decode is
+one unreadable record. Records are verified in the fibred (twist or km)
+form of their config, the form the search ran in; one call parses each
+distinct surface, and builds its fibred form, once.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .config import SurfaceConfig, fibred_surface, surface_config_from_dict
+from .config import SurfaceConfig, surface_config_from_dict
 from .jumps import Budget, RankJumpCertificate, verify_certificate
 
 
@@ -37,11 +36,10 @@ class CertificateRecord:
     timestamp: str | None = None
     verified: bool = False          # set by an independent re-verification pass
 
-    def reverified(self, surface) -> tuple["CertificateRecord", list[str]]:
-        """The same record with the verification flag established afresh,
-        and the reasons of a failure; surface is the fibred form of the
-        record's config (see config.fibred_surface)."""
-        ok, reasons = verify_certificate(surface, self.certificate)
+    def reverified(self) -> tuple["CertificateRecord", list[str]]:
+        """The same record with the verification flag established afresh, on
+        the fibred form of its config, and the reasons of a failure."""
+        ok, reasons = verify_certificate(self.surface.fibred, self.certificate)
         return CertificateRecord(self.certificate, self.surface, self.budget,
                                  self.timestamp, ok), reasons
 
@@ -104,19 +102,31 @@ def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, Fraction]]:
     a line whose surface or t0 cannot be read is skipped."""
     path = store_file(store_dir, label)
     out = set()
-    if path.exists():
-        with path.open("rb") as lines:
-            for line in lines:
-                if not line.strip():
-                    continue
-                try:
-                    data = json.loads(line.decode("utf-8"))
-                    out.add((surface_config_from_dict(data["surface"]).definition,
-                             Fraction(data["t0"])))
-                except (ArithmeticError, AttributeError, KeyError, RecursionError, TypeError,
-                        ValueError):  # RecursionError: JSON nested too deep
-                    continue
+    for _, data, cfg in _read_lines(path, {}) if path.exists() else ():
+        try:
+            if cfg is not None:
+                out.add((cfg.definition, Fraction(data["t0"])))
+        except (ArithmeticError, KeyError, TypeError, ValueError):
+            continue
     return out
+
+
+def _read_lines(path: Path, configs: dict):
+    """(line number, parsed JSON, its SurfaceConfig) per non-blank line of a
+    store file, or (line number, exception, None) if the line does not read
+    as JSON with a valid surface; configs caches them by canonical JSON."""
+    with path.open("rb") as lines:
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:  # RecursionError, too: JSON nested too deep
+                data = json.loads(line.decode("utf-8"))
+                key = json.dumps(data["surface"], sort_keys=True)
+                cfg = configs[key] = configs.get(key) or surface_config_from_dict(data["surface"])
+            except Exception as exc:
+                yield lineno, exc, None
+            else:
+                yield lineno, data, cfg
 
 
 def append_records(store_dir: str | Path, label: str, records) -> int:
@@ -158,31 +168,23 @@ class VerificationReport:
 
 def verify_store(store_dir: str | Path) -> list[VerificationReport]:
     """Independently re-verify every stored record, streaming each file;
-    corrupt lines are reported but do not abort the batch."""
-    reports = []
-    surfaces = {}  # fibred surface by surface definition, for this batch
-    configs = {}  # SurfaceConfig by canonical JSON of its dict, for this batch
-    for path in sorted(Path(store_dir).glob("*.jsonl")):
-        with path.open("rb") as lines:
-            results = [(lineno, *_verify_line(line, configs, surfaces))
-                       for lineno, line in enumerate(lines, 1) if line.strip()]
-        reports.append(VerificationReport(str(path), results))
-    return reports
+    corrupt lines are reported but do not abort the batch. Each distinct
+    surface is parsed, and its fibred form built, once per call."""
+    configs = {}
+    return [VerificationReport(str(path), [(lineno, *_verify_line(data, cfg))
+                                           for lineno, data, cfg in _read_lines(path, configs)])
+            for path in sorted(Path(store_dir).glob("*.jsonl"))]
 
 
-def _verify_line(line: bytes, configs: dict, surfaces: dict) -> tuple[bool, list[str]]:
-    """(ok, reasons) of one stored line, with verify_store's batch caches."""
+def _verify_line(data, cfg: SurfaceConfig | None) -> tuple[bool, list[str]]:
+    """(ok, reasons) of a line from _read_lines; data is its error if cfg is None."""
+    if cfg is None:
+        return False, [f"corrupt record: {data}"]
     try:
-        data = json.loads(line.decode("utf-8"))
-        key = json.dumps(data["surface"], sort_keys=True)
-        cfg = configs[key] = configs.get(key) or surface_config_from_dict(data["surface"])
         rec = _record(data, cfg)
     except Exception as exc:
         return False, [f"corrupt record: {exc}"]
     try:
-        key = rec.surface.definition
-        if key not in surfaces:
-            surfaces[key] = fibred_surface(rec.surface)
-        return verify_certificate(surfaces[key], rec.certificate)
+        return verify_certificate(cfg.fibred, rec.certificate)
     except Exception as exc:
         return False, [f"verification error: {exc}"]

@@ -191,11 +191,6 @@ class WeierstrassQt:
     def weierstrass(self) -> "WeierstrassQt":
         return self
 
-    @property
-    def chart(self) -> tuple[RatPoly, RatPoly, RatPoly]:
-        """The identity: fibre points already lie on the model."""
-        return RatPoly([1]), RatPoly(), RatPoly([1])
-
     @cached_property
     def rank_bound(self) -> int:
         """Shioda-Tate bound for the generic rank of the model."""

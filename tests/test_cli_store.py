@@ -221,7 +221,6 @@ class TestStore(object):
         # reading and re-verifying every line on its own, each good surface
         # dict is parsed once, and each malformed one on every line
         from rankjump import store
-        from rankjump.config import fibred_surface
         from rankjump.jumps import verify_certificate
 
         for g in ("0, 1", "0, -1"):
@@ -245,7 +244,7 @@ class TestStore(object):
             except Exception as exc:
                 expected.append((lineno, False, [f"corrupt record: {exc}"]))
                 continue
-            expected.append((lineno, *verify_certificate(fibred_surface(rec.surface), rec.certificate)))
+            expected.append((lineno, *verify_certificate(rec.surface.fibred, rec.certificate)))
         parses = []
 
         def counting(data):
@@ -256,6 +255,45 @@ class TestStore(object):
         [report] = verify_store(tmp_path)
         assert report.results == expected
         assert [ok for _, ok, _ in expected].count(False) == 2
+        assert len(parses) == 2 + 2
+
+    def test_stored_t0_parses_each_surface_once(self, tmp_path, monkeypatch):
+        # the store of test_verify_parses_each_surface_once, plus lines with
+        # an unreadable t0 and a blank line: the keys are those of reading
+        # every line on its own, each good surface dict is parsed once, and
+        # the malformed one on every line
+        from rankjump import store
+
+        budget = Budget(6, 6, 3)
+        for g in ("0, 1", "0, -1"):
+            cfg = parse_surface_config(f"kind = twist\nf = 0, -1, 0, 1\ng = {g}\n")
+            append_records(tmp_path, cfg.label,
+                           [CertificateRecord(c, cfg, budget) for c in jump1(build_surface(cfg), budget)])
+        path = next(tmp_path.glob("*.jsonl"))
+        lines = path.read_text().splitlines()
+        bad, no_t0 = json.loads(lines[0]), json.loads(lines[1])
+        bad["surface"]["kind"] = "cubic"
+        no_t0["t0"] = "1/0"
+        lines[2:2] = [json.dumps(bad), json.dumps(no_t0), "", "{", json.dumps(bad)]
+        path.write_text("\n".join(lines) + "\n")
+
+        expected = set()
+        for line in lines:
+            try:
+                data = json.loads(line)
+                expected.add((surface_config_from_dict(data["surface"]).definition,
+                               Fraction(data["t0"])))
+            except (ValueError, KeyError, ZeroDivisionError):
+                continue
+        parses = []
+
+        def counting(data):
+            parses.append(1)
+            return surface_config_from_dict(data)
+
+        monkeypatch.setattr(store, "surface_config_from_dict", counting)
+        assert store.stored_t0(tmp_path, "twist") == expected
+        assert len(expected) == 6
         assert len(parses) == 2 + 2
 
 

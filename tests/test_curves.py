@@ -8,12 +8,14 @@ from conftest import (
     ec_add,
     ec_mul,
     integral_model_by_denominators,
+    relation_holds,
     tate_normal_form,
     torsion_order_by_multiples,
 )
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rankjump import arith, curves
+from rankjump.conics import DegenerateFibreError, conic_fibre
 from rankjump.curves import (
     IDENTITY,
     EllipticCurveQ,
@@ -291,7 +293,54 @@ class TestIntegralModel:
         assert model == integral_model_by_denominators(A, B)
 
 
+SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+NONZERO = SMALL.map(lambda q: q or Fraction(1))
+
+
+@st.composite
+def fibre_cases(draw):
+    """(surface, t0, spec, points): a twist or km surface whose fibre over t0
+    passes through (x, y), one coefficient (the constant term of f, or of
+    a0) solved for it, with spec = specialize(surface, t0); points starts
+    with (x, y) and (x, -y), then moves x, y or both off them."""
+    t0, x, y = draw(SMALL), draw(SMALL), draw(NONZERO)
+    try:
+        if draw(st.booleans()):
+            g = RatPoly([draw(SMALL) for _ in range(draw(st.sampled_from([1, 2])))] + [draw(NONZERO)])
+            c1, c2, c3 = draw(SMALL), draw(SMALL), draw(NONZERO)
+            c0 = g(t0) * y * y - c3 * x**3 - c2 * x**2 - c1 * x
+            surface = TwistFamily(RatPoly([c0, c1, c2, c3]), g)
+        else:
+            a3, a2, a1 = (RatPoly([draw(SMALL) for _ in range(3)]) for _ in range(3))
+            a01, a02 = draw(SMALL), draw(SMALL)
+            a00 = y * y - a3(t0) * x**3 - a2(t0) * x**2 - a1(t0) * x - a01 * t0 - a02 * t0 * t0
+            surface = KMFamily(a3, a2, a1, RatPoly([a00, a01, a02]))
+        spec = specialize(surface, t0)
+    except (arith.DomainError, SingularSpecializationError):
+        assume(False)
+    dx, dy = draw(NONZERO), draw(NONZERO)
+    return surface, t0, spec, [(x, y), (x, -y), (x, y + dy), (x + dx, y), (x + dx, y + dy)]
+
+
 class TestSpecialize:
+    @settings(max_examples=150, deadline=None)
+    @given(fibre_cases())
+    def test_chart_is_an_isomorphism_of_the_fibre(self, case):
+        # transport is unchecked: the curve equation at transport(x, y) must
+        # hold exactly when the fibre relation of the oracle holds at (x, y)
+        surface, t0, spec, points = case
+        for x, y in points:
+            P = spec.transport(x, y)
+            assert spec.pullback(P) == (x, y)
+            try:
+                fibre = conic_fibre(surface, x)
+            except DegenerateFibreError:
+                continue
+            assert relation_holds(fibre, t0, y) == spec.curve.is_on(P)
+        (x, y), (_, moved) = points[0], points[2]
+        assert spec.curve.is_on(spec.transport(x, y))
+        assert spec.curve.is_on(spec.transport(x, moved)) == (moved * moved == y * y)
+
     def test_twist_example(self):
         s = TwistFamily(T**3 - T, T)
         spec = specialize(s, 6)

@@ -1,14 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import distinct_up_to
+from rankjump import jumps
+from rankjump.cli import main
 from rankjump.conics import conic_fibre, height
 from rankjump.curves import EllipticCurveQ, point, specialize
 from rankjump.jumps import (
     Budget,
     CoverChallenge,
+    RankJumpCertificate,
     SearchLog,
     avoid_covers,
     field_census,
@@ -18,8 +23,10 @@ from rankjump.jumps import (
     verify_certificate,
 )
 from rankjump.polynomial import RatPoly
+from rankjump.store import record_from_json
 from rankjump.surfaces import KMFamily, TwistFamily
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 T = RatPoly.gen()
 F_CUBIC = T**3 - T
 
@@ -255,3 +262,78 @@ class TestVerification:
     def test_rank_bound_data(self):
         assert rank_bound_data(usual_twist()) == (0, True)
         assert rank_bound_data(mordell()) == (0, True)
+
+    # forged certificates on y^2 = x^3 - 36x (usual twist, t0 = 6; (6, 0)
+    # pulls back to x = 1) and y^2 = x^3 + 1 (mordell, t0 = 1; (2, 3) pulls
+    # back to x = 2, order 6): per point, off the curve comes before a wrong
+    # fibre, and a wrong fibre before torsion
+    @pytest.mark.parametrize("surface, t0, curve, points, provenance, reasons", [
+        (usual_twist, 6, (-36, 0), [(12, 37)], [5], ["point (12, 37) is off the curve"]),
+        (usual_twist, 6, (-36, 0), [(6, 0)], [2],
+         ["point (6, 0) does not come from the fibre x = 2"]),
+        (usual_twist, 6, (-36, 0), [(6, 0)], [1], ["point (6, 0) is torsion"]),
+        (mordell, 1, (0, 1), [(2, 4)], [3], ["point (2, 4) is off the curve"]),
+        (mordell, 1, (0, 1), [(2, 3)], [1], ["point (2, 3) does not come from the fibre x = 1"]),
+        (mordell, 1, (0, 1), [(2, 3)], [2], ["point (2, 3) is torsion"]),
+        (usual_twist, 6, (-36, 0), [(6, 0), (12, 37)], [1, 5],
+         ["point (6, 0) is torsion", "point (12, 37) is off the curve"]),
+    ])
+    def test_reason_order_on_forged_points(self, surface, t0, curve, points, provenance,
+                                           reasons):
+        cert = RankJumpCertificate(
+            label="forged", t0=Fraction(t0), curve=tuple(map(Fraction, curve)),
+            points=[tuple(map(Fraction, P)) for P in points],
+            provenance=[Fraction(x0) for x0 in provenance], generic_rank_bound=0,
+            rank_bound_exact=True, claimed_rank_lower_bound=len(points))
+        assert verify_certificate(surface(), cert) == (False, reasons)
+
+    def test_verify_checks_each_point_on_the_curve_once(self, tmp_path, capsys, monkeypatch):
+        # the seed-0 certificates of the benchmark's rank-1 and rank-2
+        # searches: outside the regulator, verify_certificate meets each
+        # point's curve equation once, and never evaluates a km fibre
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import gen
+        import run
+
+        inputs = gen.write_inputs(0, tmp_path / "inputs")
+        records = []
+        for workload in ("rank1-search", "rank2-search"):
+            for i, cmd in enumerate(run.commands_for(workload, inputs)):
+                argv = [a.replace("{store}", str(tmp_path / f"store-{workload}-{i}"))
+                        for a in cmd["argv"]]
+                assert main(argv) == 0
+                records += map(record_from_json, capsys.readouterr().out.splitlines())
+        surfaces = {}
+        for rec in records:
+            if rec.surface.definition not in surfaces:
+                surfaces[rec.surface.definition] = rec.surface.fibred
+
+        checked, in_regulator = [], []
+        is_on, regulator = EllipticCurveQ.is_on, jumps.regulator
+
+        def counting_is_on(self, P):
+            if not in_regulator:
+                checked.append(P)
+            return is_on(self, P)
+
+        def marked_regulator(*args):
+            in_regulator.append(1)
+            try:
+                return regulator(*args)
+            finally:
+                in_regulator.pop()
+
+        def no_fibre_quadratic(self, x0):
+            raise AssertionError("the fibre equation was evaluated")
+
+        monkeypatch.setattr(EllipticCurveQ, "is_on", counting_is_on)
+        monkeypatch.setattr(jumps, "regulator", marked_regulator)
+        monkeypatch.setattr(KMFamily, "fibre_quadratic", no_fibre_quadratic)
+        shapes = Counter()
+        for rec in records:
+            checked.clear()
+            cert = rec.certificate
+            assert verify_certificate(surfaces[rec.surface.definition], cert) == (True, [])
+            assert checked == [point(x, y) for x, y in cert.points]
+            shapes[rec.surface.kind, len(cert.points)] += 1
+        assert shapes == {("km", 1): 300, ("twist", 1): 300, ("km", 2): 5, ("twist", 2): 10}
