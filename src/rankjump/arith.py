@@ -1,7 +1,7 @@
 """Exact integer and rational arithmetic helpers.
 
 Everything in this module is computed with integer arithmetic only:
-perfect-square tests, squarefree decompositions, modular square roots,
+perfect-square tests, square classes, modular square roots,
 Legendre and Hilbert symbols, local solvability of diagonal ternary
 quadratic forms, and a zero of a solvable one by Lagrange's descent.
 Factoring (sympy's factorint, in _factorint) is the costly step: the
@@ -17,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
-
-Rat = Fraction
 
 #: Sentinel used for the real place when reporting local obstructions.
 REAL_PLACE = 0
@@ -95,17 +93,6 @@ def rational_sqrt(q) -> Fraction | None:
 def is_square(q) -> bool:
     """True iff q is a square in Q (0 counts as a square)."""
     return rational_sqrt(q) is not None
-
-
-def squarefree_part(q) -> tuple[int, Fraction]:
-    """Write a nonzero rational q = s * w**2 with s squarefree and w > 0.
-
-    s is an integer with the sign of q; w is an exact positive rational.
-    """
-    s = square_class(q).s
-    w = rational_sqrt(Fraction(q) / s)
-    assert w is not None and w > 0
-    return s, w
 
 
 def prime_factors(n: int) -> list[int]:

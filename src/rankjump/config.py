@@ -14,6 +14,7 @@ Kinds: twist (fields f, g), km (a3, a2, a1, a0), weierstrass (A, B).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -81,13 +82,21 @@ class SurfaceConfig:
 #: (tens of seconds at worst). At 10^400 one factorisation never ended.
 MAX_COEFFICIENT = 10**4
 
+_EXPONENT = re.compile(r"([-+]?[0-9_.]*)[eE]([-+]?[0-9_]+)")
+
 
 def _parse_rational(token: str, where: str) -> Fraction:
+    # Fraction builds 10^|k| for an exponent k before any bound is checked.
+    # Within the bound, a nonzero D 10^(k - j) (D the mantissa's digits, j of
+    # them after the point) has |k| <= len(token) + 4; past that only the
+    # mantissa is parsed, and if it is nonzero the value is out of bounds.
+    exp = _EXPONENT.fullmatch(token)
     try:
-        value = Fraction(token)
+        huge = exp is not None and abs(int(exp[2])) > len(token) + 4
+        value = Fraction(exp[1] if huge else token)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{where}: bad rational {token!r}") from None
-    if max(abs(value.numerator), value.denominator) > MAX_COEFFICIENT:
+    if huge and value or max(abs(value.numerator), value.denominator) > MAX_COEFFICIENT:
         raise ConfigError(f"{where}: coefficient {token[:20]!r} "
                           f"has a numerator or denominator above {MAX_COEFFICIENT}")
     return value

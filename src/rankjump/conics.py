@@ -32,13 +32,7 @@ from functools import cache
 from math import gcd, isqrt, lcm
 
 from .arith import SquareClass, lagrange_descent, rational_sqrt, square_class, ternary_obstruction
-from .polynomial import (
-    PLACE_AT_INFINITY,
-    Place,
-    RatPoly,
-    poly_discriminant,
-    squarefree_kernel,
-)
+from .polynomial import PLACE_AT_INFINITY, Place, RatPoly, poly_discriminant
 from .surfaces import KMFamily, TwistFamily
 
 
@@ -62,16 +56,6 @@ class QuadExtClass:
 
     def __repr__(self) -> str:
         return f"sqrt({self.s} * ({self.h!r}))"
-
-
-def quad_ext_class(scalar, poly: RatPoly) -> QuadExtClass:
-    """Canonical class of scalar * poly(t) modulo squares in Q(t)*, by Yun's
-    factorisation; a conic fibre reads its own class off in closed form."""
-    scalar = Fraction(scalar)
-    if scalar == 0 or poly.is_zero():
-        raise DegenerateFibreError("zero does not define a quadratic extension")
-    lead, h = squarefree_kernel(poly)
-    return QuadExtClass(square_class(scalar * lead).s, h)
 
 
 @dataclass(frozen=True)

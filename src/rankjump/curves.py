@@ -168,14 +168,8 @@ class EllipticCurveQ:
         d = J[2] * self._scaled_model[2]
         return PointQ(Fraction(J[0], d * d), Fraction(J[1], d**3))
 
-    def negate(self, P: PointQ) -> PointQ:
-        return P if P.is_identity else PointQ(P.x, -P.y)
-
     def add(self, P: PointQ, Q: PointQ) -> PointQ:
         return self._point(_jac_add(self._scaled_model[0], self._jac(P), self._jac(Q)))
-
-    def sub(self, P: PointQ, Q: PointQ) -> PointQ:
-        return self.add(P, self.negate(Q))
 
     def scalar_mul(self, n: int, P: PointQ) -> PointQ:
         return self._point(_jac_mul(self._scaled_model[0], n, self._jac(P)))

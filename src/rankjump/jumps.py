@@ -37,14 +37,14 @@ With avoid set, any search keeps only parameter values outside the image
 of every cover of a finite challenge of quadratic covers; avoid_covers is
 jump1 or jump2 with avoid set. field_census walks the same height order
 with its own loop, since it also records the classes of unsolvable fibres
-and the degenerate x0; it counts the quadratic-extension classes realised
-by solvable fibres.
+and the degenerate x0; CensusResult.rows counts the quadratic-extension
+classes realised by solvable fibres.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -326,11 +326,6 @@ class CensusResult:
 
     entries: list[CensusEntry]
     degenerate: list[Fraction]
-    class_counts: Counter = field(default_factory=Counter)   # solvable fibres only
-
-    @property
-    def distinct_classes(self) -> int:
-        return len(self.class_counts)
 
     def rows(self, bound: int) -> list[tuple[int, int]]:
         """(distinct classes, solvable fibres) of height <= h for each
@@ -349,34 +344,33 @@ class CensusResult:
 
 
 def field_census(surface, x0_height_bound: int) -> CensusResult:
-    """Extension classes of all fibres of height <= bound, with multiplicity
-    counts restricted to fibres that have rational points."""
+    """Extension classes of all fibres of height <= bound, each marked
+    solvable or not, and the degenerate x0."""
     entries = []
     degenerate = []
-    counts: Counter = Counter()
     for x0 in rationals_by_height(x0_height_bound):
         try:
             fib = conic_fibre(surface, x0)
         except DegenerateFibreError:
             degenerate.append(x0)
             continue
-        solvable = conic_solvable(fib)
-        entries.append(CensusEntry(x0, fib.ext_class, solvable))
-        if solvable:
-            counts[fib.ext_class] += 1
-    return CensusResult(entries, degenerate, counts)
+        entries.append(CensusEntry(x0, fib.ext_class, conic_solvable(fib)))
+    return CensusResult(entries, degenerate)
 
 
 def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[str]]:
     """Re-verify a certificate from scratch; returns (ok, failure reasons).
 
     The surface is the fibred (twist or km) form the search ran on. Checks,
-    in the order of the reasons: t0 avoids singular fibres, the curve is the
-    specialised one, each point is on it (once, by torsion_order: through the
-    chart that is the fibre equation too), pulls back to x = x0 and is not
-    torsion, a pair is independent by 2-descent or the regulator, and the
-    claimed bound matches the evidence.
+    in the order of the reasons: each point has one provenance x0, t0 avoids
+    singular fibres, the curve is the specialised one, each point is on it
+    (once, by torsion_order: through the chart that is the fibre equation
+    too), pulls back to x = x0 and is not torsion, a pair is independent by
+    2-descent or the regulator, and the claimed bound matches the evidence.
     """
+    if len(cert.points) != len(cert.provenance):
+        return False, [f"point count {len(cert.points)} does not match provenance count "
+                       f"{len(cert.provenance)}"]
     reasons = []
     try:
         spec = specialize(surface, cert.t0)

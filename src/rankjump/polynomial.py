@@ -34,10 +34,6 @@ class RatPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def const(cls, c) -> "RatPoly":
-        return cls([c])
-
-    @classmethod
     def gen(cls) -> "RatPoly":
         return cls([0, 1])
 
@@ -133,9 +129,6 @@ class RatPoly:
                 rem[k + i] -= c * b
         return RatPoly(q), RatPoly(rem)
 
-    def __floordiv__(self, other) -> "RatPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other) -> "RatPoly":
         return divmod(self, other)[1]
 
@@ -155,19 +148,11 @@ class RatPoly:
         raise TypeError(f"cannot coerce {other!r} to RatPoly")
 
     def __call__(self, x):
-        """Evaluate at a rational (or at another polynomial, by composition)."""
-        if isinstance(x, RatPoly):
-            return self.compose(x)
+        """Evaluate at a rational."""
         x = _as_frac(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def compose(self, inner: "RatPoly") -> "RatPoly":
-        acc = RatPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RatPoly([c])
         return acc
 
     def derivative(self) -> "RatPoly":
@@ -178,10 +163,6 @@ class RatPoly:
             raise DomainError("monic form of 0")
         lc = self.leading()
         return RatPoly([c / lc for c in self.coeffs])
-
-    def shift(self, a) -> "RatPoly":
-        """The polynomial p(t + a)."""
-        return self.compose(RatPoly([a, 1]))
 
     def reversed_to(self, n: int) -> "RatPoly":
         """The polynomial s^n * p(1/s); requires n >= deg p."""
@@ -267,20 +248,6 @@ def yun_squarefree(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
         w, g = y, g.exact_div(y)
         i += 1
     return lc, out
-
-
-def squarefree_kernel(p: RatPoly) -> tuple[Fraction, RatPoly]:
-    """Write p = lead * h * v^2 with h monic squarefree; returns (lead, h).
-
-    h is the product of the irreducible factors of p of odd multiplicity,
-    so s * h represents the class of (s-part of lead) * p modulo squares.
-    """
-    lc, blocks = yun_squarefree(p)
-    h = RatPoly([1])
-    for q, i in blocks:
-        if i % 2:
-            h = h * q
-    return lc, h
 
 
 def factor_rational(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:

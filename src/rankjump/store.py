@@ -19,6 +19,7 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -68,6 +69,18 @@ class CertificateRecord:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+#: The forms str(Fraction) writes; any other, an exponent above all, is
+#: refused before Fraction could build 10^k for it.
+_STORED_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(s) -> Fraction:
+    m = _STORED_RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
+        raise ValueError(f"bad stored rational {str(s)[:20]!r}")
+    return Fraction(int(m[1]), int(m[2] or 1))
+
+
 def record_from_json(line: str) -> CertificateRecord:
     data = json.loads(line)
     return _record(data, surface_config_from_dict(data["surface"]))
@@ -78,10 +91,10 @@ def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
     reg = data.get("regulator")
     cert = RankJumpCertificate(
         label=data["label"],
-        t0=Fraction(data["t0"]),
-        curve=(Fraction(data["curve"]["A"]), Fraction(data["curve"]["B"])),
-        points=[(Fraction(x), Fraction(y)) for x, y in data["points"]],
-        provenance=[Fraction(x0) for x0 in data["provenance"]],
+        t0=_rational(data["t0"]),
+        curve=(_rational(data["curve"]["A"]), _rational(data["curve"]["B"])),
+        points=[(_rational(x), _rational(y)) for x, y in data["points"]],
+        provenance=[_rational(x0) for x0 in data["provenance"]],
         generic_rank_bound=int(data["generic_rank_bound"]),
         rank_bound_exact=bool(data["rank_bound_exact"]),
         claimed_rank_lower_bound=int(data["claimed_rank_lower_bound"]),
@@ -105,7 +118,7 @@ def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, Fraction]]:
     for _, data, cfg in _read_lines(path, {}) if path.exists() else ():
         try:
             if cfg is not None:
-                out.add((cfg.definition, Fraction(data["t0"])))
+                out.add((cfg.definition, _rational(data["t0"])))
         except (ArithmeticError, KeyError, TypeError, ValueError):
             continue
     return out

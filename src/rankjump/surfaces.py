@@ -234,9 +234,6 @@ class FibreClassification:
         """Sum of local Euler contributions, weighted by place degrees."""
         return sum(f.euler * f.place.degree for f in self.fibres)
 
-    def non_reduced(self) -> list[FibreData]:
-        return [f for f in self.fibres if not f.reduced]
-
 
 def to_weierstrass(surface) -> WeierstrassQt:
     """Short Weierstrass model of a surface, built once per surface object."""
@@ -322,34 +319,18 @@ def is_twist_case(w: WeierstrassQt) -> TwistFamily | None:
 
 @dataclass(frozen=True)
 class ChateletModel:
-    """The model w^2 - a y^2 = F(x) of a twist family with deg g = 2.
+    """The model w^2 - a Y^2 = F(x) of a twist family with deg g = 2, whose
+    a and F = g2 f classify prints.
 
     Obtained by centring g (shift removing its linear term) and the
-    substitution w = (t + shift) * g2 * y; F = g2 * f.
+    substitution Y = g2 y, w = (t + shift) Y, under which w^2 - a Y^2 - F(x)
+    = g2 (g(t) y^2 - f(x)).
     """
 
     a: Fraction
     cubic: RatPoly
     shift: Fraction        # t_centred = t + shift
     g2: Fraction           # leading coefficient of g
-
-    def forward(self, x, y, t):
-        """Surface point (x, y, t) with g(t) y^2 = f(x) to (x, Y, w)."""
-        x, y, t = Fraction(x), Fraction(y), Fraction(t)
-        s = t + self.shift
-        Y = self.g2 * y
-        return x, Y, s * Y
-
-    def backward(self, x, Y, w):
-        """Inverse map; needs Y != 0."""
-        x, Y, w = Fraction(x), Fraction(Y), Fraction(w)
-        if Y == 0:
-            raise DomainError("backward map needs Y != 0")
-        s = w / Y
-        return x, Y / self.g2, s - self.shift
-
-    def holds(self, x, Y, w) -> bool:
-        return w * w - self.a * Y * Y == self.cubic(x)
 
 
 def to_chatelet(s: TwistFamily) -> ChateletModel:

@@ -536,7 +536,6 @@ def ext_class_by_yun(fibre):
     from sympy import factorint
 
     from rankjump.conics import QuadExtClass
-    from rankjump.polynomial import squarefree_kernel
 
     scalar, poly = (fibre.value, fibre.surface.g) if fibre.kind == "twist" else (1, fibre.q)
     lead, h = squarefree_kernel(poly)
@@ -546,3 +545,18 @@ def ext_class_by_yun(fibre):
         if e % 2:
             s *= int(p)
     return QuadExtClass(s, h)
+
+
+def squarefree_kernel(p):
+    """Write p = lead * h * v^2 with h monic squarefree; returns (lead, h).
+
+    h is the product of the irreducible factors of p of odd multiplicity,
+    from Yun's decomposition."""
+    from rankjump.polynomial import RatPoly, yun_squarefree
+
+    lc, blocks = yun_squarefree(p)
+    h = RatPoly([1])
+    for q, i in blocks:
+        if i % 2:
+            h = h * q
+    return lc, h

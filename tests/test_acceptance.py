@@ -91,7 +91,7 @@ def test_criterion_1_fibre_classification():
         cls = classify_fibres(to_weierstrass(s))
         assert cls.euler_total == 12
         assert shioda_tate_bound(cls) == 0
-        nonred = cls.non_reduced()
+        nonred = [fd for fd in cls.fibres if not fd.reduced]
         assert all(fd.kodaira.symbol == "I0*" for fd in nonred)
         assert sum(fd.place.degree for fd in nonred) == 2
         finite = [fd for fd in nonred if not fd.place.is_infinite]
@@ -277,7 +277,8 @@ def test_criterion_8_field_census():
     started = time.monotonic()
     s = usual_twist()
     census = field_census(s, 30)
-    assert census.distinct_classes >= 50
+    distinct = distinct_up_to(census, 30)
+    assert distinct >= 50
     previous = 0
     for bound in range(1, 31):
         current = distinct_up_to(census, bound)
@@ -288,10 +289,10 @@ def test_criterion_8_field_census():
     f4 = conic_fibre(s, 4)
     assert f2.ext_class == f3.ext_class          # 6 * 24 = 144 is a square
     assert f2.ext_class != f4.ext_class          # 6 * 60 = 360 is not
-    assert census.class_counts[f2.ext_class] >= 2
+    assert sum(e.solvable and e.ext_class == f2.ext_class for e in census.entries) >= 2
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"census took {elapsed:.2f} s"
-    report(8, f"{census.distinct_classes} distinct quadratic extensions at height 30", started)
+    report(8, f"{distinct} distinct quadratic extensions at height 30", started)
 
 
 def test_criterion_9_height_machinery():

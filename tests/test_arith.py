@@ -15,37 +15,39 @@ from rankjump.arith import (
     rational_sqrt,
     square_class,
     sqrt_mod_prime,
-    squarefree_part,
     ternary_isotropic_at,
     ternary_obstruction,
 )
 
 
 class TestSquarefreePart:
+    """The squarefree part s of q = s w^2 is square_class(q).s."""
+
     def test_basic(self):
-        assert squarefree_part(12) == (3, 2)
+        assert square_class(12) == SquareClass(3, (3,))
 
     def test_sign(self):
-        assert squarefree_part(-1) == (-1, 1)
+        assert square_class(-1) == SquareClass(-1, ())
 
     def test_product_of_cubic_values(self):
         # 144 = 6 * 24, the values of x^3 - x at 2 and 3
-        assert squarefree_part(144) == (1, 12)
+        assert square_class(144) == SquareClass(1, ())
 
     def test_rational(self):
-        s, w = squarefree_part(Fraction(8, 27))
-        assert s == 6 and s * w * w == Fraction(8, 27)
+        s = square_class(Fraction(8, 27)).s
+        assert s == 6 and rational_sqrt(Fraction(8, 27) / s) == Fraction(2, 9)
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
-            squarefree_part(0)
+            square_class(0)
 
     @given(st.fractions(min_value=Fraction(-4000), max_value=Fraction(4000),
                         max_denominator=500).filter(lambda q: q != 0))
     def test_recomposition(self, q):
-        s, w = squarefree_part(q)
-        assert w > 0
-        assert s * w * w == q
+        s, primes = square_class(q)
+        w = rational_sqrt(q / s)
+        assert w is not None and w > 0
+        assert s * w * w == q and prod(primes) == abs(s)
 
 
 class TestIsSquare:

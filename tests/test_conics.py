@@ -15,7 +15,7 @@ from conftest import (
     relation_holds,
     same_extension,
 )
-from rankjump.arith import DomainError, is_square, squarefree_part
+from rankjump.arith import DomainError, is_square
 from rankjump.conics import (
     GENUS_0,
     GENUS_1,
@@ -30,7 +30,6 @@ from rankjump.conics import (
     height,
     parametrize,
     parametrize_heights,
-    quad_ext_class,
     rationals_by_height,
     rationals_of_height,
 )
@@ -40,7 +39,6 @@ from rankjump.polynomial import (
     RatPoly,
     factor_rational,
     poly_discriminant,
-    squarefree_kernel,
 )
 from rankjump.surfaces import KMFamily, TwistFamily
 
@@ -112,13 +110,10 @@ class TestConicFibre:
 
 class TestExtensionClasses:
     def test_canonicalisation(self):
-        cls = quad_ext_class(Fraction(8, 3), 2 * T**2 - 2)
-        # 8/3 * 2 (t^2 - 1) = 16/3 (t^2-1): squarefree part of 16/3 is 3
+        # over x0 = 0 the fibre of 2 (t^2 - 1) y^2 = x^3 - x + 8/3 is
+        # 8/3 * 2 (t^2 - 1) = 16/3 (t^2 - 1) mod squares: squarefree part 3
+        cls = conic_fibre(TwistFamily(F_CUBIC + Fraction(8, 3), 2 * T**2 - 2), 0).ext_class
         assert cls.s == 3 and cls.h == T**2 - 1
-
-    def test_square_polynomial_factor_dropped(self):
-        cls = quad_ext_class(1, (T - 2) ** 2 * (T + 1))
-        assert cls.h == T + 1
 
     def test_same_extension_square_product(self):
         s = twist(T)
@@ -422,26 +417,6 @@ class TestDescent:
         assert any(pt) and fib._form(pt) == 0
 
 
-@st.composite
-def low_degree_polys(draw):
-    """Degree 0, 1 and 2 polynomials, perfect squares c (t - r)^2 among them."""
-    kind = draw(st.sampled_from(("const", "linear", "quadratic", "square")))
-    if kind == "const":
-        return RatPoly([draw(nonzero)])
-    if kind == "square":
-        return draw(nonzero) * (T - draw(coeff)) ** 2
-    return _poly(draw, 1 if kind == "linear" else 2)
-
-
-class TestClosedFormExtensionClass:
-    @settings(max_examples=150, deadline=None)
-    @given(nonzero, low_degree_polys())
-    def test_matches_yun(self, scalar, poly):
-        lead, h = squarefree_kernel(poly)
-        s, _ = squarefree_part(scalar * lead)
-        assert quad_ext_class(scalar, poly) == QuadExtClass(s, h)
-
-
 def _factored_locus(h: RatPoly) -> BranchLocus:
     """The branch locus read off a factorisation of h over Q."""
     places = {Place(h_i) for h_i, _ in factor_rational(h)[1]}
@@ -462,14 +437,13 @@ class TestBranchLocus:
     ))
     def test_matches_factorisation(self, h):
         assume(h.degree == 1 or h[1] ** 2 != 4 * h[0])   # squarefree
-        cls = quad_ext_class(1, h)
-        assert cls.h == h
+        cls = QuadExtClass(1, h)
         assert branch_locus(cls) == _factored_locus(h)
         assert branch_locus(cls).geometric_count == 2
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
-            branch_locus(quad_ext_class(3, RatPoly([1])))
+            branch_locus(QuadExtClass(3, RatPoly([1])))
 
 
 class TestFibreProductGenus:

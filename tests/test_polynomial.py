@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import resultant
+from conftest import resultant, squarefree_kernel
 from rankjump.arith import DomainError
 from rankjump.polynomial import (
     PLACE_AT_INFINITY,
@@ -14,7 +14,6 @@ from rankjump.polynomial import (
     factor_rational,
     poly_discriminant,
     poly_gcd,
-    squarefree_kernel,
     valuation,
     yun_squarefree,
 )
@@ -55,14 +54,8 @@ class TestRingOps:
         assert (p * q)(x) == p(x) * q(x)
         assert (p + q)(x) == p(x) + q(x)
 
-    def test_composition(self):
-        p = T**2 + 1
-        inner = 2 * T - 3
-        assert p.compose(inner)(5) == p(inner(5))
-
-    def test_shift_and_reverse(self):
+    def test_reverse(self):
         p = T**2 - 2
-        assert p.shift(1) == T**2 + 2 * T - 1
         assert p.reversed_to(4) == RatPoly([0, 0, 1, 0, -2])
 
 

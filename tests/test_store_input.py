@@ -1,6 +1,7 @@
 """Input the program did not write: store, config and cover files holding
 bytes that are not UTF-8, store lines that are malformed JSON or malformed
-records, and a second writer holding the store lock.
+records, rationals whose exponent would build a huge integer, and a second
+writer holding the store lock.
 
 A store line is decoded on its own, so a bad line is one corrupt record
 for verify (exit 4) and one skipped line for census and jump; a config or
@@ -110,6 +111,67 @@ class TestNonUtf8:
                                "--avoid", str(covers)])
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot read cover file {str(covers)!r}: 'utf-8' codec")
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process, which must end within 5 s."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "rankjump.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=5)
+
+
+class TestForgedInput:
+    def test_point_without_provenance_fails(self, tmp_path):
+        # a rank-1 record plus the off-curve point (1, 1), provenance and
+        # claimed bound unchanged
+        data = json.loads(RECORD_LINE)
+        data["points"].append(["1", "1"])
+        forged = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        _, store, path = _store_with(tmp_path, RECORD_LINE, forged)
+        code, out, _ = _run(["verify", "--store", store])
+        assert code == 4
+        assert out.splitlines() == [
+            f"{path}:1: ok",
+            f"{path}:2: FAIL: point count 2 does not match provenance count 1",
+            "# verified 2 records, 1 failures",
+        ]
+
+    # Fraction(token) builds 10^k for an exponent k: these took 13 s, 15 s
+    # and 36 s before being refused
+    def test_huge_exponent_in_config_exit_2(self, tmp_path):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("kind = twist\nf = 0, -1, 0, 1e10000000\ng = 0, 1\n")
+        done = _run_cli("classify", "--config", str(cfg))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == ("error: line 2: field 'f': coefficient '1e10000000' has a "
+                               "numerator or denominator above 10000\n")
+
+    def test_huge_exponent_in_cover_file_exit_2(self, tmp_path):
+        cfg, _, _ = _store_with(tmp_path)
+        covers = tmp_path / "covers.txt"
+        covers.write_text("1e10000000, 1\n")
+        done = _run_cli("jump", "--config", cfg, "--budget", "6,6,2", "--avoid", str(covers))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == ("error: line 1: field 'cover': coefficient '1e10000000' has a "
+                               "numerator or denominator above 10000\n")
+
+    def test_huge_exponent_in_stored_t0(self, tmp_path):
+        data = json.loads(RECORD_LINE)
+        data["t0"] = "1e1000000"
+        forged = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        cfg, store, path = _store_with(tmp_path, forged, RECORD_LINE)
+        done = _run_cli("verify", "--store", store)
+        assert done.returncode == 4
+        assert done.stdout.splitlines() == [
+            f"{path}:1: FAIL: corrupt record: bad stored rational '1e1000000'",
+            f"{path}:2: ok",
+            "# verified 2 records, 1 failures",
+        ]
+        # census --store skips the line
+        done = _run_cli("census", "--config", cfg, "--height", "32", "--store", store)
+        assert done.returncode == 0
+        rows = [line.split() for line in done.stdout.splitlines() if line[:1].isspace()]
+        assert rows[-1][0] == "32" and rows[-1][3] == "1"
 
 
 # append_records of the record in the file line, after printing "ready"
