@@ -136,7 +136,7 @@ def cmd_census(args) -> int:
     if args.store and not Path(args.store).is_dir():
         raise ConfigError(f"no store directory {args.store!r}")
     cfg = _load_config(args.config)
-    census = field_census(cfg.fibred, args.height)
+    rows, degenerate = field_census(cfg.fibred, args.height)
     stored = Counter()
     if args.store:
         stored = Counter(height(s) for definition, s in stored_t0(args.store, cfg.label)
@@ -147,13 +147,12 @@ def cmd_census(args) -> int:
     print(f"surface: {cfg.label}")
     print(header)
     stored_up_to = accumulate(stored[h] for h in range(1, args.height + 1))
-    for h, ((distinct, solvable), n_stored) in enumerate(
-            zip(census.rows(args.height), stored_up_to), start=1):
+    for h, ((distinct, solvable), n_stored) in enumerate(zip(rows, stored_up_to), start=1):
         row = f"{h:6d}  {distinct:16d}  {solvable:15d}"
         if args.store:
             row += f"  {n_stored:19d}"
         print(row)
-    print(f"# degenerate fibre parameters skipped: {len(census.degenerate)}")
+    print(f"# degenerate fibre parameters skipped: {degenerate}")
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ Kinds: twist (fields f, g), km (a3, a2, a1, a0), weierstrass (A, B).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -83,6 +84,7 @@ class SurfaceConfig:
 MAX_COEFFICIENT = 10**4
 
 _EXPONENT = re.compile(r"([-+]?[0-9_.]*)[eE]([-+]?[0-9_]+)")
+_DIGIT_RUN = re.compile(r"[0-9]+")
 
 
 def _parse_rational(token: str, where: str) -> Fraction:
@@ -90,12 +92,17 @@ def _parse_rational(token: str, where: str) -> Fraction:
     # Within the bound, a nonzero D 10^(k - j) (D the mantissa's digits, j of
     # them after the point) has |k| <= len(token) + 4; past that only the
     # mantissa is parsed, and if it is nonzero the value is out of bounds.
+    # It builds 10^j for j digits after the point, too, before int() refuses
+    # a run of digits past the interpreter's limit (0: none): refuse it first.
     exp = _EXPONENT.fullmatch(token)
+    limit = sys.get_int_max_str_digits()
     try:
+        if limit and max(map(len, _DIGIT_RUN.findall(token)), default=0) > limit:
+            raise ValueError
         huge = exp is not None and abs(int(exp[2])) > len(token) + 4
         value = Fraction(exp[1] if huge else token)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{where}: bad rational {token!r}") from None
+        raise ConfigError(f"{where}: bad rational {token[:20]!r}") from None
     if huge and value or max(abs(value.numerator), value.denominator) > MAX_COEFFICIENT:
         raise ConfigError(f"{where}: coefficient {token[:20]!r} "
                           f"has a numerator or denominator above {MAX_COEFFICIENT}")

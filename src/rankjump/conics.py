@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, isqrt, lcm
 
 from .arith import SquareClass, lagrange_descent, rational_sqrt, square_class, ternary_obstruction
@@ -68,9 +68,6 @@ class BranchLocus:
     def geometric_count(self) -> int:
         return sum(p.degree for p in self.places)
 
-    def common_count(self, other: "BranchLocus") -> int:
-        return sum(p.degree for p in self.places & other.places)
-
 
 def branch_locus(cls: QuadExtClass) -> BranchLocus:
     """Branch locus of w^2 = s h(t): the roots of h, plus infinity if deg h
@@ -96,7 +93,7 @@ def fibre_product_genus(b1: BranchLocus, b2: BranchLocus) -> str:
     for b in (b1, b2):
         if b.geometric_count != 2:
             raise ValueError("branch locus of a genus-0 double cover has 2 points")
-    common = b1.common_count(b2)
+    common = sum(p.degree for p in b1.places & b2.places)
     return {2: REDUCIBLE, 1: GENUS_0, 0: GENUS_1}[common]
 
 
@@ -123,8 +120,8 @@ def _primitive(vec):
 
 
 class ConicFibre:
-    """One fibre of the conic bundle, with its extension class and branch
-    locus; rational-point machinery is computed lazily and cached."""
+    """One fibre of the conic bundle, with its extension class; its branch
+    locus, solvability and rational points are computed on demand, once."""
 
     def __init__(self, surface, x0):
         x0 = Fraction(x0)
@@ -137,10 +134,9 @@ class ConicFibre:
                 raise DegenerateFibreError(f"f({x0}) = 0: fibre splits")
             self.value = value
             self.q = None
-            # f(x0) is factored once; g is separable, so monic(g) is its kernel
-            value_class = square_class(value)
-            lead_class, block = surface.conic_classes
-            self.ext_class = QuadExtClass(value_class.times(lead_class).s, surface.g.monic())
+            value_class = square_class(value)  # f(x0) is factored once
+            lead_class, kernel, block = surface.conic_classes
+            self.ext_class = QuadExtClass(value_class.times(lead_class).s, kernel)
             self._classes = None if block is None else (*block, -value_class)
             g = surface.g
             # in coordinates (u, w, z) with u = t w: g2 u^2 + g1 u w + g0 w^2 = c z^2
@@ -175,10 +171,12 @@ class ConicFibre:
             )
         else:
             raise TypeError(f"unsupported surface {surface!r}")
-        self.branch = branch_locus(self.ext_class)
-        assert self.branch.geometric_count == 2
-        self._obstruction = "unknown"
         self._base_point = "unknown"
+
+    @cached_property
+    def branch(self) -> BranchLocus:
+        """The branch locus of the fibre's extension class."""
+        return branch_locus(self.ext_class)
 
     # -- geometry ----------------------------------------------------------
 
@@ -198,14 +196,12 @@ class ConicFibre:
         diag = [a, M[1][1] - M[0][1] ** 2 / a, M[2][2] - M[0][2] ** 2 / a]
         return diag, [[1, 0, 0], [-M[0][1] / a, 1, 0], [-M[0][2] / a, 0, 1]]
 
+    @cached_property
     def local_obstruction(self):
         """None when the fibre has a rational point; otherwise the smallest
         obstructing place (a prime, or 0 for the real place), from the
         closed-form square classes; a hyperbolic fibre has (1, 0, 0)."""
-        if self._obstruction == "unknown":
-            classes = self._classes
-            self._obstruction = None if classes is None else ternary_obstruction(*classes)
-        return self._obstruction
+        return None if self._classes is None else ternary_obstruction(*self._classes)
 
     def base_point(self):
         """A primitive projective rational point, or None if unsolvable: (1, 0, 0)
@@ -217,7 +213,7 @@ class ConicFibre:
             return self._base_point
         if self._form((1, 0, 0)) == 0:
             pt = (1, 0, 0)  # the natural point at infinity; gives the cleanest streams
-        elif self.local_obstruction() is not None:
+        elif self.local_obstruction is not None:
             self._base_point = None
             return None
         else:
@@ -270,7 +266,7 @@ def conic_fibre(surface, x0) -> ConicFibre:
 
 def conic_solvable(fibre: ConicFibre) -> bool:
     """Exact rational-point decision via local solvability at every place."""
-    return fibre.local_obstruction() is None
+    return fibre.local_obstruction is None
 
 
 def parametrize(fibre: ConicFibre, height_bound: int):

@@ -13,11 +13,12 @@ quadratic-coefficient families the branch points move, so two fibre
 parametrisations are intersected on the t-coordinate; pairs whose covers
 have identical branch loci (reducible fibre product) are skipped.
 
-All three searches take their fibres from one source, _fibres, fed x0 in
-the height order of conics.rationals_by_height; it yields the solvable
-fibres and counts tried, degenerate and unsolvable ones. jump1 reads it one
-height stage at a time; jump2 reads it lazily in one loop, forms each pair
-as its later fibre arrives and builds no fibre after its certificate count
+The searches and the census take their fibres from one source, _fibres,
+fed x0 in the height order of conics.rationals_by_height; it yields the
+solvable fibres and counts tried, degenerate and unsolvable ones. jump1
+reads it one height stage at a time; jump2 reads it lazily in one loop,
+forms each pair as its later fibre arrives (on a twist, with the earlier
+fibres of its class only) and builds no fibre after its certificate count
 is reached, so its fibres tried are those built before it stopped. The
 searches only propose a parameter value t0 with fibre points over it; one
 certification stage specialises, transports, rejects torsion and asks the
@@ -35,10 +36,9 @@ surfaces and the pairs on twists whose f does not split.
 
 With avoid set, any search keeps only parameter values outside the image
 of every cover of a finite challenge of quadratic covers; avoid_covers is
-jump1 or jump2 with avoid set. field_census walks the same height order
-with its own loop, since it also records the classes of unsolvable fibres
-and the degenerate x0; CensusResult.rows counts the quadratic-extension
-classes realised by solvable fibres.
+jump1 or jump2 with avoid set. field_census reads _fibres up to a height
+bound and counts, per height, the quadratic-extension classes the solvable
+fibres realise, and the degenerate x0 _fibres logged.
 """
 
 from __future__ import annotations
@@ -246,32 +246,31 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
     """
     log = log if log is not None else SearchLog()
     if isinstance(surface, TwistFamily):
-        pair_points, settles = partial(_shared_value_points, surface.f, budget.param_height), True
+        pair_points, twist = partial(_shared_value_points, surface.f, budget.param_height), True
     elif isinstance(surface, KMFamily):
-        pair_points, settles = partial(_intersection_points, {}, budget.param_height), False
+        pair_points, twist = partial(_intersection_points, {}, budget.param_height), False
     else:
         raise TypeError("jump2 needs a twist or quadratic-coefficient family")
     seen: set[Fraction] = set()
-    earlier: list[ConicFibre] = []
+    earlier = {}  # a twist's extension class, or None on km -> its fibres so far
     for fib in _fibres(surface, rationals_by_height(budget.x0_height), log):
-        for src in earlier:
+        partners = earlier.setdefault(fib.ext_class if twist else None, [])
+        for src in partners:
             for t0, points in pair_points(src, fib):
                 out = _certify(surface, t0, points, seen, avoid, label, log)
                 if isinstance(out, RankJumpCertificate):
                     yield out
                     if len(seen) >= budget.count:
                         return
-                elif out is not None and settles:
+                elif out is not None and twist:
                     break
-        earlier.append(fib)
+        partners.append(fib)
 
 
 def _shared_value_points(f: RatPoly, param_height: int, src: ConicFibre, other: ConicFibre):
     """Twist pairs: fibres of one quadratic-extension class have a square
     value ratio, so points flow along the earlier fibre and the partner
     point over the same t0 is w sqrt(f(x0') / f(x0))."""
-    if src.ext_class != other.ext_class:
-        return
     ratio = rational_sqrt(f(other.x0) / f(src.x0))
     assert ratio is not None, "fibres in one class have a square value ratio"
     for t0, w in parametrize(src, param_height):
@@ -313,49 +312,20 @@ def avoid_covers(surface, challenge: CoverChallenge, budget: Budget,
         raise ValueError("rank must be 1 or 2")
 
 
-@dataclass
-class CensusEntry:
-    x0: Fraction
-    ext_class: QuadExtClass
-    solvable: bool
-
-
-@dataclass
-class CensusResult:
-    """Quadratic-extension classes of the conic fibres up to a height bound."""
-
-    entries: list[CensusEntry]
-    degenerate: list[Fraction]
-
-    def rows(self, bound: int) -> list[tuple[int, int]]:
-        """(distinct classes, solvable fibres) of height <= h for each
-        h = 1..bound, from one pass over the height-ordered entries."""
-        first: dict[QuadExtClass, int] = {}   # class -> height of its first fibre
-        fibres: Counter = Counter()
-        for e in self.entries:
-            if e.solvable:
-                h = height(e.x0)
-                fibres[h] += 1
-                first.setdefault(e.ext_class, h)
-        new = Counter(first.values())
-        heights = range(1, bound + 1)
-        return list(zip(accumulate(new[h] for h in heights),
-                        accumulate(fibres[h] for h in heights)))
-
-
-def field_census(surface, x0_height_bound: int) -> CensusResult:
-    """Extension classes of all fibres of height <= bound, each marked
-    solvable or not, and the degenerate x0."""
-    entries = []
-    degenerate = []
-    for x0 in rationals_by_height(x0_height_bound):
-        try:
-            fib = conic_fibre(surface, x0)
-        except DegenerateFibreError:
-            degenerate.append(x0)
-            continue
-        entries.append(CensusEntry(x0, fib.ext_class, conic_solvable(fib)))
-    return CensusResult(entries, degenerate)
+def field_census(surface, x0_height_bound: int) -> tuple[list[tuple[int, int]], int]:
+    """(distinct extension classes, solvable fibres) of height <= h for each
+    h = 1..bound, from one pass over _fibres, and the number of degenerate x0."""
+    log = SearchLog()
+    first: dict[QuadExtClass, int] = {}   # class -> height of its first fibre
+    fibres: Counter = Counter()
+    for fib in _fibres(surface, rationals_by_height(x0_height_bound), log):
+        h = height(fib.x0)
+        fibres[h] += 1
+        first.setdefault(fib.ext_class, h)
+    new = Counter(first.values())
+    heights = range(1, x0_height_bound + 1)
+    rows = list(zip(accumulate(new[h] for h in heights), accumulate(fibres[h] for h in heights)))
+    return rows, log.degenerate_fibres
 
 
 def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[str]]:
@@ -366,7 +336,8 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
     singular fibres, the curve is the specialised one, each point is on it
     (once, by torsion_order: through the chart that is the fibre equation
     too), pulls back to x = x0 and is not torsion, a pair is independent by
-    2-descent or the regulator, and the claimed bound matches the evidence.
+    2-descent or the regulator, and the recorded bounds, exactness and
+    regulator match the surface and the evidence (a regulator: a pair).
     """
     if len(cert.points) != len(cert.provenance):
         return False, [f"point count {len(cert.points)} does not match provenance count "
@@ -404,9 +375,13 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
                 reasons.append(f"regulator verdict is {verdict.verdict}")
     elif len(pts) != 1:
         reasons.append(f"unsupported point count {len(pts)}")
-    r_bound, _ = rank_bound_data(surface)
+    r_bound, r_exact = rank_bound_data(surface)
     if cert.generic_rank_bound != r_bound:
         reasons.append("recorded generic rank bound is wrong")
+    if cert.rank_bound_exact != r_exact:
+        reasons.append("recorded exactness of the rank bound is wrong")
     if cert.claimed_rank_lower_bound != r_bound + len(pts):
         reasons.append("claimed rank bound does not match the evidence")
+    if cert.regulator is not None and len(pts) != 2:
+        reasons.append("a regulator is recorded without a pair of points")
     return not reasons, reasons

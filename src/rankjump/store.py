@@ -81,6 +81,13 @@ def _rational(s) -> Fraction:
     return Fraction(int(m[1]), int(m[2] or 1))
 
 
+def _typed(value, types: tuple, field: str):
+    """value, if JSON gave it as one of the types exactly (a bool is no int)."""
+    if type(value) not in types:
+        raise ValueError(f"bad stored {field} {str(value)[:20]!r}")
+    return value
+
+
 def record_from_json(line: str) -> CertificateRecord:
     data = json.loads(line)
     return _record(data, surface_config_from_dict(data["surface"]))
@@ -95,12 +102,14 @@ def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
         curve=(_rational(data["curve"]["A"]), _rational(data["curve"]["B"])),
         points=[(_rational(x), _rational(y)) for x, y in data["points"]],
         provenance=[_rational(x0) for x0 in data["provenance"]],
-        generic_rank_bound=int(data["generic_rank_bound"]),
-        rank_bound_exact=bool(data["rank_bound_exact"]),
-        claimed_rank_lower_bound=int(data["claimed_rank_lower_bound"]),
-        regulator=None if reg is None else (reg["determinant"], reg["error"]),
+        generic_rank_bound=_typed(data["generic_rank_bound"], (int,), "generic_rank_bound"),
+        rank_bound_exact=_typed(data["rank_bound_exact"], (bool,), "rank_bound_exact"),
+        claimed_rank_lower_bound=_typed(data["claimed_rank_lower_bound"], (int,),
+                                        "claimed_rank_lower_bound"),
+        regulator=None if reg is None else tuple(
+            _typed(reg[k], (int, float), "regulator") for k in ("determinant", "error")),
     )
-    budget = Budget(*data["budget"])
+    budget = Budget(*(_typed(n, (int,), "budget") for n in data["budget"]))
     return CertificateRecord(cert, cfg, budget, data.get("timestamp"),
                              bool(data.get("verified", False)))
 

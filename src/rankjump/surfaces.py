@@ -89,14 +89,16 @@ class TwistFamily:
         return WeierstrassQt(P * g * g, Q * g * g * g)
 
     @cached_property
-    def conic_classes(self) -> tuple[SquareClass, tuple[SquareClass, SquareClass] | None]:
-        """The square classes every fibre conic g(t) w^2 = f(x0) shares: of
-        lead(g) (times f(x0)'s, a fibre's extension class) and the diagonal
+    def conic_classes(self) -> tuple[SquareClass, RatPoly,
+                                     tuple[SquareClass, SquareClass] | None]:
+        """What every fibre conic g(t) w^2 = f(x0) shares: the square class
+        of lead(g) and monic(g), the squarefree kernel of the separable g
+        (with f(x0)'s class, a fibre's extension class), and the diagonal
         (g2, -g2 disc(g)) of g2 u^2 + g1 u w + g0 w^2, None if g2 = 0."""
-        lead = square_class(self.g.leading())
+        lead, kernel = square_class(self.g.leading()), self.g.monic()
         if self.g.degree < 2:
-            return lead, None
-        return lead, (lead, lead.times(square_class(-poly_discriminant(self.g))))
+            return lead, kernel, None
+        return lead, kernel, (lead, lead.times(square_class(-poly_discriminant(self.g))))
 
     @cached_property
     def f_roots(self) -> tuple[Fraction, Fraction, Fraction] | None:

@@ -8,8 +8,8 @@ base-point sweep its integer ones must match, local solvability by
 Fraction Hilbert symbols on a general diagonalisation, the integral model
 found by factoring denominators, the formal-group multiple found by first
 hits and a restart, the archimedean height series term by term in mpmath,
-heights by the doubling limit, and fibre-relation and extension-class
-comparisons.
+heights by the doubling limit, fibre-relation and extension-class
+comparisons, and the census rescanned fibre by fibre.
 """
 
 from __future__ import annotations
@@ -337,12 +337,34 @@ def same_extension(c1, c2) -> bool:
     return c1.ext_class == c2.ext_class
 
 
-def distinct_up_to(census, bound: int) -> int:
-    """Distinct extension classes among a census's solvable fibres of height
-    <= bound, counted afresh from its entries."""
-    from rankjump.conics import height
+def census_rescan(surface, bound: int) -> tuple[list[tuple[int, int]], int]:
+    """jumps.field_census afresh: every x0 = n/d in lowest terms with |n|,
+    d <= bound, in no height order, built by conic_fibre and decided by
+    conic_solvable; returns (distinct classes, solvable fibres) of height
+    <= h for h = 1..bound, and the number of degenerate x0."""
+    from rankjump.conics import DegenerateFibreError, conic_fibre, conic_solvable
 
-    return len({e.ext_class for e in census.entries if e.solvable and height(e.x0) <= bound})
+    solvable, degenerate = [], 0  # (height, extension class) per solvable fibre
+    for d in range(1, bound + 1):
+        for n in range(-bound, bound + 1):
+            if gcd(n, d) != 1:
+                continue
+            try:
+                fib = conic_fibre(surface, Fraction(n, d))
+            except DegenerateFibreError:
+                degenerate += 1
+                continue
+            if conic_solvable(fib):
+                solvable.append((max(abs(n), d), fib.ext_class))
+    rows = [(len({c for k, c in solvable if k <= h}), sum(k <= h for k, _ in solvable))
+            for h in range(1, bound + 1)]
+    return rows, degenerate
+
+
+def distinct_up_to(surface, bound: int) -> int:
+    """Distinct extension classes among the solvable fibres of height <=
+    bound, by census_rescan."""
+    return census_rescan(surface, bound)[0][-1][0]
 
 
 def lambda_infinity_mpmath(Ai: int, Bi: int, x: Fraction, y: Fraction, terms: int, mp):

@@ -167,7 +167,7 @@ class TestSolvability:
         fib = conic_fibre(s, 2)            # value 6: obstructed
         assert fib.value == 6
         assert not conic_solvable(fib)
-        p = fib.local_obstruction()
+        p = fib.local_obstruction
         assert p in (2, 3)
         diag, _ = fib._diagonal()
         a, b, c = legendre_normalize(*(x.numerator * x.denominator for x in diag))
@@ -209,7 +209,7 @@ class TestSolvability:
             fib = conic_fibre(s, x0)
             if conic_solvable(fib):
                 continue
-            p = fib.local_obstruction()
+            p = fib.local_obstruction
             assert p is not None
             diag, _ = fib._diagonal()
             a, b, c = legendre_normalize(*(x.numerator * x.denominator for x in diag))
@@ -348,7 +348,7 @@ class TestIntegerSolvability:
             except DegenerateFibreError:
                 continue
             assert fib.ext_class == ext_class_by_yun(fib)
-            assert fib.local_obstruction() == local_obstruction_fraction(fib)
+            assert fib.local_obstruction == local_obstruction_fraction(fib)
 
 
 class TestIntegerSweep:

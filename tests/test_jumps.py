@@ -4,11 +4,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import distinct_up_to
+from conftest import census_rescan, distinct_up_to
+from test_conics import surfaces
 from rankjump import jumps
 from rankjump.cli import main
-from rankjump.conics import conic_fibre, height
+from rankjump.conics import conic_fibre, conic_solvable, rationals_by_height
 from rankjump.curves import EllipticCurveQ, point, specialize
 from rankjump.jumps import (
     Budget,
@@ -195,45 +197,49 @@ def is_sq(q):
 
 class TestFieldCensus:
     def test_distinct_classes(self):
-        census = field_census(usual_twist(), 3)
+        rows, _ = field_census(usual_twist(), 3)
         # x0 = 2, 3 share the class of 6t; x0 = 2, 4 do not (360 not square)
         f2 = conic_fibre(usual_twist(), 2)
         f3 = conic_fibre(usual_twist(), 3)
         f4 = conic_fibre(usual_twist(), 4)
         assert f2.ext_class == f3.ext_class
         assert f2.ext_class != f4.ext_class
-        assert sum(e.solvable and e.ext_class == f2.ext_class for e in census.entries) >= 2
+        # both solvable, so the census counts their one class for two fibres
+        assert conic_solvable(f2) and conic_solvable(f3)
+        assert rows == census_rescan(usual_twist(), 3)[0]
+        assert rows[-1][0] < rows[-1][1]
 
     def test_degenerate_skipped(self):
-        census = field_census(usual_twist(), 1)
         # x0 in {0, 1, -1} are all roots of f
-        assert not census.entries
-        assert census.rows(1) == [(0, 0)]
-        assert census.degenerate == [0, 1, -1]
+        assert field_census(usual_twist(), 1) == ([(0, 0)], 3)
+        assert census_rescan(usual_twist(), 1) == ([(0, 0)], 3)
 
     def test_monotone_in_bound(self):
         prev = 0
         for bound in (2, 4, 6, 8):
-            distinct = field_census(usual_twist(), bound).rows(bound)[-1][0]
+            distinct = field_census(usual_twist(), bound)[0][-1][0]
             assert distinct >= prev
             prev = distinct
         assert prev >= 8
 
     def test_distinct_up_to_matches_full_runs(self):
-        census = field_census(usual_twist(), 8)
+        rows, _ = field_census(usual_twist(), 8)
         for bound in (2, 4, 6):
-            assert distinct_up_to(census, bound) == field_census(
+            assert rows[bound - 1][0] == distinct_up_to(usual_twist(), bound) == field_census(
                 usual_twist(), bound
-            ).rows(bound)[-1][0]
+            )[0][-1][0]
 
     def test_rows_match_rescans(self):
         # (t^2 - 7) y^2 = x^3 - x mixes solvable and unsolvable fibres
-        census = field_census(TwistFamily(F_CUBIC, T * T - 7), 7)
-        assert {e.solvable for e in census.entries} == {True, False}
-        for h, (distinct, solvable) in enumerate(census.rows(9), start=1):
-            assert distinct == distinct_up_to(census, h)
-            assert solvable == sum(1 for e in census.entries
-                                   if e.solvable and height(e.x0) <= h)
+        s = TwistFamily(F_CUBIC, T * T - 7)
+        rows, degenerate = field_census(s, 7)
+        assert 0 < rows[-1][1] < len(list(rationals_by_height(7))) - degenerate
+        assert (rows, degenerate) == census_rescan(s, 7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(surfaces(), st.integers(1, 6))
+    def test_rows_match_rescans_on_drawn_surfaces(self, s, bound):
+        assert field_census(s, bound) == census_rescan(s, bound)
 
 
 class TestVerification:

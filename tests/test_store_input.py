@@ -1,7 +1,8 @@
 """Input the program did not write: store, config and cover files holding
 bytes that are not UTF-8, store lines that are malformed JSON or malformed
-records, rationals whose exponent would build a huge integer, and a second
-writer holding the store lock.
+records, record fields forged or of the wrong JSON type, rationals whose
+exponent or digits would build a huge integer, and a second writer holding
+the store lock.
 
 A store line is decoded on its own, so a bad line is one corrupt record
 for verify (exit 4) and one skipped line for census and jump; a config or
@@ -20,6 +21,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rankjump.cli import main
@@ -120,6 +122,13 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=5)
 
 
+def _forged(**fields) -> bytes:
+    """RECORD_LINE, a rank-1 record, with the fields replaced."""
+    data = json.loads(RECORD_LINE)
+    data.update(fields)
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 class TestForgedInput:
     def test_point_without_provenance_fails(self, tmp_path):
         # a rank-1 record plus the off-curve point (1, 1), provenance and
@@ -135,6 +144,51 @@ class TestForgedInput:
             f"{path}:2: FAIL: point count 2 does not match provenance count 1",
             "# verified 2 records, 1 failures",
         ]
+
+    def _verify_second_line(self, tmp_path, forged: bytes) -> str:
+        """verify's report on the forged line stored after RECORD_LINE, which
+        must fail it with exit 4."""
+        _, store, path = _store_with(tmp_path, RECORD_LINE, forged)
+        code, out, _ = _run(["verify", "--store", store])
+        assert code == 4
+        lines = out.splitlines()
+        assert lines[0] == f"{path}:1: ok" and lines[2] == "# verified 2 records, 1 failures"
+        assert lines[1].startswith(f"{path}:2: FAIL: ")
+        return lines[1].removeprefix(f"{path}:2: FAIL: ")
+
+    def test_flipped_rank_bound_exact_fails(self, tmp_path):
+        reason = self._verify_second_line(tmp_path, _forged(rank_bound_exact=False))
+        assert reason == "recorded exactness of the rank bound is wrong"
+
+    def test_regulator_on_one_point_fails(self, tmp_path):
+        forged = _forged(regulator={"determinant": 123.0, "error": 0.0})
+        reason = self._verify_second_line(tmp_path, forged)
+        assert reason == "a regulator is recorded without a pair of points"
+
+    def test_fractional_rank_bounds_are_corrupt(self, tmp_path):
+        # int() would truncate both to the true 0 and 1
+        forged = _forged(generic_rank_bound=0.5, claimed_rank_lower_bound=1.5)
+        reason = self._verify_second_line(tmp_path, forged)
+        assert reason == "corrupt record: bad stored generic_rank_bound '0.5'"
+
+    @pytest.mark.parametrize("fields, reason", [
+        ({"rank_bound_exact": 1}, "bad stored rank_bound_exact '1'"),
+        ({"claimed_rank_lower_bound": True}, "bad stored claimed_rank_lower_bound 'True'"),
+        ({"regulator": {"determinant": "123", "error": 0.0}}, "bad stored regulator '123'"),
+        ({"budget": [6, 6.5, 1]}, "bad stored budget '6.5'"),
+    ])
+    def test_mistyped_field_is_corrupt(self, tmp_path, fields, reason):
+        assert self._verify_second_line(tmp_path, _forged(**fields)) == "corrupt record: " + reason
+
+    def test_long_decimal_in_config_exit_2(self, tmp_path):
+        # Fraction builds 10^j for j digits after the point before int()
+        # refuses them, and the whole token was echoed
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("kind = twist\nf = 0, -1, 0, 1\ng = 0." + "0" * 10**6 + ", 1\n")
+        done = _run_cli("classify", "--config", str(cfg))
+        assert done.returncode == 2 and done.stdout == ""
+        assert len(done.stderr.encode("utf-8")) < 200
+        assert done.stderr == "error: line 3: field 'g': bad rational '0.000000000000000000'\n"
 
     # Fraction(token) builds 10^k for an exponent k: these took 13 s, 15 s
     # and 36 s before being refused
