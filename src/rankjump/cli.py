@@ -22,6 +22,7 @@ from .conics import height
 from .jumps import Budget, CoverChallenge, SearchLog, field_census, jump1, jump2
 from .store import CertificateRecord, append_records, store_file, stored_t0, verify_store
 from .surfaces import (
+    InconsistentClassification,
     TwistFamily,
     classify_fibres,
     is_twist_case,
@@ -65,17 +66,20 @@ def cmd_classify(args) -> int:
     surface = build_surface(cfg)
     w = to_weierstrass(surface)
     cls = classify_fibres(w)
+    try:
+        bound = shioda_tate_bound(cls)
+    except InconsistentClassification as exc:
+        raise ConfigError(str(exc)) from None
     print(f"surface: {cfg.label} (kind {cfg.kind})")
     print(f"model: y^2 = x^3 + ({w.A!r}) x + ({w.B!r})")
     print("singular fibres:")
     for fd in cls.fibres:
-        red = "reduced" if fd.reduced else "non-reduced"
-        print(
-            f"  place {fd.place!r}: type {fd.kodaira.symbol}, "
-            f"{fd.components} components, {red}, euler {fd.euler}"
-        )
+        k = fd.kodaira
+        red = "reduced" if k.reduced else "non-reduced"
+        print(f"  place {fd.place!r}: type {k.symbol}, {k.components} components, {red}, "
+              f"euler {k.euler}")
     print(f"euler number: {cls.euler_total}")
-    print(f"shioda-tate rank bound: {shioda_tate_bound(cls)}")
+    print(f"shioda-tate rank bound: {bound}")
     twist = surface if isinstance(surface, TwistFamily) else is_twist_case(w)
     if twist is None:
         print("twist form: none (not a quadratic twist family)")

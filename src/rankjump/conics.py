@@ -101,10 +101,6 @@ def fibre_product_genus(b1: BranchLocus, b2: BranchLocus) -> str:
 # exact linear algebra on the fibre's 3x3 symmetric matrix
 
 
-def _bilinear(M, u, v) -> Fraction:
-    return sum(u[i] * M[i][j] * v[j] for i in range(3) for j in range(3))
-
-
 def _primitive(vec):
     """Scale a rational vector to coprime integers with canonical sign."""
     vec = [Fraction(c) for c in vec]
@@ -178,11 +174,6 @@ class ConicFibre:
         """The branch locus of the fibre's extension class."""
         return branch_locus(self.ext_class)
 
-    # -- geometry ----------------------------------------------------------
-
-    def _form(self, v) -> Fraction:
-        return _bilinear(self.matrix, v, v)
-
     # -- solvability -------------------------------------------------------
 
     def _diagonal(self):
@@ -191,8 +182,6 @@ class ConicFibre:
         and column 0 against the pivot M00 leaves a diagonal form."""
         M = self.matrix
         a = M[0][0]
-        if a == 0:
-            raise ValueError("hyperbolic fibre: (1, 0, 0) lies on it")
         diag = [a, M[1][1] - M[0][1] ** 2 / a, M[2][2] - M[0][2] ** 2 / a]
         return diag, [[1, 0, 0], [-M[0][1] / a, 1, 0], [-M[0][2] / a, 0, 1]]
 
@@ -205,13 +194,13 @@ class ConicFibre:
 
     def base_point(self):
         """A primitive projective rational point, or None if unsolvable: (1, 0, 0)
-        when it lies on the fibre, else the sweep _naive_search(32), else
-        _descend, Lagrange's descent after Cremona-Rusin. The first two fix
-        the streams' starting points; the descent never fails on a solvable
-        fibre."""
+        on a hyperbolic fibre (no square classes), else the sweep
+        _naive_search(32), else _descend, Lagrange's descent after
+        Cremona-Rusin. The first two fix the streams' starting points; the
+        descent never fails on a solvable fibre."""
         if self._base_point != "unknown":
             return self._base_point
-        if self._form((1, 0, 0)) == 0:
+        if self._classes is None:
             pt = (1, 0, 0)  # the natural point at infinity; gives the cleanest streams
         elif self.local_obstruction is not None:
             self._base_point = None
@@ -220,9 +209,7 @@ class ConicFibre:
             pt = self._naive_search(32) or self._descend()
         if pt is None:
             raise RuntimeError(f"no point found on a locally solvable conic (x0 = {self.x0})")
-        pt = _primitive(pt)
-        assert self._form(pt) == 0 and any(pt)
-        self._base_point = pt
+        self._base_point = pt = _primitive(pt)
         return pt
 
     def _naive_search(self, bound):
@@ -292,7 +279,9 @@ def parametrize_heights(fibre: ConicFibre, height_bound: int):
     conic meet it again in distinct points, so P^1 -> C is a bijection, and
     _parameter_pairs yields each (m0 : m1) once. A point's ratios t, w do
     not change when it is scaled, so it needs no reduction; it is checked
-    against the integer form exactly.
+    against the integer form exactly. That covers b too: the point R has
+    R^T M R = (v^T M v)^2 b^T M b, and no nondegenerate ternary form has an
+    isotropic plane, so a b off the conic fails at (1 : 0), (0 : 1) or (1 : 1).
     """
     if not conic_solvable(fibre):
         raise ValueError(f"fibre over x0 = {fibre.x0} has no rational point")

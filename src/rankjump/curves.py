@@ -2,7 +2,8 @@
 
 One group law, on integer Jacobian triples (x = X/Z^2, y = Y/Z^3) of the
 model scaled by mu = lcm(den A, den B); a point is checked on the curve
-once on entry and made a Fraction point once on exit. On an integral model
+once on entry and made a Fraction point once on exit, and the heights and
+the relation search take the regulator's triples. On an integral model
 x = a/d^2, y = b/d^3 with gcd(a, d) = 1 (Silverman-Tate, Rational Points on
 Elliptic Curves, III.2), so one gcd and one isqrt keep each sum in lowest
 terms. Torsion is decided on that model without factoring, by Nagell-Lutz
@@ -22,11 +23,12 @@ series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|), with a tail bound, run
 on integer pairs x(2^k P) = X/Z cut to the working precision; its terms
 telescope into one mpmath log. The finite part is exact: we replace P by
 the smallest multiple mP lying in the formal group at 2 and at 3, reached
-by one walk Q <- Q + P, after which the contribution of every prime is
-(1/2) log den(x) except for primes p >= 5 where mP meets a singular point
-of the reduced model; those corrections are rational multiples of log p
-given by Silverman's closed formula (Computing heights on elliptic curves,
-Math. Comp. 51 (1988), section 5) from three valuations.
+by one walk Q <- Q + P on triples of that model, after which the
+contribution of every prime is (1/2) log den(x) except for primes p >= 5
+where mP meets a singular point of the reduced model; those corrections are
+rational multiples of log p given by Silverman's closed formula (Computing
+heights on elliptic curves, Math. Comp. 51 (1988), section 5) from three
+valuations.
 """
 
 from __future__ import annotations
@@ -328,22 +330,21 @@ def _finite_corrections(Ai: int, Bi: int, disc: int, primes, x: Fraction, y: Fra
 _FORMAL_GROUP_MULTIPLE_CAP = 1024
 
 
-def _formal_multiple(E: EllipticCurveQ, P: PointQ) -> tuple[int, PointQ]:
-    """The multiple mP lying in the formal group at 2 and at 3 (that is,
-    v_2(x) < 0 and v_3(x) < 0, so 6 | den x), with m minimal, found by one
-    walk Q <- Q + P on Jacobian triples. E must have integer coefficients,
-    so den x = Z^2, and P must be non-torsion.
+def _formal_multiple(A: int, J) -> tuple[int, tuple[int, int, int]]:
+    """The multiple m J lying in the formal group at 2 and at 3 (that is,
+    v_2(x) < 0 and v_3(x) < 0, so 6 | Z), with m minimal, found by one walk
+    Q <- Q + J on reduced triples of an integral model with x-coefficient A,
+    where den x = Z^2; J must be non-torsion.
 
-    The multiples of P in the formal group at p are the multiples of the
-    first one there, at k_p P, so the walk stops at m = lcm(k_2, k_3).
+    The multiples of J in the formal group at p are the multiples of the
+    first one there, at k_p J, so the walk stops at m = lcm(k_2, k_3).
     """
-    A, J = E._scaled_model[0], E._jac(P)
-    Q = J  # m P
+    Q = J  # m J
     for m in range(1, _FORMAL_GROUP_MULTIPLE_CAP + 1):
         if Q is None:
             raise DomainError("torsion point reached the identity")
         if Q[2] % 6 == 0:
-            return m, E._point(Q)
+            return m, Q
         Q = _jac_add(A, Q, J)
     raise PrecisionError("formal-group multiple exceeds the size cap")
 
@@ -354,25 +355,29 @@ def canonical_height(E: EllipticCurveQ, P: PointQ) -> HeightData:
     Uses the normalisation with hhat(P) = (1/2) lim 4^{-n} h(x(2^n P)), so
     heights of non-torsion points are positive and hhat(nP) = n^2 hhat(P).
     """
-    if P.is_identity:
+    J = E._jac(P)
+    if J is None:
         raise ValueError("height of the identity is undefined; use a point")
-    order = E.torsion_order(P)
+    order = _jac_order(E._scaled_model[0], J)
     if order is not None:
         return HeightData(0.0, 0.0, "torsion", {"order": order})
-    return _height(E, P)
+    return _height(E, J)
 
 
-def _height(E: EllipticCurveQ, P: PointQ) -> HeightData:
-    """canonical_height of a point known to lie on E and to be non-torsion,
-    at 60 digits and 48 series terms; each PrecisionError doubles the digits
-    and adds 16 terms, up to three times."""
+def _height(E: EllipticCurveQ, J) -> HeightData:
+    """canonical_height of a non-torsion triple J of E's scaled model, at 60
+    digits and 48 series terms; each PrecisionError doubles the digits and
+    adds 16 terms, up to three times. With u = mu / lam, J is (X, Y, u Z)
+    on the integral model, reduced as _jac_add reduces."""
     import mpmath
 
     Ai, Bi, lam = E.integral_model
-    disc = E.discriminant_integral()
-    m, Q = _formal_multiple(EllipticCurveQ(Ai, Bi), PointQ(P.x * lam**2, P.y * lam**3))
-    x, y = Q.x, Q.y
-    corrections = _finite_corrections(Ai, Bi, disc, E._discriminant_primes, x, y)
+    X, Y, Z = J[0], J[1], J[2] * int(E._scaled_model[2] / lam)
+    l = isqrt(gcd(X, Z * Z))
+    m, (X, Y, Z) = _formal_multiple(Ai, (X // (l * l), Y // (l * l * l), Z // l))
+    x, y = Fraction(X, Z * Z), Fraction(Y, Z**3)
+    corrections = _finite_corrections(Ai, Bi, E.discriminant_integral(), E._discriminant_primes,
+                                      x, y)
     dps, terms = 60, 48
     last_exc = None
     for attempt in range(4):
@@ -448,21 +453,21 @@ def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
     A, Js = E._scaled_model[0], [E._jac(P) for P in points]
     if any(J is None or _jac_order(A, J) is not None for J in Js):
         raise ValueError("regulator requires non-torsion points")
-    (P, Q), (JP, JQ) = points, Js
+    JP, JQ = Js
     JS = _jac_add(A, JP, JQ)
     for b, J in ((1, JS), (-1, _jac_add(A, JP, (JQ[0], -JQ[1], JQ[2])))):
         order = _jac_order(A, J)
         if order is not None:
             return RegulatorResult(0.0, 0.0, "dependent", (1, b, order))
-    hP, hQ = _height(E, P), _height(E, Q)
+    hP, hQ = _height(E, JP), _height(E, JQ)
     h11, e11 = hP.value, hP.error
     h22, e22 = hQ.value, hQ.error
-    h12, e12 = _pairing(_height(E, E._point(JS)), hP, hQ)
+    h12, e12 = _pairing(_height(E, JS), hP, hQ)
     det = h11 * h22 - h12 * h12
     err = e11 * abs(h22) + e22 * abs(h11) + 2 * abs(h12) * e12 + e11 * e22 + e12 * e12
     if det - err > INDEPENDENCE_THRESHOLD:
         return RegulatorResult(det, err, "independent")
-    rel = _small_relation(E, P, Q, (h11, h22, h12), (e11, e22, e12), 20)
+    rel = _small_relation(A, JP, JQ, (h11, h22, h12), (e11, e22, e12), 20)
     if rel is not None:
         return RegulatorResult(det, err, "dependent", rel)
     return RegulatorResult(det, err, "inconclusive")
@@ -504,12 +509,12 @@ def _pairs_by_size(bound: int) -> tuple[tuple[int, int], ...]:
     ))
 
 
-def _small_relation(E: EllipticCurveQ, P: PointQ, Q: PointQ, gram, errors, bound: int):
+def _small_relation(A: int, JP, JQ, gram, errors, bound: int):
     """The first (a, b, order), by |a| + |b|, |a| and signs, with a P + b Q
-    torsion. A relation forces a^2 h11 = b^2 h22 and a^2 h11 + 2ab h12 +
-    b^2 h22 = 0, so pairs violating either beyond the errors are skipped."""
+    torsion, P and Q the triples JP and JQ. A relation forces a^2 h11 =
+    b^2 h22 and a^2 h11 + 2ab h12 + b^2 h22 = 0, so pairs violating either
+    beyond the errors are skipped."""
     (h11, h22, h12), (e11, e22, e12) = gram, errors
-    A, JP, JQ = E._scaled_model[0], E._jac(P), E._jac(Q)
     mult = cache(lambda J, n: _jac_mul(A, n, J))  # multiples of P and of Q
     for a, b in _pairs_by_size(bound):
         if abs(a * a * h11 - b * b * h22) > a * a * e11 + b * b * e22:

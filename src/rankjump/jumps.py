@@ -246,7 +246,7 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
     """
     log = log if log is not None else SearchLog()
     if isinstance(surface, TwistFamily):
-        pair_points, twist = partial(_shared_value_points, surface.f, budget.param_height), True
+        pair_points, twist = partial(_shared_value_points, budget.param_height), True
     elif isinstance(surface, KMFamily):
         pair_points, twist = partial(_intersection_points, {}, budget.param_height), False
     else:
@@ -267,11 +267,11 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
         partners.append(fib)
 
 
-def _shared_value_points(f: RatPoly, param_height: int, src: ConicFibre, other: ConicFibre):
+def _shared_value_points(param_height: int, src: ConicFibre, other: ConicFibre):
     """Twist pairs: fibres of one quadratic-extension class have a square
     value ratio, so points flow along the earlier fibre and the partner
-    point over the same t0 is w sqrt(f(x0') / f(x0))."""
-    ratio = rational_sqrt(f(other.x0) / f(src.x0))
+    point over the same t0 is w sqrt(f(x0') / f(x0)), from the fibres' values."""
+    ratio = rational_sqrt(other.value / src.value)
     assert ratio is not None, "fibres in one class have a square value ratio"
     for t0, w in parametrize(src, param_height):
         yield t0, [(src.x0, w), (other.x0, w * ratio)]

@@ -22,6 +22,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
 
 from . import __version__
@@ -109,9 +110,11 @@ def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
         regulator=None if reg is None else tuple(
             _typed(reg[k], (int, float), "regulator") for k in ("determinant", "error")),
     )
+    if not all(map(isfinite, cert.regulator or ())):  # json reads NaN and Infinity
+        raise ValueError(f"bad stored regulator {cert.regulator}")
     budget = Budget(*(_typed(n, (int,), "budget") for n in data["budget"]))
     return CertificateRecord(cert, cfg, budget, data.get("timestamp"),
-                             bool(data.get("verified", False)))
+                             _typed(data.get("verified", False), (bool,), "verified"))
 
 
 def store_file(store_dir: str | Path, label: str) -> Path:

@@ -44,23 +44,6 @@ class InconsistentClassification(ValueError):
     """Raised when fibre data violates the Euler-number accounting."""
 
 
-def _short_cubic(f: RatPoly) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Normalise a separable cubic f to monic depressed form x^3 + P x + Q.
-
-    Returns (P, Q, l, c2) where l = leading coefficient and c2 the original
-    quadratic coefficient; a point (x, y) on g y^2 = f(x) maps to
-    (l x + c2/3, l y) on g y^2 = x^3 + P x + Q.
-    """
-    l = f.leading()
-    c2, c1, c0 = f[2], f[1], f[0]
-    # scale to monic: multiply the equation by l^2 and set x1 = l x, y1 = l y
-    b2, b1, b0 = c2, c1 * l, c0 * l * l
-    # depress: x2 = x1 + b2/3
-    P = b1 - b2 * b2 / 3
-    Q = b0 - b2 * b1 / 3 + 2 * b2**3 / 27
-    return P, Q, l, c2
-
-
 @dataclass(frozen=True)
 class TwistFamily:
     """The surface g(t) y^2 = f(x), fibred over the t-line."""
@@ -78,13 +61,23 @@ class TwistFamily:
         if self.g.degree == 2 and poly_discriminant(self.g) == 0:
             raise DomainError("g must be separable")
 
-    def short_cubic(self):
-        return _short_cubic(self.f)
+    @cached_property
+    def short_cubic(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """f in monic depressed form x^3 + P x + Q: (P, Q, l, c2) with l the
+        leading and c2 the quadratic coefficient of f; a point (x, y) on
+        g y^2 = f(x) maps to (l x + c2/3, l y) on g y^2 = x^3 + P x + Q."""
+        l, c2, c1, c0 = self.f.leading(), self.f[2], self.f[1], self.f[0]
+        # scale to monic: multiply the equation by l^2 and set x1 = l x, y1 = l y
+        b2, b1, b0 = c2, c1 * l, c0 * l * l
+        # depress: x2 = x1 + b2/3
+        P = b1 - b2 * b2 / 3
+        Q = b0 - b2 * b1 / 3 + 2 * b2**3 / 27
+        return P, Q, l, c2
 
     @cached_property
     def weierstrass(self) -> "WeierstrassQt":
         """The short model y^2 = x^3 + P g^2 x + Q g^3, P and Q from short_cubic."""
-        P, Q, _, _ = self.short_cubic()
+        P, Q, _, _ = self.short_cubic
         g = self.g
         return WeierstrassQt(P * g * g, Q * g * g * g)
 
@@ -113,7 +106,7 @@ class TwistFamily:
     def chart(self) -> tuple[RatPoly, RatPoly, RatPoly]:
         """(u, v, w) in Q[t] with X = u x + v, Y = w y carrying the fibre
         over t onto the short model; u vanishes under the singular fibres."""
-        _, _, l, c2 = self.short_cubic()
+        _, _, l, c2 = self.short_cubic
         g = self.g
         return g * l, g * (c2 / 3), g * g * l
 
@@ -214,18 +207,6 @@ class FibreData:
     place: Place
     kodaira: KodairaType
 
-    @property
-    def components(self) -> int:
-        return self.kodaira.components
-
-    @property
-    def reduced(self) -> bool:
-        return self.kodaira.reduced
-
-    @property
-    def euler(self) -> int:
-        return self.kodaira.euler
-
 
 @dataclass(frozen=True)
 class FibreClassification:
@@ -234,7 +215,7 @@ class FibreClassification:
     @property
     def euler_total(self) -> int:
         """Sum of local Euler contributions, weighted by place degrees."""
-        return sum(f.euler * f.place.degree for f in self.fibres)
+        return sum(f.kodaira.euler * f.place.degree for f in self.fibres)
 
 
 def to_weierstrass(surface) -> WeierstrassQt:
@@ -282,7 +263,7 @@ def shioda_tate_bound(c: FibreClassification) -> int:
         raise InconsistentClassification(
             f"Euler number {c.euler_total} != 12; not a rational elliptic surface"
         )
-    bound = 8 - sum((f.components - 1) * f.place.degree for f in c.fibres)
+    bound = 8 - sum((f.kodaira.components - 1) * f.place.degree for f in c.fibres)
     if bound < 0:
         raise InconsistentClassification(f"negative rank bound {bound}")
     return bound

@@ -295,7 +295,7 @@ def parametrize_heights_fraction(fibre, height_bound: int):
     arithmetic: each point cut by the line (m0 : m1) through the base point
     is reduced to a primitive integer vector, skipped if it was seen before,
     mapped to the affine chart and checked against the fibre relation."""
-    from rankjump.conics import _bilinear, _parameter_pairs, _primitive, conic_solvable
+    from rankjump.conics import _parameter_pairs, _primitive, conic_solvable
 
     if not conic_solvable(fibre):
         raise ValueError(f"fibre over x0 = {fibre.x0} has no rational point")
@@ -322,6 +322,15 @@ def parametrize_heights_fraction(fibre, height_bound: int):
         t, w = (a / b, b / c) if fibre.kind == "twist" else (a / c, b / c)
         assert relation_holds(fibre, t, w)
         yield max(abs(m0), abs(m1)), t, w
+
+
+def _bilinear(M, u, v) -> Fraction:
+    return sum(u[i] * M[i][j] * v[j] for i in range(3) for j in range(3))
+
+
+def on_conic(fibre, pt) -> bool:
+    """pt is a zero of the fibre's quadratic form, in Fraction arithmetic."""
+    return _bilinear(fibre.matrix, pt, pt) == 0
 
 
 def relation_holds(fibre, t, w) -> bool:

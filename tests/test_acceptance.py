@@ -91,7 +91,7 @@ def test_criterion_1_fibre_classification():
         cls = classify_fibres(to_weierstrass(s))
         assert cls.euler_total == 12
         assert shioda_tate_bound(cls) == 0
-        nonred = [fd for fd in cls.fibres if not fd.reduced]
+        nonred = [fd for fd in cls.fibres if not fd.kodaira.reduced]
         assert all(fd.kodaira.symbol == "I0*" for fd in nonred)
         assert sum(fd.place.degree for fd in nonred) == 2
         finite = [fd for fd in nonred if not fd.place.is_infinite]
@@ -137,7 +137,7 @@ def test_criterion_2_twist_roundtrip():
 
 
 def _normal_form(s: TwistFamily):
-    P, Q, _, _ = s.short_cubic()
+    P, Q, _, _ = s.short_cubic
     lg = s.g.leading()
     Ai, Bi, _ = EllipticCurveQ(P * lg**2, Q * lg**3).integral_model
     return Ai, Bi, s.g.monic()

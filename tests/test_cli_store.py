@@ -497,6 +497,19 @@ class TestCli:
         assert main(["jump", "--config", cfg, "--budget", "4,4,2"]) == 2
         assert "twist or km form" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "kind = weierstrass\nA = -1\nB = -3/4\n",                              # constant
+        "kind = km\na3 = 0, 0, 1\na2 = 0\na1 = 0\na0 = 0, 0, 1\n",           # t^2 (x^3 + 1)
+    ], ids=["constant", "km-t2-times-constant"])
+    def test_classify_not_rational_elliptic_exit_2(self, tmp_path, text):
+        """Euler number 0: classify once printed four lines and a traceback."""
+        cfg = self._write(tmp_path, "s.cfg", text)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-m", "rankjump.cli", "classify", "--config", cfg],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: Euler number 0 != 12; not a rational elliptic surface\n"
+
     def test_oversized_coefficient_exit_2(self, tmp_path):
         """f = 10^400 + x + x^3 once left census factoring a fibre value
         without end; each command now refuses the config at once."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -11,6 +12,7 @@ from conftest import (
     legendre_normalize,
     local_obstruction_fraction,
     naive_search_fraction,
+    on_conic,
     parametrize_heights_fraction,
     relation_holds,
     same_extension,
@@ -309,6 +311,33 @@ class TestIntegerParametrisation:
             if solvable == 3:
                 break
 
+    @settings(max_examples=40, deadline=None)
+    @given(surfaces(), st.tuples(*[st.integers(-3, 3)] * 3))
+    @example(twist(T), (1, 1, 1))
+    @example(twist(T**2 - 1), (1, 0, 0))
+    @example(mordell(), (0, 1, 1))
+    def test_base_point_off_the_conic_fails_within_three(self, s, b):
+        """Each point is checked on the integer form before it is yielded, and
+        from a base point b off the conic the point R of parameter v has
+        R^T M R = (v^T M v)^2 b^T M b: the check fails at one of the first
+        three parameters, and the points yielded before it lie on the fibre."""
+        assume(gcd(*b) == 1)
+        for x0 in rationals_by_height(3):
+            try:
+                fib = conic_fibre(s, x0)
+            except DegenerateFibreError:
+                continue
+            if not conic_solvable(fib) or on_conic(fib, b):
+                continue
+            yielded = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fib, "base_point", lambda: b)
+                with pytest.raises(AssertionError):
+                    for _, t, w in parametrize_heights(fib, 6):
+                        yielded.append((t, w))
+            assert len(yielded) < 3
+            assert all(relation_holds(fib, t, w) for t, w in yielded)
+
 
 @st.composite
 def conic_surfaces(draw):
@@ -406,7 +435,7 @@ class TestDescent:
                 continue
             pt = fib._descend()
             if conic_solvable(fib):
-                assert pt is not None and any(pt) and fib._form(pt) == 0
+                assert pt is not None and any(pt) and on_conic(fib, pt)
             else:
                 assert pt is None
 
@@ -414,7 +443,7 @@ class TestDescent:
         fib = conic_fibre(km_sweep_miss(), Fraction(-8, 5))
         assert fib._naive_search(32) is None
         pt = fib.base_point()
-        assert any(pt) and fib._form(pt) == 0
+        assert any(pt) and on_conic(fib, pt)
 
 
 def _factored_locus(h: RatPoly) -> BranchLocus:

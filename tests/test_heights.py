@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import mpmath
 import pytest
@@ -137,6 +137,28 @@ def near_identity():
     return EllipticCurveQ(0, y * y - x**3), point(x, y)
 
 
+def smooth_numbers():
+    """Products of at most four of 2, 3, 5 and 7."""
+    return st.lists(st.sampled_from((2, 3, 5, 7)), max_size=4).map(prod)
+
+
+class TestIsomorphicModels:
+    @settings(max_examples=40, deadline=None)
+    @given(integral_points(), smooth_numbers(), smooth_numbers())
+    @example((EllipticCurveQ(-36, 0), point(12, 36)), 6, 35)      # mu = 35^4, u = 6 * 35^3
+    @example((EllipticCurveQ(-16, 16), point(0, 4)), 1, 2)        # mu = 4, u = 2
+    @example((EllipticCurveQ(-16, 16), point(0, 4)), 14, 1)       # mu = 1, u = 14
+    def test_height_is_invariant(self, curve_point, r, s):
+        """(x, y) -> (lam^2 x, lam^3 y) carries E to (A lam^4, B lam^6) with
+        the same integral model, so the height is the same float: s > 1 makes
+        mu > 1, and a factor of r makes u = mu / lam > 1."""
+        E, P = curve_point
+        lam = Fraction(r, s)
+        E2 = EllipticCurveQ(E.A * lam**4, E.B * lam**6)
+        h, h2 = canonical_height(E, P), canonical_height(E2, point(P.x * lam**2, P.y * lam**3))
+        assert (h2.value, h2.error) == (h.value, h.error)
+
+
 class TestFormalMultiple:
     @settings(max_examples=80, deadline=None)
     @given(integral_points())
@@ -147,16 +169,18 @@ class TestFormalMultiple:
         """The walk stops at the first multiple in the formal group at 2 and
         3, which is the lcm of the first hits at each."""
         E, P = curve_point
-        m, Q = _formal_multiple(E, P)
-        assert (m, (Q.x, Q.y)) == formal_multiple_by_first_hits(E.A, (P.x, P.y))
+        m, (X, Y, Z) = _formal_multiple(E._scaled_model[0], E._jac(P))
+        Q = (Fraction(X, Z * Z), Fraction(Y, Z**3))
+        assert (m, Q) == formal_multiple_by_first_hits(E.A, (P.x, P.y))
 
 
 def series_input(E, P):
     """(Ai, Bi, x, y) as _height passes them to _lambda_infinity: the first
     multiple of P in the formal group at 2 and 3, on the integral model."""
     Ai, Bi, lam = E.integral_model
-    _, Q = _formal_multiple(EllipticCurveQ(Ai, Bi), point(P.x * lam**2, P.y * lam**3))
-    return Ai, Bi, Q.x, Q.y
+    J = EllipticCurveQ(Ai, Bi)._jac(point(P.x * lam**2, P.y * lam**3))
+    _, (X, Y, Z) = _formal_multiple(Ai, J)
+    return Ai, Bi, Fraction(X, Z * Z), Fraction(Y, Z**3)
 
 
 class TestSeriesAgainstMpmath:
@@ -436,4 +460,5 @@ class TestRelationAgainstEnumeration:
         P = point(-3, 9)
         h, e = canonical_height(E, P).value, 1e-9
         gram = (h + e / 2, 4 * h - e / 2, 2 * h + e / 2)
-        assert _small_relation(E, P, E.scalar_mul(2, P), gram, (e, e, e), 20) == (2, -1, 1)
+        JP, JQ = E._jac(P), E._jac(E.scalar_mul(2, P))
+        assert _small_relation(E._scaled_model[0], JP, JQ, gram, (e, e, e), 20) == (2, -1, 1)

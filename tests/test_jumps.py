@@ -1,4 +1,7 @@
+import contextlib
+import io
 import random
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +13,7 @@ from conftest import census_rescan, distinct_up_to
 from test_conics import surfaces
 from rankjump import jumps
 from rankjump.cli import main
+from rankjump.config import build_surface, parse_surface_config
 from rankjump.conics import conic_fibre, conic_solvable, rationals_by_height
 from rankjump.curves import EllipticCurveQ, point, specialize
 from rankjump.jumps import (
@@ -240,6 +244,40 @@ class TestFieldCensus:
     @given(surfaces(), st.integers(1, 6))
     def test_rows_match_rescans_on_drawn_surfaces(self, s, bound):
         assert field_census(s, bound) == census_rescan(s, bound)
+
+
+def _config_text(s) -> str:
+    """A config file for the twist or km surface s."""
+    if isinstance(s, TwistFamily):
+        kind, polys = "twist", {"f": s.f, "g": s.g}
+    else:
+        kind, polys = "km", {"a3": s.a3, "a2": s.a2, "a1": s.a1, "a0": s.a0}
+    return f"kind = {kind}\n" + "".join(
+        f"{name} = {', '.join(map(str, p.coeffs)) or '0'}\n" for name, p in polys.items())
+
+
+class TestDrawnSurfacesEndToEnd:
+    """jump on drawn valid surfaces, in process: every run ends in exit 0
+    (the count reached) or 3 (the budget spent), never in an exception or
+    in exit 4, a certificate failing its re-verification. km rank 2 stays
+    out: some small km surfaces reach formal-group multiples in the
+    hundreds, whose coordinates take tens of seconds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(surfaces())
+    def test_jump_exits_0_or_3(self, s):
+        text = _config_text(s)
+        assert build_surface(parse_surface_config(text)) == s
+        ranks = ("1", "2") if isinstance(s, TwistFamily) else ("1",)
+        with tempfile.TemporaryDirectory() as d:
+            cfg = f"{d}/s.cfg"
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            for rank in ranks:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["jump", "--config", cfg, "--rank", rank, "--budget", "4,4,3"])
+                assert code in (0, 3), (text, rank, err.getvalue())
 
 
 class TestVerification:

@@ -12,6 +12,7 @@ in a traceback.
 
 import contextlib
 import fcntl
+import gzip
 import io
 import json
 import os
@@ -46,6 +47,16 @@ def _record(index: int = 0) -> CertificateRecord:
 
 
 RECORD_LINE = _record().to_json().encode("utf-8")
+
+
+def _fixture_pair_line() -> bytes:
+    """The first rank-2 record of the benchmark's verify fixture, a
+    split-twist pair that verify proves by 2-descent, with no height."""
+    for gz in sorted((ROOT / "perfbench" / "fixture").glob("*.jsonl.gz")):
+        for line in gzip.decompress(gz.read_bytes()).splitlines():
+            if b'"regulator":{' in line:
+                return line
+    raise AssertionError("the fixture holds no rank-2 record")
 
 
 def _run(argv) -> tuple[int, str, str]:
@@ -145,10 +156,10 @@ class TestForgedInput:
             "# verified 2 records, 1 failures",
         ]
 
-    def _verify_second_line(self, tmp_path, forged: bytes) -> str:
-        """verify's report on the forged line stored after RECORD_LINE, which
-        must fail it with exit 4."""
-        _, store, path = _store_with(tmp_path, RECORD_LINE, forged)
+    def _verify_second_line(self, tmp_path, forged: bytes, first: bytes = RECORD_LINE) -> str:
+        """verify's report on the forged line stored after first, which must
+        fail it with exit 4."""
+        _, store, path = _store_with(tmp_path, first, forged)
         code, out, _ = _run(["verify", "--store", store])
         assert code == 4
         lines = out.splitlines()
@@ -179,6 +190,25 @@ class TestForgedInput:
     ])
     def test_mistyped_field_is_corrupt(self, tmp_path, fields, reason):
         assert self._verify_second_line(tmp_path, _forged(**fields)) == "corrupt record: " + reason
+
+    def test_non_finite_regulator_is_corrupt(self, tmp_path):
+        # json reads NaN and Infinity, and the descent never reads the
+        # stored regulator, so this pair once verified ok
+        pair = _fixture_pair_line()
+        data = json.loads(pair)
+        data["regulator"] = {"determinant": float("nan"), "error": float("inf")}
+        forged = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert b'"determinant":NaN' in forged and b'"error":Infinity' in forged
+        reason = self._verify_second_line(tmp_path, forged, first=pair)
+        assert reason == "corrupt record: bad stored regulator (nan, inf)"
+
+    def test_non_boolean_verified_is_corrupt(self, tmp_path):
+        # bool("no") is True
+        forged = _forged(verified="no")
+        with pytest.raises(ValueError, match="bad stored verified 'no'"):
+            record_from_json(forged.decode("utf-8"))
+        reason = self._verify_second_line(tmp_path, forged)
+        assert reason == "corrupt record: bad stored verified 'no'"
 
     def test_long_decimal_in_config_exit_2(self, tmp_path):
         # Fraction builds 10^j for j digits after the point before int()

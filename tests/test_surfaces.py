@@ -51,7 +51,7 @@ class TestToWeierstrass:
         f = RatPoly([2, -3, 1, 4])
         s = TwistFamily(f, T)
         w = to_weierstrass(s)
-        P, Q, l, c2 = s.short_cubic()
+        P, Q, l, c2 = s.short_cubic
         assert w.A == P * s.g**2 and w.B == Q * s.g**3
 
     @pytest.mark.parametrize("A, B, reduced", [
@@ -73,7 +73,7 @@ class TestClassifyFibres:
         places = {fd.place: fd for fd in cls.fibres}
         assert set(places) == {Place(T - 1), Place(T + 1)}
         assert all(fd.kodaira.symbol == "I0*" for fd in cls.fibres)
-        assert all(not fd.reduced for fd in cls.fibres)
+        assert all(not fd.kodaira.reduced for fd in cls.fibres)
         assert cls.euler_total == 12
 
     def test_linear_g_puts_second_star_at_infinity(self):
@@ -116,7 +116,7 @@ class TestClassifyFibres:
                 continue
             cls = classify_fibres(to_weierstrass(s))
             assert cls.euler_total == 12
-            nonred = [fd for fd in cls.fibres if not fd.reduced]
+            nonred = [fd for fd in cls.fibres if not fd.kodaira.reduced]
             # two geometric I0* fibres, possibly conjugate over one place
             assert sum(fd.place.degree for fd in nonred) == 2
             assert all(fd.kodaira.symbol == "I0*" for fd in nonred)
@@ -138,7 +138,7 @@ class TestClassifyFibres:
                 continue
             cls = classify_fibres(w)
             assert cls.euler_total == 12
-            geometric_nonreduced = sum(f.place.degree for f in cls.fibres if not f.reduced)
+            geometric_nonreduced = sum(f.place.degree for f in cls.fibres if not f.kodaira.reduced)
             assert geometric_nonreduced <= 1
             count += 1
 
@@ -186,7 +186,7 @@ def surface_normal_form(s: TwistFamily):
     """Canonical data of the surface up to admissible rescalings: make g
     monic, absorb its leading coefficient into the cubic, then reduce the
     cubic coefficients by the (u^4, u^6) action."""
-    P, Q, _, _ = s.short_cubic()
+    P, Q, _, _ = s.short_cubic
     lg = s.g.leading()
     Ai, Bi, _ = EllipticCurveQ(P * lg**2, Q * lg**3).integral_model
     return Ai, Bi, s.g.monic()
