@@ -106,7 +106,7 @@ def cmd_jump(args) -> int:
     search = jump1 if args.rank == 1 else jump2
     records = []
     failed = 0
-    for cert in search(surface, budget, avoid=challenge, label=cfg.label, log=log):
+    for cert in search(surface, budget, avoid=challenge, log=log):
         rec, reasons = CertificateRecord(cert, cfg, budget, args.timestamp).reverified()
         if not rec.verified:
             failed += 1

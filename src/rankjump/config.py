@@ -159,13 +159,13 @@ def build_surface(cfg: SurfaceConfig):
 
 def surface_config_from_dict(data: dict) -> SurfaceConfig:
     """Rebuild a SurfaceConfig from its JSON echo (see as_dict), bounded as configs are."""
-    kind = data.get("kind")
-    if kind not in _FIELDS:
-        raise ConfigError(f"unknown kind {kind!r} in stored record")
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise ConfigError(f"unknown kind {str(kind)[:20]!r} in stored record")
     polys = {}
     for name in _FIELDS[kind]:
-        if name not in data:
-            raise ConfigError(f"stored record lacks field '{name}'")
+        if not isinstance(data.get(name), list):
+            raise ConfigError(f"stored record has no list for field '{name}'")
         polys[name] = RatPoly([_parse_rational(str(c), f"stored field '{name}'")
                                for c in data[name]])
     return SurfaceConfig(kind=kind, label=data.get("label", kind), polys=polys)

@@ -212,6 +212,28 @@ class ConicFibre:
         self._base_point = pt = _primitive(pt)
         return pt
 
+    @cached_property
+    def pencil(self):
+        """(coefficients of M's ternary form, coordinate forms) of the pencil
+        of lines through the base point b; ValueError if unsolvable. With M
+        the matrix scaled to integers and v = m0 e_i + m1 e_j, i and j the
+        coordinates other than b's first nonzero one, the line through b
+        along v meets the conic again in R = (v^T M v) b - 2 (b^T M v) v,
+        each coordinate a binary quadratic form: m0^2, m0 m1, m1^2 terms."""
+        if not conic_solvable(self):
+            raise ValueError(f"fibre over x0 = {self.x0} has no rational point")
+        base = self.base_point()
+        anchor = next(r for r in range(3) if base[r] != 0)
+        i, j = (r for r in range(3) if r != anchor)
+        den = lcm(*(x.denominator for row in self.matrix for x in row))
+        M = [[int(x * den) for x in row] for row in self.matrix]
+        vv = (M[i][i], 2 * M[i][j], M[j][j])  # v^T M v; bi, bj give b^T M v
+        bi, bj = (sum(base[r] * M[r][k] for r in range(3)) for k in (i, j))
+        forms = [[base[r] * c for c in vv] for r in range(3)]
+        for r, k, c in ((i, 0, bi), (i, 1, bj), (j, 1, bi), (j, 2, bj)):
+            forms[r][k] -= 2 * c
+        return (M[0][0], M[1][1], M[2][2], 2 * M[0][1], 2 * M[0][2], 2 * M[1][2]), forms
+
     def _naive_search(self, bound):
         """Affine sweep of t = n/d by height. With L clearing the denominators
         of p = g (twist) or q (km), the fibre has a point with w != 0 over t
@@ -267,43 +289,20 @@ def parametrize(fibre: ConicFibre, height_bound: int):
         yield t, w
 
 
-def parametrize_heights(fibre: ConicFibre, height_bound: int):
-    """Like parametrize, but yields (parameter height, t, w).
+def parametrize_heights(fibre: ConicFibre, height_bound: int, first: int = 1):
+    """Like parametrize, but yields (parameter height, t, w) for the
+    parameter heights first..height_bound of the fibre's pencil.
 
-    With M the fibre's matrix scaled to integers (the same zero set), b the
-    primitive base point and v = m0 e_i + m1 e_j for the two coordinates i,
-    j other than b's first nonzero one, the line through b in direction v
-    meets the conic again in (v^T M v) b - 2 (b^T M v) v. Each coordinate of
-    that point is an integer binary quadratic form in (m0, m1), built once
-    per fibre. No point repeats: the lines through a point of a smooth
-    conic meet it again in distinct points, so P^1 -> C is a bijection, and
-    _parameter_pairs yields each (m0 : m1) once. A point's ratios t, w do
-    not change when it is scaled, so it needs no reduction; it is checked
-    against the integer form exactly. That covers b too: the point R has
-    R^T M R = (v^T M v)^2 b^T M b, and no nondegenerate ternary form has an
+    No point repeats: the lines through a point of a smooth conic meet it
+    again in distinct points, and _parameter_pairs yields each (m0 : m1)
+    once. A point's ratios t, w do not change when it is scaled, so it is
+    checked against the integer form unreduced. That covers b too: R^T M R
+    = (v^T M v)^2 b^T M b, and no nondegenerate ternary form has an
     isotropic plane, so a b off the conic fails at (1 : 0), (0 : 1) or (1 : 1).
     """
-    if not conic_solvable(fibre):
-        raise ValueError(f"fibre over x0 = {fibre.x0} has no rational point")
-    base = fibre.base_point()
-    anchor = next(r for r in range(3) if base[r] != 0)
-    i, j = (r for r in range(3) if r != anchor)
-    den = lcm(*(x.denominator for row in fibre.matrix for x in row))
-    M = [[int(x * den) for x in row] for row in fibre.matrix]
-    # v^T M v and b^T M v as forms in (m0, m1); then coefficients of m0^2,
-    # m0 m1, m1^2 in each coordinate of the second intersection
-    vv = (M[i][i], 2 * M[i][j], M[j][j])
-    bi, bj = (sum(base[r] * M[r][k] for r in range(3)) for k in (i, j))
-    forms = [[base[r] * c for c in vv] for r in range(3)]
-    forms[i][0] -= 2 * bi
-    forms[i][1] -= 2 * bj
-    forms[j][1] -= 2 * bi
-    forms[j][2] -= 2 * bj
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = forms
-    q00, q11, q22 = M[0][0], M[1][1], M[2][2]
-    q01, q02, q12 = 2 * M[0][1], 2 * M[0][2], 2 * M[1][2]
+    (q00, q11, q22, q01, q02, q12), ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = fibre.pencil
     twist = fibre.kind == "twist"
-    for m0, m1 in _parameter_pairs(height_bound):
+    for m0, m1 in _parameter_pairs(first, height_bound):
         s0, s1, s2 = m0 * m0, m0 * m1, m1 * m1
         a = a0 * s0 + a1 * s1 + a2 * s2
         b = b0 * s0 + b1 * s1 + b2 * s2
@@ -315,11 +314,13 @@ def parametrize_heights(fibre: ConicFibre, height_bound: int):
         yield max(abs(m0), abs(m1)), Fraction(a, b if twist else c), Fraction(b, c)
 
 
-def _parameter_pairs(height_bound: int):
-    """Projective parameters (m0 : m1), canonical representatives: (1 : 0),
-    then m0/m1 in the order of rationals_by_height."""
-    yield 1, 0
-    for h in range(1, height_bound + 1):
+def _parameter_pairs(first: int, height_bound: int):
+    """Projective parameters (m0 : m1) of heights first..height_bound,
+    canonical representatives: (1 : 0) when first is 1, then m0/m1 in the
+    order of rationals_by_height."""
+    if first == 1:
+        yield 1, 0
+    for h in range(first, height_bound + 1):
         yield from _pairs_of_height(h)
 
 

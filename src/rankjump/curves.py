@@ -96,14 +96,20 @@ def _vp_frac(q: Fraction, p: int) -> int:
 
 
 class EllipticCurveQ:
-    """y^2 = x^3 + A x + B over Q, with two cached integral models: the
-    lcm-scaled one for torsion and the reduced one for heights."""
+    """y^2 = x^3 + A x + B over Q, with two integral models: the lcm-scaled
+    one, built at once, for the group law, and the reduced one for heights."""
 
     def __init__(self, A, B):
         self.A = Fraction(A)
         self.B = Fraction(B)
-        if 4 * self.A**3 + 27 * self.B**2 == 0:
+        # (A mu^4, B mu^6, mu), mu = lcm(den A, den B), found without factoring;
+        # its 4 Ai^3 + 27 Bi^2 is mu^12 (4 A^3 + 27 B^2)
+        (a, da), (b, db) = self.A.as_integer_ratio(), self.B.as_integer_ratio()
+        mu = lcm(da, db)
+        Ai, Bi = a * (mu // da) * mu**3, b * (mu // db) * mu**5
+        if 4 * Ai**3 + 27 * Bi**2 == 0:
             raise SingularCurveError("curve is singular")
+        self._scaled_model = Ai, Bi, mu
 
     def __eq__(self, other):
         return isinstance(other, EllipticCurveQ) and (self.A, self.B) == (other.A, other.B)
@@ -115,13 +121,6 @@ class EllipticCurveQ:
         return f"EllipticCurveQ({self.A}, {self.B})"
 
     # -- model bookkeeping ---------------------------------------------------
-
-    @cached_property
-    def _scaled_model(self) -> tuple[int, int, int]:
-        """(A mu^4, B mu^6, mu) with mu = lcm(den A, den B): an integral
-        model found without factoring, all that torsion_order needs."""
-        mu = lcm(self.A.denominator, self.B.denominator)
-        return int(self.A * mu**4), int(self.B * mu**6), mu
 
     @cached_property
     def integral_model(self) -> tuple[int, int, Fraction]:
@@ -149,14 +148,11 @@ class EllipticCurveQ:
     def is_on(self, P: PointQ) -> bool:
         return P.is_identity or P.y * P.y == P.x**3 + self.A * P.x + self.B
 
-    def _require(self, P: PointQ):
-        if not self.is_on(P):
-            raise OffCurveError(f"{P} is not on {self}")
-
     def _jac(self, P: PointQ):
         """P, checked on the curve, as a reduced triple on the scaled model:
         x mu^2 = X/Z^2 and y mu^3 = Y/Z^3 with Z = den(y mu^3)/den(x mu^2)."""
-        self._require(P)
+        if not self.is_on(P):
+            raise OffCurveError(f"{P} is not on {self}")
         if P.is_identity:
             return None
         mu = self._scaled_model[2]
@@ -536,7 +532,6 @@ def _small_relation(A: int, JP, JQ, gram, errors, bound: int):
 class Specialization:
     """A fibre over t0 as a curve over Q, with the exact point transport."""
 
-    t0: Fraction
     curve: EllipticCurveQ
     chart: tuple  # (u, v, w) at t0, with X = u x + v, Y = w y
 
@@ -571,4 +566,4 @@ def specialize(surface, t0) -> Specialization:
         curve = EllipticCurveQ(model.A(t0), model.B(t0))
     except SingularCurveError as exc:
         raise SingularSpecializationError(str(exc)) from exc
-    return Specialization(t0, curve, (u, v, w))
+    return Specialization(curve, (u, v, w))

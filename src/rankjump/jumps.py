@@ -109,7 +109,6 @@ class CoverChallenge:
 class RankJumpCertificate:
     """A fibre parameter with points and the evidence for a rank lower bound."""
 
-    label: str
     t0: Fraction
     curve: tuple[Fraction, Fraction]            # (A, B) of the specialised curve
     points: list[tuple[Fraction, Fraction]]
@@ -155,8 +154,7 @@ def _fibres(surface, x0s, log: SearchLog):
             log.unsolvable_fibres += 1
 
 
-def _certify(surface, t0: Fraction, points, seen: set[Fraction],
-             avoid: CoverChallenge | None, label: str,
+def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverChallenge | None,
              log: SearchLog) -> RankJumpCertificate | RegulatorResult | None:
     """The certificate carried by the fibre points [(x0, w), ...] over t0.
 
@@ -188,7 +186,6 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction],
     seen.add(t0)
     r_bound, r_exact = rank_bound_data(surface)
     return RankJumpCertificate(
-        label=label,
         t0=t0,
         curve=(spec.curve.A, spec.curve.B),
         points=[(P.x, P.y) for P in pts],
@@ -201,40 +198,34 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction],
 
 
 def jump1(surface, budget: Budget, avoid: CoverChallenge | None = None,
-          label: str = "surface", log: SearchLog | None = None):
+          log: SearchLog | None = None):
     """Certificates of one extra independent point, one per parameter value.
 
     Deterministic given surface and budget: fibre parameters x0 and line
     parameters m are swept jointly by max(height(x0), height(m)), and
-    certificates carry distinct t0. The stream ends when the certificate
-    count is reached or the budget is exhausted.
+    certificates carry distinct t0: stage h takes, fibre by fibre in order
+    of arrival, the pencil slice of heights 1..h of a fibre arriving at h
+    and the slice of height h of the earlier ones. The stream ends when the
+    certificate count is reached or the budget is exhausted.
     """
     log = log if log is not None else SearchLog()
     seen: set[Fraction] = set()
-    active = []  # per-fibre state: [fibre, height-annotated point source, lookahead]
+    active = []  # (fibre, the stage it arrived at)
     for stage in range(1, max(budget.x0_height, budget.param_height) + 1):
         x0s = rationals_of_height(stage) if stage <= budget.x0_height else ()
-        for fib in _fibres(surface, x0s, log):
-            active.append([fib, parametrize_heights(fib, budget.param_height), None])
-        for slot in active:
-            fib, gen, pending = slot
-            while True:
-                if pending is None:
-                    pending = next(gen, None)
-                if pending is None or pending[0] > stage:
-                    break
-                _, t0, w = pending
-                pending = None
+        active.extend((fib, stage) for fib in _fibres(surface, x0s, log))
+        for fib, arrived in active:
+            first = 1 if arrived == stage else stage
+            for _, t0, w in parametrize_heights(fib, min(stage, budget.param_height), first):
                 if len(seen) >= budget.count:
                     return
-                cert = _certify(surface, t0, [(fib.x0, w)], seen, avoid, label, log)
+                cert = _certify(surface, t0, [(fib.x0, w)], seen, avoid, log)
                 if cert is not None:
                     yield cert
-            slot[2] = pending
 
 
 def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
-          label: str = "surface", log: SearchLog | None = None):
+          log: SearchLog | None = None):
     """Certificates of two independent points over one parameter value.
 
     Each solvable fibre pairs with the earlier ones, in arrival order, as it
@@ -257,7 +248,7 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
         partners = earlier.setdefault(fib.ext_class if twist else None, [])
         for src in partners:
             for t0, points in pair_points(src, fib):
-                out = _certify(surface, t0, points, seen, avoid, label, log)
+                out = _certify(surface, t0, points, seen, avoid, log)
                 if isinstance(out, RankJumpCertificate):
                     yield out
                     if len(seen) >= budget.count:
@@ -298,16 +289,16 @@ def _intersection_points(streams: dict, param_height: int, src: ConicFibre, othe
 
 
 def avoid_covers(surface, challenge: CoverChallenge, budget: Budget,
-                 rank: int = 1, label: str = "surface", log: SearchLog | None = None):
+                 rank: int = 1, log: SearchLog | None = None):
     """jump1 (or jump2) certificates whose t0 lies outside every cover image.
 
     Every emitted t0 satisfies is_square(h_i(t0)) = False for each cover in
     the challenge; an empty challenge reproduces the unfiltered stream.
     """
     if rank == 1:
-        yield from jump1(surface, budget, avoid=challenge, label=label, log=log)
+        yield from jump1(surface, budget, avoid=challenge, log=log)
     elif rank == 2:
-        yield from jump2(surface, budget, avoid=challenge, label=label, log=log)
+        yield from jump2(surface, budget, avoid=challenge, log=log)
     else:
         raise ValueError("rank must be 1 or 2")
 

@@ -48,7 +48,7 @@ class CertificateRecord:
     def to_json(self) -> str:
         cert = self.certificate
         payload = {
-            "label": cert.label,
+            "label": self.surface.label,
             "surface": self.surface.as_dict(),
             "t0": str(cert.t0),
             "curve": {"A": str(cert.curve[0]), "B": str(cert.curve[1])},
@@ -95,10 +95,11 @@ def record_from_json(line: str) -> CertificateRecord:
 
 
 def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
-    """record_from_json of a parsed line whose surface parses to cfg."""
+    """record_from_json of a parsed line whose surface parses to cfg, with cfg's label."""
+    if data["label"] != cfg.label:
+        raise ValueError(f"label {str(data['label'])[:20]!r} differs from the surface's")
     reg = data.get("regulator")
     cert = RankJumpCertificate(
-        label=data["label"],
         t0=_rational(data["t0"]),
         curve=(_rational(data["curve"]["A"]), _rational(data["curve"]["B"])),
         points=[(_rational(x), _rational(y)) for x, y in data["points"]],

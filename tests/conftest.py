@@ -9,7 +9,8 @@ Fraction Hilbert symbols on a general diagonalisation, the integral model
 found by factoring denominators, the formal-group multiple found by first
 hits and a restart, the archimedean height series term by term in mpmath,
 heights by the doubling limit, fibre-relation and extension-class
-comparisons, and the census rescanned fibre by fibre.
+comparisons, the census rescanned fibre by fibre, and jump1 reading each
+fibre's whole pencil through a lookahead slot.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ def parametrize_heights_fraction(fibre, height_bound: int):
     axes = [i for i in range(3) if i != anchor]
     M = fibre.matrix
     seen = set()
-    for m0, m1 in _parameter_pairs(height_bound):
+    for m0, m1 in _parameter_pairs(1, height_bound):
         v = [0, 0, 0]
         v[axes[0]], v[axes[1]] = m0, m1
         vv = _bilinear(M, v, v)
@@ -374,6 +375,37 @@ def distinct_up_to(surface, bound: int) -> int:
     """Distinct extension classes among the solvable fibres of height <=
     bound, by census_rescan."""
     return census_rescan(surface, bound)[0][-1][0]
+
+
+def jump1_lookahead(surface, budget, avoid=None, log=None):
+    """jumps.jump1 with one [fibre, point source, lookahead] slot per fibre:
+    each fibre's parametrize_heights runs once to the parameter bound, and
+    at each stage the slot is read until its next point lies beyond it."""
+    from rankjump.conics import parametrize_heights, rationals_of_height
+    from rankjump.jumps import SearchLog, _certify, _fibres
+
+    log = log if log is not None else SearchLog()
+    seen = set()
+    active = []
+    for stage in range(1, max(budget.x0_height, budget.param_height) + 1):
+        x0s = rationals_of_height(stage) if stage <= budget.x0_height else ()
+        for fib in _fibres(surface, x0s, log):
+            active.append([fib, parametrize_heights(fib, budget.param_height), None])
+        for slot in active:
+            fib, gen, pending = slot
+            while True:
+                if pending is None:
+                    pending = next(gen, None)
+                if pending is None or pending[0] > stage:
+                    break
+                _, t0, w = pending
+                pending = None
+                if len(seen) >= budget.count:
+                    return
+                cert = _certify(surface, t0, [(fib.x0, w)], seen, avoid, log)
+                if cert is not None:
+                    yield cert
+            slot[2] = pending
 
 
 def lambda_infinity_mpmath(Ai: int, Bi: int, x: Fraction, y: Fraction, terms: int, mp):

@@ -236,7 +236,7 @@ def test_criterion_6_rank_jump_2(tmp_path):
     s = split_twist()
     cfg = surface_config("twist", "split-twist", f=F_CUBIC, g=T**2 - 1)
     budget = Budget(18, 10, 5)
-    certs = list(jump2(s, budget, label=cfg.label))
+    certs = list(jump2(s, budget))
     assert len(certs) >= 5
     records = []
     for c in certs:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,10 +171,10 @@ class TestStore(object):
         # file at the same moment; every line must still parse as a record.
         # The lines are a few KiB, shorter than a usual 8 KiB write buffer,
         # so a writer that sends fixed-size pieces would cut some of them.
-        records, _ = self._records(1)
-        records[0].certificate.label = "x" * 3000
+        records, cfg = self._records(1)
+        rec = replace(records[0], surface=replace(cfg, label="x" * 3000))
         line, count = tmp_path / "line.json", 3000
-        line.write_text(records[0].to_json())
+        line.write_text(rec.to_json())
         assert line.stat().st_size * count > 100 * 65536
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         go = tmp_path / "go"
@@ -358,6 +359,44 @@ class TestCli:
         lines[0] = json.dumps(data, sort_keys=True, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n")
         assert main(["verify", "--store", store]) == 4
+
+    def test_verify_label_disagreement_exit_4(self, tmp_path, capsys):
+        # the top-level label of a record is its surface's; a line whose two
+        # labels differ is corrupt, however sound its certificate
+        cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
+        store = str(tmp_path / "store")
+        main(["jump", "--config", cfg, "--budget", "6,6,3", "--store", store])
+        capsys.readouterr()
+        path = next(Path(store).glob("*.jsonl"))
+        lines = path.read_text().splitlines()
+        data = json.loads(lines[1])
+        data["label"] = "another-twist"
+        lines[1] = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--store", store]) == 4
+        out = capsys.readouterr().out.splitlines()
+        status = [l.split(": ", 1)[1] for l in out[:3]]
+        assert status[0] == status[2] == "ok" and status[1].startswith("FAIL: corrupt record")
+        assert out[3] == "# verified 3 records, 1 failures"
+
+    def test_jump_timestamp_stamps_each_line(self, tmp_path, capsys):
+        # --timestamp changes each record's stamp and nothing else; the
+        # stamped lines are stored and verify as they are
+        cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
+        store = str(tmp_path / "store")
+        assert main(["jump", "--config", cfg, "--budget", "6,6,5"]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        stamp = "2024-01-02T03:04:05Z"
+        assert main(["jump", "--config", cfg, "--budget", "6,6,5", "--timestamp", stamp,
+                     "--store", store]) == 0
+        stamped = capsys.readouterr().out.splitlines()
+        assert len(plain) == 5 and all('"timestamp":null' in l for l in plain)
+        assert stamped == [l.replace('"timestamp":null', f'"timestamp":"{stamp}"') for l in plain]
+        assert next(Path(store).glob("*.jsonl")).read_text().splitlines() == stamped
+        assert main(["verify", "--store", store]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [l.endswith(": ok") for l in out] == [True] * 5 + [False]
+        assert out[-1] == "# verified 5 records, 0 failures"
 
     def test_verify_inverse_pair_exit_4(self, tmp_path, capsys):
         # a rank-2 record whose second point is the negation of the first,

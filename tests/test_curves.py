@@ -294,6 +294,32 @@ class TestIntegralModel:
         assert model == integral_model_by_denominators(A, B)
 
 
+@st.composite
+def coefficient_pairs(draw):
+    """(A, B): drawn rationals, or a singular pair A = -3 c^2, B = 2 c^3."""
+    if draw(st.booleans()):
+        c = draw(rationals_with_prime_powers())
+        return -3 * c * c, 2 * c**3
+    return draw(rationals_with_prime_powers()), draw(rationals_with_prime_powers())
+
+
+class TestScaledModel:
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_pairs())
+    @example((Fraction(-3, 4), Fraction(1, 4)))  # c = 1/2
+    @example((Fraction(0), Fraction(0)))
+    def test_built_at_construction_in_integers(self, AB):
+        # (A mu^4, B mu^6, mu) with mu = lcm(den A, den B), and the curve is
+        # refused exactly when 4 A^3 + 27 B^2 = 0
+        A, B = AB
+        mu = A.denominator * B.denominator // gcd(A.denominator, B.denominator)
+        if 4 * A**3 + 27 * B**2 == 0:
+            with pytest.raises(SingularCurveError):
+                EllipticCurveQ(A, B)
+        else:
+            assert EllipticCurveQ(A, B)._scaled_model == (int(A * mu**4), int(B * mu**6), mu)
+
+
 SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 NONZERO = SMALL.map(lambda q: q or Fraction(1))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import census_rescan, distinct_up_to
+from conftest import census_rescan, distinct_up_to, jump1_lookahead
 from test_conics import surfaces
 from rankjump import jumps
 from rankjump.cli import main
@@ -50,6 +50,22 @@ def mordell():
 
 
 class TestJump1:
+    @settings(max_examples=40, deadline=None)
+    @given(surfaces(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 25),
+           st.one_of(st.none(), st.tuples(st.integers(-3, 3).filter(bool), st.integers(-3, 3))))
+    def test_stage_slices_match_the_lookahead_walk(self, s, x0_height, param_height, count,
+                                                     cover):
+        # the same certificates, in the same order, and the same log as the
+        # walk that reads each fibre's whole pencil through a lookahead
+        budget = Budget(x0_height, param_height, count)
+        avoid = None if cover is None else CoverChallenge((RatPoly([cover[1], cover[0]]),))
+        runs = []
+        for search in (jump1, jump1_lookahead):
+            log = SearchLog()
+            certs = [(c.t0, c.points, c.provenance) for c in search(s, budget, avoid, log=log)]
+            runs.append((certs, vars(log)))
+        assert runs[0] == runs[1]
+
     def test_twist_stream(self):
         certs = list(jump1(usual_twist(), Budget(8, 8, 60)))
         assert len(certs) == 60
@@ -330,7 +346,7 @@ class TestVerification:
     def test_reason_order_on_forged_points(self, surface, t0, curve, points, provenance,
                                            reasons):
         cert = RankJumpCertificate(
-            label="forged", t0=Fraction(t0), curve=tuple(map(Fraction, curve)),
+            t0=Fraction(t0), curve=tuple(map(Fraction, curve)),
             points=[tuple(map(Fraction, P)) for P in points],
             provenance=[Fraction(x0) for x0 in provenance], generic_rank_bound=0,
             rank_bound_exact=True, claimed_rank_lower_bound=len(points))
