@@ -338,12 +338,12 @@ def height(q) -> int:
 
 def rationals_of_height(h: int) -> list[Fraction]:
     """The rationals of naive height exactly h, ordered by |numerator|, then
-    sign, then denominator; 0 is the first one of height 1."""
-    batch = [Fraction(num, den)
-             for num in range(-h, h + 1) for den in range(1, h + 1)
-             if max(abs(num), den) == h and gcd(num, den) == 1]
-    batch.sort(key=lambda r: (abs(r.numerator), r < 0, r.denominator))
-    return batch
+    sign, then denominator; 0 is the first one of height 1. They lie on the
+    boundary max(|num|, den) = h: den = h with |num| < h, then num = +-h."""
+    batch = [Fraction(s * num, h) for num in range(h) if gcd(num, h) == 1
+             for s in ((1, -1) if num else (1,))]
+    dens = [den for den in range(1, h + 1) if gcd(h, den) == 1]
+    return batch + [Fraction(h, den) for den in dens] + [Fraction(-h, den) for den in dens]
 
 
 def rationals_by_height(bound: int):

@@ -2,18 +2,19 @@
 
 One group law, on integer Jacobian triples (x = X/Z^2, y = Y/Z^3) of the
 model scaled by mu = lcm(den A, den B); a point is checked on the curve
-once on entry and made a Fraction point once on exit, and the heights and
-the relation search take the regulator's triples. On an integral model
-x = a/d^2, y = b/d^3 with gcd(a, d) = 1 (Silverman-Tate, Rational Points on
-Elliptic Curves, III.2), so one gcd and one isqrt keep each sum in lowest
-terms. Torsion is decided on that model without factoring, by Nagell-Lutz
-(Silverman, The Arithmetic of Elliptic Curves, VIII.7.2) and Mazur's bound
-on the walk P, 2P, ..., 12P. Neron-Tate canonical heights carry rigorous
-error bounds, and regulator verdicts search relations only where the Gram
-matrix of heights allows them, then check them exactly. With full rational
-2-torsion, complete 2-descent (Silverman AEC X.1.4) proves a pair
-independent with no height, unless a 2-torsion point lies in 2E(Q) and
-E(Q) may have 4-torsion (two_descent_independent).
+once on entry, in integers on that model, and made a Fraction point once on
+exit, and the heights and the relation search take the regulator's triples.
+On an integral model x = a/d^2, y = b/d^3 with gcd(a, d) = 1
+(Silverman-Tate, Rational Points on Elliptic Curves, III.2), so one gcd and
+one isqrt keep each sum in lowest terms. Torsion is decided on that model
+without factoring, by Nagell-Lutz (Silverman, The Arithmetic of Elliptic
+Curves, VIII.7.2) and Mazur's bound on the walk P, 2P, ..., 12P. Neron-Tate
+canonical heights carry rigorous error bounds, and regulator verdicts
+search relations only where the Gram matrix of heights allows them, then
+check them exactly. With full rational 2-torsion, complete 2-descent
+(Silverman AEC X.1.4) proves a pair independent with no height, unless a
+2-torsion point lies in 2E(Q) and E(Q) may have 4-torsion
+(two_descent_independent).
 
 Heights are computed as a sum of local terms attached to one fixed integral
 short Weierstrass model, minimal at every prime p >= 5. Only the heights
@@ -146,7 +147,14 @@ class EllipticCurveQ:
     # -- points and the group law ---------------------------------------------
 
     def is_on(self, P: PointQ) -> bool:
-        return P.is_identity or P.y * P.y == P.x**3 + self.A * P.x + self.B
+        """y^2 = x^3 + A x + B times b^3 e^2 mu^6, for x = a/b and y = c/e, in
+        integers on the scaled model."""
+        if P.is_identity:
+            return True
+        Ai, Bi, mu = self._scaled_model
+        (a, b), (c, e), m2 = P.x.as_integer_ratio(), P.y.as_integer_ratio(), mu * mu
+        b3, m6 = b**3, m2**3
+        return c * c * b3 * m6 == e * e * (a**3 * m6 + Ai * m2 * a * b * b + Bi * b3)
 
     def _jac(self, P: PointQ):
         """P, checked on the curve, as a reduced triple on the scaled model:

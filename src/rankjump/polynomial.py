@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .arith import DomainError
 
@@ -25,7 +26,9 @@ def _as_frac(c) -> Fraction:
 class RatPoly:
     """Univariate polynomial over Q, coefficients constant term first."""
 
-    __slots__ = ("coeffs",)
+    # _ints: (c_k, [c_k-1, ..., c_0], D) with coefficient i = c_i / D, built
+    # on the first evaluation
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs=()):
         cs = [_as_frac(c) for c in coeffs]
@@ -148,12 +151,22 @@ class RatPoly:
         raise TypeError(f"cannot coerce {other!r} to RatPoly")
 
     def __call__(self, x):
-        """Evaluate at a rational."""
-        x = _as_frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Evaluate at a rational n/d in integers: the value is
+        (sum c_i n^i d^(k-i)) / (D d^k), by homogeneous Horner, reduced once."""
+        if not self.coeffs:
+            return Fraction(0)
+        try:
+            acc, rest, D = self._ints
+        except AttributeError:
+            D = lcm(*(c.denominator for c in self.coeffs))
+            acc, *rest = (c.numerator * (D // c.denominator) for c in reversed(self.coeffs))
+            self._ints = acc, rest, D
+        n, d = _as_frac(x).as_integer_ratio()
+        dk = 1
+        for c in rest:
+            dk *= d
+            acc = acc * n + c * dk
+        return Fraction(acc, D * dk)
 
     def derivative(self) -> "RatPoly":
         return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])

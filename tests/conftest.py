@@ -2,21 +2,41 @@
 
 These are independent of the library code paths they check: brute-force
 point searches on conics, exhaustive local non-solvability certificates,
-naive rational enumeration, and helpers the library no longer needs: the
-resultant of two polynomials, the Fraction conic parametrisation and
-base-point sweep its integer ones must match, local solvability by
-Fraction Hilbert symbols on a general diagonalisation, the integral model
-found by factoring denominators, the formal-group multiple found by first
-hits and a restart, the archimedean height series term by term in mpmath,
-heights by the doubling limit, fibre-relation and extension-class
-comparisons, the census rescanned fibre by fibre, and jump1 reading each
-fibre's whole pencil through a lookahead slot.
+naive rational enumeration (and the O(h^2) filter for the rationals of one
+height), and helpers the library no longer needs: polynomial evaluation and
+the curve equation in Fractions, the resultant of two polynomials, the
+Fraction conic parametrisation and base-point sweep its integer ones must
+match, local solvability by Fraction Hilbert symbols on a general
+diagonalisation, the integral model found by factoring denominators, the
+formal-group multiple found by first hits and a restart, the archimedean
+height series term by term in mpmath, heights by the doubling limit,
+fibre-relation and extension-class comparisons, the census rescanned fibre
+by fibre, and jump1 reading each fibre's whole pencil through a lookahead
+slot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+
+
+def ratpoly_eval_fraction(p, x) -> Fraction:
+    """p(x) by Horner's rule on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def rationals_of_height_filter(h: int) -> list[Fraction]:
+    """The rationals of naive height h, from every num/den with |num|, den <= h,
+    ordered by |numerator|, then sign, then denominator."""
+    batch = [Fraction(num, den)
+             for num in range(-h, h + 1) for den in range(1, h + 1)
+             if max(abs(num), den) == h and gcd(num, den) == 1]
+    batch.sort(key=lambda r: (abs(r.numerator), r < 0, r.denominator))
+    return batch
 
 
 def resultant(p, q) -> Fraction:
@@ -161,6 +181,11 @@ def certify_unsolvable(a: int, b: int, c: int, p: int) -> bool:
 # elliptic curves y^2 = x^3 + A x + B by plain Fraction arithmetic; a point
 # is a pair (x, y) and the identity is None. These are the exhaustive
 # decisions the library's torsion and relation searches must agree with.
+
+
+def ec_on_curve(A, B, P) -> bool:
+    """y^2 = x^3 + A x + B in Fractions; the identity is on every curve."""
+    return P is None or P[1] * P[1] == P[0] ** 3 + A * P[0] + B
 
 
 def ec_add(A, P, Q):

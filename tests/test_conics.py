@@ -14,6 +14,7 @@ from conftest import (
     naive_search_fraction,
     on_conic,
     parametrize_heights_fraction,
+    rationals_of_height_filter,
     relation_holds,
     same_extension,
 )
@@ -58,7 +59,7 @@ def mordell():
 
 class TestHeightOrder:
     def test_each_rational_once_in_height_order(self):
-        for bound in range(1, 13):
+        for bound in (*range(1, 13), 30):
             xs = list(rationals_by_height(bound))
             assert len(xs) == len(set(xs))
             # an independent count: every a/b with |a|, b <= bound
@@ -70,6 +71,10 @@ class TestHeightOrder:
         assert list(rationals_by_height(2)) == [0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2]
         assert rationals_of_height(3) == [Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3),
                                           Fraction(-2, 3), 3, Fraction(3, 2), -3, Fraction(-3, 2)]
+
+    def test_boundary_walk_matches_the_filter(self):
+        for h in range(1, 61):
+            assert rationals_of_height(h) == rationals_of_height_filter(h), h
 
     def test_height(self):
         assert height(0) == 1

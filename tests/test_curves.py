@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from unittest.mock import patch
 
 import pytest
 from conftest import (
     ec_add,
     ec_mul,
+    ec_on_curve,
     integral_model_by_denominators,
     relation_holds,
     tate_normal_form,
@@ -318,6 +319,62 @@ class TestScaledModel:
                 EllipticCurveQ(A, B)
         else:
             assert EllipticCurveQ(A, B)._scaled_model == (int(A * mu**4), int(B * mu**6), mu)
+
+
+def smooth(min_size=0):
+    """Products of the primes 2, 3, 5, 7, often not squares."""
+    return st.lists(st.sampled_from((2, 3, 5, 7)), min_size=min_size, max_size=6).map(prod)
+
+
+@st.composite
+def curves_with_mu(draw):
+    """A curve whose A has a denominator > 1 of primes 2, 3, 5, 7, so mu > 1,
+    through a point whose x and y have such denominators (B is solved for;
+    y = 0 makes it 2-torsion)."""
+    def rational(den):
+        return Fraction(draw(st.integers(-60, 60)), draw(den))
+
+    A, x = rational(smooth(1)), rational(smooth())
+    y = rational(smooth()) if draw(st.booleans()) else Fraction(0)
+    B = y * y - x**3 - A * x
+    assume(4 * A**3 + 27 * B**2 != 0)
+    E = EllipticCurveQ(A, B)
+    assume(E._scaled_model[2] > 1)
+    return E, point(x, y)
+
+
+TWELFTHS = (EllipticCurveQ(Fraction(-5, 6), Fraction(551, 1728)),
+            point(Fraction(1, 12), Fraction(1, 2)))
+
+
+class TestEntryCheck:
+    """is_on tests y^2 = x^3 + A x + B times b^3 e^2 mu^6 in integers on the
+    scaled model; the oracle is the equation in Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(curves_with_mu(), st.integers(1, 3), st.sampled_from(("on", "x", "y", "y=0")),
+           st.fractions(min_value=-4, max_value=4, max_denominator=12).filter(bool))
+    # x denominators 2 and 12, not squares: on the curve, and moved off it
+    @example((EllipticCurveQ(Fraction(1, 2), Fraction(-3, 8)), point(Fraction(1, 2), 0)),
+             1, "on", Fraction(1))
+    @example(TWELFTHS, 1, "on", Fraction(1))
+    @example(TWELFTHS, 1, "x", Fraction(1, 3))
+    def test_matches_fraction_equation(self, curve_point, k, move, delta):
+        E, P = curve_point
+        Q = ec_mul(E.A, k, (P.x, P.y))
+        if Q is not None:
+            x, y = Q
+            Q = {"on": (x, y), "x": (x + delta, y), "y": (x, y + delta),
+                 "y=0": (x, Fraction(0))}[move]
+        on = ec_on_curve(E.A, E.B, Q)
+        assert on or move != "on"
+        R = IDENTITY if Q is None else point(*Q)
+        assert E.is_on(R) == on
+        if on:
+            E._jac(R)
+        else:
+            with pytest.raises(OffCurveError):
+                E._jac(R)
 
 
 SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=3)

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import resultant, squarefree_kernel
+from conftest import ratpoly_eval_fraction, resultant, squarefree_kernel
 from rankjump.arith import DomainError
 from rankjump.polynomial import (
     PLACE_AT_INFINITY,
@@ -57,6 +57,33 @@ class TestRingOps:
     def test_reverse(self):
         p = T**2 - 2
         assert p.reversed_to(4) == RatPoly([0, 0, 1, 0, -2])
+
+
+COEFFICIENTS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)))
+# the empty list is the zero polynomial, one coefficient a constant
+POLYS = st.lists(COEFFICIENTS, max_size=9).map(RatPoly)
+PARAMETERS = st.one_of(
+    st.just(0),
+    st.integers(-10**12, 10**12),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12)))
+
+
+class TestEvaluation:
+    """__call__ runs homogeneous Horner on integer numerators over one
+    denominator, built on the first call; the oracle is Horner on Fractions."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(POLYS, PARAMETERS)
+    @example(RatPoly(), Fraction(-7, 3))
+    @example(RatPoly([Fraction(5, 6)]), 10**12)
+    @example(RatPoly([0, 0, 0, 0, 0, 0, 0, 0, Fraction(-1, 10**6)]), Fraction(-10**12, 10**12 - 1))
+    @example(RatPoly([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)]), Fraction(6, 7))
+    def test_matches_fraction_horner(self, p, x):
+        want = ratpoly_eval_fraction(p, Fraction(x))
+        first, second = p(x), p(x)
+        assert type(first) is Fraction and first == second == want
 
 
 class TestDiscriminant:
