@@ -1,7 +1,6 @@
 """Conic fibres of the bundle x = x0 on a twist or quadratic-coefficient
-surface: branch loci, quadratic-extension classes, exact rational-point
-decisions (Hasse-Minkowski) and parametrisation by lines through a base
-point.
+surface: quadratic-extension classes, exact rational-point decisions
+(Hasse-Minkowski) and parametrisation by lines through a base point.
 
 For a twist family the fibre over x0 is g(t) w^2 = f(x0); substituting
 u = t w turns it into a plane conic. For a quadratic-coefficient family it
@@ -40,12 +39,6 @@ class DegenerateFibreError(ValueError):
     """Raised for x0 where the curve x = x0 is not an integral conic."""
 
 
-#: Verdicts of fibre_product_genus.
-REDUCIBLE = "reducible"
-GENUS_0 = "genus 0"
-GENUS_1 = "genus 1"
-
-
 @dataclass(frozen=True)
 class QuadExtClass:
     """The quadratic extension Q(t)(sqrt(s * h(t))), canonically presented:
@@ -64,15 +57,13 @@ class BranchLocus:
 
     places: frozenset[Place]
 
-    @property
-    def geometric_count(self) -> int:
-        return sum(p.degree for p in self.places)
-
 
 def branch_locus(cls: QuadExtClass) -> BranchLocus:
     """Branch locus of w^2 = s h(t): the roots of h, plus infinity if deg h
     is odd. A conic fibre has h of degree 1 or 2; a squarefree t^2 + b t + c
-    splits at (-b +- r) / 2 exactly when its discriminant is a square r^2."""
+    splits at (-b +- r) / 2 exactly when its discriminant is a square r^2.
+    The locus is a function of the monic h alone, and h one of the locus, so
+    two fibres' loci coincide exactly when their kernels h do."""
     h = cls.h
     if h.degree == 1:
         return BranchLocus(frozenset({Place(h), PLACE_AT_INFINITY}))
@@ -82,19 +73,6 @@ def branch_locus(cls: QuadExtClass) -> BranchLocus:
     if r is None:
         return BranchLocus(frozenset({Place(h)}))
     return BranchLocus(frozenset(Place(RatPoly([(h[1] + e) / 2, 1])) for e in (r, -r)))
-
-
-def fibre_product_genus(b1: BranchLocus, b2: BranchLocus) -> str:
-    """Geometry of the fibre product of two genus-0 double covers of P^1.
-
-    Two shared branch points give a reducible product, one gives a
-    geometrically integral curve of genus 0, none gives genus 1.
-    """
-    for b in (b1, b2):
-        if b.geometric_count != 2:
-            raise ValueError("branch locus of a genus-0 double cover has 2 points")
-    common = sum(p.degree for p in b1.places & b2.places)
-    return {2: REDUCIBLE, 1: GENUS_0, 0: GENUS_1}[common]
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +94,8 @@ def _primitive(vec):
 
 
 class ConicFibre:
-    """One fibre of the conic bundle, with its extension class; its branch
-    locus, solvability and rational points are computed on demand, once."""
+    """One fibre of the conic bundle, with its extension class; its matrix,
+    solvability and rational points are computed on demand, once."""
 
     def __init__(self, surface, x0):
         x0 = Fraction(x0)
@@ -134,13 +112,6 @@ class ConicFibre:
             lead_class, kernel, block = surface.conic_classes
             self.ext_class = QuadExtClass(value_class.times(lead_class).s, kernel)
             self._classes = None if block is None else (*block, -value_class)
-            g = surface.g
-            # in coordinates (u, w, z) with u = t w: g2 u^2 + g1 u w + g0 w^2 = c z^2
-            self.matrix = (
-                (g[2], g[1] / 2, Fraction(0)),
-                (g[1] / 2, g[0], Fraction(0)),
-                (Fraction(0), Fraction(0), -value),
-            )
         elif isinstance(surface, KMFamily):
             self.kind = "km"
             q = surface.fibre_quadratic(x0)
@@ -159,20 +130,21 @@ class ConicFibre:
             # -q2 T^2 - q1 T Z - q0 Z^2 = -q2 (T + q1 Z / 2 q2)^2 + disc(q) Z^2 / 4 q2
             self._classes = None if disc is None else (
                 -lead_class, SquareClass(1, ()), lead_class.times(square_class(disc)))
-            # in coordinates (T, W, Z) with t = T/Z, w = W/Z: W^2 = q2 T^2 + q1 T Z + q0 Z^2
-            self.matrix = (
-                (-q[2], Fraction(0), -q[1] / 2),
-                (Fraction(0), Fraction(1), Fraction(0)),
-                (-q[1] / 2, Fraction(0), -q[0]),
-            )
         else:
             raise TypeError(f"unsupported surface {surface!r}")
         self._base_point = "unknown"
 
     @cached_property
-    def branch(self) -> BranchLocus:
-        """The branch locus of the fibre's extension class."""
-        return branch_locus(self.ext_class)
+    def matrix(self):
+        """The 3x3 symmetric matrix of the fibre's conic."""
+        zero = Fraction(0)
+        if self.kind == "twist":
+            # in coordinates (u, w, z) with u = t w: g2 u^2 + g1 u w + g0 w^2 = c z^2
+            g = self.surface.g
+            return (g[2], g[1] / 2, zero), (g[1] / 2, g[0], zero), (zero, zero, -self.value)
+        # in coordinates (T, W, Z) with t = T/Z, w = W/Z: W^2 = q2 T^2 + q1 T Z + q0 Z^2
+        q = self.q
+        return (-q[2], zero, -q[1] / 2), (zero, Fraction(1), zero), (-q[1] / 2, zero, -q[0])
 
     # -- solvability -------------------------------------------------------
 

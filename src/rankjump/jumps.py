@@ -11,7 +11,8 @@ square value instead: a point on one fibre transfers to its partner over
 the same t0, and the regulator decides independence. For
 quadratic-coefficient families the branch points move, so two fibre
 parametrisations are intersected on the t-coordinate; pairs whose covers
-have identical branch loci (reducible fibre product) are skipped.
+have the same squarefree kernel h, which is to say identical branch loci
+and a reducible fibre product, are skipped.
 
 The searches and the census take their fibres from one source, _fibres,
 fed x0 in the height order of conics.rationals_by_height; it yields the
@@ -51,13 +52,11 @@ from itertools import accumulate
 
 from .arith import is_square, rational_sqrt
 from .conics import (
-    REDUCIBLE,
     ConicFibre,
     DegenerateFibreError,
     QuadExtClass,
     conic_fibre,
     conic_solvable,
-    fibre_product_genus,
     height,
     parametrize,
     parametrize_heights,
@@ -67,6 +66,7 @@ from .conics import (
 from .curves import (
     OffCurveError,
     PointQ,
+    PrecisionError,
     RegulatorResult,
     SingularSpecializationError,
     regulator,
@@ -160,8 +160,9 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
 
     Returns None when t0 is already certified, lies in a cover's image, sits
     under a singular fibre or carries a torsion point, and the regulator's
-    verdict when a pair is not independent; each rejection is counted in
-    log. On success t0 joins seen.
+    verdict when a pair is not independent; a pair whose heights raise
+    PrecisionError is inconclusive. Each rejection is counted in log. On
+    success t0 joins seen.
     """
     if t0 in seen:
         return None
@@ -176,7 +177,10 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
     if any(spec.curve.torsion_order(P) is not None for P in pts):
         log.torsion_rejects += 1
         return None
-    verdict = regulator(spec.curve, pts) if len(pts) == 2 else None
+    try:
+        verdict = regulator(spec.curve, pts) if len(pts) == 2 else None
+    except PrecisionError:
+        verdict = RegulatorResult(0.0, float("inf"), "inconclusive")
     if verdict is not None and not verdict.independent:
         if verdict.verdict == "dependent":
             log.dependent_pairs += 1
@@ -270,10 +274,11 @@ def _shared_value_points(param_height: int, src: ConicFibre, other: ConicFibre):
 
 def _intersection_points(streams: dict, param_height: int, src: ConicFibre, other: ConicFibre):
     """km pairs: the t0 common to both fibres' point streams, in the later
-    fibre's t0 order; pairs with a reducible fibre product (identical branch
-    loci) are skipped. streams caches t0 -> w of the first point over t0 of
-    each fibre, by x0, in t0 order."""
-    if fibre_product_genus(src.branch, other.branch) == REDUCIBLE:
+    fibre's t0 order. A pair whose covers share the squarefree kernel h has
+    identical branch loci (conics.branch_locus), hence a reducible fibre
+    product, and is skipped. streams caches t0 -> w of the first point over
+    t0 of each fibre, by x0, in t0 order."""
+    if src.ext_class.h == other.ext_class.h:
         return
     for fib in (src, other):
         if fib.x0 not in streams:

@@ -151,10 +151,17 @@ class KMFamily:
         wherever a3 vanishes."""
         return self.a3, self.a2 * Fraction(1, 3), self.a3
 
+    @cached_property
+    def x_columns(self) -> tuple[RatPoly, RatPoly, RatPoly]:
+        """Column i: the coefficient of t^i in a3 x^3 + a2 x^2 + a1 x + a0,
+        a cubic in x."""
+        return tuple(RatPoly([a[i] for a in (self.a0, self.a1, self.a2, self.a3)])
+                     for i in range(3))
+
     def fibre_quadratic(self, x0: Fraction) -> RatPoly:
-        """The polynomial q(t) with w^2 = q(t) cutting out the curve x = x0."""
-        x0 = Fraction(x0)
-        return self.a3 * x0**3 + self.a2 * x0**2 + self.a1 * x0 + self.a0
+        """The polynomial q(t) with w^2 = q(t) cutting out the curve x = x0:
+        its coefficient of t^i is column i at x0, evaluated in integers."""
+        return RatPoly([column(x0) for column in self.x_columns])
 
 
 @dataclass(frozen=True)

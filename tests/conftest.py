@@ -11,8 +11,9 @@ diagonalisation, the integral model found by factoring denominators, the
 formal-group multiple found by first hits and a restart, the archimedean
 height series term by term in mpmath, heights by the doubling limit,
 fibre-relation and extension-class comparisons, the census rescanned fibre
-by fibre, and jump1 reading each fibre's whole pencil through a lookahead
-slot.
+by fibre, jump1 reading each fibre's whole pencil through a lookahead
+slot, a km fibre's polynomial by RatPoly arithmetic, and the genus of the
+fibre product of two double covers from their branch loci.
 """
 
 from __future__ import annotations
@@ -365,6 +366,36 @@ def relation_holds(fibre, t, w) -> bool:
     if fibre.kind == "twist":
         return fibre.surface.g(t) * w * w == fibre.value
     return w * w == fibre.q(t)
+
+
+def fibre_quadratic_ratpoly(surface, x0):
+    """KMFamily.fibre_quadratic by RatPoly arithmetic on Fractions:
+    a3 x0^3 + a2 x0^2 + a1 x0 + a0."""
+    x0 = Fraction(x0)
+    return surface.a3 * x0**3 + surface.a2 * x0**2 + surface.a1 * x0 + surface.a0
+
+
+#: Verdicts of fibre_product_genus.
+REDUCIBLE = "reducible"
+GENUS_0 = "genus 0"
+GENUS_1 = "genus 1"
+
+
+def geometric_count(locus) -> int:
+    """The number of geometric points of a conics.BranchLocus."""
+    return sum(p.degree for p in locus.places)
+
+
+def fibre_product_genus(b1, b2) -> str:
+    """Geometry of the fibre product of two genus-0 double covers of P^1,
+    from their branch loci: two shared branch points give a reducible
+    product, one a geometrically integral curve of genus 0, none genus 1
+    (Riemann-Hurwitz)."""
+    for b in (b1, b2):
+        if geometric_count(b) != 2:
+            raise ValueError("branch locus of a genus-0 double cover has 2 points")
+    common = sum(p.degree for p in b1.places & b2.places)
+    return {2: REDUCIBLE, 1: GENUS_0, 0: GENUS_1}[common]
 
 
 def same_extension(c1, c2) -> bool:

@@ -11,22 +11,22 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    GENUS_0,
+    GENUS_1,
+    REDUCIBLE,
     brute_force_conic_point,
     canonical_height_doubling,
     certify_unsolvable,
     distinct_up_to,
+    fibre_product_genus,
     legendre_normalize,
 )
 from rankjump.arith import DomainError, is_square
 from rankjump.conics import (
-    GENUS_0,
-    GENUS_1,
-    REDUCIBLE,
     BranchLocus,
     DegenerateFibreError,
     conic_fibre,
     conic_solvable,
-    fibre_product_genus,
     parametrize,
     rationals_by_height,
 )

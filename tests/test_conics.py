@@ -6,30 +6,33 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
+    GENUS_0,
+    GENUS_1,
+    REDUCIBLE,
     brute_force_conic_point,
     certify_unsolvable,
     ext_class_by_yun,
+    fibre_product_genus,
+    fibre_quadratic_ratpoly,
+    geometric_count,
     legendre_normalize,
     local_obstruction_fraction,
     naive_search_fraction,
     on_conic,
     parametrize_heights_fraction,
     rationals_of_height_filter,
+    ratpoly_eval_fraction,
     relation_holds,
     same_extension,
 )
 from rankjump.arith import DomainError, is_square
 from rankjump.conics import (
-    GENUS_0,
-    GENUS_1,
-    REDUCIBLE,
     BranchLocus,
     DegenerateFibreError,
     QuadExtClass,
     branch_locus,
     conic_fibre,
     conic_solvable,
-    fibre_product_genus,
     height,
     parametrize,
     parametrize_heights,
@@ -87,21 +90,21 @@ class TestConicFibre:
         fib = conic_fibre(twist(T), 2)
         assert fib.value == 6
         assert fib.ext_class.s == 6 and fib.ext_class.h == T
-        assert fib.branch.places == frozenset({Place(T), PLACE_AT_INFINITY})
+        assert branch_locus(fib.ext_class).places == frozenset({Place(T), PLACE_AT_INFINITY})
 
     def test_twist_quadratic(self):
         fib = conic_fibre(twist(T**2 - 1), 2)
-        assert fib.branch.places == frozenset({Place(T - 1), Place(T + 1)})
+        assert branch_locus(fib.ext_class).places == frozenset({Place(T - 1), Place(T + 1)})
         # the branch locus is independent of x0
         fib2 = conic_fibre(twist(T**2 - 1), 3)
-        assert fib.branch == fib2.branch
+        assert branch_locus(fib.ext_class) == branch_locus(fib2.ext_class)
 
     def test_mordell_branch_moves(self):
         fib = conic_fibre(mordell(), 1)
         assert fib.q == T + 1
-        assert fib.branch.places == frozenset({Place(T + 1), PLACE_AT_INFINITY})
+        assert branch_locus(fib.ext_class).places == frozenset({Place(T + 1), PLACE_AT_INFINITY})
         fib0 = conic_fibre(mordell(), 2)
-        assert fib0.branch.places == frozenset({Place(T + 8), PLACE_AT_INFINITY})
+        assert branch_locus(fib0.ext_class).places == frozenset({Place(T + 8), PLACE_AT_INFINITY})
 
     def test_degenerate_root_of_f(self):
         for x0 in (0, 1, -1):
@@ -473,7 +476,7 @@ class TestBranchLocus:
         assume(h.degree == 1 or h[1] ** 2 != 4 * h[0])   # squarefree
         cls = QuadExtClass(1, h)
         assert branch_locus(cls) == _factored_locus(h)
-        assert branch_locus(cls).geometric_count == 2
+        assert geometric_count(branch_locus(cls)) == 2
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
@@ -501,7 +504,7 @@ class TestFibreProductGenus:
     def test_quadratic_place_counts_two_points(self):
         irr = Place(T**2 - 2)
         b = self.locus(irr)
-        assert b.geometric_count == 2
+        assert geometric_count(b) == 2
         assert fibre_product_genus(b, b) == REDUCIBLE
         other = self.locus(Place(T), PLACE_AT_INFINITY)
         assert fibre_product_genus(b, other) == GENUS_1
@@ -509,3 +512,72 @@ class TestFibreProductGenus:
     def test_invalid_locus(self):
         with pytest.raises(ValueError):
             fibre_product_genus(self.locus(Place(T)), self.locus(Place(T), PLACE_AT_INFINITY))
+
+
+# ---------------------------------------------------------------------------
+# km surfaces through chosen fibre polynomials
+
+
+def km_through(draw, fits: dict) -> KMFamily:
+    """A drawn km surface whose fibre polynomial over each x0 in fits is
+    fits[x0]. Column i of y^2 = a3 x^3 + a2 x^2 + a1 x + a0, the coefficient
+    of t^i as a cubic in x, is a drawn cubic plus the Lagrange polynomial
+    through its residuals at the x0 of fits."""
+    columns = []
+    for i in range(3):
+        col = RatPoly([draw(coeff) for _ in range(4)])
+        for xk, q in fits.items():
+            basis = RatPoly([1])
+            for xj in fits:
+                if xj != xk:
+                    basis = basis * (T - xj) * (1 / (xk - xj))
+            col = col + basis * (q[i] - ratpoly_eval_fraction(col, xk))
+        columns.append(col)
+    try:
+        return KMFamily(*(RatPoly([col[j] for col in columns]) for j in (3, 2, 1, 0)))
+    except DomainError:
+        assume(False)
+
+
+@st.composite
+def km_fibres(draw):
+    """(km surface, x0, q) with q the fibre polynomial over x0: zero, a
+    nonzero constant, a constant times a square (disc q = 0) or any q of
+    degree at most 2."""
+    x0 = draw(coeff)
+    kind = draw(st.sampled_from(("zero", "constant", "square", "any")))
+    if kind == "zero":
+        q = RatPoly()
+    elif kind == "constant":
+        q = RatPoly([draw(nonzero)])
+    elif kind == "square":
+        q = draw(nonzero) * (T - draw(coeff)) ** 2
+    else:
+        q = RatPoly([draw(coeff) for _ in range(3)])
+    return km_through(draw, {x0: q}), x0, q
+
+
+class TestKMFibreQuadratic:
+    @settings(max_examples=80, deadline=None)
+    @given(km_fibres())
+    @example((mordell(), Fraction(0), T))
+    @example((KMFamily(RatPoly([1]), RatPoly(), RatPoly(), T**2), Fraction(0), T**2))
+    def test_matches_the_ratpoly_oracle(self, case):
+        """fibre_quadratic, each column evaluated in integers, is a3 x0^3 +
+        a2 x0^2 + a1 x0 + a0 in RatPoly arithmetic, and conic_fibre raises
+        its DegenerateFibreErrors exactly where that q is 0, constant or a
+        constant times a square."""
+        s, x0, q = case
+        assert fibre_quadratic_ratpoly(s, x0) == q
+        assert s.fibre_quadratic(x0) == q
+        for x in rationals_by_height(3):
+            assert s.fibre_quadratic(x) == fibre_quadratic_ratpoly(s, x)
+        if q.is_zero():
+            with pytest.raises(DegenerateFibreError, match="vanishes"):
+                conic_fibre(s, x0)
+        elif q.degree == 0 or q.degree == 2 and q[1] ** 2 == 4 * q[0] * q[2]:
+            with pytest.raises(DegenerateFibreError, match="cover splits"):
+                conic_fibre(s, x0)
+        else:
+            fib = conic_fibre(s, x0)
+            assert fib.q == q and fib.ext_class == ext_class_by_yun(fib)

@@ -7,14 +7,27 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import census_rescan, distinct_up_to, jump1_lookahead
-from test_conics import surfaces
-from rankjump import jumps
+from conftest import (
+    REDUCIBLE,
+    census_rescan,
+    distinct_up_to,
+    fibre_product_genus,
+    jump1_lookahead,
+)
+from test_conics import coeff, km_through, nonzero, surfaces
+from rankjump import curves, jumps
 from rankjump.cli import main
 from rankjump.config import build_surface, parse_surface_config
-from rankjump.conics import conic_fibre, conic_solvable, rationals_by_height
+from rankjump.conics import (
+    ConicFibre,
+    DegenerateFibreError,
+    branch_locus,
+    conic_fibre,
+    conic_solvable,
+    rationals_by_height,
+)
 from rankjump.curves import EllipticCurveQ, point, specialize
 from rankjump.jumps import (
     Budget,
@@ -33,6 +46,7 @@ from rankjump.store import record_from_json
 from rankjump.surfaces import KMFamily, TwistFamily
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 T = RatPoly.gen()
 F_CUBIC = T**3 - T
 
@@ -172,6 +186,91 @@ class TestJump2:
             E = EllipticCurveQ(*c.curve)
             assert E.is_on(point(x1, y1)) and E.is_on(point(x2, y2))
 
+    @pytest.mark.parametrize("config,budget", [("mordell", "8,8,5"), ("split-twist", "18,10,5")])
+    def test_height_precision_error_is_inconclusive(self, config, budget, capsys, monkeypatch):
+        """With the formal-group walk capped at one step, most heights raise
+        PrecisionError; jump counts each such pair as inconclusive, as it
+        does the regulator's own inconclusive verdicts, and ends in exit 0
+        or 3, not in a traceback."""
+        raised, inconclusive = [], []
+        regulator = jumps.regulator
+
+        def counting_regulator(E, pts):
+            try:
+                verdict = regulator(E, pts)
+            except curves.PrecisionError:
+                raised.append(E)
+                raise
+            if verdict.verdict == "inconclusive":
+                inconclusive.append(E)
+            return verdict
+
+        monkeypatch.setattr(curves, "_FORMAL_GROUP_MULTIPLE_CAP", 1)
+        monkeypatch.setattr(jumps, "regulator", counting_regulator)
+        argv = ["jump", "--config", str(CONFIGS / f"{config}.cfg"), "--rank", "2",
+                "--budget", budget]
+        assert main(argv) in (0, 3)
+        summary = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("# search:")]
+        assert raised and len(summary) == 1
+        assert f"inconclusive {len(raised) + len(inconclusive)}," in summary[0]
+
+
+#: Two branch points of a drawn split fibre polynomial; None is the place at infinity.
+BRANCH_PAIRS = st.lists(st.sampled_from((None, -2, -1, 0, 1, 2)), min_size=2, max_size=2,
+                        unique=True)
+
+
+def _with_roots(roots) -> RatPoly:
+    """The monic polynomial with the given roots, None adding none: linear
+    polynomials branch at infinity."""
+    p = RatPoly([1])
+    for r in roots:
+        if r is not None:
+            p = p * (T - r)
+    return p
+
+
+@st.composite
+def km_fibre_pairs(draw):
+    """(km surface, x1, x2) with drawn fibre polynomials over x1 != x2: one
+    kernel h times two drawn scalars, two split polynomials with drawn
+    branch points, or any two."""
+    x1, x2 = draw(coeff), draw(coeff)
+    assume(x1 != x2)
+    kind = draw(st.sampled_from(("same kernel", "split", "any")))
+    if kind == "same kernel":
+        h = RatPoly([draw(coeff), draw(coeff), draw(st.sampled_from((0, 1)))])
+        q1, q2 = draw(nonzero) * h, draw(nonzero) * h
+    elif kind == "split":
+        q1, q2 = (draw(nonzero) * _with_roots(draw(BRANCH_PAIRS)) for _ in range(2))
+    else:
+        q1, q2 = (RatPoly([draw(coeff) for _ in range(3)]) for _ in range(2))
+    return km_through(draw, {x1: q1, x2: q2}), x1, x2
+
+
+class TestKernelSkip:
+    @settings(max_examples=100, deadline=None)
+    @given(km_fibre_pairs())
+    @example((KMFamily(T**2 - 1, RatPoly(), 1 - T**2, RatPoly()), Fraction(2), Fraction(3)))
+    @example((mordell(), Fraction(1), Fraction(2)))
+    def test_matches_the_genus_oracle(self, case):
+        """A km pair's kernels agree exactly when the genus oracle finds its
+        fibre product reducible, and then _intersection_points skips it
+        without parametrising either fibre."""
+        s, x1, x2 = case
+        try:
+            src, other = conic_fibre(s, x1), conic_fibre(s, x2)
+        except DegenerateFibreError:
+            assume(False)
+        reducible = fibre_product_genus(branch_locus(src.ext_class),
+                                        branch_locus(other.ext_class)) == REDUCIBLE
+        assert (src.ext_class.h == other.ext_class.h) == reducible
+        if reducible:
+            streams = {}
+            assert list(jumps._intersection_points(streams, 4, src, other)) == []
+            assert streams == {}
+
 
 class TestAvoidCovers:
     def test_single_cover(self):
@@ -260,6 +359,19 @@ class TestFieldCensus:
     @given(surfaces(), st.integers(1, 6))
     def test_rows_match_rescans_on_drawn_surfaces(self, s, bound):
         assert field_census(s, bound) == census_rescan(s, bound)
+
+    def test_census_builds_no_matrix(self, monkeypatch):
+        """The census reads each fibre's class and obstruction only: on the
+        shipped configs, at the benchmark's height 30, no fibre's matrix is
+        built."""
+        def no_matrix(fibre):
+            raise AssertionError(f"the matrix of the fibre over {fibre.x0} was built")
+
+        monkeypatch.setattr(ConicFibre, "matrix", property(no_matrix))
+        configs = sorted(CONFIGS.glob("*.cfg"))
+        assert len(configs) == 3
+        for path in configs:
+            field_census(parse_surface_config(path.read_text()).fibred, 30)
 
 
 def _config_text(s) -> str:
