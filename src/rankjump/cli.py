@@ -114,7 +114,7 @@ def cmd_jump(args) -> int:
                   file=sys.stderr)
             continue
         records.append(rec)
-        print(rec.to_json())
+        print(rec.line)
     if args.store:
         added = append_records(args.store, cfg.label, records)
         print(

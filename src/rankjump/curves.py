@@ -24,12 +24,14 @@ series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|), with a tail bound, run
 on integer pairs x(2^k P) = X/Z cut to the working precision; its terms
 telescope into one mpmath log. The finite part is exact: we replace P by
 the smallest multiple mP lying in the formal group at 2 and at 3, reached
-by one walk Q <- Q + P on triples of that model, after which the
+by one walk Q <- Q + P on triples of that model, capped by steps and by
+size, after which the
 contribution of every prime is (1/2) log den(x) except for primes p >= 5
 where mP meets a singular point of the reduced model; those corrections are
 rational multiples of log p given by Silverman's closed formula (Computing
 heights on elliptic curves, Math. Comp. 51 (1988), section 5) from three
-valuations.
+valuations. A height is thus a function of that model and the point's
+reduced triple on it, and a caller may keep a table of them under that key.
 """
 
 from __future__ import annotations
@@ -331,14 +333,21 @@ def _finite_corrections(Ai: int, Bi: int, disc: int, primes, x: Fraction, y: Fra
     return out
 
 
-_FORMAL_GROUP_MULTIPLE_CAP = 1024
+#: caps on the walk of _formal_multiple, by steps and by the bits of Z.
+#: The shipped searches stop by m = 6 under 100 bits and the tests by
+#: m = 72; the caps bound a walk to about a second, where km surfaces
+#: reach m = 234 with Z of 62,350 bits after 20 s.
+_FORMAL_GROUP_MULTIPLE_CAP = 96
+_FORMAL_GROUP_BITS_CAP = 1 << 16
 
 
 def _formal_multiple(A: int, J) -> tuple[int, tuple[int, int, int]]:
     """The multiple m J lying in the formal group at 2 and at 3 (that is,
     v_2(x) < 0 and v_3(x) < 0, so 6 | Z), with m minimal, found by one walk
     Q <- Q + J on reduced triples of an integral model with x-coefficient A,
-    where den x = Z^2; J must be non-torsion.
+    where den x = Z^2; J must be non-torsion. PrecisionError when m would
+    pass _FORMAL_GROUP_MULTIPLE_CAP or Q + J be taken from a Z of more than
+    _FORMAL_GROUP_BITS_CAP bits.
 
     The multiples of J in the formal group at p are the multiples of the
     first one there, at k_p J, so the walk stops at m = lcm(k_2, k_3).
@@ -349,6 +358,8 @@ def _formal_multiple(A: int, J) -> tuple[int, tuple[int, int, int]]:
             raise DomainError("torsion point reached the identity")
         if Q[2] % 6 == 0:
             return m, Q
+        if Q[2].bit_length() > _FORMAL_GROUP_BITS_CAP:
+            break
         Q = _jac_add(A, Q, J)
     raise PrecisionError("formal-group multiple exceeds the size cap")
 
@@ -368,17 +379,30 @@ def canonical_height(E: EllipticCurveQ, P: PointQ) -> HeightData:
     return _height(E, J)
 
 
-def _height(E: EllipticCurveQ, J) -> HeightData:
-    """canonical_height of a non-torsion triple J of E's scaled model, at 60
-    digits and 48 series terms; each PrecisionError doubles the digits and
-    adds 16 terms, up to three times. With u = mu / lam, J is (X, Y, u Z)
-    on the integral model, reduced as _jac_add reduces."""
-    import mpmath
-
+def _height(E: EllipticCurveQ, J, heights: dict | None = None) -> HeightData:
+    """canonical_height of a non-torsion triple J of E's scaled model. With
+    u = mu / lam, J is (X, Y, u Z) on the integral model, reduced as
+    _jac_add reduces. All that follows depends on (Ai, Bi) and that triple
+    alone, so the table heights, when given, keeps each result under that
+    key and a hit returns it; a PrecisionError is not kept."""
     Ai, Bi, lam = E.integral_model
     X, Y, Z = J[0], J[1], J[2] * int(E._scaled_model[2] / lam)
     l = isqrt(gcd(X, Z * Z))
-    m, (X, Y, Z) = _formal_multiple(Ai, (X // (l * l), Y // (l * l * l), Z // l))
+    key = Ai, Bi, X // (l * l), Y // (l * l * l), Z // l
+    heights = {} if heights is None else heights
+    if key not in heights:
+        heights[key] = _local_height(E, key[2:])
+    return heights[key]
+
+
+def _local_height(E: EllipticCurveQ, J) -> HeightData:
+    """_height of the reduced triple J of the integral model, at 60 digits
+    and 48 series terms; each PrecisionError doubles the digits and adds 16
+    terms, up to three times."""
+    import mpmath
+
+    Ai, Bi, _ = E.integral_model
+    m, (X, Y, Z) = _formal_multiple(Ai, J)
     x, y = Fraction(X, Z * Z), Fraction(Y, Z**3)
     corrections = _finite_corrections(Ai, Bi, E.discriminant_integral(), E._discriminant_primes,
                                       x, y)
@@ -450,23 +474,31 @@ def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
     dependent-looking pairs the first relation a P + b Q = torsion with
     |a|, |b| <= 20 that the Gram matrix allows is checked exactly and
     reported; when neither outcome can be certified the verdict is
-    "inconclusive". Only pairs are accepted.
+    "inconclusive". Only pairs are accepted. The points are checked on E
+    and for torsion here, and the verdict is _regulator's, with no height
+    table: each height is computed afresh.
     """
     if len(points) != 2:
         raise ValueError("regulator verdicts are implemented for pairs of points")
     A, Js = E._scaled_model[0], [E._jac(P) for P in points]
     if any(J is None or _jac_order(A, J) is not None for J in Js):
         raise ValueError("regulator requires non-torsion points")
-    JP, JQ = Js
+    return _regulator(E, *Js)
+
+
+def _regulator(E: EllipticCurveQ, JP, JQ, heights: dict | None = None) -> RegulatorResult:
+    """regulator of the non-torsion triples JP and JQ of E's scaled model,
+    entered unchecked; heights is the table _height reads and fills."""
+    A = E._scaled_model[0]
     JS = _jac_add(A, JP, JQ)
     for b, J in ((1, JS), (-1, _jac_add(A, JP, (JQ[0], -JQ[1], JQ[2])))):
         order = _jac_order(A, J)
         if order is not None:
             return RegulatorResult(0.0, 0.0, "dependent", (1, b, order))
-    hP, hQ = _height(E, JP), _height(E, JQ)
+    hP, hQ = _height(E, JP, heights), _height(E, JQ, heights)
     h11, e11 = hP.value, hP.error
     h22, e22 = hQ.value, hQ.error
-    h12, e12 = _pairing(_height(E, JS), hP, hQ)
+    h12, e12 = _pairing(_height(E, JS, heights), hP, hQ)
     det = h11 * h22 - h12 * h12
     err = e11 * abs(h22) + e22 * abs(h11) + 2 * abs(h12) * e12 + e11 * e22 + e12 * e12
     if det - err > INDEPENDENCE_THRESHOLD:

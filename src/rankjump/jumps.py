@@ -22,15 +22,19 @@ forms each pair as its later fibre arrives (on a twist, with the earlier
 fibres of its class only) and builds no fibre after its certificate count
 is reached, so its fibres tried are those built before it stopped. The
 searches only propose a parameter value t0 with fibre points over it; one
-certification stage specialises, transports, rejects torsion and asks the
+certification stage specialises, transports, enters each point in the
+group law once and, on those triples, rejects torsion and asks the
 regulator about pairs (a pair with P + Q or P - Q torsion is settled
-exactly, without a height; see curves.regulator). The surface's invariants
-(short model, transport chart, rank bound) are computed once per surface
-object, not per candidate. Searches and verify_certificate both work on the
-fibred (twist or km) form (see SurfaceConfig.fibred). torsion_order checks
-a point on the curve, hence on its fibre: the chart is an isomorphism
-(Specialization.transport). verify_certificate settles a pair on a twist
-whose f splits over Q by complete 2-descent (Silverman AEC X.1.4;
+exactly, without a height; see curves.regulator). jump2 holds one table of
+heights for its call, keyed by the reduced integral model and point, so a
+height met again on an isomorphic curve is not computed again. The
+surface's invariants (short model, transport chart, rank bound) are
+computed once per surface object, not per candidate. Searches and
+verify_certificate both work on the fibred (twist or km) form (see
+SurfaceConfig.fibred). Entering the law checks a point on the curve, hence
+on its fibre: the chart is an isomorphism (Specialization.transport).
+verify_certificate shares no height with the search. It settles a pair on
+a twist whose f splits over Q by complete 2-descent (Silverman AEC X.1.4;
 curves.two_descent_independent, with its 4-torsion guard), with no height;
 the regulator decides the pairs the descent leaves open, the pairs on km
 surfaces and the pairs on twists whose f does not split.
@@ -69,6 +73,8 @@ from .curves import (
     PrecisionError,
     RegulatorResult,
     SingularSpecializationError,
+    _jac_order,
+    _regulator,
     regulator,
     specialize,
     two_descent_independent,
@@ -155,14 +161,17 @@ def _fibres(surface, x0s, log: SearchLog):
 
 
 def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverChallenge | None,
-             log: SearchLog) -> RankJumpCertificate | RegulatorResult | None:
+             log: SearchLog, heights: dict | None = None
+             ) -> RankJumpCertificate | RegulatorResult | None:
     """The certificate carried by the fibre points [(x0, w), ...] over t0.
 
     Returns None when t0 is already certified, lies in a cover's image, sits
     under a singular fibre or carries a torsion point, and the regulator's
     verdict when a pair is not independent; a pair whose heights raise
     PrecisionError is inconclusive. Each rejection is counted in log. On
-    success t0 joins seen.
+    success t0 joins seen. Each point enters the group law once, checked on
+    the curve by _jac; torsion and the pair's verdict (curves._regulator,
+    with the height table heights) run on those triples.
     """
     if t0 in seen:
         return None
@@ -173,12 +182,14 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
         spec = specialize(surface, t0)
     except SingularSpecializationError:
         return None
+    E = spec.curve
     pts = [spec.transport(x0, w) for x0, w in points]
-    if any(spec.curve.torsion_order(P) is not None for P in pts):
+    Js = [E._jac(P) for P in pts]
+    if any(_jac_order(E._scaled_model[0], J) is not None for J in Js):
         log.torsion_rejects += 1
         return None
     try:
-        verdict = regulator(spec.curve, pts) if len(pts) == 2 else None
+        verdict = _regulator(E, *Js, heights) if len(Js) == 2 else None
     except PrecisionError:
         verdict = RegulatorResult(0.0, float("inf"), "inconclusive")
     if verdict is not None and not verdict.independent:
@@ -191,7 +202,7 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
     r_bound, r_exact = rank_bound_data(surface)
     return RankJumpCertificate(
         t0=t0,
-        curve=(spec.curve.A, spec.curve.B),
+        curve=(E.A, E.B),
         points=[(P.x, P.y) for P in pts],
         provenance=[x0 for x0, _ in points],
         generic_rank_bound=r_bound,
@@ -237,7 +248,9 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
     Only pairs whose regulator verdict is "independent" are emitted;
     dependent and inconclusive pairs are logged and skipped. On a twist all
     shared-value points of a pair transport to one fixed pair on the
-    twist-reduced curve, so its first verdict settles the pair.
+    twist-reduced curve, so its first verdict settles the pair, and the
+    call's height table computes the heights of that pair once for all its
+    certificates.
     """
     log = log if log is not None else SearchLog()
     if isinstance(surface, TwistFamily):
@@ -247,12 +260,13 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
     else:
         raise TypeError("jump2 needs a twist or quadratic-coefficient family")
     seen: set[Fraction] = set()
+    heights = {}  # the height table of this search (curves._height)
     earlier = {}  # a twist's extension class, or None on km -> its fibres so far
     for fib in _fibres(surface, rationals_by_height(budget.x0_height), log):
         partners = earlier.setdefault(fib.ext_class if twist else None, [])
         for src in partners:
             for t0, points in pair_points(src, fib):
-                out = _certify(surface, t0, points, seen, avoid, log)
+                out = _certify(surface, t0, points, seen, avoid, log, heights)
                 if isinstance(out, RankJumpCertificate):
                     yield out
                     if len(seen) >= budget.count:

@@ -21,6 +21,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import isfinite
 from pathlib import Path
@@ -44,6 +45,11 @@ class CertificateRecord:
         ok, reasons = verify_certificate(self.surface.fibred, self.certificate)
         return CertificateRecord(self.certificate, self.surface, self.budget,
                                  self.timestamp, ok), reasons
+
+    @cached_property
+    def line(self) -> str:
+        """to_json(), serialised once: the line printed is the line stored."""
+        return self.to_json()
 
     def to_json(self) -> str:
         cert = self.certificate
@@ -174,7 +180,7 @@ def append_records(store_dir: str | Path, label: str, records) -> int:
         for rec in records:
             key = (rec.surface.definition, rec.certificate.t0)
             if key not in known:
-                lines.append(rec.to_json() + "\n")
+                lines.append(rec.line + "\n")
                 known.add(key)
         data = memoryview("".join(lines).encode("utf-8"))
         while data:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import isqrt, prod
+from time import perf_counter
 
 import mpmath
 import pytest
@@ -14,22 +15,30 @@ from conftest import (
     tate_normal_form,
 )
 from hypothesis import assume, example, given, settings, strategies as st
+from test_conics import coeff, km_through, nonzero as nonzero_coeff
 
-from rankjump.arith import val_unit
+from rankjump import curves
+from rankjump.arith import DomainError, val_unit
 from rankjump.curves import (
     EllipticCurveQ,
+    PrecisionError,
     SingularCurveError,
+    SingularSpecializationError,
     _finite_corrections,
     _formal_multiple,
     _lambda_infinity,
+    _regulator,
     _small_relation,
     _tail_constant,
     canonical_height,
     neron_tate_pairing,
     point,
     regulator,
+    specialize,
 )
 from rankjump.kodaira import kodaira_type
+from rankjump.polynomial import RatPoly
+from rankjump.surfaces import KMFamily, TwistFamily
 
 
 def rand_nontorsion(rng, span=9):
@@ -172,6 +181,33 @@ class TestFormalMultiple:
         m, (X, Y, Z) = _formal_multiple(E._scaled_model[0], E._jac(P))
         Q = (Fraction(X, Z * Z), Fraction(Y, Z**3))
         assert (m, Q) == formal_multiple_by_first_hits(E.A, (P.x, P.y))
+
+    def test_km_walk_is_capped(self):
+        """On this km surface the fibre x0 = 1/3 meets t0 = 11/2 in a point
+        whose walk ran to m = 234, Z of 14,468 bits, in 1.5 s (63 s for the
+        whole rank-2 search); it now stops at the step cap."""
+        surface = KMFamily(RatPoly([5, 1, 6]), RatPoly([1]), RatPoly([Fraction(4, 3), 4]),
+                           RatPoly([1]))
+        spec = specialize(surface, Fraction(11, 2))
+        P = spec.transport(Fraction(1, 3), -4)
+        assert (spec.curve, P) == (EllipticCurveQ(Fraction(13439, 3), Fraction(955010, 27)),
+                                   point(Fraction(193, 3), -768))
+        start = perf_counter()
+        with pytest.raises(PrecisionError):
+            canonical_height(spec.curve, P)
+        assert perf_counter() - start < 1.0
+
+    def test_size_cap(self, monkeypatch):
+        """No step is taken from a Z past the bit cap; a multiple already in
+        the formal group is returned whatever its size."""
+        E, P = EllipticCurveQ(-12, 20), point(-2, 6)
+        A = E._scaled_model[0]
+        m, Q = _formal_multiple(A, E._jac(P))
+        assert m == 72
+        monkeypatch.setattr(curves, "_FORMAL_GROUP_BITS_CAP", 0)
+        with pytest.raises(PrecisionError):
+            _formal_multiple(A, E._jac(P))
+        assert _formal_multiple(A, Q) == (1, Q)
 
 
 def series_input(E, P):
@@ -462,3 +498,84 @@ class TestRelationAgainstEnumeration:
         gram = (h + e / 2, 4 * h - e / 2, 2 * h + e / 2)
         JP, JQ = E._jac(P), E._jac(E.scalar_mul(2, P))
         assert _small_relation(E._scaled_model[0], JP, JQ, gram, (e, e, e), 20) == (2, -1, 1)
+
+
+@st.composite
+def surface_pairs(draw):
+    """(E, P, Q) as jump2 meets a pair: a drawn twist or km surface
+    specialised at t0, with the transported points of the fibres x1 != x2
+    over t0. On the twist g(t) w^2 = f(x), g(t0) w_i^2 = f(x_i) fixes the
+    linear part of f; on km, w_i^2 = q_i(t0) fixes the constant of q_i."""
+    t0, x1, x2, w1, w2 = (draw(c) for c in (coeff, coeff, coeff, nonzero_coeff, nonzero_coeff))
+    assume(x1 != x2)
+    try:
+        if draw(st.booleans()):
+            g = RatPoly([draw(coeff), draw(coeff), draw(coeff)])
+            lead, c2 = draw(nonzero_coeff), draw(coeff)
+            r1, r2 = (g(t0) * w * w - lead * x**3 - c2 * x * x for x, w in ((x1, w1), (x2, w2)))
+            a = (r1 - r2) / (x1 - x2)
+            surface = TwistFamily(RatPoly([r1 - a * x1, a, c2, lead]), g)
+        else:
+            qs = {x: [draw(coeff) for _ in range(3)] for x in (x1, x2)}
+            surface = km_through(draw, {x: RatPoly([q[0] + w * w - RatPoly(q)(t0), *q[1:]])
+                                        for (x, q), w in zip(qs.items(), (w1, w2))})
+        spec = specialize(surface, t0)
+    except (DomainError, SingularSpecializationError):
+        assume(False)
+    E, P, Q = spec.curve, spec.transport(x1, w1), spec.transport(x2, w2)
+    assume(E.torsion_order(P) is None and E.torsion_order(Q) is None)
+    return E, P, Q
+
+
+@st.composite
+def curves_through_one_point(draw):
+    """Two pairs (E, P, Q) and (E', P, R) on integral curves E != E' through
+    one integral point P, with Q = (x + 1, .) and R = (x - 1, .). Both
+    curves are their own integral models, so P is one reduced triple on
+    both, and only (Ai, Bi) in the key keeps its two heights apart."""
+    x, y = draw(st.integers(-10, 10)), draw(st.integers(1, 30))
+    out = []
+    for dx in (1, -1):
+        y2 = draw(st.integers(-30, 30))
+        A = (y2 * y2 - (x + dx) ** 3 - y * y + x**3) * dx
+        B = y * y - x**3 - A * x
+        assume(4 * A**3 + 27 * B**2 != 0)
+        E, P, Q = EllipticCurveQ(A, B), point(x, y), point(x + dx, y2)
+        assume(E.integral_model[2] == 1)
+        assume(E.torsion_order(P) is None and E.torsion_order(Q) is None)
+        out.append((E, P, Q))
+    return out
+
+
+def _verdict(fn):
+    """fn(), or the PrecisionError it raises, by name."""
+    try:
+        return fn()
+    except PrecisionError:
+        return "PrecisionError"
+
+
+class TestHeightTable:
+    """One table of heights, keyed by the reduced integral model and triple,
+    serves every curve a search meets: the internal entry with a shared
+    table returns, float for float, what a fresh regulator returns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(surface_pairs(), min_size=1, max_size=2), curves_through_one_point(),
+           smooth_numbers(), smooth_numbers())
+    def test_shared_table_matches_a_fresh_regulator(self, pairs, through_one_point, r, s):
+        """Each drawn pair is followed by its image on the isomorphic model
+        (A lam^4, B lam^6), which adds nothing to the table."""
+        lam, table = Fraction(r, s), {}
+        cases = []
+        for E, P, Q in pairs:
+            cases.append((E, P, Q, False))
+            cases.append((EllipticCurveQ(E.A * lam**4, E.B * lam**6),
+                          point(P.x * lam**2, P.y * lam**3),
+                          point(Q.x * lam**2, Q.y * lam**3), True))
+        cases += [(E, P, Q, False) for E, P, Q in through_one_point]
+        for E, P, Q, isomorphic in cases:
+            before = len(table)
+            shared = _verdict(lambda: _regulator(E, E._jac(P), E._jac(Q), table))
+            assert shared == _verdict(lambda: regulator(E, [P, Q])), (E, P, Q)
+            assert not isomorphic or len(table) == before

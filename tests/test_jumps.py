@@ -193,11 +193,11 @@ class TestJump2:
         does the regulator's own inconclusive verdicts, and ends in exit 0
         or 3, not in a traceback."""
         raised, inconclusive = [], []
-        regulator = jumps.regulator
+        regulator = jumps._regulator
 
-        def counting_regulator(E, pts):
+        def counting_regulator(E, JP, JQ, heights):
             try:
-                verdict = regulator(E, pts)
+                verdict = regulator(E, JP, JQ, heights)
             except curves.PrecisionError:
                 raised.append(E)
                 raise
@@ -206,7 +206,7 @@ class TestJump2:
             return verdict
 
         monkeypatch.setattr(curves, "_FORMAL_GROUP_MULTIPLE_CAP", 1)
-        monkeypatch.setattr(jumps, "regulator", counting_regulator)
+        monkeypatch.setattr(jumps, "_regulator", counting_regulator)
         argv = ["jump", "--config", str(CONFIGS / f"{config}.cfg"), "--rank", "2",
                 "--budget", budget]
         assert main(argv) in (0, 3)

@@ -1,32 +1,49 @@
-"""A seed-0 rank-2 cycle checks its points on their curves a pinned number
-of times and builds no curve that the search does not need.
+"""A seed-0 rank-2 cycle checks its points on their curves, builds curves
+and computes heights a pinned number of times.
 
 curves.py keeps a point in the group law, as a Jacobian triple, from the
 moment it is checked on the curve (EllipticCurveQ._jac) until a certificate
 needs its Fraction coordinates. The heights, the formal-group walk and the
 relation search take the regulator's triples; none of them rebuilds a
-curve on the integral model or checks a point again. A point is still
-checked each time it enters the law: of the 458 checks per cycle, 246 come
-from torsion_order in _certify and verify_certificate, and 212 from
-regulator's entry check, which re-enters points torsion_order has checked
-(counted by wrapping EllipticCurveQ._jac). This test runs the three
-commands of the benchmark's rank2-search workload in process, as
-tests/test_benchmark_stream.py does, and pins how often a point is checked
-and a curve is built. A conversion that comes back, say a height that
-rebuilds its point in Fractions, raises a count and fails here.
+curve on the integral model or checks a point again. The search enters
+each point once: _certify converts it with _jac and hands the triples to
+curves._regulator, so of the 266 checks per cycle, 226 come from _certify,
+one per transported point, and 40 from verify_certificate, whose
+torsion_order and public regulator each check a pair's points (counted by
+wrapping EllipticCurveQ._jac).
+
+A search computes each distinct height once: jump2 holds one table keyed
+by the reduced integral model and triple (curves._height), so the five
+certificates of each twist, all on one reduced curve with one pair, cost
+three heights, not fifteen. Re-verification shares no table with the
+search: verify_certificate computes its own fifteen heights for the five
+mordell certificates, and none on the twists, whose pairs the 2-descent
+settles.
+
+This test runs the three commands of the benchmark's rank2-search workload
+in process, as tests/test_benchmark_stream.py does, and pins how often a
+point is checked, a curve is built and a height is computed. A conversion
+that comes back, say a height that rebuilds its point in Fractions, or a
+table that stops hitting, raises a count and fails here.
 """
 
 from pathlib import Path
 
+from rankjump import curves, store
 from rankjump.cli import main
 from rankjump.curves import EllipticCurveQ
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 #: per seed-0 rank-2 cycle: 523 checks and 192 curves while each height
-#: rebuilt its curve and point, and P + Q re-entered the law
-IS_ON_CALLS = 458
+#: rebuilt its curve and point, and P + Q re-entered the law; 458 checks
+#: while the regulator's entry check re-entered the search's points
+IS_ON_CALLS = 266
 CURVES_BUILT = 129
+#: heights computed (formal-group walks) per command, and those of them in
+#: re-verification; 15, 15 and 33 before the search kept a height table
+HEIGHTS = {"split-twist": 3, "usual-twist": 3, "mordell": 32}
+VERIFY_HEIGHTS = {"split-twist": 0, "usual-twist": 0, "mordell": 15}
 
 
 def test_seed0_rank2_enters_the_law_once(tmp_path, capsys, monkeypatch):
@@ -35,7 +52,10 @@ def test_seed0_rank2_enters_the_law_once(tmp_path, capsys, monkeypatch):
     import run
 
     counts = {"is_on": 0, "curves": 0}
+    heights, verify_heights = dict.fromkeys(HEIGHTS, 0), dict.fromkeys(HEIGHTS, 0)
+    kind, verifying = None, False
     is_on, init = EllipticCurveQ.is_on, EllipticCurveQ.__init__
+    walk, verify = curves._formal_multiple, store.verify_certificate
 
     def counted_is_on(self, P):
         counts["is_on"] += 1
@@ -45,9 +65,27 @@ def test_seed0_rank2_enters_the_law_once(tmp_path, capsys, monkeypatch):
         counts["curves"] += 1
         init(self, A, B)
 
+    def counted_walk(A, J):
+        heights[kind] += 1
+        verify_heights[kind] += verifying
+        return walk(A, J)
+
+    def verifying_certificate(surface, cert):
+        nonlocal verifying
+        verifying = True
+        try:
+            return verify(surface, cert)
+        finally:
+            verifying = False
+
     monkeypatch.setattr(EllipticCurveQ, "is_on", counted_is_on)
     monkeypatch.setattr(EllipticCurveQ, "__init__", counted_init)
-    for cmd in run.commands_for("rank2-search", gen.write_inputs(0, tmp_path)):
+    monkeypatch.setattr(curves, "_formal_multiple", counted_walk)
+    monkeypatch.setattr(store, "verify_certificate", verifying_certificate)
+    commands = run.commands_for("rank2-search", gen.write_inputs(0, tmp_path))
+    for kind, cmd in zip(run.RANK2_BUDGETS, commands):
         assert main(cmd["argv"]) == 0
     capsys.readouterr()
     assert counts == {"is_on": IS_ON_CALLS, "curves": CURVES_BUILT}
+    assert heights == HEIGHTS and sum(heights.values()) == 38
+    assert verify_heights == VERIFY_HEIGHTS
