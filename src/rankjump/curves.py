@@ -23,9 +23,9 @@ and its discriminant. The archimedean term comes from the duplication
 series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|), with a tail bound, run
 on integer pairs x(2^k P) = X/Z cut to the working precision; its terms
 telescope into one mpmath log. The finite part is exact: we replace P by
-the smallest multiple mP lying in the formal group at 2 and at 3, reached
-by one walk Q <- Q + P on triples of that model, capped by steps and by
-size, after which the
+the smallest multiple mP lying in the formal group at 2 and at 3: m is
+found by walking P, 2P, ... on p-adic affine coordinates modulo p^n, and
+mP is formed by doubling and adding, up to a cap on its size. Then the
 contribution of every prime is (1/2) log den(x) except for primes p >= 5
 where mP meets a singular point of the reduced model; those corrections are
 rational multiples of log p given by Silverman's closed formula (Computing
@@ -333,35 +333,85 @@ def _finite_corrections(Ai: int, Bi: int, disc: int, primes, x: Fraction, y: Fra
     return out
 
 
-#: caps on the walk of _formal_multiple, by steps and by the bits of Z.
-#: The shipped searches stop by m = 6 under 100 bits and the tests by
-#: m = 72; the caps bound a walk to about a second, where km surfaces
-#: reach m = 234 with Z of 62,350 bits after 20 s.
-_FORMAL_GROUP_MULTIPLE_CAP = 96
-_FORMAL_GROUP_BITS_CAP = 1 << 16
+#: _formal_multiple raises PrecisionError when m would pass
+#: _FORMAL_GROUP_MULTIPLE_CAP, or before it would form a Z of more than
+#: about _FORMAL_GROUP_BITS_CAP bits. Drawn test points reach Z of 72,975
+#: bits (m = 56) and the benchmark searches 95 bits (m = 6); a height near
+#: the cap takes about 10 s (2-core host, CPython 3.11), mostly in exact
+#: Fraction steps.
+_FORMAL_GROUP_MULTIPLE_CAP = 1024
+_FORMAL_GROUP_BITS_CAP = 1 << 17
 
 
 def _formal_multiple(A: int, J) -> tuple[int, tuple[int, int, int]]:
     """The multiple m J lying in the formal group at 2 and at 3 (that is,
-    v_2(x) < 0 and v_3(x) < 0, so 6 | Z), with m minimal, found by one walk
-    Q <- Q + J on reduced triples of an integral model with x-coefficient A,
-    where den x = Z^2; J must be non-torsion. PrecisionError when m would
-    pass _FORMAL_GROUP_MULTIPLE_CAP or Q + J be taken from a Z of more than
-    _FORMAL_GROUP_BITS_CAP bits.
+    v_2(x) < 0 and v_3(x) < 0, so 6 | Z), with m minimal, as a reduced
+    triple of an integral model with x-coefficient A, where den x = Z^2;
+    J must be non-torsion.
 
     The multiples of J in the formal group at p are the multiples of the
-    first one there, at k_p J, so the walk stops at m = lcm(k_2, k_3).
+    first one there, at k_p J, so m = lcm(k_2, k_3). m J is formed by
+    doubling and adding, so its cost is that of its last few additions. As
+    hhat(S + T) <= 2 hhat(S) + 2 hhat(T), a sum of summands whose Z have
+    b1 and b2 bits has a Z of about 2 (b1 + b2) bits at most, and no sum is
+    formed past the bit cap. Multiples of a torsion point are O or have
+    Z = 1 (Nagell-Lutz).
     """
-    Q = J  # m J
-    for m in range(1, _FORMAL_GROUP_MULTIPLE_CAP + 1):
-        if Q is None:
-            raise DomainError("torsion point reached the identity")
-        if Q[2] % 6 == 0:
-            return m, Q
-        if Q[2].bit_length() > _FORMAL_GROUP_BITS_CAP:
-            break
-        Q = _jac_add(A, Q, J)
-    raise PrecisionError("formal-group multiple exceeds the size cap")
+
+    def add(S, T):
+        if S and T and 2 * (S[2].bit_length() + T[2].bit_length()) > _FORMAL_GROUP_BITS_CAP:
+            raise PrecisionError("formal-group multiple exceeds the size cap")
+        return _jac_add(A, S, T)
+
+    m = n = lcm(_formal_order(A, J, 2), _formal_order(A, J, 3))
+    if m > _FORMAL_GROUP_MULTIPLE_CAP:
+        raise PrecisionError("formal-group multiple exceeds the size cap")
+    Q, D = None, J  # (m mod 2^i) J and 2^i J
+    while n:
+        if n & 1:
+            Q = add(Q, D)
+        n >>= 1
+        if n:
+            D = add(D, D)
+    if Q is None or Q[2] % 6:
+        raise DomainError("a torsion point has no multiple in the formal group")
+    return m, Q
+
+
+def _formal_order(A: int, J, p: int) -> int:
+    """k_p of _formal_multiple: the least k with p | Z(k J), or
+    PrecisionError past _FORMAL_GROUP_MULTIPLE_CAP. Until k_p J every
+    multiple is p-integral, so the walk k J <- k J + J runs on affine
+    coordinates modulo p^n: the slope num / den, with den = x(kJ) - x(J)
+    (2 y(J) at k = 1) of valuation e, leaves Z_p exactly when v(num) < e,
+    and otherwise costs e digits. When neither valuation can be read from
+    the digits left, the walk restarts with twice the digits, from 64."""
+    X, Y, Z = J
+    if Z % p == 0:
+        return 1
+    digits = 64
+    while True:
+        q = p**digits
+        w = pow(Z, -1, q)
+        x0 = x = X * w * w % q
+        y0 = y = Y * w * w * w % q
+        for k in range(1, _FORMAL_GROUP_MULTIPLE_CAP):
+            num, den = (3 * x * x + A, 2 * y) if k == 1 else (y - y0, x - x0)
+            num, den = num % q, den % q
+            if den == 0:
+                if num:
+                    return k + 1
+                break
+            e, u = val_unit(den, p)
+            if num and val_unit(num, p)[0] < e:
+                return k + 1
+            q //= p**e
+            slope = num // p**e * pow(u, -1, q)
+            x, x_prev = (slope * slope - x - x0) % q, x
+            y = (slope * (x_prev - x) - y) % q
+        else:
+            raise PrecisionError("formal-group multiple exceeds the size cap")
+        digits *= 2
 
 
 def canonical_height(E: EllipticCurveQ, P: PointQ) -> HeightData:
@@ -376,20 +426,19 @@ def canonical_height(E: EllipticCurveQ, P: PointQ) -> HeightData:
     order = _jac_order(E._scaled_model[0], J)
     if order is not None:
         return HeightData(0.0, 0.0, "torsion", {"order": order})
-    return _height(E, J)
+    return _height(E, J, {})
 
 
-def _height(E: EllipticCurveQ, J, heights: dict | None = None) -> HeightData:
+def _height(E: EllipticCurveQ, J, heights: dict) -> HeightData:
     """canonical_height of a non-torsion triple J of E's scaled model. With
     u = mu / lam, J is (X, Y, u Z) on the integral model, reduced as
     _jac_add reduces. All that follows depends on (Ai, Bi) and that triple
-    alone, so the table heights, when given, keeps each result under that
-    key and a hit returns it; a PrecisionError is not kept."""
+    alone, so the table heights keeps each result under that key and a hit
+    returns it; a PrecisionError is not kept."""
     Ai, Bi, lam = E.integral_model
     X, Y, Z = J[0], J[1], J[2] * int(E._scaled_model[2] / lam)
     l = isqrt(gcd(X, Z * Z))
     key = Ai, Bi, X // (l * l), Y // (l * l * l), Z // l
-    heights = {} if heights is None else heights
     if key not in heights:
         heights[key] = _local_height(E, key[2:])
     return heights[key]
@@ -475,18 +524,18 @@ def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
     |a|, |b| <= 20 that the Gram matrix allows is checked exactly and
     reported; when neither outcome can be certified the verdict is
     "inconclusive". Only pairs are accepted. The points are checked on E
-    and for torsion here, and the verdict is _regulator's, with no height
-    table: each height is computed afresh.
+    and for torsion here, and the verdict is _regulator's, with an empty
+    height table: each height is computed afresh.
     """
     if len(points) != 2:
         raise ValueError("regulator verdicts are implemented for pairs of points")
     A, Js = E._scaled_model[0], [E._jac(P) for P in points]
     if any(J is None or _jac_order(A, J) is not None for J in Js):
         raise ValueError("regulator requires non-torsion points")
-    return _regulator(E, *Js)
+    return _regulator(E, *Js, {})
 
 
-def _regulator(E: EllipticCurveQ, JP, JQ, heights: dict | None = None) -> RegulatorResult:
+def _regulator(E: EllipticCurveQ, JP, JQ, heights: dict) -> RegulatorResult:
     """regulator of the non-torsion triples JP and JQ of E's scaled model,
     entered unchecked; heights is the table _height reads and fills."""
     A = E._scaled_model[0]

@@ -38,7 +38,25 @@ from rankjump.curves import (
 )
 from rankjump.kodaira import kodaira_type
 from rankjump.polynomial import RatPoly
+from rankjump.store import verify_store
 from rankjump.surfaces import KMFamily, TwistFamily
+
+
+#: y^2 = (6t^2 + t + 5) x^3 + x^2 + (4t + 4/3) x + 1. At t0 = 11/2 the fibres
+#: x0 = 1/3 and 5/6 carry P and Q, whose multiples reach the formal group at 2
+#: and 3 at m = 234, with Z of 14,468 and 62,350 bits.
+KM_SLOW = KMFamily(RatPoly([5, 1, 6]), RatPoly([1]), RatPoly([Fraction(4, 3), 4]), RatPoly([1]))
+
+#: the record of (P, Q) that `jump --rank 2 --budget 6,6,4` stored on KM_SLOW
+#: while the formal-group walk formed every multiple up to m J
+KM_SLOW_RECORD = (
+    '{"budget":[6,6,4],"claimed_rank_lower_bound":7,"curve":{"A":"13439/3","B":"955010/27"},'
+    '"generic_rank_bound":5,"label":"kmslow","points":[["193/3","-768"],["481/3","-2208"]],'
+    '"provenance":["1/3","5/6"],"rank_bound_exact":false,"regulator":{"determinant":'
+    '0.08425410294465627,"error":6.463796571363049e-16},"surface":{"a0":["1"],'
+    '"a1":["4/3","4"],"a2":["1"],"a3":["5","1","6"],"kind":"km","label":"kmslow"},'
+    '"t0":"11/2","timestamp":"0","verified":true,"version":"0.1.0"}'
+)
 
 
 def rand_nontorsion(rng, span=9):
@@ -182,24 +200,40 @@ class TestFormalMultiple:
         Q = (Fraction(X, Z * Z), Fraction(Y, Z**3))
         assert (m, Q) == formal_multiple_by_first_hits(E.A, (P.x, P.y))
 
-    def test_km_walk_is_capped(self):
-        """On this km surface the fibre x0 = 1/3 meets t0 = 11/2 in a point
-        whose walk ran to m = 234, Z of 14,468 bits, in 1.5 s (63 s for the
-        whole rank-2 search); it now stops at the step cap."""
-        surface = KMFamily(RatPoly([5, 1, 6]), RatPoly([1]), RatPoly([Fraction(4, 3), 4]),
-                           RatPoly([1]))
-        spec = specialize(surface, Fraction(11, 2))
-        P = spec.transport(Fraction(1, 3), -4)
-        assert (spec.curve, P) == (EllipticCurveQ(Fraction(13439, 3), Fraction(955010, 27)),
-                                   point(Fraction(193, 3), -768))
+    def test_long_walks_keep_their_heights(self):
+        """P and Q of KM_SLOW reach the formal group at m = 234, P + Q at
+        m = 78; their heights are those of the walk through every multiple,
+        float for float."""
+        spec = specialize(KM_SLOW, Fraction(11, 2))
+        E = spec.curve
+        P, Q = spec.transport(Fraction(1, 3), -4), spec.transport(Fraction(5, 6), Fraction(-23, 2))
+        assert (E, P, Q) == (EllipticCurveQ(Fraction(13439, 3), Fraction(955010, 27)),
+                             point(Fraction(193, 3), -768), point(Fraction(481, 3), -2208))
+        heights = [canonical_height(E, R) for R in (P, Q, E.add(P, Q))]
+        assert [h.detail["multiple"] for h in heights] == [234, 234, 78]
+        assert [h.value for h in heights] == [0.18320951094055973, 0.7893336539008481,
+                                              0.48118044848843444]
+
+    def test_km_record_verifies(self, tmp_path):
+        """The stored record of P and Q verifies, its regulator too."""
+        (tmp_path / "kmslow.jsonl").write_text(KM_SLOW_RECORD + "\n")
+        [report] = verify_store(tmp_path)
+        assert report.results == [(1, True, [])]
+
+    def test_km_multiple_past_the_size_cap(self):
+        """11 Q on KM_SLOW reaches the formal group at m = 234 with a Z of
+        about 121 * 62,350 bits; the walk through every multiple would run
+        for days, and forming m J stops at the bit cap within a second."""
+        E = EllipticCurveQ(Fraction(13439, 3), Fraction(955010, 27))
+        R = E.scalar_mul(11, point(Fraction(481, 3), -2208))
         start = perf_counter()
         with pytest.raises(PrecisionError):
-            canonical_height(spec.curve, P)
+            canonical_height(E, R)
         assert perf_counter() - start < 1.0
 
     def test_size_cap(self, monkeypatch):
-        """No step is taken from a Z past the bit cap; a multiple already in
-        the formal group is returned whatever its size."""
+        """m J is formed only while its sums stay under the bit cap; a
+        multiple already in the formal group is returned whatever its size."""
         E, P = EllipticCurveQ(-12, 20), point(-2, 6)
         A = E._scaled_model[0]
         m, Q = _formal_multiple(A, E._jac(P))
@@ -579,3 +613,19 @@ class TestHeightTable:
             shared = _verdict(lambda: _regulator(E, E._jac(P), E._jac(Q), table))
             assert shared == _verdict(lambda: regulator(E, [P, Q])), (E, P, Q)
             assert not isomorphic or len(table) == before
+
+
+class TestFormalMultipleOnSurfaces:
+    @settings(max_examples=40, deadline=None)
+    @given(surface_pairs())
+    def test_walk_matches_first_hits(self, pair):
+        """The points jump2 meets, on the integral model of their scaled
+        curve, where _height keys them."""
+        E, P, Q = pair
+        Ai, Bi, lam = E.integral_model
+        Ei = EllipticCurveQ(Ai, Bi)
+        for R in (P, Q):
+            Ri = point(R.x * lam**2, R.y * lam**3)
+            m, (X, Y, Z) = _formal_multiple(Ai, Ei._jac(Ri))
+            assert (m, (Fraction(X, Z * Z), Fraction(Y, Z**3))) == \
+                formal_multiple_by_first_hits(Ai, (Ri.x, Ri.y))
