@@ -19,19 +19,21 @@ check them exactly. With full rational 2-torsion, complete 2-descent
 Heights are computed as a sum of local terms attached to one fixed integral
 short Weierstrass model, minimal at every prime p >= 5. Only the heights
 factor, once per curve: the gcd of the scaled coefficients for that model,
-and its discriminant. The archimedean term comes from the duplication
-series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|), with a tail bound, run
-on integer pairs x(2^k P) = X/Z cut to the working precision; its terms
-telescope into one mpmath log. The finite part is exact: we replace P by
-the smallest multiple mP lying in the formal group at 2 and at 3: m is
-found by walking P, 2P, ... on p-adic affine coordinates modulo p^n, and
-mP is formed by doubling and adding, up to a cap on its size. Then the
-contribution of every prime is (1/2) log den(x) except for primes p >= 5
-where mP meets a singular point of the reduced model; those corrections are
-rational multiples of log p given by Silverman's closed formula (Computing
-heights on elliptic curves, Math. Comp. 51 (1988), section 5) from three
-valuations. A height is thus a function of that model and the point's
-reduced triple on it, and a caller may keep a table of them under that key.
+and its discriminant. We replace P by the smallest multiple mP lying in the
+formal group at 2 and at 3: m is found by walking P, 2P, ... on p-adic
+affine coordinates modulo p^n, and mP is formed by _jac_mul, up to a cap on
+its size. From there a height reads mP's reduced triple (X, Y, Z) in
+integers until mpmath takes its logs. The archimedean term comes from the
+duplication series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|), with a tail
+bound: one exact duplication of the triple, then integer pairs x(2^k P) =
+X/Z cut to the working precision, whose terms telescope into one log. The
+finite part is exact: every prime contributes (1/2) log Z^2 except primes
+p >= 5 where mP meets a singular point of the reduced model; those
+corrections are rational multiples of log p given by Silverman's closed
+formula (Computing heights on elliptic curves, Math. Comp. 51 (1988),
+section 5) from three valuations of integer forms in X, Y and Z. A height
+is thus a function of that model and the point's reduced triple on it, and
+a caller may keep a table of them under that key.
 """
 
 from __future__ import annotations
@@ -92,10 +94,6 @@ def _vp(n: int, p: int) -> int:
     if n == 0:
         raise DomainError("valuation of 0")
     return val_unit(n, p)[0]
-
-
-def _vp_frac(q: Fraction, p: int) -> int:
-    return _vp(q.numerator, p) if q.numerator % p == 0 else -_vp(q.denominator, p)
 
 
 class EllipticCurveQ:
@@ -233,17 +231,19 @@ def _jac_add(A: int, P, Q):
     return X // (l * l), Y // (l * l * l), Z // l
 
 
-def _jac_mul(A: int, n: int, P):
-    """n P by bit_length(|n|) - 1 doublings and one addition per set bit."""
+def _jac_mul(A: int, n: int, P, add=None):
+    """n P by bit_length(|n|) - 1 doublings and one addition per set bit,
+    low bit first; add(A, S, T), _jac_add by default, forms each sum."""
+    add = add or _jac_add
     if n < 0:
         n, P = -n, P and (P[0], -P[1], P[2])
     result = None
     while n:
         if n & 1:
-            result = _jac_add(A, result, P)
+            result = add(A, result, P)
         n >>= 1
         if n:
-            P = _jac_add(A, P, P)
+            P = add(A, P, P)
     return result
 
 
@@ -261,20 +261,25 @@ class HeightData:
     detail: dict = field(default_factory=dict, compare=False)
 
 
-def _lambda_infinity(Ai: int, Bi: int, x: Fraction, y: Fraction, terms: int, mp):
-    """Archimedean local height of (x, y) on y^2 = x^3 + Ai x + Bi by the
-    duplication series lambda(P) = (1/4)(lambda(2P) + log|2y(P)|) (Silverman,
-    Math. Comp. 51 (1988)); returns (lambda, 4^-terms). Past the exact first
-    step x(2^k P) = X/Z in integers: Z' = 4Z F with F = X^3 + A X Z^2 + B Z^3,
-    so term k, 4^-(k+1) log(4F/Z^3)/2 = 4^-(k+1) log(Z'/Z^4)/2, telescopes,
-    and the sum and the tail need one log. Each step shifts X and Z right by
-    s bits, the shorter to mp.prec + 20; s returns as 4^-k s log 2, and the
-    relative 2^-(mp.prec + 18) that X/Z moves enters with weight 4^-k, as
-    rounding term k's own log would."""
-    # first step exactly: log|2y| from the exact coordinates, then one exact
-    # duplication, so cancellation near 2-torsion cannot poison the series
-    x1 = (x**4 - 2 * Ai * x**2 - 8 * Bi * x + Ai * Ai) / (4 * y * y)
-    X, Z = x1.numerator, x1.denominator
+def _lambda_infinity(Ai: int, Bi: int, J, terms: int, mp):
+    """Archimedean local height of the reduced triple J = (X, Y, Z), x =
+    X/Z^2 and y = Y/Z^3, on y^2 = x^3 + Ai x + Bi by the duplication series
+    lambda(P) = (1/4)(lambda(2P) + log|2y(P)|) (Silverman, Math. Comp. 51
+    (1988)); returns (lambda, 4^-terms). The first step is exact, so that
+    cancellation near 2-torsion cannot poison the series: x(2P) = N/D, N =
+    X^4 - 2 Ai X^2 Z^4 - 8 Bi X Z^6 + Ai^2 Z^8 and D = 4 Y^2 Z^2 over one
+    gcd. Past it x(2^k P) = X/Z in integers: Z' = 4Z F with F = X^3 + A X
+    Z^2 + B Z^3, so term k, 4^-(k+1) log(4F/Z^3)/2 = 4^-(k+1) log(Z'/Z^4)/2,
+    telescopes, and the sum and the tail need one log. Each step shifts X
+    and Z right by s bits, the shorter to mp.prec + 20; s returns as 4^-k s
+    log 2, and the relative 2^-(mp.prec + 18) that X/Z moves enters with
+    weight 4^-k, as rounding term k's own log would."""
+    X, Y, Z = J
+    ZZ, Z3 = Z * Z, Z**3
+    N, D = (X * X - Ai * ZZ * ZZ) ** 2 - 8 * Bi * X * Z3 * Z3, 4 * Y * Y * ZZ
+    g = gcd(N, D)
+    X, Z = N // g, D // g
+    head = (mp.log(2) + mp.log(abs(Y)) - mp.log(Z3)) / 4 - mp.log(Z) / 8  # log|2y|, den x(2P)
     shifts = 0  # sum over steps k of 4^(terms - k) s_k
     for _ in range(terms - 1):
         s = max(0, min(abs(X).bit_length(), Z.bit_length()) - mp.prec - 20)
@@ -286,9 +291,7 @@ def _lambda_infinity(Ai: int, Bi: int, x: Fraction, y: Fraction, terms: int, mp)
         X, Z = (X2 - Ai * Z2) ** 2 - 8 * Bi * X * Z2 * Z, 4 * Z * F
         shifts = 4 * (shifts + s)
     tail_scale = mp.ldexp(1, -2 * terms)
-    total = ((mp.log(2) + mp.log(abs(y.numerator)) - mp.log(y.denominator)) / 4
-             - mp.log(x1.denominator) / 8
-             + tail_scale * (shifts * mp.ln2 + mp.log(max(abs(X), Z))) / 2)
+    total = head + tail_scale * (shifts * mp.ln2 + mp.log(max(abs(X), Z))) / 2
     return total, tail_scale
 
 
@@ -300,35 +303,35 @@ def _tail_constant(Ai: int, Bi: int) -> float:
     return log(max(disc, 2)) / 12 + logj / 12 + 3.0
 
 
-def _finite_corrections(Ai: int, Bi: int, disc: int, primes, x: Fraction, y: Fraction):
-    """Corrections (p, Fraction c_p) so that the finite part of the height is
-    (1/2) log den(x) + sum c_p log p, over the primes of disc. Requires
-    v_2(x) < 0 and v_3(x) < 0.
+def _finite_corrections(Ai: int, Bi: int, disc: int, primes, J):
+    """Corrections (p, Fraction c_p) so that the finite part of the height of
+    the reduced triple J = (X, Y, Z), 6 | Z, is (1/2) log Z^2 + sum c_p log p,
+    over the primes of disc.
 
     At p >= 5 the model is minimal, and Silverman's closed form (Computing
     heights on elliptic curves, Math. Comp. 51 (1988), section 5) gives c_p
     from b = v(2y), c = v(3x^4 + 6Ax^2 + 12Bx - A^2) and N = v(disc): 0 when
-    b <= 0 or v(3x^2 + A) <= 0 (nonsingular reduction, which covers
-    v(x) < 0); -n(N - n)/2N with n = min(b, N/2) when p does not divide A
-    (multiplicative); otherwise -b/3 if c >= 3b, else -c/8.
+    b <= 0 or v(3x^2 + A) <= 0 (nonsingular reduction); -n(N - n)/2N with
+    n = min(b, N/2) when p does not divide A (multiplicative); otherwise -b/3
+    if c >= 3b, else -c/8. As gcd(Y, Z) = 1, b > 0 just where p divides Y,
+    and then not Z: there b = v(Y), and the forms in x times Z^4 and Z^8 are
+    integers of the same valuations.
     """
+    X, Y, Z = J
     out = []
     for p in primes:
         if p in (2, 3):
-            assert _vp_frac(x, p) < 0, "point must lie in the formal group at 2 and 3"
+            assert Z % p == 0, "point must lie in the formal group at 2 and 3"
             continue
-        b = _vp_frac(2 * y, p)
-        if b <= 0:
+        if Y % p or (3 * X * X + Ai * Z**4) % p:
             continue  # nonsingular reduction; covered by the denominator term
-        slope = 3 * x * x + Ai
-        if slope and _vp_frac(slope, p) <= 0:
-            continue  # nonsingular reduction
-        N = _vp(disc, p)
+        b, N = _vp(Y, p), _vp(disc, p)
         if Ai % p:
             n = min(Fraction(b), Fraction(N, 2))
             out.append((p, -n * (N - n) / (2 * N)))
             continue
-        c = _vp_frac(3 * x**4 + 6 * Ai * x * x + 12 * Bi * x - Ai * Ai, p)
+        XX, Z4 = X * X, Z**4
+        c = _vp(3 * XX * XX + 6 * Ai * XX * Z4 + 12 * Bi * X * Z4 * Z * Z - Ai * Ai * Z4 * Z4, p)
         out.append((p, Fraction(-b, 3) if c >= 3 * b else Fraction(-c, 8)))
     return out
 
@@ -336,9 +339,10 @@ def _finite_corrections(Ai: int, Bi: int, disc: int, primes, x: Fraction, y: Fra
 #: _formal_multiple raises PrecisionError when m would pass
 #: _FORMAL_GROUP_MULTIPLE_CAP, or before it would form a Z of more than
 #: about _FORMAL_GROUP_BITS_CAP bits. Drawn test points reach Z of 72,975
-#: bits (m = 56) and the benchmark searches 95 bits (m = 6); a height near
-#: the cap takes about 10 s (2-core host, CPython 3.11), mostly in exact
-#: Fraction steps.
+#: bits (m = 56) and the benchmark searches 95 bits (m = 6); a height whose
+#: largest sum has 2 (b1 + b2) = 100,068 takes about 0.7 s (2-core host,
+#: CPython 3.11), half of it forming m J and most of the rest in the gcd of
+#: the first duplication.
 _FORMAL_GROUP_MULTIPLE_CAP = 1024
 _FORMAL_GROUP_BITS_CAP = 1 << 17
 
@@ -351,28 +355,22 @@ def _formal_multiple(A: int, J) -> tuple[int, tuple[int, int, int]]:
 
     The multiples of J in the formal group at p are the multiples of the
     first one there, at k_p J, so m = lcm(k_2, k_3). m J is formed by
-    doubling and adding, so its cost is that of its last few additions. As
+    _jac_mul, so its cost is that of its last few additions. As
     hhat(S + T) <= 2 hhat(S) + 2 hhat(T), a sum of summands whose Z have
     b1 and b2 bits has a Z of about 2 (b1 + b2) bits at most, and no sum is
-    formed past the bit cap. Multiples of a torsion point are O or have
-    Z = 1 (Nagell-Lutz).
+    formed past the bit cap: _jac_mul takes a size-checked add. Multiples
+    of a torsion point are O or have Z = 1 (Nagell-Lutz).
     """
 
-    def add(S, T):
+    def add(A, S, T):
         if S and T and 2 * (S[2].bit_length() + T[2].bit_length()) > _FORMAL_GROUP_BITS_CAP:
             raise PrecisionError("formal-group multiple exceeds the size cap")
         return _jac_add(A, S, T)
 
-    m = n = lcm(_formal_order(A, J, 2), _formal_order(A, J, 3))
+    m = lcm(_formal_order(A, J, 2), _formal_order(A, J, 3))
     if m > _FORMAL_GROUP_MULTIPLE_CAP:
         raise PrecisionError("formal-group multiple exceeds the size cap")
-    Q, D = None, J  # (m mod 2^i) J and 2^i J
-    while n:
-        if n & 1:
-            Q = add(Q, D)
-        n >>= 1
-        if n:
-            D = add(D, D)
+    Q = _jac_mul(A, m, J, add)
     if Q is None or Q[2] % 6:
         raise DomainError("a torsion point has no multiple in the formal group")
     return m, Q
@@ -451,17 +449,15 @@ def _local_height(E: EllipticCurveQ, J) -> HeightData:
     import mpmath
 
     Ai, Bi, _ = E.integral_model
-    m, (X, Y, Z) = _formal_multiple(Ai, J)
-    x, y = Fraction(X, Z * Z), Fraction(Y, Z**3)
-    corrections = _finite_corrections(Ai, Bi, E.discriminant_integral(), E._discriminant_primes,
-                                      x, y)
+    m, J = _formal_multiple(Ai, J)
+    corrections = _finite_corrections(Ai, Bi, E.discriminant_integral(), E._discriminant_primes, J)
     dps, terms = 60, 48
     last_exc = None
     for attempt in range(4):
         try:
             with mpmath.workdps(dps):
-                lam_oo, tail_scale = _lambda_infinity(Ai, Bi, x, y, terms, mpmath.mp)
-                finite = mpmath.log(x.denominator) / 2
+                lam_oo, tail_scale = _lambda_infinity(Ai, Bi, J, terms, mpmath.mp)
+                finite = mpmath.log(J[2] ** 2) / 2
                 for p, c in corrections:
                     finite += mpmath.mpf(c.numerator) / c.denominator * mpmath.log(p)
                 total = (lam_oo + finite) / (m * m)

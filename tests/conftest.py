@@ -9,7 +9,8 @@ Fraction conic parametrisation and base-point sweep its integer ones must
 match, local solvability by Fraction Hilbert symbols on a general
 diagonalisation, the integral model found by factoring denominators, the
 formal-group multiple found by first hits and a restart, the archimedean
-height series term by term in mpmath, heights by the doubling limit,
+height series term by term in mpmath, the finite height corrections read
+from the Fraction coordinates, heights by the doubling limit,
 fibre-relation and extension-class comparisons, the census rescanned fibre
 by fibre, jump1 reading each fibre's whole pencil through a lookahead
 slot, a km fibre's polynomial by RatPoly arithmetic, and the genus of the
@@ -464,11 +465,14 @@ def jump1_lookahead(surface, budget, avoid=None, log=None):
             slot[2] = pending
 
 
-def lambda_infinity_mpmath(Ai: int, Bi: int, x: Fraction, y: Fraction, terms: int, mp):
-    """curves._lambda_infinity term by term in mpmath: x(2^k P) as an mpf,
-    one log per term, then the tail term; returns (lambda, 4^-terms)."""
+def lambda_infinity_mpmath(Ai: int, Bi: int, J, terms: int, mp):
+    """curves._lambda_infinity term by term in mpmath: the triple J = (X,
+    Y, Z) as the Fractions x = X/Z^2 and y = Y/Z^3, the first duplication
+    in Fractions, x(2^k P) as an mpf, one log per term, then the tail term;
+    returns (lambda, 4^-terms)."""
     from rankjump.curves import PrecisionError
 
+    x, y = Fraction(J[0], J[2] ** 2), Fraction(J[1], J[2] ** 3)
     A = mp.mpf(Ai)
     B = mp.mpf(Bi)
     quarter = mp.mpf(1) / 4
@@ -488,6 +492,43 @@ def lambda_infinity_mpmath(Ai: int, Bi: int, x: Fraction, y: Fraction, terms: in
     tail_scale = weight * 4  # 4^{-terms}
     total += tail_scale * mp.log(max(abs(xn), mp.mpf(1))) / 2
     return total, tail_scale
+
+
+def _vp_fraction(q: Fraction, p: int) -> int:
+    """v_p of a nonzero rational."""
+    if q == 0:
+        raise ValueError("valuation of 0")
+    (num, den), v = Fraction(q).as_integer_ratio(), 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def finite_corrections_fraction(Ai: int, Bi: int, disc: int, primes, x: Fraction, y: Fraction):
+    """curves._finite_corrections on the Fraction coordinates (x, y):
+    Silverman's closed form read from v_p(x), v_p(2y), v_p(3x^2 + A) and
+    v_p(3x^4 + 6Ax^2 + 12Bx - A^2) of the rationals themselves."""
+    out = []
+    for p in primes:
+        if p in (2, 3):
+            assert _vp_fraction(x, p) < 0, "point must lie in the formal group at 2 and 3"
+            continue
+        b = _vp_fraction(2 * y, p)
+        if b <= 0:
+            continue
+        slope = 3 * x * x + Ai
+        if slope and _vp_fraction(slope, p) <= 0:
+            continue
+        N = _vp_fraction(disc, p)
+        if Ai % p:
+            n = min(Fraction(b), Fraction(N, 2))
+            out.append((p, -n * (N - n) / (2 * N)))
+            continue
+        c = _vp_fraction(3 * x**4 + 6 * Ai * x * x + 12 * Bi * x - Ai * Ai, p)
+        out.append((p, Fraction(-b, 3) if c >= 3 * b else Fraction(-c, 8)))
+    return out
 
 
 def naive_search_fraction(fibre, bound: int):

@@ -9,6 +9,7 @@ from conftest import (
     canonical_height_doubling,
     ec_add,
     ec_mul,
+    finite_corrections_fraction,
     formal_multiple_by_first_hits,
     lambda_infinity_mpmath,
     relation_by_enumeration,
@@ -26,6 +27,8 @@ from rankjump.curves import (
     SingularSpecializationError,
     _finite_corrections,
     _formal_multiple,
+    _formal_order,
+    _jac_mul,
     _lambda_infinity,
     _regulator,
     _small_relation,
@@ -57,6 +60,18 @@ KM_SLOW_RECORD = (
     '"a1":["4/3","4"],"a2":["1"],"a3":["5","1","6"],"kind":"km","label":"kmslow"},'
     '"t0":"11/2","timestamp":"0","verified":true,"version":"0.1.0"}'
 )
+
+
+def curve_through(A, x, y):
+    """(E, P): the curve y^2 = x^3 + A x + B through P = (x, y)."""
+    return EllipticCurveQ(A, y * y - x**3 - A * x), point(x, y)
+
+
+#: a point whose 2-adic walk needs its precision bookkeeping: m = 12 is
+#: reached only while each step's e digits are taken off the modulus
+WALK_BOOKKEEPING = curve_through(-2217132441215188849741248153095749464378,
+                                 1144561273430837494885949696438,
+                                 -1144561273430837494885949696427)
 
 
 def rand_nontorsion(rng, span=9):
@@ -192,6 +207,7 @@ class TestFormalMultiple:
     @example((EllipticCurveQ(-12, 20), point(-2, 6)))     # lcm(k_2, k_3) = 72
     @example((EllipticCurveQ(5, 214), point(-5, 8)))      # 35
     @example((EllipticCurveQ(-12, 146), point(-5, 9)))    # 6
+    @example(WALK_BOOKKEEPING)                            # 12
     def test_walk_matches_first_hits(self, curve_point):
         """The walk stops at the first multiple in the formal group at 2 and
         3, which is the lcm of the first hits at each."""
@@ -220,6 +236,23 @@ class TestFormalMultiple:
         [report] = verify_store(tmp_path)
         assert report.results == [(1, True, [])]
 
+    def test_no_large_fraction_in_a_height(self, monkeypatch):
+        """Between the group law and mpmath a height runs on the triple: no
+        Fraction is built from an integer above 64 bits while Q's height,
+        whose m Q has a Z of 62,350 bits, is computed."""
+        E = EllipticCurveQ(Fraction(13439, 3), Fraction(955010, 27))
+        Q, sizes = point(Fraction(481, 3), -2208), []
+
+        def recorded(*args):
+            for a in args:
+                num, den = Fraction(a).as_integer_ratio()
+                sizes.append(max(abs(num), den).bit_length())
+            return Fraction(*args)
+
+        monkeypatch.setattr(curves, "Fraction", recorded)
+        assert canonical_height(E, Q).value == 0.7893336539008481
+        assert max(sizes, default=0) <= 64
+
     def test_km_multiple_past_the_size_cap(self):
         """11 Q on KM_SLOW reaches the formal group at m = 234 with a Z of
         about 121 * 62,350 bits; the walk through every multiple would run
@@ -244,13 +277,18 @@ class TestFormalMultiple:
         assert _formal_multiple(A, Q) == (1, Q)
 
 
-def series_input(E, P):
-    """(Ai, Bi, x, y) as _height passes them to _lambda_infinity: the first
-    multiple of P in the formal group at 2 and 3, on the integral model."""
+def integral_triple(E, P):
+    """(Ai, Bi, J): P as a reduced triple J of E's integral model."""
     Ai, Bi, lam = E.integral_model
-    J = EllipticCurveQ(Ai, Bi)._jac(point(P.x * lam**2, P.y * lam**3))
-    _, (X, Y, Z) = _formal_multiple(Ai, J)
-    return Ai, Bi, Fraction(X, Z * Z), Fraction(Y, Z**3)
+    return Ai, Bi, EllipticCurveQ(Ai, Bi)._jac(point(P.x * lam**2, P.y * lam**3))
+
+
+def series_input(E, P):
+    """(Ai, Bi, J) as _height passes them to _lambda_infinity: J is the
+    first multiple of P in the formal group at 2 and 3, on the integral
+    model."""
+    Ai, Bi, J = integral_triple(E, P)
+    return Ai, Bi, _formal_multiple(Ai, J)[1]
 
 
 class TestSeriesAgainstMpmath:
@@ -278,12 +316,11 @@ class TestSeriesAgainstMpmath:
         """At 60 digits the series is within 1e-50 of the oracle run at 40
         more digits; at 90 digits, within 1e-80."""
         E, P = curve_point
-        Ai, Bi, lam = E.integral_model
-        x, y = P.x * lam**2, P.y * lam**3
+        Ai, Bi, J = integral_triple(E, P)
         with mpmath.workdps(digits):
-            value, scale = _lambda_infinity(Ai, Bi, x, y, terms, mpmath.mp)
+            value, scale = _lambda_infinity(Ai, Bi, J, terms, mpmath.mp)
         with mpmath.workdps(digits + 40):
-            ref, ref_scale = lambda_infinity_mpmath(Ai, Bi, x, y, terms, mpmath.mp)
+            ref, ref_scale = lambda_infinity_mpmath(Ai, Bi, J, terms, mpmath.mp)
             assert scale == ref_scale
             assert abs(value - ref) < mpmath.mpf(10) ** (10 - digits)
 
@@ -294,11 +331,11 @@ class TestSeriesAgainstMpmath:
         """The tail bound 4^-n _tail_constant that _height claims at n terms
         bounds the distance of the series to its value at 120 terms."""
         E, P = curve_point
-        Ai, Bi, x, y = series_input(E, P)
+        Ai, Bi, J = series_input(E, P)
         with mpmath.workdps(60):
-            ref, _ = _lambda_infinity(Ai, Bi, x, y, 120, mpmath.mp)
+            ref, _ = _lambda_infinity(Ai, Bi, J, 120, mpmath.mp)
             for n in (2, 4, 8, 12, 24):
-                value, scale = _lambda_infinity(Ai, Bi, x, y, n, mpmath.mp)
+                value, scale = _lambda_infinity(Ai, Bi, J, n, mpmath.mp)
                 assert abs(value - ref) <= scale * _tail_constant(Ai, Bi), (n, value, ref)
 
 
@@ -358,6 +395,8 @@ def _valuation(n: int, p: int) -> int | None:
 I2_STAR_AT_13 = (EllipticCurveQ(507, 120977805), point(-65, 10985), 13)
 I2_STAR_AGAIN = (EllipticCurveQ(-169, 3446462243497), point(39, 1856465), 13)
 I2_STAR_AT_11 = (EllipticCurveQ(-484, 44352913), point(-44, 6655), 11)
+# 3x^2 + A = 0 at P, which meets the node of the I2 fibre at 5; 4P has 5 | Z
+SLOPE_ZERO_AT_5 = (*curve_through(-3, 1, 5), 5)
 
 
 class TestSingularReduction:
@@ -394,12 +433,31 @@ class TestSingularReduction:
             Q = E.scalar_mul(n, P)
             if Q.x == 0:
                 continue
-            corrections = dict(_finite_corrections(Ai, Bi, far, far_primes, Q.x, Q.y))
+            corrections = dict(_finite_corrections(Ai, Bi, far, far_primes, E._jac(Q)))
             assert n > 1 or p in corrections
             for q, c in corrections.items():
                 ktype, shift = kodaira_type(_valuation(Ai, q), _valuation(Bi, q), _valuation(disc, q))
                 assert shift == 0
                 assert c in _component_values(ktype.symbol), (n, q, ktype, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(singular_reduction_points(), st.integers(1, 6))
+    @example(SLOPE_ZERO_AT_5, 1)
+    @example(I2_STAR_AT_13, 2)
+    def test_integer_corrections_match_fractions(self, case, n):
+        """_finite_corrections on the triple of n P, and of the first
+        multiple with p | Z when it is at most 12 P, equals the Fraction
+        oracle on its coordinates, at every prime of the discriminant: 2 and
+        3 where they divide Z, the primes p >= 5 always."""
+        E, P, p = case
+        Ai, Bi, _ = E.integral_model
+        disc, J = E.discriminant_integral(), E._jac(P)
+        k = _formal_order(Ai, J, p)
+        for K in (_jac_mul(Ai, n, J), *([_jac_mul(Ai, k, J)] if k <= 12 else [])):
+            X, Y, Z = K
+            primes = [q for q in E._discriminant_primes if q > 3 or Z % q == 0]
+            assert _finite_corrections(Ai, Bi, disc, primes, K) == finite_corrections_fraction(
+                Ai, Bi, disc, primes, Fraction(X, Z * Z), Fraction(Y, Z**3)), (E, P, n, K)
 
     def test_regulator_on_i2_star(self):
         E, P, _ = I2_STAR_AT_13

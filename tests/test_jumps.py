@@ -387,21 +387,19 @@ def _config_text(s) -> str:
 class TestDrawnSurfacesEndToEnd:
     """jump on drawn valid surfaces, in process: every run ends in exit 0
     (the count reached) or 3 (the budget spent), never in an exception or
-    in exit 4, a certificate failing its re-verification. km rank 2 stays
-    out: some small km surfaces reach formal-group multiples in the
-    hundreds, whose coordinates take tens of seconds."""
+    in exit 4, a certificate failing its re-verification, at rank 1 and
+    rank 2 on twist and km surfaces alike."""
 
     @settings(max_examples=40, deadline=None)
     @given(surfaces())
     def test_jump_exits_0_or_3(self, s):
         text = _config_text(s)
         assert build_surface(parse_surface_config(text)) == s
-        ranks = ("1", "2") if isinstance(s, TwistFamily) else ("1",)
         with tempfile.TemporaryDirectory() as d:
             cfg = f"{d}/s.cfg"
             with open(cfg, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            for rank in ranks:
+            for rank in ("1", "2"):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main(["jump", "--config", cfg, "--rank", rank, "--budget", "4,4,3"])
