@@ -8,8 +8,10 @@ Factoring (sympy's factorint, in _factorint) is the costly step: the
 conic layer reaches it through square_class, once per fibre value, once
 per surface for the fixed part and once per step of the descent (on a
 quotient at most a quarter of the class it reduces); the curves reach it
-through prime_factors, for heights only, once per curve. Config
-coefficients are bounded at parse time (config.MAX_COEFFICIENT).
+through prime_factors, for heights only: once per curve for the reduced
+model, and for a gcd of a point's integers where the point meets a
+singular point. Config coefficients are bounded at parse time
+(config.MAX_COEFFICIENT).
 """
 
 from __future__ import annotations

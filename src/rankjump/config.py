@@ -56,11 +56,12 @@ class SurfaceConfig:
             out[name] = [str(c) for c in poly.coeffs]
         return out
 
-    @property
+    @cached_property
     def definition(self) -> tuple:
-        """The surface itself, label aside: equal exactly for configs that
-        define the same surface."""
-        return self.kind, tuple(sorted((n, p.coeffs) for n, p in self.polys.items()))
+        """The surface itself, label aside, coefficients as str(Fraction),
+        canonical and quick to hash: equal exactly for the same surface."""
+        return self.kind, tuple(sorted((n, tuple(map(str, p.coeffs)))
+                                       for n, p in self.polys.items()))
 
     @cached_property
     def fibred(self):

@@ -186,12 +186,14 @@ class ConicFibre:
 
     @cached_property
     def pencil(self):
-        """(coefficients of M's ternary form, coordinate forms) of the pencil
-        of lines through the base point b; ValueError if unsolvable. With M
-        the matrix scaled to integers and v = m0 e_i + m1 e_j, i and j the
-        coordinates other than b's first nonzero one, the line through b
-        along v meets the conic again in R = (v^T M v) b - 2 (b^T M v) v,
-        each coordinate a binary quadratic form: m0^2, m0 m1, m1^2 terms."""
+        """The coordinate forms of the pencil of lines through the base point
+        b; ValueError if unsolvable. With M the matrix scaled to integers and
+        v = m0 e_i + m1 e_j, i and j the coordinates other than b's first
+        nonzero one, the line through b along v meets the conic again in
+        R = (v^T M v) b - 2 (b^T M v) v, each coordinate a binary quadratic
+        form: m0^2, m0 m1, m1^2 terms. As R^T M R = (v^T M v)^2 b^T M b, the
+        one check b^T M b = 0 here puts every point of the pencil on the
+        conic."""
         if not conic_solvable(self):
             raise ValueError(f"fibre over x0 = {self.x0} has no rational point")
         base = self.base_point()
@@ -199,12 +201,14 @@ class ConicFibre:
         i, j = (r for r in range(3) if r != anchor)
         den = lcm(*(x.denominator for row in self.matrix for x in row))
         M = [[int(x * den) for x in row] for row in self.matrix]
-        vv = (M[i][i], 2 * M[i][j], M[j][j])  # v^T M v; bi, bj give b^T M v
-        bi, bj = (sum(base[r] * M[r][k] for r in range(3)) for k in (i, j))
+        vv = (M[i][i], 2 * M[i][j], M[j][j])  # v^T M v; Mb[i], Mb[j] give b^T M v
+        Mb = [sum(M[r][k] * base[k] for k in range(3)) for r in range(3)]
+        assert sum(b * c for b, c in zip(base, Mb)) == 0, f"base point {base} off the conic"
+        bi, bj = Mb[i], Mb[j]
         forms = [[base[r] * c for c in vv] for r in range(3)]
         for r, k, c in ((i, 0, bi), (i, 1, bj), (j, 1, bi), (j, 2, bj)):
             forms[r][k] -= 2 * c
-        return (M[0][0], M[1][1], M[2][2], 2 * M[0][1], 2 * M[0][2], 2 * M[1][2]), forms
+        return forms
 
     def _naive_search(self, bound):
         """Affine sweep of t = n/d by height. With L clearing the denominators
@@ -267,19 +271,17 @@ def parametrize_heights(fibre: ConicFibre, height_bound: int, first: int = 1):
 
     No point repeats: the lines through a point of a smooth conic meet it
     again in distinct points, and _parameter_pairs yields each (m0 : m1)
-    once. A point's ratios t, w do not change when it is scaled, so it is
-    checked against the integer form unreduced. That covers b too: R^T M R
-    = (v^T M v)^2 b^T M b, and no nondegenerate ternary form has an
-    isotropic plane, so a b off the conic fails at (1 : 0), (0 : 1) or (1 : 1).
+    once. Every point lies on the conic, as the pencil checks its base
+    point; a point's ratios t, w do not change when it is scaled, so it is
+    not reduced.
     """
-    (q00, q11, q22, q01, q02, q12), ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = fibre.pencil
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = fibre.pencil
     twist = fibre.kind == "twist"
     for m0, m1 in _parameter_pairs(first, height_bound):
         s0, s1, s2 = m0 * m0, m0 * m1, m1 * m1
         a = a0 * s0 + a1 * s1 + a2 * s2
         b = b0 * s0 + b1 * s1 + b2 * s2
         c = c0 * s0 + c1 * s1 + c2 * s2
-        assert (q00 * a + q01 * b + q02 * c) * a + (q11 * b + q12 * c) * b + q22 * c * c == 0
         # the affine chart: (t, w) = (a/b, b/c) for a twist, (a/c, b/c) for km
         if c == 0 or twist and b == 0:
             continue

@@ -18,22 +18,24 @@ check them exactly. With full rational 2-torsion, complete 2-descent
 
 Heights are computed as a sum of local terms attached to one fixed integral
 short Weierstrass model, minimal at every prime p >= 5. Only the heights
-factor, once per curve: the gcd of the scaled coefficients for that model,
-and its discriminant. We replace P by the smallest multiple mP lying in the
-formal group at 2 and at 3: m is found by walking P, 2P, ... on p-adic
-affine coordinates modulo p^n, and mP is formed by _jac_mul, up to a cap on
-its size. From there a height reads mP's reduced triple (X, Y, Z) in
-integers until mpmath takes its logs. The archimedean term comes from the
+factor: the gcd of the scaled coefficients for that model, once per curve,
+and a gcd of a point's integers where it meets a singular point; never the
+discriminant. We replace P by the smallest multiple mP lying in the formal
+group at 2 and at 3: m is found by walking P, 2P, ... on p-adic affine
+coordinates modulo p^n, and mP is formed by _jac_mul, up to one cap on its
+size. From there a height reads mP's reduced triple (X, Y, Z) in integers
+until mpmath takes its logs. The archimedean term comes from the
 duplication series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|), with a tail
-bound: one exact duplication of the triple, then integer pairs x(2^k P) =
-X/Z cut to the working precision, whose terms telescope into one log. The
-finite part is exact: every prime contributes (1/2) log Z^2 except primes
-p >= 5 where mP meets a singular point of the reduced model; those
-corrections are rational multiples of log p given by Silverman's closed
-formula (Computing heights on elliptic curves, Math. Comp. 51 (1988),
-section 5) from three valuations of integer forms in X, Y and Z. A height
-is thus a function of that model and the point's reduced triple on it, and
-a caller may keep a table of them under that key.
+bound: one exact duplication of the triple, then integer pairs
+x(2^k P) = X/Z cut to the working precision, whose terms telescope into one
+log. The finite part is exact: every prime contributes (1/2) log Z^2
+except primes p >= 5 where mP meets a singular point of the reduced model;
+those corrections are rational multiples of log p given by Silverman's
+closed formula (Computing heights on elliptic curves, Math. Comp. 51
+(1988), section 5) from three valuations of integer forms in X, Y and Z,
+at the primes of gcd(Y, 3X^2 + Ai Z^4, disc). A height is thus a function
+of (Ai, Bi) and the reduced triple alone, and a caller may keep a table of
+them under that key.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product
+from itertools import count, product
 from math import gcd, isqrt, lcm, log
 
 from .arith import DomainError, is_square, prime_factors, val_unit
@@ -134,15 +136,6 @@ class EllipticCurveQ:
         for p in prime_factors(common) if common > 1 else ():
             u *= p ** minimal_shift(_vp(Ai, p) if Ai else None, _vp(Bi, p) if Bi else None)
         return Ai // u**4, Bi // u**6, Fraction(mu, u)
-
-    def discriminant_integral(self) -> int:
-        Ai, Bi, _ = self.integral_model
-        return -16 * (4 * Ai**3 + 27 * Bi**2)
-
-    @cached_property
-    def _discriminant_primes(self) -> list[int]:
-        """The primes of discriminant_integral, factored once per curve."""
-        return prime_factors(self.discriminant_integral())
 
     # -- points and the group law ---------------------------------------------
 
@@ -303,10 +296,10 @@ def _tail_constant(Ai: int, Bi: int) -> float:
     return log(max(disc, 2)) / 12 + logj / 12 + 3.0
 
 
-def _finite_corrections(Ai: int, Bi: int, disc: int, primes, J):
-    """Corrections (p, Fraction c_p) so that the finite part of the height of
-    the reduced triple J = (X, Y, Z), 6 | Z, is (1/2) log Z^2 + sum c_p log p,
-    over the primes of disc.
+def _finite_corrections(Ai: int, Bi: int, J):
+    """Corrections (p, Fraction c_p), p >= 5 increasing, so that the finite
+    part of the height of the reduced triple J = (X, Y, Z), 6 | Z, is
+    (1/2) log Z^2 + sum c_p log p.
 
     At p >= 5 the model is minimal, and Silverman's closed form (Computing
     heights on elliptic curves, Math. Comp. 51 (1988), section 5) gives c_p
@@ -315,35 +308,32 @@ def _finite_corrections(Ai: int, Bi: int, disc: int, primes, J):
     n = min(b, N/2) when p does not divide A (multiplicative); otherwise -b/3
     if c >= 3b, else -c/8. As gcd(Y, Z) = 1, b > 0 just where p divides Y,
     and then not Z: there b = v(Y), and the forms in x times Z^4 and Z^8 are
-    integers of the same valuations.
-    """
+    integers of the same valuations. A p | Y with p | 3X^2 + Ai Z^4 puts J
+    on the singular point mod p, so p | disc: only gcd(Y, 3X^2 + Ai Z^4,
+    disc) is factored."""
     X, Y, Z = J
+    XX, Z4, disc = X * X, Z**4, -16 * (4 * Ai**3 + 27 * Bi**2)
+    g = gcd(Y, 3 * XX + Ai * Z4, disc)
     out = []
-    for p in primes:
-        if p in (2, 3):
-            assert Z % p == 0, "point must lie in the formal group at 2 and 3"
+    for p in prime_factors(g) if g > 1 else ():
+        if p < 5:
             continue
-        if Y % p or (3 * X * X + Ai * Z**4) % p:
-            continue  # nonsingular reduction; covered by the denominator term
         b, N = _vp(Y, p), _vp(disc, p)
         if Ai % p:
             n = min(Fraction(b), Fraction(N, 2))
             out.append((p, -n * (N - n) / (2 * N)))
             continue
-        XX, Z4 = X * X, Z**4
         c = _vp(3 * XX * XX + 6 * Ai * XX * Z4 + 12 * Bi * X * Z4 * Z * Z - Ai * Ai * Z4 * Z4, p)
         out.append((p, Fraction(-b, 3) if c >= 3 * b else Fraction(-c, 8)))
     return out
 
 
-#: _formal_multiple raises PrecisionError when m would pass
-#: _FORMAL_GROUP_MULTIPLE_CAP, or before it would form a Z of more than
-#: about _FORMAL_GROUP_BITS_CAP bits. Drawn test points reach Z of 72,975
-#: bits (m = 56) and the benchmark searches 95 bits (m = 6); a height whose
-#: largest sum has 2 (b1 + b2) = 100,068 takes about 0.7 s (2-core host,
-#: CPython 3.11), half of it forming m J and most of the rest in the gcd of
-#: the first duplication.
-_FORMAL_GROUP_MULTIPLE_CAP = 1024
+#: The one bound on a height's multiple: _formal_multiple raises
+#: PrecisionError before it would form a Z of more than about this many
+#: bits. Drawn test points reach Z of 72,975 bits (m = 56) and the benchmark
+#: searches 95 bits (m = 6); a height whose largest sum has 2 (b1 + b2) =
+#: 100,068 takes about 0.7 s (2-core host, CPython 3.11), half of it forming
+#: m J and most of the rest in the gcd of the first duplication.
 _FORMAL_GROUP_BITS_CAP = 1 << 17
 
 
@@ -351,15 +341,15 @@ def _formal_multiple(A: int, J) -> tuple[int, tuple[int, int, int]]:
     """The multiple m J lying in the formal group at 2 and at 3 (that is,
     v_2(x) < 0 and v_3(x) < 0, so 6 | Z), with m minimal, as a reduced
     triple of an integral model with x-coefficient A, where den x = Z^2;
-    J must be non-torsion.
+    DomainError if J is torsion.
 
     The multiples of J in the formal group at p are the multiples of the
     first one there, at k_p J, so m = lcm(k_2, k_3). m J is formed by
     _jac_mul, so its cost is that of its last few additions. As
     hhat(S + T) <= 2 hhat(S) + 2 hhat(T), a sum of summands whose Z have
     b1 and b2 bits has a Z of about 2 (b1 + b2) bits at most, and no sum is
-    formed past the bit cap: _jac_mul takes a size-checked add. Multiples
-    of a torsion point are O or have Z = 1 (Nagell-Lutz).
+    formed past the bit cap: _jac_mul takes a size-checked add. For a
+    torsion J, m is its order (_formal_order).
     """
 
     def add(A, S, T):
@@ -368,8 +358,6 @@ def _formal_multiple(A: int, J) -> tuple[int, tuple[int, int, int]]:
         return _jac_add(A, S, T)
 
     m = lcm(_formal_order(A, J, 2), _formal_order(A, J, 3))
-    if m > _FORMAL_GROUP_MULTIPLE_CAP:
-        raise PrecisionError("formal-group multiple exceeds the size cap")
     Q = _jac_mul(A, m, J, add)
     if Q is None or Q[2] % 6:
         raise DomainError("a torsion point has no multiple in the formal group")
@@ -377,13 +365,17 @@ def _formal_multiple(A: int, J) -> tuple[int, tuple[int, int, int]]:
 
 
 def _formal_order(A: int, J, p: int) -> int:
-    """k_p of _formal_multiple: the least k with p | Z(k J), or
-    PrecisionError past _FORMAL_GROUP_MULTIPLE_CAP. Until k_p J every
-    multiple is p-integral, so the walk k J <- k J + J runs on affine
-    coordinates modulo p^n: the slope num / den, with den = x(kJ) - x(J)
-    (2 y(J) at k = 1) of valuation e, leaves Z_p exactly when v(num) < e,
-    and otherwise costs e digits. When neither valuation can be read from
-    the digits left, the walk restarts with twice the digits, from 64."""
+    """k_p of _formal_multiple: the least k with p | Z(k J), or the order
+    of a torsion J. Until k_p J every multiple is p-integral, so the walk
+    k J <- k J + J runs on affine coordinates modulo p^n: the slope
+    num / den, with den = x(kJ) - x(J) (2 y(J) at k = 1) of valuation e,
+    leaves Z_p exactly when v(num) < e, and otherwise costs e digits. When
+    neither valuation can be read from the digits left, the walk restarts
+    with twice the digits, from 64. No step cap is needed: k_p is at most
+    the index of E_1(Q_p), the points with p | Z, open in the compact group
+    E(Q_p) (Silverman, AEC VII.2, VII.6). A torsion J of order n has
+    integral multiples (AEC VIII.7.2): the walk meets (n - 1) J = -J, where
+    den = 0 != num, and returns n."""
     X, Y, Z = J
     if Z % p == 0:
         return 1
@@ -393,7 +385,7 @@ def _formal_order(A: int, J, p: int) -> int:
         w = pow(Z, -1, q)
         x0 = x = X * w * w % q
         y0 = y = Y * w * w * w % q
-        for k in range(1, _FORMAL_GROUP_MULTIPLE_CAP):
+        for k in count(1):
             num, den = (3 * x * x + A, 2 * y) if k == 1 else (y - y0, x - x0)
             num, den = num % q, den % q
             if den == 0:
@@ -407,8 +399,6 @@ def _formal_order(A: int, J, p: int) -> int:
             slope = num // p**e * pow(u, -1, q)
             x, x_prev = (slope * slope - x - x0) % q, x
             y = (slope * (x_prev - x) - y) % q
-        else:
-            raise PrecisionError("formal-group multiple exceeds the size cap")
         digits *= 2
 
 
@@ -438,19 +428,18 @@ def _height(E: EllipticCurveQ, J, heights: dict) -> HeightData:
     l = isqrt(gcd(X, Z * Z))
     key = Ai, Bi, X // (l * l), Y // (l * l * l), Z // l
     if key not in heights:
-        heights[key] = _local_height(E, key[2:])
+        heights[key] = _local_height(Ai, Bi, key[2:])
     return heights[key]
 
 
-def _local_height(E: EllipticCurveQ, J) -> HeightData:
-    """_height of the reduced triple J of the integral model, at 60 digits
-    and 48 series terms; each PrecisionError doubles the digits and adds 16
-    terms, up to three times."""
+def _local_height(Ai: int, Bi: int, J) -> HeightData:
+    """_height of the reduced triple J on the integral model, with
+    x-coefficient Ai and constant Bi, at 60 digits and 48 series terms; each
+    PrecisionError doubles the digits and adds 16 terms, up to three times."""
     import mpmath
 
-    Ai, Bi, _ = E.integral_model
     m, J = _formal_multiple(Ai, J)
-    corrections = _finite_corrections(Ai, Bi, E.discriminant_integral(), E._discriminant_primes, J)
+    corrections = _finite_corrections(Ai, Bi, J)
     dps, terms = 60, 48
     last_exc = None
     for attempt in range(4):

@@ -325,10 +325,10 @@ class TestIntegerParametrisation:
     @example(twist(T**2 - 1), (1, 0, 0))
     @example(mordell(), (0, 1, 1))
     def test_base_point_off_the_conic_fails_within_three(self, s, b):
-        """Each point is checked on the integer form before it is yielded, and
-        from a base point b off the conic the point R of parameter v has
-        R^T M R = (v^T M v)^2 b^T M b: the check fails at one of the first
-        three parameters, and the points yielded before it lie on the fibre."""
+        """The point R of parameter v has R^T M R = (v^T M v)^2 b^T M b, so
+        the pencil checks its base point b on the integer form once: from a
+        b off the conic the walk raises before it yields a point, within the
+        three that the assertions allow."""
         assume(gcd(*b) == 1)
         for x0 in rationals_by_height(3):
             try:

@@ -17,9 +17,10 @@ from conftest import (
 )
 from hypothesis import assume, example, given, settings, strategies as st
 from test_conics import coeff, km_through, nonzero as nonzero_coeff
+from test_curves import kubert_point
 
 from rankjump import curves
-from rankjump.arith import DomainError, val_unit
+from rankjump.arith import DomainError, prime_factors, val_unit
 from rankjump.curves import (
     EllipticCurveQ,
     PrecisionError,
@@ -276,6 +277,26 @@ class TestFormalMultiple:
             _formal_multiple(A, E._jac(P))
         assert _formal_multiple(A, Q) == (1, Q)
 
+    @pytest.mark.parametrize("curve_point", [
+        *(kubert_point(n, t) for n in (4, 5, 6, 7, 8, 9, 10, 12)
+          for t in (Fraction(-3, 2), Fraction(5, 7))),
+        (EllipticCurveQ(-1, 0), point(0, 0)),      # order 2
+        (EllipticCurveQ(-4, 0), point(2, 0)),      # order 2
+        (EllipticCurveQ(0, 16), point(0, 4)),      # order 3
+        (EllipticCurveQ(0, 1), point(0, 1)),       # order 3
+    ])
+    def test_torsion_has_no_formal_multiple(self, curve_point):
+        """The walks need no step cap: on a torsion point each ends at its
+        order, where m J = O, and DomainError follows at once."""
+        E, P = curve_point
+        n, J = E.torsion_order(P), E._jac(P)
+        A = E._scaled_model[0]
+        start = perf_counter()
+        assert _formal_order(A, J, 2) == _formal_order(A, J, 3) == n
+        with pytest.raises(DomainError):
+            _formal_multiple(A, J)
+        assert perf_counter() - start < 1.0
+
 
 def integral_triple(E, P):
     """(Ai, Bi, J): P as a reduced triple J of E's integral model."""
@@ -421,19 +442,17 @@ class TestSingularReduction:
     @example(I2_STAR_AGAIN)
     @example(I2_STAR_AT_11)
     def test_corrections_are_component_values(self, case):
-        """P, 2P and 3P, with the primes 2 and 3 taken out of the
-        discriminant, so that the corrections at p >= 5 need no formal-group
-        multiple; P itself meets the singular point at p."""
+        """P, 2P and 3P: the corrections read only the primes p >= 5, so
+        they need no formal-group multiple; P itself meets the singular
+        point at p."""
         E, P, p = case
         Ai, Bi, _ = E.integral_model
-        disc = E.discriminant_integral()
-        far = val_unit(val_unit(disc, 2)[1], 3)[1]
-        far_primes = [q for q in E._discriminant_primes if q > 3]
+        disc = -16 * (4 * Ai**3 + 27 * Bi**2)
         for n in (1, 2, 3):
             Q = E.scalar_mul(n, P)
             if Q.x == 0:
                 continue
-            corrections = dict(_finite_corrections(Ai, Bi, far, far_primes, E._jac(Q)))
+            corrections = dict(_finite_corrections(Ai, Bi, E._jac(Q)))
             assert n > 1 or p in corrections
             for q, c in corrections.items():
                 ktype, shift = kodaira_type(_valuation(Ai, q), _valuation(Bi, q), _valuation(disc, q))
@@ -447,16 +466,17 @@ class TestSingularReduction:
     def test_integer_corrections_match_fractions(self, case, n):
         """_finite_corrections on the triple of n P, and of the first
         multiple with p | Z when it is at most 12 P, equals the Fraction
-        oracle on its coordinates, at every prime of the discriminant: 2 and
-        3 where they divide Z, the primes p >= 5 always."""
+        oracle on its coordinates. The oracle reads every prime of the
+        factored discriminant, 2 and 3 where they divide Z and the primes
+        p >= 5 always; _finite_corrections finds its primes from the point."""
         E, P, p = case
         Ai, Bi, _ = E.integral_model
-        disc, J = E.discriminant_integral(), E._jac(P)
+        disc, J = -16 * (4 * Ai**3 + 27 * Bi**2), E._jac(P)
         k = _formal_order(Ai, J, p)
         for K in (_jac_mul(Ai, n, J), *([_jac_mul(Ai, k, J)] if k <= 12 else [])):
             X, Y, Z = K
-            primes = [q for q in E._discriminant_primes if q > 3 or Z % q == 0]
-            assert _finite_corrections(Ai, Bi, disc, primes, K) == finite_corrections_fraction(
+            primes = [q for q in prime_factors(disc) if q > 3 or Z % q == 0]
+            assert _finite_corrections(Ai, Bi, K) == finite_corrections_fraction(
                 Ai, Bi, disc, primes, Fraction(X, Z * Z), Fraction(Y, Z**3)), (E, P, n, K)
 
     def test_regulator_on_i2_star(self):

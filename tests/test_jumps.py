@@ -188,10 +188,11 @@ class TestJump2:
 
     @pytest.mark.parametrize("config,budget", [("mordell", "8,8,5"), ("split-twist", "18,10,5")])
     def test_height_precision_error_is_inconclusive(self, config, budget, capsys, monkeypatch):
-        """With the formal-group walk capped at one step, most heights raise
-        PrecisionError; jump counts each such pair as inconclusive, as it
-        does the regulator's own inconclusive verdicts, and ends in exit 0
-        or 3, not in a traceback."""
+        """With the size cap on the formal-group multiple at 0 bits, every
+        height whose multiple is formed by a sum raises PrecisionError; jump
+        counts each such pair as inconclusive, as it does the regulator's
+        own inconclusive verdicts, and ends in exit 0 or 3, not in a
+        traceback."""
         raised, inconclusive = [], []
         regulator = jumps._regulator
 
@@ -205,7 +206,7 @@ class TestJump2:
                 inconclusive.append(E)
             return verdict
 
-        monkeypatch.setattr(curves, "_FORMAL_GROUP_MULTIPLE_CAP", 1)
+        monkeypatch.setattr(curves, "_FORMAL_GROUP_BITS_CAP", 0)
         monkeypatch.setattr(jumps, "_regulator", counting_regulator)
         argv = ["jump", "--config", str(CONFIGS / f"{config}.cfg"), "--rank", "2",
                 "--budget", budget]

@@ -20,11 +20,16 @@ search: verify_certificate computes its own fifteen heights for the five
 mordell certificates, and none on the twists, whose pairs the 2-descent
 settles.
 
-This test runs the three commands of the benchmark's rank2-search workload
-in process, as tests/test_benchmark_stream.py does, and pins how often a
-point is checked, a curve is built and a height is computed. A conversion
-that comes back, say a height that rebuilds its point in Fractions, or a
-table that stops hitting, raises a count and fails here.
+A height factors no discriminant: the primes p >= 5 where its point meets
+a singular point are those of a gcd of the point's own integers
+(curves._finite_corrections), which is 1 on every height of the cycle.
+
+These tests run the three commands of the benchmark's rank2-search workload
+in process, as tests/test_benchmark_stream.py does, and pin how often a
+point is checked, a curve is built, a height is computed and curves.py
+factors an integer. A conversion that comes back, say a height that
+rebuilds its point in Fractions, a table that stops hitting or a
+discriminant factored again, raises a count and fails here.
 """
 
 from pathlib import Path
@@ -89,3 +94,43 @@ def test_seed0_rank2_enters_the_law_once(tmp_path, capsys, monkeypatch):
     assert counts == {"is_on": IS_ON_CALLS, "curves": CURVES_BUILT}
     assert heights == HEIGHTS and sum(heights.values()) == 38
     assert verify_heights == VERIFY_HEIGHTS
+
+
+#: arith._factorint calls made from curves per seed-0 rank-2 cycle: all 21
+#: from integral_model, one per curve whose coefficients share a factor; a
+#: height factors only a gcd of its point's integers, and on this cycle no
+#: such gcd exceeds 1. 34 while each curve with a height factored its
+#: discriminant
+CURVES_FACTORINT_CALLS = 21
+
+
+def test_seed0_rank2_factors_no_discriminant(tmp_path, capsys, monkeypatch):
+    """A height reads its primes of bad reduction from its point: counted
+    while curves.prime_factors runs, arith._factorint is called only for
+    the pinned number of integers."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+    import run
+
+    from rankjump import arith
+
+    calls, inside = [0], [False]
+    factorint, prime_factors = arith._factorint, curves.prime_factors
+
+    def counted_factorint(n):
+        calls[0] += inside[0]
+        return factorint(n)
+
+    def from_curves(n):
+        inside[0] = True
+        try:
+            return prime_factors(n)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(arith, "_factorint", counted_factorint)
+    monkeypatch.setattr(curves, "prime_factors", from_curves)
+    for cmd in run.commands_for("rank2-search", gen.write_inputs(0, tmp_path)):
+        assert main(cmd["argv"]) == 0
+    capsys.readouterr()
+    assert calls[0] == CURVES_FACTORINT_CALLS
