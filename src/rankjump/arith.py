@@ -79,10 +79,9 @@ def int_sqrt(n: int):
 
 
 def rational_sqrt(q) -> Fraction | None:
-    """The non-negative exact square root of q in Q, or None."""
+    """The non-negative exact square root of q in Q, or None; a negative q
+    has a negative numerator, which int_sqrt refuses."""
     q = Fraction(q)
-    if q < 0:
-        return None
     rn = int_sqrt(q.numerator)
     if rn is None:
         return None

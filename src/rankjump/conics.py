@@ -132,7 +132,7 @@ class ConicFibre:
                 -lead_class, SquareClass(1, ()), lead_class.times(square_class(disc)))
         else:
             raise TypeError(f"unsupported surface {surface!r}")
-        self._base_point = "unknown"
+        self._base_point = None
 
     @cached_property
     def matrix(self):
@@ -165,24 +165,20 @@ class ConicFibre:
         return None if self._classes is None else ternary_obstruction(*self._classes)
 
     def base_point(self):
-        """A primitive projective rational point, or None if unsolvable: (1, 0, 0)
-        on a hyperbolic fibre (no square classes), else the sweep
-        _naive_search(32), else _descend, Lagrange's descent after
-        Cremona-Rusin. The first two fix the streams' starting points; the
-        descent never fails on a solvable fibre."""
-        if self._base_point != "unknown":
-            return self._base_point
-        if self._classes is None:
-            pt = (1, 0, 0)  # the natural point at infinity; gives the cleanest streams
-        elif self.local_obstruction is not None:
-            self._base_point = None
-            return None
-        else:
-            pt = self._naive_search(32) or self._descend()
-        if pt is None:
-            raise RuntimeError(f"no point found on a locally solvable conic (x0 = {self.x0})")
-        self._base_point = pt = _primitive(pt)
-        return pt
+        """A primitive projective rational point; solvable fibres only, as
+        pencil checks: (1, 0, 0) on a hyperbolic fibre (no square classes),
+        else the sweep _naive_search(32), else _descend, Lagrange's descent
+        after Cremona-Rusin. The first two fix the streams' starting points;
+        the descent never fails on a solvable fibre. Found once per fibre."""
+        if self._base_point is None:
+            if self._classes is None:
+                pt = (1, 0, 0)  # the natural point at infinity; gives the cleanest streams
+            else:
+                pt = self._naive_search(32) or self._descend()
+            if pt is None:
+                raise RuntimeError(f"no point found on a locally solvable conic (x0 = {self.x0})")
+            self._base_point = _primitive(pt)
+        return self._base_point
 
     @cached_property
     def pencil(self):

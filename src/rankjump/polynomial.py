@@ -36,10 +36,6 @@ class RatPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def gen(cls) -> "RatPoly":
-        return cls([0, 1])
-
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
@@ -90,8 +86,6 @@ class RatPoly:
 
     def __mul__(self, other) -> "RatPoly":
         other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return RatPoly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -117,20 +111,16 @@ class RatPoly:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
         rem = list(self.coeffs)
         d, lc = other.degree, other.leading()
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            c = rem[-1] / lc
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] -= c * b
-        return RatPoly(q), RatPoly(rem)
+        q = [Fraction(0)] * max(len(rem) - d, 0)
+        for k in reversed(range(len(q))):
+            # clear the coefficient of t^(k + d)
+            c = q[k] = rem[k + d] / lc
+            if c:
+                for i, b in enumerate(other.coeffs):
+                    rem[k + i] -= c * b
+        return RatPoly(q), RatPoly(rem[:d])
 
     def __mod__(self, other) -> "RatPoly":
         return divmod(self, other)[1]
@@ -176,15 +166,6 @@ class RatPoly:
             raise DomainError("monic form of 0")
         lc = self.leading()
         return RatPoly([c / lc for c in self.coeffs])
-
-    def reversed_to(self, n: int) -> "RatPoly":
-        """The polynomial s^n * p(1/s); requires n >= deg p."""
-        if self.degree > n:
-            raise DomainError("reversal degree too small")
-        out = [Fraction(0)] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[n - i] = c
-        return RatPoly(out)
 
     def format(self, var: str = "t") -> str:
         if self.is_zero():
@@ -247,8 +228,6 @@ def yun_squarefree(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
         raise DomainError("squarefree decomposition of 0")
     lc = p.leading()
     p = p.monic()
-    if p.degree == 0:
-        return lc, []
     out = []
     g = poly_gcd(p, p.derivative())
     w = p.exact_div(g)

@@ -231,31 +231,25 @@ def to_weierstrass(surface) -> WeierstrassQt:
 
 
 def classify_fibres(w: WeierstrassQt) -> FibreClassification:
-    """Kodaira types at every singular place of the model, infinity included.
+    """Kodaira types at every singular place of the model: each irreducible
+    factor of the discriminant D, then infinity, one more place of the same
+    walk, where the model s^4 A(1/s), s^6 B(1/s) in s = 1/t has valuations
+    4 + v(A), 6 + v(B), 12 + v(D) (v = -deg at infinity).
 
     Each place is locally minimalised by x -> u^2 x, y -> u^3 y before the
     valuation table is applied; residue characteristic 0 makes the table
     decisive.
     """
     fibres = []
-    _, factors = factor_rational(w.delta)
-    for h, vd in factors:
-        pl = Place(h)
-        va, vb = valuation(w.A, pl), valuation(w.B, pl)
+    places = [(Place(h), vd) for h, vd in factor_rational(w.delta)[1]]
+    places.append((PLACE_AT_INFINITY, 12 + valuation(w.delta, PLACE_AT_INFINITY)))
+    for pl, vd in places:
+        shift = (4, 6) if pl.is_infinite else (0, 0)
+        va, vb = (None if p.is_zero() else valuation(p, pl) + n
+                  for p, n in zip((w.A, w.B), shift))
         ktype, k = kodaira_type(va, vb, vd)
         if vd - 12 * k > 0:
             fibres.append(FibreData(pl, ktype))
-    # the place at infinity, via s = 1/t on the naturally rescaled model
-    a_inf = w.A.reversed_to(4)
-    b_inf = w.B.reversed_to(6)
-    d_inf = w.delta.reversed_to(12)
-    s_zero = Place(RatPoly.gen())
-    va = valuation(a_inf, s_zero)
-    vb = valuation(b_inf, s_zero)
-    vd = valuation(d_inf, s_zero)
-    ktype, k = kodaira_type(va, vb, vd)
-    if vd - 12 * k > 0:
-        fibres.append(FibreData(PLACE_AT_INFINITY, ktype))
     return FibreClassification(tuple(fibres))
 
 
@@ -279,32 +273,23 @@ def shioda_tate_bound(c: FibreClassification) -> int:
 def is_twist_case(w: WeierstrassQt) -> TwistFamily | None:
     """Recover (f, g) when the model is g(t) y^2 = f(x) in disguise.
 
-    Succeeds exactly when the discriminant is c * g^6 for a separable g of
-    degree 1 or 2 and A = a g^2, B = b g^3 for constants a, b; then returns
-    the twist family with f = x^3 + a x + b and g monic. Returns None
-    otherwise.
+    Succeeds exactly when the discriminant D is c * g^6 and A = a g^2,
+    B = b g^3 for constants a, b; then returns the twist family with
+    f = x^3 + a x + b and g monic, else None. As the one Yun block of D, g is
+    squarefree, of degree 1 or 2 as deg D <= 12; f is separable as
+    4A^3 + 27B^2 = (4a^3 + 27b^2) g^6 is not 0.
     """
     _, blocks = yun_squarefree(w.delta)
     if len(blocks) != 1 or blocks[0][1] != 6:
         return None
     g = blocks[0][0]
-    if g.degree not in (1, 2):
-        return None
-    if g.degree == 2 and poly_discriminant(g) == 0:
-        return None
     try:
-        a_poly = w.A.exact_div(g * g) if not w.A.is_zero() else RatPoly()
-        b_poly = w.B.exact_div(g * g * g) if not w.B.is_zero() else RatPoly()
+        a, b = w.A.exact_div(g * g), w.B.exact_div(g * g * g)
     except DomainError:
         return None
-    if not (a_poly.is_constant() and b_poly.is_constant()):
+    if not (a.is_constant() and b.is_constant()):
         return None
-    a = a_poly[0] if not a_poly.is_zero() else Fraction(0)
-    b = b_poly[0] if not b_poly.is_zero() else Fraction(0)
-    f = RatPoly([b, a, 0, 1])
-    if poly_discriminant(f) == 0:
-        return None
-    return TwistFamily(f, g)
+    return TwistFamily(RatPoly([b[0], a[0], 0, 1]), g)
 
 
 @dataclass(frozen=True)

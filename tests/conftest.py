@@ -13,8 +13,10 @@ height series term by term in mpmath, the finite height corrections read
 from the Fraction coordinates, heights by the doubling limit,
 fibre-relation and extension-class comparisons, the census rescanned fibre
 by fibre, jump1 reading each fibre's whole pencil through a lookahead
-slot, a km fibre's polynomial by RatPoly arithmetic, and the genus of the
-fibre product of two double covers from their branch loci.
+slot, a km fibre's polynomial by RatPoly arithmetic, the genus of the
+fibre product of two double covers from their branch loci, polynomial
+division by stripping loops, and the fibre at infinity read from the
+model reversed in s = 1/t.
 """
 
 from __future__ import annotations
@@ -720,3 +722,65 @@ def squarefree_kernel(p):
         if i % 2:
             h = h * q
     return lc, h
+
+
+# ---------------------------------------------------------------------------
+# the polynomial long division and the classification at infinity that the
+# library once ran, kept to hold its general code to them
+
+
+def divmod_stripping(a, b):
+    """divmod(a, b) by the nested strip-and-break loops: strip the zero top
+    coefficients of the remainder, stop below deg b, else clear the top one."""
+    from rankjump.polynomial import RatPoly
+
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
+    rem = list(a.coeffs)
+    d, lc = b.degree, b.leading()
+    while len(rem) - 1 >= d and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < d:
+            break
+        k = len(rem) - 1 - d
+        c = rem[-1] / lc
+        q[k] = c
+        for i, coef in enumerate(b.coeffs):
+            rem[k + i] -= c * coef
+    return RatPoly(q), RatPoly(rem)
+
+
+def _reversed_to(p, n: int):
+    """s^n p(1/s), for n >= deg p."""
+    from rankjump.polynomial import RatPoly
+
+    assert p.degree <= n
+    out = [Fraction(0)] * (n + 1)
+    for i, c in enumerate(p.coeffs):
+        out[n - i] = c
+    return RatPoly(out)
+
+
+def classify_fibres_reversed(w):
+    """classify_fibres with the place at infinity read as the place s = 0 of
+    the model s^4 A(1/s), s^6 B(1/s), discriminant s^12 D(1/s), in a block
+    of its own after the finite places."""
+    from rankjump.kodaira import kodaira_type
+    from rankjump.polynomial import PLACE_AT_INFINITY, Place, RatPoly, factor_rational, valuation
+    from rankjump.surfaces import FibreClassification, FibreData
+
+    fibres = []
+    for h, vd in factor_rational(w.delta)[1]:
+        pl = Place(h)
+        ktype, k = kodaira_type(valuation(w.A, pl), valuation(w.B, pl), vd)
+        if vd - 12 * k > 0:
+            fibres.append(FibreData(pl, ktype))
+    s_zero = Place(RatPoly([0, 1]))
+    va, vb, vd = (valuation(_reversed_to(p, n), s_zero)
+                  for p, n in ((w.A, 4), (w.B, 6), (w.delta, 12)))
+    ktype, k = kodaira_type(va, vb, vd)
+    if vd - 12 * k > 0:
+        fibres.append(FibreData(PLACE_AT_INFINITY, ktype))
+    return FibreClassification(tuple(fibres))

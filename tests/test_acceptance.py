@@ -57,7 +57,7 @@ from rankjump.surfaces import (
 )
 from config_for_tests import surface_config  # noqa: F401  (helper defined below)
 
-T = RatPoly.gen()
+T = RatPoly([0, 1])
 F_CUBIC = T**3 - T
 
 

@@ -441,6 +441,66 @@ class TestCli:
         assert main(["verify", "--store", store]) == 4
         assert "FAIL: regulator verdict is dependent" in capsys.readouterr().out
 
+    def _forged_pair(self, tmp_path, capsys, forge):
+        """verify's output on the first Mordell rank-2 record after forge
+        edits its JSON fields, and its exit code."""
+        cfg = self._write(tmp_path, "m.cfg", MORDELL_CFG)
+        store = str(tmp_path / "store")
+        assert main(["jump", "--config", cfg, "--rank", "2", "--budget", "8,8,1",
+                     "--store", store]) == 0
+        capsys.readouterr()
+        path = next(Path(store).glob("*.jsonl"))
+        data = json.loads(path.read_text().splitlines()[0])
+        forge(data)
+        path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+        code = main(["verify", "--store", store])
+        return code, capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_verify_unsupported_point_count_exit_4(self, tmp_path, capsys, count):
+        # provenance, claimed bound and regulator all match the point count,
+        # so the count is the one reason
+        def forge(data):
+            data["points"] = (data["points"] * 2)[:count]
+            data["provenance"] = (data["provenance"] * 2)[:count]
+            data["claimed_rank_lower_bound"] = data["generic_rank_bound"] + count
+            data["regulator"] = None
+
+        code, out = self._forged_pair(tmp_path, capsys, forge)
+        assert code == 4
+        assert out[0].endswith(f": FAIL: unsupported point count {count}")
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("curve", {"A": "0", "B": "1/4"}, "recorded curve does not match the specialised fibre"),
+        ("generic_rank_bound", 1, "recorded generic rank bound is wrong"),
+    ], ids=["curve", "generic-rank-bound"])
+    def test_verify_forged_field_exit_4(self, tmp_path, capsys, field, value, reason):
+        code, out = self._forged_pair(tmp_path, capsys, lambda data: data.update({field: value}))
+        assert code == 4
+        assert out[0].endswith(f": FAIL: {reason}")
+        assert out[1] == "# verified 1 records, 1 failures"
+
+    def test_verify_error_is_reported_with_the_batch(self, tmp_path, capsys, monkeypatch):
+        """A height that raises inside verify_certificate fails its own line
+        as a verification error; the lines around it are still verified."""
+        from test_heights import KM_SLOW_RECORD
+
+        import rankjump.curves
+
+        cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
+        store = tmp_path / "store"
+        assert main(["jump", "--config", cfg, "--budget", "6,6,2", "--store", str(store)]) == 0
+        path = next(store.glob("*.jsonl"))
+        first, second = path.read_text().splitlines()
+        path.write_text("\n".join([first, KM_SLOW_RECORD, second]) + "\n")
+        capsys.readouterr()
+        monkeypatch.setattr(rankjump.curves, "_FORMAL_GROUP_BITS_CAP", 0)
+        assert main(["verify", "--store", str(store)]) == 4
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(": ", 1)[1] for line in out[:3:2]] == ["ok", "ok"]
+        assert out[1].split(": ", 1)[1].startswith("FAIL: verification error: ")
+        assert out[3] == "# verified 3 records, 1 failures"
+
     def test_census(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
         assert main(["census", "--config", cfg, "--height", "6"]) == 0
@@ -594,6 +654,27 @@ class TestCli:
     def test_bad_budget_exit_2(self, tmp_path):
         cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
         assert main(["jump", "--config", cfg, "--budget", "0,0"]) == 2
+
+    @pytest.mark.parametrize("budget", ["0,4,4", "4,4,0"])
+    def test_nonpositive_budget_part_exit_2(self, tmp_path, capsys, budget):
+        cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
+        assert main(["jump", "--config", cfg, "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: bad budget {budget!r}; "
+                                "expected three positive integers 'x0,param,count'\n")
+
+    @pytest.mark.parametrize("cover, reason", [
+        ("3\n", "covers must be nonconstant"),
+        ("0, 1\n1, 2, 1\n", "cover polynomial t^2 + 2*t + 1 is not squarefree"),
+    ], ids=["constant", "repeated-root"])
+    def test_bad_cover_file_exit_2(self, tmp_path, capsys, cover, reason):
+        cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)
+        covers = self._write(tmp_path, "covers.txt", cover)
+        assert main(["jump", "--config", cfg, "--budget", "4,4,2", "--avoid", covers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad cover file: {reason}\n"
 
     @pytest.mark.parametrize("height", ["0", "-3"])
     def test_census_nonpositive_height_exit_2(self, tmp_path, capsys, height):

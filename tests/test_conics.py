@@ -48,7 +48,7 @@ from rankjump.polynomial import (
 )
 from rankjump.surfaces import KMFamily, TwistFamily
 
-T = RatPoly.gen()
+T = RatPoly([0, 1])
 F_CUBIC = T**3 - T
 
 

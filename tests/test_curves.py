@@ -29,7 +29,7 @@ from rankjump.curves import (
 from rankjump.polynomial import RatPoly
 from rankjump.surfaces import KMFamily, TwistFamily
 
-T = RatPoly.gen()
+T = RatPoly([0, 1])
 
 
 def rand_point_curve(rng, span=8):

@@ -47,7 +47,7 @@ from rankjump.surfaces import KMFamily, TwistFamily
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-T = RatPoly.gen()
+T = RatPoly([0, 1])
 F_CUBIC = T**3 - T
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import ratpoly_eval_fraction, resultant, squarefree_kernel
+from conftest import divmod_stripping, ratpoly_eval_fraction, resultant, squarefree_kernel
 from rankjump.arith import DomainError
 from rankjump.polynomial import (
     PLACE_AT_INFINITY,
@@ -18,7 +18,7 @@ from rankjump.polynomial import (
     yun_squarefree,
 )
 
-T = RatPoly.gen()
+T = RatPoly([0, 1])
 
 
 def rand_poly(rng, deg, span=9):
@@ -54,10 +54,6 @@ class TestRingOps:
         assert (p * q)(x) == p(x) * q(x)
         assert (p + q)(x) == p(x) + q(x)
 
-    def test_reverse(self):
-        p = T**2 - 2
-        assert p.reversed_to(4) == RatPoly([0, 0, 1, 0, -2])
-
 
 COEFFICIENTS = st.one_of(
     st.just(Fraction(0)),
@@ -84,6 +80,28 @@ class TestEvaluation:
         want = ratpoly_eval_fraction(p, Fraction(x))
         first, second = p(x), p(x)
         assert type(first) is Fraction and first == second == want
+
+
+class TestDivision:
+    """divmod is one descending loop over the quotient degrees, and a product
+    with 0 runs the general loop; the oracle is the long division by nested
+    strip-and-break loops that the loop replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(POLYS, POLYS.filter(bool))
+    @example(RatPoly(), T**2 + 1)                                 # zero dividend
+    @example(T**3 - 2 * T, RatPoly([Fraction(-3, 5)]))            # constant divisor
+    @example(T + 1, T**3 - T)                                     # shorter dividend
+    @example(T**6 + 1, T**2)                                      # zero quotient terms
+    @example(RatPoly([Fraction(7, 2)]), RatPoly([Fraction(7, 2)]))
+    def test_matches_stripping_division(self, a, b):
+        q, r = divmod(a, b)
+        assert (q, r) == divmod_stripping(a, b)
+        assert q * b + r == a and r.degree < b.degree
+
+    @given(POLYS)
+    def test_product_with_zero(self, p):
+        assert (p * RatPoly()).is_zero() and (RatPoly() * p).is_zero() and (p * 0).is_zero()
 
 
 class TestDiscriminant:
@@ -149,6 +167,11 @@ class TestSquarefreeStructure:
         lc, blocks = yun_squarefree(4 * p)
         assert lc == 4
         assert dict((i, f) for f, i in blocks) == {3: T - 1, 2: T + 2, 1: T - 5}
+
+    @pytest.mark.parametrize("c", [1, Fraction(-3, 2)])
+    def test_yun_of_a_constant(self, c):
+        # gcd(c, 0) = 1, so the loop yields no block
+        assert yun_squarefree(RatPoly([c])) == (c, [])
 
     def test_kernel(self):
         lead, h = squarefree_kernel(RatPoly([0, 0, 3]))  # 3 t^2

@@ -2,17 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import classify_fibres_reversed
 from rankjump.arith import DomainError
 from rankjump.curves import EllipticCurveQ
-from rankjump.kodaira import KodairaType, kodaira_type
-from rankjump.polynomial import PLACE_AT_INFINITY, Place, RatPoly
+from rankjump.kodaira import InvalidModelError, KodairaType, kodaira_type
+from rankjump.polynomial import PLACE_AT_INFINITY, Place, RatPoly, yun_squarefree
 from rankjump.surfaces import (
     FibreClassification,
     FibreData,
     InconsistentClassification,
     KMFamily,
     NotApplicableError,
+    NotRationalElliptic,
     TwistFamily,
     WeierstrassQt,
     classify_fibres,
@@ -22,7 +25,7 @@ from rankjump.surfaces import (
     to_weierstrass,
 )
 
-T = RatPoly.gen()
+T = RatPoly([0, 1])
 F_CUBIC = T**3 - T  # x^3 - x as a coefficient list
 
 
@@ -143,6 +146,53 @@ class TestClassifyFibres:
             count += 1
 
 
+@st.composite
+def models(draw):
+    """Short models of drawn twist (g of degree 1 or 2), km and weierstrass
+    surfaces; a weierstrass A or B may be 0, or of any degree up to 4 or 6."""
+    def poly(degree):
+        # degree -1 draws the zero polynomial
+        if degree < 0:
+            return RatPoly()
+        return RatPoly([draw(st.integers(-4, 4)) for _ in range(degree)]
+                       + [draw(st.sampled_from([-2, -1, 1, 3]))])
+
+    kind = draw(st.sampled_from(("twist", "km", "weierstrass")))
+    try:
+        if kind == "twist":
+            return TwistFamily(poly(3), poly(draw(st.integers(1, 2)))).weierstrass
+        if kind == "km":
+            return KMFamily(*(poly(draw(st.integers(-1, 2))) for _ in range(4))).weierstrass
+        return WeierstrassQt(poly(draw(st.integers(-1, 4))), poly(draw(st.integers(-1, 6))))
+    except (DomainError, InvalidModelError, NotRationalElliptic):
+        assume(False)
+
+
+def _outcome(f, w):
+    try:
+        return f(w)
+    except InvalidModelError as exc:
+        return type(exc), str(exc)
+
+
+class TestClassifyAtInfinity:
+    """Infinity is one more place of classify_fibres' walk, its valuations
+    shifted by (4, 6, 12); the oracle reads it from the model reversed in
+    s = 1/t, in a block of its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(models())
+    @example(WeierstrassQt(RatPoly(), T))                          # A = 0: II, II*
+    @example(WeierstrassQt(RatPoly(), T**2))                       # A = 0: IV, IV*
+    @example(WeierstrassQt(-(T**2 - 1) ** 2, RatPoly()))           # B = 0
+    @example(WeierstrassQt(-(T**2), RatPoly()))                    # deg g = 1: I0* at infinity
+    @example(TwistFamily(F_CUBIC + 1, 3 * T - 2).weierstrass)      # the same, B != 0
+    @example(WeierstrassQt(T**4, T**6))                            # non-minimal: Euler number 0
+    @example(WeierstrassQt(RatPoly([1, 0, -2, 1]), RatPoly([3, 1, 0, 0, 0, -1])))
+    def test_matches_reversed_model(self, w):
+        assert _outcome(classify_fibres, w) == _outcome(classify_fibres_reversed, w)
+
+
 class TestIsTwistCase:
     def test_recover_quadratic(self):
         w = WeierstrassQt(-((T**2 - 1) ** 2), RatPoly())
@@ -158,6 +208,34 @@ class TestIsTwistCase:
         s = is_twist_case(WeierstrassQt(2 * T**2, 3 * T**3))
         assert s is not None
         assert s.f == RatPoly([3, 2, 0, 1]) and s.g == T
+
+    @pytest.mark.parametrize("w", [
+        WeierstrassQt(RatPoly(), T**3 * (T - 1)),   # D = c t^6 (t - 1)^2: two Yun blocks
+        WeierstrassQt(RatPoly(), T**2 * (T - 1)),   # D = c t^4 (t - 1)^2: two blocks, no 6
+        WeierstrassQt(RatPoly(), T),                # D = c t^2: one block of multiplicity 2
+        WeierstrassQt(T**4, T**6),                  # D = c t^12: one block of multiplicity 12
+        WeierstrassQt(RatPoly([-1]), RatPoly([Fraction(-3, 4)])),  # constant D: no block
+    ], ids=["two-blocks-one-sextic", "two-blocks", "quadratic-block", "block-of-12", "constant"])
+    def test_discriminant_not_a_sextic_power(self, w):
+        assert is_twist_case(w) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(models())
+    @example(WeierstrassQt(RatPoly(), T**3))
+    @example(WeierstrassQt(-3 * (T**2 + 1) ** 2, (T**2 + 1) ** 3))
+    def test_sextic_discriminant_is_a_twist(self, w):
+        """D = c g^6 with g squarefree forces A = a g^2 and B = b g^3 on a
+        rational elliptic surface: each place of g is I6 or I0* (v(D) = 6),
+        and an I6 with the other fibre of Euler number 6, at the other place
+        of g or at infinity, gives (6 - 1) + 4 > 8 in Shioda-Tate. So the
+        drawn models never reach the two later None returns."""
+        blocks = yun_squarefree(w.delta)[1]
+        s = is_twist_case(w)
+        if len(blocks) == 1 and blocks[0][1] == 6:
+            assert s is not None and s.g == blocks[0][0]
+            assert (w.A, w.B) == (s.weierstrass.A, s.weierstrass.B)
+        else:
+            assert s is None
 
     def test_roundtrip_random(self):
         rng = random.Random(23)
