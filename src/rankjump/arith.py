@@ -4,14 +4,14 @@ Everything in this module is computed with integer arithmetic only:
 perfect-square tests, square classes, modular square roots,
 Legendre and Hilbert symbols, local solvability of diagonal ternary
 quadratic forms, and a zero of a solvable one by Lagrange's descent.
-Factoring (sympy's factorint, in _factorint) is the costly step: the
-conic layer reaches it through square_class, once per fibre value, once
-per surface for the fixed part and once per step of the descent (on a
-quotient at most a quarter of the class it reduces); the curves reach it
-through prime_factors, for heights only: once per curve for the reduced
-model, and for a gcd of a point's integers where the point meets a
-singular point. Config coefficients are bounded at parse time
-(config.MAX_COEFFICIENT).
+Factoring happens in _factorint: trial division by the primes below 2^10,
+then sympy's factorint (imported only then, for its p - 1 and ECM stages)
+on a cofactor above 2^20 that outlives them. square_class reaches it once
+per fibre value, once per surface for the fixed part and once per descent
+step (on a quotient at most a quarter of the class it reduces);
+prime_factors once per curve for the reduced model, and for a gcd of a
+point's integers where the point meets a singular point. Config
+coefficients are bounded at parse time (config.MAX_COEFFICIENT).
 """
 
 from __future__ import annotations
@@ -28,12 +28,26 @@ class DomainError(ValueError):
     """Raised when an operation is applied outside its domain."""
 
 
-def _factorint(n: int) -> dict:
-    # sympy import is deferred so that light CLI paths start fast; plain ints
-    # only may leave this module
-    from sympy import factorint
+#: the primes below 2^10, for trial division
+_SMALL_PRIMES = tuple(p for p in range(2, 1 << 10) if all(p % d for d in range(2, isqrt(p) + 1)))
 
-    return {int(p): int(e) for p, e in factorint(n).items()}
+
+def _factorint(n: int) -> dict:
+    """{prime: exponent} of an integer n >= 1."""
+    factors = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+    if n >= 1 << 20:  # no prime factor below 2^10, but n may be composite
+        # deferred, so that light CLI paths start fast; only ints leave here
+        from sympy import factorint
+        factors.update((int(p), int(e)) for p, e in factorint(n).items())
+    elif n > 1:  # no prime factor up to its square root
+        factors[n] = 1
+    return factors
 
 
 class SquareClass(NamedTuple):
@@ -57,7 +71,6 @@ class SquareClass(NamedTuple):
 def square_class(q) -> SquareClass:
     """The square class of a nonzero rational, its numerator and denominator
     factored once each."""
-    q = Fraction(q)
     if q == 0:
         raise DomainError("square class of 0")
     s, primes = -1 if q < 0 else 1, []
@@ -176,17 +189,6 @@ def hilbert(a, b, p: int) -> int:
     return res
 
 
-def ternary_isotropic_at(a, b, c, p: int) -> bool:
-    """Whether a*x^2 + b*y^2 + c*z^2 = 0 has a nontrivial zero over Q_p.
-
-    Uses the Hasse-invariant criterion for rank-3 diagonal forms.
-    """
-    a, b, c = _as_int(a), _as_int(b), _as_int(c)
-    lhs = hilbert(-1, -a * b * c, p)
-    rhs = hilbert(a, b, p) * hilbert(b, c, p) * hilbert(a, c, p)
-    return lhs == rhs
-
-
 def ternary_obstruction(a, b, c):
     """First local obstruction to a*x^2 + b*y^2 + c*z^2 = 0, or None.
 
@@ -196,12 +198,19 @@ def ternary_obstruction(a, b, c):
     every completion (hence over Q, by Hasse-Minkowski). Only 2 and the
     primes of the three classes can obstruct: at any other prime all three
     are units, and a unit ternary form is isotropic there.
+
+    The form is isotropic over Q_p iff z^2 = (-a/c) x^2 + (-b/c) y^2 is, that
+    is iff (-ac, -bc)_p = 1 (Serre, A Course in Arithmetic, III.1.1): one
+    symbol per place. Once the real place passes, Hilbert reciprocity (ibid.
+    III.2.1, Thm 3) makes the number of obstructing primes even, so the
+    largest is never tested; the first obstruction reported does not change.
     """
     a, b, c = (x if isinstance(x, SquareClass) else square_class(x) for x in (a, b, c))
     if a.s > 0 and b.s > 0 and c.s > 0 or a.s < 0 and b.s < 0 and c.s < 0:
         return REAL_PLACE
-    for p in sorted({2, *a.primes, *b.primes, *c.primes}):
-        if not ternary_isotropic_at(a.s, b.s, c.s, p):
+    *places, _ = sorted({2, *a.primes, *b.primes, *c.primes})
+    for p in places:
+        if hilbert(-a.s * c.s, -b.s * c.s, p) != 1:
             return p
     return None
 

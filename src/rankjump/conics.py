@@ -302,7 +302,6 @@ def _pairs_of_height(h: int) -> tuple[tuple[int, int], ...]:
 
 def height(q) -> int:
     """Naive height max(|numerator|, denominator) of a rational."""
-    q = Fraction(q)
     return max(abs(q.numerator), q.denominator)
 
 

@@ -113,7 +113,8 @@ class CoverChallenge:
 
 @dataclass
 class RankJumpCertificate:
-    """A fibre parameter with points and the evidence for a rank lower bound."""
+    """A fibre parameter with points: evidence that the rank is at least the
+    point count, and of a rank jump only with rank_bound_exact (generic rank 0)."""
 
     t0: Fraction
     curve: tuple[Fraction, Fraction]            # (A, B) of the specialised curve
@@ -207,7 +208,7 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
         provenance=[x0 for x0, _ in points],
         generic_rank_bound=r_bound,
         rank_bound_exact=r_exact,
-        claimed_rank_lower_bound=r_bound + len(pts),
+        claimed_rank_lower_bound=len(pts),
         regulator=None if verdict is None else (verdict.determinant, verdict.error),
     )
 
@@ -390,7 +391,7 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
         reasons.append("recorded generic rank bound is wrong")
     if cert.rank_bound_exact != r_exact:
         reasons.append("recorded exactness of the rank bound is wrong")
-    if cert.claimed_rank_lower_bound != r_bound + len(pts):
+    if cert.claimed_rank_lower_bound != len(pts):
         reasons.append("claimed rank bound does not match the evidence")
     if cert.regulator is not None and len(pts) != 2:
         reasons.append("a regulator is recorded without a pair of points")

@@ -15,14 +15,25 @@ fibre-relation and extension-class comparisons, the census rescanned fibre
 by fibre, jump1 reading each fibre's whole pencil through a lookahead
 slot, a km fibre's polynomial by RatPoly arithmetic, the genus of the
 fibre product of two double covers from their branch loci, polynomial
-division by stripping loops, and the fibre at infinity read from the
-model reversed in s = 1/t.
+division by stripping loops, the fibre at infinity read from the
+model reversed in s = 1/t, and integer factorisation by sympy alone.
+
+sympy is imported here, once, when the suite loads: the library imports it
+only for a cofactor its trial division leaves, so the first such call would
+otherwise pay the import inside whichever test makes it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+
+import sympy
+
+
+def factorint_sympy(n: int) -> dict:
+    """{prime: exponent} of n >= 1, by sympy's factorint alone."""
+    return {int(p): int(e) for p, e in sympy.factorint(n).items()}
 
 
 def ratpoly_eval_fraction(p, x) -> Fraction:

@@ -3,19 +3,25 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import hilbert_fraction, ternary_obstruction_fraction
+from conftest import (
+    factorint_sympy,
+    hilbert_fraction,
+    ternary_isotropic_at_fraction,
+    ternary_obstruction_fraction,
+)
 from rankjump.arith import (
     DomainError,
     SquareClass,
+    _factorint,
     hilbert,
     is_square,
     lagrange_descent,
     rational_sqrt,
     square_class,
     sqrt_mod_prime,
-    ternary_isotropic_at,
     ternary_obstruction,
 )
 
@@ -48,6 +54,48 @@ class TestSquarefreePart:
         w = rational_sqrt(q / s)
         assert w is not None and w > 0
         assert s * w * w == q and prod(primes) == abs(s)
+
+
+#: primes on both sides of 2^10, the end of _factorint's trial division
+EDGE_PRIMES = (2, 3, 997, 1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
+
+
+@st.composite
+def prime_powers(draw):
+    return draw(st.sampled_from(EDGE_PRIMES + (65537,))) ** draw(st.integers(1, 8))
+
+
+@st.composite
+def edge_products(draw):
+    """A product of two to four primes from both sides of the table's edge."""
+    return prod(draw(st.lists(st.sampled_from(EDGE_PRIMES), min_size=2, max_size=4)))
+
+
+@st.composite
+def large_semiprimes(draw):
+    """p q with primes p < q above 2^64; q is near p, so that sympy's
+    factorint (Fermat's method) splits the product at once."""
+    p = sympy.nextprime(2**64 + draw(st.integers(0, 2**32)))
+    return p * sympy.nextprime(p + draw(st.integers(0, 2**12)))
+
+
+class TestFactorint:
+    """_factorint divides by the primes below 2^10 and hands only a cofactor
+    above 2^20 to sympy; the result is sympy's factorint's."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.integers(1, 2**40), prime_powers(), edge_products(), large_semiprimes(),
+                     st.tuples(edge_products(), large_semiprimes()).map(prod)))
+    @example(1)
+    @example(1021)
+    @example(1031)
+    @example(1021 * 1031)
+    @example(1031**2)
+    @example(1021**2)
+    @example(1019 * 1021 * 1031)
+    @example((1 << 20) - 3)  # the largest prime below 2^20, by trial division alone
+    def test_matches_sympy(self, n):
+        assert _factorint(n) == factorint_sympy(n)
 
 
 class TestIsSquare:
@@ -156,8 +204,8 @@ class TestTernaryForms:
         # u^2 - 2 w^2 = 6 z^2 fails 3-adically (and, by reciprocity, also
         # 2-adically; the reported obstruction is the smallest place)
         assert ternary_obstruction(1, -2, -6) == 2
-        assert not ternary_isotropic_at(1, -2, -6, 3)
-        assert not ternary_isotropic_at(1, -2, -6, 2)
+        assert not ternary_isotropic_at_fraction(1, -2, -6, 3)
+        assert not ternary_isotropic_at_fraction(1, -2, -6, 2)
 
     def test_solvable(self):
         assert ternary_obstruction(1, -2, -2) is None

@@ -52,6 +52,18 @@ a1 = 3/2, 1/4, -5/4
 a0 = -3, 1, -2
 """
 
+#: y^2 = x^3 + t^2 + 1, Shioda-Tate bound 2 (II at t^2 + 1, IV* at infinity);
+#: at t0 = 1/2 the point (1, -3/2) is dependent on the specialised section
+#: (-1, t): 2 P + S = O
+KM_BOUND_2_CFG = """\
+kind = km
+label = km-bound-2
+a3 = 1
+a2 = 0
+a1 = 0
+a0 = 1, 0, 1
+"""
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -479,6 +491,24 @@ class TestCli:
         assert code == 4
         assert out[0].endswith(f": FAIL: {reason}")
         assert out[1] == "# verified 1 records, 1 failures"
+
+    def test_positive_generic_bound_claims_the_point_count(self, tmp_path, capsys):
+        """Where the generic rank bound is 2 and not exact, a record claims
+        only its one point; the claim bound + points fails verify."""
+        cfg = self._write(tmp_path, "k.cfg", KM_BOUND_2_CFG)
+        store = tmp_path / "store"
+        assert main(["jump", "--config", cfg, "--budget", "4,4,3", "--store", str(store)]) == 0
+        [path] = store.glob("*.jsonl")
+        data = next(d for d in map(json.loads, path.read_text().splitlines()) if d["t0"] == "1/2")
+        assert (data["generic_rank_bound"], data["rank_bound_exact"]) == (2, False)
+        assert data["points"] == [["1", "-3/2"]] and data["claimed_rank_lower_bound"] == 1
+        assert main(["verify", "--store", str(store)]) == 0
+        data["claimed_rank_lower_bound"] = 3
+        path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--store", str(store)]) == 4
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith(": FAIL: claimed rank bound does not match the evidence")
 
     def test_verify_error_is_reported_with_the_batch(self, tmp_path, capsys, monkeypatch):
         """A height that raises inside verify_certificate fails its own line

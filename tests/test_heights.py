@@ -51,10 +51,11 @@ from rankjump.surfaces import KMFamily, TwistFamily
 #: and 3 at m = 234, with Z of 14,468 and 62,350 bits.
 KM_SLOW = KMFamily(RatPoly([5, 1, 6]), RatPoly([1]), RatPoly([Fraction(4, 3), 4]), RatPoly([1]))
 
-#: the record of (P, Q) that `jump --rank 2 --budget 6,6,4` stored on KM_SLOW
-#: while the formal-group walk formed every multiple up to m J
+#: the record of (P, Q) that `jump --rank 2 --budget 6,6,4 --timestamp 0`
+#: stores on KM_SLOW; it claims rank at least 2, its point count, as the
+#: generic rank bound 5 is not exact
 KM_SLOW_RECORD = (
-    '{"budget":[6,6,4],"claimed_rank_lower_bound":7,"curve":{"A":"13439/3","B":"955010/27"},'
+    '{"budget":[6,6,4],"claimed_rank_lower_bound":2,"curve":{"A":"13439/3","B":"955010/27"},'
     '"generic_rank_bound":5,"label":"kmslow","points":[["193/3","-768"],["481/3","-2208"]],'
     '"provenance":["1/3","5/6"],"rank_bound_exact":false,"regulator":{"determinant":'
     '0.08425410294465627,"error":6.463796571363049e-16},"surface":{"a0":["1"],'

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import random
 import tempfile
 from collections import Counter
@@ -389,7 +390,8 @@ class TestDrawnSurfacesEndToEnd:
     """jump on drawn valid surfaces, in process: every run ends in exit 0
     (the count reached) or 3 (the budget spent), never in an exception or
     in exit 4, a certificate failing its re-verification, at rank 1 and
-    rank 2 on twist and km surfaces alike."""
+    rank 2 on twist and km surfaces alike; no record claims more rank than
+    its point count, also where the generic rank bound is positive."""
 
     @settings(max_examples=40, deadline=None)
     @given(surfaces())
@@ -405,6 +407,8 @@ class TestDrawnSurfacesEndToEnd:
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main(["jump", "--config", cfg, "--rank", rank, "--budget", "4,4,3"])
                 assert code in (0, 3), (text, rank, err.getvalue())
+                for record in map(json.loads, out.getvalue().splitlines()):
+                    assert record["claimed_rank_lower_bound"] == len(record["points"]), text
 
 
 class TestVerification:

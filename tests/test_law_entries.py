@@ -30,11 +30,17 @@ point is checked, a curve is built, a height is computed and curves.py
 factors an integer. A conversion that comes back, say a height that
 rebuilds its point in Fractions, a table that stops hitting or a
 discriminant factored again, raises a count and fails here.
+
+The census tests run the benchmark's three census commands the same way
+and pin how often a fibre's solvability takes a Hilbert symbol and factors
+an integer; the factoring stays below sympy, which they make raise.
 """
 
 from pathlib import Path
 
-from rankjump import curves, store
+import sympy
+
+from rankjump import arith, conics, curves, store
 from rankjump.cli import main
 from rankjump.curves import EllipticCurveQ
 
@@ -112,8 +118,6 @@ def test_seed0_rank2_factors_no_discriminant(tmp_path, capsys, monkeypatch):
     import gen
     import run
 
-    from rankjump import arith
-
     calls, inside = [0], [False]
     factorint, prime_factors = arith._factorint, curves.prime_factors
 
@@ -134,3 +138,49 @@ def test_seed0_rank2_factors_no_discriminant(tmp_path, capsys, monkeypatch):
         assert main(cmd["argv"]) == 0
     capsys.readouterr()
     assert calls[0] == CURVES_FACTORINT_CALLS
+
+
+#: per seed-0 census cycle. hilbert was 19,264 while each place took the
+#: four symbols of the Hasse-invariant test and the last place was tested
+#: too (reciprocity settles it); ternary_obstruction (1,108) and
+#: _factorint (4,317) have not moved
+CENSUS_CALLS = {"hilbert": 3708, "ternary_obstruction": 1108, "_factorint": 4317}
+
+
+def _run_census(tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+    import run
+
+    for cmd in run.commands_for("census", gen.write_inputs(0, tmp_path)):
+        assert main(cmd["argv"]) == 0
+    capsys.readouterr()
+
+
+def test_seed0_census_symbols_per_place(tmp_path, capsys, monkeypatch):
+    """One Hilbert symbol per tested place, and no symbol for the last."""
+    calls = dict.fromkeys(CENSUS_CALLS, 0)
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(arith, "hilbert")
+    counted(conics, "ternary_obstruction")
+    counted(arith, "_factorint")
+    _run_census(tmp_path, capsys, monkeypatch)
+    assert calls == CENSUS_CALLS
+
+
+def test_seed0_census_factors_without_sympy(tmp_path, capsys, monkeypatch):
+    """Every integer the census factors is split by trial division alone."""
+    def refuse(n, *args, **kwargs):
+        raise AssertionError(f"sympy.factorint({n}) called")
+
+    monkeypatch.setattr(sympy, "factorint", refuse)
+    _run_census(tmp_path, capsys, monkeypatch)
