@@ -94,11 +94,11 @@ def int_sqrt(n: int):
 def rational_sqrt(q) -> Fraction | None:
     """The non-negative exact square root of q in Q, or None; a negative q
     has a negative numerator, which int_sqrt refuses."""
-    q = Fraction(q)
-    rn = int_sqrt(q.numerator)
+    n, d = q.as_integer_ratio()
+    rn = int_sqrt(n)
     if rn is None:
         return None
-    rd = int_sqrt(q.denominator)
+    rd = int_sqrt(d)
     if rd is None:
         return None
     return Fraction(rn, rd)
@@ -151,10 +151,7 @@ def legendre(a: int, p: int) -> int:
 
 def _as_int(q) -> int:
     # an integer in the square class of a nonzero rational: n/d ~ n d
-    if isinstance(q, int):
-        return q
-    q = Fraction(q)
-    return q.numerator * q.denominator
+    return q if isinstance(q, int) else q.numerator * q.denominator
 
 
 def val_unit(n: int, p: int) -> tuple[int, int]:

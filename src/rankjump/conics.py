@@ -81,7 +81,6 @@ def branch_locus(cls: QuadExtClass) -> BranchLocus:
 
 def _primitive(vec):
     """Scale a rational vector to coprime integers with canonical sign."""
-    vec = [Fraction(c) for c in vec]
     den = lcm(*(c.denominator for c in vec))
     ints = [int(c * den) for c in vec]
     g = gcd(*ints) or 1
@@ -98,7 +97,6 @@ class ConicFibre:
     solvability and rational points are computed on demand, once."""
 
     def __init__(self, surface, x0):
-        x0 = Fraction(x0)
         self.surface = surface
         self.x0 = x0
         if isinstance(surface, TwistFamily):

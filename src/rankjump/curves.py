@@ -4,6 +4,8 @@ One group law, on integer Jacobian triples (x = X/Z^2, y = Y/Z^3) of the
 model scaled by mu = lcm(den A, den B); a point is checked on the curve
 once on entry, in integers on that model, and made a Fraction point once on
 exit, and the heights and the relation search take the regulator's triples.
+Specialising at t0 = n/d and moving fibre points to the curve run in
+integers (Specialization.moved); only A, B and a record's points become Fractions.
 On an integral model x = a/d^2, y = b/d^3 with gcd(a, d) = 1
 (Silverman-Tate, Rational Points on Elliptic Curves, III.2), so one gcd and
 one isqrt keep each sum in lowest terms. Torsion is decided on that model
@@ -103,11 +105,10 @@ class EllipticCurveQ:
     one, built at once, for the group law, and the reduced one for heights."""
 
     def __init__(self, A, B):
-        self.A = Fraction(A)
-        self.B = Fraction(B)
+        self.A, self.B = A, B  # ints or Fractions, as given
         # (A mu^4, B mu^6, mu), mu = lcm(den A, den B), found without factoring;
         # its 4 Ai^3 + 27 Bi^2 is mu^12 (4 A^3 + 27 B^2)
-        (a, da), (b, db) = self.A.as_integer_ratio(), self.B.as_integer_ratio()
+        (a, da), (b, db) = A.as_integer_ratio(), B.as_integer_ratio()
         mu = lcm(da, db)
         Ai, Bi = a * (mu // da) * mu**3, b * (mu // db) * mu**5
         if 4 * Ai**3 + 27 * Bi**2 == 0:
@@ -116,9 +117,6 @@ class EllipticCurveQ:
 
     def __eq__(self, other):
         return isinstance(other, EllipticCurveQ) and (self.A, self.B) == (other.A, other.B)
-
-    def __hash__(self):
-        return hash((self.A, self.B))
 
     def __repr__(self):
         return f"EllipticCurveQ({self.A}, {self.B})"
@@ -139,26 +137,31 @@ class EllipticCurveQ:
 
     # -- points and the group law ---------------------------------------------
 
-    def is_on(self, P: PointQ) -> bool:
+    def is_on(self, P) -> bool:
         """y^2 = x^3 + A x + B times b^3 e^2 mu^6, for x = a/b and y = c/e, in
-        integers on the scaled model."""
-        if P.is_identity:
-            return True
+        integers on the scaled model; P is a PointQ or ((a, b), (c, e)), b, e > 0."""
+        if isinstance(P, PointQ):
+            if P.is_identity:
+                return True
+            P = P.x.as_integer_ratio(), P.y.as_integer_ratio()
         Ai, Bi, mu = self._scaled_model
-        (a, b), (c, e), m2 = P.x.as_integer_ratio(), P.y.as_integer_ratio(), mu * mu
+        ((a, b), (c, e)), m2 = P, mu * mu
         b3, m6 = b**3, m2**3
         return c * c * b3 * m6 == e * e * (a**3 * m6 + Ai * m2 * a * b * b + Bi * b3)
 
-    def _jac(self, P: PointQ):
-        """P, checked on the curve, as a reduced triple on the scaled model:
-        x mu^2 = X/Z^2 and y mu^3 = Y/Z^3 with Z = den(y mu^3)/den(x mu^2)."""
+    def _jac(self, P):
+        """P, as is_on takes it and checked there, as a reduced triple on the
+        scaled model: x mu^2 = X/Z^2 and y mu^3 = Y/Z^3, Z = den(y mu^3)/den(x mu^2)."""
         if not self.is_on(P):
             raise OffCurveError(f"{P} is not on {self}")
-        if P.is_identity:
-            return None
-        mu = self._scaled_model[2]
-        x, y = P.x * mu**2, P.y * mu**3
-        return x.numerator, y.numerator, y.denominator // x.denominator
+        if isinstance(P, PointQ):
+            if P.is_identity:
+                return None
+            P = P.x.as_integer_ratio(), P.y.as_integer_ratio()
+        mu, ((a, b), (c, e)) = self._scaled_model[2], P
+        a, c = a * mu * mu, c * mu**3
+        g, h = gcd(a, b), gcd(c, e)
+        return a // g, c // h, e // h // (b // g)
 
     def _point(self, J) -> PointQ:
         """The Fraction point of a triple from _jac or the group law."""
@@ -604,40 +607,39 @@ def _small_relation(A: int, JP, JQ, gram, errors, bound: int):
 
 @dataclass
 class Specialization:
-    """A fibre over t0 as a curve over Q, with the exact point transport."""
+    """A fibre over t0 as a curve over Q, with the exact point transport in integers."""
 
     curve: EllipticCurveQ
-    chart: tuple  # (u, v, w) at t0, with X = u x + v, Y = w y
+    chart: tuple  # (u, v, w) at t0, X = u x + v, Y = w y, as (numerator, denominator > 0)
+
+    def moved(self, x, y):
+        """The curve point of (x, y), unchecked, as integer ratios ((X, D), (Y, E)),
+        D, E > 0: the short model there is the fibre equation times g(t0)^3 l^2
+        (twist) or a3(t0)^2 (km), nonzero as u(t0) != 0, so one check decides both."""
+        (a, b), (c, e) = x.as_integer_ratio(), y.as_integer_ratio()
+        (un, ud), (vn, vd), (wn, wd) = self.chart
+        return (un * a * vd + vn * ud * b, ud * vd * b), (wn * c, wd * e)
 
     def transport(self, x, y) -> PointQ:
-        """The curve point of (x, y), unchecked: the short model there is the
-        fibre equation times g(t0)^3 l^2 (twist) or a3(t0)^2 (km), nonzero as
-        u(t0) != 0, so the curve check at _jac (torsion_order) decides both."""
-        u, v, w = self.chart
-        return PointQ(u * Fraction(x) + v, w * Fraction(y))
-
-    def pullback(self, P: PointQ) -> tuple[Fraction, Fraction]:
-        """Fibre coordinates (x, y) of a curve point, inverting transport."""
-        if P.is_identity:
-            raise ValueError("the identity has no affine fibre coordinates")
-        u, v, w = self.chart
-        return (P.x - v) / u, P.y / w
+        """moved(x, y) as a Fraction point."""
+        (X, D), (Y, E) = self.moved(x, y)
+        return PointQ(Fraction(X, D), Fraction(Y, E))
 
 
 def specialize(surface, t0) -> Specialization:
     """The specialised curve at t = t0 plus the transport of fibre points.
 
-    Raises SingularSpecializationError under a singular fibre, and where
-    the surface's transport chart degenerates (u(t0) = 0; for
-    quadratic-coefficient families, where a3 vanishes).
+    The chart, A and B are read at t0 = n/d in integers, A and B alone becoming
+    Fractions. Raises SingularSpecializationError under a singular fibre, and
+    where the chart degenerates (u(t0) = 0; for km families, where a3 vanishes).
     """
-    t0 = Fraction(t0)
-    u, v, w = (c(t0) for c in surface.chart)
-    if u == 0:
+    n, d = t0.as_integer_ratio()
+    chart = tuple(c.ratio_at(n, d) for c in surface.chart)
+    if chart[0][0] == 0:
         raise SingularSpecializationError(f"u({t0}) = 0: transport chart degenerates")
     model = surface.weierstrass
     try:
-        curve = EllipticCurveQ(model.A(t0), model.B(t0))
+        curve = EllipticCurveQ(*(Fraction(*c.ratio_at(n, d)) for c in (model.A, model.B)))
     except SingularCurveError as exc:
         raise SingularSpecializationError(str(exc)) from exc
-    return Specialization(curve, (u, v, w))
+    return Specialization(curve, chart)

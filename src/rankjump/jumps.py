@@ -14,30 +14,28 @@ parametrisations are intersected on the t-coordinate; pairs whose covers
 have the same squarefree kernel h, which is to say identical branch loci
 and a reducible fibre product, are skipped.
 
-The searches and the census take their fibres from one source, _fibres,
-fed x0 in the height order of conics.rationals_by_height; it yields the
-solvable fibres and counts tried, degenerate and unsolvable ones. jump1
-reads it one height stage at a time; jump2 reads it lazily in one loop,
-forms each pair as its later fibre arrives (on a twist, with the earlier
-fibres of its class only) and builds no fibre after its certificate count
-is reached, so its fibres tried are those built before it stopped. The
-searches only propose a parameter value t0 with fibre points over it; one
-certification stage specialises, transports, enters each point in the
-group law once and, on those triples, rejects torsion and asks the
-regulator about pairs (a pair with P + Q or P - Q torsion is settled
-exactly, without a height; see curves.regulator). jump2 holds one table of
-heights for its call, keyed by the reduced integral model and point, so a
-height met again on an isomorphic curve is not computed again. The
-surface's invariants (short model, transport chart, rank bound) are
-computed once per surface object, not per candidate. Searches and
-verify_certificate both work on the fibred (twist or km) form (see
-SurfaceConfig.fibred). Entering the law checks a point on the curve, hence
-on its fibre: the chart is an isomorphism (Specialization.transport).
-verify_certificate shares no height with the search. It settles a pair on
-a twist whose f splits over Q by complete 2-descent (Silverman AEC X.1.4;
-curves.two_descent_independent, with its 4-torsion guard), with no height;
-the regulator decides the pairs the descent leaves open, the pairs on km
-surfaces and the pairs on twists whose f does not split.
+The searches and the census take their fibres from one source, _fibres, fed
+x0 in the height order of conics.rationals_by_height; it yields the solvable
+fibres and counts tried, degenerate and unsolvable ones. jump1 reads it one
+height stage at a time; jump2 reads it lazily in one loop, forms each pair
+as its later fibre arrives (on a twist, with the earlier fibres of its class
+only) and builds no fibre after its certificate count is reached, so its
+fibres tried are those built before it stopped. The searches only propose a
+parameter value t0 with fibre points over it. One certification stage,
+_certify, specialises at t0 and moves each point to its triple in integers,
+entering the group law once, where the curve check is the fibre equation too
+(the chart is an isomorphism); on those triples it rejects torsion and asks
+the regulator about pairs (a pair with P + Q or P - Q torsion is settled
+exactly, without a height; see curves.regulator), and only a record's points
+become Fractions. jump2 holds one table of heights for its call, keyed by
+the reduced integral model and point, so a height met again on an isomorphic
+curve is not computed again. The surface's invariants (short model,
+transport chart, rank bound) are computed once per surface object. Searches
+and verify_certificate both work on the fibred (twist or km) form
+(SurfaceConfig.fibred). verify_certificate shares no height with the search.
+It settles a pair on a twist whose f splits over Q by complete 2-descent
+(Silverman AEC X.1.4; curves.two_descent_independent, with its 4-torsion
+guard), with no height, and the regulator every other pair.
 
 With avoid set, any search keeps only parameter values outside the image
 of every cover of a finite challenge of quadratic covers; avoid_covers is
@@ -106,9 +104,10 @@ class CoverChallenge:
                 raise ValueError(f"cover polynomial {h!r} is not squarefree")
 
     def admits(self, t0) -> bool:
-        """True iff t0 avoids the image of every cover, i.e. no h_i(t0) is a
-        square (values 0 lie under a branch point, hence in the image)."""
-        return all(not is_square(h(t0)) for h in self.covers)
+        """True iff t0 avoids the image of every cover: no h_i(t0) = N/M, M > 0,
+        is a square, read as N M (0 lies under a branch point, so in the image)."""
+        n, d = t0.as_integer_ratio()
+        return all(not is_square(N * M) for N, M in (h.ratio_at(n, d) for h in self.covers))
 
 
 @dataclass
@@ -170,8 +169,8 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
     under a singular fibre or carries a torsion point, and the regulator's
     verdict when a pair is not independent; a pair whose heights raise
     PrecisionError is inconclusive. Each rejection is counted in log. On
-    success t0 joins seen. Each point enters the group law once, checked on
-    the curve by _jac; torsion and the pair's verdict (curves._regulator,
+    success t0 joins seen. Each point moves in integers to its triple, checked
+    on the curve by _jac; torsion and the pair's verdict (curves._regulator,
     with the height table heights) run on those triples.
     """
     if t0 in seen:
@@ -184,8 +183,7 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
     except SingularSpecializationError:
         return None
     E = spec.curve
-    pts = [spec.transport(x0, w) for x0, w in points]
-    Js = [E._jac(P) for P in pts]
+    Js = [E._jac(spec.moved(x0, w)) for x0, w in points]
     if any(_jac_order(E._scaled_model[0], J) is not None for J in Js):
         log.torsion_rejects += 1
         return None
@@ -204,11 +202,11 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
     return RankJumpCertificate(
         t0=t0,
         curve=(E.A, E.B),
-        points=[(P.x, P.y) for P in pts],
+        points=[(P.x, P.y) for P in (spec.transport(x0, w) for x0, w in points)],
         provenance=[x0 for x0, _ in points],
         generic_rank_bound=r_bound,
         rank_bound_exact=r_exact,
-        claimed_rank_lower_bound=len(pts),
+        claimed_rank_lower_bound=len(points),
         regulator=None if verdict is None else (verdict.determinant, verdict.error),
     )
 
@@ -342,13 +340,14 @@ def field_census(surface, x0_height_bound: int) -> tuple[list[tuple[int, int]], 
 def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[str]]:
     """Re-verify a certificate from scratch; returns (ok, failure reasons).
 
-    The surface is the fibred (twist or km) form the search ran on. Checks,
-    in the order of the reasons: each point has one provenance x0, t0 avoids
+    The surface is the fibred (twist or km) form the search ran on. Checks, in
+    the order of the reasons: each point has one provenance x0, t0 avoids
     singular fibres, the curve is the specialised one, each point is on it
-    (once, by torsion_order: through the chart that is the fibre equation
-    too), pulls back to x = x0 and is not torsion, a pair is independent by
-    2-descent or the regulator, and the recorded bounds, exactness and
-    regulator match the surface and the evidence (a regulator: a pair).
+    (once, by torsion_order: through the chart that is the fibre equation too),
+    pulls back to x = x0 and is not torsion, a pair is independent by 2-descent
+    or the regulator, and the recorded bounds, exactness and regulator match
+    the surface and the evidence (a regulator: a pair), its Fraction fields
+    typed where it is made or read (store._record).
     """
     if len(cert.points) != len(cert.provenance):
         return False, [f"point count {len(cert.points)} does not match provenance count "
@@ -358,17 +357,18 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
         spec = specialize(surface, cert.t0)
     except SingularSpecializationError as exc:
         return False, [f"specialisation failed: {exc}"]
-    if (spec.curve.A, spec.curve.B) != tuple(map(Fraction, cert.curve)):
+    if (spec.curve.A, spec.curve.B) != tuple(cert.curve):
         return False, ["recorded curve does not match the specialised fibre"]
     pts = []
     for (x, y), x0 in zip(cert.points, cert.provenance):
-        P = PointQ(Fraction(x), Fraction(y))
+        P = PointQ(x, y)
         try:
             order = spec.curve.torsion_order(P)
         except OffCurveError:
             reasons.append(f"point {P} is off the curve")
             continue
-        if spec.pullback(P)[0] != Fraction(x0):
+        (X, D), _ = spec.moved(x0, 0)  # P pulls back to x0 iff x = X/D
+        if x.numerator * D != X * x.denominator:
             reasons.append(f"point {P} does not come from the fibre x = {x0}")
         elif order is not None:
             reasons.append(f"point {P} is torsion")
@@ -378,9 +378,8 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
         return False, reasons
     if len(pts) == 2:
         roots = surface.f_roots if isinstance(surface, TwistFamily) else None
-        u, v, _ = spec.chart
         if roots is None or not two_descent_independent(
-                spec.curve, [u * r + v for r in roots], *pts):
+                spec.curve, [spec.transport(r, 0).x for r in roots], *pts):
             verdict = regulator(spec.curve, pts)
             if not verdict.independent:
                 reasons.append(f"regulator verdict is {verdict.verdict}")

@@ -19,22 +19,18 @@ class UnsupportedDegreeError(ValueError):
     """Raised for discriminants of degrees this project does not need."""
 
 
-def _as_frac(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
-
-
 class RatPoly:
     """Univariate polynomial over Q, coefficients constant term first."""
 
     # _ints: (c_k, [c_k-1, ..., c_0], D) with coefficient i = c_i / D, built
-    # on the first evaluation
-    __slots__ = ("coeffs", "_ints")
+    # on the first evaluation; _hash: hash(coeffs), set on the first hash
+    __slots__ = ("coeffs", "_ints", "_hash")
 
     def __init__(self, coeffs=()):
-        cs = [_as_frac(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self.coeffs, self._hash = tuple(cs), None
 
     @property
     def degree(self) -> int:
@@ -63,7 +59,9 @@ class RatPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        if self._hash is None:
+            self._hash = hash(self.coeffs)
+        return self._hash
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -141,22 +139,24 @@ class RatPoly:
         raise TypeError(f"cannot coerce {other!r} to RatPoly")
 
     def __call__(self, x):
-        """Evaluate at a rational n/d in integers: the value is
-        (sum c_i n^i d^(k-i)) / (D d^k), by homogeneous Horner, reduced once."""
+        """The value at a rational x, from ratio_at, reduced once."""
+        return Fraction(*self.ratio_at(*x.as_integer_ratio()))
+
+    def ratio_at(self, n: int, d: int) -> tuple[int, int]:
+        """(sum c_i n^i d^(k-i), D d^k), unreduced: the value at n/d, d > 0, by Horner."""
         if not self.coeffs:
-            return Fraction(0)
+            return 0, 1
         try:
             acc, rest, D = self._ints
         except AttributeError:
             D = lcm(*(c.denominator for c in self.coeffs))
             acc, *rest = (c.numerator * (D // c.denominator) for c in reversed(self.coeffs))
             self._ints = acc, rest, D
-        n, d = _as_frac(x).as_integer_ratio()
         dk = 1
         for c in rest:
             dk *= d
             acc = acc * n + c * dk
-        return Fraction(acc, D * dk)
+        return acc, D * dk
 
     def derivative(self) -> "RatPoly":
         return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])

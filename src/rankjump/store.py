@@ -9,8 +9,7 @@ definition, so unlabelled surfaces sharing a file lose nothing. Store files
 are read as bytes, one line at a time, by one reader (_read_lines), and
 each line is decoded as UTF-8 on its own, so a line that does not decode is
 one unreadable record. Records are verified in the fibred (twist or km)
-form of their config, the form the search ran in; one call parses each
-distinct surface, and builds its fibred form, once.
+form of their config, the form the search ran in (see verify_store).
 """
 
 from __future__ import annotations
@@ -147,14 +146,17 @@ def _read_lines(path: Path, configs: dict):
     """(line number, parsed JSON, its SurfaceConfig) per non-blank line of a
     store file, or (line number, exception, None) if the line does not read
     as JSON with a valid surface; configs caches them by canonical JSON."""
+    echo = cfg = None  # a surface == cfg.as_dict() (strings, unlike 1 == True) reuses cfg
     with path.open("rb") as lines:
         for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:  # RecursionError, too: JSON nested too deep
                 data = json.loads(line.decode("utf-8"))
-                key = json.dumps(data["surface"], sort_keys=True)
-                cfg = configs[key] = configs.get(key) or surface_config_from_dict(data["surface"])
+                if cfg is None or data["surface"] != echo:
+                    key = json.dumps(data["surface"], sort_keys=True)
+                    cfg = configs.get(key) or surface_config_from_dict(data["surface"])
+                    configs[key], echo = cfg, cfg.as_dict()
             except Exception as exc:
                 yield lineno, exc, None
             else:

@@ -16,7 +16,9 @@ by fibre, jump1 reading each fibre's whole pencil through a lookahead
 slot, a km fibre's polynomial by RatPoly arithmetic, the genus of the
 fibre product of two double covers from their branch loci, polynomial
 division by stripping loops, the fibre at infinity read from the
-model reversed in s = 1/t, and integer factorisation by sympy alone.
+model reversed in s = 1/t, integer factorisation by sympy alone, and the
+specialisation, point transport, pullback, cover test and store reader of
+the Fraction path the integer one replaced.
 
 sympy is imported here, once, when the suite loads: the library imports it
 only for a cofactor its trial division leaves, so the first such call would
@@ -795,3 +797,63 @@ def classify_fibres_reversed(w):
     if vd - 12 * k > 0:
         fibres.append(FibreData(PLACE_AT_INFINITY, ktype))
     return FibreClassification(tuple(fibres))
+
+
+# ---------------------------------------------------------------------------
+# the Fraction path from specialisation to the record, as the library once
+# ran it, kept to hold the integer path to it
+
+
+def specialize_fraction(surface, t0):
+    """((A, B), (u, v, w)) of the fibre over t0, every value a Fraction by
+    Horner on Fractions; SingularSpecializationError with the library's
+    message where u(t0) = 0, then where 4 A^3 + 27 B^2 = 0."""
+    from rankjump.curves import SingularSpecializationError
+
+    t0 = Fraction(t0)
+    chart = tuple(ratpoly_eval_fraction(c, t0) for c in surface.chart)
+    if chart[0] == 0:
+        raise SingularSpecializationError(f"u({t0}) = 0: transport chart degenerates")
+    model = surface.weierstrass
+    A, B = ratpoly_eval_fraction(model.A, t0), ratpoly_eval_fraction(model.B, t0)
+    if 4 * A**3 + 27 * B**2 == 0:
+        raise SingularSpecializationError("curve is singular")
+    return (A, B), chart
+
+
+def transport_fraction(chart, x, y) -> tuple[Fraction, Fraction]:
+    """(u x + v, w y) in Fractions."""
+    u, v, w = chart
+    return u * Fraction(x) + v, w * Fraction(y)
+
+
+def pullback_fraction(chart, X, Y) -> tuple[Fraction, Fraction]:
+    """The fibre point ((X - v) / u, Y / w) of the curve point (X, Y)."""
+    u, v, w = chart
+    return (Fraction(X) - v) / u, Fraction(Y) / w
+
+
+def admits_fraction(covers, t0) -> bool:
+    """No h(t0) is a square in Q, 0 included, by Horner on Fractions."""
+    values = (ratpoly_eval_fraction(h, Fraction(t0)) for h in covers)
+    return not any(v == 0 or frac_is_square(v.numerator, v.denominator) for v in values)
+
+
+def read_lines_canonical(path, configs: dict):
+    """store._read_lines keying every line's surface by its canonical JSON."""
+    import json
+
+    from rankjump.config import surface_config_from_dict
+
+    with open(path, "rb") as lines:
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line.decode("utf-8"))
+                key = json.dumps(data["surface"], sort_keys=True)
+                cfg = configs[key] = configs.get(key) or surface_config_from_dict(data["surface"])
+            except Exception as exc:
+                yield lineno, exc, None
+            else:
+                yield lineno, data, cfg

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import pullback_fraction, specialize_fraction
 from rankjump.cli import main
 from rankjump.config import (
     MAX_COEFFICIENT,
@@ -445,10 +446,10 @@ class TestCli:
         if forgery == "triple":
             Q = E.scalar_mul(3, P)
         else:
-            u, v, _ = spec.chart
-            Q = E.add(P, point(u * surface.f_roots[0] + v, 0))
+            Q = E.add(P, spec.transport(surface.f_roots[0], 0))
         data["points"][1] = [str(Q.x), str(Q.y)]
-        data["provenance"][1] = str(spec.pullback(Q)[0])
+        chart = specialize_fraction(surface, Fraction(data["t0"]))[1]
+        data["provenance"][1] = str(pullback_fraction(chart, Q.x, Q.y)[0])
         path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
         assert main(["verify", "--store", store]) == 4
         assert "FAIL: regulator verdict is dependent" in capsys.readouterr().out

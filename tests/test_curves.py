@@ -9,7 +9,10 @@ from conftest import (
     ec_mul,
     ec_on_curve,
     integral_model_by_denominators,
+    pullback_fraction,
     relation_holds,
+    specialize_fraction,
+    transport_fraction,
     tate_normal_form,
     torsion_order_by_multiples,
 )
@@ -26,6 +29,7 @@ from rankjump.curves import (
     point,
     specialize,
 )
+from rankjump.jumps import RankJumpCertificate, verify_certificate
 from rankjump.polynomial import RatPoly
 from rankjump.surfaces import KMFamily, TwistFamily
 
@@ -413,9 +417,10 @@ class TestSpecialize:
         # transport is unchecked: the curve equation at transport(x, y) must
         # hold exactly when the fibre relation of the oracle holds at (x, y)
         surface, t0, spec, points = case
+        chart = specialize_fraction(surface, t0)[1]
         for x, y in points:
             P = spec.transport(x, y)
-            assert spec.pullback(P) == (x, y)
+            assert pullback_fraction(chart, P.x, P.y) == (x, y)
             try:
                 fibre = conic_fibre(surface, x)
             except DegenerateFibreError:
@@ -451,11 +456,11 @@ class TestSpecialize:
 
     def test_pullback_inverts_transport(self):
         s = TwistFamily(T**3 - T, T)
-        spec = specialize(s, 6)
+        spec, chart = specialize(s, 6), specialize_fraction(s, 6)[1]
         P = spec.transport(2, 1)
-        assert spec.pullback(P) == (2, 1)
+        assert pullback_fraction(chart, P.x, P.y) == (2, 1)
         Q = spec.transport(3, 2)
-        assert spec.pullback(Q) == (3, 2)
+        assert pullback_fraction(chart, Q.x, Q.y) == (3, 2)
 
     def test_transport_is_group_homomorphism(self):
         rng = random.Random(43)
@@ -470,6 +475,88 @@ class TestSpecialize:
                 assert spec.transport(fx, fy) == spec.curve.add(P1, P2)
                 checked += 1
         assert checked >= 4
+
+
+@st.composite
+def specialisation_cases(draw):
+    """(surface, t0, points): a drawn twist or km surface, t0 drawn or a root
+    r that the draw may have put in g, in a3 or in a0 (u(t0) = 0, or a
+    singular fibre), and drawn fibre points (x, y)."""
+    r = draw(SMALL)
+    root = draw(st.sampled_from([None, "chart", "a0"]))
+    linear = RatPoly([-r, 1])
+    try:
+        if draw(st.booleans()):
+            f = RatPoly([draw(SMALL) for _ in range(3)] + [draw(NONZERO)])
+            g = RatPoly([draw(SMALL), draw(NONZERO)])
+            if draw(st.booleans()):
+                g = g * linear if root == "chart" else g * RatPoly([draw(SMALL), 1])
+            surface = TwistFamily(f, g)
+        else:
+            a3 = RatPoly([draw(NONZERO)] + [draw(SMALL) for _ in range(2)])
+            a2, a1, a0 = (RatPoly([draw(SMALL) for _ in range(3)]) for _ in range(3))
+            if root == "chart":
+                a3 = linear * RatPoly([draw(NONZERO), draw(SMALL)])
+            if root == "a0":
+                a2 = a1 = RatPoly()
+                a0 = linear * RatPoly([draw(NONZERO), draw(SMALL)])
+            surface = KMFamily(a3, a2, a1, a0)
+    except arith.DomainError:
+        assume(False)
+    t0 = r if root is not None and draw(st.booleans()) else draw(SMALL)
+    return surface, t0, [(draw(SMALL), draw(SMALL)) for _ in range(3)]
+
+
+class TestIntegerSpecialisation:
+    """specialize, transport and the fibre check of verify_certificate run in
+    integers; the Fraction path they replaced (conftest) must agree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(specialisation_cases())
+    @example((KMFamily(RatPoly([1]), RatPoly(), RatPoly(), T - 2), 2, [(1, 1)]))
+    @example((KMFamily(T - Fraction(1, 2), RatPoly(), RatPoly(), T + 1), Fraction(1, 2), []))
+    @example((TwistFamily(T**3 - T, T), 0, []))
+    @example((TwistFamily(T**3 - T, T), 6, [(2, 1), (3, 2), (Fraction(-1, 3), 0)]))
+    def test_matches_the_fraction_path(self, case):
+        surface, t0, points = case
+        try:
+            (A, B), chart = specialize_fraction(surface, t0)
+        except SingularSpecializationError as exc:
+            with pytest.raises(SingularSpecializationError) as raised:
+                specialize(surface, t0)
+            assert str(raised.value) == str(exc)
+            return
+        spec = specialize(surface, t0)
+        assert (spec.curve.A, spec.curve.B) == (A, B)
+        assert type(spec.curve.A) is Fraction and type(spec.curve.B) is Fraction
+        assert all(d > 0 for _, d in spec.chart)
+        assert tuple(Fraction(n, d) for n, d in spec.chart) == chart
+        for x, y in points:
+            P = spec.transport(x, y)
+            assert (P.x, P.y) == transport_fraction(chart, x, y)
+            (X, D), (Y, E) = spec.moved(x, y)
+            assert D > 0 and E > 0 and (Fraction(X, D), Fraction(Y, E)) == (P.x, P.y)
+            assert spec.curve.is_on(((X, D), (Y, E))) == spec.curve.is_on(P)
+            assert pullback_fraction(chart, P.x, P.y) == (x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fibre_cases(), SMALL)
+    def test_verify_fibre_check_matches_the_pullback(self, case, other):
+        # a curve point P of the fibre x = x0 recorded with provenance x0 or
+        # another x: verify_certificate's cross-multiplied check fails it
+        # exactly where the Fraction pullback of P misses the provenance
+        surface, t0, spec, points = case
+        chart = specialize_fraction(surface, t0)[1]
+        x, y = points[0]
+        P = spec.transport(x, y)
+        for x0 in (x, other):
+            cert = RankJumpCertificate(t0=Fraction(t0), curve=(spec.curve.A, spec.curve.B),
+                                       points=[(P.x, P.y)], provenance=[Fraction(x0)],
+                                       generic_rank_bound=0, rank_bound_exact=True,
+                                       claimed_rank_lower_bound=1)
+            reasons = verify_certificate(surface, cert)[1]
+            missed = any("does not come from the fibre" in r for r in reasons)
+            assert missed == (pullback_fraction(chart, P.x, P.y)[0] != x0)
 
 
 def _fibre_points(s, t0, rng, want=3):

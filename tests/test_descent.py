@@ -72,8 +72,7 @@ def split_twists(draw):
     spec = specialize(surface, 1)
     P, Q = spec.transport(0, 1), spec.transport(1, rational_sqrt(f(1) / f(0)))
     assume(spec.curve.torsion_order(P) is None and spec.curve.torsion_order(Q) is None)
-    u, v, _ = spec.chart
-    return spec.curve, [u * r + v for r in surface.f_roots], P, Q
+    return spec.curve, [spec.transport(r, 0).x for r in surface.f_roots], P, Q
 
 
 @settings(max_examples=60, deadline=None)

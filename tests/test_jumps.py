@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     REDUCIBLE,
+    admits_fraction,
     census_rescan,
     distinct_up_to,
     fibre_product_genus,
@@ -42,7 +43,7 @@ from rankjump.jumps import (
     rank_bound_data,
     verify_certificate,
 )
-from rankjump.polynomial import RatPoly
+from rankjump.polynomial import RatPoly, poly_gcd
 from rankjump.store import record_from_json
 from rankjump.surfaces import KMFamily, TwistFamily
 
@@ -274,6 +275,25 @@ class TestKernelSkip:
             assert streams == {}
 
 
+SMALL_Q = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def cover_cases(draw):
+    """(covers, t0): one or two squarefree h of degree 1 or 2, and t0 drawn,
+    or chosen where the first h, if linear, takes a drawn square (0 too)."""
+    covers = []
+    for _ in range(draw(st.integers(1, 2))):
+        h = RatPoly([draw(SMALL_Q), draw(SMALL_Q.filter(bool))])
+        if draw(st.booleans()):
+            h = h * RatPoly([draw(SMALL_Q), draw(SMALL_Q.filter(bool))])
+        assume(poly_gcd(h, h.derivative()).degree == 0)
+        covers.append(h)
+    s, h = draw(SMALL_Q), covers[0]
+    t0 = (s * s - h[0]) / h[1] if h.degree == 1 and draw(st.booleans()) else draw(SMALL_Q)
+    return tuple(covers), t0
+
+
 class TestAvoidCovers:
     def test_single_cover(self):
         challenge = CoverChallenge((T,))
@@ -308,6 +328,18 @@ class TestAvoidCovers:
         challenge = CoverChallenge((T - 6,))
         certs = list(avoid_covers(usual_twist(), challenge, Budget(6, 6, 20)))
         assert all(c.t0 != 6 for c in certs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cover_cases())
+    @example(((T,), Fraction(4, 9)))
+    @example(((T,), Fraction(6)))
+    @example(((T - 6,), Fraction(6)))
+    @example(((T, T - 5), Fraction(6)))
+    @example(((T * T + 1,), Fraction(0)))
+    def test_admits_matches_the_fraction_path(self, case):
+        # admits reads h(n/d) = N/M in integers: a square exactly when N M is
+        covers, t0 = case
+        assert CoverChallenge(covers).admits(t0) == admits_fraction(covers, t0)
 
 
 def is_sq(q):

@@ -33,9 +33,20 @@ discriminant factored again, raises a count and fails here.
 
 The census tests run the benchmark's three census commands the same way
 and pin how often a fibre's solvability takes a Hilbert symbol and factors
-an integer; the factoring stays below sympy, which they make raise.
+an integer; the factoring stays below sympy, which they make raise. Every
+twist fibre shares its kernel RatPoly, whose hash is kept, so a census
+hashes each kernel's Fractions once (km fibres build a fresh kernel each).
+
+The Fraction test runs the benchmark's rank1-search and verify-store
+commands and pins how many Fractions a cycle builds: from specialisation
+to the record a certificate is carried in integers, and only A, B and a
+record's points become Fractions, so a re-wrap or a value rebuilt in
+Fractions raises the count.
 """
 
+import gzip
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import sympy
@@ -184,3 +195,64 @@ def test_seed0_census_factors_without_sympy(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(sympy, "factorint", refuse)
     _run_census(tmp_path, capsys, monkeypatch)
+
+
+#: Fraction.__hash__ calls per seed-0 census cycle; 7,762 while each twist
+#: fibre's class key re-hashed its kernel's coefficients
+CENSUS_FRACTION_HASHES = 2227
+
+
+def test_seed0_census_hashes_a_shared_kernel_once(tmp_path, capsys, monkeypatch):
+    calls, fraction_hash = [0], Fraction.__hash__
+
+    def counted(self):
+        calls[0] += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    _run_census(tmp_path, capsys, monkeypatch)
+    assert calls[0] == CENSUS_FRACTION_HASHES
+
+
+#: Fraction.__new__ calls per seed-0 cycle of (rank1-search, verify-store)
+#: on CPython 3.10 and 3.11, where every Fraction passes through __new__:
+#: 27,175 and 25,218 while specialize, transport, the curve entry and
+#: verify_certificate built and re-wrapped Fractions
+FRACTIONS_BUILT = (7892, 9018)
+#: the same from CPython 3.12 on, whose arithmetic builds its results
+#: without __new__ and coerces an int left operand through it: 23,055 and
+#: 21,425 before
+FRACTIONS_BUILT_FROM_312 = (7543, 8285)
+
+
+def test_seed0_fractions_built(tmp_path, capsys, monkeypatch):
+    """One cycle of each workload after a warm one (functools caches fill),
+    counted by wrapping Fraction.__new__."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+    import run
+
+    fixture = tmp_path / "fixture"  # one directory per store file, as run.py lays it out
+    for gz in sorted((PERFBENCH / "fixture").glob("*.jsonl.gz")):
+        store = fixture / Path(gz.stem).stem
+        store.mkdir(parents=True)
+        (store / gz.stem).write_bytes(gzip.decompress(gz.read_bytes()))
+    inputs = gen.write_inputs(0, tmp_path / "inputs")
+    calls, counting, new = [0], [False], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls[0] += counting[0]
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    built = []
+    for workload in ("rank1-search", "verify-store"):
+        calls[0] = 0
+        for counting[0] in (False, True):
+            for i, cmd in enumerate(run.commands_for(workload, inputs, fixture)):
+                store = str(tmp_path / f"store-{workload}-{counting[0]}-{i}")
+                assert main([a.replace("{store}", store) for a in cmd["argv"]]) == 0
+            capsys.readouterr()
+        built.append(calls[0])
+    assert tuple(built) == (FRACTIONS_BUILT_FROM_312 if sys.version_info >= (3, 12)
+                            else FRACTIONS_BUILT)

@@ -20,15 +20,23 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from conftest import read_lines_canonical
 from rankjump.cli import main
 from rankjump.config import build_surface, parse_surface_config
 from rankjump.jumps import Budget, jump1
-from rankjump.store import CertificateRecord, record_from_json, store_file
+from rankjump.store import (
+    CertificateRecord,
+    _read_lines,
+    record_from_json,
+    store_file,
+    verify_store,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -343,3 +351,71 @@ def test_malformed_store_lines(lines):
         code, _, _ = _run(["census", "--config", cfg, "--height", "3", "--store", store])
         assert code == 0
         assert time.perf_counter() - started < 10
+
+
+def _lines_read(rows) -> list:
+    """_read_lines output with each config as its label and definition and
+    each error as its type and message, comparable across readers."""
+    return [(n, (type(d), str(d)) if cfg is None else (d, cfg.label, cfg.definition))
+            for n, d, cfg in rows]
+
+
+def _surface_edit(old, new) -> bytes:
+    """The record line with its surface coefficient "0"s stored as new."""
+    data = json.loads(RECORD_LINE)
+    data["surface"] = {k: [new if c == old else c for c in v] if isinstance(v, list) else v
+                       for k, v in data["surface"].items()}
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+INT_ZEROS, FALSE_ZEROS, FLOAT_ZEROS = (_surface_edit("0", v) for v in (0, False, 0.0))
+NULL_SURFACE = _forged(surface=None)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.one_of(st.sampled_from([RECORD_LINE, INT_ZEROS, FALSE_ZEROS, FLOAT_ZEROS,
+                                           NULL_SURFACE]), field_edits(), byte_edits()),
+                min_size=1, max_size=6))
+@example([NULL_SURFACE, RECORD_LINE, NULL_SURFACE])
+@example([RECORD_LINE, INT_ZEROS, FALSE_ZEROS, RECORD_LINE, FLOAT_ZEROS, INT_ZEROS])
+@example([INT_ZEROS, FALSE_ZEROS, INT_ZEROS, RECORD_LINE])
+def test_reader_matches_canonical_keys(lines):
+    """A surface equal to the last one keyed reuses its config without its
+    canonical JSON, and every line reads as under the canonical key alone:
+    0 == False == 0.0 as Python values, but a coefficient 0 parses and
+    false does not."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _, _, path = _store_with(Path(tmp), *lines)
+        assert (_lines_read(_read_lines(path, {}))
+                == _lines_read(read_lines_canonical(path, {})))
+
+
+def test_verify_keys_each_store_file_once(tmp_path, monkeypatch):
+    """The fixture's records share one surface per file, so verify builds
+    one canonical key per file, not one per line (1,005 per cycle before)."""
+    for gz in sorted((ROOT / "perfbench" / "fixture").glob("*.jsonl.gz")):
+        (tmp_path / gz.stem).write_bytes(gzip.decompress(gz.read_bytes()))
+    keys, dumps = [], json.dumps
+
+    def counted(obj, **kwargs):
+        keys.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    reports = verify_store(tmp_path)
+    assert sum(len(r.results) for r in reports) == 1005
+    assert all(ok for r in reports for _, ok, _ in r.results)
+    assert len(keys) == len(reports) == 3
+
+
+def test_fixture_records_are_typed_at_the_boundary():
+    """verify_certificate takes a record's rationals as store._record types
+    them: t0, the curve, the points and the provenance are Fractions."""
+    records = [record_from_json(line)
+               for gz in sorted((ROOT / "perfbench" / "fixture").glob("*.jsonl.gz"))
+               for line in gzip.decompress(gz.read_bytes()).splitlines()]
+    assert len(records) == 1005
+    for rec in records:
+        cert = rec.certificate
+        values = [cert.t0, *cert.curve, *cert.provenance, *(c for P in cert.points for c in P)]
+        assert all(type(v) is Fraction for v in values)
