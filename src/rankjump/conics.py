@@ -39,10 +39,10 @@ class DegenerateFibreError(ValueError):
     """Raised for x0 where the curve x = x0 is not an integral conic."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadExtClass:
     """The quadratic extension Q(t)(sqrt(s * h(t))), canonically presented:
-    s a squarefree integer, h monic squarefree."""
+    s a squarefree integer, h monic squarefree; slotted, as a census keeps one per class."""
 
     s: int
     h: RatPoly
