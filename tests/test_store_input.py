@@ -360,15 +360,15 @@ def _lines_read(rows) -> list:
             for n, d, cfg in rows]
 
 
-def _surface_edit(old, new) -> bytes:
-    """The record line with its surface coefficient "0"s stored as new."""
+def _zeros_as(value) -> bytes:
+    """The record line with its surface coefficients "0" stored as value."""
     data = json.loads(RECORD_LINE)
-    data["surface"] = {k: [new if c == old else c for c in v] if isinstance(v, list) else v
+    data["surface"] = {k: [value if c == "0" else c for c in v] if isinstance(v, list) else v
                        for k, v in data["surface"].items()}
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-INT_ZEROS, FALSE_ZEROS, FLOAT_ZEROS = (_surface_edit("0", v) for v in (0, False, 0.0))
+INT_ZEROS, FALSE_ZEROS, FLOAT_ZEROS = map(_zeros_as, (0, False, 0.0))
 NULL_SURFACE = _forged(surface=None)
 
 
