@@ -116,6 +116,14 @@ def prime_factors(n: int) -> list[int]:
     return sorted(_factorint(abs(n)))
 
 
+def divisors(n: int) -> list[int]:
+    """The positive divisors of an integer n >= 1, from one factorisation."""
+    out = [1]
+    for p, e in _factorint(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return out
+
+
 def sqrt_mod_prime(a: int, p: int) -> int | None:
     """A square root of a modulo the prime p (Tonelli-Shanks), or None."""
     a %= p

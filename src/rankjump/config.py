@@ -49,8 +49,10 @@ class SurfaceConfig:
     label: str
     polys: dict
 
-    def as_dict(self) -> dict:
-        """JSON-ready echo of the definition, coefficients as 'p/q' strings."""
+    @cached_property
+    def echo(self) -> dict:
+        """JSON-ready echo of the definition, coefficients as 'p/q' strings;
+        built once per config, shared by every record written and line read."""
         out = {"kind": self.kind, "label": self.label}
         for name, poly in self.polys.items():
             out[name] = [str(c) for c in poly.coeffs]
@@ -159,7 +161,7 @@ def build_surface(cfg: SurfaceConfig):
 
 
 def surface_config_from_dict(data: dict) -> SurfaceConfig:
-    """Rebuild a SurfaceConfig from its JSON echo (see as_dict), bounded as configs are."""
+    """Rebuild a SurfaceConfig from its JSON echo, bounded as configs are."""
     kind = data.get("kind") if isinstance(data, dict) else None
     if not isinstance(kind, str) or kind not in _FIELDS:
         raise ConfigError(f"unknown kind {str(kind)[:20]!r} in stored record")

@@ -1,43 +1,30 @@
 """Exact arithmetic on elliptic curves over Q.
 
-One group law, on integer Jacobian triples (x = X/Z^2, y = Y/Z^3) of the
-model scaled by mu = lcm(den A, den B); a point is checked on the curve
-once on entry, in integers on that model, and made a Fraction point once on
-exit, and the heights and the relation search take the regulator's triples.
-Specialising at t0 = n/d and moving fibre points to the curve run in
-integers (Specialization.moved); only A, B and a record's points become Fractions.
-On an integral model x = a/d^2, y = b/d^3 with gcd(a, d) = 1
-(Silverman-Tate, Rational Points on Elliptic Curves, III.2), so one gcd and
-one isqrt keep each sum in lowest terms. Torsion is decided on that model
+One group law, on reduced integer Jacobian triples (x = X/Z^2, y = Y/Z^3)
+of the model scaled by mu = lcm(den A, den B) (_jac_add); a point is
+checked on the curve once on entry, in integers on that model, and made a
+Fraction point once on exit, and the heights, the relation search and the
+2-descent modulo primes take the triples. Specialising at t0 = n/d and
+moving fibre points to the curve run in integers (Specialization.moved);
+only A, B and a record's points become Fractions. Torsion is decided
 without factoring, by Nagell-Lutz (Silverman, The Arithmetic of Elliptic
-Curves, VIII.7.2) and Mazur's bound on the walk P, 2P, ..., 12P. Neron-Tate
-canonical heights carry rigorous error bounds, and regulator verdicts
-search relations only where the Gram matrix of heights allows them, then
-check them exactly. With full rational 2-torsion, complete 2-descent
-(Silverman AEC X.1.4) proves a pair independent with no height, unless a
-2-torsion point lies in 2E(Q) and E(Q) may have 4-torsion
-(two_descent_independent).
+Curves, VIII.7.2) and Mazur's bound on the walk P, 2P, ..., 12P.
 
-Heights are computed as a sum of local terms attached to one fixed integral
-short Weierstrass model, minimal at every prime p >= 5. Only the heights
-factor: the gcd of the scaled coefficients for that model, once per curve,
-and a gcd of a point's integers where it meets a singular point; never the
-discriminant. We replace P by the smallest multiple mP lying in the formal
-group at 2 and at 3: m is found by walking P, 2P, ... on p-adic affine
-coordinates modulo p^n, and mP is formed by _jac_mul, up to one cap on its
-size. From there a height reads mP's reduced triple (X, Y, Z) in integers
-until mpmath takes its logs. The archimedean term comes from the
-duplication series lambda(P) = (1/4) (lambda(2P) + log|2y(P)|), with a tail
-bound: one exact duplication of the triple, then integer pairs
-x(2^k P) = X/Z cut to the working precision, whose terms telescope into one
-log. The finite part is exact: every prime contributes (1/2) log Z^2
-except primes p >= 5 where mP meets a singular point of the reduced model;
-those corrections are rational multiples of log p given by Silverman's
-closed formula (Computing heights on elliptic curves, Math. Comp. 51
-(1988), section 5) from three valuations of integer forms in X, Y and Z,
-at the primes of gcd(Y, 3X^2 + Ai Z^4, disc). A height is thus a function
-of (Ai, Bi) and the reduced triple alone, and a caller may keep a table of
-them under that key.
+A pair is proved independent without a height by one 2-descent map
+(_delta, AEC X.1.4): over Q when E[2] is rational (two_descent_independent,
+with a 4-torsion guard), and otherwise over F_p at primes below 130 where
+the cubic splits, once a prime where it has no root proves E(Q)[2] = 0
+(descent_mod_p). Neron-Tate canonical heights carry rigorous error bounds,
+and regulator verdicts search relations only where the Gram matrix of
+heights allows them, then check them exactly.
+
+Heights (_height) are sums of local terms on one integral model, minimal
+at every p >= 5, read in integers from the reduced triple of the least
+multiple mP in the formal group at 2 and 3 (_formal_multiple) until mpmath
+takes its logs: a duplication series with a tail bound (_lambda_infinity)
+and Silverman's closed-form finite corrections (_finite_corrections). No
+discriminant is factored, and a height is a function of (Ai, Bi) and the
+reduced triple alone, so a caller may keep a table of them under that key.
 """
 
 from __future__ import annotations
@@ -48,7 +35,7 @@ from functools import cache, cached_property
 from itertools import count, product
 from math import gcd, isqrt, lcm, log
 
-from .arith import DomainError, is_square, prime_factors, val_unit
+from .arith import _SMALL_PRIMES, DomainError, is_square, prime_factors, val_unit
 from .kodaira import minimal_shift
 
 
@@ -263,18 +250,19 @@ def _lambda_infinity(Ai: int, Bi: int, J, terms: int, mp):
     lambda(P) = (1/4)(lambda(2P) + log|2y(P)|) (Silverman, Math. Comp. 51
     (1988)); returns (lambda, 4^-terms). The first step is exact, so that
     cancellation near 2-torsion cannot poison the series: x(2P) = N/D, N =
-    X^4 - 2 Ai X^2 Z^4 - 8 Bi X Z^6 + Ai^2 Z^8 and D = 4 Y^2 Z^2 over one
-    gcd. Past it x(2^k P) = X/Z in integers: Z' = 4Z F with F = X^3 + A X
-    Z^2 + B Z^3, so term k, 4^-(k+1) log(4F/Z^3)/2 = 4^-(k+1) log(Z'/Z^4)/2,
+    X^4 - 2 Ai X^2 Z^4 - 8 Bi X Z^6 + Ai^2 Z^8, D = 4 Y^2 Z^2, over gcd(N,
+    D) = gcd(N, 4 Y^2), 1 if gcd(N, 2 Y) is, as N = X^4 (mod Z), gcd(X, Z)
+    = 1. Past it x(2^k P) = X/Z in integers: Z' = 4Z F, F = X^3 + A X Z^2 +
+    B Z^3, so term k, 4^-(k+1) log(4F/Z^3)/2 = 4^-(k+1) log(Z'/Z^4)/2,
     telescopes, and the sum and the tail need one log. Each step shifts X
     and Z right by s bits, the shorter to mp.prec + 20; s returns as 4^-k s
     log 2, and the relative 2^-(mp.prec + 18) that X/Z moves enters with
     weight 4^-k, as rounding term k's own log would."""
     X, Y, Z = J
     ZZ, Z3 = Z * Z, Z**3
-    N, D = (X * X - Ai * ZZ * ZZ) ** 2 - 8 * Bi * X * Z3 * Z3, 4 * Y * Y * ZZ
-    g = gcd(N, D)
-    X, Z = N // g, D // g
+    N, YY4 = (X * X - Ai * ZZ * ZZ) ** 2 - 8 * Bi * X * Z3 * Z3, 4 * Y * Y
+    g = gcd(N, YY4) if gcd(N, 2 * Y) > 1 else 1
+    X, Z = N // g, YY4 // g * ZZ
     head = (mp.log(2) + mp.log(abs(Y)) - mp.log(Z3)) / 4 - mp.log(Z) / 8  # log|2y|, den x(2P)
     shifts = 0  # sum over steps k of 4^(terms - k) s_k
     for _ in range(terms - 1):
@@ -546,31 +534,68 @@ def _regulator(E: EllipticCurveQ, JP, JQ, heights: dict) -> RegulatorResult:
     return RegulatorResult(det, err, "inconclusive")
 
 
+def _delta(x, roots):
+    """The 2-descent map at x = x(P), over Q or (x, roots residues in [0, p))
+    over F_p: (x - e1, x - e2), x - e_i read as (e_i - e_j)(e_i - e_k) at e_i."""
+    e1, e2, e3 = roots
+    return x - e1 or (e1 - e2) * (e1 - e3), x - e2 or (e2 - e1) * (e2 - e3)
+
+
+def _outside(dP, dQ, span, square):
+    """Whether delta(P), delta(Q) and delta(P) delta(Q) = delta(P + Q) each lie outside span."""
+    (p1, p2), (q1, q2) = dP, dQ
+    return (not any(square(a * t1) and square(b * t2) for t1, t2 in span)
+            for a, b in ((p1, p2), (q1, q2), (p1 * q1, p2 * q2)))
+
+
 def two_descent_independent(E: EllipticCurveQ, roots, P: PointQ, Q: PointQ) -> bool:
-    """True when complete 2-descent proves P and Q independent modulo
-    torsion, False when it cannot; roots are the e_i in Q with x^3 + A x +
-    B = (x - e1)(x - e2)(x - e3). delta(x, y) = (x - e1, x - e2), with x - e_i
-    read as (e_i - e_j)(e_i - e_k) at x = e_i, is an injective homomorphism
-    E(Q)/2E(Q) -> (Q*/Q*^2)^2 (Silverman, AEC X.1.4). The 4-torsion guard:
-    a point of E[2] - O with trivial delta lies in 2E(Q), so E(Q) may have
-    4-torsion and the test gives up; otherwise odd torsion maps to 1 and
-    delta(E(Q)_tors) = delta(E[2]). A primitive relation a P + b Q = T
-    survives mod 2, so delta(P), delta(Q) and delta(P) delta(Q) all outside
-    delta(E[2]) prove independence. Each test is is_square of a product."""
+    """True when complete 2-descent over Q proves P and Q independent
+    modulo torsion, False when it cannot; roots are the e_i in Q with x^3 +
+    A x + B = (x - e1)(x - e2)(x - e3). _delta is injective on E(Q)/2E(Q)
+    (AEC X.1.4). The 4-torsion guard: a point of E[2] - O with trivial delta
+    lies in 2E(Q), so E(Q) may have 4-torsion and the test gives up; else
+    delta(E(Q)_tors) = delta(E[2]), and a relation a P + b Q = T,
+    gcd(a, b) = 1, survives mod 2."""
     e1, e2, e3 = roots
     if (e1 + e2 + e3, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3) != (0, E.A, E.B):
         raise ValueError(f"{roots} are not the roots of x^3 + A x + B on {E}")
-
-    def delta(x):
-        return x - e1 or (e1 - e2) * (e1 - e3), x - e2 or (e2 - e1) * (e2 - e3)
-
-    torsion = [delta(e) for e in roots]  # delta(E[2] - O)
+    torsion = [_delta(e, roots) for e in roots]  # delta(E[2] - O)
     if any(is_square(a) and is_square(b) for a, b in torsion):
         return False
-    (p1, p2), (q1, q2) = delta(P.x), delta(Q.x)
-    return not any(is_square(a * t1) and is_square(b * t2)
-                   for a, b in ((p1, p2), (q1, q2), (p1 * q1, p2 * q2))
-                   for t1, t2 in ((1, 1), *torsion))
+    return all(_outside(_delta(P.x, roots), _delta(Q.x, roots), ((1, 1), *torsion), is_square))
+
+
+#: descent_mod_p's primes: below 130 they prove four of the five seed-0 mordell
+#: pairs (at 61, 61, 73, 127; the fifth stays open below 1024), and a pair
+#: left open pays a sixth of its regulator for them.
+_DESCENT_PRIMES = tuple(p for p in _SMALL_PRIMES[1:] if p < 130)
+
+
+def descent_mod_p(E: EllipticCurveQ, JP, JQ) -> bool:
+    """True when 2-descent modulo primes proves the non-torsion triples JP
+    and JQ of E's scaled model independent, False when it defers. If E(Q)[2]
+    = 0, a relation a P + b Q = T, T torsion, gcd(a, b) = 1, puts P, Q or P
+    + Q in 2E(Q), odd torsion lying there. At an odd p not dividing 4 Ai^3 +
+    27 Bi^2 where the cubic splits, reduction (p | Z gives O) then _delta by
+    Euler's criterion is a homomorphism to (F_p*/F_p*^2)^2 killing 2E(Q)
+    (AEC VII.2, X.1.4; Siksek, Rocky Mountain J. Math. 25 (1995)); P + Q =
+    O maps to delta_p(P)^2 = 1. A good p where the cubic, monic in Z[x], has
+    no root proves E(Q)[2] = 0; one whose disc is no square has one root."""
+    Ai, Bi = E._scaled_model[:2]
+    no_two_torsion, proved = False, [False] * 3
+    for p in _DESCENT_PRIMES:
+        a, b = Ai % p, Bi % p
+        if pow(-4 * a**3 - 27 * b * b, p // 2, p) == 1:
+            roots = [x for x in range(p) if (x * x * x + a * x + b) % p == 0]  # 0 or 3
+            no_two_torsion |= not roots
+            if roots:
+                dP, dQ = ((1, 1) if Z % p == 0 else _delta(X * pow(Z, -2, p) % p, roots)
+                          for X, _, Z in (JP, JQ))
+                euler = _outside(dP, dQ, [(1, 1)], lambda c: pow(c, p // 2, p) == 1)
+                proved = [old or new for old, new in zip(proved, euler)]
+            if no_two_torsion and all(proved):
+                return True
+    return False
 
 
 @cache

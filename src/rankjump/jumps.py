@@ -14,28 +14,20 @@ parametrisations are intersected on the t-coordinate; pairs whose covers
 have the same squarefree kernel h, which is to say identical branch loci
 and a reducible fibre product, are skipped.
 
-The searches and the census take their fibres from one source, _fibres, fed
-x0 in the height order of conics.rationals_by_height; it yields the solvable
-fibres and counts tried, degenerate and unsolvable ones. jump1 reads it one
-height stage at a time; jump2 reads it lazily in one loop, forms each pair
-as its later fibre arrives (on a twist, with the earlier fibres of its class
-only) and builds no fibre after its certificate count is reached, so its
-fibres tried are those built before it stopped. The searches only propose a
-parameter value t0 with fibre points over it. One certification stage,
-_certify, specialises at t0 and moves each point to its triple in integers,
-entering the group law once, where the curve check is the fibre equation too
-(the chart is an isomorphism); on those triples it rejects torsion and asks
-the regulator about pairs (a pair with P + Q or P - Q torsion is settled
-exactly, without a height; see curves.regulator), and only a record's points
-become Fractions. jump2 holds one table of heights for its call, keyed by
-the reduced integral model and point, so a height met again on an isomorphic
-curve is not computed again. The surface's invariants (short model,
-transport chart, rank bound) are computed once per surface object. Searches
-and verify_certificate both work on the fibred (twist or km) form
-(SurfaceConfig.fibred). verify_certificate shares no height with the search.
-It settles a pair on a twist whose f splits over Q by complete 2-descent
-(Silverman AEC X.1.4; curves.two_descent_independent, with its 4-torsion
-guard), with no height, and the regulator every other pair.
+The searches and the census take their fibres from one source, _fibres,
+in the height order of conics.rationals_by_height; jump1 reads it one
+height stage at a time, jump2 lazily, pairing each fibre as it arrives and
+building none past its certificate count. The searches only propose a
+parameter value t0 with fibre points over it; one certification stage,
+_certify, specialises at t0, enters each point into the group law once as
+a triple in integers, rejects torsion and asks the regulator about pairs,
+and only a record's points become Fractions. jump2 holds one height table
+per call (curves._height). Surface invariants are computed once per
+surface object, whose fibred (twist or km) form (SurfaceConfig.fibred) the
+searches and verify_certificate work on. verify_certificate shares no
+height with the search: it settles a pair by 2-descent (AEC X.1.4) over Q
+on a twist whose f splits (curves.two_descent_independent), else modulo
+primes (curves.descent_mod_p), and by the regulator where that defers.
 
 With avoid set, any search keeps only parameter values outside the image
 of every cover of a finite challenge of quadratic covers; avoid_covers is
@@ -73,6 +65,7 @@ from .curves import (
     SingularSpecializationError,
     _jac_order,
     _regulator,
+    descent_mod_p,
     regulator,
     specialize,
     two_descent_independent,
@@ -343,11 +336,13 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
     The surface is the fibred (twist or km) form the search ran on. Checks, in
     the order of the reasons: each point has one provenance x0, t0 avoids
     singular fibres, the curve is the specialised one, each point is on it
-    (once, by torsion_order: through the chart that is the fibre equation too),
-    pulls back to x = x0 and is not torsion, a pair is independent by 2-descent
-    or the regulator, and the recorded bounds, exactness and regulator match
-    the surface and the evidence (a regulator: a pair), its Fraction fields
-    typed where it is made or read (store._record).
+    (once, as a triple: through the chart that is the fibre equation too),
+    pulls back to x = x0 and is not torsion, a pair is independent (by
+    2-descent over Q on a twist whose f splits, else modulo primes on the
+    triples, and by the regulator's heights only where it defers), and the
+    recorded bounds, exactness and regulator match the surface and the
+    evidence (a regulator: a pair), its Fraction fields typed where it is made
+    or read (store._record).
     """
     if len(cert.points) != len(cert.provenance):
         return False, [f"point count {len(cert.points)} does not match provenance count "
@@ -359,28 +354,29 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
         return False, [f"specialisation failed: {exc}"]
     if (spec.curve.A, spec.curve.B) != tuple(cert.curve):
         return False, ["recorded curve does not match the specialised fibre"]
-    pts = []
+    E, pts, Js = spec.curve, [], []
     for (x, y), x0 in zip(cert.points, cert.provenance):
         P = PointQ(x, y)
         try:
-            order = spec.curve.torsion_order(P)
+            J = E._jac(P)
         except OffCurveError:
             reasons.append(f"point {P} is off the curve")
             continue
         (X, D), _ = spec.moved(x0, 0)  # P pulls back to x0 iff x = X/D
         if x.numerator * D != X * x.denominator:
             reasons.append(f"point {P} does not come from the fibre x = {x0}")
-        elif order is not None:
+        elif _jac_order(E._scaled_model[0], J) is not None:
             reasons.append(f"point {P} is torsion")
         else:
             pts.append(P)
+            Js.append(J)
     if reasons:
         return False, reasons
     if len(pts) == 2:
         roots = surface.f_roots if isinstance(surface, TwistFamily) else None
-        if roots is None or not two_descent_independent(
-                spec.curve, [spec.transport(r, 0).x for r in roots], *pts):
-            verdict = regulator(spec.curve, pts)
+        if not (descent_mod_p(E, *Js) if roots is None else two_descent_independent(
+                E, [spec.transport(r, 0).x for r in roots], *pts)):
+            verdict = regulator(E, pts)
             if not verdict.independent:
                 reasons.append(f"regulator verdict is {verdict.verdict}")
     elif len(pts) != 1:

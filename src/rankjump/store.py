@@ -54,7 +54,7 @@ class CertificateRecord:
         cert = self.certificate
         payload = {
             "label": self.surface.label,
-            "surface": self.surface.as_dict(),
+            "surface": self.surface.echo,
             "t0": str(cert.t0),
             "curve": {"A": str(cert.curve[0]), "B": str(cert.curve[1])},
             "points": [[str(x), str(y)] for x, y in cert.points],
@@ -146,17 +146,17 @@ def _read_lines(path: Path, configs: dict):
     """(line number, parsed JSON, its SurfaceConfig) per non-blank line of a
     store file, or (line number, exception, None) if the line does not read
     as JSON with a valid surface; configs caches them by canonical JSON."""
-    echo = cfg = None  # a surface == cfg.as_dict() (strings, unlike 1 == True) reuses cfg
+    cfg = None  # a surface == cfg.echo (strings, unlike 1 == True) reuses cfg
     with path.open("rb") as lines:
         for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:  # RecursionError, too: JSON nested too deep
                 data = json.loads(line.decode("utf-8"))
-                if cfg is None or data["surface"] != echo:
+                if cfg is None or data["surface"] != cfg.echo:
                     key = json.dumps(data["surface"], sort_keys=True)
                     cfg = configs.get(key) or surface_config_from_dict(data["surface"])
-                    configs[key], echo = cfg, cfg.as_dict()
+                    configs[key] = cfg
             except Exception as exc:
                 yield lineno, exc, None
             else:

@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
-from .arith import DomainError, SquareClass, square_class
+from .arith import DomainError, SquareClass, divisors, square_class
 from .kodaira import InvalidModelError, KodairaType, kodaira_type, minimal_shift
 from .polynomial import (
     PLACE_AT_INFINITY,
@@ -95,12 +96,16 @@ class TwistFamily:
 
     @cached_property
     def f_roots(self) -> tuple[Fraction, Fraction, Fraction] | None:
-        """The rational roots r_i of f, None when f does not split over Q;
-        the chart carries them to the roots u r_i + v of every fibre."""
-        factors = factor_rational(self.f)[1]
-        if any(h.degree != 1 for h, _ in factors):
-            return None
-        return tuple(-h[0] for h, _ in factors)
+        """The rational roots r_i of f, decreasing, None when f does not split;
+        the chart carries them to the roots u r_i + v of every fibre. On f's
+        primitive integer form c a root is 0 or +-n/d, n | (c_0 or c_1), d | c_3."""
+        m = lcm(*(a.denominator for a in self.f.coeffs))
+        c = [a.numerator * (m // a.denominator) for a in self.f.coeffs]
+        g, roots = gcd(*c), {Fraction(0)} if c[0] == 0 else set()
+        roots.update(Fraction(r, d) for n in divisors(abs(c[0] or c[1]) // g)
+                     for d in divisors(abs(c[3]) // g) if gcd(n, d) == 1
+                     for r in (n, -n) if self.f.ratio_at(r, d)[0] == 0)
+        return tuple(sorted(roots, reverse=True)) if len(roots) == 3 else None
 
     @cached_property
     def chart(self) -> tuple[RatPoly, RatPoly, RatPoly]:
@@ -271,24 +276,18 @@ def shioda_tate_bound(c: FibreClassification) -> int:
 
 
 def is_twist_case(w: WeierstrassQt) -> TwistFamily | None:
-    """Recover (f, g) when the model is g(t) y^2 = f(x) in disguise.
-
-    Succeeds exactly when the discriminant D is c * g^6 and A = a g^2,
-    B = b g^3 for constants a, b; then returns the twist family with
-    f = x^3 + a x + b and g monic, else None. As the one Yun block of D, g is
-    squarefree, of degree 1 or 2 as deg D <= 12; f is separable as
-    4A^3 + 27B^2 = (4a^3 + 27b^2) g^6 is not 0.
-    """
+    """The twist g(t) y^2 = f(x), f = x^3 + a x + b and g monic, that the
+    model is in disguise when D = c g^6 (g, the one Yun block of D, of degree
+    1 or 2), else None. Then A = a g^2 and B = b g^3: at each place of g, and
+    at infinity if deg g = 1, v(D) = 6 makes the fibre I6 (v(A) = v(B) = 0)
+    or I0* (v(A) >= 2, v(B) >= 3), the Euler number is 12, and Shioda-Tate,
+    sum (m_v - 1) <= 8, rules out I6 beside I6 or I0* (5 + 5, 5 + 4). f is
+    separable as 4A^3 + 27B^2 = (4a^3 + 27b^2) g^6 is not 0."""
     _, blocks = yun_squarefree(w.delta)
     if len(blocks) != 1 or blocks[0][1] != 6:
         return None
     g = blocks[0][0]
-    try:
-        a, b = w.A.exact_div(g * g), w.B.exact_div(g * g * g)
-    except DomainError:
-        return None
-    if not (a.is_constant() and b.is_constant()):
-        return None
+    a, b = w.A.exact_div(g * g), w.B.exact_div(g * g * g)
     return TwistFamily(RatPoly([b[0], a[0], 0, 1]), g)
 
 

@@ -16,8 +16,8 @@ by fibre, jump1 reading each fibre's whole pencil through a lookahead
 slot, a km fibre's polynomial by RatPoly arithmetic, the genus of the
 fibre product of two double covers from their branch loci, polynomial
 division by stripping loops, the fibre at infinity read from the
-model reversed in s = 1/t, integer factorisation by sympy alone, and the
-specialisation, point transport, pullback, cover test and store reader of
+model reversed in s = 1/t, integer factorisation and the rational roots
+of a polynomial by sympy alone, and the specialisation, point transport, pullback, cover test and store reader of
 the Fraction path the integer one replaced.
 
 sympy is imported here, once, when the suite loads: the library imports it
@@ -36,6 +36,15 @@ import sympy
 def factorint_sympy(n: int) -> dict:
     """{prime: exponent} of n >= 1, by sympy's factorint alone."""
     return {int(p): int(e) for p, e in sympy.factorint(n).items()}
+
+
+def rational_roots_sympy(f) -> tuple[Fraction, ...]:
+    """The distinct rational roots of the RatPoly f, decreasing, by sympy's
+    ground_roots alone."""
+    x = sympy.symbols("x")
+    roots = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                        for c in reversed(f.coeffs)], x).ground_roots()
+    return tuple(sorted((Fraction(int(r.p), int(r.q)) for r in roots), reverse=True))
 
 
 def ratpoly_eval_fraction(p, x) -> Fraction:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from time import perf_counter
 
 import mpmath
@@ -345,6 +345,24 @@ class TestSeriesAgainstMpmath:
             ref, ref_scale = lambda_infinity_mpmath(Ai, Bi, J, terms, mpmath.mp)
             assert scale == ref_scale
             assert abs(value - ref) < mpmath.mpf(10) ** (10 - digits)
+
+    @settings(max_examples=80, deadline=None)
+    @given(integral_points(), st.integers(1, 7))
+    @example((EllipticCurveQ(Fraction(13439, 3), Fraction(955010, 27)),
+              point(Fraction(481, 3), -2208)), 1)
+    def test_first_duplication_gcd_leaves_out_z(self, curve_point, n):
+        """_lambda_infinity reduces x(2P) = N/D, D = 4 Y^2 Z^2, by gcd(N, 4 Y^2),
+        and by 1 where gcd(N, 2 Y) = 1: on a reduced triple gcd(X, Z) = 1 and
+        N = X^4 (mod Z), so it is gcd(N, D)."""
+        E, P = curve_point
+        Ai, Bi, J = integral_triple(E, P)
+        J = _jac_mul(Ai, n, J)
+        assume(J is not None)
+        X, Y, Z = J
+        N = (X * X - Ai * Z**4) ** 2 - 8 * Bi * X * Z**6
+        assert gcd(X, Z) == 1 and N % Z == X**4 % Z
+        assert gcd(N, 4 * Y * Y * Z * Z) == gcd(N, 4 * Y * Y)
+        assert gcd(N, 2 * Y) > 1 or gcd(N, 4 * Y * Y * Z * Z) == 1
 
     @settings(max_examples=25, deadline=None)
     @given(integral_points())

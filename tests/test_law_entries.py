@@ -7,18 +7,20 @@ needs its Fraction coordinates. The heights, the formal-group walk and the
 relation search take the regulator's triples; none of them rebuilds a
 curve on the integral model or checks a point again. The search enters
 each point once: _certify converts it with _jac and hands the triples to
-curves._regulator, so of the 266 checks per cycle, 226 come from _certify,
-one per transported point, and 40 from verify_certificate, whose
-torsion_order and public regulator each check a pair's points (counted by
+curves._regulator, so of the 258 checks per cycle, 226 come from _certify,
+one per transported point, and 32 from verify_certificate: one per point,
+whose triple its torsion check and the 2-descent read, and two from the
+public regulator on the one pair the descent leaves open (counted by
 wrapping EllipticCurveQ._jac).
 
 A search computes each distinct height once: jump2 holds one table keyed
 by the reduced integral model and triple (curves._height), so the five
 certificates of each twist, all on one reduced curve with one pair, cost
 three heights, not fifteen. Re-verification shares no table with the
-search: verify_certificate computes its own fifteen heights for the five
-mordell certificates, and none on the twists, whose pairs the 2-descent
-settles.
+search, and computes heights only where 2-descent defers: the twists'
+pairs are settled over Q, and four of the five mordell pairs modulo
+primes (curves.descent_mod_p), so verify_certificate computes three
+heights, for the mordell pair at t0 = 17.
 
 A height factors no discriminant: the primes p >= 5 where its point meets
 a singular point are those of a gcd of the point's own integers
@@ -59,13 +61,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 #: per seed-0 rank-2 cycle: 523 checks and 192 curves while each height
 #: rebuilt its curve and point, and P + Q re-entered the law; 458 checks
-#: while the regulator's entry check re-entered the search's points
-IS_ON_CALLS = 266
+#: while the regulator's entry check re-entered the search's points; 266
+#: while re-verification asked the regulator about every mordell pair
+IS_ON_CALLS = 258
 CURVES_BUILT = 129
 #: heights computed (formal-group walks) per command, and those of them in
-#: re-verification; 15, 15 and 33 before the search kept a height table
-HEIGHTS = {"split-twist": 3, "usual-twist": 3, "mordell": 32}
-VERIFY_HEIGHTS = {"split-twist": 0, "usual-twist": 0, "mordell": 15}
+#: re-verification; 15, 15 and 33 before the search kept a height table,
+#: and mordell 32, 15 of them re-verifying, before the descent modulo primes
+HEIGHTS = {"split-twist": 3, "usual-twist": 3, "mordell": 20}
+VERIFY_HEIGHTS = {"split-twist": 0, "usual-twist": 0, "mordell": 3}
 
 
 def test_seed0_rank2_enters_the_law_once(tmp_path, capsys, monkeypatch):
@@ -109,16 +113,17 @@ def test_seed0_rank2_enters_the_law_once(tmp_path, capsys, monkeypatch):
         assert main(cmd["argv"]) == 0
     capsys.readouterr()
     assert counts == {"is_on": IS_ON_CALLS, "curves": CURVES_BUILT}
-    assert heights == HEIGHTS and sum(heights.values()) == 38
+    assert heights == HEIGHTS and sum(heights.values()) == 26
     assert verify_heights == VERIFY_HEIGHTS
 
 
-#: arith._factorint calls made from curves per seed-0 rank-2 cycle: all 21
-#: from integral_model, one per curve whose coefficients share a factor; a
-#: height factors only a gcd of its point's integers, and on this cycle no
-#: such gcd exceeds 1. 34 while each curve with a height factored its
-#: discriminant
-CURVES_FACTORINT_CALLS = 21
+#: arith._factorint calls made from curves per seed-0 rank-2 cycle: all 17
+#: from integral_model, one per curve with a height whose coefficients share
+#: a factor; a height factors only a gcd of its point's integers, and on this
+#: cycle no such gcd exceeds 1. 34 while each curve with a height factored
+#: its discriminant; 21 while re-verification took heights on every mordell
+#: curve
+CURVES_FACTORINT_CALLS = 17
 
 
 def test_seed0_rank2_factors_no_discriminant(tmp_path, capsys, monkeypatch):
@@ -217,12 +222,13 @@ def test_seed0_census_hashes_a_shared_kernel_once(tmp_path, capsys, monkeypatch)
 #: Fraction.__new__ calls per seed-0 cycle of (rank1-search, verify-store)
 #: on CPython 3.10 and 3.11, where every Fraction passes through __new__:
 #: 27,175 and 25,218 while specialize, transport, the curve entry and
-#: verify_certificate built and re-wrapped Fractions
-FRACTIONS_BUILT = (7892, 9018)
+#: verify_certificate built and re-wrapped Fractions; verify-store 9,018
+#: while TwistFamily.f_roots factored f through sympy
+FRACTIONS_BUILT = (7892, 8996)
 #: the same from CPython 3.12 on, whose arithmetic builds its results
 #: without __new__ and coerces an int left operand through it: 23,055 and
-#: 21,425 before
-FRACTIONS_BUILT_FROM_312 = (7543, 8285)
+#: 21,425 before, and verify-store 8,285 with f_roots through sympy
+FRACTIONS_BUILT_FROM_312 = (7543, 8278)
 
 
 def test_seed0_fractions_built(tmp_path, capsys, monkeypatch):

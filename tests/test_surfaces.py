@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -227,8 +228,9 @@ class TestIsTwistCase:
         """D = c g^6 with g squarefree forces A = a g^2 and B = b g^3 on a
         rational elliptic surface: each place of g is I6 or I0* (v(D) = 6),
         and an I6 with the other fibre of Euler number 6, at the other place
-        of g or at infinity, gives (6 - 1) + 4 > 8 in Shioda-Tate. So the
-        drawn models never reach the two later None returns."""
+        of g or at infinity, gives (6 - 1) + 4 > 8 in Shioda-Tate. So every
+        drawn model with a sextic D is recovered, as is_twist_case asks no
+        more of it."""
         blocks = yun_squarefree(w.delta)[1]
         s = is_twist_case(w)
         if len(blocks) == 1 and blocks[0][1] == 6:
@@ -236,6 +238,57 @@ class TestIsTwistCase:
             assert (w.A, w.B) == (s.weierstrass.A, s.weierstrass.B)
         else:
             assert s is None
+
+    @pytest.mark.parametrize("degrees, bound, count", [((4, 6), 1, 8), ((2, 3), 3, 62)])
+    def test_every_sextic_discriminant_in_a_box_is_a_twist(self, degrees, bound, count):
+        """Every model with A and B of the given degree bounds and integer
+        coefficients of absolute value at most bound whose D = 4A^3 + 27B^2
+        is c g^6, g monic and squarefree, has A = a g^2 and B = b g^3 with a,
+        b constant, and is_twist_case recovers it: the Shioda-Tate argument
+        of its docstring, checked exhaustively (531,441 and 823,543 models).
+        g is read from D's top coefficients (c = D12 and g = t^2 + p t + q,
+        D11 = 6 c p, D10 = c (15 p^2 + 6 q); or, with deg D = 6, c (t + s)^6),
+        scaled to integers G, and D = c g^6 tested exactly."""
+        def mul(p, q, size=0):  # padded with zeros to size
+            out = [0] * max(size, len(p) + len(q) - 1)
+            for i, a in enumerate(p):
+                for j, b in enumerate(q):
+                    out[i + j] += a * b
+            return out
+
+        box = range(-bound, bound + 1)
+        cubes = [(A, [4 * c for c in mul(mul(A, A), A, 13)])
+                 for A in product(box, repeat=degrees[0] + 1)]
+        squares = [(B, [27 * c for c in mul(B, B, 13)])
+                   for B in product(box, repeat=degrees[1] + 1)]
+        sextic = []
+        for A, a3 in cubes:
+            for B, b2 in squares:
+                c = a3[12] + b2[12]
+                if c:  # G = 72 c^2 g
+                    d11 = a3[11] + b2[11]
+                    G = [12 * c * (a3[10] + b2[10]) - 5 * d11 * d11, 12 * c * d11, 72 * c * c]
+                elif any(a3[k] + b2[k] for k in range(7, 12)) or not a3[6] + b2[6]:
+                    continue
+                else:  # G = 6 c g
+                    c = a3[6] + b2[6]
+                    G = [a3[5] + b2[5], 6 * c]
+                scale = G[-1] ** 6
+                if c * G[0] ** 6 != scale * (a3[0] + b2[0]):
+                    continue
+                G2 = mul(G, G)
+                if ([c * x for x in mul(mul(G2, G2), G2, 13)]
+                        == [scale * (x + y) for x, y in zip(a3, b2)]
+                        and (len(G) == 2 or G[1] ** 2 != 4 * G[0] * G[2])):
+                    sextic.append((A, B, RatPoly(G).monic()))
+        assert len(sextic) == count
+        for A, B, g in sextic:
+            w = WeierstrassQt(RatPoly(list(A)), RatPoly(list(B)))
+            assert yun_squarefree(w.delta)[1] == [(g, 6)]
+            a, b = w.A.exact_div(g * g), w.B.exact_div(g * g * g)
+            assert a.is_constant() and b.is_constant()
+            s = is_twist_case(w)
+            assert s.g == g and (s.weierstrass.A, s.weierstrass.B) == (w.A, w.B)
 
     def test_roundtrip_random(self):
         rng = random.Random(23)
