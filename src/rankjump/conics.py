@@ -32,7 +32,7 @@ from math import gcd, isqrt, lcm
 
 from .arith import SquareClass, lagrange_descent, rational_sqrt, square_class, ternary_obstruction
 from .polynomial import PLACE_AT_INFINITY, Place, RatPoly, poly_discriminant
-from .surfaces import KMFamily, TwistFamily
+from .surfaces import TwistFamily
 
 
 class DegenerateFibreError(ValueError):
@@ -110,7 +110,7 @@ class ConicFibre:
             lead_class, kernel, block = surface.conic_classes
             self.ext_class = QuadExtClass(value_class.times(lead_class).s, kernel)
             self._classes = None if block is None else (*block, -value_class)
-        elif isinstance(surface, KMFamily):
+        else:
             self.kind = "km"
             q = surface.fibre_quadratic(x0)
             if q.is_zero():
@@ -128,8 +128,6 @@ class ConicFibre:
             # -q2 T^2 - q1 T Z - q0 Z^2 = -q2 (T + q1 Z / 2 q2)^2 + disc(q) Z^2 / 4 q2
             self._classes = None if disc is None else (
                 -lead_class, SquareClass(1, ()), lead_class.times(square_class(disc)))
-        else:
-            raise TypeError(f"unsupported surface {surface!r}")
         self._base_point = None
 
     @cached_property

@@ -3,8 +3,8 @@
 One group law, on reduced integer Jacobian triples (x = X/Z^2, y = Y/Z^3)
 of the model scaled by mu = lcm(den A, den B) (_jac_add); a point is
 checked on the curve once on entry, in integers on that model, and made a
-Fraction point once on exit, and the heights, the relation search and the
-2-descent modulo primes take the triples. Specialising at t0 = n/d and
+Fraction point once on exit, and the heights, the relation search and both
+2-descents take the triples. Specialising at t0 = n/d and
 moving fibre points to the curve run in integers (Specialization.moved);
 only A, B and a record's points become Fractions. Torsion is decided
 without factoring, by Nagell-Lutz (Silverman, The Arithmetic of Elliptic
@@ -399,7 +399,11 @@ def canonical_height(E: EllipticCurveQ, P: PointQ) -> HeightData:
     Uses the normalisation with hhat(P) = (1/2) lim 4^{-n} h(x(2^n P)), so
     heights of non-torsion points are positive and hhat(nP) = n^2 hhat(P).
     """
-    J = E._jac(P)
+    return _triple_height(E, E._jac(P))
+
+
+def _triple_height(E: EllipticCurveQ, J) -> HeightData:
+    """canonical_height of the triple J of E's scaled model, checked on E."""
     if J is None:
         raise ValueError("height of the identity is undefined; use a point")
     order = _jac_order(E._scaled_model[0], J)
@@ -459,10 +463,11 @@ def _local_height(Ai: int, Bi: int, J) -> HeightData:
 
 def neron_tate_pairing(E: EllipticCurveQ, P: PointQ, Q: PointQ) -> tuple[float, float]:
     """<P, Q> = (hhat(P+Q) - hhat(P) - hhat(Q)) / 2 with propagated error;
-    hhat(O) = 0 exactly."""
-    hP, hQ, S = canonical_height(E, P), canonical_height(E, Q), E.add(P, Q)
-    hS = HeightData(0.0, 0.0, "identity") if S.is_identity else canonical_height(E, S)
-    return _pairing(hS, hP, hQ)
+    hhat(O) = 0 exactly. P + Q is formed on the triples of P and Q."""
+    JP, JQ = E._jac(P), E._jac(Q)
+    JS = _jac_add(E._scaled_model[0], JP, JQ)
+    hS = HeightData(0.0, 0.0, "identity") if JS is None else _triple_height(E, JS)
+    return _pairing(hS, _triple_height(E, JP), _triple_height(E, JQ))
 
 
 def _pairing(hS: HeightData, hP: HeightData, hQ: HeightData):
@@ -548,21 +553,23 @@ def _outside(dP, dQ, span, square):
             for a, b in ((p1, p2), (q1, q2), (p1 * q1, p2 * q2)))
 
 
-def two_descent_independent(E: EllipticCurveQ, roots, P: PointQ, Q: PointQ) -> bool:
-    """True when complete 2-descent over Q proves P and Q independent
-    modulo torsion, False when it cannot; roots are the e_i in Q with x^3 +
-    A x + B = (x - e1)(x - e2)(x - e3). _delta is injective on E(Q)/2E(Q)
-    (AEC X.1.4). The 4-torsion guard: a point of E[2] - O with trivial delta
-    lies in 2E(Q), so E(Q) may have 4-torsion and the test gives up; else
-    delta(E(Q)_tors) = delta(E[2]), and a relation a P + b Q = T,
-    gcd(a, b) = 1, survives mod 2."""
+def two_descent_independent(E: EllipticCurveQ, roots, JP, JQ) -> bool:
+    """True when complete 2-descent over Q proves the non-torsion triples JP
+    and JQ of E's scaled model independent modulo torsion, False when it
+    cannot; roots are the integer roots e_i of its x^3 + Ai x + Bi. _delta
+    is injective on E(Q)/2E(Q) (AEC X.1.4); x - e_i = (X - e_i Z^2)/Z^2 is
+    read as X - e_i Z^2, of the same square class. The 4-torsion guard: a
+    point of E[2] - O with trivial delta lies in 2E(Q), so E(Q) may have
+    4-torsion and the test gives up; else delta(E(Q)_tors) = delta(E[2]),
+    and a relation a P + b Q = T, gcd(a, b) = 1, survives mod 2."""
     e1, e2, e3 = roots
-    if (e1 + e2 + e3, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3) != (0, E.A, E.B):
-        raise ValueError(f"{roots} are not the roots of x^3 + A x + B on {E}")
+    if (e1 + e2 + e3, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3) != (0, *E._scaled_model[:2]):
+        raise ValueError(f"{roots} are not the roots of x^3 + Ai x + Bi on {E}")
     torsion = [_delta(e, roots) for e in roots]  # delta(E[2] - O)
     if any(is_square(a) and is_square(b) for a, b in torsion):
         return False
-    return all(_outside(_delta(P.x, roots), _delta(Q.x, roots), ((1, 1), *torsion), is_square))
+    dP, dQ = (_delta(X, [e * Z * Z for e in roots]) for X, _, Z in (JP, JQ))
+    return all(_outside(dP, dQ, ((1, 1), *torsion), is_square))
 
 
 #: descent_mod_p's primes: below 130 they prove four of the five seed-0 mordell

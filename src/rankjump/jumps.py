@@ -59,28 +59,26 @@ from .conics import (
 )
 from .curves import (
     OffCurveError,
-    PointQ,
     PrecisionError,
     RegulatorResult,
     SingularSpecializationError,
     _jac_order,
     _regulator,
     descent_mod_p,
-    regulator,
     specialize,
     two_descent_independent,
 )
 from .polynomial import RatPoly, poly_gcd
-from .surfaces import KMFamily, TwistFamily, to_weierstrass
+from .surfaces import TwistFamily, to_weierstrass
 
 
 @dataclass(frozen=True)
 class Budget:
     """Search limits: fibre height, parametrisation height, certificate count."""
 
-    x0_height: int = 20
-    param_height: int = 16
-    count: int = 100
+    x0_height: int
+    param_height: int
+    count: int
 
 
 @dataclass(frozen=True)
@@ -247,10 +245,8 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
     log = log if log is not None else SearchLog()
     if isinstance(surface, TwistFamily):
         pair_points, twist = partial(_shared_value_points, budget.param_height), True
-    elif isinstance(surface, KMFamily):
-        pair_points, twist = partial(_intersection_points, {}, budget.param_height), False
     else:
-        raise TypeError("jump2 needs a twist or quadratic-coefficient family")
+        pair_points, twist = partial(_intersection_points, {}, budget.param_height), False
     seen: set[Fraction] = set()
     heights = {}  # the height table of this search (curves._height)
     earlier = {}  # a twist's extension class, or None on km -> its fibres so far
@@ -306,12 +302,9 @@ def avoid_covers(surface, challenge: CoverChallenge, budget: Budget,
     Every emitted t0 satisfies is_square(h_i(t0)) = False for each cover in
     the challenge; an empty challenge reproduces the unfiltered stream.
     """
-    if rank == 1:
-        yield from jump1(surface, budget, avoid=challenge, log=log)
-    elif rank == 2:
-        yield from jump2(surface, budget, avoid=challenge, log=log)
-    else:
+    if rank not in (1, 2):
         raise ValueError("rank must be 1 or 2")
+    yield from (jump1 if rank == 1 else jump2)(surface, budget, avoid=challenge, log=log)
 
 
 def field_census(surface, x0_height_bound: int) -> tuple[list[tuple[int, int]], int]:
@@ -337,12 +330,12 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
     the order of the reasons: each point has one provenance x0, t0 avoids
     singular fibres, the curve is the specialised one, each point is on it
     (once, as a triple: through the chart that is the fibre equation too),
-    pulls back to x = x0 and is not torsion, a pair is independent (by
-    2-descent over Q on a twist whose f splits, else modulo primes on the
-    triples, and by the regulator's heights only where it defers), and the
-    recorded bounds, exactness and regulator match the surface and the
-    evidence (a regulator: a pair), its Fraction fields typed where it is made
-    or read (store._record).
+    pulls back to x = x0 and is not torsion, a pair is independent (on the
+    triples, by 2-descent over Q on a twist whose f splits, else modulo
+    primes, and by the regulator's heights in a fresh table only where it
+    defers), and the recorded bounds, exactness and regulator match the
+    surface and the evidence (a regulator: a pair), its Fraction fields typed
+    where it is made or read (store._record).
     """
     if len(cert.points) != len(cert.provenance):
         return False, [f"point count {len(cert.points)} does not match provenance count "
@@ -354,40 +347,39 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
         return False, [f"specialisation failed: {exc}"]
     if (spec.curve.A, spec.curve.B) != tuple(cert.curve):
         return False, ["recorded curve does not match the specialised fibre"]
-    E, pts, Js = spec.curve, [], []
+    E, Js = spec.curve, []
     for (x, y), x0 in zip(cert.points, cert.provenance):
-        P = PointQ(x, y)
         try:
-            J = E._jac(P)
+            J = E._jac((x.as_integer_ratio(), y.as_integer_ratio()))
         except OffCurveError:
-            reasons.append(f"point {P} is off the curve")
+            reasons.append(f"point ({x}, {y}) is off the curve")
             continue
-        (X, D), _ = spec.moved(x0, 0)  # P pulls back to x0 iff x = X/D
+        (X, D), _ = spec.moved(x0, 0)  # (x, y) pulls back to x0 iff x = X/D
         if x.numerator * D != X * x.denominator:
-            reasons.append(f"point {P} does not come from the fibre x = {x0}")
+            reasons.append(f"point ({x}, {y}) does not come from the fibre x = {x0}")
         elif _jac_order(E._scaled_model[0], J) is not None:
-            reasons.append(f"point {P} is torsion")
+            reasons.append(f"point ({x}, {y}) is torsion")
         else:
-            pts.append(P)
             Js.append(J)
     if reasons:
         return False, reasons
-    if len(pts) == 2:
+    if len(Js) == 2:
         roots = surface.f_roots if isinstance(surface, TwistFamily) else None
+        mu2 = E._scaled_model[2] ** 2  # the roots e mu^2 of the monic x^3 + Ai x + Bi are ints
         if not (descent_mod_p(E, *Js) if roots is None else two_descent_independent(
-                E, [spec.transport(r, 0).x for r in roots], *pts)):
-            verdict = regulator(E, pts)
+                E, [X * mu2 // D for (X, D), _ in (spec.moved(r, 0) for r in roots)], *Js)):
+            verdict = _regulator(E, *Js, {})
             if not verdict.independent:
                 reasons.append(f"regulator verdict is {verdict.verdict}")
-    elif len(pts) != 1:
-        reasons.append(f"unsupported point count {len(pts)}")
+    elif len(Js) != 1:
+        reasons.append(f"unsupported point count {len(Js)}")
     r_bound, r_exact = rank_bound_data(surface)
     if cert.generic_rank_bound != r_bound:
         reasons.append("recorded generic rank bound is wrong")
     if cert.rank_bound_exact != r_exact:
         reasons.append("recorded exactness of the rank bound is wrong")
-    if cert.claimed_rank_lower_bound != len(pts):
+    if cert.claimed_rank_lower_bound != len(Js):
         reasons.append("claimed rank bound does not match the evidence")
-    if cert.regulator is not None and len(pts) != 2:
+    if cert.regulator is not None and len(Js) != 2:
         reasons.append("a regulator is recorded without a pair of points")
     return not reasons, reasons

@@ -118,8 +118,10 @@ def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
     )
     if not all(map(isfinite, cert.regulator or ())):  # json reads NaN and Infinity
         raise ValueError(f"bad stored regulator {cert.regulator}")
-    budget = Budget(*(_typed(n, (int,), "budget") for n in data["budget"]))
-    return CertificateRecord(cert, cfg, budget, data.get("timestamp"),
+    budget = [_typed(n, (int,), "budget") for n in data["budget"]]
+    if len(budget) != 3 or min(budget) < 1:  # cli._parse_budget's rule
+        raise ValueError(f"bad stored budget {str(budget)[:20]!r}")
+    return CertificateRecord(cert, cfg, Budget(*budget), data.get("timestamp"),
                              _typed(data.get("verified", False), (bool,), "verified"))
 
 

@@ -18,7 +18,8 @@ fibre product of two double covers from their branch loci, polynomial
 division by stripping loops, the fibre at infinity read from the
 model reversed in s = 1/t, integer factorisation and the rational roots
 of a polynomial by sympy alone, and the specialisation, point transport, pullback, cover test and store reader of
-the Fraction path the integer one replaced.
+the Fraction path the integer one replaced, and the complete 2-descent
+on the Fraction x-coordinates that the one on triples replaced.
 
 sympy is imported here, once, when the suite loads: the library imports it
 only for a cofactor its trial division leaves, so the first such call would
@@ -93,6 +94,27 @@ def frac_is_square(num: int, den: int) -> bool:
         return False
     g = gcd(abs(num), abs(den))
     return int_is_square(abs(num) // g) and int_is_square(abs(den) // g)
+
+
+def two_descent_fraction(roots, P, Q) -> bool:
+    """Complete 2-descent over Q on the Fraction points P and Q of y^2 =
+    (x - e1)(x - e2)(x - e3), roots the e_i: the 2-torsion guard, then the
+    image (x - e1, x - e2) of P, Q and P + Q each outside the span of the
+    images of E[2], squares tested in Fractions."""
+    e1, e2, e3 = roots
+
+    def delta(x):
+        return x - e1 or (e1 - e2) * (e1 - e3), x - e2 or (e2 - e1) * (e2 - e3)
+
+    def square(q):
+        return frac_is_square(*Fraction(q).as_integer_ratio())
+
+    span = [(1, 1)] + [delta(e) for e in roots]
+    if any(square(a) and square(b) for a, b in span[1:]):
+        return False
+    (p1, p2), (q1, q2) = delta(P.x), delta(Q.x)
+    return all(not any(square(a * t1) and square(b * t2) for t1, t2 in span)
+               for a, b in ((p1, p2), (q1, q2), (p1 * q1, p2 * q2)))
 
 
 def brute_force_conic_point(fibre, box: int = 200):

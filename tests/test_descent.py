@@ -17,12 +17,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from conftest import rational_roots_sympy
+from conftest import rational_roots_sympy, two_descent_fraction
 from rankjump.arith import DomainError, is_square, rational_sqrt
 from rankjump.curves import (
     IDENTITY,
     EllipticCurveQ,
     SingularCurveError,
+    _regulator,
     descent_mod_p,
     point,
     regulator,
@@ -47,6 +48,17 @@ def short_model(roots):
 
 def two_torsion(roots):
     return [IDENTITY] + [point(e, 0) for e in roots]
+
+
+def triples(E, *points):
+    return [E._jac(P) for P in points]
+
+
+def descent(E, roots, P, Q):
+    """two_descent_independent of the points P and Q, the roots e_i of E
+    moved to its scaled model as the e_i mu^2."""
+    mu = E._scaled_model[2]
+    return two_descent_independent(E, [int(e * mu * mu) for e in roots], *triples(E, P, Q))
 
 
 def split_curve(e1, e2, x0, y0):
@@ -97,8 +109,8 @@ def test_constructed_dependent_pairs_are_never_proved_independent(curve, a, i):
     E, roots, R = curve
     T = two_torsion(roots)[i]
     P1, Q1 = E.add(E.scalar_mul(2 * a + 1, R), T), E.add(E.scalar_mul(2, R), T)
-    assert not two_descent_independent(E, roots, P1, Q1)
-    assert not two_descent_independent(E, roots, Q1, P1)
+    assert not descent(E, roots, P1, Q1)
+    assert not descent(E, roots, Q1, P1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -110,7 +122,9 @@ def test_descent_independent_is_never_regulator_dependent(twist, coeffs, i, j):
     P1 = E.add(E.add(E.scalar_mul(a, P), E.scalar_mul(b, Q)), T[i])
     Q1 = E.add(E.add(E.scalar_mul(c, P), E.scalar_mul(d, Q)), T[j])
     assume(E.torsion_order(P1) is None and E.torsion_order(Q1) is None)
-    if two_descent_independent(E, roots, P1, Q1):
+    proved = descent(E, roots, P1, Q1)
+    assert proved == two_descent_fraction(roots, P1, Q1)
+    if proved:
         assert a * d - b * c != 0
         assert regulator(E, [P1, Q1]).verdict != "dependent"
 
@@ -138,14 +152,14 @@ def test_halvable_two_torsion_is_inconclusive(curve, k, i):
     for d1, d2 in delta:
         assert not any(is_square(d1 * t1) and is_square(d2 * t2)
                        for t1, t2 in [(1, 1), (-1, r * r - s * s)])  # delta(E[2])
-    assert not two_descent_independent(E, roots, R1, R2)
+    assert not descent(E, roots, R1, R2)
     assert regulator(E, [R1, R2]).verdict == "dependent"
 
 
 def test_roots_must_be_the_curves():
     E, roots, _ = short_model((0, 1, -1))
     with pytest.raises(ValueError):
-        two_descent_independent(E, [r + 1 for r in roots], point(0, 0), point(0, 0))
+        descent(E, [r + 1 for r in roots], point(0, 0), point(0, 0))
 
 
 def test_f_roots():
@@ -222,20 +236,17 @@ def test_shipped_twist_pairs_verify_without_heights(twist_certificates, monkeypa
 def test_inconclusive_descent_falls_back_to_the_regulator(twist_certificates, monkeypatch):
     calls = []
 
-    def counting_regulator(E, points):
-        calls.append(points)
-        return regulator(E, points)
+    def counting_regulator(E, JP, JQ, heights):
+        assert heights == {}  # a fresh table, shared with no search
+        calls.append((JP, JQ))
+        return _regulator(E, JP, JQ, heights)
 
     monkeypatch.setattr("rankjump.jumps.two_descent_independent", lambda *args: False)
-    monkeypatch.setattr("rankjump.jumps.regulator", counting_regulator)
+    monkeypatch.setattr("rankjump.jumps._regulator", counting_regulator)
     for surface, cert in twist_certificates[:2]:
         ok, reasons = verify_certificate(surface, cert)
         assert ok, reasons
     assert len(calls) == 2
-
-
-def triples(E, *points):
-    return [E._jac(P) for P in points]
 
 
 def curve_through(R, S):

@@ -22,6 +22,7 @@ from test_curves import kubert_point
 from rankjump import curves
 from rankjump.arith import DomainError, prime_factors, val_unit
 from rankjump.curves import (
+    IDENTITY,
     EllipticCurveQ,
     PrecisionError,
     SingularCurveError,
@@ -277,6 +278,29 @@ class TestFormalMultiple:
         with pytest.raises(PrecisionError):
             _formal_multiple(A, E._jac(P))
         assert _formal_multiple(A, Q) == (1, Q)
+
+    def test_precision_error_retries_with_more_digits(self, monkeypatch):
+        """Each PrecisionError of the series doubles the digits and adds 16
+        terms, three times at most; the fourth is raised."""
+        E, P = EllipticCurveQ(0, 17), point(-2, 3)
+        exact, lambda_infinity, failures = canonical_height(E, P), curves._lambda_infinity, [0]
+
+        def failing(*args):
+            if failures[0]:
+                failures[0] -= 1
+                raise PrecisionError("duplication series lost the real locus")
+            return lambda_infinity(*args)
+
+        monkeypatch.setattr(curves, "_lambda_infinity", failing)
+        failures[0] = 1
+        retried = canonical_height(E, P)
+        assert (retried.detail["digits"], retried.detail["terms"]) == (120, 64)
+        assert exact.detail["digits"] == 60 and failures[0] == 0
+        assert abs(retried.value - exact.value) <= retried.error + exact.error
+        failures[0] = 4
+        with pytest.raises(PrecisionError, match="height precision not reached: duplication"):
+            canonical_height(E, P)
+        assert failures[0] == 0
 
     @pytest.mark.parametrize("curve_point", [
         *(kubert_point(n, t) for n in (4, 5, 6, 7, 8, 9, 10, 12)
@@ -544,6 +568,16 @@ class TestRegulator:
             res = regulator(E, [E.scalar_mul(a, P), E.scalar_mul(b, P)])
             assert res.verdict != "independent", (E, P, a, b)
 
+    def test_relation_beyond_the_bound_is_inconclusive(self):
+        # y^2 = x^3 + 17, P = (-2, 3): the Gram matrix of (P, nP) is singular,
+        # and nP - n P = O is a relation within |a|, |b| <= 20 only up to n = 20
+        E, P = EllipticCurveQ(0, 17), point(-2, 3)
+        res = regulator(E, [P, E.scalar_mul(20, P)])
+        assert res.verdict == "dependent" and res.relation == (20, -1, 1)
+        res = regulator(E, [P, E.scalar_mul(21, P)])
+        assert res.verdict == "inconclusive" and res.relation is None
+        assert abs(res.determinant) <= res.error
+
     def test_torsion_rejected(self):
         E = EllipticCurveQ(-36, 0)
         with pytest.raises(ValueError, match="non-torsion"):
@@ -564,6 +598,19 @@ class TestRegulator:
         assert abs(v1 - v2) <= e1 + e2 + 1e-12
         v2P, e2P = neron_tate_pairing(E, E.add(P, P), Q)
         assert abs(v2P - 2 * v1) <= e2P + 2 * e1 + 1e-10
+
+    def test_pairing_with_the_identity_and_with_torsion_sums(self):
+        # P + Q = O and P + Q = (0, 0), of order 2, both read hhat(P + Q) = 0
+        E = EllipticCurveQ(-36, 0)
+        P, minus_P = point(-3, 9), point(-3, -9)
+        with pytest.raises(ValueError, match="identity"):
+            neron_tate_pairing(E, IDENTITY, P)
+        with pytest.raises(ValueError, match="identity"):
+            neron_tate_pairing(E, P, IDENTITY)
+        h = canonical_height(E, P)
+        for Q in (minus_P, E.add(point(0, 0), minus_P)):
+            value, error = neron_tate_pairing(E, P, Q)
+            assert abs(value + h.value) <= error + 1e-12, Q
 
 
 def _torsion_curve(n, t, P):

@@ -318,6 +318,22 @@ class TestAvoidCovers:
         b = [c.t0 for c in jump1(usual_twist(), Budget(6, 6, 15))]
         assert a == b
 
+    def test_rank_two_stream_is_jump2s(self):
+        # h(-42/125) = 1: the first rank-2 t0 on the usual twist is avoided
+        challenge, budget = CoverChallenge((T + Fraction(167, 125),)), Budget(10, 6, 4)
+        logs = SearchLog(), SearchLog()
+        certs = list(avoid_covers(usual_twist(), challenge, budget, rank=2, log=logs[0]))
+        assert certs == list(jump2(usual_twist(), budget, avoid=challenge, log=logs[1]))
+        assert [c.t0 for c in certs] == [Fraction(-168, 125), Fraction(-21, 250),
+                                         Fraction(-378, 125), Fraction(-189, 250)]
+        assert logs[0] == logs[1] and logs[0].avoided_t0 == 4
+
+    def test_rank_other_than_one_or_two_is_refused(self):
+        for rank in (0, 3):
+            stream = avoid_covers(usual_twist(), CoverChallenge(()), Budget(1, 1, 1), rank=rank)
+            with pytest.raises(ValueError, match="rank must be 1 or 2"):
+                next(stream)
+
     def test_cover_validation(self):
         with pytest.raises(ValueError):
             CoverChallenge((RatPoly([3]),))
@@ -501,8 +517,9 @@ class TestVerification:
 
     def test_verify_checks_each_point_on_the_curve_once(self, tmp_path, capsys, monkeypatch):
         # the seed-0 certificates of the benchmark's rank-1 and rank-2
-        # searches: outside the regulator, verify_certificate meets each
-        # point's curve equation once, and never evaluates a km fibre
+        # searches: verify_certificate meets each point's curve equation
+        # once, the regulator on an open pair included, and never
+        # evaluates a km fibre
         monkeypatch.syspath_prepend(str(PERFBENCH))
         import gen
         import run
@@ -520,32 +537,23 @@ class TestVerification:
             if rec.surface.definition not in surfaces:
                 surfaces[rec.surface.definition] = rec.surface.fibred
 
-        checked, in_regulator = [], []
-        is_on, regulator = EllipticCurveQ.is_on, jumps.regulator
+        checked, is_on = [], EllipticCurveQ.is_on
 
         def counting_is_on(self, P):
-            if not in_regulator:
-                checked.append(P)
+            checked.append(P)
             return is_on(self, P)
-
-        def marked_regulator(*args):
-            in_regulator.append(1)
-            try:
-                return regulator(*args)
-            finally:
-                in_regulator.pop()
 
         def no_fibre_quadratic(self, x0):
             raise AssertionError("the fibre equation was evaluated")
 
         monkeypatch.setattr(EllipticCurveQ, "is_on", counting_is_on)
-        monkeypatch.setattr(jumps, "regulator", marked_regulator)
         monkeypatch.setattr(KMFamily, "fibre_quadratic", no_fibre_quadratic)
         shapes = Counter()
         for rec in records:
             checked.clear()
             cert = rec.certificate
             assert verify_certificate(surfaces[rec.surface.definition], cert) == (True, [])
-            assert checked == [point(x, y) for x, y in cert.points]
+            assert checked == [(x.as_integer_ratio(), y.as_integer_ratio())
+                               for x, y in cert.points]
             shapes[rec.surface.kind, len(cert.points)] += 1
         assert shapes == {("km", 1): 300, ("twist", 1): 300, ("km", 2): 5, ("twist", 2): 10}

@@ -7,11 +7,11 @@ needs its Fraction coordinates. The heights, the formal-group walk and the
 relation search take the regulator's triples; none of them rebuilds a
 curve on the integral model or checks a point again. The search enters
 each point once: _certify converts it with _jac and hands the triples to
-curves._regulator, so of the 258 checks per cycle, 226 come from _certify,
-one per transported point, and 32 from verify_certificate: one per point,
-whose triple its torsion check and the 2-descent read, and two from the
-public regulator on the one pair the descent leaves open (counted by
-wrapping EllipticCurveQ._jac).
+curves._regulator, so of the 256 checks per cycle, 226 come from _certify,
+one per transported point, and 30 from verify_certificate, one per point:
+its torsion check, both 2-descents and, on the one pair the descents leave
+open, curves._regulator read that triple (counted by wrapping
+EllipticCurveQ.is_on).
 
 A search computes each distinct height once: jump2 holds one table keyed
 by the reduced integral model and triple (curves._height), so the five
@@ -62,8 +62,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: per seed-0 rank-2 cycle: 523 checks and 192 curves while each height
 #: rebuilt its curve and point, and P + Q re-entered the law; 458 checks
 #: while the regulator's entry check re-entered the search's points; 266
-#: while re-verification asked the regulator about every mordell pair
-IS_ON_CALLS = 258
+#: while re-verification asked the regulator about every mordell pair, and
+#: 258 while the public regulator re-checked the pair the descent left open
+IS_ON_CALLS = 256
 CURVES_BUILT = 129
 #: heights computed (formal-group walks) per command, and those of them in
 #: re-verification; 15, 15 and 33 before the search kept a height table,
@@ -223,12 +224,14 @@ def test_seed0_census_hashes_a_shared_kernel_once(tmp_path, capsys, monkeypatch)
 #: on CPython 3.10 and 3.11, where every Fraction passes through __new__:
 #: 27,175 and 25,218 while specialize, transport, the curve entry and
 #: verify_certificate built and re-wrapped Fractions; verify-store 9,018
-#: while TwistFamily.f_roots factored f through sympy
-FRACTIONS_BUILT = (7892, 8996)
+#: while TwistFamily.f_roots factored f through sympy, and 8,996 while the
+#: descent over Q read Fraction points and roots
+FRACTIONS_BUILT = (7892, 8761)
 #: the same from CPython 3.12 on, whose arithmetic builds its results
 #: without __new__ and coerces an int left operand through it: 23,055 and
-#: 21,425 before, and verify-store 8,285 with f_roots through sympy
-FRACTIONS_BUILT_FROM_312 = (7543, 8278)
+#: 21,425 before, and verify-store 8,285 with f_roots through sympy and
+#: 8,278 with the descent over Q in Fractions
+FRACTIONS_BUILT_FROM_312 = (7543, 8233)
 
 
 def test_seed0_fractions_built(tmp_path, capsys, monkeypatch):

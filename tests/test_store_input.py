@@ -199,6 +199,19 @@ class TestForgedInput:
     def test_mistyped_field_is_corrupt(self, tmp_path, fields, reason):
         assert self._verify_second_line(tmp_path, _forged(**fields)) == "corrupt record: " + reason
 
+    # Budget(*budget) filled [] and [1, 2] from its field defaults, and
+    # took [0, 0, 0]; verify printed ok for all three
+    @pytest.mark.parametrize("budget, shown", [
+        ([], "'[]'"), ([1, 2], "'[1, 2]'"), ([0, 0, 0], "'[0, 0, 0]'"),
+        ([6, -6, 1], "'[6, -6, 1]'"), ([6, 6, 1, 1], "'[6, 6, 1, 1]'"),
+    ])
+    def test_malformed_budget_is_corrupt(self, tmp_path, budget, shown):
+        forged = _forged(budget=budget)
+        with pytest.raises(ValueError, match="bad stored budget"):
+            record_from_json(forged.decode("utf-8"))
+        reason = self._verify_second_line(tmp_path, forged)
+        assert reason == "corrupt record: bad stored budget " + shown
+
     def test_non_finite_regulator_is_corrupt(self, tmp_path):
         # json reads NaN and Infinity, and the descent never reads the
         # stored regulator, so this pair once verified ok
