@@ -1,9 +1,9 @@
 """Exact integer and rational arithmetic helpers.
 
 Everything in this module is computed with integer arithmetic only:
-perfect-square tests, square classes, modular square roots,
-Legendre and Hilbert symbols, local solvability of diagonal ternary
-quadratic forms, and a zero of a solvable one by Lagrange's descent.
+perfect-square tests, square classes, modular square roots, Hilbert
+symbols of integers, local solvability of diagonal ternary forms given by
+square classes, and a zero of a solvable one by Lagrange's descent.
 Factoring happens in _factorint: trial division by the primes below 2^10,
 then sympy's factorint (imported only then, for its p - 1 and ECM stages)
 on a cofactor above 2^20 that outlives them. square_class reaches it once
@@ -83,25 +83,15 @@ def square_class(q) -> SquareClass:
     return SquareClass(s, tuple(sorted(primes)))
 
 
-def int_sqrt(n: int):
-    """Exact integer square root of n, or None if n is not a perfect square."""
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
 def rational_sqrt(q) -> Fraction | None:
     """The non-negative exact square root of q in Q, or None; a negative q
-    has a negative numerator, which int_sqrt refuses."""
+    has a negative numerator, which no square equals."""
     n, d = q.as_integer_ratio()
-    rn = int_sqrt(n)
-    if rn is None:
+    rn = isqrt(max(n, 0))
+    if rn * rn != n:
         return None
-    rd = int_sqrt(d)
-    if rd is None:
-        return None
-    return Fraction(rn, rd)
+    rd = isqrt(d)
+    return Fraction(rn, rd) if rd * rd == d else None
 
 
 def is_square(q) -> bool:
@@ -148,22 +138,10 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     return r
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for an odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
-def _as_int(q) -> int:
-    # an integer in the square class of a nonzero rational: n/d ~ n d
-    return q if isinstance(q, int) else q.numerator * q.denominator
-
-
 def val_unit(n: int, p: int) -> tuple[int, int]:
     """(v, u) with n = p^v * u and p not dividing u, for a nonzero integer n."""
+    if n == 0:
+        raise DomainError("valuation of 0")
     v = 0
     while n % p == 0:
         n //= p
@@ -171,38 +149,31 @@ def val_unit(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def hilbert(a, b, p: int) -> int:
-    """Hilbert symbol (a, b)_p at a finite prime p, for nonzero rationals.
+def hilbert(a: int, b: int, p: int) -> int:
+    """Hilbert symbol (a, b)_p at a finite prime p, for nonzero integers.
 
-    Each argument is replaced by an integer of its square class, then split
-    into p-adic valuation and unit; only residues of integers are taken.
+    With a = p^al u and b = p^be v, u and v units (Serre, A Course in
+    Arithmetic, III.1.2, Thm 1): at an odd p it is the Legendre symbol of
+    the unit (-1)^(al be) u^be v^al, read by Euler's criterion.
     """
-    a, b = _as_int(a), _as_int(b)
-    if a == 0 or b == 0:
-        raise DomainError("Hilbert symbol needs nonzero arguments")
     al, u = val_unit(a, p)
     be, v = val_unit(b, p)
     if p == 2:
         u, v = u % 8, v % 8
         e = (u - 1) * (v - 1) // 4 + al * (v * v - 1) // 8 + be * (u * u - 1) // 8
         return -1 if e % 2 else 1
-    res = -1 if al * be % 2 and p % 4 == 3 else 1
-    if be % 2:
-        res *= legendre(u, p)
-    if al % 2:
-        res *= legendre(v, p)
-    return res
+    w = (-1 if al * be % 2 else 1) * (u if be % 2 else 1) * (v if al % 2 else 1)
+    return 1 if pow(w, p // 2, p) == 1 else -1
 
 
-def ternary_obstruction(a, b, c):
-    """First local obstruction to a*x^2 + b*y^2 + c*z^2 = 0, or None.
-
-    Arguments are nonzero rationals or their SquareClasses; a rational is
-    classed (factored) first. Returns REAL_PLACE (= 0) for the real place,
-    an obstructing prime otherwise, or None when the form is isotropic over
-    every completion (hence over Q, by Hasse-Minkowski). Only 2 and the
-    primes of the three classes can obstruct: at any other prime all three
-    are units, and a unit ternary form is isotropic there.
+def ternary_obstruction(a: SquareClass, b: SquareClass, c: SquareClass):
+    """First local obstruction to a*x^2 + b*y^2 + c*z^2 = 0, or None, for the
+    square classes a, b, c of nonzero rationals. Returns REAL_PLACE (= 0)
+    for the real place, an obstructing prime otherwise, or None when the
+    form is isotropic over every completion (hence over Q, by
+    Hasse-Minkowski). Only 2 and the primes of the three classes can
+    obstruct: at any other prime all three are units, and a unit ternary
+    form is isotropic there.
 
     The form is isotropic over Q_p iff z^2 = (-a/c) x^2 + (-b/c) y^2 is, that
     is iff (-ac, -bc)_p = 1 (Serre, A Course in Arithmetic, III.1.1): one
@@ -210,7 +181,6 @@ def ternary_obstruction(a, b, c):
     III.2.1, Thm 3) makes the number of obstructing primes even, so the
     largest is never tested; the first obstruction reported does not change.
     """
-    a, b, c = (x if isinstance(x, SquareClass) else square_class(x) for x in (a, b, c))
     if a.s > 0 and b.s > 0 and c.s > 0 or a.s < 0 and b.s < 0 and c.s < 0:
         return REAL_PLACE
     *places, _ = sorted({2, *a.primes, *b.primes, *c.primes})

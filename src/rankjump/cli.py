@@ -85,8 +85,8 @@ def cmd_classify(args) -> int:
         print("twist form: none (not a quadratic twist family)")
     else:
         print(f"twist form: g(t) y^2 = f(x) with f = {twist.f.format('x')}, g = {twist.g!r}")
-        if twist.g.degree == 2:
-            ch = to_chatelet(twist)
+        ch = to_chatelet(twist)
+        if ch is not None:
             print(f"chatelet model: w^2 - ({ch.a}) y^2 = {ch.cubic.format('x')}")
     return EXIT_OK
 

@@ -112,6 +112,11 @@ def _parse_rational(token: str, where: str) -> Fraction:
     return value
 
 
+def _poly(tokens, where: str) -> RatPoly:
+    """The polynomial of coefficient tokens, constant term first, each bounded."""
+    return RatPoly([_parse_rational(tok, where) for tok in tokens])
+
+
 def parse_surface_config(text: str) -> SurfaceConfig:
     """Parse the key-value format; raises ConfigError with line precision."""
     values: dict[str, tuple[int, str]] = {}
@@ -139,9 +144,7 @@ def parse_surface_config(text: str) -> SurfaceConfig:
         if name not in values:
             raise ConfigError(f"kind {kind!r} requires field '{name}'")
         lineno, val = values.pop(name)
-        tokens = [tok for tok in val.replace(",", " ").split() if tok]
-        coeffs = [_parse_rational(tok, f"line {lineno}: field '{name}'") for tok in tokens]
-        polys[name] = RatPoly(coeffs)
+        polys[name] = _poly(val.replace(",", " ").split(), f"line {lineno}: field '{name}'")
     if values:
         stray = ", ".join(sorted(values))
         raise ConfigError(f"unknown keys for kind {kind!r}: {stray}")
@@ -165,13 +168,15 @@ def surface_config_from_dict(data: dict) -> SurfaceConfig:
     kind = data.get("kind") if isinstance(data, dict) else None
     if not isinstance(kind, str) or kind not in _FIELDS:
         raise ConfigError(f"unknown kind {str(kind)[:20]!r} in stored record")
+    label = data.get("label", kind)
+    if not isinstance(label, str):
+        raise ConfigError(f"bad stored label {str(label)[:20]!r}")
     polys = {}
     for name in _FIELDS[kind]:
         if not isinstance(data.get(name), list):
             raise ConfigError(f"stored record has no list for field '{name}'")
-        polys[name] = RatPoly([_parse_rational(str(c), f"stored field '{name}'")
-                               for c in data[name]])
-    return SurfaceConfig(kind=kind, label=data.get("label", kind), polys=polys)
+        polys[name] = _poly(map(str, data[name]), f"stored field '{name}'")
+    return SurfaceConfig(kind=kind, label=label, polys=polys)
 
 
 def parse_cover_file(text: str) -> list[RatPoly]:
@@ -181,7 +186,5 @@ def parse_cover_file(text: str) -> list[RatPoly]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = [tok for tok in line.replace(",", " ").split() if tok]
-        coeffs = [_parse_rational(tok, f"line {lineno}: field 'cover'") for tok in tokens]
-        covers.append(RatPoly(coeffs))
+        covers.append(_poly(line.replace(",", " ").split(), f"line {lineno}: field 'cover'"))
     return covers

@@ -47,9 +47,6 @@ class QuadExtClass:
     s: int
     h: RatPoly
 
-    def __repr__(self) -> str:
-        return f"sqrt({self.s} * ({self.h!r}))"
-
 
 @dataclass(frozen=True)
 class BranchLocus:

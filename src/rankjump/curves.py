@@ -77,13 +77,7 @@ class PointQ:
 IDENTITY = PointQ(None, None)
 
 
-def point(x, y) -> PointQ:
-    return PointQ(Fraction(x), Fraction(y))
-
-
 def _vp(n: int, p: int) -> int:
-    if n == 0:
-        raise DomainError("valuation of 0")
     return val_unit(n, p)[0]
 
 
@@ -159,9 +153,6 @@ class EllipticCurveQ:
 
     def add(self, P: PointQ, Q: PointQ) -> PointQ:
         return self._point(_jac_add(self._scaled_model[0], self._jac(P), self._jac(Q)))
-
-    def scalar_mul(self, n: int, P: PointQ) -> PointQ:
-        return self._point(_jac_mul(self._scaled_model[0], n, self._jac(P)))
 
     def torsion_order(self, P: PointQ) -> int | None:
         """Order of P if torsion, else None (see _jac_order)."""

@@ -22,9 +22,6 @@ class KodairaType:
     euler: int            # local Euler number contribution
     reduced: bool
 
-    def __repr__(self) -> str:
-        return self.symbol
-
 
 _INF = 10**9  # stand-in for the valuation of the zero polynomial
 

@@ -15,10 +15,6 @@ from math import lcm
 from .arith import DomainError
 
 
-class UnsupportedDegreeError(ValueError):
-    """Raised for discriminants of degrees this project does not need."""
-
-
 class RatPoly:
     """Univariate polynomial over Q, coefficients constant term first."""
 
@@ -215,7 +211,7 @@ def poly_discriminant(p: RatPoly) -> Fraction:
             - 4 * a * c**3
             - 27 * a**2 * d**2
         )
-    raise UnsupportedDegreeError(f"discriminant for degree {p.degree}")
+    raise DomainError(f"discriminant for degree {p.degree}")
 
 
 def yun_squarefree(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:

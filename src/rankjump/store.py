@@ -8,8 +8,9 @@ append only parameter values not already present for the same surface
 definition, so unlabelled surfaces sharing a file lose nothing. Store files
 are read as bytes, one line at a time, by one reader (_read_lines), and
 each line is decoded as UTF-8 on its own, so a line that does not decode is
-one unreadable record. Records are verified in the fibred (twist or km)
-form of their config, the form the search ran in (see verify_store).
+one unreadable record, as is one with a field of the wrong JSON type
+(README lists them; _record types each once). Records are verified in the
+fibred (twist or km) form of their config, the form the search ran in.
 """
 
 from __future__ import annotations
@@ -103,12 +104,16 @@ def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
     """record_from_json of a parsed line whose surface parses to cfg, with cfg's label."""
     if data["label"] != cfg.label:
         raise ValueError(f"label {str(data['label'])[:20]!r} differs from the surface's")
+    _typed(data["version"], (str,), "version")
+    points = _typed(data["points"], (list,), "points")
+    if not all(type(P) is list and len(P) == 2 for P in points):
+        raise ValueError(f"bad stored points {str(points)[:20]!r}")
     reg = data.get("regulator")
     cert = RankJumpCertificate(
         t0=_rational(data["t0"]),
         curve=(_rational(data["curve"]["A"]), _rational(data["curve"]["B"])),
-        points=[(_rational(x), _rational(y)) for x, y in data["points"]],
-        provenance=[_rational(x0) for x0 in data["provenance"]],
+        points=[(_rational(x), _rational(y)) for x, y in points],
+        provenance=[_rational(x0) for x0 in _typed(data["provenance"], (list,), "provenance")],
         generic_rank_bound=_typed(data["generic_rank_bound"], (int,), "generic_rank_bound"),
         rank_bound_exact=_typed(data["rank_bound_exact"], (bool,), "rank_bound_exact"),
         claimed_rank_lower_bound=_typed(data["claimed_rank_lower_bound"], (int,),
@@ -121,7 +126,8 @@ def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
     budget = [_typed(n, (int,), "budget") for n in data["budget"]]
     if len(budget) != 3 or min(budget) < 1:  # cli._parse_budget's rule
         raise ValueError(f"bad stored budget {str(budget)[:20]!r}")
-    return CertificateRecord(cert, cfg, Budget(*budget), data.get("timestamp"),
+    timestamp = _typed(data.get("timestamp"), (str, type(None)), "timestamp")
+    return CertificateRecord(cert, cfg, Budget(*budget), timestamp,
                              _typed(data.get("verified", False), (bool,), "verified"))
 
 

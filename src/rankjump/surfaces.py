@@ -37,10 +37,6 @@ class NotRationalElliptic(ValueError):
     """Raised when degree bounds rule out a rational elliptic surface."""
 
 
-class NotApplicableError(ValueError):
-    """Raised when an operation does not apply to the given surface."""
-
-
 class InconsistentClassification(ValueError):
     """Raised when fibre data violates the Euler-number accounting."""
 
@@ -180,15 +176,14 @@ class WeierstrassQt:
 
     def __post_init__(self):
         A, B = self.A, self.B
+        if A.degree > 4 or B.degree > 6:
+            A, B = _reduce_model(A, B)
+            object.__setattr__(self, "A", A)
+            object.__setattr__(self, "B", B)
         delta = -16 * (4 * A**3 + 27 * B**2)
         if delta.is_zero():
             raise InvalidModelError("discriminant vanishes identically")
         if A.degree > 4 or B.degree > 6:
-            A, B = _reduce_model(A, B)
-            delta = -16 * (4 * A**3 + 27 * B**2)
-            object.__setattr__(self, "A", A)
-            object.__setattr__(self, "B", B)
-        if self.A.degree > 4 or self.B.degree > 6:
             raise NotRationalElliptic(
                 "coefficient degrees exceed the rational elliptic surface bounds"
             )
@@ -307,10 +302,10 @@ class ChateletModel:
     g2: Fraction           # leading coefficient of g
 
 
-def to_chatelet(s: TwistFamily) -> ChateletModel:
-    """Chatelet form of a twist family; requires deg g = 2."""
+def to_chatelet(s: TwistFamily) -> ChateletModel | None:
+    """Chatelet form of a twist family, or None unless deg g = 2."""
     if s.g.degree != 2:
-        raise NotApplicableError("Chatelet model needs deg g = 2")
+        return None
     g2, g1, g0 = s.g[2], s.g[1], s.g[0]
     shift = g1 / (2 * g2)
     a = (g1 * g1 - 4 * g0 * g2) / (4 * g2 * g2)

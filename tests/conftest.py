@@ -19,7 +19,9 @@ division by stripping loops, the fibre at infinity read from the
 model reversed in s = 1/t, integer factorisation and the rational roots
 of a polynomial by sympy alone, and the specialisation, point transport, pullback, cover test and store reader of
 the Fraction path the integer one replaced, and the complete 2-descent
-on the Fraction x-coordinates that the one on triples replaced.
+on the Fraction x-coordinates that the one on triples replaced. Beside
+the oracles sit two builders on the library's own code: points, and the
+multiple n P by the integer group law.
 
 sympy is imported here, once, when the suite loads: the library imports it
 only for a cofactor its trial division leaves, so the first such call would
@@ -229,6 +231,21 @@ def certify_unsolvable(a: int, b: int, c: int, p: int) -> bool:
 # elliptic curves y^2 = x^3 + A x + B by plain Fraction arithmetic; a point
 # is a pair (x, y) and the identity is None. These are the exhaustive
 # decisions the library's torsion and relation searches must agree with.
+
+
+def point(x, y):
+    """The curves.PointQ (x, y), its coordinates made Fractions."""
+    from rankjump.curves import PointQ
+
+    return PointQ(Fraction(x), Fraction(y))
+
+
+def scalar_mul(E, n: int, P):
+    """n P on the EllipticCurveQ E as a PointQ, by curves._jac_mul on the
+    checked triple of P: the library's integer law, which the tests drive."""
+    from rankjump.curves import _jac_mul
+
+    return E._point(_jac_mul(E._scaled_model[0], n, E._jac(P)))
 
 
 def ec_on_curve(A, B, P) -> bool:

@@ -20,6 +20,7 @@ from conftest import (
     distinct_up_to,
     fibre_product_genus,
     legendre_normalize,
+    point,
 )
 from rankjump.arith import DomainError, is_square
 from rankjump.conics import (
@@ -34,7 +35,6 @@ from rankjump.curves import (
     EllipticCurveQ,
     SingularCurveError,
     canonical_height,
-    point,
 )
 from rankjump.jumps import (
     Budget,

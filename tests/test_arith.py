@@ -171,12 +171,23 @@ class TestIntegerHilbert:
     @example((12, Fraction(7, 9), 3))
     def test_matches_fraction_oracle(self, case):
         a, b, p = case
-        assert hilbert(a, b, p) == hilbert_fraction(a, b, p)
+        assert hilbert(class_int(a), class_int(b), p) == hilbert_fraction(a, b, p)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(PRIMES_TO_29).flatmap(lambda p: st.tuples(*[rational_at(p)] * 3)))
     def test_ternary_obstruction_matches_fraction_oracle(self, abc):
-        assert ternary_obstruction(*abc) == ternary_obstruction_fraction(*abc)
+        assert obstruction_of(*abc) == ternary_obstruction_fraction(*abc)
+
+
+def class_int(q) -> int:
+    """An integer in the square class of the nonzero rational q: n/d ~ n d."""
+    n, d = Fraction(q).as_integer_ratio()
+    return n * d
+
+
+def obstruction_of(a, b, c):
+    """ternary_obstruction of the nonzero rationals a, b, c, by their classes."""
+    return ternary_obstruction(*map(square_class, (a, b, c)))
 
 
 def legendre_value(a, p):
@@ -203,22 +214,22 @@ class TestTernaryForms:
     def test_known_obstruction(self):
         # u^2 - 2 w^2 = 6 z^2 fails 3-adically (and, by reciprocity, also
         # 2-adically; the reported obstruction is the smallest place)
-        assert ternary_obstruction(1, -2, -6) == 2
+        assert obstruction_of(1, -2, -6) == 2
         assert not ternary_isotropic_at_fraction(1, -2, -6, 3)
         assert not ternary_isotropic_at_fraction(1, -2, -6, 2)
 
     def test_solvable(self):
-        assert ternary_obstruction(1, -2, -2) is None
-        assert ternary_obstruction(1, 1, -1) is None
+        assert obstruction_of(1, -2, -2) is None
+        assert obstruction_of(1, 1, -1) is None
 
     def test_real_obstruction(self):
-        assert ternary_obstruction(1, 2, 3) == 0
+        assert obstruction_of(1, 2, 3) == 0
 
     def test_against_brute_force(self):
         rng = random.Random(13)
         for _ in range(40):
             a, b, c = (rng.choice([-1, 1]) * rng.randint(1, 30) for _ in range(3))
-            obstruction = ternary_obstruction(a, b, c)
+            obstruction = obstruction_of(a, b, c)
             found = brute_force_zero(a, b, c, 40)
             if found:
                 assert obstruction is None, (a, b, c, found)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import pullback_fraction, specialize_fraction
+from conftest import point, pullback_fraction, scalar_mul, specialize_fraction
 from rankjump.cli import main
 from rankjump.config import (
     MAX_COEFFICIENT,
@@ -18,7 +18,7 @@ from rankjump.config import (
     parse_surface_config,
     surface_config_from_dict,
 )
-from rankjump.curves import point, specialize
+from rankjump.curves import specialize
 from rankjump.jumps import Budget, jump1
 from rankjump.store import (
     CertificateRecord,
@@ -444,7 +444,7 @@ class TestCli:
         spec = specialize(surface, Fraction(data["t0"]))
         E, P = spec.curve, point(*data["points"][0])
         if forgery == "triple":
-            Q = E.scalar_mul(3, P)
+            Q = scalar_mul(E, 3, P)
         else:
             Q = E.add(P, spec.transport(surface.f_roots[0], 0))
         data["points"][1] = [str(Q.x), str(Q.y)]

@@ -9,8 +9,10 @@ from conftest import (
     ec_mul,
     ec_on_curve,
     integral_model_by_denominators,
+    point,
     pullback_fraction,
     relation_holds,
+    scalar_mul,
     specialize_fraction,
     transport_fraction,
     tate_normal_form,
@@ -26,7 +28,6 @@ from rankjump.curves import (
     OffCurveError,
     SingularCurveError,
     SingularSpecializationError,
-    point,
     specialize,
 )
 from rankjump.jumps import RankJumpCertificate, verify_certificate
@@ -86,9 +87,9 @@ class TestGroupLaw:
         acc = IDENTITY
         for n in range(1, 8):
             acc = E.add(acc, P)
-            assert E.scalar_mul(n, P) == acc
-        P3 = E.scalar_mul(3, P)
-        assert E.scalar_mul(-3, P) == point(P3.x, -P3.y)
+            assert scalar_mul(E, n, P) == acc
+        P3 = scalar_mul(E, 3, P)
+        assert scalar_mul(E, -3, P) == point(P3.x, -P3.y)
 
     def test_scalar_mul_adds_at_most_doublings_plus_bits(self, monkeypatch):
         # bit_length - 1 doublings and one addition per set bit; no doubling
@@ -105,7 +106,7 @@ class TestGroupLaw:
         monkeypatch.setattr(curves, "_jac_add", counting_add)
         for n in range(1, 41):
             calls.clear()
-            E.scalar_mul(n, P)
+            scalar_mul(E, n, P)
             assert len(calls) <= n.bit_length() - 1 + bin(n).count("1"), n
 
 
@@ -233,7 +234,7 @@ class TestJacobianLawAgainstOracle:
         A, oP = E.A, oracle_point(P)
         jP, kP = ec_mul(A, j, oP), ec_mul(A, k, oP)
         with reduced_results():
-            jQ, kQ = E.scalar_mul(j, P), E.scalar_mul(k, P)
+            jQ, kQ = scalar_mul(E, j, P), scalar_mul(E, k, P)
             assert (oracle_point(jQ), oracle_point(kQ)) == (jP, kP)
             assert oracle_point(E.add(jQ, kQ)) == ec_add(A, jP, kP)
             assert E.torsion_order(P) == torsion_order_by_multiples(A, oP)
@@ -255,7 +256,7 @@ class TestJacobianLawAgainstOracle:
     def test_kubert_order(self, n):
         E, P = kubert_point(n, Fraction(-3, 2))
         with reduced_results():
-            assert E.scalar_mul(n, P) == IDENTITY
+            assert scalar_mul(E, n, P) == IDENTITY
             assert E.torsion_order(P) == n
 
     def test_special_sums(self):
@@ -267,7 +268,7 @@ class TestJacobianLawAgainstOracle:
             assert E.add(P, point(P.x, -P.y)) == IDENTITY
             assert E.add(T, T) == IDENTITY
             assert E.add(P, IDENTITY) == E.add(IDENTITY, P) == P
-            assert E.scalar_mul(0, P) == E.scalar_mul(5, IDENTITY) == IDENTITY
+            assert scalar_mul(E, 0, P) == scalar_mul(E, 5, IDENTITY) == IDENTITY
 
 
 class TestIntegralModel:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from conftest import rational_roots_sympy, two_descent_fraction
+from conftest import point, rational_roots_sympy, scalar_mul, two_descent_fraction
 from rankjump.arith import DomainError, is_square, rational_sqrt
 from rankjump.curves import (
     IDENTITY,
@@ -25,7 +25,6 @@ from rankjump.curves import (
     SingularCurveError,
     _regulator,
     descent_mod_p,
-    point,
     regulator,
     specialize,
     two_descent_independent,
@@ -108,7 +107,7 @@ def test_constructed_dependent_pairs_are_never_proved_independent(curve, a, i):
     # delta((2a+1) R + T) delta(2R + T) = delta(R): the relation survives mod 2
     E, roots, R = curve
     T = two_torsion(roots)[i]
-    P1, Q1 = E.add(E.scalar_mul(2 * a + 1, R), T), E.add(E.scalar_mul(2, R), T)
+    P1, Q1 = E.add(scalar_mul(E, 2 * a + 1, R), T), E.add(scalar_mul(E, 2, R), T)
     assert not descent(E, roots, P1, Q1)
     assert not descent(E, roots, Q1, P1)
 
@@ -119,8 +118,8 @@ def test_descent_independent_is_never_regulator_dependent(twist, coeffs, i, j):
     E, roots, P, Q = twist
     a, b, c, d = coeffs
     T = two_torsion(roots)
-    P1 = E.add(E.add(E.scalar_mul(a, P), E.scalar_mul(b, Q)), T[i])
-    Q1 = E.add(E.add(E.scalar_mul(c, P), E.scalar_mul(d, Q)), T[j])
+    P1 = E.add(E.add(scalar_mul(E, a, P), scalar_mul(E, b, Q)), T[i])
+    Q1 = E.add(E.add(scalar_mul(E, c, P), scalar_mul(E, d, Q)), T[j])
     assume(E.torsion_order(P1) is None and E.torsion_order(Q1) is None)
     proved = descent(E, roots, P1, Q1)
     assert proved == two_descent_fraction(roots, P1, Q1)
@@ -145,8 +144,8 @@ def test_halvable_two_torsion_is_inconclusive(curve, k, i):
     E, roots, m = short_model((0, -r * r, -s * s))
     R = point(x - m, rational_sqrt(x * (x + r * r) * (x + s * s)))
     P4 = point(r * s - m, r * s * (r + s))
-    assert E.scalar_mul(2, P4) == point(-m, 0)
-    R1 = E.add(E.scalar_mul(2 * k + 1, R), two_torsion(roots)[i])
+    assert scalar_mul(E, 2, P4) == point(-m, 0)
+    R1 = E.add(scalar_mul(E, 2 * k + 1, R), two_torsion(roots)[i])
     R2 = E.add(R1, P4)
     delta = [(Z.x - roots[0], Z.x - roots[1]) for Z in (R1, R2, P4)]
     for d1, d2 in delta:
@@ -284,7 +283,7 @@ def three_torsion_curves(draw):
 
 
 def combination(E, R, S, a, b):
-    return E.add(E.scalar_mul(a, R), E.scalar_mul(b, S))
+    return E.add(scalar_mul(E, a, R), scalar_mul(E, b, S))
 
 
 @settings(max_examples=80, deadline=None)
@@ -336,7 +335,7 @@ def test_mod_p_defers_with_rational_two_torsion(curve, a, i, j):
     is; only the 2-torsion guard stops a proof."""
     E, roots, R = curve
     T = two_torsion(roots)
-    P, Q = E.add(E.scalar_mul(2 * a + 1, R), T[j]), E.add(R, T[i])
+    P, Q = E.add(scalar_mul(E, 2 * a + 1, R), T[j]), E.add(R, T[i])
     assert not descent_mod_p(E, *triples(E, P, Q))
 
 

@@ -12,7 +12,9 @@ from conftest import (
     finite_corrections_fraction,
     formal_multiple_by_first_hits,
     lambda_infinity_mpmath,
+    point,
     relation_by_enumeration,
+    scalar_mul,
     tate_normal_form,
 )
 from hypothesis import assume, example, given, settings, strategies as st
@@ -37,7 +39,6 @@ from rankjump.curves import (
     _tail_constant,
     canonical_height,
     neron_tate_pairing,
-    point,
     regulator,
     specialize,
 )
@@ -172,7 +173,7 @@ def integral_points(draw):
     assume(4 * A**3 + 27 * B**2 != 0)
     E, P = EllipticCurveQ(A, B), point(x, y)
     assume(E.torsion_order(P) is None)
-    return E, E.scalar_mul(draw(st.integers(1, 3)), P)
+    return E, scalar_mul(E, draw(st.integers(1, 3)), P)
 
 
 def near_identity():
@@ -261,7 +262,7 @@ class TestFormalMultiple:
         about 121 * 62,350 bits; the walk through every multiple would run
         for days, and forming m J stops at the bit cap within a second."""
         E = EllipticCurveQ(Fraction(13439, 3), Fraction(955010, 27))
-        R = E.scalar_mul(11, point(Fraction(481, 3), -2208))
+        R = scalar_mul(E, 11, point(Fraction(481, 3), -2208))
         start = perf_counter()
         with pytest.raises(PrecisionError):
             canonical_height(E, R)
@@ -476,7 +477,7 @@ class TestSingularReduction:
         E, P, _ = case
         h1 = canonical_height(E, P)
         for n in (2, 3):
-            hn = canonical_height(E, E.scalar_mul(n, P))
+            hn = canonical_height(E, scalar_mul(E, n, P))
             assert abs(hn.value - n * n * h1.value) <= n * n * h1.error + hn.error, (n, h1, hn)
 
     @settings(max_examples=60, deadline=None)
@@ -492,7 +493,7 @@ class TestSingularReduction:
         Ai, Bi, _ = E.integral_model
         disc = -16 * (4 * Ai**3 + 27 * Bi**2)
         for n in (1, 2, 3):
-            Q = E.scalar_mul(n, P)
+            Q = scalar_mul(E, n, P)
             if Q.x == 0:
                 continue
             corrections = dict(_finite_corrections(Ai, Bi, E._jac(Q)))
@@ -525,7 +526,7 @@ class TestSingularReduction:
     def test_regulator_on_i2_star(self):
         E, P, _ = I2_STAR_AT_13
         for n in (2, 3):
-            res = regulator(E, [P, E.scalar_mul(n, P)])
+            res = regulator(E, [P, scalar_mul(E, n, P)])
             assert res.verdict == "dependent" and res.relation == (n, -1, 1), (n, res)
 
 
@@ -535,7 +536,7 @@ class TestRegulator:
         res = regulator(E, [point(12, 36), point(18, 72)])
         assert res.verdict == "dependent"
         a, b, order = res.relation
-        R = E.add(E.scalar_mul(a, point(12, 36)), E.scalar_mul(b, point(18, 72)))
+        R = E.add(scalar_mul(E, a, point(12, 36)), scalar_mul(E, b, point(18, 72)))
         assert E.torsion_order(R) == order
 
     def test_dependent_multiple(self):
@@ -565,16 +566,16 @@ class TestRegulator:
         for _ in range(4):
             E, P = rand_nontorsion(rng)
             a, b = rng.randint(1, 3), rng.randint(1, 3)
-            res = regulator(E, [E.scalar_mul(a, P), E.scalar_mul(b, P)])
+            res = regulator(E, [scalar_mul(E, a, P), scalar_mul(E, b, P)])
             assert res.verdict != "independent", (E, P, a, b)
 
     def test_relation_beyond_the_bound_is_inconclusive(self):
         # y^2 = x^3 + 17, P = (-2, 3): the Gram matrix of (P, nP) is singular,
         # and nP - n P = O is a relation within |a|, |b| <= 20 only up to n = 20
         E, P = EllipticCurveQ(0, 17), point(-2, 3)
-        res = regulator(E, [P, E.scalar_mul(20, P)])
+        res = regulator(E, [P, scalar_mul(E, 20, P)])
         assert res.verdict == "dependent" and res.relation == (20, -1, 1)
-        res = regulator(E, [P, E.scalar_mul(21, P)])
+        res = regulator(E, [P, scalar_mul(E, 21, P)])
         assert res.verdict == "inconclusive" and res.relation is None
         assert abs(res.determinant) <= res.error
 
@@ -674,7 +675,7 @@ class TestRelationAgainstEnumeration:
         P = point(-3, 9)
         h, e = canonical_height(E, P).value, 1e-9
         gram = (h + e / 2, 4 * h - e / 2, 2 * h + e / 2)
-        JP, JQ = E._jac(P), E._jac(E.scalar_mul(2, P))
+        JP, JQ = E._jac(P), E._jac(scalar_mul(E, 2, P))
         assert _small_relation(E._scaled_model[0], JP, JQ, gram, (e, e, e), 20) == (2, -1, 1)
 
 

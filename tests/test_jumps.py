@@ -17,6 +17,7 @@ from conftest import (
     distinct_up_to,
     fibre_product_genus,
     jump1_lookahead,
+    point,
 )
 from test_conics import coeff, km_through, nonzero, surfaces
 from rankjump import curves, jumps
@@ -30,7 +31,7 @@ from rankjump.conics import (
     conic_solvable,
     rationals_by_height,
 )
-from rankjump.curves import EllipticCurveQ, point, specialize
+from rankjump.curves import EllipticCurveQ, specialize
 from rankjump.jumps import (
     Budget,
     CoverChallenge,

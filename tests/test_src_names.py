@@ -18,11 +18,7 @@ from test_tracer_contract import TRACER
 SRC = Path(__file__).resolve().parents[1] / "src" / "rankjump"
 
 #: (module, qualified name) -> why it stays without a caller in src/
-ALLOWED = {
-    ("curves", "point"): "the checked constructor of points that the tests build",
-    ("curves", "EllipticCurveQ.scalar_mul"):
-        "the public multiple n P on the integer law, which the tests check",
-}
+ALLOWED = {}
 
 TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 

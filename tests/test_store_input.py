@@ -57,14 +57,20 @@ def _record(index: int = 0) -> CertificateRecord:
 RECORD_LINE = _record().to_json().encode("utf-8")
 
 
-def _fixture_pair_line() -> bytes:
-    """The first rank-2 record of the benchmark's verify fixture, a
-    split-twist pair that verify proves by 2-descent, with no height."""
+def _fixture_line(marker: bytes) -> bytes:
+    """The first record of the benchmark's verify fixture holding marker."""
     for gz in sorted((ROOT / "perfbench" / "fixture").glob("*.jsonl.gz")):
         for line in gzip.decompress(gz.read_bytes()).splitlines():
-            if b'"regulator":{' in line:
+            if marker in line:
                 return line
-    raise AssertionError("the fixture holds no rank-2 record")
+    raise AssertionError(f"the fixture holds no record with {marker!r}")
+
+
+#: The first rank-2 record of the fixture, a split-twist pair that verify
+#: proves by 2-descent, with no height.
+PAIR_LINE = _fixture_line(b'"regulator":{')
+#: A rank-1 mordell record of the fixture whose one fibre is x0 = 1.
+MORDELL_LINE = _fixture_line(b'"provenance":["1"]')
 
 
 def _run(argv) -> tuple[int, str, str]:
@@ -141,9 +147,9 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=5)
 
 
-def _forged(**fields) -> bytes:
-    """RECORD_LINE, a rank-1 record, with the fields replaced."""
-    data = json.loads(RECORD_LINE)
+def _forged(base: bytes = RECORD_LINE, **fields) -> bytes:
+    """The record line base, RECORD_LINE by default, with the fields replaced."""
+    data = json.loads(base)
     data.update(fields)
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -199,6 +205,25 @@ class TestForgedInput:
     def test_mistyped_field_is_corrupt(self, tmp_path, fields, reason):
         assert self._verify_second_line(tmp_path, _forged(**fields)) == "corrupt record: " + reason
 
+    # each verified ok while these fields were read untyped: a string or an
+    # object in place of a list iterates by characters or by keys
+    @pytest.mark.parametrize("fields, reason", [
+        ({"timestamp": {"a": 1}}, "bad stored timestamp \"{'a': 1}\""),
+        ({"timestamp": [1, 2]}, "bad stored timestamp '[1, 2]'"),
+        ({"timestamp": 7}, "bad stored timestamp '7'"),
+        ({"timestamp": True}, "bad stored timestamp 'True'"),
+        ({"version": 7}, "bad stored version '7'"),
+        ({"label": 5, "surface": dict(json.loads(MORDELL_LINE)["surface"], label=5)},
+         "bad stored label '5'"),
+        ({"provenance": "1"}, "bad stored provenance '1'"),
+        ({"provenance": {"1": 0}}, "bad stored provenance \"{'1': 0}\""),
+        ({"points": [{"1": 0, "1/2": 0}]}, "bad stored points \"[{'1': 0, '1/2': 0}]\""),
+    ])
+    def test_untyped_field_of_fixture_record_is_corrupt(self, tmp_path, fields, reason):
+        forged = _forged(MORDELL_LINE, **fields)
+        reason_seen = self._verify_second_line(tmp_path, forged, first=MORDELL_LINE)
+        assert reason_seen == "corrupt record: " + reason
+
     # Budget(*budget) filled [] and [1, 2] from its field defaults, and
     # took [0, 0, 0]; verify printed ok for all three
     @pytest.mark.parametrize("budget, shown", [
@@ -215,7 +240,7 @@ class TestForgedInput:
     def test_non_finite_regulator_is_corrupt(self, tmp_path):
         # json reads NaN and Infinity, and the descent never reads the
         # stored regulator, so this pair once verified ok
-        pair = _fixture_pair_line()
+        pair = PAIR_LINE
         data = json.loads(pair)
         data["regulator"] = {"determinant": float("nan"), "error": float("inf")}
         forged = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -277,6 +302,35 @@ class TestForgedInput:
         assert done.returncode == 0
         rows = [line.split() for line in done.stdout.splitlines() if line[:1].isspace()]
         assert rows[-1][0] == "32" and rows[-1][3] == "1"
+
+
+#: The JSON type README documents for each top-level field of a record,
+#: NoneType where null is allowed; JSON tells a boolean from an integer.
+DOCUMENTED_TYPES = {
+    "budget": (list,), "claimed_rank_lower_bound": (int,), "curve": (dict,),
+    "generic_rank_bound": (int,), "label": (str,), "points": (list,), "provenance": (list,),
+    "rank_bound_exact": (bool,), "regulator": (dict, type(None)), "surface": (dict,),
+    "t0": (str,), "timestamp": (str, type(None)), "verified": (bool,), "version": (str,),
+}
+#: One value of each JSON type: string, integer, float, boolean, null, list, object.
+JSON_TYPE_VALUES = ("1", 1, 1.5, True, None, ["1"], {"1": "1"})
+
+
+def test_every_mistyped_top_level_field_is_corrupt(tmp_path):
+    """Each top-level field of a fixture record set to a value of each JSON
+    type: verify reports a corrupt record wherever the type is not README's."""
+    assert sorted(json.loads(MORDELL_LINE)) == sorted(DOCUMENTED_TYPES)
+    cases = [(name, value) for name in DOCUMENTED_TYPES for value in JSON_TYPE_VALUES]
+    _, store, path = _store_with(tmp_path, *(_forged(MORDELL_LINE, **{name: value})
+                                             for name, value in cases))
+    code, out, _ = _run(["verify", "--store", store])
+    assert code == 4
+    results = out.splitlines()
+    assert results[-1].startswith(f"# verified {len(cases)} records, ")
+    for lineno, ((name, value), result) in enumerate(zip(cases, results), 1):
+        assert result.startswith(f"{path}:{lineno}: ")
+        if type(value) not in DOCUMENTED_TYPES[name]:
+            assert result.startswith(f"{path}:{lineno}: FAIL: corrupt record: "), (name, value)
 
 
 # append_records of the record in the file line, after printing "ready"

@@ -15,7 +15,6 @@ from rankjump.surfaces import (
     FibreData,
     InconsistentClassification,
     KMFamily,
-    NotApplicableError,
     NotRationalElliptic,
     TwistFamily,
     WeierstrassQt,
@@ -337,8 +336,7 @@ class TestChatelet:
         assert ch.a == 1 and ch.shift == 1  # t -> t - 1 centres g
 
     def test_linear_g_rejected(self):
-        with pytest.raises(NotApplicableError):
-            to_chatelet(TwistFamily(F_CUBIC, T))
+        assert to_chatelet(TwistFamily(F_CUBIC, T)) is None
 
     def test_maps_preserve_surface_identically(self):
         # w^2 - a Y^2 - F(x) = g2 (g(t) y^2 - f(x)) for all (x, y, t), with
