@@ -48,28 +48,22 @@ class QuadExtClass:
     h: RatPoly
 
 
-@dataclass(frozen=True)
-class BranchLocus:
-    """Places of Q(t) under the branch points of a degree-2 cover of P^1."""
-
-    places: frozenset[Place]
-
-
-def branch_locus(cls: QuadExtClass) -> BranchLocus:
-    """Branch locus of w^2 = s h(t): the roots of h, plus infinity if deg h
-    is odd. A conic fibre has h of degree 1 or 2; a squarefree t^2 + b t + c
-    splits at (-b +- r) / 2 exactly when its discriminant is a square r^2.
-    The locus is a function of the monic h alone, and h one of the locus, so
-    two fibres' loci coincide exactly when their kernels h do."""
+def branch_locus(cls: QuadExtClass) -> frozenset[Place]:
+    """Branch locus of w^2 = s h(t), as the set of places of Q(t) under its
+    branch points: the roots of h, plus infinity if deg h is odd. A conic
+    fibre has h of degree 1 or 2; a squarefree t^2 + b t + c splits at (-b
+    +- r) / 2 exactly when its discriminant is a square r^2. The locus is a
+    function of the monic h alone, and h one of the locus, so two fibres'
+    loci coincide exactly when their kernels h do."""
     h = cls.h
     if h.degree == 1:
-        return BranchLocus(frozenset({Place(h), PLACE_AT_INFINITY}))
+        return frozenset({Place(h), PLACE_AT_INFINITY})
     if h.degree != 2:
         raise ValueError(f"{h!r} is not the branch polynomial of a conic fibre")
     r = rational_sqrt(poly_discriminant(h))
     if r is None:
-        return BranchLocus(frozenset({Place(h)}))
-    return BranchLocus(frozenset(Place(RatPoly([(h[1] + e) / 2, 1])) for e in (r, -r)))
+        return frozenset({Place(h)})
+    return frozenset(Place(RatPoly([(h[1] + e) / 2, 1])) for e in (r, -r))
 
 
 # ---------------------------------------------------------------------------

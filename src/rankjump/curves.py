@@ -3,10 +3,12 @@
 One group law, on reduced integer Jacobian triples (x = X/Z^2, y = Y/Z^3)
 of the model scaled by mu = lcm(den A, den B) (_jac_add); a point is
 checked on the curve once on entry, in integers on that model, and made a
-Fraction point once on exit, and the heights, the relation search and both
-2-descents take the triples. Specialising at t0 = n/d and
-moving fibre points to the curve run in integers (Specialization.moved);
-only A, B and a record's points become Fractions. Torsion is decided
+Fraction pair (x, y) once on exit (_point; None is O), and the heights,
+the relation search and both 2-descents take the triples. Specialising at
+t0 = n/d and moving fibre points to the curve run in integers
+(Specialization.moved); only A, B and a record's points become Fractions.
+The public add, torsion_order, canonical_height, neron_tate_pairing and
+regulator take Fraction pairs, entered through _triple. Torsion is decided
 without factoring, by Nagell-Lutz (Silverman, The Arithmetic of Elliptic
 Curves, VIII.7.2) and Mazur's bound on the walk P, 2P, ..., 12P.
 
@@ -59,24 +61,6 @@ INDEPENDENCE_THRESHOLD = 1e-6
 MAZUR_BOUND = 12
 
 
-@dataclass(frozen=True)
-class PointQ:
-    """A rational point: affine (x, y), or the identity (None, None)."""
-
-    x: Fraction | None
-    y: Fraction | None
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x is None
-
-    def __repr__(self) -> str:
-        return "O" if self.is_identity else f"({self.x}, {self.y})"
-
-
-IDENTITY = PointQ(None, None)
-
-
 def _vp(n: int, p: int) -> int:
     return val_unit(n, p)[0]
 
@@ -120,11 +104,7 @@ class EllipticCurveQ:
 
     def is_on(self, P) -> bool:
         """y^2 = x^3 + A x + B times b^3 e^2 mu^6, for x = a/b and y = c/e, in
-        integers on the scaled model; P is a PointQ or ((a, b), (c, e)), b, e > 0."""
-        if isinstance(P, PointQ):
-            if P.is_identity:
-                return True
-            P = P.x.as_integer_ratio(), P.y.as_integer_ratio()
+        integers on the scaled model; P is ((a, b), (c, e)), b, e > 0."""
         Ai, Bi, mu = self._scaled_model
         ((a, b), (c, e)), m2 = P, mu * mu
         b3, m6 = b**3, m2**3
@@ -135,28 +115,29 @@ class EllipticCurveQ:
         scaled model: x mu^2 = X/Z^2 and y mu^3 = Y/Z^3, Z = den(y mu^3)/den(x mu^2)."""
         if not self.is_on(P):
             raise OffCurveError(f"{P} is not on {self}")
-        if isinstance(P, PointQ):
-            if P.is_identity:
-                return None
-            P = P.x.as_integer_ratio(), P.y.as_integer_ratio()
         mu, ((a, b), (c, e)) = self._scaled_model[2], P
         a, c = a * mu * mu, c * mu**3
         g, h = gcd(a, b), gcd(c, e)
         return a // g, c // h, e // h // (b // g)
 
-    def _point(self, J) -> PointQ:
-        """The Fraction point of a triple from _jac or the group law."""
+    def _point(self, J):
+        """The Fraction pair (x, y) of a triple from _jac or the group law, None for O."""
         if J is None:
-            return IDENTITY
+            return None
         d = J[2] * self._scaled_model[2]
-        return PointQ(Fraction(J[0], d * d), Fraction(J[1], d**3))
+        return Fraction(J[0], d * d), Fraction(J[1], d**3)
 
-    def add(self, P: PointQ, Q: PointQ) -> PointQ:
-        return self._point(_jac_add(self._scaled_model[0], self._jac(P), self._jac(Q)))
+    def _triple(self, P):
+        """The triple of the Fraction pair P = (x, y), checked by _jac; None for O."""
+        return None if P is None else self._jac((P[0].as_integer_ratio(), P[1].as_integer_ratio()))
 
-    def torsion_order(self, P: PointQ) -> int | None:
-        """Order of P if torsion, else None (see _jac_order)."""
-        return _jac_order(self._scaled_model[0], self._jac(P))
+    def add(self, P, Q):
+        """P + Q of Fraction pairs, None for O."""
+        return self._point(_jac_add(self._scaled_model[0], self._triple(P), self._triple(Q)))
+
+    def torsion_order(self, P) -> int | None:
+        """Order of the Fraction pair P (None for O) if torsion, else None (see _jac_order)."""
+        return _jac_order(self._scaled_model[0], self._triple(P))
 
 
 def _jac_order(A: int, J) -> int | None:
@@ -384,13 +365,13 @@ def _formal_order(A: int, J, p: int) -> int:
         digits *= 2
 
 
-def canonical_height(E: EllipticCurveQ, P: PointQ) -> HeightData:
-    """Neron-Tate height of P, with error bound, by local decomposition.
+def canonical_height(E: EllipticCurveQ, P) -> HeightData:
+    """Neron-Tate height of the Fraction pair P, with error bound, by local decomposition.
 
     Uses the normalisation with hhat(P) = (1/2) lim 4^{-n} h(x(2^n P)), so
     heights of non-torsion points are positive and hhat(nP) = n^2 hhat(P).
     """
-    return _triple_height(E, E._jac(P))
+    return _triple_height(E, E._triple(P))
 
 
 def _triple_height(E: EllipticCurveQ, J) -> HeightData:
@@ -452,10 +433,10 @@ def _local_height(Ai: int, Bi: int, J) -> HeightData:
     raise PrecisionError(f"height precision not reached: {last_exc}")
 
 
-def neron_tate_pairing(E: EllipticCurveQ, P: PointQ, Q: PointQ) -> tuple[float, float]:
-    """<P, Q> = (hhat(P+Q) - hhat(P) - hhat(Q)) / 2 with propagated error;
-    hhat(O) = 0 exactly. P + Q is formed on the triples of P and Q."""
-    JP, JQ = E._jac(P), E._jac(Q)
+def neron_tate_pairing(E: EllipticCurveQ, P, Q) -> tuple[float, float]:
+    """<P, Q> = (hhat(P+Q) - hhat(P) - hhat(Q)) / 2 with propagated error, for
+    Fraction pairs P and Q; hhat(O) = 0 exactly. P + Q is formed on their triples."""
+    JP, JQ = E._triple(P), E._triple(Q)
     JS = _jac_add(E._scaled_model[0], JP, JQ)
     hS = HeightData(0.0, 0.0, "identity") if JS is None else _triple_height(E, JS)
     return _pairing(hS, _triple_height(E, JP), _triple_height(E, JQ))
@@ -482,8 +463,8 @@ class RegulatorResult:
         return self.verdict == "independent"
 
 
-def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
-    """Gram determinant of the height pairing with a sound verdict.
+def regulator(E: EllipticCurveQ, points: list) -> RegulatorResult:
+    """Gram determinant of the height pairing of Fraction pairs with a sound verdict.
 
     A pair is first tested exactly for P + Q, then P - Q, being torsion;
     either makes it "dependent" with relation (1, 1, order) or (1, -1,
@@ -501,7 +482,7 @@ def regulator(E: EllipticCurveQ, points: list[PointQ]) -> RegulatorResult:
     """
     if len(points) != 2:
         raise ValueError("regulator verdicts are implemented for pairs of points")
-    A, Js = E._scaled_model[0], [E._jac(P) for P in points]
+    A, Js = E._scaled_model[0], [E._triple(P) for P in points]
     if any(J is None or _jac_order(A, J) is not None for J in Js):
         raise ValueError("regulator requires non-torsion points")
     return _regulator(E, *Js, {})
@@ -642,11 +623,6 @@ class Specialization:
         (a, b), (c, e) = x.as_integer_ratio(), y.as_integer_ratio()
         (un, ud), (vn, vd), (wn, wd) = self.chart
         return (un * a * vd + vn * ud * b, ud * vd * b), (wn * c, wd * e)
-
-    def transport(self, x, y) -> PointQ:
-        """moved(x, y) as a Fraction point."""
-        (X, D), (Y, E) = self.moved(x, y)
-        return PointQ(Fraction(X, D), Fraction(Y, E))
 
 
 def specialize(surface, t0) -> Specialization:

@@ -162,7 +162,8 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
     PrecisionError is inconclusive. Each rejection is counted in log. On
     success t0 joins seen. Each point moves in integers to its triple, checked
     on the curve by _jac; torsion and the pair's verdict (curves._regulator,
-    with the height table heights) run on those triples.
+    with the height table heights) run on those triples, and the record's
+    Fraction points are read from them (E._point).
     """
     if t0 in seen:
         return None
@@ -193,7 +194,7 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
     return RankJumpCertificate(
         t0=t0,
         curve=(E.A, E.B),
-        points=[(P.x, P.y) for P in (spec.transport(x0, w) for x0, w in points)],
+        points=[E._point(J) for J in Js],
         provenance=[x0 for x0, _ in points],
         generic_rank_bound=r_bound,
         rank_bound_exact=r_exact,

@@ -108,10 +108,11 @@ def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
     points = _typed(data["points"], (list,), "points")
     if not all(type(P) is list and len(P) == 2 for P in points):
         raise ValueError(f"bad stored points {str(points)[:20]!r}")
-    reg = data.get("regulator")
+    curve = _typed(data["curve"], (dict,), "curve")
+    reg = _typed(data.get("regulator"), (dict, type(None)), "regulator")
     cert = RankJumpCertificate(
         t0=_rational(data["t0"]),
-        curve=(_rational(data["curve"]["A"]), _rational(data["curve"]["B"])),
+        curve=(_rational(curve["A"]), _rational(curve["B"])),
         points=[(_rational(x), _rational(y)) for x, y in points],
         provenance=[_rational(x0) for x0 in _typed(data["provenance"], (list,), "provenance")],
         generic_rank_bound=_typed(data["generic_rank_bound"], (int,), "generic_rank_bound"),
@@ -123,7 +124,7 @@ def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
     )
     if not all(map(isfinite, cert.regulator or ())):  # json reads NaN and Infinity
         raise ValueError(f"bad stored regulator {cert.regulator}")
-    budget = [_typed(n, (int,), "budget") for n in data["budget"]]
+    budget = [_typed(n, (int,), "budget") for n in _typed(data["budget"], (list,), "budget")]
     if len(budget) != 3 or min(budget) < 1:  # cli._parse_budget's rule
         raise ValueError(f"bad stored budget {str(budget)[:20]!r}")
     timestamp = _typed(data.get("timestamp"), (str, type(None)), "timestamp")

@@ -20,8 +20,9 @@ model reversed in s = 1/t, integer factorisation and the rational roots
 of a polynomial by sympy alone, and the specialisation, point transport, pullback, cover test and store reader of
 the Fraction path the integer one replaced, and the complete 2-descent
 on the Fraction x-coordinates that the one on triples replaced. Beside
-the oracles sit two builders on the library's own code: points, and the
-multiple n P by the integer group law.
+the oracles sit three builders on the library's own code: points as the
+Fraction pairs the curves API takes, the multiple n P by the integer group
+law, and the pair of a fibre point moved to its specialised curve.
 
 sympy is imported here, once, when the suite loads: the library imports it
 only for a cofactor its trial division leaves, so the first such call would
@@ -114,7 +115,7 @@ def two_descent_fraction(roots, P, Q) -> bool:
     span = [(1, 1)] + [delta(e) for e in roots]
     if any(square(a) and square(b) for a, b in span[1:]):
         return False
-    (p1, p2), (q1, q2) = delta(P.x), delta(Q.x)
+    (p1, p2), (q1, q2) = delta(P[0]), delta(Q[0])
     return all(not any(square(a * t1) and square(b * t2) for t1, t2 in span)
                for a, b in ((p1, p2), (q1, q2), (p1 * q1, p2 * q2)))
 
@@ -234,18 +235,28 @@ def certify_unsolvable(a: int, b: int, c: int, p: int) -> bool:
 
 
 def point(x, y):
-    """The curves.PointQ (x, y), its coordinates made Fractions."""
-    from rankjump.curves import PointQ
+    """The Fraction pair (x, y), as the curves API takes a point."""
+    return Fraction(x), Fraction(y)
 
-    return PointQ(Fraction(x), Fraction(y))
+
+def ratios(P):
+    """The pair P = (a/b, c/e) as is_on and _jac take a point: ((a, b), (c, e))."""
+    return P[0].as_integer_ratio(), P[1].as_integer_ratio()
 
 
 def scalar_mul(E, n: int, P):
-    """n P on the EllipticCurveQ E as a PointQ, by curves._jac_mul on the
-    checked triple of P: the library's integer law, which the tests drive."""
+    """n P on the EllipticCurveQ E as a Fraction pair (None for O), by
+    curves._jac_mul on the checked triple of P: the library's integer law,
+    which the tests drive."""
     from rankjump.curves import _jac_mul
 
-    return E._point(_jac_mul(E._scaled_model[0], n, E._jac(P)))
+    return E._point(_jac_mul(E._scaled_model[0], n, E._triple(P)))
+
+
+def moved_point(spec, x, y):
+    """The Fraction pair of the curve point Specialization.moved(x, y)."""
+    (X, D), (Y, E) = spec.moved(x, y)
+    return Fraction(X, D), Fraction(Y, E)
 
 
 def ec_on_curve(A, B, P) -> bool:
@@ -446,8 +457,8 @@ GENUS_1 = "genus 1"
 
 
 def geometric_count(locus) -> int:
-    """The number of geometric points of a conics.BranchLocus."""
-    return sum(p.degree for p in locus.places)
+    """The number of geometric points of a branch locus (conics.branch_locus)."""
+    return sum(p.degree for p in locus)
 
 
 def fibre_product_genus(b1, b2) -> str:
@@ -458,7 +469,7 @@ def fibre_product_genus(b1, b2) -> str:
     for b in (b1, b2):
         if geometric_count(b) != 2:
             raise ValueError("branch locus of a genus-0 double cover has 2 points")
-    common = sum(p.degree for p in b1.places & b2.places)
+    common = sum(p.degree for p in b1 & b2)
     return {2: REDUCIBLE, 1: GENUS_0, 0: GENUS_1}[common]
 
 
@@ -618,7 +629,7 @@ def canonical_height_doubling(E, P, doublings: int = 3):
     Q = P
     for _ in range(doublings):
         Q = E.add(Q, Q)
-    if Q.is_identity:
+    if Q is None:
         return HeightData(0.0, 0.0, "doubling-limit", {"doublings": doublings})
     inner = canonical_height(E, Q)
     scale = 4**doublings

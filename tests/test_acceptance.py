@@ -24,7 +24,6 @@ from conftest import (
 )
 from rankjump.arith import DomainError, is_square
 from rankjump.conics import (
-    BranchLocus,
     DegenerateFibreError,
     conic_fibre,
     conic_solvable,
@@ -339,7 +338,7 @@ def test_criterion_10_fibre_product_genus():
     inf = PLACE_AT_INFINITY
 
     def locus(*places):
-        return BranchLocus(frozenset(places))
+        return frozenset(places)
 
     # shared point {0}: geometrically integral of genus 0
     assert fibre_product_genus(locus(zero, inf), locus(zero, one)) == GENUS_0

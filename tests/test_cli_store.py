@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import point, pullback_fraction, scalar_mul, specialize_fraction
+from conftest import moved_point, point, pullback_fraction, scalar_mul, specialize_fraction
 from rankjump.cli import main
+from rankjump.conics import ConicFibre
 from rankjump.config import (
     MAX_COEFFICIENT,
     ConfigError,
@@ -63,6 +64,17 @@ a3 = 1
 a2 = 0
 a1 = 0
 a0 = 1, 0, 1
+"""
+
+#: ROADMAP item 8's km surface: at x0 = 4/3 the sweep _naive_search(32)
+#: finds no point, so the fibre's base point comes from Lagrange's descent
+KM_DESCENT_CFG = """\
+kind = km
+label = km-descent
+a3 = -4, 0, 4
+a2 = -6
+a1 = -3, -1, 7/3
+a0 = -4, 1, 7/2
 """
 
 
@@ -446,10 +458,10 @@ class TestCli:
         if forgery == "triple":
             Q = scalar_mul(E, 3, P)
         else:
-            Q = E.add(P, spec.transport(surface.f_roots[0], 0))
-        data["points"][1] = [str(Q.x), str(Q.y)]
+            Q = E.add(P, moved_point(spec, surface.f_roots[0], 0))
+        data["points"][1] = [str(Q[0]), str(Q[1])]
         chart = specialize_fraction(surface, Fraction(data["t0"]))[1]
-        data["provenance"][1] = str(pullback_fraction(chart, Q.x, Q.y)[0])
+        data["provenance"][1] = str(pullback_fraction(chart, *Q)[0])
         path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
         assert main(["verify", "--store", store]) == 4
         assert "FAIL: regulator verdict is dependent" in capsys.readouterr().out
@@ -685,6 +697,33 @@ class TestCli:
         cfg = self._write(tmp_path, "km-sweep-miss.cfg", KM_SWEEP_MISS_CFG)
         assert main(["jump", "--config", cfg, "--rank", "1", "--budget", "8,2,100"]) in (0, 3)
         assert "# search:" in capsys.readouterr().err
+
+    def test_jump_through_lagrange_descent(self, tmp_path, capsys, monkeypatch):
+        """jump --rank 1 takes the base point of the fibre x0 = 4/3 from
+        ConicFibre._descend, counted by wrapping it; the certificates it
+        carries pass re-verification and verify. The stream is not pinned,
+        as a smaller descent point would change it."""
+        calls, descend = [], ConicFibre._descend
+
+        def counted(fibre):
+            calls.append(fibre.x0)
+            return descend(fibre)
+
+        monkeypatch.setattr(ConicFibre, "_descend", counted)
+        cfg = self._write(tmp_path, "km-descent.cfg", KM_DESCENT_CFG)
+        store = str(tmp_path / "store")
+        code = main(["jump", "--config", cfg, "--rank", "1", "--budget", "4,4,100",
+                     "--store", store])
+        captured = capsys.readouterr()
+        assert code in (0, 3)
+        assert Fraction(4, 3) in calls
+        provenance = [json.loads(line)["provenance"] for line in captured.out.splitlines()]
+        assert ["4/3"] in provenance
+        assert "# re-verification failed" not in captured.err
+        assert main(["verify", "--store", store]) == 0
+        results = capsys.readouterr().out.splitlines()
+        assert results[-1] == f"# verified {len(provenance)} records, 0 failures"
+        assert all(line.endswith(": ok") for line in results[:-1])
 
     def test_bad_budget_exit_2(self, tmp_path):
         cfg = self._write(tmp_path, "s.cfg", TWIST_CFG)

@@ -9,8 +9,10 @@ from conftest import (
     ec_mul,
     ec_on_curve,
     integral_model_by_denominators,
+    moved_point,
     point,
     pullback_fraction,
+    ratios,
     relation_holds,
     scalar_mul,
     specialize_fraction,
@@ -23,7 +25,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from rankjump import arith, curves
 from rankjump.conics import DegenerateFibreError, conic_fibre
 from rankjump.curves import (
-    IDENTITY,
     EllipticCurveQ,
     OffCurveError,
     SingularCurveError,
@@ -54,12 +55,12 @@ class TestGroupLaw:
     def test_identity(self):
         E = EllipticCurveQ(-36, 0)
         P = point(12, 36)
-        assert E.add(P, IDENTITY) == P
-        assert E.add(IDENTITY, P) == P
+        assert E.add(P, None) == P
+        assert E.add(None, P) == P
 
     def test_two_torsion_doubles_to_identity(self):
         E = EllipticCurveQ(-36, 0)
-        assert E.add(point(0, 0), point(0, 0)) == IDENTITY
+        assert E.add(point(0, 0), point(0, 0)) is None
 
     def test_duplication_example(self):
         # duplication formula for P = (12, 36) on y^2 = x^3 - 36x:
@@ -84,12 +85,12 @@ class TestGroupLaw:
     def test_scalar_mul_matches_repeated_add(self):
         rng = random.Random(42)
         E, P = rand_point_curve(rng)
-        acc = IDENTITY
+        acc = None
         for n in range(1, 8):
             acc = E.add(acc, P)
             assert scalar_mul(E, n, P) == acc
         P3 = scalar_mul(E, 3, P)
-        assert scalar_mul(E, -3, P) == point(P3.x, -P3.y)
+        assert scalar_mul(E, -3, P) == point(P3[0], -P3[1])
 
     def test_scalar_mul_adds_at_most_doublings_plus_bits(self, monkeypatch):
         # bit_length - 1 doublings and one addition per set bit; no doubling
@@ -167,7 +168,7 @@ class TestTorsionAgainstMultiples:
         for k in range(1, n + 1):
             expected = n // gcd(n, k)
             assert torsion_order_by_multiples(A, kP) == expected
-            Q = IDENTITY if kP is None else point(*kP)
+            Q = None if kP is None else point(*kP)
             with no_factoring():
                 assert E.torsion_order(Q) == expected, (E, Q)
             kP = ec_add(A, kP, P)
@@ -200,10 +201,6 @@ def reduced_results():
     return patch.object(curves, "_jac_add", checked)
 
 
-def oracle_point(P):
-    return None if P.is_identity else (P.x, P.y)
-
-
 @st.composite
 def curves_with_points(draw):
     """A curve whose coefficients carry prime powers in their denominators,
@@ -231,13 +228,13 @@ class TestJacobianLawAgainstOracle:
     formulas and every multiple up to 12."""
 
     def check(self, E, P, j, k):
-        A, oP = E.A, oracle_point(P)
-        jP, kP = ec_mul(A, j, oP), ec_mul(A, k, oP)
+        A = E.A
+        jP, kP = ec_mul(A, j, P), ec_mul(A, k, P)
         with reduced_results():
             jQ, kQ = scalar_mul(E, j, P), scalar_mul(E, k, P)
-            assert (oracle_point(jQ), oracle_point(kQ)) == (jP, kP)
-            assert oracle_point(E.add(jQ, kQ)) == ec_add(A, jP, kP)
-            assert E.torsion_order(P) == torsion_order_by_multiples(A, oP)
+            assert (jQ, kQ) == (jP, kP)
+            assert E.add(jQ, kQ) == ec_add(A, jP, kP)
+            assert E.torsion_order(P) == torsion_order_by_multiples(A, P)
 
     @settings(max_examples=60, deadline=None)
     @given(curves_with_points(), st.integers(-20, 20), st.integers(-20, 20))
@@ -256,7 +253,7 @@ class TestJacobianLawAgainstOracle:
     def test_kubert_order(self, n):
         E, P = kubert_point(n, Fraction(-3, 2))
         with reduced_results():
-            assert scalar_mul(E, n, P) == IDENTITY
+            assert scalar_mul(E, n, P) is None
             assert E.torsion_order(P) == n
 
     def test_special_sums(self):
@@ -264,11 +261,11 @@ class TestJacobianLawAgainstOracle:
         E, P = EllipticCurveQ(Fraction(-9, 64), 0), point(Fraction(3, 4), Fraction(9, 16))
         T = point(0, 0)  # order 2
         with reduced_results():
-            assert E.add(P, P) == point(*ec_add(E.A, (P.x, P.y), (P.x, P.y)))
-            assert E.add(P, point(P.x, -P.y)) == IDENTITY
-            assert E.add(T, T) == IDENTITY
-            assert E.add(P, IDENTITY) == E.add(IDENTITY, P) == P
-            assert scalar_mul(E, 0, P) == scalar_mul(E, 5, IDENTITY) == IDENTITY
+            assert E.add(P, P) == point(*ec_add(E.A, P, P))
+            assert E.add(P, point(P[0], -P[1])) is None
+            assert E.add(T, T) is None
+            assert E.add(P, None) == E.add(None, P) == P
+            assert scalar_mul(E, 0, P) is scalar_mul(E, 5, None) is None
 
 
 class TestIntegralModel:
@@ -366,14 +363,17 @@ class TestEntryCheck:
     @example(TWELFTHS, 1, "x", Fraction(1, 3))
     def test_matches_fraction_equation(self, curve_point, k, move, delta):
         E, P = curve_point
-        Q = ec_mul(E.A, k, (P.x, P.y))
+        Q = ec_mul(E.A, k, P)
         if Q is not None:
             x, y = Q
             Q = {"on": (x, y), "x": (x + delta, y), "y": (x, y + delta),
                  "y=0": (x, Fraction(0))}[move]
         on = ec_on_curve(E.A, E.B, Q)
         assert on or move != "on"
-        R = IDENTITY if Q is None else point(*Q)
+        if Q is None:  # O is on every curve, and enters the law as no triple
+            assert on and E._triple(Q) is None
+            return
+        R = ratios(Q)
         assert E.is_on(R) == on
         if on:
             E._jac(R)
@@ -415,40 +415,40 @@ class TestSpecialize:
     @settings(max_examples=150, deadline=None)
     @given(fibre_cases())
     def test_chart_is_an_isomorphism_of_the_fibre(self, case):
-        # transport is unchecked: the curve equation at transport(x, y) must
-        # hold exactly when the fibre relation of the oracle holds at (x, y)
+        # moved is unchecked: the curve equation at moved(x, y) must hold
+        # exactly when the fibre relation of the oracle holds at (x, y)
         surface, t0, spec, points = case
         chart = specialize_fraction(surface, t0)[1]
         for x, y in points:
-            P = spec.transport(x, y)
-            assert pullback_fraction(chart, P.x, P.y) == (x, y)
+            P = moved_point(spec, x, y)
+            assert pullback_fraction(chart, *P) == (x, y)
             try:
                 fibre = conic_fibre(surface, x)
             except DegenerateFibreError:
                 continue
-            assert relation_holds(fibre, t0, y) == spec.curve.is_on(P)
+            assert relation_holds(fibre, t0, y) == spec.curve.is_on(spec.moved(x, y))
         (x, y), (_, moved) = points[0], points[2]
-        assert spec.curve.is_on(spec.transport(x, y))
-        assert spec.curve.is_on(spec.transport(x, moved)) == (moved * moved == y * y)
+        assert spec.curve.is_on(spec.moved(x, y))
+        assert spec.curve.is_on(spec.moved(x, moved)) == (moved * moved == y * y)
 
     def test_twist_example(self):
         s = TwistFamily(T**3 - T, T)
         spec = specialize(s, 6)
         assert spec.curve == EllipticCurveQ(-36, 0)
-        assert spec.transport(2, 1) == point(12, 36)
+        assert moved_point(spec, 2, 1) == point(12, 36)
 
     def test_twist_second_point(self):
         s = TwistFamily(T**3 - T, T)
         spec = specialize(s, 6)
         # fibre relation 6 y^2 = f(3) = 24 gives y = 2
-        assert spec.transport(3, 2) == point(18, 72)
-        assert point(18, 72).y ** 2 == Fraction(18) ** 3 - 36 * 18
+        assert moved_point(spec, 3, 2) == point(18, 72)
+        assert point(18, 72)[1] ** 2 == Fraction(18) ** 3 - 36 * 18
 
     def test_mordell_example(self):
         m = KMFamily(RatPoly([1]), RatPoly(), RatPoly(), T)
         spec = specialize(m, 3)
         assert spec.curve == EllipticCurveQ(0, 3)
-        assert spec.transport(1, 2) == point(1, 2)
+        assert moved_point(spec, 1, 2) == point(1, 2)
 
     def test_singular_fibre_rejected(self):
         s = TwistFamily(T**3 - T, T)
@@ -458,10 +458,10 @@ class TestSpecialize:
     def test_pullback_inverts_transport(self):
         s = TwistFamily(T**3 - T, T)
         spec, chart = specialize(s, 6), specialize_fraction(s, 6)[1]
-        P = spec.transport(2, 1)
-        assert pullback_fraction(chart, P.x, P.y) == (2, 1)
-        Q = spec.transport(3, 2)
-        assert pullback_fraction(chart, Q.x, Q.y) == (3, 2)
+        P = moved_point(spec, 2, 1)
+        assert pullback_fraction(chart, *P) == (2, 1)
+        Q = moved_point(spec, 3, 2)
+        assert pullback_fraction(chart, *Q) == (3, 2)
 
     def test_transport_is_group_homomorphism(self):
         rng = random.Random(43)
@@ -471,9 +471,9 @@ class TestSpecialize:
             spec = specialize(s, t0)
             fibre_pts = _fibre_points(s, t0, rng)
             for (x1, y1), (x2, y2) in zip(fibre_pts, fibre_pts[1:]):
-                P1, P2 = spec.transport(x1, y1), spec.transport(x2, y2)
+                P1, P2 = moved_point(spec, x1, y1), moved_point(spec, x2, y2)
                 fx, fy = _fibre_add(s, t0, (x1, y1), (x2, y2))
-                assert spec.transport(fx, fy) == spec.curve.add(P1, P2)
+                assert moved_point(spec, fx, fy) == spec.curve.add(P1, P2)
                 checked += 1
         assert checked >= 4
 
@@ -509,8 +509,9 @@ def specialisation_cases(draw):
 
 
 class TestIntegerSpecialisation:
-    """specialize, transport and the fibre check of verify_certificate run in
-    integers; the Fraction path they replaced (conftest) must agree."""
+    """specialize, moved, the record's points read from the checked triples
+    (_point) and the fibre check of verify_certificate run in integers; the
+    Fraction path they replaced (conftest) must agree."""
 
     @settings(max_examples=300, deadline=None)
     @given(specialisation_cases())
@@ -533,12 +534,16 @@ class TestIntegerSpecialisation:
         assert all(d > 0 for _, d in spec.chart)
         assert tuple(Fraction(n, d) for n, d in spec.chart) == chart
         for x, y in points:
-            P = spec.transport(x, y)
-            assert (P.x, P.y) == transport_fraction(chart, x, y)
+            P = moved_point(spec, x, y)
+            assert P == transport_fraction(chart, x, y)
             (X, D), (Y, E) = spec.moved(x, y)
-            assert D > 0 and E > 0 and (Fraction(X, D), Fraction(Y, E)) == (P.x, P.y)
-            assert spec.curve.is_on(((X, D), (Y, E))) == spec.curve.is_on(P)
-            assert pullback_fraction(chart, P.x, P.y) == (x, y)
+            assert D > 0 and E > 0 and (Fraction(X, D), Fraction(Y, E)) == P
+            on = spec.curve.is_on(((X, D), (Y, E)))
+            assert on == spec.curve.is_on(ratios(P))
+            assert pullback_fraction(chart, *P) == (x, y)
+            if on:  # the record's point, read back from the checked triple
+                J = spec.curve._jac(spec.moved(x, y))
+                assert spec.curve._point(J) == transport_fraction(chart, x, y)
 
     @settings(max_examples=60, deadline=None)
     @given(fibre_cases(), SMALL)
@@ -549,15 +554,15 @@ class TestIntegerSpecialisation:
         surface, t0, spec, points = case
         chart = specialize_fraction(surface, t0)[1]
         x, y = points[0]
-        P = spec.transport(x, y)
+        P = moved_point(spec, x, y)
         for x0 in (x, other):
             cert = RankJumpCertificate(t0=Fraction(t0), curve=(spec.curve.A, spec.curve.B),
-                                       points=[(P.x, P.y)], provenance=[Fraction(x0)],
+                                       points=[P], provenance=[Fraction(x0)],
                                        generic_rank_bound=0, rank_bound_exact=True,
                                        claimed_rank_lower_bound=1)
             reasons = verify_certificate(surface, cert)[1]
             missed = any("does not come from the fibre" in r for r in reasons)
-            assert missed == (pullback_fraction(chart, P.x, P.y)[0] != x0)
+            assert missed == (pullback_fraction(chart, *P)[0] != x0)
 
 
 def _fibre_points(s, t0, rng, want=3):

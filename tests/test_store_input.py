@@ -318,7 +318,8 @@ JSON_TYPE_VALUES = ("1", 1, 1.5, True, None, ["1"], {"1": "1"})
 
 def test_every_mistyped_top_level_field_is_corrupt(tmp_path):
     """Each top-level field of a fixture record set to a value of each JSON
-    type: verify reports a corrupt record wherever the type is not README's."""
+    type: verify reports a corrupt record wherever the type is not README's,
+    naming the field for curve, regulator and budget."""
     assert sorted(json.loads(MORDELL_LINE)) == sorted(DOCUMENTED_TYPES)
     cases = [(name, value) for name in DOCUMENTED_TYPES for value in JSON_TYPE_VALUES]
     _, store, path = _store_with(tmp_path, *(_forged(MORDELL_LINE, **{name: value})
@@ -331,6 +332,8 @@ def test_every_mistyped_top_level_field_is_corrupt(tmp_path):
         assert result.startswith(f"{path}:{lineno}: ")
         if type(value) not in DOCUMENTED_TYPES[name]:
             assert result.startswith(f"{path}:{lineno}: FAIL: corrupt record: "), (name, value)
+            if name in ("curve", "regulator", "budget"):
+                assert f": corrupt record: bad stored {name} " in result, (name, value)
 
 
 # append_records of the record in the file line, after printing "ready"
