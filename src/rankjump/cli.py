@@ -50,12 +50,9 @@ def _load_config(path: str):
 
 
 def _parse_budget(spec: str) -> Budget:
-    try:
-        x0, param, count = (int(part) for part in spec.split(","))
-        if min(x0, param, count) < 1:
-            raise ValueError
-        return Budget(x0, param, count)
-    except ValueError:
+    try:  # not three parts gives a TypeError, a part not a positive int a ValueError
+        return Budget(*(int(part) for part in spec.split(",")))
+    except (TypeError, ValueError):
         raise ConfigError(
             f"bad budget {spec!r}; expected three positive integers 'x0,param,count'"
         ) from None

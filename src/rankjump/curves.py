@@ -1,14 +1,14 @@
 """Exact arithmetic on elliptic curves over Q.
 
-One group law, on reduced integer Jacobian triples (x = X/Z^2, y = Y/Z^3)
-of the model scaled by mu = lcm(den A, den B) (_jac_add); a point is
-checked on the curve once on entry, in integers on that model, and made a
-Fraction pair (x, y) once on exit (_point; None is O), and the heights,
-the relation search and both 2-descents take the triples. Specialising at
-t0 = n/d and moving fibre points to the curve run in integers
-(Specialization.moved); only A, B and a record's points become Fractions.
-The public add, torsion_order, canonical_height, neron_tate_pairing and
-regulator take Fraction pairs, entered through _triple. Torsion is decided
+One group law, on reduced integer Jacobian triples (x = X/Z^2, y = Y/Z^3;
+None is O) of the model scaled by mu = lcm(den A, den B) (_jac_add). A
+point is checked on the curve once on entry (_jac), in integers on that
+model, and made a Fraction pair (x, y) once on exit (_point); in between
+EllipticCurveQ.add and torsion_order, canonical_height, neron_tate_pairing,
+regulator, its relation search and both 2-descents take the triples, in
+the search and in re-verification. Specialising at t0 = n/d and moving
+fibre points to the curve run in integers (Specialization.moved); only A,
+B and a record's points become Fractions. Torsion is decided
 without factoring, by Nagell-Lutz (Silverman, The Arithmetic of Elliptic
 Curves, VIII.7.2) and Mazur's bound on the walk P, 2P, ..., 12P.
 
@@ -20,13 +20,14 @@ the cubic splits, once a prime where it has no root proves E(Q)[2] = 0
 and regulator verdicts search relations only where the Gram matrix of
 heights allows them, then check them exactly.
 
-Heights (_height) are sums of local terms on one integral model, minimal
-at every p >= 5, read in integers from the reduced triple of the least
-multiple mP in the formal group at 2 and 3 (_formal_multiple) until mpmath
-takes its logs: a duplication series with a tail bound (_lambda_infinity)
-and Silverman's closed-form finite corrections (_finite_corrections). No
-discriminant is factored, and a height is a function of (Ai, Bi) and the
-reduced triple alone, so a caller may keep a table of them under that key.
+Heights (canonical_height) are sums of local terms on one integral model,
+minimal at every p >= 5, read in integers from the reduced triple of the
+least multiple mP in the formal group at 2 and 3 (_formal_multiple) until
+mpmath takes its logs: a duplication series with a tail bound
+(_lambda_infinity) and Silverman's closed-form finite corrections
+(_finite_corrections). No discriminant is factored, and a height is a
+function of (Ai, Bi) and the reduced triple alone, so a caller keeps a
+table of them under that key.
 """
 
 from __future__ import annotations
@@ -121,39 +122,28 @@ class EllipticCurveQ:
         return a // g, c // h, e // h // (b // g)
 
     def _point(self, J):
-        """The Fraction pair (x, y) of a triple from _jac or the group law, None for O."""
-        if J is None:
-            return None
+        """The Fraction pair (x, y) of a triple other than O from _jac or the group law."""
         d = J[2] * self._scaled_model[2]
         return Fraction(J[0], d * d), Fraction(J[1], d**3)
 
-    def _triple(self, P):
-        """The triple of the Fraction pair P = (x, y), checked by _jac; None for O."""
-        return None if P is None else self._jac((P[0].as_integer_ratio(), P[1].as_integer_ratio()))
+    def add(self, J1, J2):
+        """J1 + J2 of triples of the scaled model, None for O (_jac_add)."""
+        return _jac_add(self._scaled_model[0], J1, J2)
 
-    def add(self, P, Q):
-        """P + Q of Fraction pairs, None for O."""
-        return self._point(_jac_add(self._scaled_model[0], self._triple(P), self._triple(Q)))
-
-    def torsion_order(self, P) -> int | None:
-        """Order of the Fraction pair P (None for O) if torsion, else None (see _jac_order)."""
-        return _jac_order(self._scaled_model[0], self._triple(P))
-
-
-def _jac_order(A: int, J) -> int | None:
-    """Order of the triple J of the scaled model if torsion, else None. On
-    an integral model every multiple other than O of a torsion point is
-    integral (Nagell-Lutz, Silverman AEC VIII.7.2), and the order is at
-    most MAZUR_BOUND (Mazur); so the walk J, 2J, ... decides exactly: O at
-    step n gives n; Z != 1, or no O by step MAZUR_BOUND, gives None."""
-    Q = J  # n J
-    for n in range(1, MAZUR_BOUND + 1):
-        if Q is None:
-            return n
-        if Q[2] != 1:
-            return None
-        Q = _jac_add(A, Q, J)
-    return None
+    def torsion_order(self, J) -> int | None:
+        """Order of the triple J of the scaled model if torsion, else None. On
+        an integral model every multiple other than O of a torsion point is
+        integral (Nagell-Lutz, Silverman AEC VIII.7.2), and the order is at
+        most MAZUR_BOUND (Mazur); so the walk J, 2J, ... decides exactly: O at
+        step n gives n; Z != 1, or no O by step MAZUR_BOUND, gives None."""
+        A, Q = self._scaled_model[0], J  # Q = n J
+        for n in range(1, MAZUR_BOUND + 1):
+            if Q is None:
+                return n
+            if Q[2] != 1:
+                return None
+            Q = _jac_add(A, Q, J)
+        return None
 
 
 def _jac_add(A: int, P, Q):
@@ -365,31 +355,14 @@ def _formal_order(A: int, J, p: int) -> int:
         digits *= 2
 
 
-def canonical_height(E: EllipticCurveQ, P) -> HeightData:
-    """Neron-Tate height of the Fraction pair P, with error bound, by local decomposition.
-
-    Uses the normalisation with hhat(P) = (1/2) lim 4^{-n} h(x(2^n P)), so
-    heights of non-torsion points are positive and hhat(nP) = n^2 hhat(P).
-    """
-    return _triple_height(E, E._triple(P))
-
-
-def _triple_height(E: EllipticCurveQ, J) -> HeightData:
-    """canonical_height of the triple J of E's scaled model, checked on E."""
-    if J is None:
-        raise ValueError("height of the identity is undefined; use a point")
-    order = _jac_order(E._scaled_model[0], J)
-    if order is not None:
-        return HeightData(0.0, 0.0, "torsion", {"order": order})
-    return _height(E, J, {})
-
-
-def _height(E: EllipticCurveQ, J, heights: dict) -> HeightData:
-    """canonical_height of a non-torsion triple J of E's scaled model. With
-    u = mu / lam, J is (X, Y, u Z) on the integral model, reduced as
-    _jac_add reduces. All that follows depends on (Ai, Bi) and that triple
-    alone, so the table heights keeps each result under that key and a hit
-    returns it; a PrecisionError is not kept."""
+def canonical_height(E: EllipticCurveQ, J, heights: dict) -> HeightData:
+    """Neron-Tate height of the non-torsion triple J of E's scaled model,
+    with error bound, by local decomposition; hhat(P) = (1/2) lim 4^{-n}
+    h(x(2^n P)), so heights of non-torsion points are positive and hhat(nP)
+    = n^2 hhat(P). With u = mu / lam, J is (X, Y, u Z) on the integral
+    model, reduced as _jac_add reduces. All that follows depends on (Ai, Bi)
+    and that triple alone, so the table heights keeps each result under
+    that key and a hit returns it; a PrecisionError is not kept."""
     Ai, Bi, lam = E.integral_model
     X, Y, Z = J[0], J[1], J[2] * int(E._scaled_model[2] / lam)
     l = isqrt(gcd(X, Z * Z))
@@ -400,7 +373,7 @@ def _height(E: EllipticCurveQ, J, heights: dict) -> HeightData:
 
 
 def _local_height(Ai: int, Bi: int, J) -> HeightData:
-    """_height of the reduced triple J on the integral model, with
+    """canonical_height of the reduced triple J on the integral model, with
     x-coefficient Ai and constant Bi, at 60 digits and 48 series terms; each
     PrecisionError doubles the digits and adds 16 terms, up to three times."""
     import mpmath
@@ -433,17 +406,9 @@ def _local_height(Ai: int, Bi: int, J) -> HeightData:
     raise PrecisionError(f"height precision not reached: {last_exc}")
 
 
-def neron_tate_pairing(E: EllipticCurveQ, P, Q) -> tuple[float, float]:
-    """<P, Q> = (hhat(P+Q) - hhat(P) - hhat(Q)) / 2 with propagated error, for
-    Fraction pairs P and Q; hhat(O) = 0 exactly. P + Q is formed on their triples."""
-    JP, JQ = E._triple(P), E._triple(Q)
-    JS = _jac_add(E._scaled_model[0], JP, JQ)
-    hS = HeightData(0.0, 0.0, "identity") if JS is None else _triple_height(E, JS)
-    return _pairing(hS, _triple_height(E, JP), _triple_height(E, JQ))
-
-
-def _pairing(hS: HeightData, hP: HeightData, hQ: HeightData):
-    """neron_tate_pairing from the heights of P + Q, P and Q."""
+def neron_tate_pairing(hS: HeightData, hP: HeightData, hQ: HeightData):
+    """<P, Q> = (hhat(P+Q) - hhat(P) - hhat(Q)) / 2 with propagated error,
+    from the heights of P + Q, P and Q."""
     return (hS.value - hP.value - hQ.value) / 2, (hS.error + hP.error + hQ.error) / 2
 
 
@@ -463,8 +428,10 @@ class RegulatorResult:
         return self.verdict == "independent"
 
 
-def regulator(E: EllipticCurveQ, points: list) -> RegulatorResult:
-    """Gram determinant of the height pairing of Fraction pairs with a sound verdict.
+def regulator(E: EllipticCurveQ, JP, JQ, heights: dict) -> RegulatorResult:
+    """Gram determinant of the height pairing of the non-torsion triples JP
+    and JQ of E's scaled model, entered unchecked, with a sound verdict;
+    heights is the table canonical_height reads and fills.
 
     A pair is first tested exactly for P + Q, then P - Q, being torsion;
     either makes it "dependent" with relation (1, 1, order) or (1, -1,
@@ -476,36 +443,22 @@ def regulator(E: EllipticCurveQ, points: list) -> RegulatorResult:
     dependent-looking pairs the first relation a P + b Q = torsion with
     |a|, |b| <= 20 that the Gram matrix allows is checked exactly and
     reported; when neither outcome can be certified the verdict is
-    "inconclusive". Only pairs are accepted. The points are checked on E
-    and for torsion here, and the verdict is _regulator's, with an empty
-    height table: each height is computed afresh.
+    "inconclusive".
     """
-    if len(points) != 2:
-        raise ValueError("regulator verdicts are implemented for pairs of points")
-    A, Js = E._scaled_model[0], [E._triple(P) for P in points]
-    if any(J is None or _jac_order(A, J) is not None for J in Js):
-        raise ValueError("regulator requires non-torsion points")
-    return _regulator(E, *Js, {})
-
-
-def _regulator(E: EllipticCurveQ, JP, JQ, heights: dict) -> RegulatorResult:
-    """regulator of the non-torsion triples JP and JQ of E's scaled model,
-    entered unchecked; heights is the table _height reads and fills."""
-    A = E._scaled_model[0]
-    JS = _jac_add(A, JP, JQ)
-    for b, J in ((1, JS), (-1, _jac_add(A, JP, (JQ[0], -JQ[1], JQ[2])))):
-        order = _jac_order(A, J)
+    JS = E.add(JP, JQ)
+    for b, J in ((1, JS), (-1, E.add(JP, (JQ[0], -JQ[1], JQ[2])))):
+        order = E.torsion_order(J)
         if order is not None:
             return RegulatorResult(0.0, 0.0, "dependent", (1, b, order))
-    hP, hQ = _height(E, JP, heights), _height(E, JQ, heights)
+    hP, hQ = canonical_height(E, JP, heights), canonical_height(E, JQ, heights)
     h11, e11 = hP.value, hP.error
     h22, e22 = hQ.value, hQ.error
-    h12, e12 = _pairing(_height(E, JS, heights), hP, hQ)
+    h12, e12 = neron_tate_pairing(canonical_height(E, JS, heights), hP, hQ)
     det = h11 * h22 - h12 * h12
     err = e11 * abs(h22) + e22 * abs(h11) + 2 * abs(h12) * e12 + e11 * e22 + e12 * e12
     if det - err > INDEPENDENCE_THRESHOLD:
         return RegulatorResult(det, err, "independent")
-    rel = _small_relation(A, JP, JQ, (h11, h22, h12), (e11, e22, e12), 20)
+    rel = _small_relation(E, JP, JQ, (h11, h22, h12), (e11, e22, e12), 20)
     if rel is not None:
         return RegulatorResult(det, err, "dependent", rel)
     return RegulatorResult(det, err, "inconclusive")
@@ -528,13 +481,16 @@ def _outside(dP, dQ, span, square):
 def two_descent_independent(E: EllipticCurveQ, roots, JP, JQ) -> bool:
     """True when complete 2-descent over Q proves the non-torsion triples JP
     and JQ of E's scaled model independent modulo torsion, False when it
-    cannot; roots are the integer roots e_i of its x^3 + Ai x + Bi. _delta
-    is injective on E(Q)/2E(Q) (AEC X.1.4); x - e_i = (X - e_i Z^2)/Z^2 is
-    read as X - e_i Z^2, of the same square class. The 4-torsion guard: a
-    point of E[2] - O with trivial delta lies in 2E(Q), so E(Q) may have
-    4-torsion and the test gives up; else delta(E(Q)_tors) = delta(E[2]),
-    and a relation a P + b Q = T, gcd(a, b) = 1, survives mod 2."""
-    e1, e2, e3 = roots
+    cannot; roots are the x-coordinates of E's three rational 2-torsion
+    points as integer ratios (n, d), scaled by mu^2 to the integer roots e_i
+    of x^3 + Ai x + Bi. _delta is injective on E(Q)/2E(Q) (AEC X.1.4); x -
+    e_i = (X - e_i Z^2)/Z^2 is read as X - e_i Z^2, of the same square
+    class. The 4-torsion guard: a point of E[2] - O with trivial delta lies
+    in 2E(Q), so E(Q) may have 4-torsion and the test gives up; else
+    delta(E(Q)_tors) = delta(E[2]), and a relation a P + b Q = T, gcd(a, b)
+    = 1, survives mod 2."""
+    mu2 = E._scaled_model[2] ** 2
+    e1, e2, e3 = roots = [n * mu2 // d for n, d in roots]
     if (e1 + e2 + e3, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3) != (0, *E._scaled_model[:2]):
         raise ValueError(f"{roots} are not the roots of x^3 + Ai x + Bi on {E}")
     torsion = [_delta(e, roots) for e in roots]  # delta(E[2] - O)
@@ -586,12 +542,12 @@ def _pairs_by_size(bound: int) -> tuple[tuple[int, int], ...]:
     ))
 
 
-def _small_relation(A: int, JP, JQ, gram, errors, bound: int):
+def _small_relation(E: EllipticCurveQ, JP, JQ, gram, errors, bound: int):
     """The first (a, b, order), by |a| + |b|, |a| and signs, with a P + b Q
-    torsion, P and Q the triples JP and JQ. A relation forces a^2 h11 =
-    b^2 h22 and a^2 h11 + 2ab h12 + b^2 h22 = 0, so pairs violating either
-    beyond the errors are skipped."""
-    (h11, h22, h12), (e11, e22, e12) = gram, errors
+    torsion, P and Q the triples JP and JQ of E's scaled model. A relation
+    forces a^2 h11 = b^2 h22 and a^2 h11 + 2ab h12 + b^2 h22 = 0, so pairs
+    violating either beyond the errors are skipped."""
+    (h11, h22, h12), (e11, e22, e12), A = gram, errors, E._scaled_model[0]
     mult = cache(lambda J, n: _jac_mul(A, n, J))  # multiples of P and of Q
     for a, b in _pairs_by_size(bound):
         if abs(a * a * h11 - b * b * h22) > a * a * e11 + b * b * e22:
@@ -599,7 +555,7 @@ def _small_relation(A: int, JP, JQ, gram, errors, bound: int):
         if (abs(a * a * h11 + 2 * a * b * h12 + b * b * h22)
                 > a * a * e11 + 2 * abs(a * b) * e12 + b * b * e22):
             continue
-        order = _jac_order(A, _jac_add(A, mult(JP, a), mult(JQ, b)))
+        order = E.torsion_order(_jac_add(A, mult(JP, a), mult(JQ, b)))
         if order is not None:
             return (a, b, order)
     return None

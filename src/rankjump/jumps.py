@@ -22,7 +22,7 @@ parameter value t0 with fibre points over it; one certification stage,
 _certify, specialises at t0, enters each point into the group law once as
 a triple in integers, rejects torsion and asks the regulator about pairs,
 and only a record's points become Fractions. jump2 holds one height table
-per call (curves._height). Surface invariants are computed once per
+per call (curves.canonical_height). Surface invariants are computed once per
 surface object, whose fibred (twist or km) form (SurfaceConfig.fibred) the
 searches and verify_certificate work on. verify_certificate shares no
 height with the search: it settles a pair by 2-descent (AEC X.1.4) over Q
@@ -62,9 +62,8 @@ from .curves import (
     PrecisionError,
     RegulatorResult,
     SingularSpecializationError,
-    _jac_order,
-    _regulator,
     descent_mod_p,
+    regulator,
     specialize,
     two_descent_independent,
 )
@@ -74,11 +73,15 @@ from .surfaces import TwistFamily, to_weierstrass
 
 @dataclass(frozen=True)
 class Budget:
-    """Search limits: fibre height, parametrisation height, certificate count."""
+    """Search limits, positive ints: fibre height, parametrisation height, certificate count."""
 
     x0_height: int
     param_height: int
     count: int
+
+    def __post_init__(self):
+        if not all(type(n) is int and n > 0 for n in vars(self).values()):
+            raise ValueError(f"a budget is three positive integers, not {self}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
     verdict when a pair is not independent; a pair whose heights raise
     PrecisionError is inconclusive. Each rejection is counted in log. On
     success t0 joins seen. Each point moves in integers to its triple, checked
-    on the curve by _jac; torsion and the pair's verdict (curves._regulator,
+    on the curve by _jac; torsion and the pair's verdict (curves.regulator,
     with the height table heights) run on those triples, and the record's
     Fraction points are read from them (E._point).
     """
@@ -176,11 +179,11 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
         return None
     E = spec.curve
     Js = [E._jac(spec.moved(x0, w)) for x0, w in points]
-    if any(_jac_order(E._scaled_model[0], J) is not None for J in Js):
+    if any(E.torsion_order(J) is not None for J in Js):
         log.torsion_rejects += 1
         return None
     try:
-        verdict = _regulator(E, *Js, heights) if len(Js) == 2 else None
+        verdict = regulator(E, *Js, heights) if len(Js) == 2 else None
     except PrecisionError:
         verdict = RegulatorResult(0.0, float("inf"), "inconclusive")
     if verdict is not None and not verdict.independent:
@@ -249,7 +252,7 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
     else:
         pair_points, twist = partial(_intersection_points, {}, budget.param_height), False
     seen: set[Fraction] = set()
-    heights = {}  # the height table of this search (curves._height)
+    heights = {}  # the height table of this search (curves.canonical_height)
     earlier = {}  # a twist's extension class, or None on km -> its fibres so far
     for fib in _fibres(surface, rationals_by_height(budget.x0_height), log):
         partners = earlier.setdefault(fib.ext_class if twist else None, [])
@@ -358,7 +361,7 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
         (X, D), _ = spec.moved(x0, 0)  # (x, y) pulls back to x0 iff x = X/D
         if x.numerator * D != X * x.denominator:
             reasons.append(f"point ({x}, {y}) does not come from the fibre x = {x0}")
-        elif _jac_order(E._scaled_model[0], J) is not None:
+        elif E.torsion_order(J) is not None:
             reasons.append(f"point ({x}, {y}) is torsion")
         else:
             Js.append(J)
@@ -366,10 +369,9 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
         return False, reasons
     if len(Js) == 2:
         roots = surface.f_roots if isinstance(surface, TwistFamily) else None
-        mu2 = E._scaled_model[2] ** 2  # the roots e mu^2 of the monic x^3 + Ai x + Bi are ints
         if not (descent_mod_p(E, *Js) if roots is None else two_descent_independent(
-                E, [X * mu2 // D for (X, D), _ in (spec.moved(r, 0) for r in roots)], *Js)):
-            verdict = _regulator(E, *Js, {})
+                E, [spec.moved(r, 0)[0] for r in roots], *Js)):
+            verdict = regulator(E, *Js, {})
             if not verdict.independent:
                 reasons.append(f"regulator verdict is {verdict.verdict}")
     elif len(Js) != 1:

@@ -8,9 +8,10 @@ append only parameter values not already present for the same surface
 definition, so unlabelled surfaces sharing a file lose nothing. Store files
 are read as bytes, one line at a time, by one reader (_read_lines), and
 each line is decoded as UTF-8 on its own, so a line that does not decode is
-one unreadable record, as is one with a field of the wrong JSON type
-(README lists them; _record types each once). Records are verified in the
-fibred (twist or km) form of their config, the form the search ran in.
+one unreadable record, as is one that is no JSON object, lacks a field or
+has one of the wrong JSON type (README lists them; _field reads and types
+each once). Records are verified in the fibred (twist or km) form of their
+config, the form the search ran in.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import hashlib
 import json
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -95,40 +97,49 @@ def _typed(value, types: tuple, field: str):
     return value
 
 
+def _field(data: dict, key: str, types: tuple, field: str | None = None):
+    """data[key], typed by _typed; a missing key is refused, and both
+    messages name field (key by default)."""
+    if key not in data:
+        raise ValueError(f"missing stored {field or key}")
+    return _typed(data[key], types, field or key)
+
+
 def record_from_json(line: str) -> CertificateRecord:
-    data = json.loads(line)
-    return _record(data, surface_config_from_dict(data["surface"]))
+    data = _typed(json.loads(line), (dict,), "record")
+    return _record(data, surface_config_from_dict(_field(data, "surface", (dict,))))
 
 
 def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
     """record_from_json of a parsed line whose surface parses to cfg, with cfg's label."""
-    if data["label"] != cfg.label:
-        raise ValueError(f"label {str(data['label'])[:20]!r} differs from the surface's")
-    _typed(data["version"], (str,), "version")
-    points = _typed(data["points"], (list,), "points")
+    if (label := _field(data, "label", (str,))) != cfg.label:
+        raise ValueError(f"label {label[:20]!r} differs from the surface's")
+    _field(data, "version", (str,))
+    points = _field(data, "points", (list,))
     if not all(type(P) is list and len(P) == 2 for P in points):
         raise ValueError(f"bad stored points {str(points)[:20]!r}")
-    curve = _typed(data["curve"], (dict,), "curve")
+    curve = _field(data, "curve", (dict,))
     reg = _typed(data.get("regulator"), (dict, type(None)), "regulator")
     cert = RankJumpCertificate(
-        t0=_rational(data["t0"]),
-        curve=(_rational(curve["A"]), _rational(curve["B"])),
+        t0=_rational(_field(data, "t0", (str,))),
+        curve=tuple(_rational(_field(curve, k, (str,), "curve")) for k in ("A", "B")),
         points=[(_rational(x), _rational(y)) for x, y in points],
-        provenance=[_rational(x0) for x0 in _typed(data["provenance"], (list,), "provenance")],
-        generic_rank_bound=_typed(data["generic_rank_bound"], (int,), "generic_rank_bound"),
-        rank_bound_exact=_typed(data["rank_bound_exact"], (bool,), "rank_bound_exact"),
-        claimed_rank_lower_bound=_typed(data["claimed_rank_lower_bound"], (int,),
-                                        "claimed_rank_lower_bound"),
+        provenance=[_rational(x0) for x0 in _field(data, "provenance", (list,))],
+        generic_rank_bound=_field(data, "generic_rank_bound", (int,)),
+        rank_bound_exact=_field(data, "rank_bound_exact", (bool,)),
+        claimed_rank_lower_bound=_field(data, "claimed_rank_lower_bound", (int,)),
         regulator=None if reg is None else tuple(
-            _typed(reg[k], (int, float), "regulator") for k in ("determinant", "error")),
+            _field(reg, k, (int, float), "regulator") for k in ("determinant", "error")),
     )
     if not all(map(isfinite, cert.regulator or ())):  # json reads NaN and Infinity
         raise ValueError(f"bad stored regulator {cert.regulator}")
-    budget = [_typed(n, (int,), "budget") for n in _typed(data["budget"], (list,), "budget")]
-    if len(budget) != 3 or min(budget) < 1:  # cli._parse_budget's rule
-        raise ValueError(f"bad stored budget {str(budget)[:20]!r}")
+    budget = [_typed(n, (int,), "budget") for n in _field(data, "budget", (list,))]
+    try:
+        budget = Budget(*budget)
+    except (TypeError, ValueError):  # not three, or not positive: Budget's own rule
+        raise ValueError(f"bad stored budget {str(budget)[:20]!r}") from None
     timestamp = _typed(data.get("timestamp"), (str, type(None)), "timestamp")
-    return CertificateRecord(cert, cfg, Budget(*budget), timestamp,
+    return CertificateRecord(cert, cfg, budget, timestamp,
                              _typed(data.get("verified", False), (bool,), "verified"))
 
 
@@ -143,11 +154,9 @@ def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, Fraction]]:
     path = store_file(store_dir, label)
     out = set()
     for _, data, cfg in _read_lines(path, {}) if path.exists() else ():
-        try:
-            if cfg is not None:
-                out.add((cfg.definition, _rational(data["t0"])))
-        except (ArithmeticError, KeyError, TypeError, ValueError):
-            continue
+        if cfg is not None:
+            with suppress(ArithmeticError, ValueError):
+                out.add((cfg.definition, _rational(_field(data, "t0", (str,)))))
     return out
 
 
@@ -161,10 +170,11 @@ def _read_lines(path: Path, configs: dict):
             if not line.strip():
                 continue
             try:  # RecursionError, too: JSON nested too deep
-                data = json.loads(line.decode("utf-8"))
-                if cfg is None or data["surface"] != cfg.echo:
-                    key = json.dumps(data["surface"], sort_keys=True)
-                    cfg = configs.get(key) or surface_config_from_dict(data["surface"])
+                data = _typed(json.loads(line.decode("utf-8")), (dict,), "record")
+                surface = _field(data, "surface", (dict,))
+                if cfg is None or surface != cfg.echo:
+                    key = json.dumps(surface, sort_keys=True)
+                    cfg = configs.get(key) or surface_config_from_dict(surface)
                     configs[key] = cfg
             except Exception as exc:
                 yield lineno, exc, None

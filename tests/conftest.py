@@ -20,9 +20,12 @@ model reversed in s = 1/t, integer factorisation and the rational roots
 of a polynomial by sympy alone, and the specialisation, point transport, pullback, cover test and store reader of
 the Fraction path the integer one replaced, and the complete 2-descent
 on the Fraction x-coordinates that the one on triples replaced. Beside
-the oracles sit three builders on the library's own code: points as the
-Fraction pairs the curves API takes, the multiple n P by the integer group
-law, and the pair of a fibre point moved to its specialised curve.
+the oracles sit helpers on the library's own code: points as the
+Fraction pairs a record holds and their checked triples, the multiple n P
+by the integer group law, the pair of a fibre point moved to its
+specialised curve, and the curves API on Fraction pairs (pair_add,
+pair_torsion_order, pair_height, pair_pairing, pair_regulator) that the
+library once exposed, with its entry checks, over the code on triples.
 
 sympy is imported here, once, when the suite loads: the library imports it
 only for a cofactor its trial division leaves, so the first such call would
@@ -235,7 +238,7 @@ def certify_unsolvable(a: int, b: int, c: int, p: int) -> bool:
 
 
 def point(x, y):
-    """The Fraction pair (x, y), as the curves API takes a point."""
+    """The Fraction pair (x, y), as a record holds a point."""
     return Fraction(x), Fraction(y)
 
 
@@ -244,13 +247,78 @@ def ratios(P):
     return P[0].as_integer_ratio(), P[1].as_integer_ratio()
 
 
+def triple(E, P):
+    """The triple of the Fraction pair P on E's scaled model, checked on E
+    by EllipticCurveQ._jac; None for O."""
+    return None if P is None else E._jac(ratios(P))
+
+
+def pair(E, J):
+    """The Fraction pair of the triple J, read by EllipticCurveQ._point; None for O."""
+    return None if J is None else E._point(J)
+
+
 def scalar_mul(E, n: int, P):
     """n P on the EllipticCurveQ E as a Fraction pair (None for O), by
     curves._jac_mul on the checked triple of P: the library's integer law,
     which the tests drive."""
     from rankjump.curves import _jac_mul
 
-    return E._point(_jac_mul(E._scaled_model[0], n, E._triple(P)))
+    return pair(E, _jac_mul(E._scaled_model[0], n, triple(E, P)))
+
+
+# The curves API on Fraction pairs, as the library once exposed it: each
+# enters its points through triple and runs the library's own code on the
+# triples, with that API's entry checks.
+
+
+def pair_add(E, P, Q):
+    """P + Q of Fraction pairs, None for O, by EllipticCurveQ.add."""
+    return pair(E, E.add(triple(E, P), triple(E, Q)))
+
+
+def pair_torsion_order(E, P):
+    """Order of the Fraction pair P (None for O) if torsion, else None, by
+    EllipticCurveQ.torsion_order."""
+    return E.torsion_order(triple(E, P))
+
+
+def pair_height(E, P):
+    """Neron-Tate height of the Fraction pair P with error bound: O is
+    refused, a torsion point has height 0.0 exactly, and any other is
+    curves.canonical_height of its triple in a fresh table."""
+    from rankjump.curves import HeightData, canonical_height
+
+    J = triple(E, P)
+    if J is None:
+        raise ValueError("height of the identity is undefined; use a point")
+    order = E.torsion_order(J)
+    if order is not None:
+        return HeightData(0.0, 0.0, "torsion", {"order": order})
+    return canonical_height(E, J, {})
+
+
+def pair_pairing(E, P, Q) -> tuple[float, float]:
+    """<P, Q> of Fraction pairs with propagated error by
+    curves.neron_tate_pairing, hhat(O) = 0 exactly; P + Q by pair_add."""
+    from rankjump.curves import HeightData, neron_tate_pairing
+
+    S = pair_add(E, P, Q)
+    hS = HeightData(0.0, 0.0, "identity") if S is None else pair_height(E, S)
+    return neron_tate_pairing(hS, pair_height(E, P), pair_height(E, Q))
+
+
+def pair_regulator(E, points):
+    """curves.regulator of a list of Fraction pairs in a fresh table; only
+    pairs are accepted, and the points are checked on E and for torsion."""
+    from rankjump.curves import regulator
+
+    if len(points) != 2:
+        raise ValueError("regulator verdicts are implemented for pairs of points")
+    Js = [triple(E, P) for P in points]
+    if any(J is None or E.torsion_order(J) is not None for J in Js):
+        raise ValueError("regulator requires non-torsion points")
+    return regulator(E, *Js, {})
 
 
 def moved_point(spec, x, y):
@@ -624,14 +692,14 @@ def naive_search_fraction(fibre, bound: int):
 
 def canonical_height_doubling(E, P, doublings: int = 3):
     """Independent evaluation hhat(2^k P) / 4^k of the doubling limit."""
-    from rankjump.curves import HeightData, canonical_height
+    from rankjump.curves import HeightData
 
     Q = P
     for _ in range(doublings):
-        Q = E.add(Q, Q)
+        Q = pair_add(E, Q, Q)
     if Q is None:
         return HeightData(0.0, 0.0, "doubling-limit", {"doublings": doublings})
-    inner = canonical_height(E, Q)
+    inner = pair_height(E, Q)
     scale = 4**doublings
     return HeightData(
         inner.value / scale,
@@ -899,19 +967,22 @@ def admits_fraction(covers, t0) -> bool:
 
 
 def read_lines_canonical(path, configs: dict):
-    """store._read_lines keying every line's surface by its canonical JSON."""
+    """store._read_lines keying every line's surface by its canonical JSON;
+    the line and its surface are read by the store's own _typed and _field."""
     import json
 
     from rankjump.config import surface_config_from_dict
+    from rankjump.store import _field, _typed
 
     with open(path, "rb") as lines:
         for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
-                data = json.loads(line.decode("utf-8"))
-                key = json.dumps(data["surface"], sort_keys=True)
-                cfg = configs[key] = configs.get(key) or surface_config_from_dict(data["surface"])
+                data = _typed(json.loads(line.decode("utf-8")), (dict,), "record")
+                surface = _field(data, "surface", (dict,))
+                key = json.dumps(surface, sort_keys=True)
+                cfg = configs[key] = configs.get(key) or surface_config_from_dict(surface)
             except Exception as exc:
                 yield lineno, exc, None
             else:

@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import moved_point, point, pullback_fraction, scalar_mul, specialize_fraction
+from conftest import (
+    moved_point,
+    pair_add,
+    point,
+    pullback_fraction,
+    scalar_mul,
+    specialize_fraction,
+)
 from rankjump.cli import main
 from rankjump.conics import ConicFibre
 from rankjump.config import (
@@ -458,7 +465,7 @@ class TestCli:
         if forgery == "triple":
             Q = scalar_mul(E, 3, P)
         else:
-            Q = E.add(P, moved_point(spec, surface.f_roots[0], 0))
+            Q = pair_add(E, P, moved_point(spec, surface.f_roots[0], 0))
         data["points"][1] = [str(Q[0]), str(Q[1])]
         chart = specialize_fraction(surface, Fraction(data["t0"]))[1]
         data["provenance"][1] = str(pullback_fraction(chart, *Q)[0])

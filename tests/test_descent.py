@@ -17,12 +17,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from conftest import moved_point, point, rational_roots_sympy, scalar_mul, two_descent_fraction
+from conftest import (
+    moved_point,
+    pair_add,
+    pair_regulator,
+    pair_torsion_order,
+    point,
+    rational_roots_sympy,
+    scalar_mul,
+    triple,
+    two_descent_fraction,
+)
 from rankjump.arith import DomainError, is_square, rational_sqrt
 from rankjump.curves import (
     EllipticCurveQ,
     SingularCurveError,
-    _regulator,
     descent_mod_p,
     regulator,
     specialize,
@@ -49,14 +58,13 @@ def two_torsion(roots):
 
 
 def triples(E, *points):
-    return [E._triple(P) for P in points]
+    return [triple(E, P) for P in points]
 
 
 def descent(E, roots, P, Q):
     """two_descent_independent of the points P and Q, the roots e_i of E
-    moved to its scaled model as the e_i mu^2."""
-    mu = E._scaled_model[2]
-    return two_descent_independent(E, [int(e * mu * mu) for e in roots], *triples(E, P, Q))
+    given as integer ratios."""
+    return two_descent_independent(E, [e.as_integer_ratio() for e in roots], *triples(E, P, Q))
 
 
 def split_curve(e1, e2, x0, y0):
@@ -74,7 +82,7 @@ def split_curves(draw):
     assume(e1 != e2 and x0 not in (e1, e2))
     assume(x0 - y0 * y0 / ((x0 - e1) * (x0 - e2)) not in (e1, e2))
     E, roots, R = split_curve(e1, e2, x0, y0)
-    assume(E.torsion_order(R) is None)
+    assume(pair_torsion_order(E, R) is None)
     return E, roots, R
 
 
@@ -95,7 +103,7 @@ def split_twists(draw):
     surface = TwistFamily(f, RatPoly([0, f(0)]))
     spec = specialize(surface, 1)
     P, Q = moved_point(spec, 0, 1), moved_point(spec, 1, rational_sqrt(f(1) / f(0)))
-    assume(spec.curve.torsion_order(P) is None and spec.curve.torsion_order(Q) is None)
+    assume(pair_torsion_order(spec.curve, P) is None and pair_torsion_order(spec.curve, Q) is None)
     return spec.curve, [moved_point(spec, r, 0)[0] for r in surface.f_roots], P, Q
 
 
@@ -106,7 +114,7 @@ def test_constructed_dependent_pairs_are_never_proved_independent(curve, a, i):
     # delta((2a+1) R + T) delta(2R + T) = delta(R): the relation survives mod 2
     E, roots, R = curve
     T = two_torsion(roots)[i]
-    P1, Q1 = E.add(scalar_mul(E, 2 * a + 1, R), T), E.add(scalar_mul(E, 2, R), T)
+    P1, Q1 = pair_add(E, scalar_mul(E, 2 * a + 1, R), T), pair_add(E, scalar_mul(E, 2, R), T)
     assert not descent(E, roots, P1, Q1)
     assert not descent(E, roots, Q1, P1)
 
@@ -117,14 +125,14 @@ def test_descent_independent_is_never_regulator_dependent(twist, coeffs, i, j):
     E, roots, P, Q = twist
     a, b, c, d = coeffs
     T = two_torsion(roots)
-    P1 = E.add(E.add(scalar_mul(E, a, P), scalar_mul(E, b, Q)), T[i])
-    Q1 = E.add(E.add(scalar_mul(E, c, P), scalar_mul(E, d, Q)), T[j])
-    assume(E.torsion_order(P1) is None and E.torsion_order(Q1) is None)
+    P1 = pair_add(E, pair_add(E, scalar_mul(E, a, P), scalar_mul(E, b, Q)), T[i])
+    Q1 = pair_add(E, pair_add(E, scalar_mul(E, c, P), scalar_mul(E, d, Q)), T[j])
+    assume(pair_torsion_order(E, P1) is None and pair_torsion_order(E, Q1) is None)
     proved = descent(E, roots, P1, Q1)
     assert proved == two_descent_fraction(roots, P1, Q1)
     if proved:
         assert a * d - b * c != 0
-        assert regulator(E, [P1, Q1]).verdict != "dependent"
+        assert pair_regulator(E, [P1, Q1]).verdict != "dependent"
 
 
 # (r, s, x) with a non-torsion point R = (x, y) on y^2 = x(x + r^2)(x + s^2)
@@ -144,14 +152,14 @@ def test_halvable_two_torsion_is_inconclusive(curve, k, i):
     R = point(x - m, rational_sqrt(x * (x + r * r) * (x + s * s)))
     P4 = point(r * s - m, r * s * (r + s))
     assert scalar_mul(E, 2, P4) == point(-m, 0)
-    R1 = E.add(scalar_mul(E, 2 * k + 1, R), two_torsion(roots)[i])
-    R2 = E.add(R1, P4)
+    R1 = pair_add(E, scalar_mul(E, 2 * k + 1, R), two_torsion(roots)[i])
+    R2 = pair_add(E, R1, P4)
     delta = [(Z[0] - roots[0], Z[0] - roots[1]) for Z in (R1, R2, P4)]
     for d1, d2 in delta:
         assert not any(is_square(d1 * t1) and is_square(d2 * t2)
                        for t1, t2 in [(1, 1), (-1, r * r - s * s)])  # delta(E[2])
     assert not descent(E, roots, R1, R2)
-    assert regulator(E, [R1, R2]).verdict == "dependent"
+    assert pair_regulator(E, [R1, R2]).verdict == "dependent"
 
 
 def test_roots_must_be_the_curves():
@@ -223,7 +231,6 @@ def test_shipped_twist_pairs_verify_without_heights(twist_certificates, monkeypa
     def no_height(*args, **kwargs):
         raise AssertionError("a height was computed")
 
-    monkeypatch.setattr("rankjump.curves._height", no_height)
     monkeypatch.setattr("rankjump.curves.canonical_height", no_height)
     assert len(twist_certificates) == 10
     for surface, cert in twist_certificates:
@@ -237,10 +244,10 @@ def test_inconclusive_descent_falls_back_to_the_regulator(twist_certificates, mo
     def counting_regulator(E, JP, JQ, heights):
         assert heights == {}  # a fresh table, shared with no search
         calls.append((JP, JQ))
-        return _regulator(E, JP, JQ, heights)
+        return regulator(E, JP, JQ, heights)
 
     monkeypatch.setattr("rankjump.jumps.two_descent_independent", lambda *args: False)
-    monkeypatch.setattr("rankjump.jumps._regulator", counting_regulator)
+    monkeypatch.setattr("rankjump.jumps.regulator", counting_regulator)
     for surface, cert in twist_certificates[:2]:
         ok, reasons = verify_certificate(surface, cert)
         assert ok, reasons
@@ -263,7 +270,7 @@ def two_point_curves(draw):
         E, R, S = curve_through((x1, y1), (x2, y2))
     except SingularCurveError:
         assume(False)
-    assume(E.torsion_order(R) is None and E.torsion_order(S) is None)
+    assume(pair_torsion_order(E, R) is None and pair_torsion_order(E, S) is None)
     return E, R, S
 
 
@@ -276,13 +283,13 @@ def three_torsion_curves(draw):
     k = (v - u) / 2
     assume(k and not all(round(abs(n) ** (1 / 3)) ** 3 == abs(n) for n in k.as_integer_ratio()))
     E, R, T = EllipticCurveQ(0, k * k), point(r, (u + v) / 2), point(0, k)
-    assert E.torsion_order(T) == 3
-    assume(E.torsion_order(R) is None)
-    return E, R, E.add(R, T)
+    assert pair_torsion_order(E, T) == 3
+    assume(pair_torsion_order(E, R) is None)
+    return E, R, pair_add(E, R, T)
 
 
 def combination(E, R, S, a, b):
-    return E.add(scalar_mul(E, a, R), scalar_mul(E, b, S))
+    return pair_add(E, scalar_mul(E, a, R), scalar_mul(E, b, S))
 
 
 @settings(max_examples=80, deadline=None)
@@ -304,7 +311,7 @@ def test_mod_p_never_proves_a_pair_with_a_point_in_2E(curve, coeffs, which):
         c, d = 2 * c - a, 2 * d - b
     P, Q = combination(E, R, S, a, b), combination(E, R, S, c, d)
     assume(P is not None and Q is not None)
-    assume(E.torsion_order(P) is None and E.torsion_order(Q) is None)
+    assume(pair_torsion_order(E, P) is None and pair_torsion_order(E, Q) is None)
     assert not descent_mod_p(E, *triples(E, P, Q))
     assert not descent_mod_p(E, *triples(E, Q, P))
 
@@ -317,11 +324,11 @@ def test_mod_p_proof_is_never_regulator_dependent(curve, coeffs):
     a, b, c, d = coeffs
     P, Q = combination(E, R, S, a, b), combination(E, R, S, c, d)
     assume(P is not None and Q is not None)
-    assume(E.torsion_order(P) is None and E.torsion_order(Q) is None)
+    assume(pair_torsion_order(E, P) is None and pair_torsion_order(E, Q) is None)
     proved = descent_mod_p(E, *triples(E, P, Q))
     event(f"proved {proved}")
     if proved:
-        assert regulator(E, [P, Q]).verdict != "dependent"
+        assert pair_regulator(E, [P, Q]).verdict != "dependent"
         assert descent_mod_p(E, *triples(E, Q, P))
 
 
@@ -334,7 +341,7 @@ def test_mod_p_defers_with_rational_two_torsion(curve, a, i, j):
     is; only the 2-torsion guard stops a proof."""
     E, roots, R = curve
     T = two_torsion(roots)
-    P, Q = E.add(scalar_mul(E, 2 * a + 1, R), T[j]), E.add(R, T[i])
+    P, Q = pair_add(E, scalar_mul(E, 2 * a + 1, R), T[j]), pair_add(E, R, T[i])
     assert not descent_mod_p(E, *triples(E, P, Q))
 
 

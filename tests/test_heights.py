@@ -13,10 +13,16 @@ from conftest import (
     formal_multiple_by_first_hits,
     lambda_infinity_mpmath,
     moved_point,
+    pair_add,
+    pair_height,
+    pair_pairing,
+    pair_regulator,
+    pair_torsion_order,
     point,
     relation_by_enumeration,
     scalar_mul,
     tate_normal_form,
+    triple,
 )
 from hypothesis import assume, example, given, settings, strategies as st
 from test_conics import coeff, km_through, nonzero as nonzero_coeff
@@ -34,11 +40,8 @@ from rankjump.curves import (
     _formal_order,
     _jac_mul,
     _lambda_infinity,
-    _regulator,
     _small_relation,
     _tail_constant,
-    canonical_height,
-    neron_tate_pairing,
     regulator,
     specialize,
 )
@@ -89,7 +92,7 @@ def rand_nontorsion(rng, span=9):
         except SingularCurveError:
             continue
         P = point(x, y)
-        if E.torsion_order(P) is None:
+        if pair_torsion_order(E, P) is None:
             return E, P
 
 
@@ -98,27 +101,27 @@ class TestCanonicalHeight:
         # generator of a rank-1 curve; the value below was frozen from the
         # doubling-limit oracle hhat(8P)/64 and is half the x-height limit
         E = EllipticCurveQ(-16, 16)
-        h = canonical_height(E, point(0, 4))
+        h = pair_height(E, point(0, 4))
         assert h.error < 1e-10
         assert abs(h.value - 0.02555570411998442) < 1e-11
 
     def test_positive_example(self):
         E = EllipticCurveQ(-36, 0)
-        h = canonical_height(E, point(12, 36))
+        h = pair_height(E, point(12, 36))
         assert h.value > 0.2
         assert h.error < 1e-10
 
     def test_torsion_is_zero(self):
         E = EllipticCurveQ(-36, 0)
-        h = canonical_height(E, point(0, 0))
+        h = pair_height(E, point(0, 0))
         assert h.method == "torsion" and h.value == 0.0
         E6 = EllipticCurveQ(0, 1)
-        assert canonical_height(E6, point(2, 3)).value == 0.0
+        assert pair_height(E6, point(2, 3)).value == 0.0
 
     def test_doubling_limit_agreement(self):
         E = EllipticCurveQ(-36, 0)
         P = point(12, 36)
-        h = canonical_height(E, P)
+        h = pair_height(E, P)
         hd = canonical_height_doubling(E, P)
         assert hd.method == "doubling-limit"
         assert abs(h.value - hd.value) <= 1e-10
@@ -126,38 +129,38 @@ class TestCanonicalHeight:
     def test_quadraticity_small(self):
         E = EllipticCurveQ(-36, 0)
         P = point(12, 36)
-        h1 = canonical_height(E, P).value
-        h2 = canonical_height(E, E.add(P, P)).value
+        h1 = pair_height(E, P).value
+        h2 = pair_height(E, pair_add(E, P, P)).value
         assert abs(h2 - 4 * h1) < 1e-10
 
     def test_quadraticity_random(self):
         rng = random.Random(51)
         for _ in range(6):
             E, P = rand_nontorsion(rng)
-            h1 = canonical_height(E, P)
+            h1 = pair_height(E, P)
             # non-torsion points have strictly positive height
             assert h1.value > h1.error
             nP = P
             for n in range(2, 6):
-                nP = E.add(nP, P)
-                hn = canonical_height(E, nP)
+                nP = pair_add(E, nP, P)
+                hn = pair_height(E, nP)
                 err = h1.error * n * n + hn.error + 1e-12
                 assert abs(hn.value - n * n * h1.value) < max(err, 1e-10), (E, P, n)
 
     def test_identity_rejected(self):
         E = EllipticCurveQ(-36, 0)
         with pytest.raises(ValueError):
-            canonical_height(E, None)
+            pair_height(E, None)
 
     def test_parallelogram_sample(self):
         # hhat(P+Q) + hhat(P-Q) = 2 hhat(P) + 2 hhat(Q)
         E = EllipticCurveQ(-36, 0)
         P, Q = point(12, 36), point(-3, 9)
         hs = [
-            canonical_height(E, E.add(P, Q)).value,
-            canonical_height(E, E.add(P, point(Q[0], -Q[1]))).value,
-            canonical_height(E, P).value,
-            canonical_height(E, Q).value,
+            pair_height(E, pair_add(E, P, Q)).value,
+            pair_height(E, pair_add(E, P, point(Q[0], -Q[1]))).value,
+            pair_height(E, P).value,
+            pair_height(E, Q).value,
         ]
         assert abs(hs[0] + hs[1] - 2 * hs[2] - 2 * hs[3]) < 1e-10
 
@@ -170,7 +173,7 @@ def integral_points(draw):
     B = y * y - x**3 - A * x
     assume(4 * A**3 + 27 * B**2 != 0)
     E, P = EllipticCurveQ(A, B), point(x, y)
-    assume(E.torsion_order(P) is None)
+    assume(pair_torsion_order(E, P) is None)
     return E, scalar_mul(E, draw(st.integers(1, 3)), P)
 
 
@@ -199,7 +202,7 @@ class TestIsomorphicModels:
         E, P = curve_point
         lam = Fraction(r, s)
         E2 = EllipticCurveQ(E.A * lam**4, E.B * lam**6)
-        h, h2 = canonical_height(E, P), canonical_height(E2, point(P[0] * lam**2, P[1] * lam**3))
+        h, h2 = pair_height(E, P), pair_height(E2, point(P[0] * lam**2, P[1] * lam**3))
         assert (h2.value, h2.error) == (h.value, h.error)
 
 
@@ -214,7 +217,7 @@ class TestFormalMultiple:
         """The walk stops at the first multiple in the formal group at 2 and
         3, which is the lcm of the first hits at each."""
         E, P = curve_point
-        m, (X, Y, Z) = _formal_multiple(E._scaled_model[0], E._triple(P))
+        m, (X, Y, Z) = _formal_multiple(E._scaled_model[0], triple(E, P))
         Q = (Fraction(X, Z * Z), Fraction(Y, Z**3))
         assert (m, Q) == formal_multiple_by_first_hits(E.A, P)
 
@@ -228,7 +231,7 @@ class TestFormalMultiple:
         Q = moved_point(spec, Fraction(5, 6), Fraction(-23, 2))
         assert (E, P, Q) == (EllipticCurveQ(Fraction(13439, 3), Fraction(955010, 27)),
                              point(Fraction(193, 3), -768), point(Fraction(481, 3), -2208))
-        heights = [canonical_height(E, R) for R in (P, Q, E.add(P, Q))]
+        heights = [pair_height(E, R) for R in (P, Q, pair_add(E, P, Q))]
         assert [h.detail["multiple"] for h in heights] == [234, 234, 78]
         assert [h.value for h in heights] == [0.18320951094055973, 0.7893336539008481,
                                               0.48118044848843444]
@@ -253,7 +256,7 @@ class TestFormalMultiple:
             return Fraction(*args)
 
         monkeypatch.setattr(curves, "Fraction", recorded)
-        assert canonical_height(E, Q).value == 0.7893336539008481
+        assert pair_height(E, Q).value == 0.7893336539008481
         assert max(sizes, default=0) <= 64
 
     def test_km_multiple_past_the_size_cap(self):
@@ -264,7 +267,7 @@ class TestFormalMultiple:
         R = scalar_mul(E, 11, point(Fraction(481, 3), -2208))
         start = perf_counter()
         with pytest.raises(PrecisionError):
-            canonical_height(E, R)
+            pair_height(E, R)
         assert perf_counter() - start < 1.0
 
     def test_size_cap(self, monkeypatch):
@@ -272,18 +275,18 @@ class TestFormalMultiple:
         multiple already in the formal group is returned whatever its size."""
         E, P = EllipticCurveQ(-12, 20), point(-2, 6)
         A = E._scaled_model[0]
-        m, Q = _formal_multiple(A, E._triple(P))
+        m, Q = _formal_multiple(A, triple(E, P))
         assert m == 72
         monkeypatch.setattr(curves, "_FORMAL_GROUP_BITS_CAP", 0)
         with pytest.raises(PrecisionError):
-            _formal_multiple(A, E._triple(P))
+            _formal_multiple(A, triple(E, P))
         assert _formal_multiple(A, Q) == (1, Q)
 
     def test_precision_error_retries_with_more_digits(self, monkeypatch):
         """Each PrecisionError of the series doubles the digits and adds 16
         terms, three times at most; the fourth is raised."""
         E, P = EllipticCurveQ(0, 17), point(-2, 3)
-        exact, lambda_infinity, failures = canonical_height(E, P), curves._lambda_infinity, [0]
+        exact, lambda_infinity, failures = pair_height(E, P), curves._lambda_infinity, [0]
 
         def failing(*args):
             if failures[0]:
@@ -293,13 +296,13 @@ class TestFormalMultiple:
 
         monkeypatch.setattr(curves, "_lambda_infinity", failing)
         failures[0] = 1
-        retried = canonical_height(E, P)
+        retried = pair_height(E, P)
         assert (retried.detail["digits"], retried.detail["terms"]) == (120, 64)
         assert exact.detail["digits"] == 60 and failures[0] == 0
         assert abs(retried.value - exact.value) <= retried.error + exact.error
         failures[0] = 4
         with pytest.raises(PrecisionError, match="height precision not reached: duplication"):
-            canonical_height(E, P)
+            pair_height(E, P)
         assert failures[0] == 0
 
     @pytest.mark.parametrize("curve_point", [
@@ -314,7 +317,7 @@ class TestFormalMultiple:
         """The walks need no step cap: on a torsion point each ends at its
         order, where m J = O, and DomainError follows at once."""
         E, P = curve_point
-        n, J = E.torsion_order(P), E._triple(P)
+        n, J = pair_torsion_order(E, P), triple(E, P)
         A = E._scaled_model[0]
         start = perf_counter()
         assert _formal_order(A, J, 2) == _formal_order(A, J, 3) == n
@@ -326,13 +329,13 @@ class TestFormalMultiple:
 def integral_triple(E, P):
     """(Ai, Bi, J): P as a reduced triple J of E's integral model."""
     Ai, Bi, lam = E.integral_model
-    return Ai, Bi, EllipticCurveQ(Ai, Bi)._triple(point(P[0] * lam**2, P[1] * lam**3))
+    return Ai, Bi, triple(EllipticCurveQ(Ai, Bi), point(P[0] * lam**2, P[1] * lam**3))
 
 
 def series_input(E, P):
-    """(Ai, Bi, J) as _height passes them to _lambda_infinity: J is the
-    first multiple of P in the formal group at 2 and 3, on the integral
-    model."""
+    """(Ai, Bi, J) as canonical_height passes them to _lambda_infinity: J
+    is the first multiple of P in the formal group at 2 and 3, on the
+    integral model."""
     Ai, Bi, J = integral_triple(E, P)
     return Ai, Bi, _formal_multiple(Ai, J)[1]
 
@@ -346,10 +349,10 @@ class TestSeriesAgainstMpmath:
     @example((EllipticCurveQ(-16, 16), point(0, 4)))
     def test_height_equals_oracle_backed_copy(self, curve_point):
         E, P = curve_point
-        h = canonical_height(E, P)
+        h = pair_height(E, P)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("rankjump.curves._lambda_infinity", lambda_infinity_mpmath)
-            oracle = canonical_height(E, P)
+            oracle = pair_height(E, P)
         assert (h.value, h.error) == (oracle.value, oracle.error)
         assert h.detail == oracle.detail == {"multiple": h.detail["multiple"],
                                              "terms": 48, "digits": 60}
@@ -392,8 +395,8 @@ class TestSeriesAgainstMpmath:
     @given(integral_points())
     @example((EllipticCurveQ(-34 * 34, 0), point(-16, 120)))
     def test_claimed_error_covers_the_truncation(self, curve_point):
-        """The tail bound 4^-n _tail_constant that _height claims at n terms
-        bounds the distance of the series to its value at 120 terms."""
+        """The tail bound 4^-n _tail_constant that canonical_height claims at
+        n terms bounds the distance of the series to its value at 120 terms."""
         E, P = curve_point
         Ai, Bi, J = series_input(E, P)
         with mpmath.workdps(60):
@@ -432,7 +435,7 @@ def singular_reduction_points(draw):
     B = y * y - x**3 - A * x
     assume(4 * A**3 + 27 * B**2 != 0)
     E, P = EllipticCurveQ(A, B), point(x, y)
-    assume(E.integral_model[2] == 1 and E.torsion_order(P) is None)
+    assume(E.integral_model[2] == 1 and pair_torsion_order(E, P) is None)
     return E, P, p
 
 
@@ -474,9 +477,9 @@ class TestSingularReduction:
     @example(I2_STAR_AT_11)
     def test_quadratic(self, case):
         E, P, _ = case
-        h1 = canonical_height(E, P)
+        h1 = pair_height(E, P)
         for n in (2, 3):
-            hn = canonical_height(E, scalar_mul(E, n, P))
+            hn = pair_height(E, scalar_mul(E, n, P))
             assert abs(hn.value - n * n * h1.value) <= n * n * h1.error + hn.error, (n, h1, hn)
 
     @settings(max_examples=60, deadline=None)
@@ -495,7 +498,7 @@ class TestSingularReduction:
             Q = scalar_mul(E, n, P)
             if Q[0] == 0:
                 continue
-            corrections = dict(_finite_corrections(Ai, Bi, E._triple(Q)))
+            corrections = dict(_finite_corrections(Ai, Bi, triple(E, Q)))
             assert n > 1 or p in corrections
             for q, c in corrections.items():
                 ktype, shift = kodaira_type(_valuation(Ai, q), _valuation(Bi, q), _valuation(disc, q))
@@ -514,7 +517,7 @@ class TestSingularReduction:
         p >= 5 always; _finite_corrections finds its primes from the point."""
         E, P, p = case
         Ai, Bi, _ = E.integral_model
-        disc, J = -16 * (4 * Ai**3 + 27 * Bi**2), E._triple(P)
+        disc, J = -16 * (4 * Ai**3 + 27 * Bi**2), triple(E, P)
         k = _formal_order(Ai, J, p)
         for K in (_jac_mul(Ai, n, J), *([_jac_mul(Ai, k, J)] if k <= 12 else [])):
             X, Y, Z = K
@@ -525,23 +528,23 @@ class TestSingularReduction:
     def test_regulator_on_i2_star(self):
         E, P, _ = I2_STAR_AT_13
         for n in (2, 3):
-            res = regulator(E, [P, scalar_mul(E, n, P)])
+            res = pair_regulator(E, [P, scalar_mul(E, n, P)])
             assert res.verdict == "dependent" and res.relation == (n, -1, 1), (n, res)
 
 
 class TestRegulator:
     def test_dependent_classic_pair(self):
         E = EllipticCurveQ(-36, 0)
-        res = regulator(E, [point(12, 36), point(18, 72)])
+        res = pair_regulator(E, [point(12, 36), point(18, 72)])
         assert res.verdict == "dependent"
         a, b, order = res.relation
-        R = E.add(scalar_mul(E, a, point(12, 36)), scalar_mul(E, b, point(18, 72)))
-        assert E.torsion_order(R) == order
+        R = pair_add(E, scalar_mul(E, a, point(12, 36)), scalar_mul(E, b, point(18, 72)))
+        assert pair_torsion_order(E, R) == order
 
     def test_dependent_multiple(self):
         E = EllipticCurveQ(-36, 0)
         P = point(12, 36)
-        res = regulator(E, [P, E.add(P, P)])
+        res = pair_regulator(E, [P, pair_add(E, P, P)])
         # Q = 2 P is no size-2 relation, so the heights decide: error > 0
         assert res.verdict == "dependent" and res.relation == (2, -1, 1)
         assert res.error > 0
@@ -550,12 +553,12 @@ class TestRegulator:
         # hhat(P + Q) = hhat(O) = 0 exactly; (1, 1) is the first relation
         E = EllipticCurveQ(-36, 0)
         P = point(12, 36)
-        res = regulator(E, [P, point(P[0], -P[1])])
+        res = pair_regulator(E, [P, point(P[0], -P[1])])
         assert res.verdict == "dependent" and res.relation == (1, 1, 1)
 
     def test_independent_rank_two(self):
         E = EllipticCurveQ(-34 * 34, 0)
-        res = regulator(E, [point(-16, 120), point(-2, 48)])
+        res = pair_regulator(E, [point(-16, 120), point(-2, 48)])
         assert res.verdict == "independent"
         assert res.determinant > 1e-6 + res.error
 
@@ -565,38 +568,38 @@ class TestRegulator:
         for _ in range(4):
             E, P = rand_nontorsion(rng)
             a, b = rng.randint(1, 3), rng.randint(1, 3)
-            res = regulator(E, [scalar_mul(E, a, P), scalar_mul(E, b, P)])
+            res = pair_regulator(E, [scalar_mul(E, a, P), scalar_mul(E, b, P)])
             assert res.verdict != "independent", (E, P, a, b)
 
     def test_relation_beyond_the_bound_is_inconclusive(self):
         # y^2 = x^3 + 17, P = (-2, 3): the Gram matrix of (P, nP) is singular,
         # and nP - n P = O is a relation within |a|, |b| <= 20 only up to n = 20
         E, P = EllipticCurveQ(0, 17), point(-2, 3)
-        res = regulator(E, [P, scalar_mul(E, 20, P)])
+        res = pair_regulator(E, [P, scalar_mul(E, 20, P)])
         assert res.verdict == "dependent" and res.relation == (20, -1, 1)
-        res = regulator(E, [P, scalar_mul(E, 21, P)])
+        res = pair_regulator(E, [P, scalar_mul(E, 21, P)])
         assert res.verdict == "inconclusive" and res.relation is None
         assert abs(res.determinant) <= res.error
 
     def test_torsion_rejected(self):
         E = EllipticCurveQ(-36, 0)
         with pytest.raises(ValueError, match="non-torsion"):
-            regulator(E, [point(0, 0), point(12, 36)])
+            pair_regulator(E, [point(0, 0), point(12, 36)])
 
     def test_pairs_only(self):
         E = EllipticCurveQ(-36, 0)
         P, Q = point(12, 36), point(-3, 9)
-        for points in ([P], [P, Q, E.add(P, Q)]):
+        for points in ([P], [P, Q, pair_add(E, P, Q)]):
             with pytest.raises(ValueError, match="pairs"):
-                regulator(E, points)
+                pair_regulator(E, points)
 
     def test_pairing_symmetric_bilinear_sample(self):
         E = EllipticCurveQ(-34 * 34, 0)
         P, Q = point(-16, 120), point(-2, 48)
-        v1, e1 = neron_tate_pairing(E, P, Q)
-        v2, e2 = neron_tate_pairing(E, Q, P)
+        v1, e1 = pair_pairing(E, P, Q)
+        v2, e2 = pair_pairing(E, Q, P)
         assert abs(v1 - v2) <= e1 + e2 + 1e-12
-        v2P, e2P = neron_tate_pairing(E, E.add(P, P), Q)
+        v2P, e2P = pair_pairing(E, pair_add(E, P, P), Q)
         assert abs(v2P - 2 * v1) <= e2P + 2 * e1 + 1e-10
 
     def test_pairing_with_the_identity_and_with_torsion_sums(self):
@@ -604,12 +607,12 @@ class TestRegulator:
         E = EllipticCurveQ(-36, 0)
         P, minus_P = point(-3, 9), point(-3, -9)
         with pytest.raises(ValueError, match="identity"):
-            neron_tate_pairing(E, None, P)
+            pair_pairing(E, None, P)
         with pytest.raises(ValueError, match="identity"):
-            neron_tate_pairing(E, P, None)
-        h = canonical_height(E, P)
-        for Q in (minus_P, E.add(point(0, 0), minus_P)):
-            value, error = neron_tate_pairing(E, P, Q)
+            pair_pairing(E, P, None)
+        h = pair_height(E, P)
+        for Q in (minus_P, pair_add(E, point(0, 0), minus_P)):
+            value, error = pair_pairing(E, P, Q)
             assert abs(value + h.value) <= error + 1e-12, Q
 
 
@@ -644,7 +647,7 @@ class TestRelationAgainstEnumeration:
         A, B, T, n, P = curve
         P1 = ec_add(A, ec_mul(A, a, P), ec_mul(A, k1 % n, T))
         P2 = ec_add(A, ec_mul(A, b, P), ec_mul(A, k2 % n, T))
-        res = regulator(EllipticCurveQ(A, B), [point(*P1), point(*P2)])
+        res = pair_regulator(EllipticCurveQ(A, B), [point(*P1), point(*P2)])
         assert res.verdict == "dependent"
         assert res.relation == relation_by_enumeration(A, P1, P2)
 
@@ -660,10 +663,9 @@ class TestRelationAgainstEnumeration:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("rankjump.curves.canonical_height", no_height)
-            mp.setattr("rankjump.curves._height", no_height)
             for k in range(n):
                 Q = ec_add(A, ec_mul(A, sign, P), ec_mul(A, k, T))
-                res = regulator(EllipticCurveQ(A, B), [point(*P), point(*Q)])
+                res = pair_regulator(EllipticCurveQ(A, B), [point(*P), point(*Q)])
                 assert res.verdict == "dependent"
                 assert (res.determinant, res.error) == (0.0, 0.0)
                 assert res.relation == relation_by_enumeration(A, P, Q)
@@ -672,10 +674,10 @@ class TestRelationAgainstEnumeration:
         # Gram entries off by less than their errors still admit 2 P - Q = O
         E = EllipticCurveQ(-36, 0)
         P = point(-3, 9)
-        h, e = canonical_height(E, P).value, 1e-9
+        h, e = pair_height(E, P).value, 1e-9
         gram = (h + e / 2, 4 * h - e / 2, 2 * h + e / 2)
-        JP, JQ = E._triple(P), E._triple(scalar_mul(E, 2, P))
-        assert _small_relation(E._scaled_model[0], JP, JQ, gram, (e, e, e), 20) == (2, -1, 1)
+        JP, JQ = triple(E, P), triple(E, scalar_mul(E, 2, P))
+        assert _small_relation(E, JP, JQ, gram, (e, e, e), 20) == (2, -1, 1)
 
 
 @st.composite
@@ -701,7 +703,7 @@ def surface_pairs(draw):
     except (DomainError, SingularSpecializationError):
         assume(False)
     E, P, Q = spec.curve, moved_point(spec, x1, w1), moved_point(spec, x2, w2)
-    assume(E.torsion_order(P) is None and E.torsion_order(Q) is None)
+    assume(pair_torsion_order(E, P) is None and pair_torsion_order(E, Q) is None)
     return E, P, Q
 
 
@@ -720,7 +722,7 @@ def curves_through_one_point(draw):
         assume(4 * A**3 + 27 * B**2 != 0)
         E, P, Q = EllipticCurveQ(A, B), point(x, y), point(x + dx, y2)
         assume(E.integral_model[2] == 1)
-        assume(E.torsion_order(P) is None and E.torsion_order(Q) is None)
+        assume(pair_torsion_order(E, P) is None and pair_torsion_order(E, Q) is None)
         out.append((E, P, Q))
     return out
 
@@ -735,8 +737,8 @@ def _verdict(fn):
 
 class TestHeightTable:
     """One table of heights, keyed by the reduced integral model and triple,
-    serves every curve a search meets: the internal entry with a shared
-    table returns, float for float, what a fresh regulator returns."""
+    serves every curve a search meets: the regulator with a shared table
+    returns, float for float, what it returns with a fresh one."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(surface_pairs(), min_size=1, max_size=2), curves_through_one_point(),
@@ -754,8 +756,8 @@ class TestHeightTable:
         cases += [(E, P, Q, False) for E, P, Q in through_one_point]
         for E, P, Q, isomorphic in cases:
             before = len(table)
-            shared = _verdict(lambda: _regulator(E, E._triple(P), E._triple(Q), table))
-            assert shared == _verdict(lambda: regulator(E, [P, Q])), (E, P, Q)
+            shared = _verdict(lambda: regulator(E, triple(E, P), triple(E, Q), table))
+            assert shared == _verdict(lambda: pair_regulator(E, [P, Q])), (E, P, Q)
             assert not isomorphic or len(table) == before
 
 
@@ -764,12 +766,12 @@ class TestFormalMultipleOnSurfaces:
     @given(surface_pairs())
     def test_walk_matches_first_hits(self, pair):
         """The points jump2 meets, on the integral model of their scaled
-        curve, where _height keys them."""
+        curve, where canonical_height keys them."""
         E, P, Q = pair
         Ai, Bi, lam = E.integral_model
         Ei = EllipticCurveQ(Ai, Bi)
         for R in (P, Q):
             Ri = point(R[0] * lam**2, R[1] * lam**3)
-            m, (X, Y, Z) = _formal_multiple(Ai, Ei._triple(Ri))
+            m, (X, Y, Z) = _formal_multiple(Ai, triple(Ei, Ri))
             assert (m, (Fraction(X, Z * Z), Fraction(Y, Z**3))) == \
                 formal_multiple_by_first_hits(Ai, Ri)

@@ -17,6 +17,7 @@ from conftest import (
     distinct_up_to,
     fibre_product_genus,
     jump1_lookahead,
+    pair_torsion_order,
     point,
     ratios,
 )
@@ -67,6 +68,20 @@ def mordell():
     return KMFamily(RatPoly([1]), RatPoly(), RatPoly(), T)
 
 
+class TestBudget:
+    """Budget holds the one rule for search limits that cli._parse_budget and
+    store._record both apply: three positive ints, a bool being none."""
+
+    @pytest.mark.parametrize("limits", [(0, 1, 1), (1, -1, 1), (1, 1, 0), (True, 1, 1),
+                                        (1, 2.0, 1), (1, 1, "1"), (1, 1, None)])
+    def test_refuses_a_limit_that_is_no_positive_int(self, limits):
+        with pytest.raises(ValueError, match="a budget is three positive integers"):
+            Budget(*limits)
+
+    def test_keeps_positive_ints(self):
+        assert Budget(1, 2, 3) == Budget(x0_height=1, param_height=2, count=3)
+
+
 class TestJump1:
     @settings(max_examples=40, deadline=None)
     @given(surfaces(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 25),
@@ -108,7 +123,7 @@ class TestJump1:
             for x, y in cert.points:
                 P = point(x, y)
                 assert E.is_on(ratios(P))
-                assert E.torsion_order(P) is None
+                assert pair_torsion_order(E, P) is None
 
     def test_fibre_relation_of_provenance(self):
         # g(t0) f(x0) must be a nonzero square for the producing fibre
@@ -198,7 +213,7 @@ class TestJump2:
         own inconclusive verdicts, and ends in exit 0 or 3, not in a
         traceback."""
         raised, inconclusive = [], []
-        regulator = jumps._regulator
+        regulator = jumps.regulator
 
         def counting_regulator(E, JP, JQ, heights):
             try:
@@ -211,7 +226,7 @@ class TestJump2:
             return verdict
 
         monkeypatch.setattr(curves, "_FORMAL_GROUP_BITS_CAP", 0)
-        monkeypatch.setattr(jumps, "_regulator", counting_regulator)
+        monkeypatch.setattr(jumps, "regulator", counting_regulator)
         argv = ["jump", "--config", str(CONFIGS / f"{config}.cfg"), "--rank", "2",
                 "--budget", budget]
         assert main(argv) in (0, 3)

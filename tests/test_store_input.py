@@ -237,6 +237,38 @@ class TestForgedInput:
         reason = self._verify_second_line(tmp_path, forged)
         assert reason == "corrupt record: bad stored budget " + shown
 
+    # each read as the bare KeyError text, such as 'A' or 't0', while the
+    # record's keys were read by indexing
+    @pytest.mark.parametrize("key", ["label", "version", "points", "curve", "t0", "provenance",
+                                     "generic_rank_bound", "rank_bound_exact",
+                                     "claimed_rank_lower_bound", "budget", "surface"])
+    def test_missing_field_is_named(self, tmp_path, key):
+        data = json.loads(MORDELL_LINE)
+        del data[key]
+        forged = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        with pytest.raises(ValueError, match=f"^missing stored {key}$"):
+            record_from_json(forged.decode("utf-8"))
+        reason = self._verify_second_line(tmp_path, forged, first=MORDELL_LINE)
+        assert reason == f"corrupt record: missing stored {key}"
+
+    @pytest.mark.parametrize("fields, reason", [
+        ({"curve": {"1": "1"}}, "missing stored curve"),
+        ({"curve": {"A": "1"}}, "missing stored curve"),
+        ({"regulator": {"1": "1"}}, "missing stored regulator"),
+        ({"regulator": {"determinant": 1.0}}, "missing stored regulator"),
+    ])
+    def test_missing_inner_field_is_named(self, tmp_path, fields, reason):
+        forged = _forged(MORDELL_LINE, **fields)
+        reason_seen = self._verify_second_line(tmp_path, forged, first=MORDELL_LINE)
+        assert reason_seen == "corrupt record: " + reason
+
+    @pytest.mark.parametrize("line, shown", [
+        (b"[1, 2]", "'[1, 2]'"), (b"7", "'7'"), (b'"surface"', "'surface'"), (b"null", "'None'"),
+    ])
+    def test_line_not_an_object_is_corrupt(self, tmp_path, line, shown):
+        reason = self._verify_second_line(tmp_path, line)
+        assert reason == "corrupt record: bad stored record " + shown
+
     def test_non_finite_regulator_is_corrupt(self, tmp_path):
         # json reads NaN and Infinity, and the descent never reads the
         # stored regulator, so this pair once verified ok
