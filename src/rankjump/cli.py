@@ -19,7 +19,7 @@ from .config import (
     parse_surface_config,
 )
 from .conics import height
-from .jumps import Budget, CoverChallenge, SearchLog, field_census, jump1, jump2
+from .jumps import SEARCH_COUNTS, Budget, CoverChallenge, field_census, jump1, jump2
 from .store import CertificateRecord, append_records, store_file, stored_t0, verify_store
 from .surfaces import (
     InconsistentClassification,
@@ -99,7 +99,7 @@ def cmd_jump(args) -> int:
             challenge = CoverChallenge(tuple(polys))
         except ValueError as exc:
             raise ConfigError(f"bad cover file: {exc}") from exc
-    log = SearchLog()
+    log = Counter()
     search = jump1 if args.rank == 1 else jump2
     records = []
     failed = 0
@@ -119,13 +119,8 @@ def cmd_jump(args) -> int:
             f"{store_file(args.store, cfg.label)}",
             file=sys.stderr,
         )
-    print(
-        f"# search: {len(records)} certificates; fibres tried {log.fibres_tried}, "
-        f"degenerate {log.degenerate_fibres}, unsolvable {log.unsolvable_fibres}, "
-        f"torsion rejects {log.torsion_rejects}, dependent pairs {log.dependent_pairs}, "
-        f"inconclusive {log.inconclusive_pairs}, avoided t0 {log.avoided_t0}",
-        file=sys.stderr,
-    )
+    counts = ", ".join(f"{name} {log[name]}" for name in SEARCH_COUNTS)
+    print(f"# search: {len(records)} certificates; {counts}", file=sys.stderr)
     if failed:
         return EXIT_VERIFY
     return EXIT_OK if len(records) >= budget.count else EXIT_BUDGET
@@ -160,19 +155,18 @@ def cmd_census(args) -> int:
 def cmd_verify(args) -> int:
     if not Path(args.store).is_dir():
         raise ConfigError(f"no store directory {args.store!r}")
-    reports = verify_store(args.store)
-    if not reports:
+    files = verify_store(args.store)
+    if not files:
         print(f"no records under {args.store}")
         return EXIT_OK
-    failures = 0
-    for report in reports:
-        for lineno, ok, reasons in report.results:
+    verdicts = Counter()
+    for path, results in files:
+        for lineno, ok, reasons in results:
             status = "ok" if ok else "FAIL: " + "; ".join(reasons)
-            print(f"{report.path}:{lineno}: {status}")
-        failures += report.failures
-    total = sum(len(r.results) for r in reports)
-    print(f"# verified {total} records, {failures} failures")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+            print(f"{path}:{lineno}: {status}")
+            verdicts[ok] += 1
+    print(f"# verified {verdicts.total()} records, {verdicts[False]} failures")
+    return EXIT_OK if not verdicts[False] else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:

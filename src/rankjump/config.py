@@ -164,18 +164,22 @@ def build_surface(cfg: SurfaceConfig):
 
 
 def surface_config_from_dict(data: dict) -> SurfaceConfig:
-    """Rebuild a SurfaceConfig from its JSON echo, bounded as configs are."""
+    """Rebuild a SurfaceConfig from its JSON echo, bounded as configs are:
+    only the kind's keys, and each coefficient a string, as echo writes it."""
     kind = data.get("kind") if isinstance(data, dict) else None
     if not isinstance(kind, str) or kind not in _FIELDS:
         raise ConfigError(f"unknown kind {str(kind)[:20]!r} in stored record")
+    if stray := data.keys() - {"kind", "label", *_FIELDS[kind]}:
+        raise ConfigError(f"unknown keys for kind {kind!r}: {', '.join(sorted(stray))[:40]}")
     label = data.get("label", kind)
     if not isinstance(label, str):
         raise ConfigError(f"bad stored label {str(label)[:20]!r}")
     polys = {}
     for name in _FIELDS[kind]:
-        if not isinstance(data.get(name), list):
-            raise ConfigError(f"stored record has no list for field '{name}'")
-        polys[name] = _poly(map(str, data[name]), f"stored field '{name}'")
+        coeffs = data.get(name)
+        if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
+            raise ConfigError(f"stored record has no list of strings for field '{name}'")
+        polys[name] = _poly(coeffs, f"stored field '{name}'")
     return SurfaceConfig(kind=kind, label=label, polys=polys)
 
 

@@ -33,7 +33,8 @@ With avoid set, any search keeps only parameter values outside the image
 of every cover of a finite challenge of quadratic covers; avoid_covers is
 jump1 or jump2 with avoid set. field_census reads _fibres up to a height
 bound and counts, per height, the quadratic-extension classes the solvable
-fibres realise, and the degenerate x0 _fibres logged.
+fibres realise, and the x0 _fibres counts as DEGENERATE. What a search
+turns down counts in one Counter, log, under the keys SEARCH_COUNTS.
 """
 
 from __future__ import annotations
@@ -119,17 +120,10 @@ class RankJumpCertificate:
     regulator: tuple[float, float] | None = None   # (determinant, error) for pairs
 
 
-@dataclass
-class SearchLog:
-    """Side information accumulated by a search run."""
-
-    fibres_tried: int = 0
-    degenerate_fibres: int = 0
-    unsolvable_fibres: int = 0
-    torsion_rejects: int = 0
-    dependent_pairs: int = 0
-    inconclusive_pairs: int = 0
-    avoided_t0: int = 0
+#: The Counter keys a search counts under (log), in `# search:` line order.
+SEARCH_COUNTS = (TRIED, DEGENERATE, UNSOLVABLE, TORSION, DEPENDENT, INCONCLUSIVE, AVOIDED) = (
+    "fibres tried", "degenerate", "unsolvable", "torsion rejects", "dependent pairs",
+    "inconclusive", "avoided t0")
 
 
 def rank_bound_data(surface) -> tuple[int, bool]:
@@ -138,31 +132,32 @@ def rank_bound_data(surface) -> tuple[int, bool]:
     return r, r == 0
 
 
-def _fibres(surface, x0s, log: SearchLog):
-    """The solvable conic fibres over x0s, in order; every x0 counts as
-    tried in log, and as degenerate or unsolvable when it yields nothing."""
+def _fibres(surface, x0s, log: Counter):
+    """The solvable conic fibres over x0s, in order; every x0 counts in log
+    as TRIED, and as DEGENERATE or UNSOLVABLE when it yields nothing."""
     for x0 in x0s:
-        log.fibres_tried += 1
+        log[TRIED] += 1
         try:
             fib = conic_fibre(surface, x0)
         except DegenerateFibreError:
-            log.degenerate_fibres += 1
+            log[DEGENERATE] += 1
             continue
         if conic_solvable(fib):
             yield fib
         else:
-            log.unsolvable_fibres += 1
+            log[UNSOLVABLE] += 1
 
 
 def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverChallenge | None,
-             log: SearchLog, heights: dict | None = None
+             log: Counter, heights: dict | None = None
              ) -> RankJumpCertificate | RegulatorResult | None:
     """The certificate carried by the fibre points [(x0, w), ...] over t0.
 
     Returns None when t0 is already certified, lies in a cover's image, sits
     under a singular fibre or carries a torsion point, and the regulator's
     verdict when a pair is not independent; a pair whose heights raise
-    PrecisionError is inconclusive. Each rejection is counted in log. On
+    PrecisionError is inconclusive. log counts the AVOIDED, TORSION, DEPENDENT
+    and INCONCLUSIVE rejections, not a t0 seen before or singular. On
     success t0 joins seen. Each point moves in integers to its triple, checked
     on the curve by _jac; torsion and the pair's verdict (curves.regulator,
     with the height table heights) run on those triples, and the record's
@@ -171,7 +166,7 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
     if t0 in seen:
         return None
     if avoid is not None and not avoid.admits(t0):
-        log.avoided_t0 += 1
+        log[AVOIDED] += 1
         return None
     try:
         spec = specialize(surface, t0)
@@ -180,17 +175,14 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
     E = spec.curve
     Js = [E._jac(spec.moved(x0, w)) for x0, w in points]
     if any(E.torsion_order(J) is not None for J in Js):
-        log.torsion_rejects += 1
+        log[TORSION] += 1
         return None
     try:
         verdict = regulator(E, *Js, heights) if len(Js) == 2 else None
     except PrecisionError:
         verdict = RegulatorResult(0.0, float("inf"), "inconclusive")
     if verdict is not None and not verdict.independent:
-        if verdict.verdict == "dependent":
-            log.dependent_pairs += 1
-        else:
-            log.inconclusive_pairs += 1
+        log[DEPENDENT if verdict.verdict == "dependent" else INCONCLUSIVE] += 1
         return verdict
     seen.add(t0)
     r_bound, r_exact = rank_bound_data(surface)
@@ -207,7 +199,7 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
 
 
 def jump1(surface, budget: Budget, avoid: CoverChallenge | None = None,
-          log: SearchLog | None = None):
+          log: Counter | None = None):
     """Certificates of one extra independent point, one per parameter value.
 
     Deterministic given surface and budget: fibre parameters x0 and line
@@ -217,7 +209,7 @@ def jump1(surface, budget: Budget, avoid: CoverChallenge | None = None,
     and the slice of height h of the earlier ones. The stream ends when the
     certificate count is reached or the budget is exhausted.
     """
-    log = log if log is not None else SearchLog()
+    log = log if log is not None else Counter()
     seen: set[Fraction] = set()
     active = []  # (fibre, the stage it arrived at)
     for stage in range(1, max(budget.x0_height, budget.param_height) + 1):
@@ -234,7 +226,7 @@ def jump1(surface, budget: Budget, avoid: CoverChallenge | None = None,
 
 
 def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
-          log: SearchLog | None = None):
+          log: Counter | None = None):
     """Certificates of two independent points over one parameter value.
 
     Each solvable fibre pairs with the earlier ones, in arrival order, as it
@@ -246,7 +238,7 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
     call's height table computes the heights of that pair once for all its
     certificates.
     """
-    log = log if log is not None else SearchLog()
+    log = log if log is not None else Counter()
     if isinstance(surface, TwistFamily):
         pair_points, twist = partial(_shared_value_points, budget.param_height), True
     else:
@@ -300,7 +292,7 @@ def _intersection_points(streams: dict, param_height: int, src: ConicFibre, othe
 
 
 def avoid_covers(surface, challenge: CoverChallenge, budget: Budget,
-                 rank: int = 1, log: SearchLog | None = None):
+                 rank: int = 1, log: Counter | None = None):
     """jump1 (or jump2) certificates whose t0 lies outside every cover image.
 
     Every emitted t0 satisfies is_square(h_i(t0)) = False for each cover in
@@ -314,7 +306,7 @@ def avoid_covers(surface, challenge: CoverChallenge, budget: Budget,
 def field_census(surface, x0_height_bound: int) -> tuple[list[tuple[int, int]], int]:
     """(distinct extension classes, solvable fibres) of height <= h for each
     h = 1..bound, from one pass over _fibres, and the number of degenerate x0."""
-    log = SearchLog()
+    log = Counter()
     first: dict[QuadExtClass, int] = {}   # class -> height of its first fibre
     fibres: Counter = Counter()
     for fib in _fibres(surface, rationals_by_height(x0_height_bound), log):
@@ -324,7 +316,7 @@ def field_census(surface, x0_height_bound: int) -> tuple[list[tuple[int, int]], 
     new = Counter(first.values())
     heights = range(1, x0_height_bound + 1)
     rows = list(zip(accumulate(new[h] for h in heights), accumulate(fibres[h] for h in heights)))
-    return rows, log.degenerate_fibres
+    return rows, log[DEGENERATE]
 
 
 def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[str]]:

@@ -50,8 +50,6 @@ class RatPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, RatPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == RatPoly([other])
         return NotImplemented
 
     def __hash__(self):

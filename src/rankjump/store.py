@@ -209,23 +209,14 @@ def append_records(store_dir: str | Path, label: str, records) -> int:
     return len(lines)
 
 
-@dataclass
-class VerificationReport:
-    path: str
-    results: list  # (line number, ok, reasons)
-
-    @property
-    def failures(self) -> int:
-        return sum(1 for _, ok, _ in self.results if not ok)
-
-
-def verify_store(store_dir: str | Path) -> list[VerificationReport]:
-    """Independently re-verify every stored record, streaming each file;
-    corrupt lines are reported but do not abort the batch. Each distinct
-    surface is parsed, and its fibred form built, once per call."""
+def verify_store(store_dir: str | Path) -> list[tuple[str, list[tuple[int, bool, list[str]]]]]:
+    """Independently re-verify every stored record, streaming each file:
+    (path, [(line number, ok, reasons), ...]) per .jsonl file, in path
+    order; corrupt lines are reported but do not abort the batch. Each
+    distinct surface is parsed, and its fibred form built, once per call."""
     configs = {}
-    return [VerificationReport(str(path), [(lineno, *_verify_line(data, cfg))
-                                           for lineno, data, cfg in _read_lines(path, configs)])
+    return [(str(path), [(lineno, *_verify_line(data, cfg))
+                         for lineno, data, cfg in _read_lines(path, configs)])
             for path in sorted(Path(store_dir).glob("*.jsonl"))]
 
 

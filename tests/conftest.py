@@ -34,6 +34,7 @@ otherwise pay the import inside whichever test makes it.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -581,9 +582,9 @@ def jump1_lookahead(surface, budget, avoid=None, log=None):
     each fibre's parametrize_heights runs once to the parameter bound, and
     at each stage the slot is read until its next point lies beyond it."""
     from rankjump.conics import parametrize_heights, rationals_of_height
-    from rankjump.jumps import SearchLog, _certify, _fibres
+    from rankjump.jumps import _certify, _fibres
 
-    log = log if log is not None else SearchLog()
+    log = log if log is not None else Counter()
     seen = set()
     active = []
     for stage in range(1, max(budget.x0_height, budget.param_height) + 1):

@@ -225,8 +225,8 @@ class TestStore(object):
     def test_verify_good_store(self, tmp_path):
         records, cfg = self._records()
         append_records(tmp_path, cfg.label, records)
-        reports = verify_store(tmp_path)
-        assert len(reports) == 1 and reports[0].failures == 0
+        [(_, results)] = verify_store(tmp_path)
+        assert all(ok for _, ok, _ in results)
 
     def test_verify_detects_tampering(self, tmp_path):
         records, cfg = self._records()
@@ -241,12 +241,12 @@ class TestStore(object):
         lines[1] = json.dumps(data2, sort_keys=True, separators=(",", ":"))
         lines.append("{ not json")
         path.write_text("\n".join(lines) + "\n")
-        report = verify_store(tmp_path)[0]
-        outcomes = dict((lineno, (ok, reasons)) for lineno, ok, reasons in report.results)
+        _, results = verify_store(tmp_path)[0]
+        outcomes = dict((lineno, (ok, reasons)) for lineno, ok, reasons in results)
         assert not outcomes[1][0] and any("off the curve" in r for r in outcomes[1][1])
         assert not outcomes[2][0]
         assert not outcomes[len(lines)][0]  # corrupt line reported, not fatal
-        assert report.failures == 3
+        assert [ok for _, ok, _ in results].count(False) == 3
 
     def test_verify_parses_each_surface_once(self, tmp_path, monkeypatch):
         # g = t and g = -t share the label "twist" and so one store file,
@@ -285,8 +285,8 @@ class TestStore(object):
             return surface_config_from_dict(data)
 
         monkeypatch.setattr(store, "surface_config_from_dict", counting)
-        [report] = verify_store(tmp_path)
-        assert report.results == expected
+        [(_, results)] = verify_store(tmp_path)
+        assert results == expected
         assert [ok for _, ok, _ in expected].count(False) == 2
         assert len(parses) == 2 + 2
 

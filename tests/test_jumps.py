@@ -38,7 +38,6 @@ from rankjump.jumps import (
     Budget,
     CoverChallenge,
     RankJumpCertificate,
-    SearchLog,
     avoid_covers,
     field_census,
     jump1,
@@ -94,9 +93,9 @@ class TestJump1:
         avoid = None if cover is None else CoverChallenge((RatPoly([cover[1], cover[0]]),))
         runs = []
         for search in (jump1, jump1_lookahead):
-            log = SearchLog()
+            log = Counter()
             certs = [(c.t0, c.points, c.provenance) for c in search(s, budget, avoid, log=log)]
-            runs.append((certs, vars(log)))
+            runs.append((certs, log))
         assert runs[0] == runs[1]
 
     def test_twist_stream(self):
@@ -158,7 +157,7 @@ class TestJump1:
 
 class TestJump2:
     def test_split_twist_certificates(self):
-        log = SearchLog()
+        log = Counter()
         certs = list(jump2(split_twist(), Budget(18, 8, 3), log=log))
         assert len(certs) == 3
         for c in certs:
@@ -167,7 +166,7 @@ class TestJump2:
             assert det - err > 1e-6
             ok, reasons = verify_certificate(split_twist(), c)
             assert ok, reasons
-        assert log.dependent_pairs > 0  # the search had to discard pairs
+        assert log["dependent pairs"] > 0  # the search had to discard pairs
 
     def test_dependent_pair_never_emitted(self):
         # the classic dependent pair lives over t0 = 6 on the g = t family
@@ -177,14 +176,14 @@ class TestJump2:
                 assert sorted(c.points) != [(12, 36), (18, 72)]
 
     def test_km_stream_intersection(self):
-        log = SearchLog()
+        log = Counter()
         certs = list(jump2(mordell(), Budget(6, 10, 2), log=log))
         for c in certs:
             assert c.claimed_rank_lower_bound == 2
             ok, reasons = verify_certificate(mordell(), c)
             assert ok, reasons
         # the search must at least have examined pairs
-        assert log.fibres_tried > 0
+        assert log["fibres tried"] > 0
 
     def test_km_twist_in_disguise_yields_nothing(self):
         # (g y)^2 = g f(x) hides a twist family inside the quadratic-
@@ -234,6 +233,72 @@ class TestJump2:
                    if line.startswith("# search:")]
         assert raised and len(summary) == 1
         assert f"inconclusive {len(raised) + len(inconclusive)}," in summary[0]
+
+
+def _search_counts(capsys) -> dict[str, int]:
+    """The counts of the one `# search:` line on stderr, by label."""
+    [line] = [l for l in capsys.readouterr().err.splitlines() if l.startswith("# search:")]
+    counts = line.split("; ")[1].split(", ")
+    return {name: int(n) for name, n in (count.rsplit(" ", 1) for count in counts)}
+
+
+class TestSearchCounts:
+    """Each count the `# search:` line prints equals the events counted by
+    wrapping what the search calls, not read back from its own Counter: the
+    pinned benchmark lines print unsolvable 0 and inconclusive 0, so a key
+    misspelt for either would pass them."""
+
+    def test_fibre_and_pair_counts_match_the_wrapped_calls(self, tmp_path, capsys, monkeypatch):
+        # (t^2 + 1) y^2 = x^3 - x: most fibres have no point, one pair is dependent
+        events, verdicts = Counter(), Counter()
+        fibre, solvable, regulator = jumps.conic_fibre, jumps.conic_solvable, jumps.regulator
+
+        def counting_fibre(surface, x0):
+            events["conic_fibre"] += 1
+            try:
+                return fibre(surface, x0)
+            except DegenerateFibreError:
+                events["DegenerateFibreError"] += 1
+                raise
+
+        def counting_solvable(fib):
+            ok = solvable(fib)
+            events["unsolvable"] += not ok
+            return ok
+
+        def counting_regulator(E, JP, JQ, heights):
+            verdict = regulator(E, JP, JQ, heights)
+            verdicts[verdict.verdict] += 1
+            return verdict
+
+        monkeypatch.setattr(jumps, "conic_fibre", counting_fibre)
+        monkeypatch.setattr(jumps, "conic_solvable", counting_solvable)
+        monkeypatch.setattr(jumps, "regulator", counting_regulator)
+        cfg = tmp_path / "surface.cfg"
+        cfg.write_text("kind = twist\nf = 0, -1, 0, 1\ng = 1, 0, 1\n")
+        assert main(["jump", "--config", str(cfg), "--rank", "2", "--budget", "6,6,2"]) == 3
+        printed = _search_counts(capsys)
+        assert list(printed) == list(jumps.SEARCH_COUNTS)
+        assert printed["fibres tried"] == events["conic_fibre"] == 47
+        assert printed["degenerate"] == events["DegenerateFibreError"] == 3
+        assert printed["unsolvable"] == events["unsolvable"] == 42
+        assert printed["dependent pairs"] == verdicts["dependent"] == 1
+        assert printed["inconclusive"] == verdicts["inconclusive"] == 0
+
+    def test_each_precision_error_counts_as_inconclusive(self, capsys, monkeypatch):
+        calls = []
+
+        def raising_regulator(E, JP, JQ, heights):
+            calls.append(E)
+            raise curves.PrecisionError("height precision out of reach")
+
+        monkeypatch.setattr(jumps, "regulator", raising_regulator)
+        argv = ["jump", "--config", str(CONFIGS / "usual-twist.cfg"), "--rank", "2",
+                "--budget", "6,6,2"]
+        assert main(argv) == 3  # no pair is ever independent
+        printed = _search_counts(capsys)
+        assert calls and printed["inconclusive"] == len(calls)
+        assert printed["dependent pairs"] == 0
 
 
 #: Two branch points of a drawn split fibre polynomial; None is the place at infinity.
@@ -338,12 +403,12 @@ class TestAvoidCovers:
     def test_rank_two_stream_is_jump2s(self):
         # h(-42/125) = 1: the first rank-2 t0 on the usual twist is avoided
         challenge, budget = CoverChallenge((T + Fraction(167, 125),)), Budget(10, 6, 4)
-        logs = SearchLog(), SearchLog()
+        logs = Counter(), Counter()
         certs = list(avoid_covers(usual_twist(), challenge, budget, rank=2, log=logs[0]))
         assert certs == list(jump2(usual_twist(), budget, avoid=challenge, log=logs[1]))
         assert [c.t0 for c in certs] == [Fraction(-168, 125), Fraction(-21, 250),
                                          Fraction(-378, 125), Fraction(-189, 250)]
-        assert logs[0] == logs[1] and logs[0].avoided_t0 == 4
+        assert logs[0] == logs[1] and logs[0]["avoided t0"] == 4
 
     def test_rank_other_than_one_or_two_is_refused(self):
         for rank in (0, 3):

@@ -280,6 +280,20 @@ class TestForgedInput:
         reason = self._verify_second_line(tmp_path, forged, first=pair)
         assert reason == "corrupt record: bad stored regulator (nan, inf)"
 
+    # both verified ok while a stored surface was read by its kind's keys
+    # alone and its coefficients through str(), unlike a config file
+    @pytest.mark.parametrize("surface, reason", [
+        ({"junk": 1}, "unknown keys for kind 'twist': junk"),
+        ({"f": [0, -1.0, 0, 1], "g": [-1, 0, 1.0]},
+         "stored record has no list of strings for field 'f'"),
+    ])
+    def test_stored_surface_follows_the_config_rules(self, tmp_path, surface, reason):
+        data = json.loads(PAIR_LINE)
+        data["surface"].update(surface)
+        forged = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        reason_seen = self._verify_second_line(tmp_path, forged, first=PAIR_LINE)
+        assert reason_seen == "corrupt record: " + reason
+
     def test_non_boolean_verified_is_corrupt(self, tmp_path):
         # bool("no") is True
         forged = _forged(verified="no")
@@ -504,10 +518,10 @@ def test_verify_keys_each_store_file_once(tmp_path, monkeypatch):
         return dumps(obj, **kwargs)
 
     monkeypatch.setattr(json, "dumps", counted)
-    reports = verify_store(tmp_path)
-    assert sum(len(r.results) for r in reports) == 1005
-    assert all(ok for r in reports for _, ok, _ in r.results)
-    assert len(keys) == len(reports) == 3
+    files = verify_store(tmp_path)
+    assert sum(len(results) for _, results in files) == 1005
+    assert all(ok for _, results in files for _, ok, _ in results)
+    assert len(keys) == len(files) == 3
 
 
 def test_fixture_records_are_typed_at_the_boundary():
