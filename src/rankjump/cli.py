@@ -25,6 +25,7 @@ from .surfaces import (
     InconsistentClassification,
     TwistFamily,
     classify_fibres,
+    euler_number,
     is_twist_case,
     shioda_tate_bound,
     to_chatelet,
@@ -62,29 +63,29 @@ def cmd_classify(args) -> int:
     cfg = _load_config(args.config)
     surface = build_surface(cfg)
     w = to_weierstrass(surface)
-    cls = classify_fibres(w)
+    fibres = classify_fibres(w)
     try:
-        bound = shioda_tate_bound(cls)
+        bound = shioda_tate_bound(fibres)
     except InconsistentClassification as exc:
         raise ConfigError(str(exc)) from None
     print(f"surface: {cfg.label} (kind {cfg.kind})")
     print(f"model: y^2 = x^3 + ({w.A!r}) x + ({w.B!r})")
     print("singular fibres:")
-    for fd in cls.fibres:
+    for fd in fibres:
         k = fd.kodaira
         red = "reduced" if k.reduced else "non-reduced"
         print(f"  place {fd.place!r}: type {k.symbol}, {k.components} components, {red}, "
               f"euler {k.euler}")
-    print(f"euler number: {cls.euler_total}")
+    print(f"euler number: {euler_number(fibres)}")
     print(f"shioda-tate rank bound: {bound}")
     twist = surface if isinstance(surface, TwistFamily) else is_twist_case(w)
     if twist is None:
         print("twist form: none (not a quadratic twist family)")
     else:
         print(f"twist form: g(t) y^2 = f(x) with f = {twist.f.format('x')}, g = {twist.g!r}")
-        ch = to_chatelet(twist)
-        if ch is not None:
-            print(f"chatelet model: w^2 - ({ch.a}) y^2 = {ch.cubic.format('x')}")
+        chatelet = to_chatelet(twist)  # (a, F)
+        if chatelet is not None:
+            print(f"chatelet model: w^2 - ({chatelet[0]}) y^2 = {chatelet[1].format('x')}")
     return EXIT_OK
 
 

@@ -81,9 +81,6 @@ class EllipticCurveQ:
             raise SingularCurveError("curve is singular")
         self._scaled_model = Ai, Bi, mu
 
-    def __eq__(self, other):
-        return isinstance(other, EllipticCurveQ) and (self.A, self.B) == (other.A, other.B)
-
     def __repr__(self):
         return f"EllipticCurveQ({self.A}, {self.B})"
 
@@ -393,6 +390,7 @@ def _local_height(Ai: int, Bi: int, J) -> HeightData:
                 tail = float(tail_scale) * _tail_constant(Ai, Bi) / (m * m)
                 guard = 10.0 ** (-(dps - 12))
                 value = float(total)
+            # abs(value) * 1e-15 covers float(total)'s rounding, <= 2^-53 |v| (IEEE 754)
             return HeightData(
                 value,
                 tail + guard + abs(value) * 1e-15,
@@ -438,8 +436,9 @@ def regulator(E: EllipticCurveQ, JP, JQ, heights: dict) -> RegulatorResult:
     order), determinant 0.0 and error 0.0, before any height. That is the
     relation _small_relation would find: every pair it tries earlier, (0,
     +-1), (+-1, 0) or (0, +-2), would make P or Q torsion. Otherwise a pair
-    costs three heights: of P, Q and P + Q. "independent" requires the
-    determinant to clear the 1e-6 threshold after error propagation. For
+    costs three heights: of P, Q and P + Q. "independent" requires det -
+    err > INDEPENDENCE_THRESHOLD (1e-6), err the propagated error bound: the
+    threshold is a margin on top of that bound, not part of it. For
     dependent-looking pairs the first relation a P + b Q = torsion with
     |a|, |b| <= 20 that the Gram matrix allows is checked exactly and
     reported; when neither outcome can be certified the verdict is

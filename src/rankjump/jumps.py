@@ -81,7 +81,8 @@ class Budget:
     count: int
 
     def __post_init__(self):
-        if not all(type(n) is int and n > 0 for n in vars(self).values()):
+        x, p, n = self.x0_height, self.param_height, self.count
+        if not (type(x) is type(p) is type(n) is int and x > 0 and p > 0 and n > 0):
             raise ValueError(f"a budget is three positive integers, not {self}")
 
 

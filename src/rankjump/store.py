@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -78,16 +79,18 @@ class CertificateRecord:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-#: The forms str(Fraction) writes; any other, an exponent above all, is
-#: refused before Fraction could build 10^k for it.
-_STORED_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+#: The forms str(Fraction) writes, denominator nonzero; any other, an exponent
+#: above all, is refused before Fraction could build 10^k for it, as is a digit
+#: run past int()'s limit (0: none), which int() would refuse by echoing it.
+_STORED_RATIONAL = re.compile(r"(-?([0-9]+))(?:/(0*[1-9][0-9]*))?")
 
 
 def _rational(s) -> Fraction:
     m = _STORED_RATIONAL.fullmatch(s) if isinstance(s, str) else None
-    if m is None:
+    limit = sys.get_int_max_str_digits()
+    if m is None or limit and len(s) > limit and max(len(m[2]), len(m[3] or "")) > limit:
         raise ValueError(f"bad stored rational {str(s)[:20]!r}")
-    return Fraction(int(m[1]), int(m[2] or 1))
+    return Fraction(int(m[1]), int(m[3] or 1))
 
 
 def _typed(value, types: tuple, field: str):
@@ -98,11 +101,13 @@ def _typed(value, types: tuple, field: str):
 
 
 def _field(data: dict, key: str, types: tuple, field: str | None = None):
-    """data[key], typed by _typed; a missing key is refused, and both
-    messages name field (key by default)."""
+    """data[key], typed by _typed in one lookup (types never hold NoneType);
+    a missing key is refused, and both messages name field (key by default)."""
+    if type(value := data.get(key)) in types:
+        return value
     if key not in data:
         raise ValueError(f"missing stored {field or key}")
-    return _typed(data[key], types, field or key)
+    return _typed(value, types, field or key)
 
 
 def record_from_json(line: str) -> CertificateRecord:
@@ -122,7 +127,8 @@ def _record(data: dict, cfg: SurfaceConfig) -> CertificateRecord:
     reg = _typed(data.get("regulator"), (dict, type(None)), "regulator")
     cert = RankJumpCertificate(
         t0=_rational(_field(data, "t0", (str,))),
-        curve=tuple(_rational(_field(curve, k, (str,), "curve")) for k in ("A", "B")),
+        curve=(_rational(_field(curve, "A", (str,), "curve")),
+               _rational(_field(curve, "B", (str,), "curve"))),
         points=[(_rational(x), _rational(y)) for x, y in points],
         provenance=[_rational(x0) for x0 in _field(data, "provenance", (list,))],
         generic_rank_bound=_field(data, "generic_rank_bound", (int,)),

@@ -215,14 +215,9 @@ class FibreData:
     kodaira: KodairaType
 
 
-@dataclass(frozen=True)
-class FibreClassification:
-    fibres: tuple[FibreData, ...]
-
-    @property
-    def euler_total(self) -> int:
-        """Sum of local Euler contributions, weighted by place degrees."""
-        return sum(f.kodaira.euler * f.place.degree for f in self.fibres)
+def euler_number(fibres: tuple[FibreData, ...]) -> int:
+    """Sum of local Euler contributions, weighted by place degrees."""
+    return sum(f.kodaira.euler * f.place.degree for f in fibres)
 
 
 def to_weierstrass(surface) -> WeierstrassQt:
@@ -230,7 +225,7 @@ def to_weierstrass(surface) -> WeierstrassQt:
     return surface.weierstrass
 
 
-def classify_fibres(w: WeierstrassQt) -> FibreClassification:
+def classify_fibres(w: WeierstrassQt) -> tuple[FibreData, ...]:
     """Kodaira types at every singular place of the model: each irreducible
     factor of the discriminant D, then infinity, one more place of the same
     walk, where the model s^4 A(1/s), s^6 B(1/s) in s = 1/t has valuations
@@ -250,21 +245,22 @@ def classify_fibres(w: WeierstrassQt) -> FibreClassification:
         ktype, k = kodaira_type(va, vb, vd)
         if vd - 12 * k > 0:
             fibres.append(FibreData(pl, ktype))
-    return FibreClassification(tuple(fibres))
+    return tuple(fibres)
 
 
-def shioda_tate_bound(c: FibreClassification) -> int:
+def shioda_tate_bound(fibres: tuple[FibreData, ...]) -> int:
     """Upper bound 8 - sum_v (m_v - 1) for the generic Mordell-Weil rank.
 
     The sum runs over geometric singular fibres, so each place is weighted
     by its degree. Requires the Euler number 12 of a rational elliptic
     surface.
     """
-    if c.euler_total != 12:
+    euler = euler_number(fibres)
+    if euler != 12:
         raise InconsistentClassification(
-            f"Euler number {c.euler_total} != 12; not a rational elliptic surface"
+            f"Euler number {euler} != 12; not a rational elliptic surface"
         )
-    bound = 8 - sum((f.kodaira.components - 1) * f.place.degree for f in c.fibres)
+    bound = 8 - sum((f.kodaira.components - 1) * f.place.degree for f in fibres)
     if bound < 0:
         raise InconsistentClassification(f"negative rank bound {bound}")
     return bound
@@ -286,27 +282,14 @@ def is_twist_case(w: WeierstrassQt) -> TwistFamily | None:
     return TwistFamily(RatPoly([b[0], a[0], 0, 1]), g)
 
 
-@dataclass(frozen=True)
-class ChateletModel:
-    """The model w^2 - a Y^2 = F(x) of a twist family with deg g = 2, whose
-    a and F = g2 f classify prints.
+def to_chatelet(s: TwistFamily) -> tuple[Fraction, RatPoly] | None:
+    """The Chatelet form w^2 - a Y^2 = F(x) of a twist family as the pair
+    (a, F = g2 f), or None unless deg g = 2.
 
-    Obtained by centring g (shift removing its linear term) and the
-    substitution Y = g2 y, w = (t + shift) Y, under which w^2 - a Y^2 - F(x)
-    = g2 (g(t) y^2 - f(x)).
+    Centring g (t + g1/(2 g2) removes its linear term) and the substitution
+    Y = g2 y, w = (t + g1/(2 g2)) Y give w^2 - a Y^2 - F(x) = g2 (g(t) y^2 - f(x)).
     """
-
-    a: Fraction
-    cubic: RatPoly
-    shift: Fraction        # t_centred = t + shift
-    g2: Fraction           # leading coefficient of g
-
-
-def to_chatelet(s: TwistFamily) -> ChateletModel | None:
-    """Chatelet form of a twist family, or None unless deg g = 2."""
     if s.g.degree != 2:
         return None
     g2, g1, g0 = s.g[2], s.g[1], s.g[0]
-    shift = g1 / (2 * g2)
-    a = (g1 * g1 - 4 * g0 * g2) / (4 * g2 * g2)
-    return ChateletModel(a=a, cubic=g2 * s.f, shift=shift, g2=g2)
+    return (g1 * g1 - 4 * g0 * g2) / (4 * g2 * g2), g2 * s.f

@@ -910,7 +910,7 @@ def classify_fibres_reversed(w):
     of its own after the finite places."""
     from rankjump.kodaira import kodaira_type
     from rankjump.polynomial import PLACE_AT_INFINITY, Place, RatPoly, factor_rational, valuation
-    from rankjump.surfaces import FibreClassification, FibreData
+    from rankjump.surfaces import FibreData
 
     fibres = []
     for h, vd in factor_rational(w.delta)[1]:
@@ -924,7 +924,7 @@ def classify_fibres_reversed(w):
     ktype, k = kodaira_type(va, vb, vd)
     if vd - 12 * k > 0:
         fibres.append(FibreData(PLACE_AT_INFINITY, ktype))
-    return FibreClassification(tuple(fibres))
+    return tuple(fibres)
 
 
 # ---------------------------------------------------------------------------

@@ -229,8 +229,8 @@ class TestFormalMultiple:
         E = spec.curve
         P = moved_point(spec, Fraction(1, 3), -4)
         Q = moved_point(spec, Fraction(5, 6), Fraction(-23, 2))
-        assert (E, P, Q) == (EllipticCurveQ(Fraction(13439, 3), Fraction(955010, 27)),
-                             point(Fraction(193, 3), -768), point(Fraction(481, 3), -2208))
+        assert (E.A, E.B, P, Q) == (Fraction(13439, 3), Fraction(955010, 27),
+                                    point(Fraction(193, 3), -768), point(Fraction(481, 3), -2208))
         heights = [pair_height(E, R) for R in (P, Q, pair_add(E, P, Q))]
         assert [h.detail["multiple"] for h in heights] == [234, 234, 78]
         assert [h.value for h in heights] == [0.18320951094055973, 0.7893336539008481,

@@ -349,6 +349,27 @@ class TestForgedInput:
         rows = [line.split() for line in done.stdout.splitlines() if line[:1].isspace()]
         assert rows[-1][0] == "32" and rows[-1][3] == "1"
 
+    # verify printed "corrupt record: Fraction(1, 0)" for the first, and
+    # int()'s refusal, past the default limit of 4300 digits, for the second
+    @pytest.mark.parametrize("t0", ["1/0", "1" * 5000])
+    def test_bad_stored_rational_is_named(self, tmp_path, t0):
+        data = json.loads(RECORD_LINE)
+        data["t0"] = t0
+        forged = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        cfg, store, path = _store_with(tmp_path, forged, RECORD_LINE)
+        code, out, _ = _run(["verify", "--store", store])
+        assert code == 4
+        assert out.splitlines() == [
+            f"{path}:1: FAIL: corrupt record: bad stored rational {t0[:20]!r}",
+            f"{path}:2: ok",
+            "# verified 2 records, 1 failures",
+        ]
+        # census --store skips the line
+        code, out, _ = _run(["census", "--config", cfg, "--height", "32", "--store", store])
+        assert code == 0
+        rows = [line.split() for line in out.splitlines() if line[:1].isspace()]
+        assert rows[-1][0] == "32" and rows[-1][3] == "1"
+
 
 #: The JSON type README documents for each top-level field of a record,
 #: NoneType where null is allowed; JSON tells a boolean from an integer.

@@ -11,7 +11,6 @@ from rankjump.curves import EllipticCurveQ
 from rankjump.kodaira import InvalidModelError, KodairaType, kodaira_type
 from rankjump.polynomial import PLACE_AT_INFINITY, Place, RatPoly, yun_squarefree
 from rankjump.surfaces import (
-    FibreClassification,
     FibreData,
     InconsistentClassification,
     KMFamily,
@@ -19,6 +18,7 @@ from rankjump.surfaces import (
     TwistFamily,
     WeierstrassQt,
     classify_fibres,
+    euler_number,
     is_twist_case,
     shioda_tate_bound,
     to_chatelet,
@@ -72,39 +72,39 @@ class TestToWeierstrass:
 
 class TestClassifyFibres:
     def test_two_i0star(self):
-        cls = classify_fibres(to_weierstrass(TwistFamily(F_CUBIC, T**2 - 1)))
-        places = {fd.place: fd for fd in cls.fibres}
+        fibres = classify_fibres(to_weierstrass(TwistFamily(F_CUBIC, T**2 - 1)))
+        places = {fd.place: fd for fd in fibres}
         assert set(places) == {Place(T - 1), Place(T + 1)}
-        assert all(fd.kodaira.symbol == "I0*" for fd in cls.fibres)
-        assert all(not fd.kodaira.reduced for fd in cls.fibres)
-        assert cls.euler_total == 12
+        assert all(fd.kodaira.symbol == "I0*" for fd in fibres)
+        assert all(not fd.kodaira.reduced for fd in fibres)
+        assert euler_number(fibres) == 12
 
     def test_linear_g_puts_second_star_at_infinity(self):
-        cls = classify_fibres(to_weierstrass(TwistFamily(F_CUBIC, T)))
-        places = {fd.place: fd for fd in cls.fibres}
+        fibres = classify_fibres(to_weierstrass(TwistFamily(F_CUBIC, T)))
+        places = {fd.place: fd for fd in fibres}
         assert set(places) == {Place(T), PLACE_AT_INFINITY}
-        assert all(fd.kodaira.symbol == "I0*" for fd in cls.fibres)
+        assert all(fd.kodaira.symbol == "I0*" for fd in fibres)
 
     def test_mordell_types(self):
-        cls = classify_fibres(to_weierstrass(mordell()))
-        by_place = {fd.place: fd.kodaira.symbol for fd in cls.fibres}
+        fibres = classify_fibres(to_weierstrass(mordell()))
+        by_place = {fd.place: fd.kodaira.symbol for fd in fibres}
         assert by_place[Place(T)] == "II"
         assert by_place[PLACE_AT_INFINITY] == "II*"
-        assert cls.euler_total == 12
+        assert euler_number(fibres) == 12
 
     def test_type_iv(self):
-        cls = classify_fibres(WeierstrassQt(RatPoly(), T**2))
-        by_place = {fd.place: fd.kodaira.symbol for fd in cls.fibres}
+        fibres = classify_fibres(WeierstrassQt(RatPoly(), T**2))
+        by_place = {fd.place: fd.kodaira.symbol for fd in fibres}
         assert by_place[Place(T)] == "IV"
 
     def test_quadratic_place(self):
         # g = t^2 - 2 is irreducible: one degree-2 place carrying I0*
-        cls = classify_fibres(to_weierstrass(TwistFamily(F_CUBIC, T**2 - 2)))
-        assert len(cls.fibres) == 1
-        fd = cls.fibres[0]
+        fibres = classify_fibres(to_weierstrass(TwistFamily(F_CUBIC, T**2 - 2)))
+        assert len(fibres) == 1
+        fd = fibres[0]
         assert fd.place == Place(T**2 - 2) and fd.place.degree == 2
         assert fd.kodaira.symbol == "I0*"
-        assert cls.euler_total == 12
+        assert euler_number(fibres) == 12
 
     def test_euler_conservation_random(self):
         rng = random.Random(21)
@@ -117,9 +117,9 @@ class TestClassifyFibres:
                 s = TwistFamily(f, g)
             except DomainError:
                 continue
-            cls = classify_fibres(to_weierstrass(s))
-            assert cls.euler_total == 12
-            nonred = [fd for fd in cls.fibres if not fd.kodaira.reduced]
+            fibres = classify_fibres(to_weierstrass(s))
+            assert euler_number(fibres) == 12
+            nonred = [fd for fd in fibres if not fd.kodaira.reduced]
             # two geometric I0* fibres, possibly conjugate over one place
             assert sum(fd.place.degree for fd in nonred) == 2
             assert all(fd.kodaira.symbol == "I0*" for fd in nonred)
@@ -139,9 +139,9 @@ class TestClassifyFibres:
             w = to_weierstrass(s)
             if is_twist_case(w) is not None:
                 continue
-            cls = classify_fibres(w)
-            assert cls.euler_total == 12
-            geometric_nonreduced = sum(f.place.degree for f in cls.fibres if not f.kodaira.reduced)
+            fibres = classify_fibres(w)
+            assert euler_number(fibres) == 12
+            geometric_nonreduced = sum(f.place.degree for f in fibres if not f.kodaira.reduced)
             assert geometric_nonreduced <= 1
             count += 1
 
@@ -324,33 +324,33 @@ def surface_normal_form(s: TwistFamily):
 
 class TestChatelet:
     def test_nonsplit(self):
-        ch = to_chatelet(TwistFamily(F_CUBIC, T**2 - 2))
-        assert ch.a == 2
-        assert ch.cubic == F_CUBIC  # w^2 - 2 y^2 = x^3 - x
+        a, cubic = to_chatelet(TwistFamily(F_CUBIC, T**2 - 2))
+        assert a == 2
+        assert cubic == F_CUBIC  # w^2 - 2 y^2 = x^3 - x
 
     def test_split(self):
-        assert to_chatelet(TwistFamily(F_CUBIC, T**2 - 1)).a == 1
+        assert to_chatelet(TwistFamily(F_CUBIC, T**2 - 1))[0] == 1
 
     def test_complete_square(self):
-        ch = to_chatelet(TwistFamily(F_CUBIC, T**2 + 2 * T))
-        assert ch.a == 1 and ch.shift == 1  # t -> t - 1 centres g
+        a, _ = to_chatelet(TwistFamily(F_CUBIC, T**2 + 2 * T))
+        assert a == 1 and (T + 1) ** 2 - a == T**2 + 2 * T  # t -> t - 1 centres g
 
     def test_linear_g_rejected(self):
         assert to_chatelet(TwistFamily(F_CUBIC, T)) is None
 
     def test_maps_preserve_surface_identically(self):
         # w^2 - a Y^2 - F(x) = g2 (g(t) y^2 - f(x)) for all (x, y, t), with
-        # Y = g2 y and w = (t + shift) Y
+        # Y = g2 y and w = (t + shift) Y, shift = g1 / (2 g2)
         rng = random.Random(24)
         s = TwistFamily(F_CUBIC, 3 * T**2 + T - 2)
-        ch = to_chatelet(s)
+        a, cubic = to_chatelet(s)
         g2 = s.g[2]
-        assert ch.g2 == g2
+        shift = s.g[1] / (2 * g2)
         for _ in range(40):
             x, y, t = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
             Y = g2 * y
-            w = (t + ch.shift) * Y
-            lhs = w * w - ch.a * Y * Y - ch.cubic(x)
+            w = (t + shift) * Y
+            lhs = w * w - a * Y * Y - cubic(x)
             rhs = g2 * (s.g(t) * y * y - s.f(x))
             assert lhs == rhs
 
@@ -358,7 +358,9 @@ class TestChatelet:
         from rankjump.conics import conic_fibre, conic_solvable, parametrize, rationals_by_height
 
         s = TwistFamily(F_CUBIC, T**2 - 1)
-        ch = to_chatelet(s)
+        a, cubic = to_chatelet(s)
+        g2 = s.g[2]
+        shift = s.g[1] / (2 * g2)
         checked = 0
         for x0 in rationals_by_height(6):
             if s.f(x0) == 0:
@@ -367,9 +369,9 @@ class TestChatelet:
             if not conic_solvable(fib):
                 continue
             for t, w in parametrize(fib, 4):
-                Y = ch.g2 * w
-                W = (t + ch.shift) * Y
-                assert W * W - ch.a * Y * Y == ch.cubic(x0)
+                Y = g2 * w
+                W = (t + shift) * Y
+                assert W * W - a * Y * Y == cubic(x0)
                 checked += 1
             if checked > 10:
                 break
@@ -378,24 +380,24 @@ class TestChatelet:
 
 class TestShiodaTate:
     def test_two_i0star_bound(self):
-        cls = classify_fibres(to_weierstrass(TwistFamily(F_CUBIC, T**2 - 1)))
-        assert shioda_tate_bound(cls) == 0
+        fibres = classify_fibres(to_weierstrass(TwistFamily(F_CUBIC, T**2 - 1)))
+        assert shioda_tate_bound(fibres) == 0
 
     def test_mordell_bound(self):
-        cls = classify_fibres(to_weierstrass(mordell()))
-        assert shioda_tate_bound(cls) == 0
+        fibres = classify_fibres(to_weierstrass(mordell()))
+        assert shioda_tate_bound(fibres) == 0
 
     def test_twelve_nodal_fibres(self):
         i1 = KodairaType("I1", 1, 1, True)
         fibres = tuple(
             FibreData(Place(T - k), i1) for k in range(12)
         )
-        assert shioda_tate_bound(FibreClassification(fibres)) == 8
+        assert shioda_tate_bound(fibres) == 8
 
     def test_euler_check(self):
         i1 = KodairaType("I1", 1, 1, True)
         with pytest.raises(InconsistentClassification):
-            shioda_tate_bound(FibreClassification((FibreData(Place(T), i1),)))
+            shioda_tate_bound((FibreData(Place(T), i1),))
 
     def test_negative_bound_rejected(self):
         # II* + I2 has euler 12 but 9 fibre components beyond the bound's 8
@@ -403,7 +405,7 @@ class TestShiodaTate:
         i2 = KodairaType("I2", 2, 2, True)
         fibres = (FibreData(Place(T), ii_star), FibreData(Place(T - 1), i2))
         with pytest.raises(InconsistentClassification, match="negative"):
-            shioda_tate_bound(FibreClassification(fibres))
+            shioda_tate_bound(fibres)
 
 
 class TestValidation:
