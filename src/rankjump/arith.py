@@ -6,9 +6,11 @@ symbols of integers, local solvability of diagonal ternary forms given by
 square classes, and a zero of a solvable one by Lagrange's descent.
 Factoring happens in _factorint: trial division by the primes below 2^10,
 then sympy's factorint (imported only then, for its p - 1 and ECM stages)
-on a cofactor above 2^20 that outlives them. square_class reaches it once
-per fibre value, once per surface for the fixed part and once per descent
-step (on a quotient at most a quarter of the class it reduces);
+on a cofactor above 2^20 that outlives them. square_class reaches it for
+the integers of a fibre's classes (conics: N and D d of a twist's f(x0),
+the lead and L d of a km q, each apart, and disc q), once per surface for
+the fixed part and once per descent step (on a quotient at most a quarter
+of the class it reduces);
 prime_factors once per curve for the reduced model, and for a gcd of a
 point's integers where the point meets a singular point. Config
 coefficients are bounded at parse time (config.MAX_COEFFICIENT).
@@ -68,19 +70,32 @@ class SquareClass(NamedTuple):
         return SquareClass(self.s * other.s // (g * g), tuple(primes))
 
 
-def square_class(q) -> SquareClass:
-    """The square class of a nonzero rational, its numerator and denominator
-    factored once each."""
+def square_class(q, d: int = 1) -> SquareClass:
+    """The square class of a nonzero rational q, or of q/d for an integer
+    d != 0: its numerator and denominator, over their gcd, are factored
+    apart, once each, and a square one not at all."""
     if q == 0:
         raise DomainError("square class of 0")
-    s, primes = -1 if q < 0 else 1, []
-    for n in (abs(q.numerator), q.denominator):
-        if n > 1:
-            for p, e in _factorint(n).items():
+    n, m = q.numerator, q.denominator * d
+    g = gcd(n, m)
+    s, primes = -1 if (n < 0) != (m < 0) else 1, []
+    for k in (abs(n) // g, abs(m) // g):
+        if k > 1 and isqrt(k) ** 2 != k:
+            for p, e in _factorint(k).items():
                 if e % 2:
                     s *= p
                     primes.append(p)
     return SquareClass(s, tuple(sorted(primes)))
+
+
+def primitive_triple(c0: int, c1: int, c2: int) -> tuple[int, int, int]:
+    """c0 + c1 t + c2 t^2, integers not all 0, divided by their gcd and
+    signed to a positive leading coefficient: one triple per polynomial up
+    to a rational factor."""
+    g = gcd(c0, c1, c2)
+    if (c2 or c1 or c0) < 0:
+        g = -g
+    return c0 // g, c1 // g, c2 // g
 
 
 def rational_sqrt(q) -> Fraction | None:

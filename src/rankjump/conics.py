@@ -9,12 +9,17 @@ homogenising. Parametrisation runs in integers: with the conic's matrix
 scaled to integers, each coordinate of the point cut by the line of
 parameter (m0 : m1) is an integer binary quadratic form in (m0, m1).
 
-Solvability is decided on closed-form square classes: the twist conic
-g2 u^2 + g1 u w + g0 w^2 = v z^2 is diagonal in (g2, -g2 disc g, -v), the
-first two fixed by the surface, the km conic W^2 = q(T, Z) in (-q2, 1,
-q2 disc q); per fibre only v, or q2 and disc q, are factored. If g2 = 0 or
-q2 = 0 the block is hyperbolic: (1, 0, 0) lies on the conic. Obstructing
-places do not depend on the diagonal chosen, nor does the first reported.
+A fibre reads x0 = n/d once and builds its classes from integers: f(x0)
+= N / (D d^3) from f's integer form, and q = (Q0, Q1, Q2) / (L d^3) from
+the km surface's integer columns (KMFamily.fibre_ints). Solvability is
+decided on closed-form square classes: the twist conic g2 u^2 + g1 u w +
+g0 w^2 = v z^2 is diagonal in (g2, -g2 disc g, -v), the first two fixed by
+the surface, the km conic W^2 = q(T, Z) in (-q2, 1, q2 disc q). Per fibre
+the integers factored are N and D d, or the lead Q2 (Q1 if q is linear)
+and L d, each pair over its gcd and each integer apart, never their
+product, and disc q on the primitive triple. If g2 = 0 or q2 = 0 the
+block is hyperbolic: (1, 0, 0) lies on the conic. Obstructing places do
+not depend on the diagonal chosen, nor does the first reported.
 
 A solvable fibre's base point comes from three stages: (1, 0, 0) when it
 lies on the conic, a sweep of small t by integer square tests, and
@@ -25,12 +30,13 @@ always finds one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
-from .arith import SquareClass, lagrange_descent, rational_sqrt, square_class, ternary_obstruction
+from .arith import (SquareClass, lagrange_descent, primitive_triple, rational_sqrt, square_class,
+                    ternary_obstruction)
 from .polynomial import PLACE_AT_INFINITY, Place, RatPoly, poly_discriminant
 from .surfaces import TwistFamily
 
@@ -39,13 +45,15 @@ class DegenerateFibreError(ValueError):
     """Raised for x0 where the curve x = x0 is not an integral conic."""
 
 
-@dataclass(frozen=True, slots=True)
-class QuadExtClass:
+class QuadExtClass(NamedTuple):
     """The quadratic extension Q(t)(sqrt(s * h(t))), canonically presented:
-    s a squarefree integer, h monic squarefree; slotted, as a census keeps one per class."""
+    s a squarefree integer, h squarefree of degree 1 or 2, held as its
+    primitive integer triple (h0, h1, h2), constant term first, with a
+    positive leading coefficient (arith.primitive_triple); a census keys its
+    classes on these ints."""
 
     s: int
-    h: RatPoly
+    h: tuple[int, int, int]
 
 
 def branch_locus(cls: QuadExtClass) -> frozenset[Place]:
@@ -53,9 +61,9 @@ def branch_locus(cls: QuadExtClass) -> frozenset[Place]:
     branch points: the roots of h, plus infinity if deg h is odd. A conic
     fibre has h of degree 1 or 2; a squarefree t^2 + b t + c splits at (-b
     +- r) / 2 exactly when its discriminant is a square r^2. The locus is a
-    function of the monic h alone, and h one of the locus, so two fibres'
-    loci coincide exactly when their kernels h do."""
-    h = cls.h
+    function of h up to a constant factor, and h one of the locus, so two
+    fibres' loci coincide exactly when their kernels h do."""
+    h = RatPoly(cls.h).monic()
     if h.degree == 1:
         return frozenset({Place(h), PLACE_AT_INFINITY})
     if h.degree != 2:
@@ -84,42 +92,59 @@ def _primitive(vec):
 
 
 class ConicFibre:
-    """One fibre of the conic bundle, with its extension class; its matrix,
+    """One fibre of the conic bundle, with its extension class and square
+    classes built from integers; f(x0) or q as Fractions, its matrix,
     solvability and rational points are computed on demand, once."""
 
     def __init__(self, surface, x0):
         self.surface = surface
         self.x0 = x0
+        n, d = x0.as_integer_ratio()
         if isinstance(surface, TwistFamily):
             self.kind = "twist"
-            value = surface.f(x0)
-            if value == 0:
+            N, M = surface.f.ratio_at(n, d)  # f(x0) = N / M, M = D d^3
+            if N == 0:
                 raise DegenerateFibreError(f"f({x0}) = 0: fibre splits")
-            self.value = value
-            self.q = None
-            value_class = square_class(value)  # f(x0) is factored once
+            self._ratio = N, M
+            # the class of N / M is that of N / (D d): N and D d factored apart
+            value_class = square_class(N, M // (d * d))
             lead_class, kernel, block = surface.conic_classes
-            self.ext_class = QuadExtClass(value_class.times(lead_class).s, kernel)
+            v, lead = value_class.s, lead_class.s  # the class of v lead: divide out gcd^2
+            self.ext_class = QuadExtClass(v * lead // gcd(v, lead) ** 2, kernel)
             self._classes = None if block is None else (*block, -value_class)
         else:
             self.kind = "km"
-            q = surface.fibre_quadratic(x0)
-            if q.is_zero():
+            Q, den = surface.fibre_ints(n, d)  # q(t) = sum Q_i t^i / den, den = L d^3
+            Q0, Q1, Q2 = Q
+            if not (Q0 or Q1 or Q2):
                 raise DegenerateFibreError(f"fibre polynomial vanishes at x0 = {x0}")
-            self.value = None
-            self.q = q
-            disc = poly_discriminant(q) if q.degree == 2 else None
-            if q.degree == 0 or disc == 0:
+            self._ratio = Q, den
+            kernel = primitive_triple(Q0, Q1, Q2)
+            k0, k1, k2 = kernel
+            disc = k1 * k1 - 4 * k2 * k0 if k2 else None
+            if not (k2 or k1) or disc == 0:
                 raise DegenerateFibreError(
                     f"fibre over x0 = {x0} is a square times a constant: cover splits"
                 )
-            # otherwise monic(q) is squarefree, and the class is lead(q)'s
-            lead_class = square_class(q.leading())
-            self.ext_class = QuadExtClass(lead_class.s, q.monic())
+            # otherwise q is squarefree, and the class is lead(q)'s, that of
+            # the integer lead over den = L d^3, or over L d: each factored apart
+            lead_class = square_class(Q2 or Q1, den // (d * d))
+            self.ext_class = QuadExtClass(lead_class.s, kernel)
             # -q2 T^2 - q1 T Z - q0 Z^2 = -q2 (T + q1 Z / 2 q2)^2 + disc(q) Z^2 / 4 q2
             self._classes = None if disc is None else (
                 -lead_class, SquareClass(1, ()), lead_class.times(square_class(disc)))
         self._base_point = None
+
+    @cached_property
+    def value(self):
+        """f(x0), the value of a twist fibre g(t) w^2 = f(x0); None on km."""
+        return Fraction(*self._ratio) if self.kind == "twist" else None
+
+    @cached_property
+    def q(self):
+        """q(t), the polynomial of a km fibre w^2 = q(t); None on a twist."""
+        Q, den = self._ratio
+        return RatPoly([Fraction(c, den) for c in Q]) if self.kind == "km" else None
 
     @cached_property
     def matrix(self):

@@ -19,14 +19,14 @@ class RatPoly:
     """Univariate polynomial over Q, coefficients constant term first."""
 
     # _ints: (c_k, [c_k-1, ..., c_0], D) with coefficient i = c_i / D, built
-    # on the first evaluation; _hash: hash(coeffs), set on the first hash
-    __slots__ = ("coeffs", "_ints", "_hash")
+    # on the first evaluation
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs, self._hash = tuple(cs), None
+        self.coeffs = tuple(cs)
 
     @property
     def degree(self) -> int:
@@ -53,9 +53,7 @@ class RatPoly:
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.coeffs)
-        return self._hash
+        return hash(self.coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .arith import DomainError, SquareClass, divisors, square_class
+from .arith import DomainError, SquareClass, divisors, primitive_triple, square_class
 from .kodaira import InvalidModelError, KodairaType, kodaira_type, minimal_shift
 from .polynomial import (
     PLACE_AT_INFINITY,
@@ -79,13 +79,16 @@ class TwistFamily:
         return WeierstrassQt(P * g * g, Q * g * g * g)
 
     @cached_property
-    def conic_classes(self) -> tuple[SquareClass, RatPoly,
+    def conic_classes(self) -> tuple[SquareClass, tuple[int, int, int],
                                      tuple[SquareClass, SquareClass] | None]:
         """What every fibre conic g(t) w^2 = f(x0) shares: the square class
-        of lead(g) and monic(g), the squarefree kernel of the separable g
-        (with f(x0)'s class, a fibre's extension class), and the diagonal
-        (g2, -g2 disc(g)) of g2 u^2 + g1 u w + g0 w^2, None if g2 = 0."""
-        lead, kernel = square_class(self.g.leading()), self.g.monic()
+        of lead(g) and the primitive triple of g, the squarefree kernel of
+        the separable g (with f(x0)'s class, a fibre's extension class), and
+        the diagonal (g2, -g2 disc(g)) of g2 u^2 + g1 u w + g0 w^2, None if
+        g2 = 0."""
+        L = lcm(*(c.denominator for c in self.g.coeffs))
+        lead = square_class(self.g.leading())
+        kernel = primitive_triple(*(int(self.g[i] * L) for i in range(3)))
         if self.g.degree < 2:
             return lead, kernel, None
         return lead, kernel, (lead, lead.times(square_class(-poly_discriminant(self.g))))
@@ -153,16 +156,22 @@ class KMFamily:
         return self.a3, self.a2 * Fraction(1, 3), self.a3
 
     @cached_property
-    def x_columns(self) -> tuple[RatPoly, RatPoly, RatPoly]:
-        """Column i: the coefficient of t^i in a3 x^3 + a2 x^2 + a1 x + a0,
-        a cubic in x."""
-        return tuple(RatPoly([a[i] for a in (self.a0, self.a1, self.a2, self.a3)])
-                     for i in range(3))
+    def x_columns(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        """(L, columns): L the common denominator of the a_i, and column i L
+        times the coefficient of t^i in a3 x^3 + a2 x^2 + a1 x + a0, a cubic
+        in x, as its integer coefficients of x^0, ..., x^3."""
+        a = (self.a0, self.a1, self.a2, self.a3)
+        L = lcm(*(c.denominator for p in a for c in p.coeffs))
+        return L, tuple(tuple(int(p[i] * L) for p in a) for i in range(3))
 
-    def fibre_quadratic(self, x0: Fraction) -> RatPoly:
-        """The polynomial q(t) with w^2 = q(t) cutting out the curve x = x0:
-        its coefficient of t^i is column i at x0, evaluated in integers."""
-        return RatPoly([column(x0) for column in self.x_columns])
+    def fibre_ints(self, n: int, d: int) -> tuple[list[int], int]:
+        """The polynomial q(t) with w^2 = q(t) cutting out the curve x = n/d,
+        d > 0, as ([Q0, Q1, Q2], L d^3) with q(t) = sum Q_i t^i / (L d^3):
+        Q_i is column i homogenised at (n, d)."""
+        L, columns = self.x_columns
+        dd, nn = d * d, n * n
+        m0, m1, m2, m3 = dd * d, n * dd, nn * d, nn * n
+        return [c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3 for c0, c1, c2, c3 in columns], L * m0
 
 
 @dataclass(frozen=True)

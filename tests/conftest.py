@@ -13,7 +13,9 @@ height series term by term in mpmath, the finite height corrections read
 from the Fraction coordinates, heights by the doubling limit,
 fibre-relation and extension-class comparisons, the census rescanned fibre
 by fibre, jump1 reading each fibre's whole pencil through a lookahead
-slot, a km fibre's polynomial by RatPoly arithmetic, the genus of the
+slot, a km fibre's polynomial by RatPoly arithmetic and column by column
+in RatPoly integers, the conic fibre built from Fraction values with
+RatPoly kernels that the integer one replaced, the genus of the
 fibre product of two double covers from their branch loci, polynomial
 division by stripping loops, the fibre at infinity read from the
 model reversed in s = 1/t, integer factorisation and the rational roots
@@ -25,7 +27,9 @@ Fraction pairs a record holds and their checked triples, the multiple n P
 by the integer group law, the pair of a fibre point moved to its
 specialised curve, and the curves API on Fraction pairs (pair_add,
 pair_torsion_order, pair_height, pair_pairing, pair_regulator) that the
-library once exposed, with its entry checks, over the code on triples.
+library once exposed, with its entry checks, over the code on triples;
+the map between a kernel's integer triple and its monic RatPoly; and the
+environment of a child process running the CLI from src/.
 
 sympy is imported here, once, when the suite loads: the library imports it
 only for a cofactor its trial division leaves, so the first such call would
@@ -36,9 +40,21 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import sympy
+
+
+def child_env() -> dict:
+    """The environment of a child process that imports rankjump from src/:
+    os.environ with src first on PYTHONPATH, the parent's PYTHONPATH kept
+    after it, so that the child finds the packages the parent finds."""
+    import os
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def factorint_sympy(n: int) -> dict:
@@ -513,10 +529,81 @@ def relation_holds(fibre, t, w) -> bool:
 
 
 def fibre_quadratic_ratpoly(surface, x0):
-    """KMFamily.fibre_quadratic by RatPoly arithmetic on Fractions:
+    """fibre_quadratic by RatPoly arithmetic on Fractions:
     a3 x0^3 + a2 x0^2 + a1 x0 + a0."""
     x0 = Fraction(x0)
     return surface.a3 * x0**3 + surface.a2 * x0**2 + surface.a1 * x0 + surface.a0
+
+
+def fibre_quadratic(surface, x0):
+    """The polynomial q(t) with w^2 = q(t) cutting out the curve x = x0 of a
+    km surface, as KMFamily.fibre_quadratic built it before the fibre read
+    it in integers (KMFamily.fibre_ints): its coefficient of t^i is column
+    i, the coefficient of t^i in a3 x^3 + a2 x^2 + a1 x + a0 as a cubic in
+    x, at x0, each column evaluated in integers by RatPoly.__call__."""
+    from rankjump.polynomial import RatPoly
+
+    columns = [RatPoly([a[i] for a in (surface.a0, surface.a1, surface.a2, surface.a3)])
+               for i in range(3)]
+    return RatPoly([column(Fraction(x0)) for column in columns])
+
+
+def kernel_of(h) -> tuple[int, int, int]:
+    """The kernel triple of conics.QuadExtClass for a nonzero RatPoly h of
+    degree <= 2: its coefficients scaled to coprime integers, constant term
+    first, with a positive leading coefficient."""
+    cs = [h[i] for i in range(3)]
+    den = lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    g = gcd(*ints) * (1 if h.leading() > 0 else -1)
+    return tuple(c // g for c in ints)
+
+
+def kernel_poly(h: tuple[int, int, int]):
+    """The monic RatPoly of a kernel triple (kernel_of's inverse)."""
+    from rankjump.polynomial import RatPoly
+
+    return RatPoly(h).monic()
+
+
+def conic_fibre_fraction(surface, x0):
+    """conic_fibre as built before it read x0 = n/d in integers: f(x0), or
+    q = fibre_quadratic, as Fractions, square classes taken of Fraction
+    values, and the kernel the monic RatPoly g or q. ext_class is the pair
+    (s, monic kernel); matrix, solvability, base point and pencil run the
+    library's code on these Fraction inputs."""
+    from rankjump.arith import SquareClass, square_class
+    from rankjump.conics import ConicFibre, DegenerateFibreError
+    from rankjump.polynomial import poly_discriminant
+    from rankjump.surfaces import TwistFamily
+
+    fib = object.__new__(ConicFibre)
+    fib.surface, fib.x0, fib._base_point = surface, x0, None
+    if isinstance(surface, TwistFamily):
+        fib.kind, g = "twist", surface.g
+        value = surface.f(Fraction(x0))
+        if value == 0:
+            raise DegenerateFibreError(f"f({x0}) = 0: fibre splits")
+        fib.value, fib.q = value, None
+        value_class, lead_class = square_class(value), square_class(g.leading())
+        fib.ext_class = (value_class.times(lead_class).s, g.monic())
+        fib._classes = None if g.degree < 2 else (
+            lead_class, lead_class.times(square_class(-poly_discriminant(g))), -value_class)
+        return fib
+    fib.kind = "km"
+    q = fibre_quadratic(surface, x0)
+    if q.is_zero():
+        raise DegenerateFibreError(f"fibre polynomial vanishes at x0 = {x0}")
+    fib.value, fib.q = None, q
+    disc = poly_discriminant(q) if q.degree == 2 else None
+    if q.degree == 0 or disc == 0:
+        raise DegenerateFibreError(
+            f"fibre over x0 = {x0} is a square times a constant: cover splits")
+    lead_class = square_class(q.leading())
+    fib.ext_class = (lead_class.s, q.monic())
+    fib._classes = None if disc is None else (
+        -lead_class, SquareClass(1, ()), lead_class.times(square_class(disc)))
+    return fib
 
 
 #: Verdicts of fibre_product_genus.
@@ -847,7 +934,7 @@ def ext_class_by_yun(fibre):
     for p, e in factorint(abs(q.numerator * q.denominator)).items():
         if e % 2:
             s *= int(p)
-    return QuadExtClass(s, h)
+    return QuadExtClass(s, kernel_of(h))
 
 
 def squarefree_kernel(p):

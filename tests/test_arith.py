@@ -55,6 +55,21 @@ class TestSquarefreePart:
         assert w is not None and w > 0
         assert s * w * w == q and prod(primes) == abs(s)
 
+    @given(st.integers(-10**12, 10**12).filter(bool))
+    @example(1031 * 1031)
+    @example(-4)
+    def test_int_is_its_fraction(self, n):
+        """An int and its Fraction have one class; the int needs no Fraction."""
+        assert square_class(n) == square_class(Fraction(n))
+
+    @given(st.integers(-10**9, 10**9).filter(bool), st.integers(-10**6, 10**6).filter(bool))
+    @example(8, 2)
+    @example(1031**3, 1031)
+    def test_quotient_is_its_fraction(self, n, d):
+        """square_class(n, d), n and d over their gcd factored apart, is the
+        class of the Fraction n/d."""
+        assert square_class(n, d) == square_class(Fraction(n, d))
+
 
 #: primes on both sides of 2^10, the end of _factorint's trial division
 EDGE_PRIMES = (2, 3, 997, 1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    child_env,
     moved_point,
     pair_add,
     point,
@@ -208,7 +208,7 @@ class TestStore(object):
         line, count = tmp_path / "line.json", 3000
         line.write_text(rec.to_json())
         assert line.stat().st_size * count > 100 * 65536
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env = child_env()
         go = tmp_path / "go"
         procs = [subprocess.Popen([sys.executable, "-c", APPENDER, str(tmp_path / "store"),
                                    str(line), str(first), str(count), str(go)],
@@ -657,7 +657,7 @@ class TestCli:
     def test_classify_not_rational_elliptic_exit_2(self, tmp_path, text):
         """Euler number 0: classify once printed four lines and a traceback."""
         cfg = self._write(tmp_path, "s.cfg", text)
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env = child_env()
         done = subprocess.run([sys.executable, "-m", "rankjump.cli", "classify", "--config", cfg],
                               capture_output=True, text=True, env=env, timeout=10)
         assert (done.returncode, done.stdout) == (2, "")
@@ -667,7 +667,7 @@ class TestCli:
         """f = 10^400 + x + x^3 once left census factoring a fibre value
         without end; each command now refuses the config at once."""
         cfg = self._write(tmp_path, "big.cfg", "kind = twist\nf = 1e400, 1, 0, 1\ng = 0, 1\n")
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env = child_env()
         for argv in (["classify"], ["jump", "--budget", "3,3,2"], ["census", "--height", "3"]):
             done = subprocess.run([sys.executable, "-m", "rankjump.cli", *argv, "--config", cfg],
                                   capture_output=True, text=True, env=env, timeout=10)
@@ -686,7 +686,7 @@ class TestCli:
         data["surface"]["f"][0] = str(10**400)
         with path.open("a") as fh:
             fh.write(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env = child_env()
         done = subprocess.run([sys.executable, "-m", "rankjump.cli", "verify", "--store", str(store)],
                               capture_output=True, text=True, env=env, timeout=10)
         assert done.returncode == 4, done.stderr

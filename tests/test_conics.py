@@ -11,10 +11,14 @@ from conftest import (
     REDUCIBLE,
     brute_force_conic_point,
     certify_unsolvable,
+    conic_fibre_fraction,
     ext_class_by_yun,
     fibre_product_genus,
+    fibre_quadratic,
     fibre_quadratic_ratpoly,
     geometric_count,
+    kernel_of,
+    kernel_poly,
     legendre_normalize,
     local_obstruction_fraction,
     naive_search_fraction,
@@ -88,7 +92,7 @@ class TestConicFibre:
     def test_twist_linear(self):
         fib = conic_fibre(twist(T), 2)
         assert fib.value == 6
-        assert fib.ext_class.s == 6 and fib.ext_class.h == T
+        assert fib.ext_class.s == 6 and kernel_poly(fib.ext_class.h) == T
         assert branch_locus(fib.ext_class) == frozenset({Place(T), PLACE_AT_INFINITY})
 
     def test_twist_quadratic(self):
@@ -122,7 +126,7 @@ class TestExtensionClasses:
         # over x0 = 0 the fibre of 2 (t^2 - 1) y^2 = x^3 - x + 8/3 is
         # 8/3 * 2 (t^2 - 1) = 16/3 (t^2 - 1) mod squares: squarefree part 3
         cls = conic_fibre(TwistFamily(F_CUBIC + Fraction(8, 3), 2 * T**2 - 2), 0).ext_class
-        assert cls.s == 3 and cls.h == T**2 - 1
+        assert cls.s == 3 and kernel_poly(cls.h) == T**2 - 1
 
     def test_same_extension_square_product(self):
         s = twist(T)
@@ -473,13 +477,13 @@ class TestBranchLocus:
     ))
     def test_matches_factorisation(self, h):
         assume(h.degree == 1 or h[1] ** 2 != 4 * h[0])   # squarefree
-        cls = QuadExtClass(1, h)
+        cls = QuadExtClass(1, kernel_of(h))
         assert branch_locus(cls) == _factored_locus(h)
         assert geometric_count(branch_locus(cls)) == 2
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
-            branch_locus(QuadExtClass(3, RatPoly([1])))
+            branch_locus(QuadExtClass(3, kernel_of(RatPoly([1]))))
 
 
 class TestFibreProductGenus:
@@ -556,21 +560,30 @@ def km_fibres(draw):
     return km_through(draw, {x0: q}), x0, q
 
 
+def fibre_ints_poly(s, x0) -> RatPoly:
+    """KMFamily.fibre_ints at x0 as a RatPoly."""
+    Q, den = s.fibre_ints(*Fraction(x0).as_integer_ratio())
+    return RatPoly([Fraction(c, den) for c in Q])
+
+
 class TestKMFibreQuadratic:
     @settings(max_examples=80, deadline=None)
     @given(km_fibres())
     @example((mordell(), Fraction(0), T))
     @example((KMFamily(RatPoly([1]), RatPoly(), RatPoly(), T**2), Fraction(0), T**2))
     def test_matches_the_ratpoly_oracle(self, case):
-        """fibre_quadratic, each column evaluated in integers, is a3 x0^3 +
-        a2 x0^2 + a1 x0 + a0 in RatPoly arithmetic, and conic_fibre raises
-        its DegenerateFibreErrors exactly where that q is 0, constant or a
-        constant times a square."""
+        """fibre_quadratic, each column evaluated in integers, and
+        KMFamily.fibre_ints, the columns homogenised at (n, d) over one
+        denominator, are a3 x0^3 + a2 x0^2 + a1 x0 + a0 in RatPoly
+        arithmetic, and conic_fibre raises its DegenerateFibreErrors exactly
+        where that q is 0, constant or a constant times a square."""
         s, x0, q = case
         assert fibre_quadratic_ratpoly(s, x0) == q
-        assert s.fibre_quadratic(x0) == q
+        assert fibre_quadratic(s, x0) == q
+        assert fibre_ints_poly(s, x0) == q
         for x in rationals_by_height(3):
-            assert s.fibre_quadratic(x) == fibre_quadratic_ratpoly(s, x)
+            assert fibre_quadratic(s, x) == fibre_quadratic_ratpoly(s, x)
+            assert fibre_ints_poly(s, x) == fibre_quadratic_ratpoly(s, x)
         if q.is_zero():
             with pytest.raises(DegenerateFibreError, match="vanishes"):
                 conic_fibre(s, x0)
@@ -580,3 +593,43 @@ class TestKMFibreQuadratic:
         else:
             fib = conic_fibre(s, x0)
             assert fib.q == q and fib.ext_class == ext_class_by_yun(fib)
+
+
+# ---------------------------------------------------------------------------
+# the fibre read in integers against the Fraction construction it replaced
+
+
+class TestIntegerFibre:
+    @settings(max_examples=80, deadline=None)
+    @given(surfaces(), st.integers(-10**3, 10**3), st.integers(1, 10**3))
+    @example(twist(T), 2, 1)
+    @example(twist(T**2 - 1), 5, 6)
+    @example(mordell(), 0, 1)
+    @example(mordell(), -7, 12)
+    @example(KMFamily(RatPoly([1]), RatPoly(), RatPoly([Fraction(1, 1031)]), T), 30, 29)
+    @example(km_sweep_miss(), -8, 5)
+    @example(TwistFamily(F_CUBIC + Fraction(8, 3), 2 * T**2 - 2), 0, 1)
+    def test_matches_the_fraction_construction(self, s, n, d):
+        """At x0 = n/d, d up to 10^3, the fibre built from the integers of
+        f(x0) or q has the extension class, square classes, obstruction,
+        value or q, base point and pencil of the fibre built from their
+        Fractions, its kernel triple mapping to the monic RatPoly kernel,
+        and fails with the same DegenerateFibreError."""
+        x0 = Fraction(n, d)
+        try:
+            old = conic_fibre_fraction(s, x0)
+        except DegenerateFibreError as exc:
+            with pytest.raises(DegenerateFibreError) as raised:
+                conic_fibre(s, x0)
+            assert str(raised.value) == str(exc)
+            return
+        fib = conic_fibre(s, x0)
+        s_old, h_old = old.ext_class
+        assert fib.ext_class == QuadExtClass(s_old, kernel_of(h_old))
+        assert kernel_poly(fib.ext_class.h) == h_old
+        assert fib._classes == old._classes
+        assert fib.local_obstruction == old.local_obstruction
+        assert (fib.value, fib.q) == (old.value, old.q)
+        if conic_solvable(fib):
+            assert fib.base_point() == old.base_point()
+            assert fib.pencil == old.pencil

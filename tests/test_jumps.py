@@ -625,11 +625,11 @@ class TestVerification:
             checked.append(P)
             return is_on(self, P)
 
-        def no_fibre_quadratic(self, x0):
+        def no_fibre_ints(self, n, d):
             raise AssertionError("the fibre equation was evaluated")
 
         monkeypatch.setattr(EllipticCurveQ, "is_on", counting_is_on)
-        monkeypatch.setattr(KMFamily, "fibre_quadratic", no_fibre_quadratic)
+        monkeypatch.setattr(KMFamily, "fibre_ints", no_fibre_ints)
         shapes = Counter()
         for rec in records:
             checked.clear()

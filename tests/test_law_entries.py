@@ -35,9 +35,11 @@ discriminant factored again, raises a count and fails here.
 
 The census tests run the benchmark's three census commands the same way
 and pin how often a fibre's solvability takes a Hilbert symbol and factors
-an integer; the factoring stays below sympy, which they make raise. Every
-twist fibre shares its kernel RatPoly, whose hash is kept, so a census
-hashes each kernel's Fractions once (km fibres build a fresh kernel each).
+an integer; the factoring stays below sympy, which they make raise, on a
+km surface with a coefficient denominator just above 2^10 too. A fibre
+reads x0 = n/d once and builds its classes from integers: the kernel is a
+primitive int triple, so a census hashes no Fraction, and the Fractions it
+builds are the x0 themselves.
 
 The Fraction test runs the benchmark's rank1-search and verify-store
 commands and pins how many Fractions a cycle builds: from specialisation
@@ -159,9 +161,12 @@ def test_seed0_rank2_factors_no_discriminant(tmp_path, capsys, monkeypatch):
 
 #: per seed-0 census cycle. hilbert was 19,264 while each place took the
 #: four symbols of the Hasse-invariant test and the last place was tested
-#: too (reciprocity settles it); ternary_obstruction (1,108) and
-#: _factorint (4,317) have not moved
-CENSUS_CALLS = {"hilbert": 3708, "ternary_obstruction": 1108, "_factorint": 4317}
+#: too (reciprocity settles it); ternary_obstruction (1,108) has not moved.
+#: _factorint was 4,317 while a km fibre factored the reduced numerator
+#: and denominator of lead(q) and disc(q); it now factors the integer lead
+#: and L d over their gcd, and skips a square (lead d^3 over d on y^2 =
+#: x^3 + t)
+CENSUS_CALLS = {"hilbert": 3708, "ternary_obstruction": 1108, "_factorint": 4008}
 
 
 def _run_census(tmp_path, capsys, monkeypatch):
@@ -194,18 +199,35 @@ def test_seed0_census_symbols_per_place(tmp_path, capsys, monkeypatch):
     assert calls == CENSUS_CALLS
 
 
-def test_seed0_census_factors_without_sympy(tmp_path, capsys, monkeypatch):
-    """Every integer the census factors is split by trial division alone."""
+def _refuse_sympy_factorint(monkeypatch):
     def refuse(n, *args, **kwargs):
         raise AssertionError(f"sympy.factorint({n}) called")
 
     monkeypatch.setattr(sympy, "factorint", refuse)
+
+
+def test_seed0_census_factors_without_sympy(tmp_path, capsys, monkeypatch):
+    """Every integer the census factors is split by trial division alone."""
+    _refuse_sympy_factorint(monkeypatch)
     _run_census(tmp_path, capsys, monkeypatch)
 
 
+def test_census_factors_a_prime_denominator_apart(tmp_path, capsys, monkeypatch):
+    """On y^2 = x^3 + x / 1031 + 2 t, with L = 1031 just above the trial
+    primes, the lead of a fibre's q is 2 1031 d^3 over L d^3. Factored
+    apart over their gcd 1031 d they leave 2 d^2 and 1; their product
+    2 1031^2 d^4 would leave the cofactor 1031^2 > 2^20 to sympy."""
+    cfg = tmp_path / "km-1031.cfg"
+    cfg.write_text("kind = km\nlabel = km-1031\na3 = 1\na2 = 0\na1 = 1/1031\na0 = 0, 2\n")
+    _refuse_sympy_factorint(monkeypatch)
+    assert main(["census", "--config", str(cfg), "--height", "30"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2].split() == ["30", "1111", "1111"]
+
+
 #: Fraction.__hash__ calls per seed-0 census cycle; 7,762 while each twist
-#: fibre's class key re-hashed its kernel's coefficients
-CENSUS_FRACTION_HASHES = 2227
+#: fibre's class key re-hashed its kernel's coefficients, and 2,227 while
+#: the kernel was a monic RatPoly (km fibres built and hashed one each)
+CENSUS_FRACTION_HASHES = 0
 
 
 def test_seed0_census_hashes_a_shared_kernel_once(tmp_path, capsys, monkeypatch):
@@ -220,18 +242,41 @@ def test_seed0_census_hashes_a_shared_kernel_once(tmp_path, capsys, monkeypatch)
     assert calls[0] == CENSUS_FRACTION_HASHES
 
 
+#: Fraction.__new__ calls per seed-0 census cycle, on CPython 3.10 and 3.11
+#: and from 3.12 on (as FRACTIONS_BUILT): the x0 of the sweep. 11,263 and
+#: 8,964 while each fibre built f(x0), or q and its monic kernel, in
+#: Fractions
+CENSUS_FRACTIONS_BUILT = 3500
+CENSUS_FRACTIONS_BUILT_FROM_312 = 3428
+
+
+def test_seed0_census_fractions_built(tmp_path, capsys, monkeypatch):
+    calls, new = [0], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    _run_census(tmp_path, capsys, monkeypatch)
+    assert calls[0] == (CENSUS_FRACTIONS_BUILT_FROM_312 if sys.version_info >= (3, 12)
+                        else CENSUS_FRACTIONS_BUILT)
+
+
 #: Fraction.__new__ calls per seed-0 cycle of (rank1-search, verify-store)
 #: on CPython 3.10 and 3.11, where every Fraction passes through __new__:
 #: 27,175 and 25,218 while specialize, transport, the curve entry and
 #: verify_certificate built and re-wrapped Fractions; verify-store 9,018
 #: while TwistFamily.f_roots factored f through sympy, and 8,996 while the
-#: descent over Q read Fraction points and roots
-FRACTIONS_BUILT = (7892, 8761)
+#: descent over Q read Fraction points and roots; rank1-search 7,892 while
+#: each fibre built f(x0), or q and its monic kernel, in Fractions
+FRACTIONS_BUILT = (7761, 8761)
 #: the same from CPython 3.12 on, whose arithmetic builds its results
 #: without __new__ and coerces an int left operand through it: 23,055 and
-#: 21,425 before, and verify-store 8,285 with f_roots through sympy and
-#: 8,278 with the descent over Q in Fractions
-FRACTIONS_BUILT_FROM_312 = (7543, 8233)
+#: 21,425 before, verify-store 8,285 with f_roots through sympy and 8,278
+#: with the descent over Q in Fractions, and rank1-search 7,543 with the
+#: fibres in Fractions
+FRACTIONS_BUILT_FROM_312 = (7492, 8233)
 
 
 def test_seed0_fractions_built(tmp_path, capsys, monkeypatch):

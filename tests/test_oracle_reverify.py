@@ -29,7 +29,6 @@ does not split, which needs heights.
 import ast
 import gzip
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -39,7 +38,7 @@ from pathlib import Path
 import pytest
 
 import conftest
-from conftest import ec_add, ec_on_curve, torsion_order_by_multiples
+from conftest import child_env, ec_add, ec_on_curve, torsion_order_by_multiples
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "perfbench" / "fixture"
@@ -205,9 +204,7 @@ def _search_records(tmp_path) -> list[dict]:
     argvs = [[a.replace("{store}", str(tmp_path / "store")) for a in cmd["argv"]]
              for workload in ("rank1-search", "rank2-search")
              for cmd in run.commands_for(workload, inputs)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(argvs)], env=env,
+    out = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(argvs)], env=child_env(),
                          capture_output=True, text=True, check=True, timeout=60).stdout
     return [json.loads(line) for line in out.splitlines()]
 
@@ -271,7 +268,7 @@ def test_imports_nothing_from_rankjump():
 
     here = ast.parse(Path(__file__).read_text(encoding="utf-8"))
     assert not [m for m in imports(here) if m.split(".")[0] == "rankjump"]
-    used = {"ec_on_curve", "torsion_order_by_multiples", "ec_add"}
+    used = {"ec_on_curve", "torsion_order_by_multiples", "ec_add", "child_env"}
     oracles = [node for node in ast.parse(Path(conftest.__file__).read_text(encoding="utf-8")).body
                if isinstance(node, ast.FunctionDef) and node.name in used]
     assert len(oracles) == len(used)

@@ -15,7 +15,6 @@ import fcntl
 import gzip
 import io
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -26,7 +25,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import read_lines_canonical
+from conftest import child_env, read_lines_canonical
 from rankjump.cli import main
 from rankjump.config import build_surface, parse_surface_config
 from rankjump.jumps import Budget, jump1
@@ -142,7 +141,7 @@ class TestNonUtf8:
 
 def _run_cli(*argv: str) -> subprocess.CompletedProcess:
     """The CLI in a fresh process, which must end within 5 s."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = child_env()
     return subprocess.run([sys.executable, "-m", "rankjump.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=5)
 
@@ -423,7 +422,7 @@ def test_append_under_the_lock_stores_a_key_once(tmp_path):
     line = tmp_path / "line.json"
     line.write_bytes(RECORD_LINE)
     _, store, path = _store_with(tmp_path)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = child_env()
     with path.open("ab") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         proc = subprocess.Popen([sys.executable, "-c", APPENDER, store, str(line)],
