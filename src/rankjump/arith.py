@@ -1,9 +1,10 @@
 """Exact integer and rational arithmetic helpers.
 
 Everything in this module is computed with integer arithmetic only:
-perfect-square tests, square classes, modular square roots, Hilbert
-symbols of integers, local solvability of diagonal ternary forms given by
-square classes, and a zero of a solvable one by Lagrange's descent.
+reduced int ratios, perfect-square tests, square classes, modular square
+roots, Hilbert symbols of integers, local solvability of diagonal ternary
+forms given by square classes, and a zero of a solvable one by Lagrange's
+descent.
 Factoring happens in _factorint: trial division by the primes below 2^10,
 then sympy's factorint (imported only then, for its p - 1 and ECM stages)
 on a cofactor above 2^20 that outlives them. square_class reaches it for
@@ -96,6 +97,12 @@ def primitive_triple(c0: int, c1: int, c2: int) -> tuple[int, int, int]:
     if (c2 or c1 or c0) < 0:
         g = -g
     return c0 // g, c1 // g, c2 // g
+
+
+def reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d, d != 0, as a reduced pair of ints with a positive denominator."""
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // g, d // g
 
 
 def rational_sqrt(q) -> Fraction | None:

@@ -7,19 +7,22 @@ u = t w turns it into a plane conic. For a quadratic-coefficient family it
 is w^2 = q(t) with q of degree at most 2, already a conic after
 homogenising. Parametrisation runs in integers: with the conic's matrix
 scaled to integers, each coordinate of the point cut by the line of
-parameter (m0 : m1) is an integer binary quadratic form in (m0, m1).
+parameter (m0 : m1) is an integer binary quadratic form in (m0, m1), and
+the point's t and w leave as reduced int pairs (n, d), d > 0.
 
-A fibre reads x0 = n/d once and builds its classes from integers: f(x0)
-= N / (D d^3) from f's integer form, and q = (Q0, Q1, Q2) / (L d^3) from
-the km surface's integer columns (KMFamily.fibre_ints). Solvability is
-decided on closed-form square classes: the twist conic g2 u^2 + g1 u w +
-g0 w^2 = v z^2 is diagonal in (g2, -g2 disc g, -v), the first two fixed by
-the surface, the km conic W^2 = q(T, Z) in (-q2, 1, q2 disc q). Per fibre
-the integers factored are N and D d, or the lead Q2 (Q1 if q is linear)
-and L d, each pair over its gcd and each integer apart, never their
-product, and disc q on the primitive triple. If g2 = 0 or q2 = 0 the
-block is hyperbolic: (1, 0, 0) lies on the conic. Obstructing places do
-not depend on the diagonal chosen, nor does the first reported.
+A fibre takes x0 as such a pair, as rationals_of_height yields it, and
+decides its class and solvability from integers as it is built: f(x0) =
+N / (D d^3) from f's integer form, and q = (Q0, Q1, Q2) / (L d^3) from the
+km surface's integer columns (KMFamily.fibre_ints); x0 is a Fraction only
+for a record or a message. Solvability is decided on closed-form square
+classes: the twist conic g2 u^2 + g1 u w + g0 w^2 = v z^2 is diagonal in
+(g2, -g2 disc g, -v), the first two fixed by the surface, the km conic W^2
+= q(T, Z) in (-q2, 1, q2 disc q). Per fibre the integers factored are N and
+D d, or the lead Q2 (Q1 if q is linear) and L d, each pair over its gcd and
+each integer apart, never their product, and disc q on the primitive
+triple. If g2 = 0 or q2 = 0 the block is hyperbolic: (1, 0, 0) lies on the
+conic. Obstructing places do not depend on the diagonal chosen, nor does
+the first reported.
 
 A solvable fibre's base point comes from three stages: (1, 0, 0) when it
 lies on the conic, a sweep of small t by integer square tests, and
@@ -35,8 +38,8 @@ from functools import cache, cached_property
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .arith import (SquareClass, lagrange_descent, primitive_triple, rational_sqrt, square_class,
-                    ternary_obstruction)
+from .arith import (SquareClass, lagrange_descent, primitive_triple, rational_sqrt, reduced,
+                    square_class, ternary_obstruction)
 from .polynomial import PLACE_AT_INFINITY, Place, RatPoly, poly_discriminant
 from .surfaces import TwistFamily
 
@@ -81,7 +84,7 @@ def branch_locus(cls: QuadExtClass) -> frozenset[Place]:
 def _primitive(vec):
     """Scale a rational vector to coprime integers with canonical sign."""
     den = lcm(*(c.denominator for c in vec))
-    ints = [int(c * den) for c in vec]
+    ints = [c.numerator * (den // c.denominator) for c in vec]
     g = gcd(*ints) or 1
     sign = -1 if next((c for c in ints if c), 0) < 0 else 1
     return tuple(sign * c // g for c in ints)
@@ -92,19 +95,18 @@ def _primitive(vec):
 
 
 class ConicFibre:
-    """One fibre of the conic bundle, with its extension class and square
-    classes built from integers; f(x0) or q as Fractions, its matrix,
-    solvability and rational points are computed on demand, once."""
+    """One fibre of the conic bundle over x0 = n/d, d > 0, the int pair x0_ratio,
+    with its extension class, square classes and solvability built from integers;
+    x0, f(x0) or q as Fractions, its matrix and points are computed on demand, once."""
 
-    def __init__(self, surface, x0):
+    def __init__(self, surface, n: int, d: int):
         self.surface = surface
-        self.x0 = x0
-        n, d = x0.as_integer_ratio()
+        self.x0_ratio = n, d
         if isinstance(surface, TwistFamily):
             self.kind = "twist"
             N, M = surface.f.ratio_at(n, d)  # f(x0) = N / M, M = D d^3
             if N == 0:
-                raise DegenerateFibreError(f"f({x0}) = 0: fibre splits")
+                raise DegenerateFibreError(f"f({Fraction(n, d)}) = 0: fibre splits")
             self._ratio = N, M
             # the class of N / M is that of N / (D d): N and D d factored apart
             value_class = square_class(N, M // (d * d))
@@ -117,14 +119,14 @@ class ConicFibre:
             Q, den = surface.fibre_ints(n, d)  # q(t) = sum Q_i t^i / den, den = L d^3
             Q0, Q1, Q2 = Q
             if not (Q0 or Q1 or Q2):
-                raise DegenerateFibreError(f"fibre polynomial vanishes at x0 = {x0}")
+                raise DegenerateFibreError(f"fibre polynomial vanishes at x0 = {Fraction(n, d)}")
             self._ratio = Q, den
             kernel = primitive_triple(Q0, Q1, Q2)
             k0, k1, k2 = kernel
             disc = k1 * k1 - 4 * k2 * k0 if k2 else None
             if not (k2 or k1) or disc == 0:
                 raise DegenerateFibreError(
-                    f"fibre over x0 = {x0} is a square times a constant: cover splits"
+                    f"fibre over x0 = {Fraction(n, d)} is a square times a constant: cover splits"
                 )
             # otherwise q is squarefree, and the class is lead(q)'s, that of
             # the integer lead over den = L d^3, or over L d: each factored apart
@@ -133,7 +135,16 @@ class ConicFibre:
             # -q2 T^2 - q1 T Z - q0 Z^2 = -q2 (T + q1 Z / 2 q2)^2 + disc(q) Z^2 / 4 q2
             self._classes = None if disc is None else (
                 -lead_class, SquareClass(1, ()), lead_class.times(square_class(disc)))
+        # None if the fibre has a rational point (a hyperbolic one has (1, 0, 0)), else
+        # the smallest obstructing place (a prime, or 0 for the real one), from the classes
+        self.local_obstruction = (None if self._classes is None
+                                  else ternary_obstruction(*self._classes))
         self._base_point = None
+
+    @cached_property
+    def x0(self) -> Fraction:
+        """The fibre parameter n/d as a Fraction, for a record or a message."""
+        return Fraction(*self.x0_ratio)
 
     @cached_property
     def value(self):
@@ -169,13 +180,6 @@ class ConicFibre:
         diag = [a, M[1][1] - M[0][1] ** 2 / a, M[2][2] - M[0][2] ** 2 / a]
         return diag, [[1, 0, 0], [-M[0][1] / a, 1, 0], [-M[0][2] / a, 0, 1]]
 
-    @cached_property
-    def local_obstruction(self):
-        """None when the fibre has a rational point; otherwise the smallest
-        obstructing place (a prime, or 0 for the real place), from the
-        closed-form square classes; a hyperbolic fibre has (1, 0, 0)."""
-        return None if self._classes is None else ternary_obstruction(*self._classes)
-
     def base_point(self):
         """A primitive projective rational point; solvable fibres only, as
         pencil checks: (1, 0, 0) on a hyperbolic fibre (no square classes),
@@ -208,7 +212,7 @@ class ConicFibre:
         anchor = next(r for r in range(3) if base[r] != 0)
         i, j = (r for r in range(3) if r != anchor)
         den = lcm(*(x.denominator for row in self.matrix for x in row))
-        M = [[int(x * den) for x in row] for row in self.matrix]
+        M = [[x.numerator * (den // x.denominator) for x in row] for row in self.matrix]
         vv = (M[i][i], 2 * M[i][j], M[j][j])  # v^T M v; Mb[i], Mb[j] give b^T M v
         Mb = [sum(M[r][k] * base[k] for k in range(3)) for r in range(3)]
         assert sum(b * c for b, c in zip(base, Mb)) == 0, f"base point {base} off the conic"
@@ -252,9 +256,9 @@ class ConicFibre:
         return tuple(sum(basis[j][r] * ys[j] for j in range(3)) for r in range(3))
 
 
-def conic_fibre(surface, x0) -> ConicFibre:
-    """The conic fibre x = x0; raises DegenerateFibreError off the bundle."""
-    return ConicFibre(surface, x0)
+def conic_fibre(surface, n: int, d: int = 1) -> ConicFibre:
+    """The conic fibre x = n/d, d > 0; raises DegenerateFibreError off the bundle."""
+    return ConicFibre(surface, n, d)
 
 
 def conic_solvable(fibre: ConicFibre) -> bool:
@@ -263,7 +267,7 @@ def conic_solvable(fibre: ConicFibre) -> bool:
 
 
 def parametrize(fibre: ConicFibre, height_bound: int):
-    """All fibre points (t, w) whose line parameter has height <= the bound.
+    """All fibre points (t, w), reduced int pairs, of line parameter height <= the bound.
 
     Points come from the pencil of lines through a fixed base point; each
     emitted pair satisfies the defining relation exactly, in order of the
@@ -281,7 +285,7 @@ def parametrize_heights(fibre: ConicFibre, height_bound: int, first: int = 1):
     again in distinct points, and _parameter_pairs yields each (m0 : m1)
     once. Every point lies on the conic, as the pencil checks its base
     point; a point's ratios t, w do not change when it is scaled, so it is
-    not reduced.
+    not reduced, and each ratio is reduced by one gcd.
     """
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = fibre.pencil
     twist = fibre.kind == "twist"
@@ -293,7 +297,7 @@ def parametrize_heights(fibre: ConicFibre, height_bound: int, first: int = 1):
         # the affine chart: (t, w) = (a/b, b/c) for a twist, (a/c, b/c) for km
         if c == 0 or twist and b == 0:
             continue
-        yield max(abs(m0), abs(m1)), Fraction(a, b if twist else c), Fraction(b, c)
+        yield max(abs(m0), abs(m1)), reduced(a, b if twist else c), reduced(b, c)
 
 
 def _parameter_pairs(first: int, height_bound: int):
@@ -308,8 +312,8 @@ def _parameter_pairs(first: int, height_bound: int):
 
 @cache
 def _pairs_of_height(h: int) -> tuple[tuple[int, int], ...]:
-    """(numerator, denominator) of each of rationals_of_height(h)."""
-    return tuple((q.numerator, q.denominator) for q in rationals_of_height(h))
+    """rationals_of_height(h), kept for the pencils' small heights."""
+    return tuple(rationals_of_height(h))
 
 
 def height(q) -> int:
@@ -317,18 +321,18 @@ def height(q) -> int:
     return max(abs(q.numerator), q.denominator)
 
 
-def rationals_of_height(h: int) -> list[Fraction]:
-    """The rationals of naive height exactly h, ordered by |numerator|, then
-    sign, then denominator; 0 is the first one of height 1. They lie on the
-    boundary max(|num|, den) = h: den = h with |num| < h, then num = +-h."""
-    batch = [Fraction(s * num, h) for num in range(h) if gcd(num, h) == 1
+def rationals_of_height(h: int) -> list[tuple[int, int]]:
+    """The rationals of naive height exactly h, as reduced pairs (n, d), ordered
+    by |n|, then sign, then d; 0 = (0, 1) is the first one of height 1. They lie
+    on the boundary max(|n|, d) = h: d = h with |n| < h, then n = +-h."""
+    batch = [(s * num, h) for num in range(h) if gcd(num, h) == 1
              for s in ((1, -1) if num else (1,))]
     dens = [den for den in range(1, h + 1) if gcd(h, den) == 1]
-    return batch + [Fraction(h, den) for den in dens] + [Fraction(-h, den) for den in dens]
+    return batch + [(h, den) for den in dens] + [(-h, den) for den in dens]
 
 
 def rationals_by_height(bound: int):
-    """Each rational of naive height <= bound once, ordered by height, then
-    as in rationals_of_height: 0, 1, -1, 1/2, -1/2, 2, -2, ..."""
+    """Each rational of naive height <= bound once, as in rationals_of_height,
+    ordered by height: 0, 1, -1, 1/2, -1/2, 2, -2, ..."""
     for h in range(1, bound + 1):
         yield from rationals_of_height(h)

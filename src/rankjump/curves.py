@@ -572,25 +572,25 @@ class Specialization:
     chart: tuple  # (u, v, w) at t0, X = u x + v, Y = w y, as (numerator, denominator > 0)
 
     def moved(self, x, y):
-        """The curve point of (x, y), unchecked, as integer ratios ((X, D), (Y, E)),
-        D, E > 0: the short model there is the fibre equation times g(t0)^3 l^2
-        (twist) or a3(t0)^2 (km), nonzero as u(t0) != 0, so one check decides both."""
-        (a, b), (c, e) = x.as_integer_ratio(), y.as_integer_ratio()
+        """The curve point of the fibre point (x, y), given as int ratios (a, b)
+        and (c, e), b, e > 0, unchecked, as int ratios ((X, D), (Y, E)), D, E > 0:
+        the short model there is the fibre equation times g(t0)^3 l^2 (twist)
+        or a3(t0)^2 (km), nonzero as u(t0) != 0, so one check decides both."""
+        (a, b), (c, e) = x, y
         (un, ud), (vn, vd), (wn, wd) = self.chart
         return (un * a * vd + vn * ud * b, ud * vd * b), (wn * c, wd * e)
 
 
-def specialize(surface, t0) -> Specialization:
-    """The specialised curve at t = t0 plus the transport of fibre points.
+def specialize(surface, n: int, d: int = 1) -> Specialization:
+    """The specialised curve at t = t0 = n/d, d > 0, plus the transport of fibre points.
 
-    The chart, A and B are read at t0 = n/d in integers, A and B alone becoming
+    The chart, A and B are read at n/d in integers, A and B alone becoming
     Fractions. Raises SingularSpecializationError under a singular fibre, and
     where the chart degenerates (u(t0) = 0; for km families, where a3 vanishes).
     """
-    n, d = t0.as_integer_ratio()
     chart = tuple(c.ratio_at(n, d) for c in surface.chart)
     if chart[0][0] == 0:
-        raise SingularSpecializationError(f"u({t0}) = 0: transport chart degenerates")
+        raise SingularSpecializationError(f"u({Fraction(n, d)}) = 0: transport chart degenerates")
     model = surface.weierstrass
     try:
         curve = EllipticCurveQ(*(Fraction(*c.ratio_at(n, d)) for c in (model.A, model.B)))

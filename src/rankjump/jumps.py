@@ -14,27 +14,28 @@ parametrisations are intersected on the t-coordinate; pairs whose covers
 have the same squarefree kernel h, which is to say identical branch loci
 and a reducible fibre product, are skipped.
 
-The searches and the census take their fibres from one source, _fibres,
-in the height order of conics.rationals_by_height; jump1 reads it one
-height stage at a time, jump2 lazily, pairing each fibre as it arrives and
-building none past its certificate count. The searches only propose a
-parameter value t0 with fibre points over it; one certification stage,
-_certify, specialises at t0, enters each point into the group law once as
-a triple in integers, rejects torsion and asks the regulator about pairs,
-and only a record's points become Fractions. jump2 holds one height table
-per call (curves.canonical_height). Surface invariants are computed once per
+The searches and the census take their fibres from one source, _fibres, in
+the height order of conics.rationals_by_height; jump1 reads it one height
+stage at a time, jump2 lazily, pairing each fibre as it arrives and building
+none past its certificate count. x0, t0 and the fibre points travel as
+reduced int pairs (n, d), d > 0. The searches only propose a parameter value
+t0 with fibre points over it; one certification stage, _certify, specialises
+at t0, enters each point into the group law once as a triple in integers,
+rejects torsion and asks the regulator about pairs, and only a record's t0,
+provenance and points become Fractions. jump2 holds one height table per
+call (curves.canonical_height). Surface invariants are computed once per
 surface object, whose fibred (twist or km) form (SurfaceConfig.fibred) the
-searches and verify_certificate work on. verify_certificate shares no
-height with the search: it settles a pair by 2-descent (AEC X.1.4) over Q
-on a twist whose f splits (curves.two_descent_independent), else modulo
-primes (curves.descent_mod_p), and by the regulator where that defers.
+searches and verify_certificate work on. verify_certificate shares no height
+with the search: it settles a pair by 2-descent (AEC X.1.4) over Q on a
+twist whose f splits (curves.two_descent_independent), else modulo primes
+(curves.descent_mod_p), and by the regulator where that defers.
 
-With avoid set, any search keeps only parameter values outside the image
-of every cover of a finite challenge of quadratic covers; avoid_covers is
-jump1 or jump2 with avoid set. field_census reads _fibres up to a height
+With avoid set, any search keeps only parameter values outside the image of
+every cover of a finite challenge of quadratic covers; avoid_covers is jump1
+or jump2 with avoid set. field_census reads _fibres height by height up to a
 bound and counts, per height, the quadratic-extension classes the solvable
-fibres realise, and the x0 _fibres counts as DEGENERATE. What a search
-turns down counts in one Counter, log, under the keys SEARCH_COUNTS.
+fibres realise, and the x0 _fibres counts as DEGENERATE. What a search turns
+down counts in one Counter, log, under the keys SEARCH_COUNTS.
 """
 
 from __future__ import annotations
@@ -43,16 +44,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
 
-from .arith import is_square, rational_sqrt
+from .arith import is_square, rational_sqrt, reduced
 from .conics import (
     ConicFibre,
     DegenerateFibreError,
-    QuadExtClass,
     conic_fibre,
     conic_solvable,
-    height,
     parametrize,
     parametrize_heights,
     rationals_by_height,
@@ -99,10 +97,10 @@ class CoverChallenge:
             if poly_gcd(h, h.derivative()).degree > 0:
                 raise ValueError(f"cover polynomial {h!r} is not squarefree")
 
-    def admits(self, t0) -> bool:
-        """True iff t0 avoids the image of every cover: no h_i(t0) = N/M, M > 0,
-        is a square, read as N M (0 lies under a branch point, so in the image)."""
-        n, d = t0.as_integer_ratio()
+    def admits(self, n: int, d: int = 1) -> bool:
+        """True iff t0 = n/d, d > 0, avoids the image of every cover: no h_i(t0)
+        = N/M, M > 0, is a square, read as N M (0 lies under a branch point, so
+        in the image)."""
         return all(not is_square(N * M) for N, M in (h.ratio_at(n, d) for h in self.covers))
 
 
@@ -134,12 +132,12 @@ def rank_bound_data(surface) -> tuple[int, bool]:
 
 
 def _fibres(surface, x0s, log: Counter):
-    """The solvable conic fibres over x0s, in order; every x0 counts in log
-    as TRIED, and as DEGENERATE or UNSOLVABLE when it yields nothing."""
-    for x0 in x0s:
+    """The solvable conic fibres over the x0 = (n, d) of x0s, in order; each x0
+    counts in log as TRIED, and as DEGENERATE or UNSOLVABLE if it yields nothing."""
+    for n, d in x0s:
         log[TRIED] += 1
         try:
-            fib = conic_fibre(surface, x0)
+            fib = conic_fibre(surface, n, d)
         except DegenerateFibreError:
             log[DEGENERATE] += 1
             continue
@@ -149,10 +147,10 @@ def _fibres(surface, x0s, log: Counter):
             log[UNSOLVABLE] += 1
 
 
-def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverChallenge | None,
-             log: Counter, heights: dict | None = None
+def _certify(surface, t0: tuple[int, int], points, seen: set[tuple[int, int]],
+             avoid: CoverChallenge | None, log: Counter, heights: dict | None = None
              ) -> RankJumpCertificate | RegulatorResult | None:
-    """The certificate carried by the fibre points [(x0, w), ...] over t0.
+    """The certificate carried by the fibre points [(x0, w), ...] over t0, int pairs.
 
     Returns None when t0 is already certified, lies in a cover's image, sits
     under a singular fibre or carries a torsion point, and the regulator's
@@ -161,16 +159,17 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
     and INCONCLUSIVE rejections, not a t0 seen before or singular. On
     success t0 joins seen. Each point moves in integers to its triple, checked
     on the curve by _jac; torsion and the pair's verdict (curves.regulator,
-    with the height table heights) run on those triples, and the record's
-    Fraction points are read from them (E._point).
+    with the height table heights) run on those triples. Only a record
+    becomes Fractions: its t0 and provenance, and its points read from the
+    triples (E._point).
     """
     if t0 in seen:
         return None
-    if avoid is not None and not avoid.admits(t0):
+    if avoid is not None and not avoid.admits(*t0):
         log[AVOIDED] += 1
         return None
     try:
-        spec = specialize(surface, t0)
+        spec = specialize(surface, *t0)
     except SingularSpecializationError:
         return None
     E = spec.curve
@@ -188,10 +187,10 @@ def _certify(surface, t0: Fraction, points, seen: set[Fraction], avoid: CoverCha
     seen.add(t0)
     r_bound, r_exact = rank_bound_data(surface)
     return RankJumpCertificate(
-        t0=t0,
+        t0=Fraction(*t0),
         curve=(E.A, E.B),
         points=[E._point(J) for J in Js],
-        provenance=[x0 for x0, _ in points],
+        provenance=[Fraction(*x0) for x0, _ in points],
         generic_rank_bound=r_bound,
         rank_bound_exact=r_exact,
         claimed_rank_lower_bound=len(points),
@@ -211,7 +210,7 @@ def jump1(surface, budget: Budget, avoid: CoverChallenge | None = None,
     certificate count is reached or the budget is exhausted.
     """
     log = log if log is not None else Counter()
-    seen: set[Fraction] = set()
+    seen: set[tuple[int, int]] = set()
     active = []  # (fibre, the stage it arrived at)
     for stage in range(1, max(budget.x0_height, budget.param_height) + 1):
         x0s = rationals_of_height(stage) if stage <= budget.x0_height else ()
@@ -221,7 +220,7 @@ def jump1(surface, budget: Budget, avoid: CoverChallenge | None = None,
             for _, t0, w in parametrize_heights(fib, min(stage, budget.param_height), first):
                 if len(seen) >= budget.count:
                     return
-                cert = _certify(surface, t0, [(fib.x0, w)], seen, avoid, log)
+                cert = _certify(surface, t0, [(fib.x0_ratio, w)], seen, avoid, log)
                 if cert is not None:
                     yield cert
 
@@ -244,7 +243,7 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
         pair_points, twist = partial(_shared_value_points, budget.param_height), True
     else:
         pair_points, twist = partial(_intersection_points, {}, budget.param_height), False
-    seen: set[Fraction] = set()
+    seen: set[tuple[int, int]] = set()
     heights = {}  # the height table of this search (curves.canonical_height)
     earlier = {}  # a twist's extension class, or None on km -> its fibres so far
     for fib in _fibres(surface, rationals_by_height(budget.x0_height), log):
@@ -267,8 +266,9 @@ def _shared_value_points(param_height: int, src: ConicFibre, other: ConicFibre):
     point over the same t0 is w sqrt(f(x0') / f(x0)), from the fibres' values."""
     ratio = rational_sqrt(other.value / src.value)
     assert ratio is not None, "fibres in one class have a square value ratio"
+    rn, rd = ratio.as_integer_ratio()
     for t0, w in parametrize(src, param_height):
-        yield t0, [(src.x0, w), (other.x0, w * ratio)]
+        yield t0, [(src.x0_ratio, w), (other.x0_ratio, reduced(w[0] * rn, w[1] * rd))]
 
 
 def _intersection_points(streams: dict, param_height: int, src: ConicFibre, other: ConicFibre):
@@ -276,20 +276,29 @@ def _intersection_points(streams: dict, param_height: int, src: ConicFibre, othe
     fibre's t0 order. A pair whose covers share the squarefree kernel h has
     identical branch loci (conics.branch_locus), hence a reducible fibre
     product, and is skipped. streams caches t0 -> w of the first point over
-    t0 of each fibre, by x0, in t0 order."""
+    t0 of each fibre, by x0, in t0 order (_t0_order); all three are int pairs."""
     if src.ext_class.h == other.ext_class.h:
         return
     for fib in (src, other):
-        if fib.x0 not in streams:
-            pts: dict[Fraction, Fraction] = {}
+        if fib.x0_ratio not in streams:
+            pts: dict[tuple[int, int], tuple[int, int]] = {}
             for t0, w in parametrize(fib, param_height):
                 pts.setdefault(t0, w)
-            streams[fib.x0] = dict(sorted(pts.items(),
-                                          key=lambda kv: (height(kv[0]), kv[0] < 0, kv[0])))
-    base = streams[src.x0]
-    for t0, w in streams[other.x0].items():
+            streams[fib.x0_ratio] = dict(sorted(pts.items(), key=_t0_order))
+    base = streams[src.x0_ratio]
+    for t0, w in streams[other.x0_ratio].items():
         if t0 in base:
-            yield t0, [(src.x0, base[t0]), (other.x0, w)]
+            yield t0, [(src.x0_ratio, base[t0]), (other.x0_ratio, w)]
+
+
+def _t0_order(item) -> tuple:
+    """The key (height h, sign, value) of the reduced t0 = n/d of (t0, w): at one h
+    and sign, n/h (|t0| <= 1) runs with n, h/d against d, -h/d with d before all n/h."""
+    n, d = item[0]
+    h = max(abs(n), d)
+    if n < 0:
+        return h, True, (d == h, n if d == h else d)
+    return h, False, (d != h, n if d == h else -d)
 
 
 def avoid_covers(surface, challenge: CoverChallenge, budget: Budget,
@@ -306,17 +315,14 @@ def avoid_covers(surface, challenge: CoverChallenge, budget: Budget,
 
 def field_census(surface, x0_height_bound: int) -> tuple[list[tuple[int, int]], int]:
     """(distinct extension classes, solvable fibres) of height <= h for each
-    h = 1..bound, from one pass over _fibres, and the number of degenerate x0."""
-    log = Counter()
-    first: dict[QuadExtClass, int] = {}   # class -> height of its first fibre
-    fibres: Counter = Counter()
-    for fib in _fibres(surface, rationals_by_height(x0_height_bound), log):
-        h = height(fib.x0)
-        fibres[h] += 1
-        first.setdefault(fib.ext_class, h)
-    new = Counter(first.values())
-    heights = range(1, x0_height_bound + 1)
-    rows = list(zip(accumulate(new[h] for h in heights), accumulate(fibres[h] for h in heights)))
+    h = 1..bound, from one pass over _fibres, height by height, and the
+    number of degenerate x0."""
+    log, classes, rows, solvable = Counter(), set(), [], 0
+    for h in range(1, x0_height_bound + 1):
+        for fib in _fibres(surface, rationals_of_height(h), log):
+            solvable += 1
+            classes.add(fib.ext_class)
+        rows.append((len(classes), solvable))
     return rows, log[DEGENERATE]
 
 
@@ -339,7 +345,7 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
                        f"{len(cert.provenance)}"]
     reasons = []
     try:
-        spec = specialize(surface, cert.t0)
+        spec = specialize(surface, *cert.t0.as_integer_ratio())
     except SingularSpecializationError as exc:
         return False, [f"specialisation failed: {exc}"]
     if (spec.curve.A, spec.curve.B) != tuple(cert.curve):
@@ -351,7 +357,8 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
         except OffCurveError:
             reasons.append(f"point ({x}, {y}) is off the curve")
             continue
-        (X, D), _ = spec.moved(x0, 0)  # (x, y) pulls back to x0 iff x = X/D
+        # (x, y) pulls back to x0 iff x = X/D
+        (X, D), _ = spec.moved(x0.as_integer_ratio(), (0, 1))
         if x.numerator * D != X * x.denominator:
             reasons.append(f"point ({x}, {y}) does not come from the fibre x = {x0}")
         elif E.torsion_order(J) is not None:
@@ -363,7 +370,7 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
     if len(Js) == 2:
         roots = surface.f_roots if isinstance(surface, TwistFamily) else None
         if not (descent_mod_p(E, *Js) if roots is None else two_descent_independent(
-                E, [spec.moved(r, 0)[0] for r in roots], *Js)):
+                E, [spec.moved(r.as_integer_ratio(), (0, 1))[0] for r in roots], *Js)):
             verdict = regulator(E, *Js, {})
             if not verdict.independent:
                 reasons.append(f"regulator verdict is {verdict.verdict}")

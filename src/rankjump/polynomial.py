@@ -47,6 +47,10 @@ class RatPoly:
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
+    # p[i] is 0 past the end, so the sequence protocol would never stop:
+    # iter(p), list(p), RatPoly(p) and x in p raise TypeError (read p.coeffs)
+    __iter__ = None
+
     def __eq__(self, other) -> bool:
         if isinstance(other, RatPoly):
             return self.coeffs == other.coeffs

@@ -79,6 +79,16 @@ def ratpoly_eval_fraction(p, x) -> Fraction:
     return acc
 
 
+def fraction_points(points) -> list[tuple[Fraction, Fraction]]:
+    """The Fraction pairs (t, w) of conics.parametrize's int-ratio points."""
+    return [(Fraction(*t), Fraction(*w)) for t, w in points]
+
+
+def fraction_heights(points) -> list[tuple[int, Fraction, Fraction]]:
+    """conics.parametrize_heights's (h, t, w) with t and w as Fractions."""
+    return [(h, Fraction(*t), Fraction(*w)) for h, t, w in points]
+
+
 def rationals_of_height_filter(h: int) -> list[Fraction]:
     """The rationals of naive height h, from every num/den with |num|, den <= h,
     ordered by |numerator|, then sign, then denominator."""
@@ -172,8 +182,9 @@ def brute_force_conic_point(fibre, box: int = 200):
     return None
 
 
-def int_pair(fr: Fraction) -> tuple[int, int]:
-    return fr.numerator, fr.denominator
+def int_pair(x) -> tuple[int, int]:
+    """The reduced pair (n, d), d > 0, of a rational x, an int or a Fraction."""
+    return Fraction(x).as_integer_ratio()
 
 
 def _box_pairs(box: int):
@@ -340,7 +351,7 @@ def pair_regulator(E, points):
 
 def moved_point(spec, x, y):
     """The Fraction pair of the curve point Specialization.moved(x, y)."""
-    (X, D), (Y, E) = spec.moved(x, y)
+    (X, D), (Y, E) = spec.moved(int_pair(x), int_pair(y))
     return Fraction(X, D), Fraction(Y, E)
 
 
@@ -579,6 +590,7 @@ def conic_fibre_fraction(surface, x0):
 
     fib = object.__new__(ConicFibre)
     fib.surface, fib.x0, fib._base_point = surface, x0, None
+    fib.x0_ratio = Fraction(x0).as_integer_ratio()
     if isinstance(surface, TwistFamily):
         fib.kind, g = "twist", surface.g
         value = surface.f(Fraction(x0))
@@ -589,6 +601,7 @@ def conic_fibre_fraction(surface, x0):
         fib.ext_class = (value_class.times(lead_class).s, g.monic())
         fib._classes = None if g.degree < 2 else (
             lead_class, lead_class.times(square_class(-poly_discriminant(g))), -value_class)
+        fib.local_obstruction = _obstruction(fib._classes)
         return fib
     fib.kind = "km"
     q = fibre_quadratic(surface, x0)
@@ -603,7 +616,16 @@ def conic_fibre_fraction(surface, x0):
     fib.ext_class = (lead_class.s, q.monic())
     fib._classes = None if disc is None else (
         -lead_class, SquareClass(1, ()), lead_class.times(square_class(disc)))
+    fib.local_obstruction = _obstruction(fib._classes)
     return fib
+
+
+def _obstruction(classes):
+    """ConicFibre.local_obstruction of the square classes: the library's
+    ternary_obstruction, None on a hyperbolic fibre (no classes)."""
+    from rankjump.arith import ternary_obstruction
+
+    return None if classes is None else ternary_obstruction(*classes)
 
 
 #: Verdicts of fibre_product_genus.
@@ -647,7 +669,7 @@ def census_rescan(surface, bound: int) -> tuple[list[tuple[int, int]], int]:
             if gcd(n, d) != 1:
                 continue
             try:
-                fib = conic_fibre(surface, Fraction(n, d))
+                fib = conic_fibre(surface, n, d)
             except DegenerateFibreError:
                 degenerate += 1
                 continue
@@ -689,7 +711,7 @@ def jump1_lookahead(surface, budget, avoid=None, log=None):
                 pending = None
                 if len(seen) >= budget.count:
                     return
-                cert = _certify(surface, t0, [(fib.x0, w)], seen, avoid, log)
+                cert = _certify(surface, t0, [(fib.x0_ratio, w)], seen, avoid, log)
                 if cert is not None:
                     yield cert
             slot[2] = pending
@@ -767,7 +789,8 @@ def naive_search_fraction(fibre, bound: int):
     from rankjump.arith import rational_sqrt
     from rankjump.conics import rationals_by_height
 
-    for t in rationals_by_height(bound):
+    for n, d in rationals_by_height(bound):
+        t = Fraction(n, d)
         if fibre.kind == "twist":
             gt = fibre.surface.g(t)
             w = rational_sqrt(fibre.value / gt) if gt else None

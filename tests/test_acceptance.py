@@ -159,7 +159,7 @@ def test_criterion_3_conic_solvability_oracle():
         s = rng.choice(surfaces)
         x0 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         try:
-            fib = conic_fibre(s, x0)
+            fib = conic_fibre(s, *x0.as_integer_ratio())
         except DegenerateFibreError:
             continue
         found = brute_force_conic_point(fib, 200)

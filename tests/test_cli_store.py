@@ -460,7 +460,7 @@ class TestCli:
         path = next(Path(store).glob("*.jsonl"))
         data = json.loads(path.read_text().splitlines()[0])
         surface = build_surface(parse_surface_config(Path(cfg).read_text()))
-        spec = specialize(surface, Fraction(data["t0"]))
+        spec = specialize(surface, *Fraction(data["t0"]).as_integer_ratio())
         E, P = spec.curve, point(*data["points"][0])
         if forgery == "triple":
             Q = scalar_mul(E, 3, P)

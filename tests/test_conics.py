@@ -14,6 +14,8 @@ from conftest import (
     conic_fibre_fraction,
     ext_class_by_yun,
     fibre_product_genus,
+    fraction_heights,
+    fraction_points,
     fibre_quadratic,
     fibre_quadratic_ratpoly,
     geometric_count,
@@ -66,7 +68,9 @@ def mordell():
 class TestHeightOrder:
     def test_each_rational_once_in_height_order(self):
         for bound in (*range(1, 13), 30):
-            xs = list(rationals_by_height(bound))
+            pairs = list(rationals_by_height(bound))
+            assert all(Fraction(n, d).as_integer_ratio() == (n, d) for n, d in pairs)
+            xs = [Fraction(*p) for p in pairs]
             assert len(xs) == len(set(xs))
             # an independent count: every a/b with |a|, b <= bound
             assert set(xs) == {Fraction(a, b) for b in range(1, bound + 1)
@@ -74,13 +78,28 @@ class TestHeightOrder:
             assert [height(x) for x in xs] == sorted(height(x) for x in xs)
 
     def test_order_within_a_height(self):
-        assert list(rationals_by_height(2)) == [0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2]
-        assert rationals_of_height(3) == [Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3),
-                                          Fraction(-2, 3), 3, Fraction(3, 2), -3, Fraction(-3, 2)]
+        assert list(rationals_by_height(2)) == [(0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2),
+                                                (2, 1), (-2, 1)]
+        assert [Fraction(*p) for p in rationals_by_height(2)] == [
+            0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2]
+        assert [Fraction(*p) for p in rationals_of_height(3)] == [
+            Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3), Fraction(-2, 3), 3, Fraction(3, 2),
+            -3, Fraction(-3, 2)]
 
     def test_boundary_walk_matches_the_filter(self):
         for h in range(1, 61):
-            assert rationals_of_height(h) == rationals_of_height_filter(h), h
+            assert rationals_of_height(h) == [
+                q.as_integer_ratio() for q in rationals_of_height_filter(h)], h
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 250))
+    def test_pairs_in_the_filter_order(self, h):
+        """The (n, d) of each height, reduced with d > 0, in the order of the
+        Fraction filter, and rationals_by_height their concatenation."""
+        assert rationals_of_height(h) == [
+            q.as_integer_ratio() for q in rationals_of_height_filter(h)]
+        assert list(rationals_by_height(h))[-len(rationals_of_height(h)):] == \
+            rationals_of_height(h)
 
     def test_height(self):
         assert height(0) == 1
@@ -142,10 +161,10 @@ class TestExtensionClasses:
         rng = random.Random(31)
         s = twist(T)
         fibres = []
-        for x0 in rationals_by_height(8):
-            if s.f(x0) == 0:
+        for n, d in rationals_by_height(8):
+            if s.f(Fraction(n, d)) == 0:
                 continue
-            fibres.append(conic_fibre(s, x0))
+            fibres.append(conic_fibre(s, n, d))
         sample = rng.sample(fibres, 20)
         for a in sample[:6]:
             assert same_extension(a, a)
@@ -160,10 +179,10 @@ class TestExtensionClasses:
         counts = []
         for bound in (4, 8, 12):
             classes = set()
-            for x0 in rationals_by_height(bound):
-                if s.f(x0) == 0:
+            for n, d in rationals_by_height(bound):
+                if s.f(Fraction(n, d)) == 0:
                     continue
-                classes.add(conic_fibre(s, x0).ext_class)
+                classes.add(conic_fibre(s, n, d).ext_class)
             counts.append(len(classes))
         assert counts[0] <= counts[1] <= counts[2]
         assert counts[2] > counts[0] > 3
@@ -192,7 +211,7 @@ class TestSolvability:
         fib = conic_fibre(s, 1)
         assert fib.value == 2
         assert conic_solvable(fib)
-        pts = list(parametrize(fib, 4))
+        pts = fraction_points(parametrize(fib, 4))
         assert (2, 1) in pts
 
     def test_agreement_with_search(self):
@@ -203,7 +222,7 @@ class TestSolvability:
             s = rng.choice(surfaces)
             x0 = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
             try:
-                fib = conic_fibre(s, x0)
+                fib = conic_fibre(s, *x0.as_integer_ratio())
             except DegenerateFibreError:
                 continue
             found = brute_force_conic_point(fib, 60)
@@ -216,10 +235,11 @@ class TestSolvability:
     def test_unsolvable_has_certified_obstruction(self):
         s = TwistFamily(F_CUBIC, T**2 - 2)
         seen = 0
-        for x0 in rationals_by_height(5):
+        for n, d in rationals_by_height(5):
+            x0 = Fraction(n, d)
             if s.f(x0) == 0:
                 continue
-            fib = conic_fibre(s, x0)
+            fib = conic_fibre(s, n, d)
             if conic_solvable(fib):
                 continue
             p = fib.local_obstruction
@@ -235,7 +255,8 @@ class TestSolvability:
 class TestParametrize:
     def test_linear_twist_stream(self):
         fib = conic_fibre(twist(T), 2)      # t w^2 = 6
-        pts = list(parametrize(fib, 3))
+        pts = fraction_points(parametrize(fib, 3))
+        assert ((6, 1), (1, 1)) in list(parametrize(fib, 3))
         assert (6, 1) in pts
         assert (Fraction(24), Fraction(1, 2)) in pts
         assert (Fraction(2, 3), Fraction(3)) in pts
@@ -245,16 +266,16 @@ class TestParametrize:
     def test_quadratic_twist_stream(self):
         s = twist(T**2 - 1)
         fib = conic_fibre(s, 3)             # (t^2 - 1) w^2 = 24
-        pts = list(parametrize(fib, 6))
+        pts = fraction_points(parametrize(fib, 6))
         assert (5, -1) in pts and (-5, 1) in pts
         # the base point itself returns through its tangent parameter
-        assert (5, 1) in list(parametrize(fib, 24))
+        assert (5, 1) in fraction_points(parametrize(fib, 24))
         for t, w in pts:
             assert (t * t - 1) * w * w == 24
 
     def test_mordell_parabola(self):
         fib = conic_fibre(mordell(), 1)     # w^2 = 1 + t
-        pts = list(parametrize(fib, 2))
+        pts = fraction_points(parametrize(fib, 2))
         for expected in ((3, 2), (0, 1), (Fraction(-3, 4), Fraction(1, 2))):
             assert tuple(map(Fraction, expected)) in pts
         for t, w in pts:
@@ -266,12 +287,12 @@ class TestParametrize:
             for _ in range(5):
                 x0 = Fraction(rng.randint(2, 9), rng.randint(1, 3))
                 try:
-                    fib = conic_fibre(s, x0)
+                    fib = conic_fibre(s, *x0.as_integer_ratio())
                 except DegenerateFibreError:
                     continue
                 if not conic_solvable(fib):
                     continue
-                for t, w in parametrize(fib, 5):
+                for t, w in fraction_points(parametrize(fib, 5)):
                     assert relation_holds(fib, t, w)
 
     def test_unsolvable_fibre_rejected(self):
@@ -307,17 +328,22 @@ class TestIntegerParametrisation:
     @example(twist(T**2 - 1))
     @example(mordell())
     def test_matches_fraction_oracle(self, s):
-        """The integer forms yield the oracle's (h, t, w) list, in order; the
-        oracle drops repeated points, so equal lists also show none occurs."""
+        """The integer forms yield the oracle's (h, t, w) list, in order, t and
+        w as reduced int pairs; the oracle drops repeated points, so equal
+        lists also show none occurs."""
         solvable = 0
         for x0 in rationals_by_height(4):
             try:
-                fib = conic_fibre(s, x0)
+                fib = conic_fibre(s, *x0)
             except DegenerateFibreError:
                 continue
             if not conic_solvable(fib):
                 continue
-            assert list(parametrize_heights(fib, 6)) == list(parametrize_heights_fraction(fib, 6))
+            points = list(parametrize_heights(fib, 6))
+            assert fraction_heights(points) == list(parametrize_heights_fraction(fib, 6))
+            assert all(Fraction(*r).as_integer_ratio() == r for _, t, w in points for r in (t, w))
+            assert fraction_points(parametrize(fib, 6)) == [(t, w) for _, t, w in
+                                                            fraction_heights(points)]
             solvable += 1
             if solvable == 3:
                 break
@@ -335,7 +361,7 @@ class TestIntegerParametrisation:
         assume(gcd(*b) == 1)
         for x0 in rationals_by_height(3):
             try:
-                fib = conic_fibre(s, x0)
+                fib = conic_fibre(s, *x0)
             except DegenerateFibreError:
                 continue
             if not conic_solvable(fib) or on_conic(fib, b):
@@ -345,7 +371,7 @@ class TestIntegerParametrisation:
                 mp.setattr(fib, "base_point", lambda: b)
                 with pytest.raises(AssertionError):
                     for _, t, w in parametrize_heights(fib, 6):
-                        yielded.append((t, w))
+                        yielded.append((Fraction(*t), Fraction(*w)))
             assert len(yielded) < 3
             assert all(relation_holds(fib, t, w) for t, w in yielded)
 
@@ -384,7 +410,7 @@ class TestIntegerSolvability:
         path on every fibre up to height 5."""
         for x0 in rationals_by_height(5):
             try:
-                fib = conic_fibre(s, x0)
+                fib = conic_fibre(s, *x0)
             except DegenerateFibreError:
                 continue
             assert fib.ext_class == ext_class_by_yun(fib)
@@ -403,7 +429,7 @@ class TestIntegerSweep:
         first t, and the same point, on every fibre up to height 4."""
         for x0 in rationals_by_height(4):
             try:
-                fib = conic_fibre(s, x0)
+                fib = conic_fibre(s, *x0)
             except DegenerateFibreError:
                 continue
             assert fib._naive_search(bound) == naive_search_fraction(fib, bound)
@@ -437,9 +463,9 @@ class TestDescent:
         """On each non-hyperbolic fibre, the drawn x0 and those up to height
         4, the descent without the earlier stages gives a nonzero zero of
         the form exactly when the fibre is solvable."""
-        for x in (x0, *rationals_by_height(4)):
+        for x in (x0.as_integer_ratio(), *rationals_by_height(4)):
             try:
-                fib = conic_fibre(s, x)
+                fib = conic_fibre(s, *x)
             except DegenerateFibreError:
                 continue
             if fib._classes is None:
@@ -451,7 +477,7 @@ class TestDescent:
                 assert pt is None
 
     def test_base_point_off_the_sweep(self):
-        fib = conic_fibre(km_sweep_miss(), Fraction(-8, 5))
+        fib = conic_fibre(km_sweep_miss(), -8, 5)
         assert fib._naive_search(32) is None
         pt = fib.base_point()
         assert any(pt) and on_conic(fib, pt)
@@ -581,17 +607,18 @@ class TestKMFibreQuadratic:
         assert fibre_quadratic_ratpoly(s, x0) == q
         assert fibre_quadratic(s, x0) == q
         assert fibre_ints_poly(s, x0) == q
-        for x in rationals_by_height(3):
+        for x in (Fraction(n, d) for n, d in rationals_by_height(3)):
             assert fibre_quadratic(s, x) == fibre_quadratic_ratpoly(s, x)
             assert fibre_ints_poly(s, x) == fibre_quadratic_ratpoly(s, x)
+        n, d = x0.as_integer_ratio()
         if q.is_zero():
             with pytest.raises(DegenerateFibreError, match="vanishes"):
-                conic_fibre(s, x0)
+                conic_fibre(s, n, d)
         elif q.degree == 0 or q.degree == 2 and q[1] ** 2 == 4 * q[0] * q[2]:
             with pytest.raises(DegenerateFibreError, match="cover splits"):
-                conic_fibre(s, x0)
+                conic_fibre(s, n, d)
         else:
-            fib = conic_fibre(s, x0)
+            fib = conic_fibre(s, n, d)
             assert fib.q == q and fib.ext_class == ext_class_by_yun(fib)
 
 
@@ -620,10 +647,11 @@ class TestIntegerFibre:
             old = conic_fibre_fraction(s, x0)
         except DegenerateFibreError as exc:
             with pytest.raises(DegenerateFibreError) as raised:
-                conic_fibre(s, x0)
+                conic_fibre(s, *x0.as_integer_ratio())
             assert str(raised.value) == str(exc)
             return
-        fib = conic_fibre(s, x0)
+        fib = conic_fibre(s, *x0.as_integer_ratio())
+        assert (fib.x0_ratio, fib.x0) == (x0.as_integer_ratio(), x0)
         s_old, h_old = old.ext_class
         assert fib.ext_class == QuadExtClass(s_old, kernel_of(h_old))
         assert kernel_poly(fib.ext_class.h) == h_old

@@ -8,6 +8,7 @@ from conftest import (
     ec_add,
     ec_mul,
     ec_on_curve,
+    int_pair,
     integral_model_by_denominators,
     moved_point,
     pair_add,
@@ -393,7 +394,7 @@ NONZERO = SMALL.map(lambda q: q or Fraction(1))
 def fibre_cases(draw):
     """(surface, t0, spec, points): a twist or km surface whose fibre over t0
     passes through (x, y), one coefficient (the constant term of f, or of
-    a0) solved for it, with spec = specialize(surface, t0); points starts
+    a0) solved for it, with spec = specialize at t0; points starts
     with (x, y) and (x, -y), then moves x, y or both off them."""
     t0, x, y = draw(SMALL), draw(SMALL), draw(NONZERO)
     try:
@@ -407,7 +408,7 @@ def fibre_cases(draw):
             a01, a02 = draw(SMALL), draw(SMALL)
             a00 = y * y - a3(t0) * x**3 - a2(t0) * x**2 - a1(t0) * x - a01 * t0 - a02 * t0 * t0
             surface = KMFamily(a3, a2, a1, RatPoly([a00, a01, a02]))
-        spec = specialize(surface, t0)
+        spec = specialize(surface, *int_pair(t0))
     except (arith.DomainError, SingularSpecializationError):
         assume(False)
     dx, dy = draw(NONZERO), draw(NONZERO)
@@ -426,13 +427,15 @@ class TestSpecialize:
             P = moved_point(spec, x, y)
             assert pullback_fraction(chart, *P) == (x, y)
             try:
-                fibre = conic_fibre(surface, x)
+                fibre = conic_fibre(surface, *int_pair(x))
             except DegenerateFibreError:
                 continue
-            assert relation_holds(fibre, t0, y) == spec.curve.is_on(spec.moved(x, y))
+            on = spec.curve.is_on(spec.moved(int_pair(x), int_pair(y)))
+            assert relation_holds(fibre, t0, y) == on
         (x, y), (_, moved) = points[0], points[2]
-        assert spec.curve.is_on(spec.moved(x, y))
-        assert spec.curve.is_on(spec.moved(x, moved)) == (moved * moved == y * y)
+        assert spec.curve.is_on(spec.moved(int_pair(x), int_pair(y)))
+        on = spec.curve.is_on(spec.moved(int_pair(x), int_pair(moved)))
+        assert on == (moved * moved == y * y)
 
     def test_twist_example(self):
         s = TwistFamily(T**3 - T, T)
@@ -471,7 +474,7 @@ class TestSpecialize:
         s = TwistFamily(T**3 - T, T)
         checked = 0
         for t0 in (6, 24, Fraction(3, 2), Fraction(2, 3), 15):
-            spec = specialize(s, t0)
+            spec = specialize(s, *int_pair(t0))
             fibre_pts = _fibre_points(s, t0, rng)
             for (x1, y1), (x2, y2) in zip(fibre_pts, fibre_pts[1:]):
                 P1, P2 = moved_point(spec, x1, y1), moved_point(spec, x2, y2)
@@ -528,10 +531,10 @@ class TestIntegerSpecialisation:
             (A, B), chart = specialize_fraction(surface, t0)
         except SingularSpecializationError as exc:
             with pytest.raises(SingularSpecializationError) as raised:
-                specialize(surface, t0)
+                specialize(surface, *int_pair(t0))
             assert str(raised.value) == str(exc)
             return
-        spec = specialize(surface, t0)
+        spec = specialize(surface, *int_pair(t0))
         assert (spec.curve.A, spec.curve.B) == (A, B)
         assert type(spec.curve.A) is Fraction and type(spec.curve.B) is Fraction
         assert all(d > 0 for _, d in spec.chart)
@@ -539,13 +542,13 @@ class TestIntegerSpecialisation:
         for x, y in points:
             P = moved_point(spec, x, y)
             assert P == transport_fraction(chart, x, y)
-            (X, D), (Y, E) = spec.moved(x, y)
+            (X, D), (Y, E) = spec.moved(int_pair(x), int_pair(y))
             assert D > 0 and E > 0 and (Fraction(X, D), Fraction(Y, E)) == P
             on = spec.curve.is_on(((X, D), (Y, E)))
             assert on == spec.curve.is_on(ratios(P))
             assert pullback_fraction(chart, *P) == (x, y)
             if on:  # the record's point, read back from the checked triple
-                J = spec.curve._jac(spec.moved(x, y))
+                J = spec.curve._jac(spec.moved(int_pair(x), int_pair(y)))
                 assert spec.curve._point(J) == transport_fraction(chart, x, y)
 
     @settings(max_examples=60, deadline=None)

@@ -11,6 +11,7 @@ from conftest import (
     ec_mul,
     finite_corrections_fraction,
     formal_multiple_by_first_hits,
+    int_pair,
     lambda_infinity_mpmath,
     moved_point,
     pair_add,
@@ -225,7 +226,7 @@ class TestFormalMultiple:
         """P and Q of KM_SLOW reach the formal group at m = 234, P + Q at
         m = 78; their heights are those of the walk through every multiple,
         float for float."""
-        spec = specialize(KM_SLOW, Fraction(11, 2))
+        spec = specialize(KM_SLOW, 11, 2)
         E = spec.curve
         P = moved_point(spec, Fraction(1, 3), -4)
         Q = moved_point(spec, Fraction(5, 6), Fraction(-23, 2))
@@ -699,7 +700,7 @@ def surface_pairs(draw):
             qs = {x: [draw(coeff) for _ in range(3)] for x in (x1, x2)}
             surface = km_through(draw, {x: RatPoly([q[0] + w * w - RatPoly(q)(t0), *q[1:]])
                                         for (x, q), w in zip(qs.items(), (w1, w2))})
-        spec = specialize(surface, t0)
+        spec = specialize(surface, *int_pair(t0))
     except (DomainError, SingularSpecializationError):
         assume(False)
     E, P, Q = spec.curve, moved_point(spec, x1, w1), moved_point(spec, x2, w2)

@@ -22,7 +22,7 @@ from conftest import (
     ratios,
 )
 from test_conics import coeff, km_through, nonzero, surfaces
-from rankjump import curves, jumps
+from rankjump import conics, curves, jumps
 from rankjump.cli import main
 from rankjump.config import build_surface, parse_surface_config
 from rankjump.conics import (
@@ -253,10 +253,10 @@ class TestSearchCounts:
         events, verdicts = Counter(), Counter()
         fibre, solvable, regulator = jumps.conic_fibre, jumps.conic_solvable, jumps.regulator
 
-        def counting_fibre(surface, x0):
+        def counting_fibre(surface, n, d):
             events["conic_fibre"] += 1
             try:
-                return fibre(surface, x0)
+                return fibre(surface, n, d)
             except DegenerateFibreError:
                 events["DegenerateFibreError"] += 1
                 raise
@@ -334,6 +334,20 @@ def km_fibre_pairs(draw):
     return km_through(draw, {x1: q1, x2: q2}), x1, x2
 
 
+class TestT0Order:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(min_value=-60, max_value=60, max_denominator=60), max_size=40))
+    @example([Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(2, 3),
+              Fraction(-3, 2), Fraction(-2, 3), Fraction(3), Fraction(-3)])
+    def test_matches_the_fraction_key(self, ts):
+        """_intersection_points sorts its int-pair t0 by _t0_order in the
+        order of the Fraction key (height, sign, value) it replaced."""
+        items = [(t.as_integer_ratio(), i) for i, t in enumerate(dict.fromkeys(ts))]
+        by_fraction = sorted(items, key=lambda kv: (
+            max(abs(kv[0][0]), kv[0][1]), kv[0][0] < 0, Fraction(*kv[0])))
+        assert sorted(items, key=jumps._t0_order) == by_fraction
+
+
 class TestKernelSkip:
     @settings(max_examples=100, deadline=None)
     @given(km_fibre_pairs())
@@ -345,7 +359,8 @@ class TestKernelSkip:
         without parametrising either fibre."""
         s, x1, x2 = case
         try:
-            src, other = conic_fibre(s, x1), conic_fibre(s, x2)
+            src = conic_fibre(s, *x1.as_integer_ratio())
+            other = conic_fibre(s, *x2.as_integer_ratio())
         except DegenerateFibreError:
             assume(False)
         reducible = fibre_product_genus(branch_locus(src.ext_class),
@@ -437,7 +452,7 @@ class TestAvoidCovers:
     def test_admits_matches_the_fraction_path(self, case):
         # admits reads h(n/d) = N/M in integers: a square exactly when N M is
         covers, t0 = case
-        assert CoverChallenge(covers).admits(t0) == admits_fraction(covers, t0)
+        assert CoverChallenge(covers).admits(*t0.as_integer_ratio()) == admits_fraction(covers, t0)
 
 
 def is_sq(q):
@@ -491,6 +506,16 @@ class TestFieldCensus:
     @given(surfaces(), st.integers(1, 6))
     def test_rows_match_rescans_on_drawn_surfaces(self, s, bound):
         assert field_census(s, bound) == census_rescan(s, bound)
+
+    def test_census_leaves_the_pencil_cache_alone(self, capsys):
+        """The census builds each height's pairs afresh: a large --height
+        leaves conics._pairs_of_height, unbounded and kept for the pencils'
+        small heights, as it was."""
+        before = conics._pairs_of_height.cache_info()
+        argv = ["census", "--config", str(CONFIGS / "usual-twist.cfg"), "--height", "200"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-2].split()[0] == "200"
+        assert conics._pairs_of_height.cache_info() == before
 
     def test_census_builds_no_matrix(self, monkeypatch):
         """The census reads each fibre's class and obstruction only: on the

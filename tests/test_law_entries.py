@@ -37,15 +37,17 @@ The census tests run the benchmark's three census commands the same way
 and pin how often a fibre's solvability takes a Hilbert symbol and factors
 an integer; the factoring stays below sympy, which they make raise, on a
 km surface with a coefficient denominator just above 2^10 too. A fibre
-reads x0 = n/d once and builds its classes from integers: the kernel is a
-primitive int triple, so a census hashes no Fraction, and the Fractions it
-builds are the x0 themselves.
+takes x0 as the int pair (n, d) and builds its classes from integers: the
+kernel is a primitive int triple, so a census hashes no Fraction, and the
+Fractions it builds belong to the surfaces (their configs, discriminants
+and Weierstrass forms) and the messages of degenerate fibres.
 
-The Fraction test runs the benchmark's rank1-search and verify-store
-commands and pins how many Fractions a cycle builds: from specialisation
-to the record a certificate is carried in integers, and only A, B and a
-record's points become Fractions, so a re-wrap or a value rebuilt in
-Fractions raises the count.
+The Fraction tests run the benchmark's rank1-search and verify-store
+commands and pin how many Fractions a cycle builds and hashes: from the
+fibre parameter to the record a certificate is carried in integers, t0,
+x0 and the pencil's points as int pairs, and only A, B and a record's t0,
+provenance and points become Fractions, so a re-wrap or a value rebuilt
+in Fractions raises the count.
 """
 
 import gzip
@@ -243,11 +245,12 @@ def test_seed0_census_hashes_a_shared_kernel_once(tmp_path, capsys, monkeypatch)
 
 
 #: Fraction.__new__ calls per seed-0 census cycle, on CPython 3.10 and 3.11
-#: and from 3.12 on (as FRACTIONS_BUILT): the x0 of the sweep. 11,263 and
-#: 8,964 while each fibre built f(x0), or q and its monic kernel, in
-#: Fractions
-CENSUS_FRACTIONS_BUILT = 3500
-CENSUS_FRACTIONS_BUILT_FROM_312 = 3428
+#: and from 3.12 on (as FRACTIONS_BUILT): the surfaces' and the degenerate
+#: fibres' messages. 11,263 and 8,964 while each fibre built f(x0), or q
+#: and its monic kernel, in Fractions, and 3,500 and 3,428 while the sweep
+#: built each x0 as a Fraction
+CENSUS_FRACTIONS_BUILT = 173
+CENSUS_FRACTIONS_BUILT_FROM_312 = 101
 
 
 def test_seed0_census_fractions_built(tmp_path, capsys, monkeypatch):
@@ -269,14 +272,16 @@ def test_seed0_census_fractions_built(tmp_path, capsys, monkeypatch):
 #: verify_certificate built and re-wrapped Fractions; verify-store 9,018
 #: while TwistFamily.f_roots factored f through sympy, and 8,996 while the
 #: descent over Q read Fraction points and roots; rank1-search 7,892 while
-#: each fibre built f(x0), or q and its monic kernel, in Fractions
-FRACTIONS_BUILT = (7761, 8761)
+#: each fibre built f(x0), or q and its monic kernel, in Fractions, and
+#: 7,761 while x0, t0 and the pencil's points were Fractions and the pencil
+#: scaled its matrix to integers by Fraction products
+FRACTIONS_BUILT = (5657, 8761)
 #: the same from CPython 3.12 on, whose arithmetic builds its results
 #: without __new__ and coerces an int left operand through it: 23,055 and
 #: 21,425 before, verify-store 8,285 with f_roots through sympy and 8,278
-#: with the descent over Q in Fractions, and rank1-search 7,543 with the
-#: fibres in Fractions
-FRACTIONS_BUILT_FROM_312 = (7492, 8233)
+#: with the descent over Q in Fractions, rank1-search 7,543 with the
+#: fibres in Fractions and 7,492 with x0, t0 and the points in Fractions
+FRACTIONS_BUILT_FROM_312 = (5388, 8233)
 
 
 def test_seed0_fractions_built(tmp_path, capsys, monkeypatch):
@@ -310,3 +315,32 @@ def test_seed0_fractions_built(tmp_path, capsys, monkeypatch):
         built.append(calls[0])
     assert tuple(built) == (FRACTIONS_BUILT_FROM_312 if sys.version_info >= (3, 12)
                             else FRACTIONS_BUILT)
+
+
+#: Fraction.__hash__ calls per seed-0 rank1-search cycle, on every CPython:
+#: the store's dedupe of each record's t0 and points. 2,619 while _certify
+#: keyed its seen set, and checked it, on Fraction t0s
+RANK1_FRACTION_HASHES = 600
+
+
+def test_seed0_rank1_hashes_fractions_for_records_only(tmp_path, capsys, monkeypatch):
+    """One rank1-search cycle after a warm one, counted by wrapping
+    Fraction.__hash__: a search keys its t0 on int pairs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+    import run
+
+    commands = run.commands_for("rank1-search", gen.write_inputs(0, tmp_path / "inputs"))
+    calls, counting, fraction_hash = [0], [False], Fraction.__hash__
+
+    def counted(self):
+        calls[0] += counting[0]
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    for counting[0] in (False, True):
+        for i, cmd in enumerate(commands):
+            store = str(tmp_path / f"store-{counting[0]}-{i}")
+            assert main([a.replace("{store}", store) for a in cmd["argv"]]) == 0
+        capsys.readouterr()
+    assert calls[0] == RANK1_FRACTION_HASHES

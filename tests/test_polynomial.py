@@ -65,6 +65,21 @@ PARAMETERS = st.one_of(
     st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12)))
 
 
+class TestIndexing:
+    @pytest.mark.parametrize("p", [RatPoly(), RatPoly([3]), RatPoly([1, 0, Fraction(-2, 5)])])
+    def test_not_iterable(self, p):
+        """p[i] is 0 past the end, so the sequence protocol never stops:
+        iter(p), and list(p), RatPoly(p) and membership that would take it,
+        raise TypeError; p.coeffs is what iterates."""
+        with pytest.raises(TypeError):
+            iter(p)
+        for take in (list, RatPoly, lambda q: 0 in q):
+            with pytest.raises(TypeError):
+                take(p)
+        assert [p[i] for i in range(5)] == [*p.coeffs, *[0] * (5 - len(p.coeffs))]
+        assert RatPoly(p.coeffs) == p
+
+
 class TestEvaluation:
     """__call__ runs homogeneous Horner on integer numerators over one
     denominator, built on the first call; the oracle is Horner on Fractions."""
