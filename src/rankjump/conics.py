@@ -5,10 +5,10 @@ surface: quadratic-extension classes, exact rational-point decisions
 For a twist family the fibre over x0 is g(t) w^2 = f(x0); substituting
 u = t w turns it into a plane conic. For a quadratic-coefficient family it
 is w^2 = q(t) with q of degree at most 2, already a conic after
-homogenising. Parametrisation runs in integers: with the conic's matrix
-scaled to integers, each coordinate of the point cut by the line of
-parameter (m0 : m1) is an integer binary quadratic form in (m0, m1), and
-the point's t and w leave as reduced int pairs (n, d), d > 0.
+homogenising. A fibre holds its conic once, as a primitive symmetric integer
+matrix that the sweep, the descent and the pencil read: each coordinate of
+the point cut by the line of parameter (m0 : m1) is an integer binary form
+in (m0, m1), and the point's t and w leave as reduced int pairs (n, d), d > 0.
 
 A fibre takes x0 as such a pair, as rationals_of_height yields it, and
 decides its class and solvability from integers as it is built: f(x0) =
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .arith import (SquareClass, lagrange_descent, primitive_triple, rational_sqrt, reduced,
@@ -82,12 +82,10 @@ def branch_locus(cls: QuadExtClass) -> frozenset[Place]:
 
 
 def _primitive(vec):
-    """Scale a rational vector to coprime integers with canonical sign."""
-    den = lcm(*(c.denominator for c in vec))
-    ints = [c.numerator * (den // c.denominator) for c in vec]
-    g = gcd(*ints) or 1
-    sign = -1 if next((c for c in ints if c), 0) < 0 else 1
-    return tuple(sign * c // g for c in ints)
+    """Scale an integer vector to coprime integers with canonical sign."""
+    g = gcd(*vec) or 1
+    sign = -1 if next((c for c in vec if c), 0) < 0 else 1
+    return tuple(sign * c // g for c in vec)
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +93,9 @@ def _primitive(vec):
 
 
 class ConicFibre:
-    """One fibre of the conic bundle over x0 = n/d, d > 0, the int pair x0_ratio,
-    with its extension class, square classes and solvability built from integers;
-    x0, f(x0) or q as Fractions, its matrix and points are computed on demand, once."""
+    """One fibre of the conic bundle over x0 = n/d, d > 0, the int pair x0_ratio, with
+    its class, square classes and solvability built from _ratio, f(x0) = N / M or q =
+    (Q0, Q1, Q2) / den; x0, the integer matrix and the base point on demand, once."""
 
     def __init__(self, surface, n: int, d: int):
         self.surface = surface
@@ -147,38 +145,22 @@ class ConicFibre:
         return Fraction(*self.x0_ratio)
 
     @cached_property
-    def value(self):
-        """f(x0), the value of a twist fibre g(t) w^2 = f(x0); None on km."""
-        return Fraction(*self._ratio) if self.kind == "twist" else None
-
-    @cached_property
-    def q(self):
-        """q(t), the polynomial of a km fibre w^2 = q(t); None on a twist."""
-        Q, den = self._ratio
-        return RatPoly([Fraction(c, den) for c in Q]) if self.kind == "km" else None
-
-    @cached_property
-    def matrix(self):
-        """The 3x3 symmetric matrix of the fibre's conic."""
-        zero = Fraction(0)
+    def matrix(self) -> tuple[tuple[int, int, int], ...]:
+        """The fibre's conic, once, as a primitive symmetric integer matrix: a
+        positive multiple, so that its diagonal keeps the signs of the square
+        classes, of 2 L M (g2 u^2 + g1 u w + g0 w^2 - f(x0) z^2) in (u, w, z),
+        u = t w, with g = (G0, G1, G2) / L and f(x0) = N / M, or of 2 den (W^2
+        - q2 T^2 - q1 T Z - q0 Z^2) in (T, W, Z), t = T/Z, w = W/Z."""
         if self.kind == "twist":
-            # in coordinates (u, w, z) with u = t w: g2 u^2 + g1 u w + g0 w^2 = c z^2
-            g = self.surface.g
-            return (g[2], g[1] / 2, zero), (g[1] / 2, g[0], zero), (zero, zero, -self.value)
-        # in coordinates (T, W, Z) with t = T/Z, w = W/Z: W^2 = q2 T^2 + q1 T Z + q0 Z^2
-        q = self.q
-        return (-q[2], zero, -q[1] / 2), (zero, Fraction(1), zero), (-q[1] / 2, zero, -q[0])
+            (N, M), ((G0, G1, G2), L) = self._ratio, self.surface.g_ints
+            rows = (2 * M * G2, M * G1, 0), (M * G1, 2 * M * G0, 0), (0, 0, -2 * L * N)
+        else:
+            (Q0, Q1, Q2), den = self._ratio
+            rows = (-2 * Q2, 0, -Q1), (0, 2 * den, 0), (-Q1, 0, -2 * Q0)
+        g = gcd(*rows[0], *rows[1], *rows[2])
+        return tuple(tuple(x // g for x in row) for row in rows)
 
     # -- solvability -------------------------------------------------------
-
-    def _diagonal(self):
-        """(diagonal, basis columns) of the fibre's form, for g2 != 0 or
-        q2 != 0. Both kinds have M12 = 0 and M01 M02 = 0, so clearing row
-        and column 0 against the pivot M00 leaves a diagonal form."""
-        M = self.matrix
-        a = M[0][0]
-        diag = [a, M[1][1] - M[0][1] ** 2 / a, M[2][2] - M[0][2] ** 2 / a]
-        return diag, [[1, 0, 0], [-M[0][1] / a, 1, 0], [-M[0][2] / a, 0, 1]]
 
     def base_point(self):
         """A primitive projective rational point; solvable fibres only, as
@@ -199,7 +181,7 @@ class ConicFibre:
     @cached_property
     def pencil(self):
         """The coordinate forms of the pencil of lines through the base point
-        b; ValueError if unsolvable. With M the matrix scaled to integers and
+        b; ValueError if unsolvable. With M the fibre's integer matrix and
         v = m0 e_i + m1 e_j, i and j the coordinates other than b's first
         nonzero one, the line through b along v meets the conic again in
         R = (v^T M v) b - 2 (b^T M v) v, each coordinate a binary quadratic
@@ -211,8 +193,7 @@ class ConicFibre:
         base = self.base_point()
         anchor = next(r for r in range(3) if base[r] != 0)
         i, j = (r for r in range(3) if r != anchor)
-        den = lcm(*(x.denominator for row in self.matrix for x in row))
-        M = [[x.numerator * (den // x.denominator) for x in row] for row in self.matrix]
+        M = self.matrix
         vv = (M[i][i], 2 * M[i][j], M[j][j])  # v^T M v; Mb[i], Mb[j] give b^T M v
         Mb = [sum(M[r][k] * base[k] for k in range(3)) for r in range(3)]
         assert sum(b * c for b, c in zip(base, Mb)) == 0, f"base point {base} off the conic"
@@ -223,37 +204,40 @@ class ConicFibre:
         return forms
 
     def _naive_search(self, bound):
-        """Affine sweep of t = n/d by height. With L clearing the denominators
-        of p = g (twist) or q (km), the fibre has a point with w != 0 over t
-        exactly when c L d^2 p(n/d) is a nonzero square integer, where
-        c = L num den of f(x0) for a twist and c = L for km."""
-        twist = self.kind == "twist"
-        p = self.surface.g if twist else self.q
-        L = lcm(p[0].denominator, p[1].denominator, p[2].denominator)
-        c = L * (self.value.numerator * self.value.denominator if twist else 1)
-        p2, p1, p0 = (int(p[i] * L) * c for i in (2, 1, 0))
+        """Affine sweep of t = n/d by height on the matrix M: with (i, j, f) =
+        (0, 1, 2) for a twist and (0, 2, 1) for km, the fibre has a point with
+        w != 0 over t exactly when r^2 = -M_ff (M_ii n^2 + 2 M_ij n d + M_jj d^2)
+        is a positive square, the point (n |M_ff|, d |M_ff|, r) at (i, j, f)."""
+        i, j, f = (0, 1, 2) if self.kind == "twist" else (0, 2, 1)
+        M = self.matrix
+        m = -M[f][f]
+        a, b, c = m * M[i][i], 2 * m * M[i][j], m * M[j][j]
         for h in range(1, bound + 1):
             for n, d in _pairs_of_height(h):
-                v = (p2 * n + p1 * d) * n + p0 * d * d
+                v = (a * n + b * d) * n + c * d * d
                 if v > 0 and isqrt(v) ** 2 == v:
-                    t = Fraction(n, d)
-                    w = rational_sqrt(self.value / p(t) if twist else p(t))
-                    return (t * w, w, 1) if twist else (t, w, 1)
+                    pt = {i: n * abs(m), j: d * abs(m), f: isqrt(v)}
+                    return pt[0], pt[1], pt[2]
         return None
 
     def _descend(self):
-        """Lagrange's descent on the square classes s_i of the diagonal d_i:
-        a zero (x, y, z) of x^2 = a y^2 + b z^2, a = -s0 s1, b = -s0 s2, is
-        the diagonal zero (x, y, z) * sqrt((1, -a, -b) / (s0 d)), mapped back
-        through the basis. Non-hyperbolic fibres only; None if unsolvable."""
+        """Lagrange's descent on the square classes s_i of M's diagonal. As
+        M12 = M01 M02 = 0, M is p (1, D1, D2) on the basis e0, (-M01, p, 0),
+        (-M02, 0, p), p = M00, D_i = p M_ii - M0i^2, so a zero (x, y, z) of
+        x^2 = A y^2 + B z^2, A = -s0 s1, B = -s0 s2, maps to (x, y sqrt(-A/D1),
+        z sqrt(-B/D2)) on it; x negated when p < 0 keeps, up to scale, the
+        point the zero gives on e0, (-M01/p, 1, 0), (-M02/p, 0, 1).
+        Non-hyperbolic fibres only; None if unsolvable."""
         s0, s1, s2 = self._classes
-        a, b = (-s0).times(s1), (-s0).times(s2)
-        sol = lagrange_descent(a, b)
+        A, B = (-s0).times(s1), (-s0).times(s2)
+        sol = lagrange_descent(A, B)
         if sol is None:
             return None
-        diag, basis = self._diagonal()
-        ys = [v * rational_sqrt(e / (s0.s * d)) for v, e, d in zip(sol, (1, -a.s, -b.s), diag)]
-        return tuple(sum(basis[j][r] * ys[j] for j in range(3)) for r in range(3))
+        (p, M01, M02), (_, M11, _), (_, _, M22) = self.matrix
+        D1, D2 = p * M11 - M01 * M01, p * M22 - M02 * M02
+        x = sol[0] * abs(D1 * D2) * (1 if p > 0 else -1)
+        y, z = sol[1] * isqrt(-A.s * D1) * abs(D2), sol[2] * isqrt(-B.s * D2) * abs(D1)
+        return x - M01 * y - M02 * z, p * y, p * z
 
 
 def conic_fibre(surface, n: int, d: int = 1) -> ConicFibre:

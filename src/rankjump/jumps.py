@@ -44,8 +44,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import isqrt
 
-from .arith import is_square, rational_sqrt, reduced
+from .arith import is_square, reduced
 from .conics import (
     ConicFibre,
     DegenerateFibreError,
@@ -262,11 +263,12 @@ def jump2(surface, budget: Budget, avoid: CoverChallenge | None = None,
 
 def _shared_value_points(param_height: int, src: ConicFibre, other: ConicFibre):
     """Twist pairs: fibres of one quadratic-extension class have a square
-    value ratio, so points flow along the earlier fibre and the partner
-    point over the same t0 is w sqrt(f(x0') / f(x0)), from the fibres' values."""
-    ratio = rational_sqrt(other.value / src.value)
-    assert ratio is not None, "fibres in one class have a square value ratio"
-    rn, rd = ratio.as_integer_ratio()
+    value ratio, so points flow along the earlier fibre and the partner point
+    over the same t0 is w sqrt(f(x0') / f(x0)) = w isqrt(N' M M' N) / |M' N|,
+    from the fibres' _ratio, f(x0) = N / M and f(x0') = N' / M'."""
+    (N, M), (N1, M1) = src._ratio, other._ratio
+    rn, rd = isqrt(abs(N1 * M * M1 * N)), abs(M1 * N)
+    assert rn * rn == N1 * M * M1 * N, "fibres in one class have a square value ratio"
     for t0, w in parametrize(src, param_height):
         yield t0, [(src.x0_ratio, w), (other.x0_ratio, reduced(w[0] * rn, w[1] * rd))]
 

@@ -79,6 +79,12 @@ class TwistFamily:
         return WeierstrassQt(P * g * g, Q * g * g * g)
 
     @cached_property
+    def g_ints(self) -> tuple[tuple[int, int, int], int]:
+        """((G0, G1, G2), L): g = (G0 + G1 t + G2 t^2) / L, L its least denominator."""
+        L = lcm(*(c.denominator for c in self.g.coeffs))
+        return tuple(int(self.g[i] * L) for i in range(3)), L
+
+    @cached_property
     def conic_classes(self) -> tuple[SquareClass, tuple[int, int, int],
                                      tuple[SquareClass, SquareClass] | None]:
         """What every fibre conic g(t) w^2 = f(x0) shares: the square class
@@ -86,9 +92,8 @@ class TwistFamily:
         the separable g (with f(x0)'s class, a fibre's extension class), and
         the diagonal (g2, -g2 disc(g)) of g2 u^2 + g1 u w + g0 w^2, None if
         g2 = 0."""
-        L = lcm(*(c.denominator for c in self.g.coeffs))
         lead = square_class(self.g.leading())
-        kernel = primitive_triple(*(int(self.g[i] * L) for i in range(3)))
+        kernel = primitive_triple(*self.g_ints[0])
         if self.g.degree < 2:
             return lead, kernel, None
         return lead, kernel, (lead, lead.times(square_class(-poly_discriminant(self.g))))

@@ -158,7 +158,7 @@ def brute_force_conic_point(fibre, box: int = 200):
     if fibre.kind == "twist":
         g = fibre.surface.g
         g2, g1, g0 = int_pair(g[2]), int_pair(g[1]), int_pair(g[0])
-        cn, cd = fibre.value.numerator, fibre.value.denominator
+        cn, cd = fibre_value(fibre).as_integer_ratio()
         # common denominator D for the g coefficients
         D = g2[1] * g1[1] * g0[1]
         G2, G1, G0 = (g2[0] * D // g2[1], g1[0] * D // g1[1], g0[0] * D // g0[1])
@@ -170,7 +170,7 @@ def brute_force_conic_point(fibre, box: int = 200):
             if frac_is_square(cn * d * d * D, cd * Gval):
                 return Fraction(n, d)
         return None
-    q = fibre.q
+    q = fibre_q(fibre)
     qs = [int_pair(q[i]) for i in range(3)]
     D = qs[0][1] * qs[1][1] * qs[2][1]
     Q0, Q1, Q2 = (qs[0][0] * D // qs[0][1], qs[1][0] * D // qs[1][1], qs[2][0] * D // qs[2][1])
@@ -493,14 +493,14 @@ def parametrize_heights_fraction(fibre, height_bound: int):
     arithmetic: each point cut by the line (m0 : m1) through the base point
     is reduced to a primitive integer vector, skipped if it was seen before,
     mapped to the affine chart and checked against the fibre relation."""
-    from rankjump.conics import _parameter_pairs, _primitive, conic_solvable
+    from rankjump.conics import _parameter_pairs, conic_solvable
 
     if not conic_solvable(fibre):
         raise ValueError(f"fibre over x0 = {fibre.x0} has no rational point")
     base = fibre.base_point()
     anchor = next(i for i in range(3) if base[i] != 0)
     axes = [i for i in range(3) if i != anchor]
-    M = fibre.matrix
+    M = matrix_fraction(fibre)
     seen = set()
     for m0, m1 in _parameter_pairs(1, height_bound):
         v = [0, 0, 0]
@@ -510,7 +510,7 @@ def parametrize_heights_fraction(fibre, height_bound: int):
         pt = tuple(vv * base[r] - 2 * bv * v[r] for r in range(3))
         if not any(pt):
             continue
-        pt = _primitive(pt)
+        pt = primitive_fraction(pt)
         if pt in seen:
             continue
         seen.add(pt)
@@ -522,21 +522,90 @@ def parametrize_heights_fraction(fibre, height_bound: int):
         yield max(abs(m0), abs(m1)), t, w
 
 
+def primitive_fraction(vec):
+    """A rational vector scaled to coprime integers with canonical sign, as
+    conics._primitive did before every base point was an integer vector."""
+    den = lcm(*(Fraction(c).denominator for c in vec))
+    ints = [int(c * den) for c in vec]
+    g = gcd(*ints) or 1
+    sign = -1 if next((c for c in ints if c), 0) < 0 else 1
+    return tuple(sign * c // g for c in ints)
+
+
 def _bilinear(M, u, v) -> Fraction:
     return sum(u[i] * M[i][j] * v[j] for i in range(3) for j in range(3))
 
 
 def on_conic(fibre, pt) -> bool:
     """pt is a zero of the fibre's quadratic form, in Fraction arithmetic."""
-    return _bilinear(fibre.matrix, pt, pt) == 0
+    return _bilinear(matrix_fraction(fibre), pt, pt) == 0
 
 
 def relation_holds(fibre, t, w) -> bool:
     """Exact check that (t, w) satisfies the defining fibre relation."""
     t, w = Fraction(t), Fraction(w)
     if fibre.kind == "twist":
-        return fibre.surface.g(t) * w * w == fibre.value
-    return w * w == fibre.q(t)
+        return fibre.surface.g(t) * w * w == fibre_value(fibre)
+    return w * w == fibre_q(fibre)(t)
+
+
+def fibre_value(fibre):
+    """f(x0), the value of a twist fibre g(t) w^2 = f(x0), as a Fraction read
+    from the fibre's integers N / M; None on km. ConicFibre.value was this."""
+    return Fraction(*fibre._ratio) if fibre.kind == "twist" else None
+
+
+def fibre_q(fibre):
+    """q(t), the polynomial of a km fibre w^2 = q(t), as a RatPoly read from
+    the fibre's integers (Q0, Q1, Q2) / den; None on a twist. ConicFibre.q
+    was this."""
+    from rankjump.polynomial import RatPoly
+
+    if fibre.kind != "km":
+        return None
+    Q, den = fibre._ratio
+    return RatPoly([Fraction(c, den) for c in Q])
+
+
+def matrix_fraction(fibre):
+    """The fibre conic's 3x3 symmetric matrix in Fractions, as ConicFibre.matrix
+    built it before it held one primitive integer matrix: g2 u^2 + g1 u w +
+    g0 w^2 - f(x0) z^2 in (u, w, z) for a twist, W^2 - q(T, Z) in (T, W, Z)
+    for km."""
+    zero = Fraction(0)
+    if fibre.kind == "twist":
+        g, value = fibre.surface.g, fibre_value(fibre)
+        return (g[2], g[1] / 2, zero), (g[1] / 2, g[0], zero), (zero, zero, -value)
+    q = fibre_q(fibre)
+    return (-q[2], zero, -q[1] / 2), (zero, Fraction(1), zero), (-q[1] / 2, zero, -q[0])
+
+
+def diagonal_fraction(fibre):
+    """(diagonal, basis columns) of matrix_fraction, for g2 != 0 or q2 != 0,
+    as ConicFibre._diagonal gave them: both kinds have M12 = 0 and
+    M01 M02 = 0, so clearing row and column 0 against the pivot M00 leaves
+    a diagonal form."""
+    M = matrix_fraction(fibre)
+    a = M[0][0]
+    diag = [a, M[1][1] - M[0][1] ** 2 / a, M[2][2] - M[0][2] ** 2 / a]
+    return diag, [[1, 0, 0], [-M[0][1] / a, 1, 0], [-M[0][2] / a, 0, 1]]
+
+
+def descend_fraction(fibre):
+    """ConicFibre._descend in Fraction arithmetic, as it ran on
+    diagonal_fraction: a zero (x, y, z) of x^2 = a y^2 + b z^2, a = -s0 s1,
+    b = -s0 s2, is the diagonal zero (x, y, z) * sqrt((1, -a, -b) / (s0 d)),
+    mapped back through the basis. None if unsolvable."""
+    from rankjump.arith import lagrange_descent, rational_sqrt
+
+    s0, s1, s2 = fibre._classes
+    a, b = (-s0).times(s1), (-s0).times(s2)
+    sol = lagrange_descent(a, b)
+    if sol is None:
+        return None
+    diag, basis = diagonal_fraction(fibre)
+    ys = [v * rational_sqrt(e / (s0.s * d)) for v, e, d in zip(sol, (1, -a.s, -b.s), diag)]
+    return tuple(sum(basis[j][r] * ys[j] for j in range(3)) for r in range(3))
 
 
 def fibre_quadratic_ratpoly(surface, x0):
@@ -581,8 +650,9 @@ def conic_fibre_fraction(surface, x0):
     """conic_fibre as built before it read x0 = n/d in integers: f(x0), or
     q = fibre_quadratic, as Fractions, square classes taken of Fraction
     values, and the kernel the monic RatPoly g or q. ext_class is the pair
-    (s, monic kernel); matrix, solvability, base point and pencil run the
-    library's code on these Fraction inputs."""
+    (s, monic kernel); matrix, solvability and pencil run the library's code
+    on _ratio read from these Fractions, and a solvable fibre's base point is
+    base_point_fraction's."""
     from rankjump.arith import SquareClass, square_class
     from rankjump.conics import ConicFibre, DegenerateFibreError
     from rankjump.polynomial import poly_discriminant
@@ -596,28 +666,40 @@ def conic_fibre_fraction(surface, x0):
         value = surface.f(Fraction(x0))
         if value == 0:
             raise DegenerateFibreError(f"f({x0}) = 0: fibre splits")
-        fib.value, fib.q = value, None
+        fib._ratio = value.as_integer_ratio()
         value_class, lead_class = square_class(value), square_class(g.leading())
         fib.ext_class = (value_class.times(lead_class).s, g.monic())
         fib._classes = None if g.degree < 2 else (
             lead_class, lead_class.times(square_class(-poly_discriminant(g))), -value_class)
-        fib.local_obstruction = _obstruction(fib._classes)
-        return fib
-    fib.kind = "km"
-    q = fibre_quadratic(surface, x0)
-    if q.is_zero():
-        raise DegenerateFibreError(f"fibre polynomial vanishes at x0 = {x0}")
-    fib.value, fib.q = None, q
-    disc = poly_discriminant(q) if q.degree == 2 else None
-    if q.degree == 0 or disc == 0:
-        raise DegenerateFibreError(
-            f"fibre over x0 = {x0} is a square times a constant: cover splits")
-    lead_class = square_class(q.leading())
-    fib.ext_class = (lead_class.s, q.monic())
-    fib._classes = None if disc is None else (
-        -lead_class, SquareClass(1, ()), lead_class.times(square_class(disc)))
+    else:
+        fib.kind = "km"
+        q = fibre_quadratic(surface, x0)
+        if q.is_zero():
+            raise DegenerateFibreError(f"fibre polynomial vanishes at x0 = {x0}")
+        den = lcm(*(q[i].denominator for i in range(3)))
+        fib._ratio = [int(q[i] * den) for i in range(3)], den
+        disc = poly_discriminant(q) if q.degree == 2 else None
+        if q.degree == 0 or disc == 0:
+            raise DegenerateFibreError(
+                f"fibre over x0 = {x0} is a square times a constant: cover splits")
+        lead_class = square_class(q.leading())
+        fib.ext_class = (lead_class.s, q.monic())
+        fib._classes = None if disc is None else (
+            -lead_class, SquareClass(1, ()), lead_class.times(square_class(disc)))
     fib.local_obstruction = _obstruction(fib._classes)
+    if fib.local_obstruction is None:
+        fib._base_point = base_point_fraction(fib)
     return fib
+
+
+def base_point_fraction(fibre):
+    """ConicFibre.base_point in Fraction arithmetic, as it ran before the
+    fibre held an integer matrix: (1, 0, 0) on a hyperbolic fibre, else the
+    point of naive_search_fraction(32), else descend_fraction's, scaled by
+    primitive_fraction. Solvable fibres only."""
+    if fibre._classes is None:
+        return (1, 0, 0)
+    return primitive_fraction(naive_search_fraction(fibre, 32) or descend_fraction(fibre))
 
 
 def _obstruction(classes):
@@ -793,9 +875,9 @@ def naive_search_fraction(fibre, bound: int):
         t = Fraction(n, d)
         if fibre.kind == "twist":
             gt = fibre.surface.g(t)
-            w = rational_sqrt(fibre.value / gt) if gt else None
+            w = rational_sqrt(fibre_value(fibre) / gt) if gt else None
         else:
-            w = rational_sqrt(fibre.q(t))
+            w = rational_sqrt(fibre_q(fibre)(t))
         if w:
             return (t * w, w, 1) if fibre.kind == "twist" else (t, w, 1)
     return None
@@ -938,7 +1020,7 @@ def _diagonalize(M):
 def local_obstruction_fraction(fibre):
     """The fibre's first obstructing place from the general diagonalisation
     of its matrix, in Fraction arithmetic."""
-    diag, _ = _diagonalize(fibre.matrix)
+    diag, _ = _diagonalize(matrix_fraction(fibre))
     assert all(d != 0 for d in diag)
     return ternary_obstruction_fraction(*diag)
 
@@ -950,7 +1032,8 @@ def ext_class_by_yun(fibre):
 
     from rankjump.conics import QuadExtClass
 
-    scalar, poly = (fibre.value, fibre.surface.g) if fibre.kind == "twist" else (1, fibre.q)
+    scalar, poly = ((fibre_value(fibre), fibre.surface.g) if fibre.kind == "twist"
+                    else (1, fibre_q(fibre)))
     lead, h = squarefree_kernel(poly)
     q = Fraction(scalar) * lead
     s = -1 if q < 0 else 1

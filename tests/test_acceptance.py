@@ -17,8 +17,10 @@ from conftest import (
     brute_force_conic_point,
     canonical_height_doubling,
     certify_unsolvable,
+    diagonal_fraction,
     distinct_up_to,
     fibre_product_genus,
+    fibre_value,
     legendre_normalize,
     pair_add,
     pair_height,
@@ -170,7 +172,7 @@ def test_criterion_3_conic_solvability_oracle():
             assert found is None, (s, x0, found)
             p = fib.local_obstruction
             assert p is not None
-            diag, _ = fib._diagonal()
+            diag, _ = diagonal_fraction(fib)
             a, b, c = legendre_normalize(*(d.numerator * d.denominator for d in diag))
             if p == 0 or p <= 13:
                 assert certify_unsolvable(a, b, c, p), (s, x0, p)
@@ -178,7 +180,7 @@ def test_criterion_3_conic_solvability_oracle():
     # the named example: (t^2 - 2) w^2 = 6 is obstructed 3-adically; no
     # primitive solution of u^2 - 2 w^2 - 6 z^2 = 0 exists modulo 9
     fib = conic_fibre(TwistFamily(F_CUBIC, T**2 - 2), 2)
-    assert fib.value == 6 and not conic_solvable(fib)
+    assert fibre_value(fib) == 6 and not conic_solvable(fib)
     assert _no_primitive_solution_mod9()
     assert unsolvable > 0 and solvable > 0
     elapsed = time.monotonic() - started

@@ -12,8 +12,12 @@ from conftest import (
     brute_force_conic_point,
     certify_unsolvable,
     conic_fibre_fraction,
+    descend_fraction,
+    diagonal_fraction,
     ext_class_by_yun,
     fibre_product_genus,
+    fibre_q,
+    fibre_value,
     fraction_heights,
     fraction_points,
     fibre_quadratic,
@@ -23,18 +27,21 @@ from conftest import (
     kernel_poly,
     legendre_normalize,
     local_obstruction_fraction,
+    matrix_fraction,
     naive_search_fraction,
     on_conic,
     parametrize_heights_fraction,
+    primitive_fraction,
     rationals_of_height_filter,
     ratpoly_eval_fraction,
     relation_holds,
     same_extension,
 )
-from rankjump.arith import DomainError, is_square
+from rankjump.arith import DomainError, is_square, rational_sqrt
 from rankjump.conics import (
     DegenerateFibreError,
     QuadExtClass,
+    _primitive,
     branch_locus,
     conic_fibre,
     conic_solvable,
@@ -51,6 +58,7 @@ from rankjump.polynomial import (
     factor_rational,
     poly_discriminant,
 )
+from rankjump.jumps import _shared_value_points
 from rankjump.surfaces import KMFamily, TwistFamily
 
 T = RatPoly([0, 1])
@@ -63,6 +71,16 @@ def twist(g):
 
 def mordell():
     return KMFamily(RatPoly([1]), RatPoly(), RatPoly(), T)
+
+
+def _point(pt):
+    """A projective integer point as conics._primitive scales it, None kept."""
+    return None if pt is None else _primitive(pt)
+
+
+def _point_fraction(pt):
+    """A projective rational point as conftest.primitive_fraction scales it, None kept."""
+    return None if pt is None else primitive_fraction(pt)
 
 
 class TestHeightOrder:
@@ -110,7 +128,7 @@ class TestHeightOrder:
 class TestConicFibre:
     def test_twist_linear(self):
         fib = conic_fibre(twist(T), 2)
-        assert fib.value == 6
+        assert fibre_value(fib) == 6
         assert fib.ext_class.s == 6 and kernel_poly(fib.ext_class.h) == T
         assert branch_locus(fib.ext_class) == frozenset({Place(T), PLACE_AT_INFINITY})
 
@@ -123,7 +141,7 @@ class TestConicFibre:
 
     def test_mordell_branch_moves(self):
         fib = conic_fibre(mordell(), 1)
-        assert fib.q == T + 1
+        assert fibre_q(fib) == T + 1
         assert branch_locus(fib.ext_class) == frozenset({Place(T + 1), PLACE_AT_INFINITY})
         fib0 = conic_fibre(mordell(), 2)
         assert branch_locus(fib0.ext_class) == frozenset({Place(T + 8), PLACE_AT_INFINITY})
@@ -197,11 +215,11 @@ class TestSolvability:
         # (t^2 - 2) w^2 = 2 has the point (2, 1)
         s = TwistFamily(F_CUBIC, T**2 - 2)
         fib = conic_fibre(s, 2)            # value 6: obstructed
-        assert fib.value == 6
+        assert fibre_value(fib) == 6
         assert not conic_solvable(fib)
         p = fib.local_obstruction
         assert p in (2, 3)
-        diag, _ = fib._diagonal()
+        diag, _ = diagonal_fraction(fib)
         a, b, c = legendre_normalize(*(x.numerator * x.denominator for x in diag))
         assert certify_unsolvable(a, b, c, p)
 
@@ -209,7 +227,7 @@ class TestSolvability:
         # value 2 is a norm from Q(sqrt 2): (t^2 - 2) w^2 = 2 at (t, w) = (2, 1)
         s = TwistFamily(T**3 + T, T**2 - 2)
         fib = conic_fibre(s, 1)
-        assert fib.value == 2
+        assert fibre_value(fib) == 2
         assert conic_solvable(fib)
         pts = fraction_points(parametrize(fib, 4))
         assert (2, 1) in pts
@@ -244,7 +262,7 @@ class TestSolvability:
                 continue
             p = fib.local_obstruction
             assert p is not None
-            diag, _ = fib._diagonal()
+            diag, _ = diagonal_fraction(fib)
             a, b, c = legendre_normalize(*(x.numerator * x.denominator for x in diag))
             if p != 0 and p <= 13:
                 assert certify_unsolvable(a, b, c, p), (x0, p)
@@ -432,7 +450,8 @@ class TestIntegerSweep:
                 fib = conic_fibre(s, *x0)
             except DegenerateFibreError:
                 continue
-            assert fib._naive_search(bound) == naive_search_fraction(fib, bound)
+            assert (_point(fib._naive_search(bound))
+                    == _point_fraction(naive_search_fraction(fib, bound)))
 
 
 def km_sweep_miss():
@@ -619,7 +638,7 @@ class TestKMFibreQuadratic:
                 conic_fibre(s, n, d)
         else:
             fib = conic_fibre(s, n, d)
-            assert fib.q == q and fib.ext_class == ext_class_by_yun(fib)
+            assert fibre_q(fib) == q and fib.ext_class == ext_class_by_yun(fib)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +676,96 @@ class TestIntegerFibre:
         assert kernel_poly(fib.ext_class.h) == h_old
         assert fib._classes == old._classes
         assert fib.local_obstruction == old.local_obstruction
-        assert (fib.value, fib.q) == (old.value, old.q)
+        assert (fibre_value(fib), fibre_q(fib)) == (fibre_value(old), fibre_q(old))
         if conic_solvable(fib):
             assert fib.base_point() == old.base_point()
             assert fib.pencil == old.pencil
+
+
+# ---------------------------------------------------------------------------
+# the fibre's one integer matrix and its readers against the Fraction code
+# they replaced: the matrix, _diagonal, the sweep and the descent in Fractions
+
+
+def _fibre(s, x0):
+    try:
+        return conic_fibre(s, *x0)
+    except DegenerateFibreError:
+        assume(False)
+
+
+height_9 = st.sampled_from(list(rationals_by_height(9)))
+
+
+class TestIntegerMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(surfaces(), height_9)
+    @example(twist(T), (2, 1))
+    @example(twist(T**2 - 2), (2, 1))
+    @example(mordell(), (1, 1))
+    @example(km_sympy_miss(), (4, 3))
+    def test_a_positive_multiple_of_the_fraction_matrix(self, s, x0):
+        """The matrix is symmetric, made of ints with gcd 1, and a positive
+        multiple of the Fraction matrix it replaced: the ratio of each
+        entry to the oracle's is one positive rational, zeros where the
+        oracle has them."""
+        fib = _fibre(s, x0)
+        M, F = fib.matrix, matrix_fraction(fib)
+        entries = [(M[r][c], F[r][c]) for r in range(3) for c in range(3)]
+        assert all(type(m) is int for m, _ in entries)
+        assert all(M[r][c] == M[c][r] for r in range(3) for c in range(3))
+        assert gcd(*(m for m, _ in entries)) == 1
+        assert all((m == 0) == (f == 0) for m, f in entries)
+        ratios = {Fraction(m) / f for m, f in entries if f}
+        assert len(ratios) == 1 and ratios.pop() > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(surfaces(), height_9)
+    @example(twist(T**2 - 1), (3, 1))
+    @example(mordell(), (1, 1))
+    @example(km_sweep_miss(), (-8, 5))
+    def test_sweep_finds_the_fraction_point(self, s, x0):
+        """_naive_search(32) on the integer matrix finds the point of the
+        Fraction sweep, up to scaling, or neither finds one."""
+        fib = _fibre(s, x0)
+        assert _point(fib._naive_search(32)) == _point_fraction(naive_search_fraction(fib, 32))
+
+    @settings(max_examples=60, deadline=None)
+    @given(surfaces(), height_9)
+    @example(km_sympy_miss(), (4, 3))
+    @example(km_sweep_miss(), (-8, 5))
+    @example(twist(T**2 - 1), (5, 6))
+    @example(TwistFamily(F_CUBIC, 3 - T**2), (1, 2))
+    def test_descent_finds_the_fraction_point(self, s, x0):
+        """On a non-hyperbolic fibre the descent on the basis e0, (-M01, p, 0),
+        (-M02, 0, p) gives the point of the descent on the Fraction diagonal,
+        up to scaling, for either sign of the pivot p = M00."""
+        fib = _fibre(s, x0)
+        assume(fib._classes is not None)
+        assert _point(fib._descend()) == _point_fraction(descend_fraction(fib))
+
+    @settings(max_examples=40, deadline=None)
+    @given(surfaces().filter(lambda s: isinstance(s, TwistFamily)), height_9)
+    @example(twist(T), (2, 1))
+    @example(twist(T**2 - 1), (3, 1))
+    def test_twist_pair_ratio(self, s, x0):
+        """A twist pair's partner points are w sqrt(f(x0') / f(x0)), the
+        ratio read from the fibres' integers as Fractions, over each t0 of
+        the earlier fibre's stream; up to three partners of height <= 9."""
+        src = _fibre(s, x0)
+        assume(conic_solvable(src))
+        partners = 0
+        for other_x0 in rationals_by_height(9):
+            try:
+                other = conic_fibre(s, *other_x0)
+            except DegenerateFibreError:
+                continue
+            if other_x0 == x0 or other.ext_class != src.ext_class:
+                continue
+            ratio = rational_sqrt(fibre_value(other) / fibre_value(src))
+            expected = [(t0, [(x0, w), (other_x0, (Fraction(*w) * ratio).as_integer_ratio())])
+                        for t0, w in parametrize(src, 3)]
+            assert list(_shared_value_points(3, src, other)) == expected
+            partners += 1
+            if partners == 3:
+                break

@@ -42,12 +42,13 @@ kernel is a primitive int triple, so a census hashes no Fraction, and the
 Fractions it builds belong to the surfaces (their configs, discriminants
 and Weierstrass forms) and the messages of degenerate fibres.
 
-The Fraction tests run the benchmark's rank1-search and verify-store
-commands and pin how many Fractions a cycle builds and hashes: from the
-fibre parameter to the record a certificate is carried in integers, t0,
-x0 and the pencil's points as int pairs, and only A, B and a record's t0,
-provenance and points become Fractions, so a re-wrap or a value rebuilt
-in Fractions raises the count.
+The Fraction tests run the benchmark's rank1-search, rank2-search and
+verify-store commands and pin how many Fractions a cycle builds and
+hashes: from the fibre parameter to the record a certificate is carried
+in integers, t0, x0 and the pencil's points as int pairs, each fibre's
+conic as one integer matrix and a twist pair's value ratio as an integer
+square root, and only A, B and a record's t0, provenance and points become
+Fractions, so a re-wrap or a value rebuilt in Fractions raises the count.
 """
 
 import gzip
@@ -266,22 +267,27 @@ def test_seed0_census_fractions_built(tmp_path, capsys, monkeypatch):
                         else CENSUS_FRACTIONS_BUILT)
 
 
-#: Fraction.__new__ calls per seed-0 cycle of (rank1-search, verify-store)
-#: on CPython 3.10 and 3.11, where every Fraction passes through __new__:
-#: 27,175 and 25,218 while specialize, transport, the curve entry and
-#: verify_certificate built and re-wrapped Fractions; verify-store 9,018
-#: while TwistFamily.f_roots factored f through sympy, and 8,996 while the
+#: Fraction.__new__ calls per seed-0 cycle of (rank1-search, rank2-search,
+#: verify-store) on CPython 3.10 and 3.11, where every Fraction passes
+#: through __new__: 27,175 and 25,218 for rank1-search and verify-store
+#: while specialize, transport, the curve entry and verify_certificate
+#: built and re-wrapped Fractions; verify-store 9,018 while
+#: TwistFamily.f_roots factored f through sympy, and 8,996 while the
 #: descent over Q read Fraction points and roots; rank1-search 7,892 while
-#: each fibre built f(x0), or q and its monic kernel, in Fractions, and
-#: 7,761 while x0, t0 and the pencil's points were Fractions and the pencil
-#: scaled its matrix to integers by Fraction products
-FRACTIONS_BUILT = (5657, 8761)
+#: each fibre built f(x0), or q and its monic kernel, in Fractions, 7,761
+#: while x0, t0 and the pencil's points were Fractions and the pencil
+#: scaled its matrix to integers by Fraction products, and rank1-search
+#: 5,657 and rank2-search 1,924 while each solvable fibre built its matrix
+#: (and q) in Fractions for the pencil, the sweep and the descent, and a
+#: twist pair took its value ratio's square root in Fractions
+FRACTIONS_BUILT = (5261, 1186, 8761)
 #: the same from CPython 3.12 on, whose arithmetic builds its results
 #: without __new__ and coerces an int left operand through it: 23,055 and
 #: 21,425 before, verify-store 8,285 with f_roots through sympy and 8,278
 #: with the descent over Q in Fractions, rank1-search 7,543 with the
-#: fibres in Fractions and 7,492 with x0, t0 and the points in Fractions
-FRACTIONS_BUILT_FROM_312 = (5388, 8233)
+#: fibres in Fractions and 7,492 with x0, t0 and the points in Fractions,
+#: and rank1-search 5,388 and rank2-search 1,182 with the matrix in Fractions
+FRACTIONS_BUILT_FROM_312 = (5104, 654, 8233)
 
 
 def test_seed0_fractions_built(tmp_path, capsys, monkeypatch):
@@ -305,7 +311,7 @@ def test_seed0_fractions_built(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counted)
     built = []
-    for workload in ("rank1-search", "verify-store"):
+    for workload in ("rank1-search", "rank2-search", "verify-store"):
         calls[0] = 0
         for counting[0] in (False, True):
             for i, cmd in enumerate(run.commands_for(workload, inputs, fixture)):
