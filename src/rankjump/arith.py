@@ -1,7 +1,7 @@
 """Exact integer and rational arithmetic helpers.
 
 Everything in this module is computed with integer arithmetic only:
-reduced int ratios, perfect-square tests, square classes, modular square
+reduced int ratios and their text, perfect-square tests, square classes, modular square
 roots, Hilbert symbols of integers, local solvability of diagonal ternary
 forms given by square classes, and a zero of a solvable one by Lagrange's
 descent.
@@ -103,6 +103,11 @@ def reduced(n: int, d: int) -> tuple[int, int]:
     """n/d, d != 0, as a reduced pair of ints with a positive denominator."""
     g = gcd(n, d) if d > 0 else -gcd(n, d)
     return n // g, d // g
+
+
+def ratio_str(n: int, d: int) -> str:
+    """The reduced pair (n, d), d > 0, as str(Fraction) writes n/d: "n" when d = 1."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def rational_sqrt(q) -> Fraction | None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from functools import cache
 from itertools import accumulate
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .config import (
     parse_cover_file,
     parse_surface_config,
 )
+from .arith import ratio_str
 from .conics import height
 from .jumps import SEARCH_COUNTS, Budget, CoverChallenge, field_census, jump1, jump2
 from .store import CertificateRecord, append_records, store_file, stored_t0, verify_store
@@ -108,7 +110,7 @@ def cmd_jump(args) -> int:
         rec, reasons = CertificateRecord(cert, cfg, budget, args.timestamp).reverified()
         if not rec.verified:
             failed += 1
-            print(f"# re-verification failed at t0 = {cert.t0}: {'; '.join(reasons)}",
+            print(f"# re-verification failed at t0 = {ratio_str(*cert.t0)}: {'; '.join(reasons)}",
                   file=sys.stderr)
             continue
         records.append(rec)
@@ -170,6 +172,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not verdicts[False] else EXIT_VERIFY
 
 
+@cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankjump",

@@ -13,9 +13,9 @@ in (m0, m1), and the point's t and w leave as reduced int pairs (n, d), d > 0.
 A fibre takes x0 as such a pair, as rationals_of_height yields it, and
 decides its class and solvability from integers as it is built: f(x0) =
 N / (D d^3) from f's integer form, and q = (Q0, Q1, Q2) / (L d^3) from the
-km surface's integer columns (KMFamily.fibre_ints); x0 is a Fraction only
-for a record or a message. Solvability is decided on closed-form square
-classes: the twist conic g2 u^2 + g1 u w + g0 w^2 = v z^2 is diagonal in
+km surface's integer columns (KMFamily.fibre_ints); x0 stays that pair.
+Solvability is decided on closed-form square classes: the twist conic g2
+u^2 + g1 u w + g0 w^2 = v z^2 is diagonal in
 (g2, -g2 disc g, -v), the first two fixed by the surface, the km conic W^2
 = q(T, Z) in (-q2, 1, q2 disc q). Per fibre the integers factored are N and
 D d, or the lead Q2 (Q1 if q is linear) and L d, each pair over its gcd and
@@ -38,8 +38,8 @@ from functools import cache, cached_property
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .arith import (SquareClass, lagrange_descent, primitive_triple, rational_sqrt, reduced,
-                    square_class, ternary_obstruction)
+from .arith import (SquareClass, lagrange_descent, primitive_triple, ratio_str, rational_sqrt,
+                    reduced, square_class, ternary_obstruction)
 from .polynomial import PLACE_AT_INFINITY, Place, RatPoly, poly_discriminant
 from .surfaces import TwistFamily
 
@@ -140,11 +140,6 @@ class ConicFibre:
         self._base_point = None
 
     @cached_property
-    def x0(self) -> Fraction:
-        """The fibre parameter n/d as a Fraction, for a record or a message."""
-        return Fraction(*self.x0_ratio)
-
-    @cached_property
     def matrix(self) -> tuple[tuple[int, int, int], ...]:
         """The fibre's conic, once, as a primitive symmetric integer matrix: a
         positive multiple, so that its diagonal keeps the signs of the square
@@ -174,7 +169,8 @@ class ConicFibre:
             else:
                 pt = self._naive_search(32) or self._descend()
             if pt is None:
-                raise RuntimeError(f"no point found on a locally solvable conic (x0 = {self.x0})")
+                raise RuntimeError("no point found on a locally solvable conic "
+                                   f"(x0 = {ratio_str(*self.x0_ratio)})")
             self._base_point = _primitive(pt)
         return self._base_point
 
@@ -189,7 +185,7 @@ class ConicFibre:
         one check b^T M b = 0 here puts every point of the pencil on the
         conic."""
         if not conic_solvable(self):
-            raise ValueError(f"fibre over x0 = {self.x0} has no rational point")
+            raise ValueError(f"fibre over x0 = {ratio_str(*self.x0_ratio)} has no rational point")
         base = self.base_point()
         anchor = next(r for r in range(3) if base[r] != 0)
         i, j = (r for r in range(3) if r != anchor)
@@ -300,9 +296,9 @@ def _pairs_of_height(h: int) -> tuple[tuple[int, int], ...]:
     return tuple(rationals_of_height(h))
 
 
-def height(q) -> int:
-    """Naive height max(|numerator|, denominator) of a rational."""
-    return max(abs(q.numerator), q.denominator)
+def height(q: tuple[int, int]) -> int:
+    """Naive height max(|n|, d) of a rational given as its reduced pair (n, d), d > 0."""
+    return max(abs(q[0]), q[1])
 
 
 def rationals_of_height(h: int) -> list[tuple[int, int]]:

@@ -1,16 +1,17 @@
 """Exact arithmetic on elliptic curves over Q.
 
 One group law, on reduced integer Jacobian triples (x = X/Z^2, y = Y/Z^3;
-None is O) of the model scaled by mu = lcm(den A, den B) (_jac_add). A
+None is O) of the model scaled by mu = lcm(den A, den B) (_jac_add); A, B,
+x and y are reduced int pairs (n, d), d > 0, as a record holds them. A
 point is checked on the curve once on entry (_jac), in integers on that
-model, and made a Fraction pair (x, y) once on exit (_point); in between
-EllipticCurveQ.add and torsion_order, canonical_height, neron_tate_pairing,
-regulator, its relation search and both 2-descents take the triples, in
-the search and in re-verification. Specialising at t0 = n/d and moving
-fibre points to the curve run in integers (Specialization.moved); only A,
-B and a record's points become Fractions. Torsion is decided
-without factoring, by Nagell-Lutz (Silverman, The Arithmetic of Elliptic
-Curves, VIII.7.2) and Mazur's bound on the walk P, 2P, ..., 12P.
+model, and read back once on exit (_point); in between EllipticCurveQ.add
+and torsion_order, canonical_height, neron_tate_pairing, regulator, its
+relation search and both 2-descents take the triples, in the search and in
+re-verification. Specialising at t0 = n/d and moving fibre points to the
+curve run in integers (Specialization.moved), so no Fraction is built on
+the way to a record. Torsion is decided without factoring, by Nagell-Lutz
+(Silverman, The Arithmetic of Elliptic Curves, VIII.7.2) and Mazur's bound
+on the walk P, 2P, ..., 12P.
 
 A pair is proved independent without a height by one 2-descent map
 (_delta, AEC X.1.4): over Q when E[2] is rational (two_descent_independent,
@@ -38,7 +39,8 @@ from functools import cache, cached_property
 from itertools import count, product
 from math import gcd, isqrt, lcm, log
 
-from .arith import _SMALL_PRIMES, DomainError, is_square, prime_factors, val_unit
+from .arith import (_SMALL_PRIMES, DomainError, is_square, prime_factors, ratio_str, reduced,
+                    val_unit)
 from .kodaira import minimal_shift
 
 
@@ -67,14 +69,14 @@ def _vp(n: int, p: int) -> int:
 
 
 class EllipticCurveQ:
-    """y^2 = x^3 + A x + B over Q, with two integral models: the lcm-scaled
-    one, built at once, for the group law, and the reduced one for heights."""
+    """y^2 = x^3 + A x + B over Q, A and B reduced int pairs, with two integral
+    models: the lcm-scaled one, built at once, for the law, the reduced one for heights."""
 
-    def __init__(self, A, B):
-        self.A, self.B = A, B  # ints or Fractions, as given
+    def __init__(self, A: tuple[int, int], B: tuple[int, int]):
+        self.A, self.B = A, B  # reduced int pairs (n, d), d > 0
         # (A mu^4, B mu^6, mu), mu = lcm(den A, den B), found without factoring;
         # its 4 Ai^3 + 27 Bi^2 is mu^12 (4 A^3 + 27 B^2)
-        (a, da), (b, db) = A.as_integer_ratio(), B.as_integer_ratio()
+        (a, da), (b, db) = A, B
         mu = lcm(da, db)
         Ai, Bi = a * (mu // da) * mu**3, b * (mu // db) * mu**5
         if 4 * Ai**3 + 27 * Bi**2 == 0:
@@ -82,7 +84,7 @@ class EllipticCurveQ:
         self._scaled_model = Ai, Bi, mu
 
     def __repr__(self):
-        return f"EllipticCurveQ({self.A}, {self.B})"
+        return f"EllipticCurveQ({ratio_str(*self.A)}, {ratio_str(*self.B)})"
 
     # -- model bookkeeping ---------------------------------------------------
 
@@ -119,9 +121,9 @@ class EllipticCurveQ:
         return a // g, c // h, e // h // (b // g)
 
     def _point(self, J):
-        """The Fraction pair (x, y) of a triple other than O from _jac or the group law."""
+        """The point (x, y), reduced int pairs, of a triple other than O from _jac or the law."""
         d = J[2] * self._scaled_model[2]
-        return Fraction(J[0], d * d), Fraction(J[1], d**3)
+        return reduced(J[0], d * d), reduced(J[1], d**3)
 
     def add(self, J1, J2):
         """J1 + J2 of triples of the scaled model, None for O (_jac_add)."""
@@ -584,16 +586,16 @@ class Specialization:
 def specialize(surface, n: int, d: int = 1) -> Specialization:
     """The specialised curve at t = t0 = n/d, d > 0, plus the transport of fibre points.
 
-    The chart, A and B are read at n/d in integers, A and B alone becoming
-    Fractions. Raises SingularSpecializationError under a singular fibre, and
-    where the chart degenerates (u(t0) = 0; for km families, where a3 vanishes).
+    The chart, A and B are read at n/d in integers, A and B as reduced int pairs.
+    Raises SingularSpecializationError under a singular fibre, and where the
+    chart degenerates (u(t0) = 0; for km families, where a3 vanishes).
     """
     chart = tuple(c.ratio_at(n, d) for c in surface.chart)
     if chart[0][0] == 0:
         raise SingularSpecializationError(f"u({Fraction(n, d)}) = 0: transport chart degenerates")
     model = surface.weierstrass
     try:
-        curve = EllipticCurveQ(*(Fraction(*c.ratio_at(n, d)) for c in (model.A, model.B)))
+        curve = EllipticCurveQ(*(reduced(*c.ratio_at(n, d)) for c in (model.A, model.B)))
     except SingularCurveError as exc:
         raise SingularSpecializationError(str(exc)) from exc
     return Specialization(curve, chart)

@@ -21,14 +21,15 @@ none past its certificate count. x0, t0 and the fibre points travel as
 reduced int pairs (n, d), d > 0. The searches only propose a parameter value
 t0 with fibre points over it; one certification stage, _certify, specialises
 at t0, enters each point into the group law once as a triple in integers,
-rejects torsion and asks the regulator about pairs, and only a record's t0,
-provenance and points become Fractions. jump2 holds one height table per
-call (curves.canonical_height). Surface invariants are computed once per
-surface object, whose fibred (twist or km) form (SurfaceConfig.fibred) the
-searches and verify_certificate work on. verify_certificate shares no height
-with the search: it settles a pair by 2-descent (AEC X.1.4) over Q on a
-twist whose f splits (curves.two_descent_independent), else modulo primes
-(curves.descent_mod_p), and by the regulator where that defers.
+rejects torsion and asks the regulator about pairs; a record's t0, curve,
+points and provenance are reduced int pairs too. jump2 holds one height
+table per call (curves.canonical_height). Surface invariants are computed
+once per surface object, whose fibred (twist or km) form
+(SurfaceConfig.fibred) the searches and verify_certificate work on.
+verify_certificate shares no height with the search: it settles a pair by
+2-descent (AEC X.1.4) over Q on a twist whose f splits
+(curves.two_descent_independent), else modulo primes (curves.descent_mod_p),
+and by the regulator where that defers.
 
 With avoid set, any search keeps only parameter values outside the image of
 every cover of a finite challenge of quadratic covers; avoid_covers is jump1
@@ -42,11 +43,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import isqrt
 
-from .arith import is_square, reduced
+from .arith import is_square, ratio_str, reduced
 from .conics import (
     ConicFibre,
     DegenerateFibreError,
@@ -110,10 +110,10 @@ class RankJumpCertificate:
     """A fibre parameter with points: evidence that the rank is at least the
     point count, and of a rank jump only with rank_bound_exact (generic rank 0)."""
 
-    t0: Fraction
-    curve: tuple[Fraction, Fraction]            # (A, B) of the specialised curve
-    points: list[tuple[Fraction, Fraction]]
-    provenance: list[Fraction]                  # fibre parameter x0 per point
+    t0: tuple[int, int]                         # each rational a reduced (n, d), d > 0
+    curve: tuple[tuple[int, int], tuple[int, int]]  # (A, B) of the specialised curve
+    points: list[tuple[tuple[int, int], tuple[int, int]]]
+    provenance: list[tuple[int, int]]           # fibre parameter x0 per point
     generic_rank_bound: int
     rank_bound_exact: bool
     claimed_rank_lower_bound: int
@@ -160,9 +160,9 @@ def _certify(surface, t0: tuple[int, int], points, seen: set[tuple[int, int]],
     and INCONCLUSIVE rejections, not a t0 seen before or singular. On
     success t0 joins seen. Each point moves in integers to its triple, checked
     on the curve by _jac; torsion and the pair's verdict (curves.regulator,
-    with the height table heights) run on those triples. Only a record
-    becomes Fractions: its t0 and provenance, and its points read from the
-    triples (E._point).
+    with the height table heights) run on those triples. The record takes
+    t0, the provenance and the curve's A and B as they are, and its points
+    read from the triples (E._point), all reduced int pairs.
     """
     if t0 in seen:
         return None
@@ -188,10 +188,10 @@ def _certify(surface, t0: tuple[int, int], points, seen: set[tuple[int, int]],
     seen.add(t0)
     r_bound, r_exact = rank_bound_data(surface)
     return RankJumpCertificate(
-        t0=Fraction(*t0),
+        t0=t0,
         curve=(E.A, E.B),
         points=[E._point(J) for J in Js],
-        provenance=[Fraction(*x0) for x0, _ in points],
+        provenance=[x0 for x0, _ in points],
         generic_rank_bound=r_bound,
         rank_bound_exact=r_exact,
         claimed_rank_lower_bound=len(points),
@@ -339,34 +339,34 @@ def verify_certificate(surface, cert: RankJumpCertificate) -> tuple[bool, list[s
     triples, by 2-descent over Q on a twist whose f splits, else modulo
     primes, and by the regulator's heights in a fresh table only where it
     defers), and the recorded bounds, exactness and regulator match the
-    surface and the evidence (a regulator: a pair), its Fraction fields typed
-    where it is made or read (store._record).
+    surface and the evidence (a regulator: a pair), its reduced int pairs
+    typed where it is made or read (store._record) and read as they are.
     """
     if len(cert.points) != len(cert.provenance):
         return False, [f"point count {len(cert.points)} does not match provenance count "
                        f"{len(cert.provenance)}"]
     reasons = []
     try:
-        spec = specialize(surface, *cert.t0.as_integer_ratio())
+        spec = specialize(surface, *cert.t0)
     except SingularSpecializationError as exc:
         return False, [f"specialisation failed: {exc}"]
     if (spec.curve.A, spec.curve.B) != tuple(cert.curve):
         return False, ["recorded curve does not match the specialised fibre"]
     E, Js = spec.curve, []
-    for (x, y), x0 in zip(cert.points, cert.provenance):
+    for P, x0 in zip(cert.points, cert.provenance):
         try:
-            J = E._jac((x.as_integer_ratio(), y.as_integer_ratio()))
+            J = E._jac(P)
         except OffCurveError:
-            reasons.append(f"point ({x}, {y}) is off the curve")
-            continue
-        # (x, y) pulls back to x0 iff x = X/D
-        (X, D), _ = spec.moved(x0.as_integer_ratio(), (0, 1))
-        if x.numerator * D != X * x.denominator:
-            reasons.append(f"point ({x}, {y}) does not come from the fibre x = {x0}")
-        elif E.torsion_order(J) is not None:
-            reasons.append(f"point ({x}, {y}) is torsion")
-        else:
+            why = "is off the curve"
+        else:  # P = ((xn, xd), y) pulls back to x0 iff xn/xd = X/D
+            (X, D), _ = spec.moved(x0, (0, 1))
+            why = (f"does not come from the fibre x = {ratio_str(*x0)}"
+                   if P[0][0] * D != X * P[0][1]
+                   else "is torsion" if E.torsion_order(J) is not None else None)
+        if why is None:
             Js.append(J)
+        else:
+            reasons.append(f"point ({ratio_str(*P[0])}, {ratio_str(*P[1])}) {why}")
     if reasons:
         return False, reasons
     if len(Js) == 2:

@@ -2,10 +2,12 @@
 
 A record is a rank-jump certificate plus engine version, budget and an
 optional run stamp, serialised with sorted keys and exact rationals as
-strings, so identical runs produce byte-identical streams. The store is a
-directory of .jsonl files keyed by a hash of the surface label; re-runs
-append only parameter values not already present for the same surface
-definition, so unlabelled surfaces sharing a file lose nothing. Store files
+strings, so identical runs produce byte-identical streams; a reduced int
+pair (n, d), d > 0, is written as str(Fraction) writes n/d (ratio_str) and
+read back to it by _rational. The store is a directory of .jsonl files
+keyed by a hash of the surface label; re-runs append only t0 pairs not
+already present for the same surface definition, so unlabelled surfaces
+sharing a file lose nothing. Store files
 are read as bytes, one line at a time, by one reader (_read_lines), and
 each line is decoded as UTF-8 on its own, so a line that does not decode is
 one unreadable record, as is one that is no JSON object, lacks a field or
@@ -25,11 +27,11 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from math import isfinite
 from pathlib import Path
 
 from . import __version__
+from .arith import ratio_str, reduced
 from .config import SurfaceConfig, surface_config_from_dict
 from .jumps import Budget, RankJumpCertificate, verify_certificate
 
@@ -59,10 +61,10 @@ class CertificateRecord:
         payload = {
             "label": self.surface.label,
             "surface": self.surface.echo,
-            "t0": str(cert.t0),
-            "curve": {"A": str(cert.curve[0]), "B": str(cert.curve[1])},
-            "points": [[str(x), str(y)] for x, y in cert.points],
-            "provenance": [str(x0) for x0 in cert.provenance],
+            "t0": ratio_str(*cert.t0),
+            "curve": {"A": ratio_str(*cert.curve[0]), "B": ratio_str(*cert.curve[1])},
+            "points": [[ratio_str(*x), ratio_str(*y)] for x, y in cert.points],
+            "provenance": [ratio_str(*x0) for x0 in cert.provenance],
             "generic_rank_bound": cert.generic_rank_bound,
             "rank_bound_exact": cert.rank_bound_exact,
             "claimed_rank_lower_bound": cert.claimed_rank_lower_bound,
@@ -79,18 +81,18 @@ class CertificateRecord:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-#: The forms str(Fraction) writes, denominator nonzero; any other, an exponent
-#: above all, is refused before Fraction could build 10^k for it, as is a digit
-#: run past int()'s limit (0: none), which int() would refuse by echoing it.
+#: The forms str(Fraction) writes, denominator nonzero, read to the pair Fraction
+#: would reduce them to; any other, an exponent above all, is refused (Fraction would
+#: build 10^k), as is a digit run past int()'s limit (0: none), which int() would echo.
 _STORED_RATIONAL = re.compile(r"(-?([0-9]+))(?:/(0*[1-9][0-9]*))?")
 
 
-def _rational(s) -> Fraction:
+def _rational(s) -> tuple[int, int]:
     m = _STORED_RATIONAL.fullmatch(s) if isinstance(s, str) else None
     limit = sys.get_int_max_str_digits()
     if m is None or limit and len(s) > limit and max(len(m[2]), len(m[3] or "")) > limit:
         raise ValueError(f"bad stored rational {str(s)[:20]!r}")
-    return Fraction(int(m[1]), int(m[3] or 1))
+    return reduced(int(m[1]), int(m[3] or 1))
 
 
 def _typed(value, types: tuple, field: str):
@@ -154,8 +156,8 @@ def store_file(store_dir: str | Path, label: str) -> Path:
     return Path(store_dir) / f"{key}.jsonl"
 
 
-def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, Fraction]]:
-    """(surface definition, t0) of every readable record in the label's file;
+def stored_t0(store_dir: str | Path, label: str) -> set[tuple[tuple, tuple[int, int]]]:
+    """(surface definition, t0 pair) of every readable record in the label's file;
     a line whose surface or t0 cannot be read is skipped."""
     path = store_file(store_dir, label)
     out = set()
@@ -189,7 +191,7 @@ def _read_lines(path: Path, configs: dict):
 
 
 def append_records(store_dir: str | Path, label: str, records) -> int:
-    """Append records whose (surface definition, t0) is not yet stored;
+    """Append records whose (surface definition, t0 pair) is not yet stored;
     returns how many were new. An empty batch opens nothing; with none new
     the file is left as it was. The stored keys are read and the new lines
     appended under one exclusive flock on the file, so concurrent appenders

@@ -19,15 +19,18 @@ RatPoly kernels that the integer one replaced, the genus of the
 fibre product of two double covers from their branch loci, polynomial
 division by stripping loops, the fibre at infinity read from the
 model reversed in s = 1/t, integer factorisation and the rational roots
-of a polynomial by sympy alone, and the specialisation, point transport, pullback, cover test and store reader of
-the Fraction path the integer one replaced, and the complete 2-descent
-on the Fraction x-coordinates that the one on triples replaced. Beside
-the oracles sit helpers on the library's own code: points as the
-Fraction pairs a record holds and their checked triples, the multiple n P
-by the integer group law, the pair of a fibre point moved to its
-specialised curve, and the curves API on Fraction pairs (pair_add,
-pair_torsion_order, pair_height, pair_pairing, pair_regulator) that the
-library once exposed, with its entry checks, over the code on triples;
+of a polynomial by sympy alone, and the specialisation, point transport,
+pullback, cover test, store line reader, stored-rational reader and record
+writer of the Fraction path the integer one replaced, and the complete
+2-descent on the Fraction x-coordinates that the one on triples replaced.
+Beside the oracles sit helpers on the library's own code: a curve built
+from rational A and B through their int pairs and its A and B read back as
+Fractions, points as Fraction pairs (a record holds int pairs) and their
+checked triples, the multiple n P by the integer group law, the pair of a
+fibre point moved to its specialised curve, and the curves API on Fraction
+pairs (pair_add, pair_torsion_order, pair_height, pair_pairing,
+pair_regulator) that the library once exposed, with its entry checks, over
+the code on triples;
 the map between a kernel's integer triple and its monic RatPoly; and the
 environment of a child process running the CLI from src/.
 
@@ -187,6 +190,19 @@ def int_pair(x) -> tuple[int, int]:
     return Fraction(x).as_integer_ratio()
 
 
+def curve_of(A, B):
+    """The EllipticCurveQ y^2 = x^3 + A x + B of rationals A and B, ints or
+    Fractions, entered as the int pairs it takes (int_pair)."""
+    from rankjump.curves import EllipticCurveQ
+
+    return EllipticCurveQ(int_pair(A), int_pair(B))
+
+
+def coefficients(E) -> tuple[Fraction, Fraction]:
+    """(A, B) of the EllipticCurveQ E as Fractions, read from its int pairs."""
+    return Fraction(*E.A), Fraction(*E.B)
+
+
 def _box_pairs(box: int):
     for d in range(1, box + 1):
         for n in range(-box, box + 1):
@@ -266,7 +282,7 @@ def certify_unsolvable(a: int, b: int, c: int, p: int) -> bool:
 
 
 def point(x, y):
-    """The Fraction pair (x, y), as a record holds a point."""
+    """The Fraction pair (x, y) of a point, as the oracles take it."""
     return Fraction(x), Fraction(y)
 
 
@@ -282,8 +298,9 @@ def triple(E, P):
 
 
 def pair(E, J):
-    """The Fraction pair of the triple J, read by EllipticCurveQ._point; None for O."""
-    return None if J is None else E._point(J)
+    """The Fraction pair of the triple J, read from the int pairs of
+    EllipticCurveQ._point; None for O."""
+    return None if J is None else tuple(Fraction(*c) for c in E._point(J))
 
 
 def scalar_mul(E, n: int, P):
@@ -496,7 +513,7 @@ def parametrize_heights_fraction(fibre, height_bound: int):
     from rankjump.conics import _parameter_pairs, conic_solvable
 
     if not conic_solvable(fibre):
-        raise ValueError(f"fibre over x0 = {fibre.x0} has no rational point")
+        raise ValueError(f"fibre over x0 = {Fraction(*fibre.x0_ratio)} has no rational point")
     base = fibre.base_point()
     anchor = next(i for i in range(3) if base[i] != 0)
     axes = [i for i in range(3) if i != anchor]
@@ -659,7 +676,7 @@ def conic_fibre_fraction(surface, x0):
     from rankjump.surfaces import TwistFamily
 
     fib = object.__new__(ConicFibre)
-    fib.surface, fib.x0, fib._base_point = surface, x0, None
+    fib.surface, fib._base_point = surface, None
     fib.x0_ratio = Fraction(x0).as_integer_ratio()
     if isinstance(surface, TwistFamily):
         fib.kind, g = "twist", surface.g
@@ -1158,6 +1175,51 @@ def admits_fraction(covers, t0) -> bool:
     """No h(t0) is a square in Q, 0 included, by Horner on Fractions."""
     values = (ratpoly_eval_fraction(h, Fraction(t0)) for h in covers)
     return not any(v == 0 or frac_is_square(v.numerator, v.denominator) for v in values)
+
+
+def rational_fraction(s) -> Fraction:
+    """store._rational as it read a stored rational into a Fraction: the
+    forms str(Fraction) writes, denominator nonzero, and no other (an
+    exponent above all), nor a digit run past int()'s limit (0: none)."""
+    import re
+    import sys
+
+    m = re.fullmatch(r"(-?([0-9]+))(?:/(0*[1-9][0-9]*))?", s) if isinstance(s, str) else None
+    limit = sys.get_int_max_str_digits()
+    if m is None or limit and len(s) > limit and max(len(m[2]), len(m[3] or "")) > limit:
+        raise ValueError(f"bad stored rational {str(s)[:20]!r}")
+    return Fraction(int(m[1]), int(m[3] or 1))
+
+
+def to_json_fraction(rec) -> str:
+    """CertificateRecord.to_json as it wrote a certificate of Fractions, every
+    rational through str(Fraction), here of the Fraction of each int pair."""
+    import json
+
+    from rankjump import __version__
+
+    cert, text = rec.certificate, (lambda q: str(Fraction(*q)))
+    payload = {
+        "label": rec.surface.label,
+        "surface": rec.surface.echo,
+        "t0": text(cert.t0),
+        "curve": {"A": text(cert.curve[0]), "B": text(cert.curve[1])},
+        "points": [[text(x), text(y)] for x, y in cert.points],
+        "provenance": [text(x0) for x0 in cert.provenance],
+        "generic_rank_bound": cert.generic_rank_bound,
+        "rank_bound_exact": cert.rank_bound_exact,
+        "claimed_rank_lower_bound": cert.claimed_rank_lower_bound,
+        "regulator": (
+            None
+            if cert.regulator is None
+            else {"determinant": cert.regulator[0], "error": cert.regulator[1]}
+        ),
+        "version": __version__,
+        "budget": [rec.budget.x0_height, rec.budget.param_height, rec.budget.count],
+        "timestamp": rec.timestamp,
+        "verified": rec.verified,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def read_lines_canonical(path, configs: dict):

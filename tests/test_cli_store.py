@@ -99,7 +99,7 @@ from rankjump.store import CertificateRecord, append_records, record_from_json
 store, line, first, count, go = sys.argv[1:]
 first, count, go = int(first), int(count), Path(go)
 rec = record_from_json(Path(line).read_text())
-batch = [CertificateRecord(replace(rec.certificate, t0=first + i), rec.surface, rec.budget)
+batch = [CertificateRecord(replace(rec.certificate, t0=(first + i, 1)), rec.surface, rec.budget)
          for i in range(count)]
 lines = {r.certificate.t0: r.to_json() for r in batch}
 CertificateRecord.to_json = lambda r: lines[r.certificate.t0]
@@ -220,7 +220,7 @@ class TestStore(object):
         assert [proc.returncode for proc in procs] == [0, 0]
         lines = next((tmp_path / "store").glob("*.jsonl")).read_text().splitlines()
         t0s = sorted(record_from_json(l).certificate.t0 for l in lines)
-        assert t0s == [*range(1, count + 1), *range(10**6, 10**6 + count)]
+        assert t0s == [(n, 1) for n in (*range(1, count + 1), *range(10**6, 10**6 + count))]
 
     def test_verify_good_store(self, tmp_path):
         records, cfg = self._records()
@@ -315,7 +315,7 @@ class TestStore(object):
             try:
                 data = json.loads(line)
                 expected.add((surface_config_from_dict(data["surface"]).definition,
-                               Fraction(data["t0"])))
+                               Fraction(data["t0"]).as_integer_ratio()))
             except (ValueError, KeyError, ZeroDivisionError):
                 continue
         parses = []
@@ -713,7 +713,7 @@ class TestCli:
         calls, descend = [], ConicFibre._descend
 
         def counted(fibre):
-            calls.append(fibre.x0)
+            calls.append(fibre.x0_ratio)
             return descend(fibre)
 
         monkeypatch.setattr(ConicFibre, "_descend", counted)
@@ -723,7 +723,7 @@ class TestCli:
                      "--store", store])
         captured = capsys.readouterr()
         assert code in (0, 3)
-        assert Fraction(4, 3) in calls
+        assert Fraction(4, 3).as_integer_ratio() in calls
         provenance = [json.loads(line)["provenance"] for line in captured.out.splitlines()]
         assert ["4/3"] in provenance
         assert "# re-verification failed" not in captured.err

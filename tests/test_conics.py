@@ -23,6 +23,7 @@ from conftest import (
     fibre_quadratic,
     fibre_quadratic_ratpoly,
     geometric_count,
+    int_pair,
     kernel_of,
     kernel_poly,
     legendre_normalize,
@@ -93,7 +94,7 @@ class TestHeightOrder:
             # an independent count: every a/b with |a|, b <= bound
             assert set(xs) == {Fraction(a, b) for b in range(1, bound + 1)
                                for a in range(-bound, bound + 1)}
-            assert [height(x) for x in xs] == sorted(height(x) for x in xs)
+            assert [height(p) for p in pairs] == sorted(height(p) for p in pairs)
 
     def test_order_within_a_height(self):
         assert list(rationals_by_height(2)) == [(0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2),
@@ -120,9 +121,9 @@ class TestHeightOrder:
             rationals_of_height(h)
 
     def test_height(self):
-        assert height(0) == 1
-        assert height(Fraction(-7, 3)) == 7
-        assert height(Fraction(2, 9)) == 9
+        assert height(int_pair(0)) == 1
+        assert height(int_pair(Fraction(-7, 3))) == 7
+        assert height(int_pair(Fraction(2, 9))) == 9
 
 
 class TestConicFibre:
@@ -670,7 +671,7 @@ class TestIntegerFibre:
             assert str(raised.value) == str(exc)
             return
         fib = conic_fibre(s, *x0.as_integer_ratio())
-        assert (fib.x0_ratio, fib.x0) == (x0.as_integer_ratio(), x0)
+        assert (fib.x0_ratio, Fraction(*fib.x0_ratio)) == (x0.as_integer_ratio(), x0)
         s_old, h_old = old.ext_class
         assert fib.ext_class == QuadExtClass(s_old, kernel_of(h_old))
         assert kernel_poly(fib.ext_class.h) == h_old

@@ -5,6 +5,8 @@ from unittest.mock import patch
 
 import pytest
 from conftest import (
+    coefficients,
+    curve_of,
     ec_add,
     ec_mul,
     ec_on_curve,
@@ -19,9 +21,9 @@ from conftest import (
     relation_holds,
     scalar_mul,
     specialize_fraction,
-    transport_fraction,
     tate_normal_form,
     torsion_order_by_multiples,
+    transport_fraction,
     triple,
 )
 from hypothesis import assume, example, given, settings, strategies as st
@@ -29,7 +31,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from rankjump import arith, curves
 from rankjump.conics import DegenerateFibreError, conic_fibre
 from rankjump.curves import (
-    EllipticCurveQ,
     OffCurveError,
     SingularCurveError,
     SingularSpecializationError,
@@ -50,30 +51,30 @@ def rand_point_curve(rng, span=8):
         A = Fraction(rng.randint(-span, span))
         B = y * y - x**3 - A * x
         try:
-            return EllipticCurveQ(A, B), point(x, y)
+            return curve_of(A, B), point(x, y)
         except SingularCurveError:
             continue
 
 
 class TestGroupLaw:
     def test_identity(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         P = point(12, 36)
         assert pair_add(E, P, None) == P
         assert pair_add(E, None, P) == P
 
     def test_two_torsion_doubles_to_identity(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         assert pair_add(E, point(0, 0), point(0, 0)) is None
 
     def test_duplication_example(self):
         # duplication formula for P = (12, 36) on y^2 = x^3 - 36x:
         # x(2P) = (x^4 + 72x^2 + 1296)/(4(x^3 - 36x)) = 25/4, y(2P) = -35/8
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         assert pair_add(E, point(12, 36), point(12, 36)) == point(Fraction(25, 4), Fraction(-35, 8))
 
     def test_off_curve_rejected(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         with pytest.raises(OffCurveError):
             pair_add(E, point(1, 1), point(12, 36))
 
@@ -100,7 +101,7 @@ class TestGroupLaw:
         # bit_length - 1 doublings and one addition per set bit; no doubling
         # past the top bit. scalar_mul runs on the integer law, so its steps
         # are the calls of curves._jac_add.
-        E, P = EllipticCurveQ(-36, 0), point(12, 36)
+        E, P = curve_of(-36, 0), point(12, 36)
         calls = []
         add = curves._jac_add
 
@@ -117,20 +118,20 @@ class TestGroupLaw:
 
 class TestTorsion:
     def test_two_torsion(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         assert pair_torsion_order(E, point(0, 0)) == 2
 
     def test_nontorsion(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         assert pair_torsion_order(E, point(12, 36)) is None
 
     def test_order_six(self):
-        E = EllipticCurveQ(0, 1)
+        E = curve_of(0, 1)
         assert pair_torsion_order(E, point(2, 3)) == 6
 
     def test_order_three(self):
         # (0, m) on y^2 = x^3 + m^2 has order 3
-        E = EllipticCurveQ(0, 9)
+        E = curve_of(0, 9)
         assert pair_torsion_order(E, point(0, 3)) == 3
 
 
@@ -155,7 +156,7 @@ class TestTorsionAgainstMultiples:
         assume(4 * A**3 + 27 * B**2 != 0)
         expected = torsion_order_by_multiples(A, (x, y))
         with no_factoring():
-            assert pair_torsion_order(EllipticCurveQ(A, B), point(x, y)) == expected
+            assert pair_torsion_order(curve_of(A, B), point(x, y)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([4, 5, 6, 7, 8, 9, 10, 12]), small_rationals)
@@ -167,7 +168,7 @@ class TestTorsionAgainstMultiples:
         except ZeroDivisionError:
             assume(False)
         assume(4 * A**3 + 27 * B**2 != 0)
-        E = EllipticCurveQ(A, B)
+        E = curve_of(A, B)
         kP = P
         for k in range(1, n + 1):
             expected = n // gcd(n, k)
@@ -213,7 +214,7 @@ def curves_with_points(draw):
     y = draw(st.one_of(st.just(Fraction(0)), rationals_with_prime_powers()))
     B = y * y - x**3 - A * x
     assume(4 * A**3 + 27 * B**2 != 0)
-    return EllipticCurveQ(A, B), point(x, y)
+    return curve_of(A, B), point(x, y)
 
 
 def kubert_point(n, t):
@@ -221,7 +222,7 @@ def kubert_point(n, t):
     a singular fibre."""
     try:
         A, B, P = tate_normal_form(n, t)
-        return EllipticCurveQ(A, B), point(*P)
+        return curve_of(A, B), point(*P)
     except (ZeroDivisionError, SingularCurveError):
         return None
 
@@ -232,7 +233,7 @@ class TestJacobianLawAgainstOracle:
     formulas and every multiple up to 12."""
 
     def check(self, E, P, j, k):
-        A = E.A
+        A = coefficients(E)[0]
         jP, kP = ec_mul(A, j, P), ec_mul(A, k, P)
         with reduced_results():
             jQ, kQ = scalar_mul(E, j, P), scalar_mul(E, k, P)
@@ -262,10 +263,10 @@ class TestJacobianLawAgainstOracle:
 
     def test_special_sums(self):
         # (12, 36) on y^2 = x^3 - 36 x, scaled by x -> x/16, y -> y/64
-        E, P = EllipticCurveQ(Fraction(-9, 64), 0), point(Fraction(3, 4), Fraction(9, 16))
+        E, P = curve_of(Fraction(-9, 64), 0), point(Fraction(3, 4), Fraction(9, 16))
         T = point(0, 0)  # order 2
         with reduced_results():
-            assert pair_add(E, P, P) == point(*ec_add(E.A, P, P))
+            assert pair_add(E, P, P) == point(*ec_add(coefficients(E)[0], P, P))
             assert pair_add(E, P, point(P[0], -P[1])) is None
             assert pair_add(E, T, T) is None
             assert pair_add(E, P, None) == pair_add(E, None, P) == P
@@ -274,18 +275,18 @@ class TestJacobianLawAgainstOracle:
 
 class TestIntegralModel:
     def test_clears_denominators(self):
-        E = EllipticCurveQ(Fraction(-9, 64), 0)
+        E = curve_of(Fraction(-9, 64), 0)
         Ai, Bi, lam = E.integral_model
         assert Ai == -36 and Bi == 0 and lam == 4
-        assert Fraction(Ai) == E.A * lam**4
+        assert Fraction(Ai) == coefficients(E)[0] * lam**4
 
     def test_reduces_large_powers(self):
-        E = EllipticCurveQ(-16 * 36, 0)  # = -36 * 2^4
+        E = curve_of(-16 * 36, 0)  # = -36 * 2^4
         Ai, _, lam = E.integral_model
         assert Ai == -36 and lam == Fraction(1, 2)
 
     def test_irreducible_pair_untouched(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         Ai, Bi, lam = E.integral_model
         assert (Ai, Bi, lam) == (-36, 0, 1)
 
@@ -297,7 +298,7 @@ class TestIntegralModel:
     def test_matches_model_by_denominators(self, A, B):
         # the reduced integral model with lam > 0 is unique, however it is found
         assume(4 * A**3 + 27 * B**2 != 0)
-        model = EllipticCurveQ(A, B).integral_model
+        model = curve_of(A, B).integral_model
         assert model == integral_model_by_denominators(A, B)
 
 
@@ -322,9 +323,9 @@ class TestScaledModel:
         mu = A.denominator * B.denominator // gcd(A.denominator, B.denominator)
         if 4 * A**3 + 27 * B**2 == 0:
             with pytest.raises(SingularCurveError):
-                EllipticCurveQ(A, B)
+                curve_of(A, B)
         else:
-            assert EllipticCurveQ(A, B)._scaled_model == (int(A * mu**4), int(B * mu**6), mu)
+            assert curve_of(A, B)._scaled_model == (int(A * mu**4), int(B * mu**6), mu)
 
 
 def smooth(min_size=0):
@@ -344,12 +345,12 @@ def curves_with_mu(draw):
     y = rational(smooth()) if draw(st.booleans()) else Fraction(0)
     B = y * y - x**3 - A * x
     assume(4 * A**3 + 27 * B**2 != 0)
-    E = EllipticCurveQ(A, B)
+    E = curve_of(A, B)
     assume(E._scaled_model[2] > 1)
     return E, point(x, y)
 
 
-TWELFTHS = (EllipticCurveQ(Fraction(-5, 6), Fraction(551, 1728)),
+TWELFTHS = (curve_of(Fraction(-5, 6), Fraction(551, 1728)),
             point(Fraction(1, 12), Fraction(1, 2)))
 
 
@@ -361,18 +362,19 @@ class TestEntryCheck:
     @given(curves_with_mu(), st.integers(1, 3), st.sampled_from(("on", "x", "y", "y=0")),
            st.fractions(min_value=-4, max_value=4, max_denominator=12).filter(bool))
     # x denominators 2 and 12, not squares: on the curve, and moved off it
-    @example((EllipticCurveQ(Fraction(1, 2), Fraction(-3, 8)), point(Fraction(1, 2), 0)),
+    @example((curve_of(Fraction(1, 2), Fraction(-3, 8)), point(Fraction(1, 2), 0)),
              1, "on", Fraction(1))
     @example(TWELFTHS, 1, "on", Fraction(1))
     @example(TWELFTHS, 1, "x", Fraction(1, 3))
     def test_matches_fraction_equation(self, curve_point, k, move, delta):
         E, P = curve_point
-        Q = ec_mul(E.A, k, P)
+        A, B = coefficients(E)
+        Q = ec_mul(A, k, P)
         if Q is not None:
             x, y = Q
             Q = {"on": (x, y), "x": (x + delta, y), "y": (x, y + delta),
                  "y=0": (x, Fraction(0))}[move]
-        on = ec_on_curve(E.A, E.B, Q)
+        on = ec_on_curve(A, B, Q)
         assert on or move != "on"
         if Q is None:  # O is on every curve, and enters the law as no triple
             assert on and triple(E, Q) is None
@@ -440,7 +442,7 @@ class TestSpecialize:
     def test_twist_example(self):
         s = TwistFamily(T**3 - T, T)
         spec = specialize(s, 6)
-        assert (spec.curve.A, spec.curve.B) == (-36, 0)
+        assert (spec.curve.A, spec.curve.B) == (int_pair(-36), int_pair(0))
         assert moved_point(spec, 2, 1) == point(12, 36)
 
     def test_twist_second_point(self):
@@ -453,7 +455,7 @@ class TestSpecialize:
     def test_mordell_example(self):
         m = KMFamily(RatPoly([1]), RatPoly(), RatPoly(), T)
         spec = specialize(m, 3)
-        assert (spec.curve.A, spec.curve.B) == (0, 3)
+        assert (spec.curve.A, spec.curve.B) == (int_pair(0), int_pair(3))
         assert moved_point(spec, 1, 2) == point(1, 2)
 
     def test_singular_fibre_rejected(self):
@@ -535,8 +537,8 @@ class TestIntegerSpecialisation:
             assert str(raised.value) == str(exc)
             return
         spec = specialize(surface, *int_pair(t0))
-        assert (spec.curve.A, spec.curve.B) == (A, B)
-        assert type(spec.curve.A) is Fraction and type(spec.curve.B) is Fraction
+        assert (spec.curve.A, spec.curve.B) == (int_pair(A), int_pair(B))
+        assert all(type(n) is type(d) is int for n, d in (spec.curve.A, spec.curve.B))
         assert all(d > 0 for _, d in spec.chart)
         assert tuple(Fraction(n, d) for n, d in spec.chart) == chart
         for x, y in points:
@@ -549,7 +551,8 @@ class TestIntegerSpecialisation:
             assert pullback_fraction(chart, *P) == (x, y)
             if on:  # the record's point, read back from the checked triple
                 J = spec.curve._jac(spec.moved(int_pair(x), int_pair(y)))
-                assert spec.curve._point(J) == transport_fraction(chart, x, y)
+                X1, Y1 = transport_fraction(chart, x, y)
+                assert spec.curve._point(J) == (int_pair(X1), int_pair(Y1))
 
     @settings(max_examples=60, deadline=None)
     @given(fibre_cases(), SMALL)
@@ -562,8 +565,9 @@ class TestIntegerSpecialisation:
         x, y = points[0]
         P = moved_point(spec, x, y)
         for x0 in (x, other):
-            cert = RankJumpCertificate(t0=Fraction(t0), curve=(spec.curve.A, spec.curve.B),
-                                       points=[P], provenance=[Fraction(x0)],
+            cert = RankJumpCertificate(t0=int_pair(t0), curve=(spec.curve.A, spec.curve.B),
+                                       points=[tuple(map(int_pair, P))],
+                                       provenance=[int_pair(x0)],
                                        generic_rank_bound=0, rank_bound_exact=True,
                                        claimed_rank_lower_bound=1)
             reasons = verify_certificate(surface, cert)[1]

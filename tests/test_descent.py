@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from conftest import (
+    curve_of,
     moved_point,
     pair_add,
     pair_regulator,
@@ -30,7 +31,6 @@ from conftest import (
 )
 from rankjump.arith import DomainError, is_square, rational_sqrt
 from rankjump.curves import (
-    EllipticCurveQ,
     SingularCurveError,
     descent_mod_p,
     regulator,
@@ -50,7 +50,7 @@ def short_model(roots):
     returns the curve, its roots and m."""
     m = sum(map(Fraction, roots)) / 3
     e1, e2, e3 = (r - m for r in roots)
-    return EllipticCurveQ(e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3), [e1, e2, e3], m
+    return curve_of(e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3), [e1, e2, e3], m
 
 
 def two_torsion(roots):
@@ -258,7 +258,7 @@ def curve_through(R, S):
     """(E, R, S): y^2 = x^3 + A x + B through the points R and S."""
     (x1, y1), (x2, y2) = R, S
     A = (y1 * y1 - x1**3 - y2 * y2 + x2**3) / (x1 - x2)
-    return EllipticCurveQ(A, y1 * y1 - x1**3 - A * x1), point(x1, y1), point(x2, y2)
+    return curve_of(A, y1 * y1 - x1**3 - A * x1), point(x1, y1), point(x2, y2)
 
 
 @st.composite
@@ -282,7 +282,7 @@ def three_torsion_curves(draw):
     v = r**3 / u
     k = (v - u) / 2
     assume(k and not all(round(abs(n) ** (1 / 3)) ** 3 == abs(n) for n in k.as_integer_ratio()))
-    E, R, T = EllipticCurveQ(0, k * k), point(r, (u + v) / 2), point(0, k)
+    E, R, T = curve_of(0, k * k), point(r, (u + v) / 2), point(0, k)
     assert pair_torsion_order(E, T) == 3
     assume(pair_torsion_order(E, R) is None)
     return E, R, pair_add(E, R, T)
@@ -346,7 +346,7 @@ def test_mod_p_defers_with_rational_two_torsion(curve, a, i, j):
 
 
 def test_mod_p_defers_on_a_point_and_its_negative():
-    E = EllipticCurveQ(0, 17)
+    E = curve_of(0, 17)
     P = point(-2, 3)
     JP, JQ = triples(E, P, point(-1, 4))
     assert descent_mod_p(E, JP, JQ)

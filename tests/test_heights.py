@@ -6,7 +6,9 @@ from time import perf_counter
 import mpmath
 import pytest
 from conftest import (
+    coefficients,
     canonical_height_doubling,
+    curve_of,
     ec_add,
     ec_mul,
     finite_corrections_fraction,
@@ -32,7 +34,6 @@ from test_curves import kubert_point
 from rankjump import curves
 from rankjump.arith import DomainError, prime_factors, val_unit
 from rankjump.curves import (
-    EllipticCurveQ,
     PrecisionError,
     SingularCurveError,
     SingularSpecializationError,
@@ -72,7 +73,7 @@ KM_SLOW_RECORD = (
 
 def curve_through(A, x, y):
     """(E, P): the curve y^2 = x^3 + A x + B through P = (x, y)."""
-    return EllipticCurveQ(A, y * y - x**3 - A * x), point(x, y)
+    return curve_of(A, y * y - x**3 - A * x), point(x, y)
 
 
 #: a point whose 2-adic walk needs its precision bookkeeping: m = 12 is
@@ -89,7 +90,7 @@ def rand_nontorsion(rng, span=9):
         A = Fraction(rng.randint(-span, span))
         B = y * y - x**3 - A * x
         try:
-            E = EllipticCurveQ(A, B)
+            E = curve_of(A, B)
         except SingularCurveError:
             continue
         P = point(x, y)
@@ -101,26 +102,26 @@ class TestCanonicalHeight:
     def test_reference_value(self):
         # generator of a rank-1 curve; the value below was frozen from the
         # doubling-limit oracle hhat(8P)/64 and is half the x-height limit
-        E = EllipticCurveQ(-16, 16)
+        E = curve_of(-16, 16)
         h = pair_height(E, point(0, 4))
         assert h.error < 1e-10
         assert abs(h.value - 0.02555570411998442) < 1e-11
 
     def test_positive_example(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         h = pair_height(E, point(12, 36))
         assert h.value > 0.2
         assert h.error < 1e-10
 
     def test_torsion_is_zero(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         h = pair_height(E, point(0, 0))
         assert h.method == "torsion" and h.value == 0.0
-        E6 = EllipticCurveQ(0, 1)
+        E6 = curve_of(0, 1)
         assert pair_height(E6, point(2, 3)).value == 0.0
 
     def test_doubling_limit_agreement(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         P = point(12, 36)
         h = pair_height(E, P)
         hd = canonical_height_doubling(E, P)
@@ -128,7 +129,7 @@ class TestCanonicalHeight:
         assert abs(h.value - hd.value) <= 1e-10
 
     def test_quadraticity_small(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         P = point(12, 36)
         h1 = pair_height(E, P).value
         h2 = pair_height(E, pair_add(E, P, P)).value
@@ -149,13 +150,13 @@ class TestCanonicalHeight:
                 assert abs(hn.value - n * n * h1.value) < max(err, 1e-10), (E, P, n)
 
     def test_identity_rejected(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         with pytest.raises(ValueError):
             pair_height(E, None)
 
     def test_parallelogram_sample(self):
         # hhat(P+Q) + hhat(P-Q) = 2 hhat(P) + 2 hhat(Q)
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         P, Q = point(12, 36), point(-3, 9)
         hs = [
             pair_height(E, pair_add(E, P, Q)).value,
@@ -173,7 +174,7 @@ def integral_points(draw):
     x, y, A = draw(st.integers(-20, 20)), draw(st.integers(1, 40)), draw(st.integers(-40, 40))
     B = y * y - x**3 - A * x
     assume(4 * A**3 + 27 * B**2 != 0)
-    E, P = EllipticCurveQ(A, B), point(x, y)
+    E, P = curve_of(A, B), point(x, y)
     assume(pair_torsion_order(E, P) is None)
     return E, scalar_mul(E, draw(st.integers(1, 3)), P)
 
@@ -182,7 +183,7 @@ def near_identity():
     """A point with x(2^k P) near 3^50 / 4^k: the series cuts X and Z from
     its first step on."""
     x, y = 3**50, isqrt(3**150) + 1
-    return EllipticCurveQ(0, y * y - x**3), point(x, y)
+    return curve_of(0, y * y - x**3), point(x, y)
 
 
 def smooth_numbers():
@@ -193,16 +194,17 @@ def smooth_numbers():
 class TestIsomorphicModels:
     @settings(max_examples=40, deadline=None)
     @given(integral_points(), smooth_numbers(), smooth_numbers())
-    @example((EllipticCurveQ(-36, 0), point(12, 36)), 6, 35)      # mu = 35^4, u = 6 * 35^3
-    @example((EllipticCurveQ(-16, 16), point(0, 4)), 1, 2)        # mu = 4, u = 2
-    @example((EllipticCurveQ(-16, 16), point(0, 4)), 14, 1)       # mu = 1, u = 14
+    @example((curve_of(-36, 0), point(12, 36)), 6, 35)      # mu = 35^4, u = 6 * 35^3
+    @example((curve_of(-16, 16), point(0, 4)), 1, 2)        # mu = 4, u = 2
+    @example((curve_of(-16, 16), point(0, 4)), 14, 1)       # mu = 1, u = 14
     def test_height_is_invariant(self, curve_point, r, s):
         """(x, y) -> (lam^2 x, lam^3 y) carries E to (A lam^4, B lam^6) with
         the same integral model, so the height is the same float: s > 1 makes
         mu > 1, and a factor of r makes u = mu / lam > 1."""
         E, P = curve_point
         lam = Fraction(r, s)
-        E2 = EllipticCurveQ(E.A * lam**4, E.B * lam**6)
+        A, B = coefficients(E)
+        E2 = curve_of(A * lam**4, B * lam**6)
         h, h2 = pair_height(E, P), pair_height(E2, point(P[0] * lam**2, P[1] * lam**3))
         assert (h2.value, h2.error) == (h.value, h.error)
 
@@ -210,9 +212,9 @@ class TestIsomorphicModels:
 class TestFormalMultiple:
     @settings(max_examples=80, deadline=None)
     @given(integral_points())
-    @example((EllipticCurveQ(-12, 20), point(-2, 6)))     # lcm(k_2, k_3) = 72
-    @example((EllipticCurveQ(5, 214), point(-5, 8)))      # 35
-    @example((EllipticCurveQ(-12, 146), point(-5, 9)))    # 6
+    @example((curve_of(-12, 20), point(-2, 6)))     # lcm(k_2, k_3) = 72
+    @example((curve_of(5, 214), point(-5, 8)))      # 35
+    @example((curve_of(-12, 146), point(-5, 9)))    # 6
     @example(WALK_BOOKKEEPING)                            # 12
     def test_walk_matches_first_hits(self, curve_point):
         """The walk stops at the first multiple in the formal group at 2 and
@@ -220,7 +222,7 @@ class TestFormalMultiple:
         E, P = curve_point
         m, (X, Y, Z) = _formal_multiple(E._scaled_model[0], triple(E, P))
         Q = (Fraction(X, Z * Z), Fraction(Y, Z**3))
-        assert (m, Q) == formal_multiple_by_first_hits(E.A, P)
+        assert (m, Q) == formal_multiple_by_first_hits(coefficients(E)[0], P)
 
     def test_long_walks_keep_their_heights(self):
         """P and Q of KM_SLOW reach the formal group at m = 234, P + Q at
@@ -230,8 +232,9 @@ class TestFormalMultiple:
         E = spec.curve
         P = moved_point(spec, Fraction(1, 3), -4)
         Q = moved_point(spec, Fraction(5, 6), Fraction(-23, 2))
-        assert (E.A, E.B, P, Q) == (Fraction(13439, 3), Fraction(955010, 27),
-                                    point(Fraction(193, 3), -768), point(Fraction(481, 3), -2208))
+        assert (*coefficients(E), P, Q) == (Fraction(13439, 3), Fraction(955010, 27),
+                                            point(Fraction(193, 3), -768),
+                                            point(Fraction(481, 3), -2208))
         heights = [pair_height(E, R) for R in (P, Q, pair_add(E, P, Q))]
         assert [h.detail["multiple"] for h in heights] == [234, 234, 78]
         assert [h.value for h in heights] == [0.18320951094055973, 0.7893336539008481,
@@ -247,7 +250,7 @@ class TestFormalMultiple:
         """Between the group law and mpmath a height runs on the triple: no
         Fraction is built from an integer above 64 bits while Q's height,
         whose m Q has a Z of 62,350 bits, is computed."""
-        E = EllipticCurveQ(Fraction(13439, 3), Fraction(955010, 27))
+        E = curve_of(Fraction(13439, 3), Fraction(955010, 27))
         Q, sizes = point(Fraction(481, 3), -2208), []
 
         def recorded(*args):
@@ -264,7 +267,7 @@ class TestFormalMultiple:
         """11 Q on KM_SLOW reaches the formal group at m = 234 with a Z of
         about 121 * 62,350 bits; the walk through every multiple would run
         for days, and forming m J stops at the bit cap within a second."""
-        E = EllipticCurveQ(Fraction(13439, 3), Fraction(955010, 27))
+        E = curve_of(Fraction(13439, 3), Fraction(955010, 27))
         R = scalar_mul(E, 11, point(Fraction(481, 3), -2208))
         start = perf_counter()
         with pytest.raises(PrecisionError):
@@ -274,7 +277,7 @@ class TestFormalMultiple:
     def test_size_cap(self, monkeypatch):
         """m J is formed only while its sums stay under the bit cap; a
         multiple already in the formal group is returned whatever its size."""
-        E, P = EllipticCurveQ(-12, 20), point(-2, 6)
+        E, P = curve_of(-12, 20), point(-2, 6)
         A = E._scaled_model[0]
         m, Q = _formal_multiple(A, triple(E, P))
         assert m == 72
@@ -286,7 +289,7 @@ class TestFormalMultiple:
     def test_precision_error_retries_with_more_digits(self, monkeypatch):
         """Each PrecisionError of the series doubles the digits and adds 16
         terms, three times at most; the fourth is raised."""
-        E, P = EllipticCurveQ(0, 17), point(-2, 3)
+        E, P = curve_of(0, 17), point(-2, 3)
         exact, lambda_infinity, failures = pair_height(E, P), curves._lambda_infinity, [0]
 
         def failing(*args):
@@ -309,10 +312,10 @@ class TestFormalMultiple:
     @pytest.mark.parametrize("curve_point", [
         *(kubert_point(n, t) for n in (4, 5, 6, 7, 8, 9, 10, 12)
           for t in (Fraction(-3, 2), Fraction(5, 7))),
-        (EllipticCurveQ(-1, 0), point(0, 0)),      # order 2
-        (EllipticCurveQ(-4, 0), point(2, 0)),      # order 2
-        (EllipticCurveQ(0, 16), point(0, 4)),      # order 3
-        (EllipticCurveQ(0, 1), point(0, 1)),       # order 3
+        (curve_of(-1, 0), point(0, 0)),      # order 2
+        (curve_of(-4, 0), point(2, 0)),      # order 2
+        (curve_of(0, 16), point(0, 4)),      # order 3
+        (curve_of(0, 1), point(0, 1)),       # order 3
     ])
     def test_torsion_has_no_formal_multiple(self, curve_point):
         """The walks need no step cap: on a torsion point each ends at its
@@ -330,7 +333,7 @@ class TestFormalMultiple:
 def integral_triple(E, P):
     """(Ai, Bi, J): P as a reduced triple J of E's integral model."""
     Ai, Bi, lam = E.integral_model
-    return Ai, Bi, triple(EllipticCurveQ(Ai, Bi), point(P[0] * lam**2, P[1] * lam**3))
+    return Ai, Bi, triple(curve_of(Ai, Bi), point(P[0] * lam**2, P[1] * lam**3))
 
 
 def series_input(E, P):
@@ -346,8 +349,8 @@ class TestSeriesAgainstMpmath:
 
     @settings(max_examples=40, deadline=None)
     @given(integral_points())
-    @example((EllipticCurveQ(-36, 0), point(12, 36)))
-    @example((EllipticCurveQ(-16, 16), point(0, 4)))
+    @example((curve_of(-36, 0), point(12, 36)))
+    @example((curve_of(-16, 16), point(0, 4)))
     def test_height_equals_oracle_backed_copy(self, curve_point):
         E, P = curve_point
         h = pair_height(E, P)
@@ -376,7 +379,7 @@ class TestSeriesAgainstMpmath:
 
     @settings(max_examples=80, deadline=None)
     @given(integral_points(), st.integers(1, 7))
-    @example((EllipticCurveQ(Fraction(13439, 3), Fraction(955010, 27)),
+    @example((curve_of(Fraction(13439, 3), Fraction(955010, 27)),
               point(Fraction(481, 3), -2208)), 1)
     def test_first_duplication_gcd_leaves_out_z(self, curve_point, n):
         """_lambda_infinity reduces x(2P) = N/D, D = 4 Y^2 Z^2, by gcd(N, 4 Y^2),
@@ -394,7 +397,7 @@ class TestSeriesAgainstMpmath:
 
     @settings(max_examples=25, deadline=None)
     @given(integral_points())
-    @example((EllipticCurveQ(-34 * 34, 0), point(-16, 120)))
+    @example((curve_of(-34 * 34, 0), point(-16, 120)))
     def test_claimed_error_covers_the_truncation(self, curve_point):
         """The tail bound 4^-n _tail_constant that canonical_height claims at
         n terms bounds the distance of the series to its value at 120 terms."""
@@ -435,7 +438,7 @@ def singular_reduction_points(draw):
             A, x, y = p * p * A, p * x, p * y
     B = y * y - x**3 - A * x
     assume(4 * A**3 + 27 * B**2 != 0)
-    E, P = EllipticCurveQ(A, B), point(x, y)
+    E, P = curve_of(A, B), point(x, y)
     assume(E.integral_model[2] == 1 and pair_torsion_order(E, P) is None)
     return E, P, p
 
@@ -460,9 +463,9 @@ def _valuation(n: int, p: int) -> int | None:
 
 # I2* points: at 13, where the Kodaira chain once put P on the wrong
 # component, at 13 again and at 11
-I2_STAR_AT_13 = (EllipticCurveQ(507, 120977805), point(-65, 10985), 13)
-I2_STAR_AGAIN = (EllipticCurveQ(-169, 3446462243497), point(39, 1856465), 13)
-I2_STAR_AT_11 = (EllipticCurveQ(-484, 44352913), point(-44, 6655), 11)
+I2_STAR_AT_13 = (curve_of(507, 120977805), point(-65, 10985), 13)
+I2_STAR_AGAIN = (curve_of(-169, 3446462243497), point(39, 1856465), 13)
+I2_STAR_AT_11 = (curve_of(-484, 44352913), point(-44, 6655), 11)
 # 3x^2 + A = 0 at P, which meets the node of the I2 fibre at 5; 4P has 5 | Z
 SLOPE_ZERO_AT_5 = (*curve_through(-3, 1, 5), 5)
 
@@ -535,7 +538,7 @@ class TestSingularReduction:
 
 class TestRegulator:
     def test_dependent_classic_pair(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         res = pair_regulator(E, [point(12, 36), point(18, 72)])
         assert res.verdict == "dependent"
         a, b, order = res.relation
@@ -543,7 +546,7 @@ class TestRegulator:
         assert pair_torsion_order(E, R) == order
 
     def test_dependent_multiple(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         P = point(12, 36)
         res = pair_regulator(E, [P, pair_add(E, P, P)])
         # Q = 2 P is no size-2 relation, so the heights decide: error > 0
@@ -552,13 +555,13 @@ class TestRegulator:
 
     def test_inverse_pair_dependent(self):
         # hhat(P + Q) = hhat(O) = 0 exactly; (1, 1) is the first relation
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         P = point(12, 36)
         res = pair_regulator(E, [P, point(P[0], -P[1])])
         assert res.verdict == "dependent" and res.relation == (1, 1, 1)
 
     def test_independent_rank_two(self):
-        E = EllipticCurveQ(-34 * 34, 0)
+        E = curve_of(-34 * 34, 0)
         res = pair_regulator(E, [point(-16, 120), point(-2, 48)])
         assert res.verdict == "independent"
         assert res.determinant > 1e-6 + res.error
@@ -575,7 +578,7 @@ class TestRegulator:
     def test_relation_beyond_the_bound_is_inconclusive(self):
         # y^2 = x^3 + 17, P = (-2, 3): the Gram matrix of (P, nP) is singular,
         # and nP - n P = O is a relation within |a|, |b| <= 20 only up to n = 20
-        E, P = EllipticCurveQ(0, 17), point(-2, 3)
+        E, P = curve_of(0, 17), point(-2, 3)
         res = pair_regulator(E, [P, scalar_mul(E, 20, P)])
         assert res.verdict == "dependent" and res.relation == (20, -1, 1)
         res = pair_regulator(E, [P, scalar_mul(E, 21, P)])
@@ -583,19 +586,19 @@ class TestRegulator:
         assert abs(res.determinant) <= res.error
 
     def test_torsion_rejected(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         with pytest.raises(ValueError, match="non-torsion"):
             pair_regulator(E, [point(0, 0), point(12, 36)])
 
     def test_pairs_only(self):
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         P, Q = point(12, 36), point(-3, 9)
         for points in ([P], [P, Q, pair_add(E, P, Q)]):
             with pytest.raises(ValueError, match="pairs"):
                 pair_regulator(E, points)
 
     def test_pairing_symmetric_bilinear_sample(self):
-        E = EllipticCurveQ(-34 * 34, 0)
+        E = curve_of(-34 * 34, 0)
         P, Q = point(-16, 120), point(-2, 48)
         v1, e1 = pair_pairing(E, P, Q)
         v2, e2 = pair_pairing(E, Q, P)
@@ -605,7 +608,7 @@ class TestRegulator:
 
     def test_pairing_with_the_identity_and_with_torsion_sums(self):
         # P + Q = O and P + Q = (0, 0), of order 2, both read hhat(P + Q) = 0
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         P, minus_P = point(-3, 9), point(-3, -9)
         with pytest.raises(ValueError, match="identity"):
             pair_pairing(E, None, P)
@@ -648,7 +651,7 @@ class TestRelationAgainstEnumeration:
         A, B, T, n, P = curve
         P1 = ec_add(A, ec_mul(A, a, P), ec_mul(A, k1 % n, T))
         P2 = ec_add(A, ec_mul(A, b, P), ec_mul(A, k2 % n, T))
-        res = pair_regulator(EllipticCurveQ(A, B), [point(*P1), point(*P2)])
+        res = pair_regulator(curve_of(A, B), [point(*P1), point(*P2)])
         assert res.verdict == "dependent"
         assert res.relation == relation_by_enumeration(A, P1, P2)
 
@@ -666,14 +669,14 @@ class TestRelationAgainstEnumeration:
             mp.setattr("rankjump.curves.canonical_height", no_height)
             for k in range(n):
                 Q = ec_add(A, ec_mul(A, sign, P), ec_mul(A, k, T))
-                res = pair_regulator(EllipticCurveQ(A, B), [point(*P), point(*Q)])
+                res = pair_regulator(curve_of(A, B), [point(*P), point(*Q)])
                 assert res.verdict == "dependent"
                 assert (res.determinant, res.error) == (0.0, 0.0)
                 assert res.relation == relation_by_enumeration(A, P, Q)
 
     def test_relation_kept_within_the_errors(self):
         # Gram entries off by less than their errors still admit 2 P - Q = O
-        E = EllipticCurveQ(-36, 0)
+        E = curve_of(-36, 0)
         P = point(-3, 9)
         h, e = pair_height(E, P).value, 1e-9
         gram = (h + e / 2, 4 * h - e / 2, 2 * h + e / 2)
@@ -721,7 +724,7 @@ def curves_through_one_point(draw):
         A = (y2 * y2 - (x + dx) ** 3 - y * y + x**3) * dx
         B = y * y - x**3 - A * x
         assume(4 * A**3 + 27 * B**2 != 0)
-        E, P, Q = EllipticCurveQ(A, B), point(x, y), point(x + dx, y2)
+        E, P, Q = curve_of(A, B), point(x, y), point(x + dx, y2)
         assume(E.integral_model[2] == 1)
         assume(pair_torsion_order(E, P) is None and pair_torsion_order(E, Q) is None)
         out.append((E, P, Q))
@@ -751,7 +754,8 @@ class TestHeightTable:
         cases = []
         for E, P, Q in pairs:
             cases.append((E, P, Q, False))
-            cases.append((EllipticCurveQ(E.A * lam**4, E.B * lam**6),
+            A, B = coefficients(E)
+            cases.append((curve_of(A * lam**4, B * lam**6),
                           point(P[0] * lam**2, P[1] * lam**3),
                           point(Q[0] * lam**2, Q[1] * lam**3), True))
         cases += [(E, P, Q, False) for E, P, Q in through_one_point]
@@ -770,7 +774,7 @@ class TestFormalMultipleOnSurfaces:
         curve, where canonical_height keys them."""
         E, P, Q = pair
         Ai, Bi, lam = E.integral_model
-        Ei = EllipticCurveQ(Ai, Bi)
+        Ei = curve_of(Ai, Bi)
         for R in (P, Q):
             Ri = point(R[0] * lam**2, R[1] * lam**3)
             m, (X, Y, Z) = _formal_multiple(Ai, triple(Ei, Ri))

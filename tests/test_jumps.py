@@ -16,6 +16,7 @@ from conftest import (
     census_rescan,
     distinct_up_to,
     fibre_product_genus,
+    int_pair,
     jump1_lookahead,
     pair_torsion_order,
     point,
@@ -103,8 +104,8 @@ class TestJump1:
         assert len(certs) == 60
         by_t0 = {c.t0: c for c in certs}
         assert len(by_t0) == 60  # distinct t0
-        assert by_t0[Fraction(6)].points == [(12, 36)]
-        assert by_t0[Fraction(6)].provenance == [2]
+        assert by_t0[int_pair(6)].points == [(int_pair(12), int_pair(36))]
+        assert by_t0[int_pair(6)].provenance == [int_pair(2)]
         for c in certs:
             assert c.generic_rank_bound == 0 and c.rank_bound_exact
             assert c.claimed_rank_lower_bound == 1
@@ -120,7 +121,7 @@ class TestJump1:
         for cert in jump1(s, Budget(6, 6, 15)):
             E = EllipticCurveQ(*cert.curve)
             for x, y in cert.points:
-                P = point(x, y)
+                P = point(Fraction(*x), Fraction(*y))
                 assert E.is_on(ratios(P))
                 assert pair_torsion_order(E, P) is None
 
@@ -130,14 +131,14 @@ class TestJump1:
 
         s = usual_twist()
         for cert in jump1(s, Budget(6, 6, 20)):
-            x0 = cert.provenance[0]
-            val = s.g(cert.t0) * s.f(x0)
+            x0 = Fraction(*cert.provenance[0])
+            val = s.g(Fraction(*cert.t0)) * s.f(x0)
             assert val != 0 and is_square(val)
 
     def test_mordell_stream(self):
         certs = list(jump1(mordell(), Budget(8, 8, 60)))
         by_t0 = {c.t0: c for c in certs}
-        assert by_t0[Fraction(3)].points == [(1, 2)]
+        assert by_t0[int_pair(3)].points == [(int_pair(1), int_pair(2))]
         for cert in certs[:10]:
             ok, reasons = verify_certificate(mordell(), cert)
             assert ok, reasons
@@ -172,8 +173,9 @@ class TestJump2:
         # the classic dependent pair lives over t0 = 6 on the g = t family
         certs = list(jump2(usual_twist(), Budget(10, 6, 4)))
         for c in certs:
-            if c.t0 == 6:
-                assert sorted(c.points) != [(12, 36), (18, 72)]
+            if c.t0 == int_pair(6):
+                assert sorted(c.points) != [(int_pair(12), int_pair(36)),
+                                            (int_pair(18), int_pair(72))]
 
     def test_km_stream_intersection(self):
         log = Counter()
@@ -202,7 +204,8 @@ class TestJump2:
             (x1, y1), (x2, y2) = c.points
             assert (x1, y1) != (x2, y2)
             E = EllipticCurveQ(*c.curve)
-            assert E.is_on(ratios(point(x1, y1))) and E.is_on(ratios(point(x2, y2)))
+            P1, P2 = (point(Fraction(*x), Fraction(*y)) for x, y in c.points)
+            assert E.is_on(ratios(P1)) and E.is_on(ratios(P2))
 
     @pytest.mark.parametrize("config,budget", [("mordell", "8,8,5"), ("split-twist", "18,10,5")])
     def test_height_precision_error_is_inconclusive(self, config, budget, capsys, monkeypatch):
@@ -395,19 +398,19 @@ class TestAvoidCovers:
     def test_single_cover(self):
         challenge = CoverChallenge((T,))
         certs = list(avoid_covers(usual_twist(), challenge, Budget(6, 6, 20)))
-        t0s = {c.t0 for c in certs}
+        t0s = {Fraction(*c.t0) for c in certs}
         assert Fraction(6) in t0s  # 6 is not a square
-        for c in certs:
-            assert not is_sq(c.t0)
+        for t0 in t0s:
+            assert not is_sq(t0)
 
     def test_two_covers_reject_six(self):
         challenge = CoverChallenge((T, T - 5))
         certs = list(avoid_covers(usual_twist(), challenge, Budget(8, 8, 30)))
-        t0s = {c.t0 for c in certs}
+        t0s = {Fraction(*c.t0) for c in certs}
         assert Fraction(6) not in t0s  # 6 - 5 = 1 is a square
         assert Fraction(24) in t0s     # 24 and 19 are not squares
-        for c in certs:
-            assert not is_sq(c.t0) and not is_sq(c.t0 - 5)
+        for t0 in t0s:
+            assert not is_sq(t0) and not is_sq(t0 - 5)
 
     def test_empty_challenge_matches_jump1(self):
         challenge = CoverChallenge(())
@@ -421,8 +424,8 @@ class TestAvoidCovers:
         logs = Counter(), Counter()
         certs = list(avoid_covers(usual_twist(), challenge, budget, rank=2, log=logs[0]))
         assert certs == list(jump2(usual_twist(), budget, avoid=challenge, log=logs[1]))
-        assert [c.t0 for c in certs] == [Fraction(-168, 125), Fraction(-21, 250),
-                                         Fraction(-378, 125), Fraction(-189, 250)]
+        assert [Fraction(*c.t0) for c in certs] == [Fraction(-168, 125), Fraction(-21, 250),
+                                                    Fraction(-378, 125), Fraction(-189, 250)]
         assert logs[0] == logs[1] and logs[0]["avoided t0"] == 4
 
     def test_rank_other_than_one_or_two_is_refused(self):
@@ -440,7 +443,7 @@ class TestAvoidCovers:
     def test_zero_value_counts_as_image(self):
         challenge = CoverChallenge((T - 6,))
         certs = list(avoid_covers(usual_twist(), challenge, Budget(6, 6, 20)))
-        assert all(c.t0 != 6 for c in certs)
+        assert all(c.t0 != int_pair(6) for c in certs)
 
     @settings(max_examples=300, deadline=None)
     @given(cover_cases())
@@ -522,7 +525,7 @@ class TestFieldCensus:
         shipped configs, at the benchmark's height 30, no fibre's matrix is
         built."""
         def no_matrix(fibre):
-            raise AssertionError(f"the matrix of the fibre over {fibre.x0} was built")
+            raise AssertionError(f"the matrix of the fibre over {fibre.x0_ratio} was built")
 
         monkeypatch.setattr(ConicFibre, "matrix", property(no_matrix))
         configs = sorted(CONFIGS.glob("*.cfg"))
@@ -571,7 +574,7 @@ class TestVerification:
         s = usual_twist()
         cert = next(iter(jump1(s, Budget(6, 6, 1))))
         x, y = cert.points[0]
-        cert.points[0] = (x, y + 1)
+        cert.points[0] = (x, int_pair(Fraction(*y) + 1))
         ok, reasons = verify_certificate(s, cert)
         assert not ok and any("off the curve" in r for r in reasons)
 
@@ -585,7 +588,7 @@ class TestVerification:
     def test_singular_t0_fails(self):
         s = usual_twist()
         cert = next(iter(jump1(s, Budget(6, 6, 1))))
-        cert.t0 = Fraction(0)
+        cert.t0 = int_pair(0)
         ok, reasons = verify_certificate(s, cert)
         assert not ok
 
@@ -616,9 +619,9 @@ class TestVerification:
     def test_reason_order_on_forged_points(self, surface, t0, curve, points, provenance,
                                            reasons):
         cert = RankJumpCertificate(
-            t0=Fraction(t0), curve=tuple(map(Fraction, curve)),
-            points=[tuple(map(Fraction, P)) for P in points],
-            provenance=[Fraction(x0) for x0 in provenance], generic_rank_bound=0,
+            t0=int_pair(t0), curve=tuple(map(int_pair, curve)),
+            points=[tuple(map(int_pair, P)) for P in points],
+            provenance=[int_pair(x0) for x0 in provenance], generic_rank_bound=0,
             rank_bound_exact=True, claimed_rank_lower_bound=len(points))
         assert verify_certificate(surface(), cert) == (False, reasons)
 
@@ -660,7 +663,6 @@ class TestVerification:
             checked.clear()
             cert = rec.certificate
             assert verify_certificate(surfaces[rec.surface.definition], cert) == (True, [])
-            assert checked == [(x.as_integer_ratio(), y.as_integer_ratio())
-                               for x, y in cert.points]
+            assert checked == [(x, y) for x, y in cert.points]
             shapes[rec.surface.kind, len(cert.points)] += 1
         assert shapes == {("km", 1): 300, ("twist", 1): 300, ("km", 2): 5, ("twist", 2): 10}

@@ -44,11 +44,14 @@ and Weierstrass forms) and the messages of degenerate fibres.
 
 The Fraction tests run the benchmark's rank1-search, rank2-search and
 verify-store commands and pin how many Fractions a cycle builds and
-hashes: from the fibre parameter to the record a certificate is carried
-in integers, t0, x0 and the pencil's points as int pairs, each fibre's
-conic as one integer matrix and a twist pair's value ratio as an integer
-square root, and only A, B and a record's t0, provenance and points become
-Fractions, so a re-wrap or a value rebuilt in Fractions raises the count.
+hashes: from the fibre parameter to the record and back from the store a
+certificate is carried in integers, t0, x0 and the pencil's points as int
+pairs, each fibre's conic as one integer matrix and a twist pair's value
+ratio as an integer square root, and a record's t0, curve, points and
+provenance as reduced int pairs, written and read without a Fraction. The
+Fractions left belong to the surfaces (their configs and Weierstrass
+forms, built once per command) and to the heights, so a re-wrap or a
+value rebuilt in Fractions raises the count.
 """
 
 import gzip
@@ -279,15 +282,19 @@ def test_seed0_census_fractions_built(tmp_path, capsys, monkeypatch):
 #: scaled its matrix to integers by Fraction products, and rank1-search
 #: 5,657 and rank2-search 1,924 while each solvable fibre built its matrix
 #: (and q) in Fractions for the pencil, the sweep and the descent, and a
-#: twist pair took its value ratio's square root in Fractions
-FRACTIONS_BUILT = (5261, 1186, 8761)
+#: twist pair took its value ratio's square root in Fractions; 5,261,
+#: 1,186 and 8,761 while A and B were Fractions, a record's t0, points and
+#: provenance were built as Fractions and the store read every rational of
+#: a line into one (6,045 per verify-store cycle)
+FRACTIONS_BUILT = (341, 823, 706)
 #: the same from CPython 3.12 on, whose arithmetic builds its results
 #: without __new__ and coerces an int left operand through it: 23,055 and
 #: 21,425 before, verify-store 8,285 with f_roots through sympy and 8,278
 #: with the descent over Q in Fractions, rank1-search 7,543 with the
 #: fibres in Fractions and 7,492 with x0, t0 and the points in Fractions,
-#: and rank1-search 5,388 and rank2-search 1,182 with the matrix in Fractions
-FRACTIONS_BUILT_FROM_312 = (5104, 654, 8233)
+#: and rank1-search 5,388 and rank2-search 1,182 with the matrix in
+#: Fractions, and 5,104, 654 and 8,233 with a record's rationals in Fractions
+FRACTIONS_BUILT_FROM_312 = (184, 291, 178)
 
 
 def test_seed0_fractions_built(tmp_path, capsys, monkeypatch):
@@ -323,15 +330,16 @@ def test_seed0_fractions_built(tmp_path, capsys, monkeypatch):
                             else FRACTIONS_BUILT)
 
 
-#: Fraction.__hash__ calls per seed-0 rank1-search cycle, on every CPython:
-#: the store's dedupe of each record's t0 and points. 2,619 while _certify
-#: keyed its seen set, and checked it, on Fraction t0s
-RANK1_FRACTION_HASHES = 600
+#: Fraction.__hash__ calls per seed-0 rank1-search cycle, on every CPython.
+#: 2,619 while _certify keyed its seen set, and checked it, on Fraction t0s,
+#: and 600 while the store's dedupe keyed each record on its Fraction t0; it
+#: keys on the int pair
+RANK1_FRACTION_HASHES = 0
 
 
 def test_seed0_rank1_hashes_fractions_for_records_only(tmp_path, capsys, monkeypatch):
     """One rank1-search cycle after a warm one, counted by wrapping
-    Fraction.__hash__: a search keys its t0 on int pairs."""
+    Fraction.__hash__: a search and the store key their t0 on int pairs."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import gen
     import run

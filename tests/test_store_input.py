@@ -25,12 +25,19 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import child_env, read_lines_canonical
+from conftest import (
+    child_env,
+    int_pair,
+    rational_fraction,
+    read_lines_canonical,
+    to_json_fraction,
+)
 from rankjump.cli import main
 from rankjump.config import build_surface, parse_surface_config
-from rankjump.jumps import Budget, jump1
+from rankjump.jumps import Budget, RankJumpCertificate, jump1
 from rankjump.store import (
     CertificateRecord,
+    _rational,
     _read_lines,
     record_from_json,
     store_file,
@@ -546,7 +553,8 @@ def test_verify_keys_each_store_file_once(tmp_path, monkeypatch):
 
 def test_fixture_records_are_typed_at_the_boundary():
     """verify_certificate takes a record's rationals as store._record types
-    them: t0, the curve, the points and the provenance are Fractions."""
+    them: t0, the curve, the points and the provenance are reduced int
+    pairs (n, d), d > 0."""
     records = [record_from_json(line)
                for gz in sorted((ROOT / "perfbench" / "fixture").glob("*.jsonl.gz"))
                for line in gzip.decompress(gz.read_bytes()).splitlines()]
@@ -554,4 +562,84 @@ def test_fixture_records_are_typed_at_the_boundary():
     for rec in records:
         cert = rec.certificate
         values = [cert.t0, *cert.curve, *cert.provenance, *(c for P in cert.points for c in P)]
-        assert all(type(v) is Fraction for v in values)
+        assert all(type(v) is tuple and tuple(map(type, v)) == (int, int)
+                   and int_pair(Fraction(*v)) == v for v in values)
+
+
+LIMIT = sys.get_int_max_str_digits() or 4300
+
+
+def _digits(draw, sizes) -> str:
+    """A digit run of a drawn size, leading zeros allowed."""
+    size = draw(sizes)
+    head = draw(st.text("0123456789", min_size=min(size, 6), max_size=min(size, 6)))
+    return head + draw(st.sampled_from("0123456789")) * (size - len(head))
+
+
+@st.composite
+def stored_tokens(draw):
+    """Tokens a store line may hold as a rational: str(Fraction)'s forms
+    with signs, leading zeros, "-0", zero and unreduced ratios, digit runs
+    on both sides of int()'s limit, and junk, exponents above all."""
+    sizes = st.one_of(st.integers(0, 4), st.sampled_from([LIMIT - 1, LIMIT, LIMIT + 1]))
+    sign = draw(st.sampled_from(["", "", "-", "+", " "]))
+    token = sign + _digits(draw, sizes)
+    if draw(st.booleans()):
+        token += draw(st.sampled_from(["/", "/-", "//", "/+"])) + _digits(draw, sizes)
+    if draw(st.booleans()):
+        token += draw(st.sampled_from(["", "e5", "E-3", ".5", " ", "_0", "x", "\n"]))
+    return draw(st.one_of(st.just(token), st.sampled_from(
+        [token, "-0", "0/5", "007/010", "6/4", "-6/4", "1e1000000", "1/0", "½", 7, None])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(stored_tokens())
+@example("-0")
+@example("0/5")
+@example("007/010")
+@example("1" * LIMIT + "/" + "1" * (LIMIT + 1))
+@example("1" * (LIMIT + 1))
+def test_reader_matches_the_fraction_reader(token):
+    """store._rational returns the pair the Fraction reader it replaced
+    builds, or refuses the token with the same message."""
+    try:
+        expected = rational_fraction(token).as_integer_ratio()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            _rational(token)
+        assert str(raised.value) == str(exc)
+    else:
+        assert _rational(token) == expected
+
+
+def ratio_pairs(max_den: int = 30):
+    """Reduced int pairs with d = 1 and d > 1, negatives and 0 among them."""
+    return st.builds(lambda n, d: int_pair(Fraction(n, d)),
+                     st.integers(-10**30, 10**30), st.integers(1, max_den))
+
+
+@st.composite
+def certificates(draw) -> RankJumpCertificate:
+    count = draw(st.integers(1, 2))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return RankJumpCertificate(
+        t0=draw(ratio_pairs()),
+        curve=(draw(ratio_pairs(10**12)), draw(ratio_pairs(10**18))),
+        points=[(draw(ratio_pairs(10**6)), draw(ratio_pairs(10**9))) for _ in range(count)],
+        provenance=[draw(ratio_pairs()) for _ in range(count)],
+        generic_rank_bound=draw(st.integers(0, 8)),
+        rank_bound_exact=draw(st.booleans()),
+        claimed_rank_lower_bound=count,
+        regulator=draw(st.one_of(st.none(), st.tuples(finite, finite))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificates(), st.one_of(st.none(), st.text(max_size=8)), st.booleans())
+def test_lines_match_the_fraction_writer(cert, timestamp, verified):
+    """A record of int pairs is written byte for byte as the Fraction writer
+    it replaced wrote it, and reads back to the same line."""
+    rec = CertificateRecord(cert, parse_surface_config(TWIST_CFG), Budget(6, 6, 4),
+                            timestamp, verified)
+    assert rec.line == to_json_fraction(rec)
+    assert record_from_json(rec.line).line == rec.line

@@ -5,9 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import classify_fibres_reversed, fraction_points
+from conftest import classify_fibres_reversed, curve_of, fraction_points
 from rankjump.arith import DomainError
-from rankjump.curves import EllipticCurveQ
 from rankjump.kodaira import InvalidModelError, KodairaType, kodaira_type
 from rankjump.polynomial import PLACE_AT_INFINITY, Place, RatPoly, yun_squarefree
 from rankjump.surfaces import (
@@ -318,7 +317,7 @@ def surface_normal_form(s: TwistFamily):
     cubic coefficients by the (u^4, u^6) action."""
     P, Q, _, _ = s.short_cubic
     lg = s.g.leading()
-    Ai, Bi, _ = EllipticCurveQ(P * lg**2, Q * lg**3).integral_model
+    Ai, Bi, _ = curve_of(P * lg**2, Q * lg**3).integral_model
     return Ai, Bi, s.g.monic()
 
 
